@@ -10,6 +10,7 @@ package mnn_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -163,6 +164,44 @@ func TestInt8BatchedUnbatchedBitwise(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestThreadCountBitwise pins that the fp32 engine's output does not depend
+// on the thread count: every kernel computes an output element from the same
+// operands in the same order whichever lane runs it, and the pointwise GEMM
+// (matmul.PackedB) computes each row from that row alone, so how rows are
+// split over lanes cannot change a bit. Full-size mobilenet-v1: its 7×7
+// layers give odd per-lane row blocks at 2 and 3 lanes.
+func TestThreadCountBitwise(t *testing.T) {
+	g, err := mnn.BuildNetwork("mobilenet-v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := g.InputNames[0]
+	run := func(threads int) map[string]*mnn.Tensor {
+		eng, err := mnn.Open(g, mnn.WithThreads(threads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		in := tensor.NewRandom(7, 1, eng.InputShape(input)...)
+		out, err := eng.Infer(context.Background(), map[string]*mnn.Tensor{input: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := run(1)
+	for _, threads := range []int{2, 3} {
+		for name, got := range run(threads) {
+			w := want[name].Data()
+			for i, v := range got.Data() {
+				if math.Float32bits(v) != math.Float32bits(w[i]) {
+					t.Fatalf("output %q[%d]: %d threads %v != 1 thread %v", name, i, threads, v, w[i])
+				}
+			}
+		}
 	}
 }
 

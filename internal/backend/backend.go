@@ -114,7 +114,7 @@ type Backend interface {
 }
 
 // WorkspaceSizer is implemented by backends whose kernels need transient
-// scratch (GEMM workspaces, Strassen temporaries, Winograd tile buffers,
+// scratch (GEMM workspaces, Winograd tile buffers,
 // layout-staging copies). During the pre-inference walk the session asks
 // for each node's requirement and plans it into the reuse arena with a
 // single-step lifetime, so OnCreate can bind planner-backed slices and the

@@ -97,7 +97,7 @@ func Allocs(opt Options) error {
 		src := tensor.NewWithLayout(tensor.NC4HW4, 1, 128, 28, 28)
 		tensor.FillRandom(src, 3, 1)
 		dst := tensor.NewWithLayout(tensor.NC4HW4, 1, 128, 28, 28)
-		ws := make([]float32, c.WorkspaceSize(1, 28, 28, lanes))
+		ws := make([]float32, c.WorkspaceSize(1, 28, 28))
 		kernelCase("conv1x1-strassen/Run", func() { c.Run(dst, src, pool, ws) },
 			func() { c.Run(dst, src, pool, ws) })
 	}

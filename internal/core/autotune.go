@@ -25,10 +25,12 @@ type CalibrationResult struct {
 	Elapsed time.Duration
 }
 
-// MeasureHostFLOPS benchmarks the base GEMM at the given size and returns
-// the achieved MAC throughput. Sessions can feed this into the cost model
-// instead of the Appendix C frequency heuristic, which is what the paper's
-// planned auto-tuned backend evaluation does.
+// MeasureHostFLOPS benchmarks the engine's GEMM — a pre-packed
+// matmul.PackedB multiply, the kernel every fp32 conv, FC and MatMul runs
+// on — at the given size and returns the achieved MAC throughput. Sessions
+// can feed this into the cost model instead of the Appendix C frequency
+// heuristic, which is what the paper's planned auto-tuned backend
+// evaluation does.
 func MeasureHostFLOPS(size, reps int) CalibrationResult {
 	if size <= 0 {
 		size = 256
@@ -37,13 +39,13 @@ func MeasureHostFLOPS(size, reps int) CalibrationResult {
 		reps = 3
 	}
 	a := tensor.NewRandom(1, 1, size, size).Data()
-	b := tensor.NewRandom(2, 1, size, size).Data()
+	b := matmul.PackB(tensor.NewRandom(2, 1, size, size).Data(), size, size)
 	dst := make([]float32, size*size)
-	matmul.Mul(dst, a, b, size, size, size) // warm up
+	b.MulInto(dst, a, size) // warm up
 	best := time.Duration(1<<63 - 1)
 	for i := 0; i < reps; i++ {
 		t0 := time.Now()
-		matmul.Mul(dst, a, b, size, size, size)
+		b.MulInto(dst, a, size)
 		if d := time.Since(t0); d < best {
 			best = d
 		}

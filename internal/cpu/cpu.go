@@ -1,7 +1,7 @@
 // Package cpu implements the CPU backend: NC4HW4 activations, multi-threaded
 // kernels, and pre-inference scheme selection (Section 3.2 of the paper) so
 // that every convolution runs the cost-optimal algorithm among sliding
-// window, generated Winograd, Strassen-matmul (1×1) and the depthwise and
+// window, generated Winograd, matmul (1×1) and the depthwise and
 // im2col paths.
 package cpu
 
@@ -36,8 +36,6 @@ type Config struct {
 	// cost-model choice. Used by fixed-scheme baselines (Table 1) and
 	// ablations.
 	ForceScheme func(n *graph.Node, dec core.ConvDecision) core.ConvDecision
-	// DisableStrassen falls back to direct GEMM inside 1×1 convolutions.
-	DisableStrassen bool
 	// Pool is the persistent worker pool kernels dispatch onto. Nil makes
 	// the backend create (and own) one sized to Threads; either way Close
 	// releases it.

@@ -225,32 +225,6 @@ func TestDeconvThroughBackend(t *testing.T) {
 	}
 }
 
-func TestDisableStrassen(t *testing.T) {
-	mk := func(disable bool) *tensor.Tensor {
-		b := New(Config{Threads: 1, DisableStrassen: disable})
-		attrs := graph.Conv2DAttrs{KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1,
-			Group: 1, InputCount: 144, OutputCount: 144}
-		src := tensor.NewRandom(15, 1, 1, 144, 16, 16).ToLayout(tensor.NC4HW4)
-		weight := tensor.NewRandom(16, 0.1, 144, 144, 1, 1)
-		n := &graph.Node{Name: "c", Op: graph.OpConv2D, Inputs: []string{"in"}, Outputs: []string{"out"},
-			WeightNames: []string{"w"}, Attrs: &attrs}
-		out := tensor.NewWithLayout(tensor.NC4HW4, 1, 144, 16, 16)
-		exec, err := b.OnCreate(n, []*tensor.Tensor{src}, []*tensor.Tensor{out}, weightsOf(map[string]*tensor.Tensor{"w": weight}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := exec.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	on := mk(false)
-	off := mk(true)
-	if d := tensor.MaxAbsDiff(on, off); d > 1e-2 {
-		t.Fatalf("strassen on/off disagree by %g", d)
-	}
-}
-
 func TestOnCopyBufferShapeMismatch(t *testing.T) {
 	b := New(Config{Threads: 1})
 	if err := b.OnCopyBuffer(tensor.New(2, 2), tensor.New(3, 3)); err == nil {

@@ -64,7 +64,7 @@ func (b *Backend) NodeWorkspaceFloats(n *graph.Node, inputShapes, outputShapes [
 		case core.SchemeWinograd:
 			return kernels.WinogradWorkspaceFloats(a, dec.TileH, dec.TileW, ic, oc, lanes)
 		case core.SchemeStrassen1x1:
-			return kernels.Conv1x1WorkspaceFloats(ic, oc, N, OH, OW, lanes)
+			return kernels.Conv1x1WorkspaceFloats(ic, oc, N, OH, OW)
 		case core.SchemeIm2col:
 			// im2col computes in NCHW: the patch/product matrices plus the
 			// two layout-staging copies.
@@ -541,11 +541,8 @@ func (b *Backend) createConv(n *graph.Node, in, out *tensor.Tensor, weights back
 
 	case core.SchemeStrassen1x1:
 		c := kernels.PrepareConv1x1(weight, bias, a)
-		if b.cfg.DisableStrassen {
-			c.Strassen = false
-		}
 		ws := b.workspace(n.Name, kernels.Conv1x1WorkspaceFloats(
-			in.Channels(), out.Channels(), out.Batch(), out.Height(), out.Width(), lanes))
+			in.Channels(), out.Channels(), out.Batch(), out.Height(), out.Width()))
 		scheme := dec.Scheme.String()
 		return execFunc(func() error {
 			c.Run(out, in, pool, ws)

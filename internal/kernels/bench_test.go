@@ -58,12 +58,12 @@ func BenchmarkConvWinograd3x3(b *testing.B) {
 	}
 }
 
-func BenchmarkConv1x1Strassen(b *testing.B) {
+func BenchmarkConv1x1(b *testing.B) {
 	for _, threads := range []int{1, 4} {
 		b.Run(fmt.Sprintf("t%d", threads), func(b *testing.B) {
 			src, w, bias, a := benchConvSetup(256, 256, 28, 1)
 			c := PrepareConv1x1(w, bias, a)
-			ws := make([]float32, c.WorkspaceSize(1, 28, 28, threads))
+			ws := make([]float32, c.WorkspaceSize(1, 28, 28))
 			dst := tensor.NewWithLayout(tensor.NC4HW4, 1, 256, 28, 28)
 			pool := testPool(b, threads)
 			b.ResetTimer()

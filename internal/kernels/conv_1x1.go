@@ -8,18 +8,15 @@ import (
 )
 
 // Conv1x1 is the prepared state of the 1×1 convolution, which MNN lowers to
-// one large matrix multiplication accelerated with Strassen's algorithm
-// (paper Sections 3.2 and 3.3.2). The pixel matrix is laid out [pixels, ic]
-// so each thread multiplies a contiguous row block, and the weight is stored
-// transposed as [ic, oc] — both raw (Strassen right operand) and packed into
-// 64-byte panels (direct-GEMM fast path).
+// one large matrix multiplication (paper Section 3.2). The pixel matrix is
+// laid out [pixels, ic] so each lane multiplies a contiguous row block, and
+// the weight is stored transposed as [ic, oc], packed into 64-byte panels
+// for matmul.PackedB's 4×16 micro-kernel.
 type Conv1x1 struct {
-	attrs    graph.Conv2DAttrs
-	ic, oc   int
-	wT       []float32       // [ic][oc]
-	packed   *matmul.PackedB // wT in 64-byte panels for the non-recursing path
-	bias     []float32
-	Strassen bool // use Strassen recursion for large pixel GEMMs (MNN's choice)
+	attrs  graph.Conv2DAttrs
+	ic, oc int
+	packed *matmul.PackedB // [ic][oc] weight in 64-byte panels
+	bias   []float32
 
 	rs      conv1x1Run
 	unpackT conv1x1Unpack
@@ -31,10 +28,8 @@ type conv1x1Run struct {
 	s, d             []float32
 	H, W, OH, OW     int
 	sh, sw, ic4, oc4 int
-	px, ohw, base    int
+	ohw              int
 	in, out          []float32 // workspace views: [px,ic] and [px,oc]
-	scratch          []float32 // per-worker Strassen temporaries
-	scratchPer       int
 }
 
 type conv1x1Unpack struct{ c *Conv1x1 }
@@ -44,15 +39,15 @@ type conv1x1Pack struct{ c *Conv1x1 }
 // PrepareConv1x1 packs weights for the 1×1 kernel. weight is [oc, ic, 1, 1].
 func PrepareConv1x1(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs) *Conv1x1 {
 	oc, ic := weight.Dim(0), weight.Dim(1)
-	c := &Conv1x1{attrs: *a, ic: ic, oc: oc, Strassen: true}
-	c.wT = make([]float32, ic*oc)
+	c := &Conv1x1{attrs: *a, ic: ic, oc: oc}
+	wT := make([]float32, ic*oc)
 	w := weight.Data()
 	for o := 0; o < oc; o++ {
 		for i := 0; i < ic; i++ {
-			c.wT[i*oc+o] = w[o*ic+i]
+			wT[i*oc+o] = w[o*ic+i]
 		}
 	}
-	c.packed = matmul.PackB(c.wT, ic, oc)
+	c.packed = matmul.PackB(wT, ic, oc)
 	c.bias = make([]float32, oc)
 	if bias != nil {
 		copy(c.bias, bias.Data())
@@ -61,34 +56,25 @@ func PrepareConv1x1(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs) *Conv1x1 
 	return c
 }
 
-// gemmChunk is the deterministic row-block size of the per-sample pixel
-// GEMM: one equal chunk per lane, exactly the static split the Strassen
-// recursion shape has always been keyed off. It must not depend on which
-// worker runs a chunk, so batched and unbatched runs stay bitwise equal.
-func gemmChunk(ohw, lanes int) int { return sched.Chunk(ohw, lanes, 1) }
-
 // WorkspaceSize returns the per-run scratch requirement in float32s for a
-// given source size and lane count: the unpacked [pixels, ic] matrix, the
-// [pixels, oc] product, and one Strassen temporary slab per lane sized for
-// the largest per-sample GEMM row block.
-func (c *Conv1x1) WorkspaceSize(n, h, w, lanes int) int {
+// given source size: the unpacked [pixels, ic] matrix and the [pixels, oc]
+// product.
+func (c *Conv1x1) WorkspaceSize(n, h, w int) int {
 	oh := tensor.UpDiv(h, strideOr1(c.attrs.StrideH))
 	ow := tensor.UpDiv(w, strideOr1(c.attrs.StrideW))
-	return Conv1x1WorkspaceFloats(c.ic, c.oc, n, oh, ow, lanes)
+	return Conv1x1WorkspaceFloats(c.ic, c.oc, n, oh, ow)
 }
 
 // Run executes the convolution on the pool. src and dst must be NC4HW4.
-// workspace may be nil or at least WorkspaceSize(n, h, w, p.Lanes()) floats;
-// with a planner-provided workspace, steady-state calls are allocation-free.
+// workspace may be nil or at least WorkspaceSize(n, h, w) floats; with a
+// planner-provided workspace, steady-state calls are allocation-free.
 func (c *Conv1x1) Run(dst, src *tensor.Tensor, p *sched.Pool, workspace []float32) {
 	a := &c.attrs
 	N, H, W := src.Batch(), src.Height(), src.Width()
 	OH, OW := dst.Height(), dst.Width()
 	lanes := p.Lanes()
 	px := N * OH * OW
-	ohw := OH * OW
-	per := matmul.StrassenScratch(gemmChunk(ohw, lanes), c.ic, c.oc)
-	need := px*(c.ic+c.oc) + lanes*per // == Conv1x1WorkspaceFloats(...)
+	need := px * (c.ic + c.oc) // == Conv1x1WorkspaceFloats(...)
 	if len(workspace) < need {
 		workspace = make([]float32, need)
 	}
@@ -97,25 +83,21 @@ func (c *Conv1x1) Run(dst, src *tensor.Tensor, p *sched.Pool, workspace []float3
 		H: H, W: W, OH: OH, OW: OW,
 		sh: strideOr1(a.StrideH), sw: strideOr1(a.StrideW),
 		ic4: tensor.UpDiv(c.ic, 4), oc4: tensor.UpDiv(c.oc, 4),
-		px: px, ohw: ohw,
-		in:         workspace[:px*c.ic],
-		out:        workspace[px*c.ic : px*(c.ic+c.oc)],
-		scratch:    workspace[px*(c.ic+c.oc) : need],
-		scratchPer: per,
+		ohw: OH * OW,
+		in:  workspace[:px*c.ic],
+		out: workspace[px*c.ic : need],
 	}
 
 	// Unpack NC4HW4 → [pixels, ic] rows (applying stride).
 	p.Run(px, sched.Chunk(px, lanes, elemChunksPerLane), &c.unpackT)
 
-	// GEMM: per sample, [OH*OW, ic] × [ic, oc] → [OH*OW, oc], row blocks per
-	// lane. The Strassen recursion shape depends on the row count, so the
-	// GEMM must not span batch elements: keeping it per-sample makes a
-	// batch-N run bitwise identical to N single runs, which the serving
-	// micro-batcher relies on to split stacked outputs back per request.
-	for n := 0; n < N; n++ {
-		c.rs.base = n * ohw
-		p.Run(ohw, gemmChunk(ohw, lanes), &c.gemmT)
-	}
+	// GEMM: [pixels, ic] × [ic, oc] → [pixels, oc], one row block per lane,
+	// rounded up to whole four-row micro-kernel blocks. PackedB.MulInto
+	// computes every row from that row alone, so neither the lane count nor
+	// the batch size can change a bit of the result: a batch-N run is
+	// bitwise identical to N single runs, which the serving micro-batcher
+	// relies on to split stacked outputs back per request.
+	p.Run(px, (sched.Chunk(px, lanes, 1)+3)&^3, &c.gemmT)
 
 	// Repack [pixels, oc] → NC4HW4 with bias + activation.
 	p.Run(px, sched.Chunk(px, lanes, elemChunksPerLane), &c.packT)
@@ -156,21 +138,10 @@ func (t *conv1x1Unpack) RunChunk(_, start, end int) {
 	}
 }
 
-func (t *conv1x1Gemm) RunChunk(worker, start, end int) {
+func (t *conv1x1Gemm) RunChunk(_, start, end int) {
 	c := t.c
 	r := &c.rs
-	rows := end - start
-	s0 := r.base + start
-	a := r.in[s0*c.ic : (s0+rows)*c.ic]
-	d := r.out[s0*c.oc : (s0+rows)*c.oc]
-	if c.Strassen && matmul.ShouldRecurse(rows, c.ic, c.oc) {
-		scratch := r.scratch[worker*r.scratchPer : (worker+1)*r.scratchPer]
-		matmul.MulStrassenScratch(d, a, c.wT, rows, c.ic, c.oc, scratch)
-	} else {
-		// Non-recursing shapes take the packed-panel kernel, which is
-		// bitwise-identical to the direct GEMM the recursion bottoms out in.
-		c.packed.MulInto(d, a, rows)
-	}
+	c.packed.MulInto(r.out[start*c.oc:end*c.oc], r.in[start*c.ic:end*c.ic], end-start)
 }
 
 func (t *conv1x1Pack) RunChunk(_, start, end int) {

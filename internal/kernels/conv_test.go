@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -191,8 +192,8 @@ func TestConv1x1MatchesRef(t *testing.T) {
 		{name: "stride2", n: 1, ic: 8, h: 8, w: 8, oc: 8, kh: 1, kw: 1, sh: 2, sw: 2},
 		{name: "batch2", n: 2, ic: 12, h: 7, w: 7, oc: 6, kh: 1, kw: 1, sh: 1, sw: 1},
 		{name: "relu", n: 1, ic: 8, h: 6, w: 6, oc: 8, kh: 1, kw: 1, sh: 1, sw: 1, relu: true},
-		// Large enough that the row-block GEMM recurses into Strassen.
-		{name: "strassen", n: 1, ic: 130, h: 16, w: 16, oc: 140, kh: 1, kw: 1, sh: 1, sw: 1},
+		// Channel counts that leave a partial last panel (oc%16 != 0).
+		{name: "wide", n: 1, ic: 130, h: 16, w: 16, oc: 140, kh: 1, kw: 1, sh: 1, sw: 1},
 	}
 	for _, cc := range cases {
 		for _, threads := range []int{1, 4} {
@@ -210,22 +211,57 @@ func TestConv1x1MatchesRef(t *testing.T) {
 	}
 }
 
-func TestConv1x1DirectVsStrassen(t *testing.T) {
-	cc := convCase{n: 1, ic: 64, h: 14, w: 14, oc: 64, kh: 1, kw: 1, sh: 1, sw: 1}
-	src, weight, bias, _ := runRef(t, cc, 29)
-	src4 := src.ToLayout(tensor.NC4HW4)
-
-	c := PrepareConv1x1(weight, bias, cc.attrs())
-	dstS := tensor.NewWithLayout(tensor.NC4HW4, 1, 64, 14, 14)
-	c.Run(dstS, src4, nil, nil)
-
-	c.Strassen = false
-	dstD := tensor.NewWithLayout(tensor.NC4HW4, 1, 64, 14, 14)
-	c.Run(dstD, src4, nil, nil)
-
-	if d := tensor.MaxAbsDiff(dstS, dstD); d > 1e-3 {
-		t.Fatalf("strassen vs direct 1x1 differ by %g", d)
+// TestConv1x1BitwiseAcrossLanesAndBatch pins the two invariants the serving
+// tier builds on: the lane count never changes a bit of the output (the row
+// split only decides who computes a row, not how), and a batch-N run equals
+// N batch-1 runs. The shapes leave m%4 tail rows, a partial last panel
+// (oc%16 != 0) and odd per-lane row blocks.
+func TestConv1x1BitwiseAcrossLanesAndBatch(t *testing.T) {
+	for _, cc := range []convCase{
+		{name: "mobilenet-7x7", n: 3, ic: 64, h: 7, w: 7, oc: 72, kh: 1, kw: 1, sh: 1, sw: 1, relu: true},
+		{name: "wide", n: 2, ic: 130, h: 16, w: 16, oc: 140, kh: 1, kw: 1, sh: 1, sw: 1},
+		{name: "stride2-tinyK", n: 2, ic: 8, h: 9, w: 9, oc: 20, kh: 1, kw: 1, sh: 2, sw: 2},
+	} {
+		t.Run(cc.name, func(t *testing.T) {
+			src, weight, bias, want := runRef(t, cc, 29)
+			c := PrepareConv1x1(weight, bias, cc.attrs())
+			run := func(in *tensor.Tensor, lanes int) *tensor.Tensor {
+				shape := append([]int{in.Batch()}, want.Shape()[1:]...)
+				out := tensor.NewWithLayout(tensor.NC4HW4, shape...)
+				c.Run(out, in.ToLayout(tensor.NC4HW4), testPool(t, lanes), nil)
+				return out.ToLayout(tensor.NCHW)
+			}
+			base := run(src, 1)
+			for _, lanes := range []int{2, 3} {
+				if got := run(src, lanes); !bitsEqual(got.Data(), base.Data()) {
+					t.Fatalf("%d lanes differ bitwise from 1 lane", lanes)
+				}
+			}
+			per := len(base.Data()) / cc.n
+			inPer := len(src.Data()) / cc.n
+			for n := 0; n < cc.n; n++ {
+				one := tensor.New(1, cc.ic, cc.h, cc.w)
+				copy(one.Data(), src.Data()[n*inPer:(n+1)*inPer])
+				for _, lanes := range []int{1, 2} {
+					if got := run(one, lanes); !bitsEqual(got.Data(), base.Data()[n*per:(n+1)*per]) {
+						t.Fatalf("sample %d alone (%d lanes) differs bitwise from its slice of the batch-%d run", n, lanes, cc.n)
+					}
+				}
+			}
+		})
 	}
+}
+
+func bitsEqual(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestIm2colConvMatchesRef(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package kernels implements the operator kernels of the engine: the
 // optimized NC4HW4 paths (sliding window, Winograd per Figure 4 of the
-// paper, 1×1-as-Strassen-matmul, depthwise) plus naive reference
+// paper, 1×1-as-matmul, depthwise) plus naive reference
 // implementations that serve both as correctness oracles in tests and as the
 // "unoptimized operator" fallback that the case-by-case baseline engines
 // fall into (paper Figure 8).

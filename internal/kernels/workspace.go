@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"mnn/internal/graph"
-	"mnn/internal/matmul"
-)
+import "mnn/internal/graph"
 
 // Workspace sizing helpers: the pre-inference planner (Figure 3) asks for
 // every kernel's transient-buffer requirement before the arena is laid out,
@@ -11,17 +8,11 @@ import (
 // must match what the corresponding Run carves, so the planner-provided
 // slice always suffices and the hot path never falls back to the allocator.
 
-// Conv1x1WorkspaceFloats is the 1×1 (Strassen GEMM) convolution's
-// requirement for an N×ic×(oh·ow) → N×oc×(oh·ow) run over `lanes` worker
-// lanes: the unpacked pixel matrix, the product matrix, and one Strassen
-// temporary slab per lane sized for the per-sample GEMM row block.
-func Conv1x1WorkspaceFloats(ic, oc, n, oh, ow, lanes int) int {
-	if lanes < 1 {
-		lanes = 1
-	}
-	px := n * oh * ow
-	per := matmul.StrassenScratch(gemmChunk(oh*ow, lanes), ic, oc)
-	return px*(ic+oc) + lanes*per
+// Conv1x1WorkspaceFloats is the 1×1 (pointwise GEMM) convolution's
+// requirement for an N×ic×(oh·ow) → N×oc×(oh·ow) run: the unpacked pixel
+// matrix and the product matrix.
+func Conv1x1WorkspaceFloats(ic, oc, n, oh, ow int) int {
+	return n * oh * ow * (ic + oc)
 }
 
 // Im2colWorkspaceFloats is the im2col+GEMM convolution's requirement for a

@@ -1,0 +1,33 @@
+package matmul
+
+// haveSIMD reports whether mulPanel4x16 may run: the CPU has AVX2 and the
+// OS saves the ymm state (CPUID.1:ECX OSXSAVE+AVX, XCR0 bits 1–2,
+// CPUID.7:EBX AVX2). Decided once at package init from the hardware alone.
+var haveSIMD = detectAVX2()
+
+func detectAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if xgetbv0()&6 != 6 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<5) != 0
+}
+
+// mulPanel4x16 is the AVX2 4×16 micro-kernel (kernel_amd64.s): four rows of
+// a, lda floats apart, times one k×16 packed panel, stored to four rows of
+// dst, ldd floats apart.
+//
+//go:noescape
+func mulPanel4x16(dst *float32, ldd int, a *float32, lda, k int, panel *float32)
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv0() (eax uint32)

@@ -42,7 +42,9 @@ func checkDims(dst, a, b []float32, m, k, n int) {
 
 // gemm is the base kernel: i-p-j loop order so the inner loop streams rows of
 // b and dst, with 4-wide manual unrolling standing in for the NEON SIMD the
-// paper's kernels use (see DESIGN.md substitution #1).
+// paper's kernels use. The float32 conversions keep multiply and add
+// separately rounded on every platform, which is what makes PackedB.MulInto
+// (portable or assembly) bitwise equal to Mul.
 func gemm(dst, a, b view, accumulate bool) {
 	m, k, n := a.rows, a.cols, b.cols
 	if !accumulate {
@@ -71,13 +73,13 @@ func gemm(dst, a, b view, accumulate bool) {
 				bp := b.row(p)
 				j := 0
 				for ; j+4 <= n; j += 4 {
-					di[j] += av * bp[j]
-					di[j+1] += av * bp[j+1]
-					di[j+2] += av * bp[j+2]
-					di[j+3] += av * bp[j+3]
+					di[j] += float32(av * bp[j])
+					di[j+1] += float32(av * bp[j+1])
+					di[j+2] += float32(av * bp[j+2])
+					di[j+3] += float32(av * bp[j+3])
 				}
 				for ; j < n; j++ {
-					di[j] += av * bp[j]
+					di[j] += float32(av * bp[j])
 				}
 			}
 		}

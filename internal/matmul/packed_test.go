@@ -1,0 +1,206 @@
+package matmul
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"testing"
+
+	"mnn/internal/tensor"
+)
+
+// sameBits reports whether x and y are the same float32 bit for bit. Two
+// NaNs count as equal whatever their payloads: which operand's payload
+// survives a NaN·NaN product is a register-allocation accident, not a
+// property either kernel promises.
+func sameBits(x, y float32) bool {
+	return math.Float32bits(x) == math.Float32bits(y) || (x != x && y != y)
+}
+
+func firstBitDiff(got, want []float32) int {
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// activations builds an m×k left operand shaped like what the GEMM consumers
+// feed it: roughly half the entries are zero in spatially correlated runs
+// (post-ReLU), with -0, denormals and a few large values mixed in.
+func activations(seed uint64, m, k int) []float32 {
+	r := tensor.NewRNG(seed)
+	a := make([]float32, m*k)
+	for i := range a {
+		a[i] = r.Float32()
+	}
+	for i := 0; i < len(a); {
+		run := 1 + r.Intn(9)
+		if r.Intn(2) == 0 {
+			for j := i; j < i+run && j < len(a); j++ {
+				a[j] = 0
+			}
+		}
+		i += run
+	}
+	specials := []float32{
+		float32(math.Copysign(0, -1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), // largest denormal
+		1e-39, 3e38, -3e38,
+	}
+	for _, s := range specials {
+		a[r.Intn(len(a))] = s
+	}
+	return a
+}
+
+// weights builds a finite k×n right operand with some zeros and denormals.
+func weights(seed uint64, k, n int) []float32 {
+	r := tensor.NewRNG(seed)
+	b := make([]float32, k*n)
+	for i := range b {
+		switch v := r.Intn(100); {
+		case v < 5:
+			b[i] = 0
+		case v < 7:
+			b[i] = float32(math.Copysign(0, -1))
+		case v < 10:
+			b[i] = 1e-41 * r.Float32()
+		default:
+			b[i] = r.Float32()
+		}
+	}
+	return b
+}
+
+// TestPackedSIMDMatchesPortableBitwise is the differential test of the
+// assembly micro-kernel: over edge and seeded random shapes it must produce
+// the portable loop's bits (and therefore Mul's), with no tolerance.
+func TestPackedSIMDMatchesPortableBitwise(t *testing.T) {
+	if !haveSIMD {
+		t.Skip("no AVX2 micro-kernel on this host; the portable loop is the only path")
+	}
+	type shape struct{ m, k, n int }
+	var shapes []shape
+	for _, m := range []int{1, 3, 4, 5, 49} {
+		for _, k := range []int{1, 15, 16, 17} {
+			for _, n := range []int{1, 15, 16, 17, 40} {
+				shapes = append(shapes, shape{m, k, n})
+			}
+		}
+	}
+	// mobilenet-v1's smallest and an FC-like shape, then random ones.
+	shapes = append(shapes, shape{49, 512, 1024}, shape{1, 1024, 1000}, shape{196, 256, 512})
+	r := tensor.NewRNG(2024)
+	for i := 0; i < 60; i++ {
+		shapes = append(shapes, shape{1 + r.Intn(70), 1 + r.Intn(150), 1 + r.Intn(130)})
+	}
+	for i, s := range shapes {
+		a := activations(uint64(100+i), s.m, s.k)
+		b := weights(uint64(500+i), s.k, s.n)
+		pb := PackB(b, s.k, s.n)
+		want := make([]float32, s.m*s.n)
+		pb.mulInto(want, a, s.m, false)
+		got := make([]float32, s.m*s.n)
+		for j := range got {
+			got[j] = float32(math.NaN()) // every element must be written
+		}
+		pb.mulInto(got, a, s.m, true)
+		if d := firstBitDiff(got, want); d >= 0 {
+			t.Fatalf("%dx%dx%d: asm %v (%#08x) != portable %v (%#08x) at row %d col %d", s.m, s.k, s.n,
+				got[d], math.Float32bits(got[d]), want[d], math.Float32bits(want[d]), d/s.n, d%s.n)
+		}
+		direct := make([]float32, s.m*s.n)
+		Mul(direct, a, b, s.m, s.k, s.n)
+		if d := firstBitDiff(got, direct); d >= 0 {
+			t.Fatalf("%dx%dx%d: packed %v != Mul %v at %d", s.m, s.k, s.n, got[d], direct[d], d)
+		}
+	}
+}
+
+// TestPackedMulRowIndependence pins what the prepared kernels rely on when
+// they split rows over lanes or stack a batch: row r of an m-row product is
+// bit for bit the 1-row product of that row, wherever the row falls in a
+// four-row block or the tail.
+func TestPackedMulRowIndependence(t *testing.T) {
+	for _, s := range []struct{ m, k, n int }{{49, 64, 40}, {7, 16, 16}, {13, 33, 130}, {5, 8, 20}} {
+		a := activations(uint64(s.m), s.m, s.k)
+		pb := PackB(weights(uint64(s.n), s.k, s.n), s.k, s.n)
+		full := make([]float32, s.m*s.n)
+		pb.MulInto(full, a, s.m)
+		row := make([]float32, s.n)
+		for r := 0; r < s.m; r++ {
+			pb.MulInto(row, a[r*s.k:(r+1)*s.k], 1)
+			if d := firstBitDiff(full[r*s.n:(r+1)*s.n], row); d >= 0 {
+				t.Fatalf("%dx%dx%d: row %d col %d: %v in the full product, %v alone", s.m, s.k, s.n, r, d, full[r*s.n+d], row[d])
+			}
+		}
+		// Any split of the rows into chunks (as sched lanes do) gives the same bits.
+		for _, chunk := range []int{2, 3, 25} {
+			split := make([]float32, s.m*s.n)
+			for r0 := 0; r0 < s.m; r0 += chunk {
+				rows := min(chunk, s.m-r0)
+				pb.MulInto(split[r0*s.n:], a[r0*s.k:], rows)
+			}
+			if d := firstBitDiff(split, full); d >= 0 {
+				t.Fatalf("%dx%dx%d in chunks of %d differs from one call at %d", s.m, s.k, s.n, chunk, d)
+			}
+		}
+	}
+}
+
+// FuzzPackedMulInto drives shapes and raw float32 bit patterns (any value in
+// a, finite values in b) through the active micro-kernel, the portable loop
+// and Mul, which must all agree bitwise. Infinite or NaN weights are left
+// out on purpose: the portable loop's zero-skip drops 0·Inf where the
+// assembly computes NaN, and no model carries such weights.
+func FuzzPackedMulInto(f *testing.F) {
+	f.Add(uint8(5), uint8(17), uint8(20), uint64(1), []byte{0, 0, 0, 0x80, 1, 0, 0, 0})
+	f.Add(uint8(1), uint8(16), uint8(16), uint64(2), []byte{})
+	f.Add(uint8(49), uint8(64), uint8(33), uint64(3), []byte{0xff, 0xff, 0x7f, 0x00, 0x00, 0x00, 0x80, 0x7f})
+	f.Fuzz(func(t *testing.T, mR, kR, nR uint8, seed uint64, raw []byte) {
+		m, k, n := int(mR)%64+1, int(kR)%80+1, int(nR)%80+1
+		a := activations(seed, m, k)
+		b := weights(seed+1, k, n)
+		for i := 0; i+4 <= len(raw); i += 4 {
+			v := math.Float32frombits(binary.LittleEndian.Uint32(raw[i:]))
+			a[(i*13)%len(a)] = v
+			if !math.IsInf(float64(v), 0) && v == v {
+				b[(i*29)%len(b)] = v
+			}
+		}
+		pb := PackB(b, k, n)
+		got := make([]float32, m*n)
+		pb.MulInto(got, a, m)
+		want := make([]float32, m*n)
+		pb.mulInto(want, a, m, false)
+		if d := firstBitDiff(got, want); d >= 0 {
+			t.Fatalf("%dx%dx%d: MulInto %v != portable %v at %d", m, k, n, got[d], want[d], d)
+		}
+		Mul(want, a, b, m, k, n)
+		if d := firstBitDiff(got, want); d >= 0 {
+			t.Fatalf("%dx%dx%d: MulInto %v != Mul %v at %d", m, k, n, got[d], want[d], d)
+		}
+	})
+}
+
+// BenchmarkPackedMobilenetShapes reports the micro-kernel at the pointwise
+// GEMM shapes of mobilenet-v1 (pixels × ic × oc), in GFLOP/s.
+func BenchmarkPackedMobilenetShapes(b *testing.B) {
+	for _, s := range []struct{ m, k, n int }{
+		{12544, 32, 64}, {3136, 64, 128}, {3136, 128, 128}, {784, 128, 256}, {784, 256, 256},
+		{196, 256, 512}, {196, 512, 512}, {49, 512, 1024}, {49, 1024, 1024},
+	} {
+		a := randMat(1, s.m, s.k)
+		pb := PackB(randMat(2, s.k, s.n), s.k, s.n)
+		dst := make([]float32, s.m*s.n)
+		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pb.MulInto(dst, a, s.m)
+			}
+			b.ReportMetric(2*float64(s.m)*float64(s.k)*float64(s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}

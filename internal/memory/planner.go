@@ -19,7 +19,7 @@
 // Coverage: the arena holds the activations AND every kernel workspace.
 // Each backend that computes (the CPU backend, via backend.WorkspaceSizer)
 // declares per-node transient needs during the walk — GEMM pixel/product
-// matrices, per-worker-lane Strassen scratch slabs, Winograd tile buffers,
+// matrices, per-worker-lane Winograd tile buffers,
 // im2col panels, layout-staging copies — with single-step lifetimes, so
 // workspaces share bytes with dead activations and with other steps'
 // workspaces. Together with the persistent worker pool (internal/sched)

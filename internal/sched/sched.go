@@ -22,10 +22,9 @@
 //  3. Workers signal a WaitGroup; Run returns when the range is done.
 //
 // Chunk boundaries are a pure function of (total, chunk): which worker runs
-// a chunk never influences results, so kernels that key numerics off chunk
-// shape (Strassen recursion in the 1×1 convolution) stay bitwise
-// deterministic under any scheduling — the property the serving tier's
-// micro-batcher relies on.
+// a chunk never influences results, so kernels stay bitwise deterministic
+// under any scheduling — the property the serving tier's micro-batcher
+// relies on.
 package sched
 
 import (

@@ -270,7 +270,7 @@ func (s *Session) prepare() error {
 	}
 
 	// ---- Workspace planning: every kernel declares its transient needs
-	// (GEMM panels, Strassen temporaries, Winograd tile buffers, staging
+	// (GEMM panels, Winograd tile buffers, staging
 	// copies) up front, and the Figure 3 planner lays them into the same
 	// reuse arena as the activations — a workspace lives only during its
 	// node's step, so it shares bytes with dead activations and other

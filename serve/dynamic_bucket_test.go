@@ -260,7 +260,11 @@ func TestDynamicBucketEvictHammer(t *testing.T) {
 			}
 		}(i)
 	}
-	time.Sleep(100 * time.Millisecond)
+	// Wait for the event, not a fixed sleep: under -race on a loaded host
+	// the shared batch engine alone can take longer than 100 ms to open.
+	for deadline := time.Now().Add(10 * time.Second); b.evictions.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
 	if b.evictions.Load() == 0 {
 		t.Error("no evictions despite 5 signatures against a bound of 2")
 	}
