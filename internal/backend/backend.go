@@ -114,8 +114,9 @@ type Backend interface {
 }
 
 // WorkspaceSizer is implemented by backends whose kernels need transient
-// scratch (GEMM workspaces, Winograd tile buffers,
-// layout-staging copies). During the pre-inference walk the session asks
+// scratch (im2col and int8 GEMM workspaces, Winograd tile buffers,
+// layout-staging copies; the NC4HW4-native 1×1 and depthwise convolutions
+// need none). During the pre-inference walk the session asks
 // for each node's requirement and plans it into the reuse arena with a
 // single-step lifetime, so OnCreate can bind planner-backed slices and the
 // hot path never calls the allocator (the paper's Figure 3 extended from

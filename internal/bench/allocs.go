@@ -97,9 +97,8 @@ func Allocs(opt Options) error {
 		src := tensor.NewWithLayout(tensor.NC4HW4, 1, 128, 28, 28)
 		tensor.FillRandom(src, 3, 1)
 		dst := tensor.NewWithLayout(tensor.NC4HW4, 1, 128, 28, 28)
-		ws := make([]float32, c.WorkspaceSize(1, 28, 28))
-		kernelCase("conv1x1-strassen/Run", func() { c.Run(dst, src, pool, ws) },
-			func() { c.Run(dst, src, pool, ws) })
+		kernelCase("conv1x1-strassen/Run", func() { c.Run(dst, src, pool) },
+			func() { c.Run(dst, src, pool) })
 	}
 	{
 		a := &graph.Conv2DAttrs{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1,

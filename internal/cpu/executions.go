@@ -33,9 +33,11 @@ func (b *Backend) workspace(node string, need int) []float32 {
 // NodeWorkspaceFloats implements backend.WorkspaceSizer: the transient
 // float32 requirement of each operator, declared during the pre-inference
 // walk so the Figure 3 planner lays workspaces into the reuse arena
-// alongside activations. Every formula mirrors what OnCreate binds; sizing
-// uses the pool's lane count (the single source of truth kernels dispatch
-// over), which may differ from cfg.Threads when a pool was injected.
+// alongside activations (zero for the kernels that work on NC4HW4 in place:
+// 1×1, depthwise and sliding convolutions). Every formula mirrors what
+// OnCreate binds; sizing uses the pool's lane count (the single source of
+// truth kernels dispatch over), which may differ from cfg.Threads when a
+// pool was injected.
 func (b *Backend) NodeWorkspaceFloats(n *graph.Node, inputShapes, outputShapes [][]int) int {
 	lanes := b.pool.Lanes()
 	var in0, out0 []int
@@ -53,7 +55,7 @@ func (b *Backend) NodeWorkspaceFloats(n *graph.Node, inputShapes, outputShapes [
 		a := n.Attrs.(*graph.Conv2DAttrs)
 		dec := b.ConvSchemeFor(n, in0)
 		ic, oc := in0[1], out0[1]
-		N, OH, OW := out0[0], out0[2], out0[3]
+		OH, OW := out0[2], out0[3]
 		if b.int8Node(n) && core.Int8ConvSupported(a, dec) {
 			if a.IsDepthwise() {
 				return kernels.QuantDepthwiseWorkspaceFloats(in0[2], in0[3], lanes)
@@ -63,8 +65,6 @@ func (b *Backend) NodeWorkspaceFloats(n *graph.Node, inputShapes, outputShapes [
 		switch dec.Scheme {
 		case core.SchemeWinograd:
 			return kernels.WinogradWorkspaceFloats(a, dec.TileH, dec.TileW, ic, oc, lanes)
-		case core.SchemeStrassen1x1:
-			return kernels.Conv1x1WorkspaceFloats(ic, oc, N, OH, OW)
 		case core.SchemeIm2col:
 			// im2col computes in NCHW: the patch/product matrices plus the
 			// two layout-staging copies.
@@ -541,11 +541,9 @@ func (b *Backend) createConv(n *graph.Node, in, out *tensor.Tensor, weights back
 
 	case core.SchemeStrassen1x1:
 		c := kernels.PrepareConv1x1(weight, bias, a)
-		ws := b.workspace(n.Name, kernels.Conv1x1WorkspaceFloats(
-			in.Channels(), out.Channels(), out.Batch(), out.Height(), out.Width()))
 		scheme := dec.Scheme.String()
 		return execFunc(func() error {
-			c.Run(out, in, pool, ws)
+			c.Run(out, in, pool)
 			b.charge("Conv2D", dec.EffMULs, n, scheme)
 			return nil
 		}), nil

@@ -60,10 +60,9 @@ func TestConvKernelsZeroAllocAfterPrepare(t *testing.T) {
 			src := tensor.NewWithLayout(tensor.NC4HW4, 1, 96, 32, 32)
 			tensor.FillRandom(src, 6, 1)
 			dst := tensor.NewWithLayout(tensor.NC4HW4, 1, 96, 32, 32)
-			ws := make([]float32, c.WorkspaceSize(1, 32, 32))
 			assertZeroAllocs(t, "Conv1x1.Run",
-				func() { c.Run(dst, src, pool, ws) },
-				func() { c.Run(dst, src, pool, ws) })
+				func() { c.Run(dst, src, pool) },
+				func() { c.Run(dst, src, pool) })
 		})
 
 		t.Run(fmt.Sprintf("winograd/t%d", threads), func(t *testing.T) {

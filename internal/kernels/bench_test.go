@@ -58,34 +58,51 @@ func BenchmarkConvWinograd3x3(b *testing.B) {
 	}
 }
 
+// BenchmarkConv1x1 reports the pointwise kernel at mobilenet-v1's nine
+// shapes (size² pixels × ic → oc) in GFLOP/s on one lane, so a kernel change
+// can be sized without the 16 s repository benchmark.
 func BenchmarkConv1x1(b *testing.B) {
-	for _, threads := range []int{1, 4} {
-		b.Run(fmt.Sprintf("t%d", threads), func(b *testing.B) {
-			src, w, bias, a := benchConvSetup(256, 256, 28, 1)
+	for _, s := range []struct{ size, ic, oc int }{
+		{112, 32, 64}, {56, 64, 128}, {56, 128, 128}, {28, 128, 256}, {28, 256, 256},
+		{14, 256, 512}, {14, 512, 512}, {7, 512, 1024}, {7, 1024, 1024},
+	} {
+		b.Run(fmt.Sprintf("%dx%dx%dx%d", s.size, s.size, s.ic, s.oc), func(b *testing.B) {
+			src, w, bias, a := benchConvSetup(s.ic, s.oc, s.size, 1)
+			a.ReLU = true
 			c := PrepareConv1x1(w, bias, a)
-			ws := make([]float32, c.WorkspaceSize(1, 28, 28))
-			dst := tensor.NewWithLayout(tensor.NC4HW4, 1, 256, 28, 28)
-			pool := testPool(b, threads)
+			dst := tensor.NewWithLayout(tensor.NC4HW4, 1, s.oc, s.size, s.size)
+			pool := testPool(b, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Run(dst, src, pool, ws)
+				c.Run(dst, src, pool)
 			}
+			b.ReportMetric(2*float64(s.size*s.size)*float64(s.ic)*float64(s.oc)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}
 }
 
+// BenchmarkConvDepthwise3x3 reports the depthwise kernel at mobilenet-v1's
+// shapes (size² input × c channels, stride 1 and 2) in GFLOP/s on one lane.
 func BenchmarkConvDepthwise3x3(b *testing.B) {
-	src := tensor.NewWithLayout(tensor.NC4HW4, 1, 256, 28, 28)
-	tensor.FillRandom(src, 1, 1)
-	a := &graph.Conv2DAttrs{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1,
-		PadH: 1, PadW: 1, Group: 256, InputCount: 256, OutputCount: 256}
-	w := tensor.NewRandom(2, 0.2, 256, 1, 3, 3)
-	dc := PrepareDepthwise(w, nil, a)
-	dst := tensor.NewWithLayout(tensor.NC4HW4, 1, 256, 28, 28)
-	pool := testPool(b, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dc.Run(dst, src, pool)
+	for _, s := range []struct{ size, c, stride int }{
+		{112, 32, 1}, {112, 64, 2}, {56, 128, 1}, {56, 128, 2}, {28, 256, 1}, {28, 256, 2},
+		{14, 512, 1}, {14, 512, 2}, {7, 1024, 1},
+	} {
+		b.Run(fmt.Sprintf("%dx%dx%d/s%d", s.size, s.size, s.c, s.stride), func(b *testing.B) {
+			src := tensor.NewWithLayout(tensor.NC4HW4, 1, s.c, s.size, s.size)
+			tensor.FillRandom(src, 1, 1)
+			a := &graph.Conv2DAttrs{KernelH: 3, KernelW: 3, StrideH: s.stride, StrideW: s.stride,
+				PadH: 1, PadW: 1, Group: s.c, InputCount: s.c, OutputCount: s.c, ReLU: true}
+			dc := PrepareDepthwise(tensor.NewRandom(2, 0.2, s.c, 1, 3, 3), tensor.NewRandom(3, 0.1, s.c), a)
+			out := tensor.UpDiv(s.size, s.stride)
+			dst := tensor.NewWithLayout(tensor.NC4HW4, 1, s.c, out, out)
+			pool := testPool(b, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dc.Run(dst, src, pool)
+			}
+			b.ReportMetric(2*9*float64(out*out)*float64(s.c)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"mnn/internal/graph"
+	"mnn/internal/matmul"
 	"mnn/internal/sched"
 	"mnn/internal/tensor"
 )
@@ -9,12 +10,18 @@ import (
 // DepthwiseConv is the prepared state of the depthwise convolution on
 // NC4HW4 tensors. Each channel convolves with its own kh×kw filter; the four
 // channels of a packed block are processed lane-parallel, mirroring the NEON
-// vectorization of the paper's kernels.
+// vectorization of the paper's kernels. On hosts with AVX2 the interior of a
+// 3×3, dilation-1, stride-1/2 convolution runs the depthwise3x3 assembly
+// kernel straight over the packs; border pixels, other shapes and other hosts
+// run the scalar loop, which is also the oracle the assembly is bitwise
+// equal to.
 type DepthwiseConv struct {
 	attrs  graph.Conv2DAttrs
 	c      int
 	packed []float32 // [c4][kh][kw][4]
 	bias   []float32 // length c4*4
+	lo, hi float32   // activation clamp for the assembly kernel
+	simd   bool      // matmul.HaveAVX2 and a shape depthwise3x3 covers
 
 	rs depthwiseRun
 }
@@ -49,6 +56,10 @@ func PrepareDepthwise(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs) *Depthw
 	if bias != nil {
 		copy(dc.bias, bias.Data())
 	}
+	dc.lo, dc.hi = clampBounds(a.ReLU, a.ReLU6)
+	sw := strideOr1(a.StrideW)
+	dc.simd = matmul.HaveAVX2() && kh == 3 && kw == 3 && (sw == 1 || sw == 2) &&
+		dilOr1(a.DilationH) == 1 && dilOr1(a.DilationW) == 1
 	return dc
 }
 
@@ -71,22 +82,34 @@ func (dc *DepthwiseConv) Run(dst, src *tensor.Tensor, p *sched.Pool) {
 	p.Run(total, sched.Chunk(total, p.Lanes(), elemChunksPerLane), dc)
 }
 
+// interiorRange returns the output positions along one axis whose whole
+// window is inside the image: o·stride−pad ≥ 0 and o·stride−pad+(k−1)·dil ≤
+// size−1. hi < lo when there are none.
+func interiorRange(size, out, k, stride, dil, pad int) (lo, hi int) {
+	num := size - 1 - (k-1)*dil + pad
+	if num < 0 {
+		return 0, -1 // the window never fits
+	}
+	return (pad + stride - 1) / stride, min(num/stride, out-1)
+}
+
 // RunChunk implements sched.Task: one (batch, channel-block) per item.
 // Interior output pixels — where the kernel window cannot cross the image
-// border — take a fast path with no per-tap bounds checks; the tap order
-// (and thus the accumulation order) is identical to the generic path, so
-// results are bitwise equal.
+// border — need no per-tap bounds checks: the assembly kernel takes them two
+// at a time, and what it leaves (an odd last column, or all of them when
+// dc.simd is off) takes the scalar fast path; border pixels take the checked
+// scalar path. Every path adds the in-image taps in the same (ky, kx) order
+// onto the bias, multiply and add rounded separately, so a pixel has the
+// same bits whichever computes it.
 func (dc *DepthwiseConv) RunChunk(_, start, end int) {
 	r := &dc.rs
 	s, d := r.s, r.d
-	// Interior ox range: ox·sw−pw ≥ 0 and ox·sw−pw+(kw−1)·dw ≤ W−1.
-	oxLo := (r.pw + r.sw - 1) / r.sw
-	oxHi := -1 // no interior columns unless the window fits at all
-	if num := r.W - 1 - (r.kw-1)*r.dw + r.pw; num >= 0 {
-		oxHi = num / r.sw
-	}
-	if oxHi > r.OW-1 {
-		oxHi = r.OW - 1
+	oxLo, oxHi := interiorRange(r.W, r.OW, r.kw, r.sw, r.dw, r.pw)
+	oyLo, oyHi := interiorRange(r.H, r.OH, r.kh, r.sh, r.dh, r.ph)
+	// The assembly kernel covers rows [oyLo, oyHi] × columns [oxLo, oxSIMD).
+	oxSIMD := oxLo
+	if dc.simd && oyHi >= oyLo && oxHi > oxLo {
+		oxSIMD += (oxHi - oxLo + 1) &^ 1
 	}
 	for item := start; item < end; item++ {
 		n, cz := item/r.c4, item%r.c4
@@ -94,10 +117,21 @@ func (dc *DepthwiseConv) RunChunk(_, start, end int) {
 		srcCZ := ((n*r.c4 + cz) * r.H) * r.W * 4
 		dstCZ := ((n*r.c4 + cz) * r.OH) * r.OW * 4
 		wCZ := cz * r.kh * r.kw * 4
+		if oxSIMD > oxLo {
+			depthwise3x3(&d[dstCZ+(oyLo*r.OW+oxLo)*4],
+				&s[srcCZ+((oyLo*r.sh-r.ph)*r.W+oxLo*r.sw-r.pw)*4],
+				oyHi-oyLo+1, (oxSIMD-oxLo)/2, r.OW*4, r.W*4, r.sh*r.W*4, r.sw,
+				&dc.packed[wCZ], &dc.bias[cz*4], dc.lo, dc.hi)
+		}
 		for oy := 0; oy < r.OH; oy++ {
 			iy0 := oy*r.sh - r.ph
-			rowInterior := iy0 >= 0 && iy0+(r.kh-1)*r.dh < r.H
+			rowInterior := oy >= oyLo && oy <= oyHi
 			for ox := 0; ox < r.OW; ox++ {
+				if rowInterior && ox == oxLo && oxSIMD > oxLo {
+					if ox = oxSIMD; ox == r.OW { // [oxLo, oxSIMD) is done above
+						break
+					}
+				}
 				acc0, acc1, acc2, acc3 := b0, b1, b2, b3
 				if rowInterior && ox >= oxLo && ox <= oxHi {
 					base := srcCZ + iy0*r.W*4 + (ox*r.sw-r.pw)*4
@@ -106,10 +140,13 @@ func (dc *DepthwiseConv) RunChunk(_, start, end int) {
 						so := base + ky*r.dh*r.W*4
 						for kx := 0; kx < r.kw; kx++ {
 							wp := dc.packed[wo : wo+4]
-							acc0 += s[so] * wp[0]
-							acc1 += s[so+1] * wp[1]
-							acc2 += s[so+2] * wp[2]
-							acc3 += s[so+3] * wp[3]
+							// float32(·) keeps multiply and add separately
+							// rounded where the compiler could fuse them
+							// (arm64), as the assembly does.
+							acc0 += float32(s[so] * wp[0])
+							acc1 += float32(s[so+1] * wp[1])
+							acc2 += float32(s[so+2] * wp[2])
+							acc3 += float32(s[so+3] * wp[3])
 							so += r.dw * 4
 							wo += 4
 						}
@@ -129,10 +166,10 @@ func (dc *DepthwiseConv) RunChunk(_, start, end int) {
 							}
 							so := rowOff + ix*4
 							wo := wKY + kx*4
-							acc0 += s[so] * dc.packed[wo]
-							acc1 += s[so+1] * dc.packed[wo+1]
-							acc2 += s[so+2] * dc.packed[wo+2]
-							acc3 += s[so+3] * dc.packed[wo+3]
+							acc0 += float32(s[so] * dc.packed[wo])
+							acc1 += float32(s[so+1] * dc.packed[wo+1])
+							acc2 += float32(s[so+2] * dc.packed[wo+2])
+							acc3 += float32(s[so+3] * dc.packed[wo+3])
 						}
 					}
 				}

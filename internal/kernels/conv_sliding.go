@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"math"
+
 	"mnn/internal/graph"
 	"mnn/internal/sched"
 	"mnn/internal/tensor"
@@ -149,6 +151,20 @@ func relu6(v float32) float32 {
 		return 6
 	}
 	return v
+}
+
+// clampBounds is the fused activation as the interval SIMD kernels clamp
+// to: `if v < lo { v = lo }; if v > hi { v = hi }` is relu6, relu or the
+// identity bit for bit (NaN stays NaN, -0 stays -0).
+func clampBounds(relu, relu6 bool) (lo, hi float32) {
+	lo, hi = float32(math.Inf(-1)), float32(math.Inf(1))
+	if relu || relu6 {
+		lo = 0
+	}
+	if relu6 {
+		hi = 6
+	}
+	return lo, hi
 }
 
 func strideOr1(s int) int {

@@ -202,7 +202,7 @@ func TestConv1x1MatchesRef(t *testing.T) {
 				c := PrepareConv1x1(weight, bias, cc.attrs())
 				src4 := src.ToLayout(tensor.NC4HW4)
 				dst4 := tensor.NewWithLayout(tensor.NC4HW4, want.Shape()...)
-				c.Run(dst4, src4, testPool(t, threads), nil)
+				c.Run(dst4, src4, testPool(t, threads))
 				if d := tensor.MaxAbsDiff(want, dst4); d > 5e-3 {
 					t.Fatalf("max diff %g", d)
 				}
@@ -228,7 +228,7 @@ func TestConv1x1BitwiseAcrossLanesAndBatch(t *testing.T) {
 			run := func(in *tensor.Tensor, lanes int) *tensor.Tensor {
 				shape := append([]int{in.Batch()}, want.Shape()[1:]...)
 				out := tensor.NewWithLayout(tensor.NC4HW4, shape...)
-				c.Run(out, in.ToLayout(tensor.NC4HW4), testPool(t, lanes), nil)
+				c.Run(out, in.ToLayout(tensor.NC4HW4), testPool(t, lanes))
 				return out.ToLayout(tensor.NCHW)
 			}
 			base := run(src, 1)

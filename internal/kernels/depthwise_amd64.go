@@ -1,0 +1,8 @@
+package kernels
+
+// depthwise3x3 is the AVX2 depthwise interior kernel (depthwise_amd64.s):
+// one channel pack, a rectangle of `rows` × 2·`pairs` output pixels whose
+// 3×3 windows lie wholly inside the source, two pixels per ymm register.
+//
+//go:noescape
+func depthwise3x3(dst, src *float32, rows, pairs, dstRow, srcRow, srcStep, stride int, w, bias *float32, lo, hi float32)

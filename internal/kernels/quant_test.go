@@ -217,10 +217,9 @@ func BenchmarkQuantVsFloatConv1x1(b *testing.B) {
 			pool := sched.New(4)
 			defer pool.Close()
 			c := PrepareConv1x1(w, nil, &a)
-			ws := make([]float32, c.WorkspaceSize(1, hw, hw))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Run(dst, src, pool, ws)
+				c.Run(dst, src, pool)
 			}
 		})
 	}

@@ -8,13 +8,6 @@ import "mnn/internal/graph"
 // must match what the corresponding Run carves, so the planner-provided
 // slice always suffices and the hot path never falls back to the allocator.
 
-// Conv1x1WorkspaceFloats is the 1×1 (pointwise GEMM) convolution's
-// requirement for an N×ic×(oh·ow) → N×oc×(oh·ow) run: the unpacked pixel
-// matrix and the product matrix.
-func Conv1x1WorkspaceFloats(ic, oc, n, oh, ow int) int {
-	return n * oh * ow * (ic + oc)
-}
-
 // Im2colWorkspaceFloats is the im2col+GEMM convolution's requirement for a
 // batch element: the patch matrix [oh·ow, (ic/g)·kh·kw] plus the product
 // [oh·ow, oc/g].

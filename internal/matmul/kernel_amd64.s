@@ -1,13 +1,49 @@
 #include "textflag.h"
 
+// STEP is one reduction step of the 4×16 micro-kernel, shared by both entry
+// points below so they cannot drift apart: Y0..Y7 hold the accumulators (two
+// ymm per row), A0..A3 address one a element per row, BX the 64-byte panel
+// line. VMULPS then VADDPS — never FMA — so every element sees exactly the
+// roundings of the scalar loop `acc += float32(av * v)`.
+#define STEP(A0, A1, A2, A3) \
+	VMOVUPS      (BX), Y8     \
+	VMOVUPS      32(BX), Y9   \
+	VBROADCASTSS A0, Y10      \
+	VBROADCASTSS A1, Y11      \
+	VMULPS       Y8, Y10, Y12 \
+	VMULPS       Y9, Y10, Y13 \
+	VMULPS       Y8, Y11, Y14 \
+	VMULPS       Y9, Y11, Y15 \
+	VADDPS       Y12, Y0, Y0  \
+	VADDPS       Y13, Y1, Y1  \
+	VADDPS       Y14, Y2, Y2  \
+	VADDPS       Y15, Y3, Y3  \
+	VBROADCASTSS A2, Y10      \
+	VBROADCASTSS A3, Y11      \
+	VMULPS       Y8, Y10, Y12 \
+	VMULPS       Y9, Y10, Y13 \
+	VMULPS       Y8, Y11, Y14 \
+	VMULPS       Y9, Y11, Y15 \
+	VADDPS       Y12, Y4, Y4  \
+	VADDPS       Y13, Y5, Y5  \
+	VADDPS       Y14, Y6, Y6  \
+	VADDPS       Y15, Y7, Y7  \
+	ADDQ         $64, BX
+
+#define ZERO_ACCUMULATORS \
+	VXORPS Y0, Y0, Y0 \
+	VXORPS Y1, Y1, Y1 \
+	VXORPS Y2, Y2, Y2 \
+	VXORPS Y3, Y3, Y3 \
+	VXORPS Y4, Y4, Y4 \
+	VXORPS Y5, Y5, Y5 \
+	VXORPS Y6, Y6, Y6 \
+	VXORPS Y7, Y7, Y7
+
 // func mulPanel4x16(dst *float32, ldd int, a *float32, lda, k int, panel *float32)
 //
 // dst[r*ldd+l] = Σ_p a[r*lda+p] · panel[p*16+l] for r < 4, l < 16, summed
-// in ascending p from +0. Y0..Y7 hold the 4×16 accumulators (two ymm per
-// row); each step broadcasts one a element per row against the two halves
-// of the 64-byte panel line. VMULPS then VADDPS — never FMA — so every
-// element sees exactly the roundings of the scalar loop `acc += av * v`.
-// Requires k ≥ 1.
+// in ascending p from +0. Requires k ≥ 1.
 TEXT ·mulPanel4x16(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), DX
@@ -20,40 +56,11 @@ TEXT ·mulPanel4x16(SB), NOSPLIT, $0-48
 	LEAQ (SI)(R11*1), R8
 	LEAQ (R8)(R11*1), R9
 	LEAQ (R9)(R11*1), R10
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
+	ZERO_ACCUMULATORS
 	XORQ AX, AX
 
 loop:
-	VMOVUPS (BX), Y8
-	VMOVUPS 32(BX), Y9
-	VBROADCASTSS (SI)(AX*4), Y10
-	VBROADCASTSS (R8)(AX*4), Y11
-	VMULPS Y8, Y10, Y12
-	VMULPS Y9, Y10, Y13
-	VMULPS Y8, Y11, Y14
-	VMULPS Y9, Y11, Y15
-	VADDPS Y12, Y0, Y0
-	VADDPS Y13, Y1, Y1
-	VADDPS Y14, Y2, Y2
-	VADDPS Y15, Y3, Y3
-	VBROADCASTSS (R9)(AX*4), Y10
-	VBROADCASTSS (R10)(AX*4), Y11
-	VMULPS Y8, Y10, Y12
-	VMULPS Y9, Y10, Y13
-	VMULPS Y8, Y11, Y14
-	VMULPS Y9, Y11, Y15
-	VADDPS Y12, Y4, Y4
-	VADDPS Y13, Y5, Y5
-	VADDPS Y14, Y6, Y6
-	VADDPS Y15, Y7, Y7
-	ADDQ $64, BX
+	STEP((SI)(AX*4), (R8)(AX*4), (R9)(AX*4), (R10)(AX*4))
 	INCQ AX
 	CMPQ AX, CX
 	JLT  loop
@@ -69,6 +76,124 @@ loop:
 	ADDQ    DX, DI
 	VMOVUPS Y6, (DI)
 	VMOVUPS Y7, 32(DI)
+	VZEROUPPER
+	RET
+
+// func mulPanelNC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix, k int, panel, bias *float32, lo, hi float32)
+//
+// The same 4×16 tile over NC4HW4 operands. Row r is pixel r, aPix floats
+// after pixel 0; reduction step p reads lane p%4 of channel pack p/4, aPack
+// floats after pack 0 — four steps per 64-byte line when aPix = 4. After
+// the sum (ascending p from +0, as above) each of the 16 columns gets its
+// bias added and is clamped to [lo, hi]; then the tile is transposed with
+// 128-bit lane permutes into `packs` ≤ 4 output channel packs of 4 pixels ×
+// 4 channels (64 contiguous bytes each, dstPack floats apart).
+//
+// The clamp is max(lo, v) then min(hi, v) with v as the SECOND source of
+// VMAXPS/VMINPS: those return the second source when an operand is NaN or
+// both are zero, so NaN stays NaN and -0 stays -0 exactly as in the scalar
+// `if v < lo { v = lo }; if v > hi { v = hi }`. Requires k ≥ 1.
+TEXT ·mulPanelNC4(SB), NOSPLIT, $0-80
+	MOVQ dst+0(FP), DI
+	MOVQ dstPack+8(FP), DX
+	MOVQ packs+16(FP), R12
+	MOVQ a+24(FP), SI
+	MOVQ aPack+32(FP), R11
+	MOVQ aPix+40(FP), R8
+	MOVQ k+48(FP), CX
+	MOVQ panel+56(FP), BX
+	MOVQ bias+64(FP), R13
+	SHLQ $2, DX
+	SHLQ $2, R11
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R9
+	ZERO_ACCUMULATORS
+	MOVQ CX, AX
+	SHRQ $2, AX
+	ANDQ $3, CX
+	TESTQ AX, AX
+	JZ   lanes
+
+packloop:
+	STEP(0(SI), 0(SI)(R8*1), 0(SI)(R8*2), 0(SI)(R9*1))
+	STEP(4(SI), 4(SI)(R8*1), 4(SI)(R8*2), 4(SI)(R9*1))
+	STEP(8(SI), 8(SI)(R8*1), 8(SI)(R8*2), 8(SI)(R9*1))
+	STEP(12(SI), 12(SI)(R8*1), 12(SI)(R8*2), 12(SI)(R9*1))
+	ADDQ R11, SI
+	DECQ AX
+	JNZ  packloop
+
+lanes:
+	// The k%4 real lanes of a partial last pack; its pad lanes are never read.
+	TESTQ CX, CX
+	JZ    epilogue
+	STEP(0(SI), 0(SI)(R8*1), 0(SI)(R8*2), 0(SI)(R9*1))
+	DECQ CX
+	JZ   epilogue
+	STEP(4(SI), 4(SI)(R8*1), 4(SI)(R8*2), 4(SI)(R9*1))
+	DECQ CX
+	JZ   epilogue
+	STEP(8(SI), 8(SI)(R8*1), 8(SI)(R8*2), 8(SI)(R9*1))
+
+epilogue:
+	VMOVUPS      (R13), Y8
+	VMOVUPS      32(R13), Y9
+	VBROADCASTSS lo+72(FP), Y10
+	VBROADCASTSS hi+76(FP), Y11
+	VADDPS       Y8, Y0, Y0
+	VADDPS       Y9, Y1, Y1
+	VADDPS       Y8, Y2, Y2
+	VADDPS       Y9, Y3, Y3
+	VADDPS       Y8, Y4, Y4
+	VADDPS       Y9, Y5, Y5
+	VADDPS       Y8, Y6, Y6
+	VADDPS       Y9, Y7, Y7
+	VMAXPS       Y0, Y10, Y0
+	VMAXPS       Y1, Y10, Y1
+	VMAXPS       Y2, Y10, Y2
+	VMAXPS       Y3, Y10, Y3
+	VMAXPS       Y4, Y10, Y4
+	VMAXPS       Y5, Y10, Y5
+	VMAXPS       Y6, Y10, Y6
+	VMAXPS       Y7, Y10, Y7
+	VMINPS       Y0, Y11, Y0
+	VMINPS       Y1, Y11, Y1
+	VMINPS       Y2, Y11, Y2
+	VMINPS       Y3, Y11, Y3
+	VMINPS       Y4, Y11, Y4
+	VMINPS       Y5, Y11, Y5
+	VMINPS       Y6, Y11, Y6
+	VMINPS       Y7, Y11, Y7
+
+	// Pack j is the j-th 128-bit quarter of every row: rows (pixels) 0,1 in
+	// one ymm, rows 2,3 in the next.
+	VPERM2F128 $0x20, Y2, Y0, Y8
+	VPERM2F128 $0x20, Y6, Y4, Y9
+	VMOVUPS    Y8, (DI)
+	VMOVUPS    Y9, 32(DI)
+	DECQ       R12
+	JZ         done
+	ADDQ       DX, DI
+	VPERM2F128 $0x31, Y2, Y0, Y8
+	VPERM2F128 $0x31, Y6, Y4, Y9
+	VMOVUPS    Y8, (DI)
+	VMOVUPS    Y9, 32(DI)
+	DECQ       R12
+	JZ         done
+	ADDQ       DX, DI
+	VPERM2F128 $0x20, Y3, Y1, Y8
+	VPERM2F128 $0x20, Y7, Y5, Y9
+	VMOVUPS    Y8, (DI)
+	VMOVUPS    Y9, 32(DI)
+	DECQ       R12
+	JZ         done
+	ADDQ       DX, DI
+	VPERM2F128 $0x31, Y3, Y1, Y8
+	VPERM2F128 $0x31, Y7, Y5, Y9
+	VMOVUPS    Y8, (DI)
+	VMOVUPS    Y9, 32(DI)
+
+done:
 	VZEROUPPER
 	RET
 

@@ -2,10 +2,14 @@
 
 package matmul
 
-// Only amd64 has an assembly micro-kernel; everywhere else PackedB.MulInto
-// runs the portable loop.
+// Only amd64 has assembly micro-kernels; everywhere else PackedB runs the
+// portable loops.
 const haveSIMD = false
 
 func mulPanel4x16(dst *float32, ldd int, a *float32, lda, k int, panel *float32) {
+	panic("matmul: no SIMD micro-kernel on this architecture")
+}
+
+func mulPanelNC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix, k int, panel, bias *float32, lo, hi float32) {
 	panic("matmul: no SIMD micro-kernel on this architecture")
 }

@@ -13,11 +13,25 @@ const PanelWidth = 16
 // time (they never change), making every steady-state multiply
 // allocation-free and cache-blocked. It is the one fp32 GEMM behind the 1×1,
 // im2col and Winograd convolutions, InnerProduct and the transformer weight
-// MatMul; MulInto runs it on a 4×16 register-blocked micro-kernel.
+// MatMul, on a 4×16 register-blocked micro-kernel: MulInto takes row-major
+// operands, MulNC4Into reads and writes NC4HW4 activations in place.
 type PackedB struct {
 	K, N int
 	data []float32 // [panels][K][PanelWidth]
 	raw  []float32 // the original row-major matrix, for the tiny-K fallback
+	simd bool      // run the assembly micro-kernels (HaveAVX2 unless Portable)
+}
+
+// HaveAVX2 reports whether this host runs the AVX2 kernels: the one CPU
+// probe of the engine, made at package init, which internal/kernels shares.
+func HaveAVX2() bool { return haveSIMD }
+
+// Portable returns a view of pb that always runs the portable Go loops —
+// the oracle that differential tests compare the assembly kernels with.
+func (pb *PackedB) Portable() *PackedB {
+	q := *pb
+	q.simd = false
+	return &q
 }
 
 // PackB packs the row-major k×n matrix b.
@@ -26,7 +40,7 @@ func PackB(b []float32, k, n int) *PackedB {
 		panic("matmul: PackB buffer too small for declared dimensions")
 	}
 	panels := (n + PanelWidth - 1) / PanelWidth
-	pb := &PackedB{K: k, N: n, data: make([]float32, panels*k*PanelWidth), raw: b[:k*n]}
+	pb := &PackedB{K: k, N: n, data: make([]float32, panels*k*PanelWidth), raw: b[:k*n], simd: haveSIMD}
 	for jp := 0; jp < panels; jp++ {
 		j0 := jp * PanelWidth
 		lim := n - j0
@@ -55,7 +69,7 @@ func PackB(b []float32, k, n int) *PackedB {
 // On amd64 hosts with AVX2 (checked once at package init) the 4×16 blocks
 // run the assembly micro-kernel mulPanel4x16; everywhere else, and as the
 // oracle the differential tests compare it with, the portable Go loop runs.
-func (pb *PackedB) MulInto(dst, a []float32, m int) { pb.mulInto(dst, a, m, haveSIMD) }
+func (pb *PackedB) MulInto(dst, a []float32, m int) { pb.mulInto(dst, a, m, pb.simd) }
 
 func (pb *PackedB) mulInto(dst, a []float32, m int, simd bool) {
 	k, n := pb.K, pb.N
@@ -181,6 +195,103 @@ func (pb *PackedB) mulPortable(dst, a []float32, m int) {
 			di := dst[i*n+j0:]
 			for l := 0; l < lim; l++ {
 				di[l] = acc0[l]
+			}
+		}
+	}
+}
+
+// MulNC4Into is MulInto over NC4HW4 activations, with the bias add and the
+// activation clamp fused into the store, so a 1×1 convolution is one pass
+// with no layout staging. It covers `pixels` adjacent output pixels:
+//
+//	dst[(o/4)·dstPack + q·4 + o%4] = clamp(Σ_p a[(p/4)·aPack + q·aPix + p%4]·B[p][o] + bias[o])
+//
+// for q < pixels and o < N, where aPack and dstPack are the floats between
+// channel packs (H·W·4) and aPix the floats between the source pixels of
+// adjacent output pixels (4·stride). The sum is MulInto's — ascending p < K
+// from +0, multiply and add rounded separately — for every K (Mul, MulInto's
+// tiny-K fallback, rounds the same way); the bias is added after it, then
+// v < lo becomes lo and v > hi becomes hi, which is relu, relu6 or the
+// identity bit for bit (NaN stays NaN). A pixel's bits depend on that pixel
+// alone. The pad lanes of a's last pack are never read; dst is written in
+// whole packs, pad lanes included. bias holds N rounded up to whole panels.
+func (pb *PackedB) MulNC4Into(dst []float32, dstPack int, a []float32, aPack, aPix, pixels int, bias []float32, lo, hi float32) {
+	k, n := pb.K, pb.N
+	if pixels <= 0 {
+		return
+	}
+	k4, n4 := (k+3)/4, (n+3)/4
+	panels := (n + PanelWidth - 1) / PanelWidth
+	if len(a) < (k4-1)*aPack+(pixels-1)*aPix+4 || len(dst) < (n4-1)*dstPack+pixels*4 ||
+		len(bias) < panels*PanelWidth || aPix < 0 || aPack < 0 || dstPack < 0 {
+		panic("matmul: buffer too small for declared dimensions")
+	}
+	var tile [4 * PanelWidth]float32
+	for jp := 0; jp < panels; jp++ {
+		packs := min(4, n4-jp*4)
+		panel := pb.data[jp*k*PanelWidth : (jp+1)*k*PanelWidth]
+		b := bias[jp*PanelWidth : (jp+1)*PanelWidth]
+		d := dst[jp*4*dstPack:]
+		if !pb.simd {
+			nc4Portable(d, dstPack, packs, a, aPack, aPix, pixels, k, panel, b, lo, hi)
+			continue
+		}
+		q := 0
+		for ; q+4 <= pixels; q += 4 {
+			mulPanelNC4(&d[q*4], dstPack, packs, &a[q*aPix], aPack, aPix, k, &panel[0], &b[0], lo, hi)
+		}
+		// A tail pixel runs as four copies of itself (aPix = 0) into a stack
+		// tile, so the kernel never reads or writes past the run.
+		for ; q < pixels; q++ {
+			mulPanelNC4(&tile[0], PanelWidth, packs, &a[q*aPix], aPack, 0, k, &panel[0], &b[0], lo, hi)
+			for j := 0; j < packs; j++ {
+				copy(d[j*dstPack+q*4:j*dstPack+q*4+4], tile[j*PanelWidth:])
+			}
+		}
+	}
+}
+
+// nc4Portable is mulPanelNC4 in plain Go over one panel and a run of
+// pixels: the only path off amd64 or without AVX2, and the reference the
+// assembly is tested against. A tail block repeats its last pixel in the
+// unused rows and stores only the real ones.
+func nc4Portable(dst []float32, dstPack, packs int, a []float32, aPack, aPix, pixels, k int, panel, bias []float32, lo, hi float32) {
+	var acc [4][PanelWidth]float32
+	for q := 0; q < pixels; q += 4 {
+		rows := min(4, pixels-q)
+		o0 := q * aPix
+		o1, o2, o3 := o0+min(1, rows-1)*aPix, o0+min(2, rows-1)*aPix, o0+min(3, rows-1)*aPix
+		acc = [4][PanelWidth]float32{}
+		for p := 0; p < k; p++ {
+			c := (p/4)*aPack + p%4
+			av0, av1, av2, av3 := a[o0+c], a[o1+c], a[o2+c], a[o3+c]
+			// The zero-skip of mulPortable: post-ReLU pixels are often zero
+			// together, and skipping ±0·v is value-preserving for finite v.
+			if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
+				continue
+			}
+			bp := panel[p*PanelWidth : p*PanelWidth+PanelWidth]
+			for l := 0; l < PanelWidth; l++ {
+				v := bp[l]
+				acc[0][l] += float32(av0 * v)
+				acc[1][l] += float32(av1 * v)
+				acc[2][l] += float32(av2 * v)
+				acc[3][l] += float32(av3 * v)
+			}
+		}
+		for j := 0; j < packs; j++ {
+			for r := 0; r < rows; r++ {
+				d := dst[j*dstPack+(q+r)*4 : j*dstPack+(q+r)*4+4]
+				for l := range d {
+					v := acc[r][j*4+l] + bias[j*4+l]
+					if v < lo {
+						v = lo
+					}
+					if v > hi {
+						v = hi
+					}
+					d[l] = v
+				}
 			}
 		}
 	}

@@ -204,3 +204,140 @@ func BenchmarkPackedMobilenetShapes(b *testing.B) {
 		})
 	}
 }
+
+// nc4Case is one MulNC4Into problem: `pixels` output pixels whose sources
+// are `stride` pixels apart in an NC4HW4 activation of k channels, n output
+// channels.
+type nc4Case struct{ pixels, k, n, stride int }
+
+// runNC4 lays the row-major a (pixels×k) out as NC4HW4 with NaN in every
+// byte the kernel must not read (pad lanes, the pixels a stride skips), runs
+// MulNC4Into into a NaN-filled NC4HW4 dst and returns the logical pixels×n
+// result, checking that nothing outside dst's packs was written.
+func runNC4(t testing.TB, pb *PackedB, a []float32, c nc4Case, bias []float32, lo, hi float32) []float32 {
+	t.Helper()
+	nan := float32(math.NaN())
+	k4, n4 := (c.k+3)/4, (c.n+3)/4
+	srcPix := (c.pixels-1)*c.stride + 1
+	aPack, dstPack := srcPix*4, c.pixels*4
+	src := make([]float32, k4*aPack)
+	for i := range src {
+		src[i] = nan
+	}
+	for q := 0; q < c.pixels; q++ {
+		for p := 0; p < c.k; p++ {
+			src[(p/4)*aPack+q*c.stride*4+p%4] = a[q*c.k+p]
+		}
+	}
+	const guard = 8
+	dst := make([]float32, n4*dstPack+guard)
+	for i := range dst {
+		dst[i] = nan
+	}
+	pb.MulNC4Into(dst[:n4*dstPack], dstPack, src, aPack, c.stride*4, c.pixels, bias, lo, hi)
+	for i := n4 * dstPack; i < len(dst); i++ {
+		if dst[i] == dst[i] {
+			t.Fatalf("%+v: wrote past dst at +%d", c, i-n4*dstPack)
+		}
+	}
+	out := make([]float32, c.pixels*c.n)
+	for q := 0; q < c.pixels; q++ {
+		for o := 0; o < c.n; o++ {
+			out[q*c.n+o] = dst[(o/4)*dstPack+q*4+o%4]
+		}
+	}
+	return out
+}
+
+func clamp(v, lo, hi float32) float32 {
+	if v < lo {
+		v = lo
+	}
+	if v > hi {
+		v = hi
+	}
+	return v
+}
+
+var (
+	inf32       = float32(math.Inf(1))
+	clampBounds = [][2]float32{{-inf32, inf32}, {0, inf32}, {0, 6}} // none, relu, relu6
+)
+
+// TestPackedNC4MatchesMulIntoBitwise pins the NC4HW4 entry to the row-major
+// one: MulNC4Into (assembly where the host has it, and the portable twin) ≡
+// MulInto, then + bias, then clamp — bit for bit, for every k (including
+// k < PanelWidth, where MulInto falls back to Mul), tail pixels, partial
+// last packs and panels, stride-2 sources and NaN-poisoned pad lanes.
+func TestPackedNC4MatchesMulIntoBitwise(t *testing.T) {
+	var cases []nc4Case
+	for _, pixels := range []int{1, 3, 4, 5, 49} {
+		for _, k := range []int{1, 3, 4, 7, 16, 17, 130} {
+			for _, n := range []int{1, 6, 9, 16, 17, 72, 140} {
+				cases = append(cases, nc4Case{pixels, k, n, 1 + (pixels+k+n)%2})
+			}
+		}
+	}
+	r := tensor.NewRNG(77)
+	for i := 0; i < 40; i++ {
+		cases = append(cases, nc4Case{1 + r.Intn(70), 1 + r.Intn(150), 1 + r.Intn(130), 1 + r.Intn(3)})
+	}
+	for i, c := range cases {
+		a := activations(uint64(900+i), c.pixels, c.k)
+		b := weights(uint64(1300+i), c.k, c.n)
+		pb := PackB(b, c.k, c.n)
+		bias := make([]float32, (c.n+PanelWidth-1)/PanelWidth*PanelWidth)
+		for o := 0; o < c.n; o++ {
+			bias[o] = r.Float32()
+		}
+		bias[r.Intn(c.n)] = 0
+		sum := make([]float32, c.pixels*c.n)
+		pb.mulInto(sum, a, c.pixels, false)
+		bounds := clampBounds[i%3]
+		want := make([]float32, len(sum))
+		for j, v := range sum {
+			want[j] = clamp(v+bias[j%c.n], bounds[0], bounds[1])
+		}
+		for _, impl := range []*PackedB{pb, pb.Portable()} {
+			got := runNC4(t, impl, a, c, bias, bounds[0], bounds[1])
+			if d := firstBitDiff(got, want); d >= 0 {
+				t.Fatalf("%+v simd=%v clamp %v: NC4 %v (%#08x) != MulInto+bias+clamp %v (%#08x) at pixel %d channel %d", c, impl.simd, bounds,
+					got[d], math.Float32bits(got[d]), want[d], math.Float32bits(want[d]), d/c.n, d%c.n)
+			}
+		}
+	}
+}
+
+// TestPackedNC4ClampSpecials pins the VMAXPS/VMINPS operand order of the
+// fused epilogue: NaN must come out NaN, as the scalar `if v < lo` / `if v >
+// hi` leave it, and ±Inf and the bounds themselves clamp as written. (-0
+// cannot reach this clamp: a sum that starts at +0 is never -0, and +0 plus
+// a -0 bias is +0. The depthwise kernel, whose sum starts at the bias, pins
+// relu(-0) = -0 in internal/kernels.)
+func TestPackedNC4ClampSpecials(t *testing.T) {
+	specials := []float32{float32(math.NaN()), float32(math.Copysign(0, -1)), 0, -1, 6, 7, inf32, -inf32,
+		-math.SmallestNonzeroFloat32, 5.9999995, 6.0000005}
+	// One input channel with weight 1 and zero bias: the sum is the
+	// activation itself.
+	const n = 16
+	b := make([]float32, n)
+	for i := range b {
+		b[i] = 1
+	}
+	pb := PackB(b, 1, n)
+	bias := make([]float32, n)
+	for _, bounds := range clampBounds {
+		for _, s := range specials {
+			want := clamp(0+float32(s*1)+0, bounds[0], bounds[1])
+			for _, impl := range []*PackedB{pb, pb.Portable()} {
+				got := runNC4(t, impl, []float32{s, s, s, s, s}, nc4Case{5, 1, n, 1}, bias, bounds[0], bounds[1])
+				for i, g := range got {
+					if !sameBits(g, want) {
+						t.Fatalf("clamp %v of %v (simd=%v) at %d: got %v (%#08x), want %v (%#08x)", bounds, s, impl.simd, i,
+							g, math.Float32bits(g), want, math.Float32bits(want))
+					}
+				}
+			}
+		}
+	}
+}

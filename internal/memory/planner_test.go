@@ -196,3 +196,25 @@ func TestResNetLikePattern(t *testing.T) {
 		t.Fatalf("arena = %d, want %d", plan.ArenaSize, 3*1008)
 	}
 }
+
+// TestPlanPacksAroundLongLivedItem is the shape that makes an online
+// free-list replay fragment: a small activation outlives the big single-step
+// workspaces defined around it. Parked right after the first workspace it
+// leaves no hole the later ones fit in (304 floats for a peak of 128 live);
+// placed largest-first it sits on top and the workspaces share the bottom.
+func TestPlanPacksAroundLongLivedItem(t *testing.T) {
+	items := []Item{
+		{Name: "ws2", Size: 80, DefStep: 2, LastStep: 2},
+		{Name: "act", Size: 16, DefStep: 2, LastStep: 4},
+		{Name: "ws3", Size: 96, DefStep: 3, LastStep: 3},
+		{Name: "ws4", Size: 112, DefStep: 4, LastStep: 4},
+	}
+	plan, err := PlanItems(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkNoLiveOverlap(t, items, plan)
+	if plan.ArenaSize != 128 {
+		t.Fatalf("arena = %d, want the peak of live floats, 128", plan.ArenaSize)
+	}
+}

@@ -288,7 +288,11 @@ func TestShutdownDuringDegradedFlood(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			in := map[string]*mnn.Tensor{"data": randomInput(uint64(w), []int{1, 3, 16, 16})}
-			for i := 0; i < 50; i++ {
+			// At least 50 requests, and then on until this worker has seen
+			// the shutdown: a fixed count can finish before Close on a fast
+			// engine (the whole flood is ~30 ms of work).
+			sawClose := false
+			for i := 0; i < 50 || (!sawClose && i < 1_000_000); i++ {
 				_, err := m.Infer(ctx, in)
 				var oe *admission.OverloadError
 				switch {
@@ -299,8 +303,10 @@ func TestShutdownDuringDegradedFlood(t *testing.T) {
 				case errors.Is(err, ErrServerClosed), errors.Is(err, ErrModelNotFound),
 					errors.Is(err, mnn.ErrEngineClosed), errors.Is(err, mnn.ErrCancelled):
 					closedErr.Add(1)
+					sawClose = true
 				default:
 					t.Errorf("unexpected error during shutdown flood: %v", err)
+					return
 				}
 			}
 		}(w)
