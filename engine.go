@@ -775,8 +775,11 @@ func (e *Engine) Stats() SessionStats { return e.stats }
 // MemoryBytes estimates the engine's resident size: the graph's weight
 // tensors plus every pooled session's planned arenas (4 bytes per float32
 // element). Weights of a shared graph are charged to each engine opened on
-// it, so a serving registry's budget accounting errs toward over-counting,
-// never silent under-counting.
+// it, which over-counts; the prepared copies each session holds of them —
+// GEMM panels, Winograd-transformed filters (mh·mw/(kh·kw) × the layer's
+// weights), int8 panels — are not counted at all, which under-counts. A
+// serving registry's budget is therefore an estimate, not a bound (ROADMAP:
+// counting them needs the benchmark's resident_mib re-baselined first).
 func (e *Engine) MemoryBytes() int64 {
 	var total int64
 	for _, w := range e.g.Weights {

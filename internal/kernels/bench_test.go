@@ -22,37 +22,69 @@ func benchConvSetup(ic, oc, size, k int) (*tensor.Tensor, *tensor.Tensor, *tenso
 	return src, weight, bias, a
 }
 
+// conv3x3Shape is one 3×3 convolution of the model zoo: ic → oc on a size²
+// input. The benchmarks below report GFLOP/s of direct multiplies
+// (2·9·ic·oc per output pixel) whatever the scheme, on one lane, so the
+// schemes compare on one scale and a kernel change can be sized without the
+// 16 s repository benchmark.
+type conv3x3Shape struct {
+	name                      string
+	ic, oc, size, stride, pad int
+}
+
+var conv3x3Shapes = []conv3x3Shape{
+	{"mobilenet-stem/3x32x224s2", 3, 32, 224, 2, 1},
+	{"squeezenet-conv1/3x64x224s2", 3, 64, 224, 2, 0},
+	{"squeezenet-fire2/16x64x55", 16, 64, 55, 1, 1},
+	{"squeezenet-fire4/32x128x27", 32, 128, 27, 1, 1},
+	{"squeezenet-fire6/48x192x13", 48, 192, 13, 1, 1},
+	{"squeezenet-fire8/64x256x13", 64, 256, 13, 1, 1},
+	{"resnet18-layer1/64x64x56", 64, 64, 56, 1, 1},
+}
+
+// setup returns the shape's operands and the GFLOP of one run.
+func (s conv3x3Shape) setup() (src, dst, weight, bias *tensor.Tensor, a *graph.Conv2DAttrs, gflop float64) {
+	src, weight, bias, a = benchConvSetup(s.ic, s.oc, s.size, 3)
+	a.StrideH, a.StrideW, a.PadH, a.PadW, a.ReLU = s.stride, s.stride, s.pad, s.pad, true
+	out := (s.size+2*s.pad-3)/s.stride + 1
+	dst = tensor.NewWithLayout(tensor.NC4HW4, 1, s.oc, out, out)
+	return src, dst, weight, bias, a, 2 * 9 * float64(out*out) * float64(s.ic) * float64(s.oc) / 1e9
+}
+
 func BenchmarkConvSliding3x3(b *testing.B) {
-	for _, threads := range []int{1, 4} {
-		b.Run(fmt.Sprintf("t%d", threads), func(b *testing.B) {
-			src, w, bias, a := benchConvSetup(64, 64, 56, 3)
+	for _, s := range conv3x3Shapes {
+		b.Run(s.name, func(b *testing.B) {
+			src, dst, w, bias, a, gflop := s.setup()
 			sc := PrepareSliding(w, bias, a)
-			dst := tensor.NewWithLayout(tensor.NC4HW4, 1, 64, 56, 56)
-			pool := testPool(b, threads)
+			pool := testPool(b, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sc.Run(dst, src, pool)
 			}
+			b.ReportMetric(gflop*float64(b.N)/b.Elapsed().Seconds(), "GFLOP/s")
 		})
 	}
 }
 
 func BenchmarkConvWinograd3x3(b *testing.B) {
 	for _, tile := range []int{2, 4, 6} {
-		for _, threads := range []int{1, 4} {
-			b.Run(fmt.Sprintf("F%d/t%d", tile, threads), func(b *testing.B) {
-				src, w, bias, a := benchConvSetup(64, 64, 56, 3)
+		for _, s := range conv3x3Shapes {
+			if s.stride != 1 {
+				continue
+			}
+			b.Run(fmt.Sprintf("F%d/%s", tile, s.name), func(b *testing.B) {
+				src, dst, w, bias, a, gflop := s.setup()
 				wc, err := PrepareWinograd(w, bias, a, tile, tile)
 				if err != nil {
 					b.Fatal(err)
 				}
-				ws := make([]float32, wc.WorkspaceSize()*threads)
-				dst := tensor.NewWithLayout(tensor.NC4HW4, 1, 64, 56, 56)
-				pool := testPool(b, threads)
+				ws := make([]float32, wc.WorkspaceSize())
+				pool := testPool(b, 1)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					wc.Run(dst, src, pool, ws)
 				}
+				b.ReportMetric(gflop*float64(b.N)/b.Elapsed().Seconds(), "GFLOP/s")
 			})
 		}
 	}
@@ -137,6 +169,25 @@ func BenchmarkConvAsymmetric1x7Winograd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		wc.Run(dst, src, pool, ws)
+	}
+}
+
+// BenchmarkPoolMax3x3s2 runs squeezenet-v1.1's three max pools (3×3, stride
+// 2, no padding) on one lane.
+func BenchmarkPoolMax3x3s2(b *testing.B) {
+	for _, s := range []struct{ c, size int }{{64, 111}, {128, 55}, {256, 27}} {
+		b.Run(fmt.Sprintf("%dx%dx%d", s.size, s.size, s.c), func(b *testing.B) {
+			src := tensor.NewWithLayout(tensor.NC4HW4, 1, s.c, s.size, s.size)
+			tensor.FillRandom(src, 1, 1)
+			out := (s.size-3)/2 + 1
+			dst := tensor.NewWithLayout(tensor.NC4HW4, 1, s.c, out, out)
+			op := NewPoolOp(dst, src, &graph.PoolAttrs{Type: graph.MaxPool, KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2})
+			pool := testPool(b, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op.Run(pool)
+			}
+		})
 	}
 }
 

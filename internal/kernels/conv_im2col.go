@@ -16,8 +16,6 @@ import (
 type Im2colConv struct {
 	attrs  graph.Conv2DAttrs
 	ic, oc int
-	// wT is [group][ickhkw/g][oc/g] — transposed per-group weight.
-	wT []float32
 	// packed[g] is group g's weight in matmul panels.
 	packed []*matmul.PackedB
 	bias   []float32
@@ -55,18 +53,18 @@ func PrepareIm2col(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs) *Im2colCon
 	ocg := oc / group
 	k := icg * kh * kw
 	c := &Im2colConv{attrs: *a, ic: icg * group, oc: oc}
-	c.wT = make([]float32, group*k*ocg)
+	wT := make([]float32, group*k*ocg) // [group][icg·kh·kw][oc/g]: the transposed per-group weight PackB copies
 	w := weight.Data()
 	for g := 0; g < group; g++ {
 		for o := 0; o < ocg; o++ {
 			for i := 0; i < k; i++ {
-				c.wT[(g*k+i)*ocg+o] = w[(g*ocg+o)*k+i]
+				wT[(g*k+i)*ocg+o] = w[(g*ocg+o)*k+i]
 			}
 		}
 	}
 	c.packed = make([]*matmul.PackedB, group)
 	for g := 0; g < group; g++ {
-		c.packed[g] = matmul.PackB(c.wT[g*k*ocg:(g+1)*k*ocg], k, ocg)
+		c.packed[g] = matmul.PackB(wT[g*k*ocg:(g+1)*k*ocg], k, ocg)
 	}
 	c.bias = make([]float32, oc)
 	if bias != nil {

@@ -4,20 +4,26 @@ import (
 	"math"
 
 	"mnn/internal/graph"
+	"mnn/internal/matmul"
 	"mnn/internal/sched"
 	"mnn/internal/tensor"
 )
 
 // SlidingConv is the prepared state of the sliding-window convolution on
-// NC4HW4 tensors: weights are re-packed at pre-inference time into
-// [oc/4][ic/4][kh][kw][4ic][4oc] order so that the innermost loop is a dense
-// 4×4 multiply-accumulate block — the structure NEON kernels use, expressed
-// in scalar Go (DESIGN.md substitution #1).
+// NC4HW4 tensors: direct convolution as the GEMM micro-kernel sees it. The
+// weight is packed once as a [kh·kw·ic][oc] matrix in 64-byte panels, rows
+// in (ky, kx, c) order, and matmul.PackedB.MulTapsNC4Into sums each run of
+// adjacent output pixels over the kernel taps that fall inside the image,
+// reading the NC4HW4 source in place and writing bias + activation fused —
+// no im2col matrix, no workspace. A 1×1 convolution is the one-tap case of
+// the same kernel (Conv1x1).
 type SlidingConv struct {
 	attrs  graph.Conv2DAttrs
 	ic, oc int
-	packed []float32 // [oc4][ic4][kh][kw][4][4]
-	bias   []float32 // length oc4*4
+	packed *matmul.PackedB // [kh·kw·ic][oc] weight in 64-byte panels
+	bias   []float32       // oc rounded up to whole panels
+	lo, hi float32         // activation clamp
+	taps   []matmul.Tap    // kh·kw entries per lane: the tap list of the run being computed
 
 	// rs is the bound per-run geometry. Prepared kernels are owned by one
 	// session and sessions run exclusively, so a single slot suffices; it
@@ -26,12 +32,13 @@ type SlidingConv struct {
 }
 
 type slidingRun struct {
-	s, d                   []float32
-	H, W, OH, OW           int
-	ic4, oc4               int
-	kh, kw, sh, sw, dh, dw int
-	ph, pw                 int
-	relu, relu6            bool
+	s, d               []float32
+	H, W, OH, OW       int
+	srcPack, dstPack   int // floats between channel packs: H·W·4, OH·OW·4
+	srcBatch, dstBatch int // floats between samples
+	sh, sw, dh, dw     int
+	ph, pw             int
+	xr                 int // output columns from xr on lose kx taps to the right image edge
 }
 
 // PrepareSliding packs weights for the sliding-window kernel.
@@ -39,29 +46,23 @@ type slidingRun struct {
 // im2col path for grouped convolution). bias may be nil.
 func PrepareSliding(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs) *SlidingConv {
 	oc, ic := weight.Dim(0), weight.Dim(1)
-	kh, kw := a.KernelH, a.KernelW
-	oc4 := tensor.UpDiv(oc, 4)
-	ic4 := tensor.UpDiv(ic, 4)
+	taps := a.KernelH * a.KernelW
 	sc := &SlidingConv{attrs: *a, ic: ic, oc: oc}
-	sc.packed = make([]float32, oc4*ic4*kh*kw*16)
+	wT := make([]float32, taps*ic*oc)
 	w := weight.Data()
 	for o := 0; o < oc; o++ {
 		for i := 0; i < ic; i++ {
-			for ky := 0; ky < kh; ky++ {
-				for kx := 0; kx < kw; kx++ {
-					v := w[((o*ic+i)*kh+ky)*kw+kx]
-					oz, ol := o/4, o%4
-					cz, cl := i/4, i%4
-					idx := ((((oz*ic4+cz)*kh+ky)*kw+kx)*4+cl)*4 + ol
-					sc.packed[idx] = v
-				}
+			for t := 0; t < taps; t++ {
+				wT[(t*ic+i)*oc+o] = w[(o*ic+i)*taps+t]
 			}
 		}
 	}
-	sc.bias = make([]float32, oc4*4)
+	sc.packed = matmul.PackB(wT, taps*ic, oc)
+	sc.bias = make([]float32, tensor.UpDiv(oc, matmul.PanelWidth)*matmul.PanelWidth)
 	if bias != nil {
 		copy(sc.bias, bias.Data())
 	}
+	sc.lo, sc.hi = clampBounds(a.ReLU, a.ReLU6)
 	return sc
 }
 
@@ -70,70 +71,74 @@ func PrepareSliding(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs) *SlidingC
 func (sc *SlidingConv) Run(dst, src *tensor.Tensor, p *sched.Pool) {
 	a := &sc.attrs
 	N, H, W := src.Batch(), src.Height(), src.Width()
+	OH, OW := dst.Height(), dst.Width()
 	ph, pw := graph.ConvPadding(H, W, a)
-	sc.rs = slidingRun{
+	r := &sc.rs
+	*r = slidingRun{
 		s: src.Data(), d: dst.Data(),
-		H: H, W: W, OH: dst.Height(), OW: dst.Width(),
-		ic4: tensor.UpDiv(sc.ic, 4), oc4: tensor.UpDiv(sc.oc, 4),
-		kh: a.KernelH, kw: a.KernelW,
+		H: H, W: W, OH: OH, OW: OW,
+		srcPack: H * W * 4, dstPack: OH * OW * 4,
+		srcBatch: tensor.UpDiv(sc.ic, 4) * H * W * 4, dstBatch: tensor.UpDiv(sc.oc, 4) * OH * OW * 4,
 		sh: strideOr1(a.StrideH), sw: strideOr1(a.StrideW),
 		dh: dilOr1(a.DilationH), dw: dilOr1(a.DilationW),
-		ph: ph, pw: pw, relu: a.ReLU, relu6: a.ReLU6,
+		ph: ph, pw: pw,
 	}
-	total := N * sc.rs.oc4
+	// Column x has its last kx tap inside the image while x·sw − pw + (kw−1)·dw ≤ W−1.
+	if last := W - 1 - (a.KernelW-1)*r.dw + pw; last >= 0 {
+		r.xr = min(OW, last/r.sw+1)
+	}
+	if need := p.Lanes() * a.KernelH * a.KernelW; len(sc.taps) < need {
+		sc.taps = make([]matmul.Tap, need)
+	}
+	// MulTapsNC4Into computes every pixel from that pixel's window alone, so
+	// neither the lane count nor the batch size can change a bit of the result.
+	total := N * OH
 	p.Run(total, sched.Chunk(total, p.Lanes(), elemChunksPerLane), sc)
 }
 
-// RunChunk implements sched.Task: one (batch, output-channel-block) pair
-// per work item.
-func (sc *SlidingConv) RunChunk(_, start, end int) {
+// RunChunk implements sched.Task over (sample, output row) items. The pixels
+// of a row whose windows cross no vertical image edge share one tap list and
+// are one MulTapsNC4Into run; each of the few pixels left and right of them
+// is a run of its own with the taps it has.
+func (sc *SlidingConv) RunChunk(worker, start, end int) {
 	r := &sc.rs
-	s, d := r.s, r.d
+	kh, kw := sc.attrs.KernelH, sc.attrs.KernelW
+	taps := sc.taps[worker*kh*kw : (worker+1)*kh*kw]
 	for item := start; item < end; item++ {
-		n, oz := item/r.oc4, item%r.oc4
-		bias0, bias1, bias2, bias3 := sc.bias[oz*4], sc.bias[oz*4+1], sc.bias[oz*4+2], sc.bias[oz*4+3]
-		dstBase := ((n*r.oc4 + oz) * r.OH) * r.OW * 4
-		for oy := 0; oy < r.OH; oy++ {
-			for ox := 0; ox < r.OW; ox++ {
-				acc0, acc1, acc2, acc3 := bias0, bias1, bias2, bias3
-				for cz := 0; cz < r.ic4; cz++ {
-					srcCZ := ((n*r.ic4 + cz) * r.H) * r.W * 4
-					wCZ := ((oz*r.ic4 + cz) * r.kh) * r.kw * 16
-					for ky := 0; ky < r.kh; ky++ {
-						iy := oy*r.sh - r.ph + ky*r.dh
-						if iy < 0 || iy >= r.H {
-							continue
-						}
-						rowOff := srcCZ + iy*r.W*4
-						wKY := wCZ + ky*r.kw*16
-						for kx := 0; kx < r.kw; kx++ {
-							ix := ox*r.sw - r.pw + kx*r.dw
-							if ix < 0 || ix >= r.W {
-								continue
-							}
-							so := rowOff + ix*4
-							s0, s1, s2, s3 := s[so], s[so+1], s[so+2], s[so+3]
-							wb := sc.packed[wKY+kx*16 : wKY+kx*16+16]
-							acc0 += s0*wb[0] + s1*wb[4] + s2*wb[8] + s3*wb[12]
-							acc1 += s0*wb[1] + s1*wb[5] + s2*wb[9] + s3*wb[13]
-							acc2 += s0*wb[2] + s1*wb[6] + s2*wb[10] + s3*wb[14]
-							acc3 += s0*wb[3] + s1*wb[7] + s2*wb[11] + s3*wb[15]
-						}
-					}
-				}
-				if r.relu6 {
-					acc0, acc1, acc2, acc3 = relu6(acc0), relu6(acc1), relu6(acc2), relu6(acc3)
-				} else if r.relu {
-					acc0, acc1, acc2, acc3 = relu(acc0), relu(acc1), relu(acc2), relu(acc3)
-				}
-				do := dstBase + (oy*r.OW+ox)*4
-				d[do] = acc0
-				d[do+1] = acc1
-				d[do+2] = acc2
-				d[do+3] = acc3
+		n, oy := item/r.OH, item%r.OH
+		iy0 := oy*r.sh - r.ph
+		ky0, ky1 := tapRange(iy0, r.dh, kh, r.H)
+		src := r.s[n*r.srcBatch : (n+1)*r.srcBatch]
+		dst := r.d[n*r.dstBatch+oy*r.OW*4 : (n+1)*r.dstBatch]
+		for x := 0; x < r.OW; {
+			ix0 := x*r.sw - r.pw
+			kx0, kx1 := tapRange(ix0, r.dw, kw, r.W)
+			x1 := x + 1
+			if kx1-kx0 == kw {
+				x1 = max(x1, r.xr) // the columns with every kx tap are one run
 			}
+			run := taps[:0]
+			for ky := ky0; ky < ky1; ky++ {
+				for kx := kx0; kx < kx1; kx++ {
+					run = append(run, matmul.Tap{A: ((iy0+ky*r.dh)*r.W + ix0 + kx*r.dw) * 4, B: (ky*kw + kx) * sc.ic})
+				}
+			}
+			sc.packed.MulTapsNC4Into(dst[x*4:], r.dstPack, src, r.srcPack, r.sw*4, x1-x, run, sc.ic, sc.bias, sc.lo, sc.hi)
+			x = x1
 		}
 	}
+}
+
+// tapRange returns the taps k0 ≤ k < k1 of a k-tap window starting at i0
+// with dilation d whose positions i0 + k·d lie in [0, size).
+func tapRange(i0, d, k, size int) (k0, k1 int) {
+	if i0 < 0 {
+		k0 = (-i0 + d - 1) / d
+	}
+	if last := size - 1 - i0; last >= 0 {
+		k1 = last/d + 1
+	}
+	return min(k0, k), max(min(k0, k), min(k1, k))
 }
 
 func relu(v float32) float32 {

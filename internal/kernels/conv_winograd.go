@@ -19,6 +19,10 @@ import (
 // Transforms are applied per axis with independent matrices, so asymmetric
 // kernels (1×7, 7×1, …) are handled by the same code path — this is what
 // makes the engine free of the case-by-case bottleneck shown in Figure 8.
+// Each axis is a linComb over whole channel packs, eight channels per SIMD
+// register: tiles are read straight from the NC4HW4 source into the GEMM
+// operand, and the product goes straight to the destination with bias and
+// activation fused.
 type WinogradConv struct {
 	attrs  graph.Conv2DAttrs
 	ic, oc int
@@ -26,18 +30,22 @@ type WinogradConv struct {
 	nh, nw int // output tile size per axis
 	mh, mw int // transform size per axis (n + k - 1)
 
-	matsH, matsW *winograd.Matrices
+	// inH, inW are Bᵀ along each axis, outH, outW Aᵀ. The axis applied first
+	// (H) drops zero coefficients, the second keeps them — as rectTransform,
+	// whose bits these transforms reproduce, skips and does not.
+	inH, inW, outH, outW linComb
 
-	// wT holds transformed weights: [mh*mw][ic][oc] flattened, one ic×oc
-	// matrix per transform position (the right operand of Figure 4's
-	// per-position matmul); packedW is the same data in 64-byte GEMM
-	// panels, one PackedB per transform position.
-	wT      []float32
+	// packedW holds the transformed weights, one ic×oc matrix per transform
+	// position (the right operand of Figure 4's per-position matmul) in
+	// 64-byte GEMM panels.
 	packedW []*matmul.PackedB
-	bias    []float32
+	bias    []float32 // oc rounded up to whole pairs of packs
+	lo, hi  float32   // activation clamp
+	simd    bool      // matmul.HaveAVX2: transforms run linCombNC4
 
 	// tileBlock is U in Figure 4: how many tiles are gathered into one
-	// matmul batch.
+	// matmul batch. The transforms borrow 16·mh·mw floats of whichever GEMM
+	// operand is idle, so tileBlock·min(ic, oc) must be at least 16.
 	tileBlock int
 
 	rs winogradRun
@@ -93,14 +101,18 @@ func PrepareWinograd(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs, nh, nw i
 		return nil, err
 	}
 	oc, ic := weight.Dim(0), weight.Dim(1)
+	mh, mw := matsH.M, matsW.M
 	wc := &WinogradConv{
 		attrs: *a, ic: ic, oc: oc,
-		nh: nh, nw: nw, mh: matsH.M, mw: matsW.M,
-		matsH: matsH, matsW: matsW,
+		nh: nh, nw: nw, mh: mh, mw: mw,
+		inH: newLinComb(matsH.BT, mh, mh, true), inW: newLinComb(matsW.BT, mw, mw, false),
+		outH: newLinComb(matsH.AT, nh, mh, true), outW: newLinComb(matsW.AT, nw, mw, false),
+		simd:      matmul.HaveAVX2(),
 		tileBlock: DefaultTileBlock,
 	}
-	mh, mw := wc.mh, wc.mw
-	wc.wT = make([]float32, mh*mw*ic*oc)
+	// wT is [mh*mw][ic][oc]: PackB copies each position's matrix into panels,
+	// so the staging copy dies with this call.
+	wT := make([]float32, mh*mw*ic*oc)
 	w := weight.Data()
 	// Transform each output channel's filters in parallel: for wide layers
 	// (512×512) this is millions of small transforms and dominates
@@ -116,24 +128,109 @@ func PrepareWinograd(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs, nh, nw i
 				// W' = G_h (kh→mh rows) · W · G_wᵀ (kw→mw cols).
 				rectTransform(tTile, kTile, matsH.G, matsW.G, mh, kh, kw, mw, scratch)
 				for p := 0; p < mh*mw; p++ {
-					wc.wT[(p*ic+i)*oc+o] = tTile[p]
+					wT[(p*ic+i)*oc+o] = tTile[p]
 				}
 			}
 		}
 	})
 	wc.packedW = make([]*matmul.PackedB, mh*mw)
 	for p := 0; p < mh*mw; p++ {
-		wc.packedW[p] = matmul.PackB(wc.wT[p*ic*oc:(p+1)*ic*oc], ic, oc)
+		wc.packedW[p] = matmul.PackB(wT[p*ic*oc:(p+1)*ic*oc], ic, oc)
 	}
-	wc.bias = make([]float32, tensor.AlignUp(oc, 4))
+	wc.bias = make([]float32, tensor.AlignUp(oc, 8))
 	if bias != nil {
 		copy(wc.bias, bias.Data())
 	}
+	wc.lo, wc.hi = clampBounds(a.ReLU, a.ReLU6)
 	return wc, nil
 }
 
+// linComb is one axis of a Winograd transform, a rows×cols matrix, as lists
+// of terms: output row r is the sum of coef[t] times source row idx[t] < cols
+// over its cnt[r] terms, which lie one row after the other in idx and coef,
+// each row's in ascending source order.
+type linComb struct {
+	cols     int
+	cnt, idx []int
+	coef     []float32
+}
+
+func newLinComb(m []float32, rows, cols int, skipZero bool) linComb {
+	lc := linComb{cols: cols, cnt: make([]int, rows)}
+	for r := 0; r < rows; r++ {
+		for p, c := range m[r*cols : (r+1)*cols] {
+			if c == 0 && skipZero {
+				continue
+			}
+			lc.cnt[r]++
+			lc.idx = append(lc.idx, p)
+			lc.coef = append(lc.coef, c)
+		}
+	}
+	return lc
+}
+
+// apply computes the first `rows` rows of the combination over rows of
+// `chunks` chunks of eight floats: the four channels of one NC4HW4 pixel in
+// each of two adjacent packs, a "split" apart (4 in the GEMM operands; 0 for
+// a last pack without a neighbour, with lanes ≤ 4):
+//
+//	dst[r·dstRow + q·dstChunk + h·dstSplit + l] = Σ_t coef[t] · src[idx[t]·srcRow + q·srcChunk + h·srcSplit + l]
+//
+// for 4h+l < lanes, in term order from +0, multiply and add rounded
+// separately: rectTransform's sums. With bias ≠ nil each sum gets bias[4h+l]
+// added and is clamped to [lo, hi]. Lanes from `lanes` on — the pad lanes of
+// a partial last pack, stale arena bytes — are never stored (linCombNC4
+// computes them, the Go loop does not read them).
+func (lc *linComb) apply(simd bool, dst []float32, dstRow, dstChunk, dstSplit int, src []float32, srcRow, srcChunk, srcSplit, chunks, rows, lanes int, bias []float32, lo, hi float32) {
+	if rows <= 0 || chunks <= 0 {
+		return
+	}
+	if simd {
+		var b *float32
+		if bias != nil {
+			b = &bias[:8][0]
+		}
+		_ = dst[(rows-1)*dstRow+(chunks-1)*dstChunk+(lanes-1)/4*dstSplit+(lanes-1)%4]
+		_ = src[(lc.cols-1)*srcRow+(chunks-1)*srcChunk+srcSplit+3]
+		linCombNC4(&dst[0], dstRow, dstChunk, dstSplit, &src[0], srcRow, srcChunk, srcSplit, chunks, rows, &lc.cnt[0], &lc.idx[0], &lc.coef[0], lanes, b, lo, hi)
+		return
+	}
+	t0 := 0
+	for r := 0; r < rows; r++ {
+		t1 := t0 + lc.cnt[r]
+		for q := 0; q < chunks; q++ {
+			var acc [8]float32
+			for t := t0; t < t1; t++ {
+				c, s := lc.coef[t], src[lc.idx[t]*srcRow+q*srcChunk:]
+				for l := 0; l < lanes; l++ {
+					acc[l] += float32(c * s[l/4*srcSplit+l%4])
+				}
+			}
+			d := dst[r*dstRow+q*dstChunk:]
+			for l := 0; l < lanes; l++ {
+				v := acc[l]
+				if bias != nil {
+					v += bias[l]
+					if v < lo {
+						v = lo
+					}
+					if v > hi {
+						v = hi
+					}
+				}
+				d[l/4*dstSplit+l%4] = v
+			}
+		}
+		t0 = t1
+	}
+}
+
 // rectTransform computes dst = L · src · Rᵀ where L is lm×lk, src is lk×rk,
-// R is rm×rk; dst is lm×rm. scratch must hold lm*rk floats.
+// R is rm×rk; dst is lm×rm. scratch must hold lm*rk floats. It is the weight
+// transform at prepare time and, in the tests, the per-channel oracle of the
+// pack-wise transforms: the products are written float32(a*b) so that no
+// platform fuses them into the add.
 func rectTransform(dst, src, l, r []float32, lm, lk, rk, rm int, scratch []float32) {
 	// scratch = L(lm×lk) · src(lk×rk)
 	for i := 0; i < lm; i++ {
@@ -148,7 +245,7 @@ func rectTransform(dst, src, l, r []float32, lm, lk, rk, rm int, scratch []float
 			}
 			sp := src[p*rk : (p+1)*rk]
 			for j, sv := range sp {
-				row[j] += lv * sv
+				row[j] += float32(lv * sv)
 			}
 		}
 	}
@@ -159,7 +256,7 @@ func rectTransform(dst, src, l, r []float32, lm, lk, rk, rm int, scratch []float
 			rj := r[j*rk : (j+1)*rk]
 			var sum float32
 			for p := 0; p < rk; p++ {
-				sum += si[p] * rj[p]
+				sum += float32(si[p] * rj[p])
 			}
 			dst[i*rm+j] = sum
 		}
@@ -173,8 +270,10 @@ func rectTransform(dst, src, l, r []float32, lm, lk, rk, rm int, scratch []float
 func (wc *WinogradConv) WorkspaceSize() int {
 	mm := wc.mh * wc.mw
 	u := wc.tileBlock
-	// srcT [mm][U][ic] + dstT [mm][U][oc] + gather tile + transform scratch.
-	return mm*u*wc.ic + mm*u*wc.oc + 2*mm + mm
+	// srcT [mm][U][ic] + dstT [mm][U][oc], and 3·mm floats of slack so that
+	// the whole-pack read at the end of dstT's last row, when oc is not a
+	// multiple of 4, stays inside the lane's own workspace.
+	return mm*u*wc.ic + mm*u*wc.oc + 3*mm
 }
 
 // Run executes the convolution on the pool. src and dst must be NC4HW4.
@@ -213,100 +312,69 @@ func (wc *WinogradConv) Run(dst, src *tensor.Tensor, p *sched.Pool, workspace []
 // RunChunk implements sched.Task over tile-block indices.
 func (wc *WinogradConv) RunChunk(worker, start, end int) {
 	r := &wc.rs
-	a := &wc.attrs
-	s, d := r.s, r.d
 	nh, nw, mh, mw := wc.nh, wc.nw, wc.mh, wc.mw
+	ic, oc := wc.ic, wc.oc
 	mm := mh * mw
 	u := wc.tileBlock
 
 	ws := r.workspace[worker*r.wsPer : (worker+1)*r.wsPer]
-	srcT := ws[:mm*u*wc.ic]
-	dstT := ws[mm*u*wc.ic : mm*u*(wc.ic+wc.oc)]
-	tile := ws[mm*u*(wc.ic+wc.oc) : mm*u*(wc.ic+wc.oc)+mm]
-	tileT := ws[mm*u*(wc.ic+wc.oc)+mm : mm*u*(wc.ic+wc.oc)+2*mm]
-	scratch := ws[mm*u*(wc.ic+wc.oc)+2*mm:]
+	srcT, dstT := ws[:mm*u*ic], ws[mm*u*ic:]
 
 	for blk := start; blk < end; blk++ {
 		t0 := blk * u
-		t1 := t0 + u
-		if t1 > r.totalTiles {
-			t1 = r.totalTiles
-		}
+		t1 := min(t0+u, r.totalTiles)
 		cnt := t1 - t0
 
-		// ---- Input transform: fill srcT[p][u][ic].
+		// ---- Input transform: X' = BT_h · X · B_w per tile and pair of
+		// channel packs, the eight channels of every transform position p
+		// stored together at srcT[p][tile][c…]. dstT is idle until the GEMM:
+		// its head holds the half-transformed tile [xx][i][8] and the
+		// zero-padded copy of a tile that crosses the image edge.
+		half, edge := dstT[:mm*8], dstT[mm*8:2*mm*8]
 		for t := t0; t < t1; t++ {
-			ti := t - t0
-			n := t / r.tilesPerImage
-			rem := t % r.tilesPerImage
-			ty, tx := rem/r.tilesX, rem%r.tilesX
-			y0 := ty*nh - r.ph
-			x0 := tx*nw - r.pw
-			for c := 0; c < wc.ic; c++ {
-				cz, cl := c/4, c%4
-				base := ((n*r.ic4 + cz) * r.H) * r.W * 4
-				// Gather mh×mw patch with zero padding.
-				for yy := 0; yy < mh; yy++ {
-					iy := y0 + yy
-					for xx := 0; xx < mw; xx++ {
-						ix := x0 + xx
-						if iy < 0 || iy >= r.H || ix < 0 || ix >= r.W {
-							tile[yy*mw+xx] = 0
-						} else {
-							tile[yy*mw+xx] = s[base+(iy*r.W+ix)*4+cl]
+			n, rem := t/r.tilesPerImage, t%r.tilesPerImage
+			y0, x0 := rem/r.tilesX*nh-r.ph, rem%r.tilesX*nw-r.pw
+			inside := y0 >= 0 && x0 >= 0 && y0+mh <= r.H && x0+mw <= r.W
+			for cz := 0; cz < r.ic4; cz += 2 {
+				packs := min(2, r.ic4-cz)
+				src := r.s[(n*r.ic4+cz)*r.H*r.W*4 : (n*r.ic4+cz+packs)*r.H*r.W*4]
+				tile, row, split := edge, mw*4, (packs-1)*mm*4
+				if inside {
+					tile, row, split = src[(y0*r.W+x0)*4:], r.W*4, (packs-1)*r.H*r.W*4
+				} else {
+					clear(edge)
+					xa, xb := max(0, -x0), min(mw, r.W-x0)
+					for yy := max(0, -y0); yy < min(mh, r.H-y0) && xa < xb; yy++ {
+						for k := 0; k < packs; k++ {
+							copy(edge[k*mm*4+(yy*mw+xa)*4:k*mm*4+(yy*mw+xb)*4], src[k*r.H*r.W*4+((y0+yy)*r.W+x0+xa)*4:])
 						}
 					}
 				}
-				// X' = BT_h · X · B_w  (B_w applied as · BT_wᵀ).
-				rectTransform(tileT, tile, wc.matsH.BT, wc.matsW.BT, mh, mh, mw, mw, scratch)
-				for p := 0; p < mm; p++ {
-					srcT[(p*u+ti)*wc.ic+c] = tileT[p]
-				}
+				wc.inH.apply(wc.simd, half, 8, mh*8, 4, tile, row, 4, split, mw, mh, 8, nil, 0, 0)
+				wc.inW.apply(wc.simd, srcT[(t-t0)*ic+cz*4:], u*ic, mw*u*ic, 4, half, mh*8, 8, 4, mh, mw, min(8, ic-cz*4), nil, 0, 0)
 			}
 		}
 
 		// ---- Per-position matmul (Figure 4): Y'[p] = X'[p] · W'[p], on
 		// the pre-packed panels (bitwise-identical to the direct GEMM).
 		for p := 0; p < mm; p++ {
-			wc.packedW[p].MulInto(dstT[p*u*wc.oc:(p*u+cnt)*wc.oc],
-				srcT[p*u*wc.ic:(p*u+cnt)*wc.ic], cnt)
+			wc.packedW[p].MulInto(dstT[p*u*oc:(p*u+cnt)*oc], srcT[p*u*ic:(p*u+cnt)*ic], cnt)
 		}
 
-		// ---- Output transform: Y = AT_h · Y' · A_w, then bias+act+write.
+		// ---- Output transform: Y = AT_h · Y' · A_w per tile and pair of
+		// channel packs, bias + activation fused into the store of the rows
+		// and columns of the tile that lie inside the output. srcT is idle
+		// now and holds the half-transformed tile [xx][i][8].
+		half = srcT[:mm*8]
 		for t := t0; t < t1; t++ {
-			ti := t - t0
-			n := t / r.tilesPerImage
-			rem := t % r.tilesPerImage
-			ty, tx := rem/r.tilesX, rem%r.tilesX
-			oy0 := ty * nh
-			ox0 := tx * nw
-			for o := 0; o < wc.oc; o++ {
-				oz, ol := o/4, o%4
-				for p := 0; p < mm; p++ {
-					tile[p] = dstT[(p*u+ti)*wc.oc+o]
-				}
-				rectTransform(tileT, tile, wc.matsH.AT, wc.matsW.AT, nh, mh, mw, nw, scratch)
-				bv := wc.bias[o]
-				base := ((n*r.oc4 + oz) * r.OH) * r.OW * 4
-				for yy := 0; yy < nh; yy++ {
-					oy := oy0 + yy
-					if oy >= r.OH {
-						break
-					}
-					for xx := 0; xx < nw; xx++ {
-						ox := ox0 + xx
-						if ox >= r.OW {
-							break
-						}
-						v := tileT[yy*nw+xx] + bv
-						if a.ReLU6 {
-							v = relu6(v)
-						} else if a.ReLU {
-							v = relu(v)
-						}
-						d[base+(oy*r.OW+ox)*4+ol] = v
-					}
-				}
+			n, rem := t/r.tilesPerImage, t%r.tilesPerImage
+			oy0, ox0 := rem/r.tilesX*nh, rem%r.tilesX*nw
+			vy, vx := min(nh, r.OH-oy0), min(nw, r.OW-ox0)
+			for oz := 0; oz < r.oc4; oz += 2 {
+				packs := min(2, r.oc4-oz)
+				out := r.d[((n*r.oc4+oz)*r.OH*r.OW+oy0*r.OW+ox0)*4 : (n*r.oc4+oz+packs)*r.OH*r.OW*4]
+				wc.outH.apply(wc.simd, half, 8, nh*8, 4, dstT[(t-t0)*oc+oz*4:], mw*u*oc, u*oc, (packs-1)*4, mw, vy, 8, nil, 0, 0)
+				wc.outW.apply(wc.simd, out, 4, r.OW*4, (packs-1)*r.OH*r.OW*4, half, nh*8, 8, 4, vy, vx, min(8, oc-oz*4), wc.bias[oz*4:], wc.lo, wc.hi)
 			}
 		}
 	}

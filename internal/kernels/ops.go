@@ -51,72 +51,84 @@ func (o *PoolOp) Run(p *sched.Pool) {
 	p.Run(total, sched.Chunk(total, p.Lanes(), elemChunksPerLane), o)
 }
 
-// RunChunk implements sched.Task over (batch, channel-block) items.
+// RunChunk implements sched.Task over (batch, channel-block) items. Every
+// window is clipped to the image once, so the tap loops test no bounds; the
+// taps it keeps are visited in (ky, kx) order, as a bounds test per tap
+// would visit them.
 func (o *PoolOp) RunChunk(_, start, end int) {
-	s, d := o.s, o.d
+	isMax := o.a.Type == graph.MaxPool
 	for item := start; item < end; item++ {
-		srcOff := item * o.H * o.W * 4
-		dstOff := item * o.OH * o.OW * 4
+		s := o.s[item*o.H*o.W*4 : (item+1)*o.H*o.W*4]
+		d := o.d[item*o.OH*o.OW*4 : (item+1)*o.OH*o.OW*4]
 		for oy := 0; oy < o.OH; oy++ {
+			y := oy*o.sh - o.ph
+			ky0, ky1 := tapRange(y, 1, o.kh, o.H)
+			y0, y1 := y+ky0, y+ky1
 			for ox := 0; ox < o.OW; ox++ {
-				y0, x0 := oy*o.sh-o.ph, ox*o.sw-o.pw
-				var m0, m1, m2, m3 float32
-				var a0, a1, a2, a3 float64
-				m0, m1, m2, m3 = float32(math.Inf(-1)), float32(math.Inf(-1)), float32(math.Inf(-1)), float32(math.Inf(-1))
-				count := 0
-				for ky := 0; ky < o.kh; ky++ {
-					iy := y0 + ky
-					if iy < 0 || iy >= o.H {
-						continue
-					}
-					for kx := 0; kx < o.kw; kx++ {
-						ix := x0 + kx
-						if ix < 0 || ix >= o.W {
-							continue
-						}
-						so := srcOff + (iy*o.W+ix)*4
-						v0, v1, v2, v3 := s[so], s[so+1], s[so+2], s[so+3]
-						if o.a.Type == graph.MaxPool {
-							if v0 > m0 {
-								m0 = v0
-							}
-							if v1 > m1 {
-								m1 = v1
-							}
-							if v2 > m2 {
-								m2 = v2
-							}
-							if v3 > m3 {
-								m3 = v3
-							}
-						} else {
-							a0 += float64(v0)
-							a1 += float64(v1)
-							a2 += float64(v2)
-							a3 += float64(v3)
-						}
-						count++
-					}
-				}
-				do := dstOff + (oy*o.OW+ox)*4
-				if o.a.Type == graph.MaxPool {
-					d[do], d[do+1], d[do+2], d[do+3] = m0, m1, m2, m3
+				x := ox*o.sw - o.pw
+				kx0, kx1 := tapRange(x, 1, o.kw, o.W)
+				x0, x1 := x+kx0, x+kx1
+				out := d[(oy*o.OW+ox)*4 : (oy*o.OW+ox)*4+4]
+				if isMax {
+					poolMax(out, s, o.W, y0, y1, x0, x1)
 				} else {
-					div := float64(count)
+					div := float64((y1 - y0) * (x1 - x0))
 					if o.a.CountIncludePad {
 						div = float64(o.kh * o.kw)
 					}
 					if div == 0 {
 						div = 1
 					}
-					d[do] = float32(a0 / div)
-					d[do+1] = float32(a1 / div)
-					d[do+2] = float32(a2 / div)
-					d[do+3] = float32(a3 / div)
+					poolAvg(out, s, o.W, y0, y1, x0, x1, div)
 				}
 			}
 		}
 	}
+}
+
+// poolMax writes the per-channel maximum of the window [y0, y1) × [x0, x1)
+// of one channel pack, -Inf for an empty one; `v > m` keeps the first of
+// equal values and never picks a NaN. Maxima held as bit patterns, and each
+// candidate's bits taken before the comparison, let the compiler select with
+// a conditional move: as branches these comparisons are unpredictable.
+func poolMax(out, s []float32, W, y0, y1, x0, x1 int) {
+	negInf := math.Float32bits(float32(math.Inf(-1)))
+	m0, m1, m2, m3 := negInf, negInf, negInf, negInf
+	for iy := y0; iy < y1 && x0 < x1; iy++ {
+		row := s[(iy*W+x0)*4 : (iy*W+x1)*4]
+		for ; len(row) >= 4; row = row[4:] {
+			v0, v1, v2, v3 := row[0], row[1], row[2], row[3]
+			b0, b1, b2, b3 := math.Float32bits(v0), math.Float32bits(v1), math.Float32bits(v2), math.Float32bits(v3)
+			if v0 > math.Float32frombits(m0) {
+				m0 = b0
+			}
+			if v1 > math.Float32frombits(m1) {
+				m1 = b1
+			}
+			if v2 > math.Float32frombits(m2) {
+				m2 = b2
+			}
+			if v3 > math.Float32frombits(m3) {
+				m3 = b3
+			}
+		}
+	}
+	out[0], out[1], out[2], out[3] = math.Float32frombits(m0), math.Float32frombits(m1), math.Float32frombits(m2), math.Float32frombits(m3)
+}
+
+// poolAvg writes the per-channel float64 sum of the window over div.
+func poolAvg(out, s []float32, W, y0, y1, x0, x1 int, div float64) {
+	var a0, a1, a2, a3 float64
+	for iy := y0; iy < y1 && x0 < x1; iy++ {
+		row := s[(iy*W+x0)*4 : (iy*W+x1)*4]
+		for ; len(row) >= 4; row = row[4:] {
+			a0 += float64(row[0])
+			a1 += float64(row[1])
+			a2 += float64(row[2])
+			a3 += float64(row[3])
+		}
+	}
+	out[0], out[1], out[2], out[3] = float32(a0/div), float32(a1/div), float32(a2/div), float32(a3/div)
 }
 
 // ActivationKind enumerates unary activations.
@@ -415,7 +427,6 @@ func FoldBatchNorm(gamma, beta, mean, variance []float32, eps float32) (scale, s
 type InnerProduct struct {
 	attrs    graph.InnerProductAttrs
 	features int
-	wT       []float32
 	packed   *matmul.PackedB
 	bias     []float32
 
@@ -433,14 +444,14 @@ func PrepareInnerProduct(weight, bias *tensor.Tensor, a *graph.InnerProductAttrs
 	out := weight.Dim(0)
 	features := weight.Dim(1)
 	ip := &InnerProduct{attrs: *a, features: features}
-	ip.wT = make([]float32, features*out)
+	wT := make([]float32, features*out)
 	w := weight.Data()
 	for o := 0; o < out; o++ {
 		for i := 0; i < features; i++ {
-			ip.wT[i*out+o] = w[o*features+i]
+			wT[i*out+o] = w[o*features+i]
 		}
 	}
-	ip.packed = matmul.PackB(ip.wT, features, out)
+	ip.packed = matmul.PackB(wT, features, out)
 	ip.bias = make([]float32, out)
 	if bias != nil {
 		copy(ip.bias, bias.Data())

@@ -324,3 +324,95 @@ func TestParallelForCoverage(t *testing.T) {
 		t.Fatal("fn called for empty range")
 	}
 }
+
+// poolCheckedLoop is PoolOp.RunChunk as it was before windows were clipped
+// once: every tap tests its bounds, max and average decided per tap.
+func poolCheckedLoop(d, s []float32, a *graph.PoolAttrs, items, H, W, OH, OW, kh, kw, sh, sw, ph, pw int) {
+	for item := 0; item < items; item++ {
+		for oy := 0; oy < OH; oy++ {
+			for ox := 0; ox < OW; ox++ {
+				inf := float32(math.Inf(-1))
+				m := [4]float32{inf, inf, inf, inf}
+				var sum [4]float64
+				count := 0
+				for ky := 0; ky < kh; ky++ {
+					for kx := 0; kx < kw; kx++ {
+						iy, ix := oy*sh-ph+ky, ox*sw-pw+kx
+						if iy < 0 || iy >= H || ix < 0 || ix >= W {
+							continue
+						}
+						for l := 0; l < 4; l++ {
+							v := s[(item*H*W+iy*W+ix)*4+l]
+							if v > m[l] {
+								m[l] = v
+							}
+							sum[l] += float64(v)
+						}
+						count++
+					}
+				}
+				div := float64(count)
+				if a.CountIncludePad {
+					div = float64(kh * kw)
+				}
+				if div == 0 {
+					div = 1
+				}
+				for l := 0; l < 4; l++ {
+					if a.Type == graph.MaxPool {
+						d[(item*OH*OW+oy*OW+ox)*4+l] = m[l]
+					} else {
+						d[(item*OH*OW+oy*OW+ox)*4+l] = float32(sum[l] / div)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPoolMatchesCheckedLoopBitwise pins the clipped-window pooling loops to
+// the per-tap-checked loop they replaced, physical element by physical
+// element (pad lanes are pooled too), on inputs with NaN, both zeros, ±Inf
+// and runs of equal values, with padding wider than the kernel's reach.
+func TestPoolMatchesCheckedLoopBitwise(t *testing.T) {
+	seed := uint64(0)
+	for _, typ := range []graph.PoolType{graph.MaxPool, graph.AvgPool} {
+		for _, k := range [][2]int{{2, 2}, {3, 3}, {3, 2}, {5, 5}} {
+			for _, stride := range []int{1, 2, 3} {
+				for _, pad := range []int{0, 1, k[0] / 2} {
+					for _, inclPad := range []bool{false, true} {
+						seed++
+						a := &graph.PoolAttrs{Type: typ, KernelH: k[0], KernelW: k[1], StrideH: stride, StrideW: stride,
+							PadH: pad, PadW: pad, CountIncludePad: inclPad}
+						h, w := 7+int(seed%5), 5+int(seed%7)
+						oh, ow, err := graph.PoolOutputSize(h, w, a)
+						if err != nil || oh < 1 || ow < 1 {
+							continue
+						}
+						src := tensor.NewWithLayout(tensor.NC4HW4, 2, 6, h, w)
+						tensor.FillRandom(src, seed, 1)
+						r := tensor.NewRNG(seed)
+						sd := src.Data()
+						for _, v := range []float32{nan32, 0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1))} {
+							for i := 0; i < 6; i++ {
+								sd[r.Intn(len(sd))] = v
+							}
+						}
+						for at, i := r.Intn(len(sd)-40), 0; i < 40; i++ {
+							sd[at+i] = 0.5
+						}
+						got := nanNC4(2, 6, oh, ow)
+						NewPoolOp(got, src, a).Run(testPool(t, 3))
+						want := make([]float32, len(got.Data()))
+						ph, pw := graph.PoolPadding(h, w, a)
+						poolCheckedLoop(want, sd, a, 2*2, h, w, oh, ow, k[0], k[1], stride, stride, ph, pw)
+						if d := firstBitDiff(got.Data(), want); d >= 0 {
+							t.Fatalf("%+v on %dx%d: physical element %d = %v (%#08x), checked loop %v (%#08x)", *a, h, w, d,
+								got.Data()[d], math.Float32bits(got.Data()[d]), want[d], math.Float32bits(want[d]))
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -6,3 +6,10 @@ package kernels
 //
 //go:noescape
 func depthwise3x3(dst, src *float32, rows, pairs, dstRow, srcRow, srcStep, stride int, w, bias *float32, lo, hi float32)
+
+// linCombNC4 is the AVX linear-combination kernel behind the Winograd
+// transforms (lincomb_amd64.s); see (*linComb).apply for what it computes.
+// bias may be nil.
+//
+//go:noescape
+func linCombNC4(dst *float32, dstRow, dstChunk, dstSplit int, src *float32, srcRow, srcChunk, srcSplit, chunks, rows int, cnt, idx *int, coef *float32, lanes int, bias *float32, lo, hi float32)

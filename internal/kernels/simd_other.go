@@ -1,0 +1,13 @@
+//go:build !amd64
+
+package kernels
+
+// Only amd64 has assembly kernels; matmul.HaveAVX2 is false everywhere else,
+// so these are never reached.
+func depthwise3x3(dst, src *float32, rows, pairs, dstRow, srcRow, srcStep, stride int, w, bias *float32, lo, hi float32) {
+	panic("kernels: no SIMD depthwise kernel on this architecture")
+}
+
+func linCombNC4(dst *float32, dstRow, dstChunk, dstSplit int, src *float32, srcRow, srcChunk, srcSplit, chunks, rows int, cnt, idx *int, coef *float32, lanes int, bias *float32, lo, hi float32) {
+	panic("kernels: no SIMD linear-combination kernel on this architecture")
+}

@@ -28,14 +28,15 @@ func detectAVX2() bool {
 //go:noescape
 func mulPanel4x16(dst *float32, ldd int, a *float32, lda, k int, panel *float32)
 
-// mulPanelNC4 is the same micro-kernel over NC4HW4 operands
-// (kernel_amd64.s): four pixels of a, aPix floats apart, whose k channels
-// sit four to a pack, aPack floats apart; the 4×16 tile gets bias added, is
-// clamped to [lo, hi] and is stored as `packs` ≤ 4 channel packs of 4 pixels
-// × 4 channels, dstPack floats apart. bias must hold 16 floats.
+// mulPanelNC4 is the same micro-kernel over NC4HW4 operands, as a
+// convolution (kernel_amd64.s): four pixels of a, aPix floats apart, summed
+// over ntaps taps of kc channels each, the channels four to a pack, aPack
+// floats apart; the 4×16 tile gets bias added, is clamped to [lo, hi] and is
+// stored as `packs` ≤ 4 channel packs of 4 pixels × 4 channels, dstPack
+// floats apart. bias must hold 16 floats.
 //
 //go:noescape
-func mulPanelNC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix, k int, panel, bias *float32, lo, hi float32)
+func mulPanelNC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel, bias *float32, lo, hi float32)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

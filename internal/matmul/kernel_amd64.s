@@ -79,38 +79,49 @@ loop:
 	VZEROUPPER
 	RET
 
-// func mulPanelNC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix, k int, panel, bias *float32, lo, hi float32)
+// func mulPanelNC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel, bias *float32, lo, hi float32)
 //
-// The same 4×16 tile over NC4HW4 operands. Row r is pixel r, aPix floats
-// after pixel 0; reduction step p reads lane p%4 of channel pack p/4, aPack
-// floats after pack 0 — four steps per 64-byte line when aPix = 4. After
-// the sum (ascending p from +0, as above) each of the 16 columns gets its
-// bias added and is clamped to [lo, hi]; then the tile is transposed with
-// 128-bit lane permutes into `packs` ≤ 4 output channel packs of 4 pixels ×
-// 4 channels (64 contiguous bytes each, dstPack floats apart).
+// The same 4×16 tile over NC4HW4 operands, as a convolution. Row r is pixel
+// r, aPix floats after pixel 0. The reduction walks the tap list: tap t
+// starts at a + t.A floats and at panel row t.B, and its step c < kc reads
+// lane c%4 of channel pack c/4, aPack floats after pack 0 — four steps per
+// 64-byte line when aPix = 4. A 1×1 convolution is the one tap {0, 0}. After
+// the sum (taps in order, ascending c, from +0, as above) each of the 16
+// columns gets its bias added and is clamped to [lo, hi]; then the tile is
+// transposed with 128-bit lane permutes into `packs` ≤ 4 output channel packs
+// of 4 pixels × 4 channels (64 contiguous bytes each, dstPack floats apart).
 //
 // The clamp is max(lo, v) then min(hi, v) with v as the SECOND source of
 // VMAXPS/VMINPS: those return the second source when an operand is NaN or
 // both are zero, so NaN stays NaN and -0 stays -0 exactly as in the scalar
-// `if v < lo { v = lo }; if v > hi { v = hi }`. Requires k ≥ 1.
-TEXT ·mulPanelNC4(SB), NOSPLIT, $0-80
-	MOVQ dst+0(FP), DI
-	MOVQ dstPack+8(FP), DX
-	MOVQ packs+16(FP), R12
-	MOVQ a+24(FP), SI
+// `if v < lo { v = lo }; if v > hi { v = hi }`. Requires kc ≥ 1; an empty tap
+// list stores clamp(bias).
+TEXT ·mulPanelNC4(SB), NOSPLIT, $0-96
+	MOVQ a+24(FP), R10
 	MOVQ aPack+32(FP), R11
 	MOVQ aPix+40(FP), R8
-	MOVQ k+48(FP), CX
-	MOVQ panel+56(FP), BX
-	MOVQ bias+64(FP), R13
-	SHLQ $2, DX
+	MOVQ taps+48(FP), R14
+	MOVQ ntaps+56(FP), R12
+	MOVQ kc+64(FP), DX
+	MOVQ panel+72(FP), R13
 	SHLQ $2, R11
 	SHLQ $2, R8
 	LEAQ (R8)(R8*2), R9
 	ZERO_ACCUMULATORS
-	MOVQ CX, AX
-	SHRQ $2, AX
-	ANDQ $3, CX
+	MOVQ DX, DI
+	SHRQ $2, DX
+	ANDQ $3, DI
+	TESTQ R12, R12
+	JZ   epilogue
+
+taploop:
+	MOVQ 0(R14), SI
+	MOVQ 8(R14), BX
+	ADDQ $16, R14
+	LEAQ (R10)(SI*4), SI
+	SHLQ $6, BX
+	ADDQ R13, BX
+	MOVQ DX, AX
 	TESTQ AX, AX
 	JZ   lanes
 
@@ -124,22 +135,32 @@ packloop:
 	JNZ  packloop
 
 lanes:
-	// The k%4 real lanes of a partial last pack; its pad lanes are never read.
+	// The kc%4 real lanes of a partial last pack; its pad lanes are never read.
+	MOVQ  DI, CX
 	TESTQ CX, CX
-	JZ    epilogue
+	JZ    nexttap
 	STEP(0(SI), 0(SI)(R8*1), 0(SI)(R8*2), 0(SI)(R9*1))
 	DECQ CX
-	JZ   epilogue
+	JZ   nexttap
 	STEP(4(SI), 4(SI)(R8*1), 4(SI)(R8*2), 4(SI)(R9*1))
 	DECQ CX
-	JZ   epilogue
+	JZ   nexttap
 	STEP(8(SI), 8(SI)(R8*1), 8(SI)(R8*2), 8(SI)(R9*1))
 
+nexttap:
+	DECQ R12
+	JNZ  taploop
+
 epilogue:
+	MOVQ dst+0(FP), DI
+	MOVQ dstPack+8(FP), DX
+	MOVQ packs+16(FP), R12
+	MOVQ bias+80(FP), R13
+	SHLQ $2, DX
 	VMOVUPS      (R13), Y8
 	VMOVUPS      32(R13), Y9
-	VBROADCASTSS lo+72(FP), Y10
-	VBROADCASTSS hi+76(FP), Y11
+	VBROADCASTSS lo+88(FP), Y10
+	VBROADCASTSS hi+92(FP), Y11
 	VADDPS       Y8, Y0, Y0
 	VADDPS       Y9, Y1, Y1
 	VADDPS       Y8, Y2, Y2

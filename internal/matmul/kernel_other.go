@@ -10,6 +10,6 @@ func mulPanel4x16(dst *float32, ldd int, a *float32, lda, k int, panel *float32)
 	panic("matmul: no SIMD micro-kernel on this architecture")
 }
 
-func mulPanelNC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix, k int, panel, bias *float32, lo, hi float32) {
+func mulPanelNC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel, bias *float32, lo, hi float32) {
 	panic("matmul: no SIMD micro-kernel on this architecture")
 }

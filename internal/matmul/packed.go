@@ -1,5 +1,7 @@
 package matmul
 
+import "unsafe"
+
 // PanelWidth is the column width of a packed GEMM panel in float32
 // elements: 16 floats = 64 bytes = one cache line = two AVX2 registers =
 // four NC4HW4 channel packs. The packed right-hand operand stores each
@@ -18,7 +20,7 @@ const PanelWidth = 16
 type PackedB struct {
 	K, N int
 	data []float32 // [panels][K][PanelWidth]
-	raw  []float32 // the original row-major matrix, for the tiny-K fallback
+	raw  []float32 // the caller's row-major matrix, kept only for the tiny-K fallback (K < PanelWidth)
 	simd bool      // run the assembly micro-kernels (HaveAVX2 unless Portable)
 }
 
@@ -40,7 +42,10 @@ func PackB(b []float32, k, n int) *PackedB {
 		panic("matmul: PackB buffer too small for declared dimensions")
 	}
 	panels := (n + PanelWidth - 1) / PanelWidth
-	pb := &PackedB{K: k, N: n, data: make([]float32, panels*k*PanelWidth), raw: b[:k*n], simd: haveSIMD}
+	pb := &PackedB{K: k, N: n, data: make([]float32, panels*k*PanelWidth), simd: haveSIMD}
+	if k < PanelWidth {
+		pb.raw = b[:k*n]
+	}
 	for jp := 0; jp < panels; jp++ {
 		j0 := jp * PanelWidth
 		lim := n - j0
@@ -200,50 +205,73 @@ func (pb *PackedB) mulPortable(dst, a []float32, m int) {
 	}
 }
 
-// MulNC4Into is MulInto over NC4HW4 activations, with the bias add and the
-// activation clamp fused into the store, so a 1×1 convolution is one pass
-// with no layout staging. It covers `pixels` adjacent output pixels:
+// Tap is one kernel tap of a convolution's reduction: for the first output
+// pixel of a run its source pixel starts at a[A] (channel 0), and its weights
+// are the panel rows B, B+1, …, one per input channel.
+type Tap struct{ A, B int }
+
+// oneTap is a 1×1 convolution's reduction: the pixel itself against rows 0….
+var oneTap = []Tap{{}}
+
+// MulNC4Into is MulInto over NC4HW4 activations with bias and activation
+// fused — a 1×1 convolution in one pass: MulTapsNC4Into's one-tap case.
+func (pb *PackedB) MulNC4Into(dst []float32, dstPack int, a []float32, aPack, aPix, pixels int, bias []float32, lo, hi float32) {
+	pb.MulTapsNC4Into(dst, dstPack, a, aPack, aPix, pixels, oneTap, pb.K, bias, lo, hi)
+}
+
+// MulTapsNC4Into is the micro-kernel as a convolution over NC4HW4
+// activations. It covers `pixels` adjacent output pixels, each the sum over
+// a list of kernel taps of kc input channels:
 //
-//	dst[(o/4)·dstPack + q·4 + o%4] = clamp(Σ_p a[(p/4)·aPack + q·aPix + p%4]·B[p][o] + bias[o])
+//	dst[(o/4)·dstPack + q·4 + o%4] = clamp(Σ_t Σ_c a[t.A + (c/4)·aPack + q·aPix + c%4]·B[t.B+c][o] + bias[o])
 //
 // for q < pixels and o < N, where aPack and dstPack are the floats between
 // channel packs (H·W·4) and aPix the floats between the source pixels of
-// adjacent output pixels (4·stride). The sum is MulInto's — ascending p < K
-// from +0, multiply and add rounded separately — for every K (Mul, MulInto's
-// tiny-K fallback, rounds the same way); the bias is added after it, then
-// v < lo becomes lo and v > hi becomes hi, which is relu, relu6 or the
-// identity bit for bit (NaN stays NaN). A pixel's bits depend on that pixel
-// alone. The pad lanes of a's last pack are never read; dst is written in
-// whole packs, pad lanes included. bias holds N rounded up to whole panels.
-func (pb *PackedB) MulNC4Into(dst []float32, dstPack int, a []float32, aPack, aPix, pixels int, bias []float32, lo, hi float32) {
+// adjacent output pixels (4·stride). The caller lists only the taps that
+// fall inside the image for every pixel of the run, in ascending (ky, kx)
+// order. The sum is MulInto's — taps in list order, c < kc ascending, from
+// +0, multiply and add rounded separately — so one tap over kc = K rows is
+// MulInto bit for bit (Mul, MulInto's tiny-K fallback, rounds the same way);
+// the bias is added after it, then v < lo becomes lo and v > hi becomes hi,
+// which is relu, relu6 or the identity bit for bit (NaN stays NaN). A pixel's
+// bits depend on that pixel and its tap list alone. The pad lanes of a's
+// last pack are never read; dst is written in whole packs, pad lanes
+// included. bias holds N rounded up to whole panels.
+func (pb *PackedB) MulTapsNC4Into(dst []float32, dstPack int, a []float32, aPack, aPix, pixels int, taps []Tap, kc int, bias []float32, lo, hi float32) {
 	k, n := pb.K, pb.N
 	if pixels <= 0 {
 		return
 	}
-	k4, n4 := (k+3)/4, (n+3)/4
+	n4 := (n + 3) / 4
 	panels := (n + PanelWidth - 1) / PanelWidth
-	if len(a) < (k4-1)*aPack+(pixels-1)*aPix+4 || len(dst) < (n4-1)*dstPack+pixels*4 ||
-		len(bias) < panels*PanelWidth || aPix < 0 || aPack < 0 || dstPack < 0 {
+	reach := (kc+3)/4*aPack - aPack + (pixels-1)*aPix + 4 // floats a tap reads from its A on
+	if kc < 1 || len(dst) < (n4-1)*dstPack+pixels*4 || len(bias) < panels*PanelWidth || aPix < 0 || aPack < 0 || dstPack < 0 {
 		panic("matmul: buffer too small for declared dimensions")
 	}
+	for _, t := range taps {
+		if t.A < 0 || t.A+reach > len(a) || t.B < 0 || t.B+kc > k {
+			panic("matmul: tap outside the source or the packed rows")
+		}
+	}
 	var tile [4 * PanelWidth]float32
+	tp, nt := unsafe.SliceData(taps), len(taps)
 	for jp := 0; jp < panels; jp++ {
 		packs := min(4, n4-jp*4)
 		panel := pb.data[jp*k*PanelWidth : (jp+1)*k*PanelWidth]
 		b := bias[jp*PanelWidth : (jp+1)*PanelWidth]
 		d := dst[jp*4*dstPack:]
 		if !pb.simd {
-			nc4Portable(d, dstPack, packs, a, aPack, aPix, pixels, k, panel, b, lo, hi)
+			nc4Portable(d, dstPack, packs, a, aPack, aPix, pixels, taps, kc, panel, b, lo, hi)
 			continue
 		}
 		q := 0
 		for ; q+4 <= pixels; q += 4 {
-			mulPanelNC4(&d[q*4], dstPack, packs, &a[q*aPix], aPack, aPix, k, &panel[0], &b[0], lo, hi)
+			mulPanelNC4(&d[q*4], dstPack, packs, &a[q*aPix], aPack, aPix, tp, nt, kc, &panel[0], &b[0], lo, hi)
 		}
 		// A tail pixel runs as four copies of itself (aPix = 0) into a stack
 		// tile, so the kernel never reads or writes past the run.
 		for ; q < pixels; q++ {
-			mulPanelNC4(&tile[0], PanelWidth, packs, &a[q*aPix], aPack, 0, k, &panel[0], &b[0], lo, hi)
+			mulPanelNC4(&tile[0], PanelWidth, packs, &a[q*aPix], aPack, 0, tp, nt, kc, &panel[0], &b[0], lo, hi)
 			for j := 0; j < packs; j++ {
 				copy(d[j*dstPack+q*4:j*dstPack+q*4+4], tile[j*PanelWidth:])
 			}
@@ -255,28 +283,30 @@ func (pb *PackedB) MulNC4Into(dst []float32, dstPack int, a []float32, aPack, aP
 // pixels: the only path off amd64 or without AVX2, and the reference the
 // assembly is tested against. A tail block repeats its last pixel in the
 // unused rows and stores only the real ones.
-func nc4Portable(dst []float32, dstPack, packs int, a []float32, aPack, aPix, pixels, k int, panel, bias []float32, lo, hi float32) {
+func nc4Portable(dst []float32, dstPack, packs int, a []float32, aPack, aPix, pixels int, taps []Tap, kc int, panel, bias []float32, lo, hi float32) {
 	var acc [4][PanelWidth]float32
 	for q := 0; q < pixels; q += 4 {
 		rows := min(4, pixels-q)
 		o0 := q * aPix
 		o1, o2, o3 := o0+min(1, rows-1)*aPix, o0+min(2, rows-1)*aPix, o0+min(3, rows-1)*aPix
 		acc = [4][PanelWidth]float32{}
-		for p := 0; p < k; p++ {
-			c := (p/4)*aPack + p%4
-			av0, av1, av2, av3 := a[o0+c], a[o1+c], a[o2+c], a[o3+c]
-			// The zero-skip of mulPortable: post-ReLU pixels are often zero
-			// together, and skipping ±0·v is value-preserving for finite v.
-			if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-				continue
-			}
-			bp := panel[p*PanelWidth : p*PanelWidth+PanelWidth]
-			for l := 0; l < PanelWidth; l++ {
-				v := bp[l]
-				acc[0][l] += float32(av0 * v)
-				acc[1][l] += float32(av1 * v)
-				acc[2][l] += float32(av2 * v)
-				acc[3][l] += float32(av3 * v)
+		for _, t := range taps {
+			for p := 0; p < kc; p++ {
+				c := t.A + (p/4)*aPack + p%4
+				av0, av1, av2, av3 := a[o0+c], a[o1+c], a[o2+c], a[o3+c]
+				// The zero-skip of mulPortable: post-ReLU pixels are often zero
+				// together, and skipping ±0·v is value-preserving for finite v.
+				if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
+					continue
+				}
+				bp := panel[(t.B+p)*PanelWidth : (t.B+p)*PanelWidth+PanelWidth]
+				for l := 0; l < PanelWidth; l++ {
+					v := bp[l]
+					acc[0][l] += float32(av0 * v)
+					acc[1][l] += float32(av1 * v)
+					acc[2][l] += float32(av2 * v)
+					acc[3][l] += float32(av3 * v)
+				}
 			}
 		}
 		for j := 0; j < packs; j++ {

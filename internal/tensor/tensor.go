@@ -462,39 +462,59 @@ func (t *Tensor) ToLayout(target Layout) *Tensor {
 		return out
 	}
 	out := NewWithLayout(target, t.shape...)
-	N, C, H, W := t.shape[0], t.shape[1], t.shape[2], t.shape[3]
-	for n := 0; n < N; n++ {
-		for c := 0; c < C; c++ {
-			for h := 0; h < H; h++ {
-				for w := 0; w < W; w++ {
-					out.Set(n, c, h, w, t.At(n, c, h, w))
-				}
-			}
-		}
-	}
+	out.CopyFrom(t)
 	return out
 }
 
 // CopyFrom copies logical contents from src (shapes must match; layouts may
-// differ). Fast path for identical layouts.
+// differ). Identical layouts are one copy; NCHW ↔ NC4HW4, the conversion on
+// every engine input and output, moves one channel plane at a time. The pad
+// lanes of an NC4HW4 destination's last channel pack are not written: they
+// keep what they held.
 func (t *Tensor) CopyFrom(src *Tensor) {
 	if !EqualShape(t.shape, src.shape) {
 		panic(fmt.Sprintf("tensor: CopyFrom shape mismatch %v vs %v", t.shape, src.shape))
 	}
-	if t.layout == src.layout {
-		copy(t.f32, src.f32)
-		return
-	}
-	if len(t.shape) != 4 {
+	if t.layout == src.layout || len(t.shape) != 4 {
 		copy(t.f32, src.f32)
 		return
 	}
 	N, C, H, W := t.shape[0], t.shape[1], t.shape[2], t.shape[3]
-	for n := 0; n < N; n++ {
-		for c := 0; c < C; c++ {
-			for h := 0; h < H; h++ {
-				for w := 0; w < W; w++ {
-					t.Set(n, c, h, w, src.At(n, c, h, w))
+	switch {
+	case t.layout == NC4HW4 && src.layout == NCHW:
+		repack(t.f32, src.f32, N, C, H*W, true)
+	case t.layout == NCHW && src.layout == NC4HW4:
+		repack(src.f32, t.f32, N, C, H*W, false)
+	default:
+		for n := 0; n < N; n++ {
+			for c := 0; c < C; c++ {
+				for h := 0; h < H; h++ {
+					for w := 0; w < W; w++ {
+						t.Set(n, c, h, w, src.At(n, c, h, w))
+					}
+				}
+			}
+		}
+	}
+}
+
+// repack moves n×c planes of hw pixels between an NC4HW4 buffer and an NCHW
+// one, a plane at a time: into the packed buffer when pack is set, out of it
+// otherwise. The pad lanes of a partial last pack are neither read nor
+// written.
+func repack(packed, planar []float32, n, c, hw int, pack bool) {
+	c4 := UpDiv(c, Pack)
+	for b := 0; b < n; b++ {
+		for ch := 0; ch < c; ch++ {
+			plane := planar[(b*c+ch)*hw : (b*c+ch+1)*hw]
+			lane := packed[(b*c4+ch/Pack)*hw*Pack+ch%Pack:]
+			if pack {
+				for p, v := range plane {
+					lane[p*Pack] = v
+				}
+			} else {
+				for p := range plane {
+					plane[p] = lane[p*Pack]
 				}
 			}
 		}

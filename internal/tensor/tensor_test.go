@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -114,6 +116,70 @@ func TestCopyFromCrossLayout(t *testing.T) {
 	dst.CopyFrom(src)
 	if MaxAbsDiff(src, dst) != 0 {
 		t.Fatal("cross-layout CopyFrom lost data")
+	}
+}
+
+// TestCopyFromMatchesElementwise pins the row-wise NCHW ↔ NC4HW4 copies to
+// the element-by-element copy they replaced, for every pair of layouts,
+// channel counts on both sides of a pack boundary and a batch: every logical
+// element arrives, and the pad lanes of an NC4HW4 destination (poisoned with
+// NaN here, as a recycled arena slab may be) are left as they were.
+func TestCopyFromMatchesElementwise(t *testing.T) {
+	nan := float32(math.NaN())
+	layouts := []Layout{NCHW, NHWC, NC4HW4}
+	for _, c := range []int{1, 3, 4, 5, 8, 11} {
+		for _, from := range layouts {
+			for _, to := range layouts {
+				logical := NewRandom(uint64(c), 1, 2, c, 3, 5)
+				src := NewWithLayout(from, logical.Shape()...)
+				for i := range src.Data() {
+					src.Data()[i] = nan
+				}
+				dst := NewWithLayout(to, logical.Shape()...)
+				for i := range dst.Data() {
+					dst.Data()[i] = nan
+				}
+				logicalSet := func(x *Tensor) {
+					for n := 0; n < 2; n++ {
+						for ch := 0; ch < c; ch++ {
+							for h := 0; h < 3; h++ {
+								for w := 0; w < 5; w++ {
+									x.Set(n, ch, h, w, logical.At(n, ch, h, w))
+								}
+							}
+						}
+					}
+				}
+				logicalSet(src)
+				want := dst.Clone()
+				logicalSet(want)
+				dst.CopyFrom(src)
+				for i, v := range dst.Data() {
+					if w := want.Data()[i]; math.Float32bits(v) != math.Float32bits(w) && !(v != v && w != w) {
+						t.Fatalf("c=%d %s→%s: physical element %d = %v, elementwise copy leaves %v", c, from, to, i, v, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkCopyFromLayouts times the engine's two layout conversions at an
+// input image (a partial pack) and a mid-network activation.
+func BenchmarkCopyFromLayouts(b *testing.B) {
+	for _, s := range [][4]int{{1, 3, 224, 224}, {1, 64, 56, 56}} {
+		planar := NewRandom(1, 1, s[:]...)
+		packed := planar.ToLayout(NC4HW4)
+		b.Run(fmt.Sprintf("pack/%dx%dx%d", s[1], s[2], s[3]), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				packed.CopyFrom(planar)
+			}
+		})
+		b.Run(fmt.Sprintf("unpack/%dx%dx%d", s[1], s[2], s[3]), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				planar.CopyFrom(packed)
+			}
+		})
 	}
 }
 
