@@ -23,7 +23,6 @@ type SlidingConv struct {
 	packed *matmul.PackedB // [kh·kw·ic][oc] weight in 64-byte panels
 	bias   []float32       // oc rounded up to whole panels
 	lo, hi float32         // activation clamp
-	taps   []matmul.Tap    // kh·kw entries per lane: the tap list of the run being computed
 
 	// rs is the bound per-run geometry. Prepared kernels are owned by one
 	// session and sessions run exclusively, so a single slot suffices; it
@@ -87,9 +86,6 @@ func (sc *SlidingConv) Run(dst, src *tensor.Tensor, p *sched.Pool) {
 	if last := W - 1 - (a.KernelW-1)*r.dw + pw; last >= 0 {
 		r.xr = min(OW, last/r.sw+1)
 	}
-	if need := p.Lanes() * a.KernelH * a.KernelW; len(sc.taps) < need {
-		sc.taps = make([]matmul.Tap, need)
-	}
 	// MulTapsNC4Into computes every pixel from that pixel's window alone, so
 	// neither the lane count nor the batch size can change a bit of the result.
 	total := N * OH
@@ -103,7 +99,7 @@ func (sc *SlidingConv) Run(dst, src *tensor.Tensor, p *sched.Pool) {
 func (sc *SlidingConv) RunChunk(worker, start, end int) {
 	r := &sc.rs
 	kh, kw := sc.attrs.KernelH, sc.attrs.KernelW
-	taps := sc.taps[worker*kh*kw : (worker+1)*kh*kw]
+	var taps [64]matmul.Tap // the run's tap list; only a kernel past 8×8 spills to the heap
 	for item := start; item < end; item++ {
 		n, oy := item/r.OH, item%r.OH
 		iy0 := oy*r.sh - r.ph

@@ -11,7 +11,11 @@ GLOBL laneMask<>(SB), RODATA|NOPTR, $32
 // A chunk is eight floats as two four-float halves — the four channels of
 // one NC4HW4 pixel in each of two adjacent channel packs — R12 (source) or DI
 // (destination) bytes apart. LOADSPLIT gathers one from its halves; where the
-// halves are adjacent (16 bytes) the chunk is an ordinary 32-byte operand.
+// halves are adjacent (16 bytes) the chunk is an ordinary 32-byte operand of
+// VMULPS, and the term4/term1 loops beside split4/split1 are that case: half
+// of all transform loads, worth 5–11 % of BenchmarkConvWinograd3x3 on every
+// shape (minimum of four alternating runs against split loads alone). Stores
+// have no such twin: unmasked 32-byte stores measured 0–2 %, within noise.
 #define LOADSPLIT(X, Y) \
 	VMOVUPS     (SI), X             \
 	VINSERTF128 $1, (SI)(R12*1), Y, Y
@@ -156,17 +160,6 @@ post4:
 
 store4:
 	LEAQ (DX)(R10*2), SI
-	CMPQ DI, $16
-	JNE  masked4
-	CMPQ lanes+104(FP), $8
-	JNE  masked4
-	VMOVUPS Y0, (DX)
-	VMOVUPS Y1, (DX)(R10*1)
-	VMOVUPS Y2, (SI)
-	VMOVUPS Y3, (SI)(R10*1)
-	JMP     next4
-
-masked4:
 	STOREMASKED(X0, Y0, (DX), (DX)(DI*1))
 	ADDQ R10, DX
 	STOREMASKED(X1, Y1, (DX), (DX)(DI*1))
@@ -223,14 +216,6 @@ post1:
 	POST(Y0)
 
 store1:
-	CMPQ DI, $16
-	JNE  masked1
-	CMPQ lanes+104(FP), $8
-	JNE  masked1
-	VMOVUPS Y0, (DX)
-	JMP     next1
-
-masked1:
 	STOREMASKED(X0, Y0, (DX), (DX)(DI*1))
 
 next1:

@@ -35,12 +35,9 @@ func NewPoolOp(dst, src *tensor.Tensor, a *graph.PoolAttrs) *PoolOp {
 		kh: a.KernelH, kw: a.KernelW,
 		sh: strideOr1(a.StrideH), sw: strideOr1(a.StrideW),
 	}
-	if a.Global {
-		o.kh, o.kw, o.sh, o.sw = o.H, o.W, 1, 1
-	}
 	o.ph, o.pw = graph.PoolPadding(o.H, o.W, a)
 	if a.Global {
-		o.ph, o.pw = 0, 0
+		o.kh, o.kw, o.sh, o.sw, o.ph, o.pw = o.H, o.W, 1, 1, 0, 0
 	}
 	return o
 }

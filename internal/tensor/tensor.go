@@ -468,9 +468,8 @@ func (t *Tensor) ToLayout(target Layout) *Tensor {
 
 // CopyFrom copies logical contents from src (shapes must match; layouts may
 // differ). Identical layouts are one copy; NCHW ↔ NC4HW4, the conversion on
-// every engine input and output, moves one channel plane at a time. The pad
-// lanes of an NC4HW4 destination's last channel pack are not written: they
-// keep what they held.
+// every engine input and output, is repack. The pad lanes of an NC4HW4
+// destination's last channel pack are not written: they keep what they held.
 func (t *Tensor) CopyFrom(src *Tensor) {
 	if !EqualShape(t.shape, src.shape) {
 		panic(fmt.Sprintf("tensor: CopyFrom shape mismatch %v vs %v", t.shape, src.shape))
@@ -499,22 +498,33 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 }
 
 // repack moves n×c planes of hw pixels between an NC4HW4 buffer and an NCHW
-// one, a plane at a time: into the packed buffer when pack is set, out of it
-// otherwise. The pad lanes of a partial last pack are neither read nor
-// written.
+// one: into the packed buffer when pack is set, out of it otherwise. A whole
+// pack moves pixel by pixel, four channels at once; a partial last pack moves
+// plane by plane, so that its pad lanes are neither read nor written.
 func repack(packed, planar []float32, n, c, hw int, pack bool) {
 	c4 := UpDiv(c, Pack)
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
-			plane := planar[(b*c+ch)*hw : (b*c+ch+1)*hw]
-			lane := packed[(b*c4+ch/Pack)*hw*Pack+ch%Pack:]
-			if pack {
-				for p, v := range plane {
-					lane[p*Pack] = v
+			pl := planar[(b*c+ch)*hw:]
+			q := packed[(b*c4+ch/Pack)*hw*Pack+ch%Pack:]
+			switch {
+			case ch%Pack == 0 && c-ch >= Pack:
+				p0, p1, p2, p3 := pl[:hw], pl[hw:2*hw], pl[2*hw:3*hw], pl[3*hw:4*hw]
+				for p := range p0 {
+					if px := q[p*Pack : p*Pack+Pack]; pack {
+						px[0], px[1], px[2], px[3] = p0[p], p1[p], p2[p], p3[p]
+					} else {
+						p0[p], p1[p], p2[p], p3[p] = px[0], px[1], px[2], px[3]
+					}
 				}
-			} else {
-				for p := range plane {
-					plane[p] = lane[p*Pack]
+				ch += Pack - 1
+			case pack:
+				for p, v := range pl[:hw] {
+					q[p*Pack] = v
+				}
+			default:
+				for p := range pl[:hw] {
+					pl[p] = q[p*Pack]
 				}
 			}
 		}
