@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 )
@@ -51,12 +52,6 @@ type Result struct {
 	ThroughputQPS  float64 `json:"throughput_qps,omitempty"`
 	AllocsPerOp    float64 `json:"allocs_per_op,omitempty"`
 	AllocsMeasured bool    `json:"allocs_measured,omitempty"`
-	// MaxAbsErr is the accuracy cost of a lossy path (the quant experiment's
-	// int8-vs-fp32 output deviation).
-	MaxAbsErr float64 `json:"max_abs_err,omitempty"`
-	// Speedup is the ratio of a baseline latency to this case's latency
-	// (the quant experiment's fp32/int8 ratio; > 1 means faster).
-	Speedup float64 `json:"speedup,omitempty"`
 	// P99Ns is the 99th-percentile latency of admitted requests (the
 	// overload experiment; NsPerOp holds the mean elsewhere).
 	P99Ns float64 `json:"p99_ns,omitempty"`
@@ -92,17 +87,6 @@ func (r *Recorder) RecordAllocs(experiment, kase string, allocsPerOp, nsPerOp fl
 	r.results = append(r.results, Result{
 		Experiment: experiment, Case: kase,
 		NsPerOp: nsPerOp, AllocsPerOp: allocsPerOp, AllocsMeasured: true,
-	})
-}
-
-// RecordQuant appends one quant-experiment row: latency plus the speed-up
-// over the fp32 baseline and the max-abs output deviation from it.
-func (r *Recorder) RecordQuant(experiment, kase string, nsPerOp, speedup, maxAbsErr float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.results = append(r.results, Result{
-		Experiment: experiment, Case: kase,
-		NsPerOp: nsPerOp, Speedup: speedup, MaxAbsErr: maxAbsErr,
 	})
 }
 
@@ -163,6 +147,18 @@ func medianOf(reps int, fn func()) time.Duration {
 	return times[len(times)/2]
 }
 
+// minOf runs fn reps times and returns the shortest duration: the estimate
+// of a deterministic kernel's cost that a loaded host disturbs least.
+func minOf(reps int, fn func()) time.Duration {
+	best := time.Duration(math.MaxInt64)
+	for i := 0; i < max(reps, 1); i++ {
+		t0 := time.Now()
+		fn()
+		best = min(best, time.Since(t0))
+	}
+	return best
+}
+
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 // Experiment names accepted by Run.
@@ -171,7 +167,7 @@ var Experiments = []string{
 	"figure7", "figure8", "figure9",
 	"ablation-strassen", "ablation-layout", "ablation-memory", "ablation-tile",
 	"throughput", "serving", "overload", "bucketed", "transformer", "mesh", "allocs",
-	"quant", "tuning", "chaos",
+	"tuning", "chaos",
 }
 
 // Run dispatches one experiment by name.
@@ -221,8 +217,6 @@ func Run(name string, opt Options) error {
 		return Mesh(opt)
 	case "allocs":
 		return Allocs(opt)
-	case "quant":
-		return Quant(opt)
 	case "tuning":
 		return Tuning(opt)
 	case "chaos":

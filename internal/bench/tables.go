@@ -40,7 +40,7 @@ var Table1Cases = []Table1Case{
 }
 
 // Table1Measure runs one scheme ("sliding", "wino2", "wino6", "ours") for a
-// case on the host and returns the median latency.
+// case on the host and returns the minimum latency of reps runs.
 func Table1Measure(c Table1Case, scheme string, threads, reps int) (time.Duration, error) {
 	a := &graph.Conv2DAttrs{
 		KernelH: c.K, KernelW: c.K, StrideH: 1, StrideW: 1,
@@ -92,7 +92,7 @@ func Table1Measure(c Table1Case, scheme string, threads, reps int) (time.Duratio
 		return 0, fmt.Errorf("bench: unknown scheme %q", scheme)
 	}
 	run() // warm up
-	return medianOf(reps, run), nil
+	return minOf(reps, run), nil
 }
 
 // Table1 reproduces the computation-scheme comparison (host-measured).

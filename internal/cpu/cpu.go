@@ -54,7 +54,7 @@ type Config struct {
 	ActScales map[string]float32
 	// NonNegActs marks activation tensors proven non-negative by the int8
 	// planner's dataflow pass; int8 kernels consuming them quantize unsigned
-	// (restoring the GEMM's zero skip on post-ReLU sparsity).
+	// (0..254 at the same step: twice the headroom above the scale).
 	NonNegActs map[string]bool
 	// GemmScheme, when set, overrides the packed-vs-direct choice for
 	// weight-form MatMul nodes (the tuner's measured/cost decision). The

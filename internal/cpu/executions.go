@@ -57,10 +57,7 @@ func (b *Backend) NodeWorkspaceFloats(n *graph.Node, inputShapes, outputShapes [
 		ic, oc := in0[1], out0[1]
 		OH, OW := out0[2], out0[3]
 		if b.int8Node(n) && core.Int8ConvSupported(a, dec) {
-			if a.IsDepthwise() {
-				return kernels.QuantDepthwiseWorkspaceFloats(in0[2], in0[3], lanes)
-			}
-			return kernels.QuantConvWorkspaceFloats(a, ic, oc, OH, OW)
+			return kernels.QuantConvWorkspaceFloats(ic, in0[2], in0[3])
 		}
 		switch dec.Scheme {
 		case core.SchemeWinograd:

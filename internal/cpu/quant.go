@@ -12,30 +12,18 @@ import (
 // optimizer.PlanInt8 partition, if provided, includes the node), eligible
 // convolutions and fully-connected layers bind the prepared int8 kernels.
 // Weight quantization happens here, during pre-inference; the kernels draw
-// their int8 panels and int32 accumulators from the same planner arena as
-// every other workspace, so the int8 hot path is as allocation-free as the
-// fp32 one.
+// their quantized activations from the same planner arena as every other
+// workspace, so the int8 hot path is as allocation-free as the fp32 one.
 
-// createQuantConv binds the int8 convolution for a node whose decision
-// passed core.Int8ConvSupported: the depthwise kernel for depthwise convs,
-// the quantize+im2col int8 GEMM for everything else.
+// createQuantConv binds the int8 tap GEMM for a node whose decision passed
+// core.Int8ConvSupported. Activations are NC4HW4 on this backend
+// (PreferredLayout), which is all the kernel takes.
 func (b *Backend) createQuantConv(n *graph.Node, in, out *tensor.Tensor, weight, bias *tensor.Tensor, dec core.ConvDecision) (backend.Execution, error) {
 	a := n.Attrs.(*graph.Conv2DAttrs)
 	pool := b.pool
-	inScale := b.actScale(n)
-	if a.IsDepthwise() {
-		dc := kernels.PrepareQuantDepthwise(weight, bias, a, inScale)
-		ws := b.workspace(n.Name, kernels.QuantDepthwiseWorkspaceFloats(in.Height(), in.Width(), pool.Lanes()))
-		muls := dec.EffMULs
-		return execFunc(func() error {
-			dc.Run(out, in, pool, ws)
-			b.charge("Conv2D", muls, n, "int8-depthwise")
-			return nil
-		}), nil
-	}
-	qc := kernels.PrepareQuantConv(weight, bias, a, inScale)
+	qc := kernels.PrepareQuantConv(weight, bias, a, b.actScale(n))
 	qc.Unsigned = b.cfg.NonNegActs[n.Inputs[0]]
-	ws := b.workspace(n.Name, qc.WorkspaceSize(out.Height(), out.Width()))
+	ws := b.workspace(n.Name, kernels.QuantConvWorkspaceFloats(in.Channels(), in.Height(), in.Width()))
 	muls := dec.DirectMULs // the int8 GEMM computes every multiply
 	return execFunc(func() error {
 		qc.Run(out, in, pool, ws)

@@ -104,7 +104,6 @@ func TestConvKernelsZeroAllocAfterPrepare(t *testing.T) {
 func TestQuantKernelsZeroAllocAfterPrepare(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		pool := testPool(t, threads)
-		lanes := pool.Lanes()
 		for _, inputScale := range []float32{0, 0.01} {
 			mode := "dynamic"
 			if inputScale > 0 {
@@ -120,24 +119,10 @@ func TestQuantKernelsZeroAllocAfterPrepare(t *testing.T) {
 				src := tensor.NewWithLayout(tensor.NC4HW4, 1, 16, 24, 24)
 				tensor.FillRandom(src, 22, 1)
 				dst := tensor.NewWithLayout(tensor.NC4HW4, 1, 16, 24, 24)
-				ws := make([]float32, qc.WorkspaceSize(24, 24))
+				ws := make([]float32, QuantConvWorkspaceFloats(16, 24, 24))
 				assertZeroAllocs(t, "QuantConv.Run",
 					func() { qc.Run(dst, src, pool, ws) },
 					func() { qc.Run(dst, src, pool, ws) })
-			})
-
-			t.Run(fmt.Sprintf("quantdepthwise/t%d/%s", threads, mode), func(t *testing.T) {
-				a := &graph.Conv2DAttrs{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1,
-					PadH: 1, PadW: 1, Group: 16, InputCount: 16, OutputCount: 16, ReLU6: true}
-				w := tensor.NewRandom(23, 0.2, 16, 1, 3, 3)
-				dc := PrepareQuantDepthwise(w, nil, a, inputScale)
-				src := tensor.NewWithLayout(tensor.NC4HW4, 1, 16, 24, 24)
-				tensor.FillRandom(src, 24, 1)
-				dst := tensor.NewWithLayout(tensor.NC4HW4, 1, 16, 24, 24)
-				ws := make([]float32, QuantDepthwiseWorkspaceFloats(24, 24, lanes))
-				assertZeroAllocs(t, "QuantDepthwiseConv.Run",
-					func() { dc.Run(dst, src, pool, ws) },
-					func() { dc.Run(dst, src, pool, ws) })
 			})
 
 			t.Run(fmt.Sprintf("quantfc/t%d/%s", threads, mode), func(t *testing.T) {

@@ -31,13 +31,59 @@ type SlidingConv struct {
 }
 
 type slidingRun struct {
+	tapGeom
 	s, d               []float32
-	H, W, OH, OW       int
-	srcPack, dstPack   int // floats between channel packs: H·W·4, OH·OW·4
 	srcBatch, dstBatch int // floats between samples
-	sh, sw, dh, dw     int
-	ph, pw             int
-	xr                 int // output columns from xr on lose kx taps to the right image edge
+}
+
+// tapGeom is the geometry the tap kernels' drivers (SlidingConv, QuantConv)
+// cut a convolution into runs by. One element of the source is a float or,
+// quantized, a byte, so the pack strides and tap offsets serve both.
+type tapGeom struct {
+	H, W, OH, OW     int
+	srcPack, dstPack int // elements between channel packs: H·W·4, OH·OW·4
+	sh, sw, dh, dw   int
+	ph, pw           int
+	xr               int // output columns from xr on lose kx taps to the right image edge
+}
+
+func newTapGeom(a *graph.Conv2DAttrs, H, W, OH, OW int) tapGeom {
+	ph, pw := graph.ConvPadding(H, W, a)
+	g := tapGeom{
+		H: H, W: W, OH: OH, OW: OW,
+		srcPack: H * W * 4, dstPack: OH * OW * 4,
+		sh: strideOr1(a.StrideH), sw: strideOr1(a.StrideW),
+		dh: dilOr1(a.DilationH), dw: dilOr1(a.DilationW),
+		ph: ph, pw: pw,
+	}
+	// Column x has its last kx tap inside the image while x·sw − pw + (kw−1)·dw ≤ W−1.
+	if last := W - 1 - (a.KernelW-1)*g.dw + pw; last >= 0 {
+		g.xr = min(OW, last/g.sw+1)
+	}
+	return g
+}
+
+// runAt returns the run of output row oy of a kh×kw convolution that starts
+// at pixel x and ends before pixel x1 — its end and, appended to taps, its
+// tap list: the pixels whose windows cross no vertical image edge share one
+// tap list and are one run; each of the few pixels left and right of them is
+// a run of its own with the taps it has. Only taps inside the image are
+// listed, in ascending (ky, kx) order; tap (ky, kx) starts at packed weight
+// row (ky·kw + kx)·tapRows.
+func (g *tapGeom) runAt(taps []matmul.Tap, oy, x, x1, kh, kw, tapRows int) (int, []matmul.Tap) {
+	iy0, ix0 := oy*g.sh-g.ph, x*g.sw-g.pw
+	ky0, ky1 := tapRange(iy0, g.dh, kh, g.H)
+	kx0, kx1 := tapRange(ix0, g.dw, kw, g.W)
+	end := x + 1
+	if kx1-kx0 == kw {
+		end = min(max(end, g.xr), x1) // the columns with every kx tap are one run
+	}
+	for ky := ky0; ky < ky1; ky++ {
+		for kx := kx0; kx < kx1; kx++ {
+			taps = append(taps, matmul.Tap{A: ((iy0+ky*g.dh)*g.W + ix0 + kx*g.dw) * 4, B: (ky*kw + kx) * tapRows})
+		}
+	}
+	return end, taps
 }
 
 // PrepareSliding packs weights for the sliding-window kernel.
@@ -68,23 +114,12 @@ func PrepareSliding(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs) *SlidingC
 // Run executes the convolution on the pool. src and dst must be NC4HW4.
 // Steady-state calls are allocation-free.
 func (sc *SlidingConv) Run(dst, src *tensor.Tensor, p *sched.Pool) {
-	a := &sc.attrs
 	N, H, W := src.Batch(), src.Height(), src.Width()
 	OH, OW := dst.Height(), dst.Width()
-	ph, pw := graph.ConvPadding(H, W, a)
-	r := &sc.rs
-	*r = slidingRun{
-		s: src.Data(), d: dst.Data(),
-		H: H, W: W, OH: OH, OW: OW,
-		srcPack: H * W * 4, dstPack: OH * OW * 4,
+	sc.rs = slidingRun{
+		tapGeom: newTapGeom(&sc.attrs, H, W, OH, OW),
+		s:       src.Data(), d: dst.Data(),
 		srcBatch: tensor.UpDiv(sc.ic, 4) * H * W * 4, dstBatch: tensor.UpDiv(sc.oc, 4) * OH * OW * 4,
-		sh: strideOr1(a.StrideH), sw: strideOr1(a.StrideW),
-		dh: dilOr1(a.DilationH), dw: dilOr1(a.DilationW),
-		ph: ph, pw: pw,
-	}
-	// Column x has its last kx tap inside the image while x·sw − pw + (kw−1)·dw ≤ W−1.
-	if last := W - 1 - (a.KernelW-1)*r.dw + pw; last >= 0 {
-		r.xr = min(OW, last/r.sw+1)
 	}
 	// MulTapsNC4Into computes every pixel from that pixel's window alone, so
 	// neither the lane count nor the batch size can change a bit of the result.
@@ -92,34 +127,18 @@ func (sc *SlidingConv) Run(dst, src *tensor.Tensor, p *sched.Pool) {
 	p.Run(total, sched.Chunk(total, p.Lanes(), elemChunksPerLane), sc)
 }
 
-// RunChunk implements sched.Task over (sample, output row) items. The pixels
-// of a row whose windows cross no vertical image edge share one tap list and
-// are one MulTapsNC4Into run; each of the few pixels left and right of them
-// is a run of its own with the taps it has.
+// RunChunk implements sched.Task over (sample, output row) items, each row
+// cut into MulTapsNC4Into runs by runAt.
 func (sc *SlidingConv) RunChunk(worker, start, end int) {
 	r := &sc.rs
-	kh, kw := sc.attrs.KernelH, sc.attrs.KernelW
-	var taps [64]matmul.Tap // the run's tap list; only a kernel past 8×8 spills to the heap
+	var buf [64]matmul.Tap // a run's tap list; only a kernel past 8×8 spills to the heap
 	for item := start; item < end; item++ {
 		n, oy := item/r.OH, item%r.OH
-		iy0 := oy*r.sh - r.ph
-		ky0, ky1 := tapRange(iy0, r.dh, kh, r.H)
 		src := r.s[n*r.srcBatch : (n+1)*r.srcBatch]
 		dst := r.d[n*r.dstBatch+oy*r.OW*4 : (n+1)*r.dstBatch]
 		for x := 0; x < r.OW; {
-			ix0 := x*r.sw - r.pw
-			kx0, kx1 := tapRange(ix0, r.dw, kw, r.W)
-			x1 := x + 1
-			if kx1-kx0 == kw {
-				x1 = max(x1, r.xr) // the columns with every kx tap are one run
-			}
-			run := taps[:0]
-			for ky := ky0; ky < ky1; ky++ {
-				for kx := kx0; kx < kx1; kx++ {
-					run = append(run, matmul.Tap{A: ((iy0+ky*r.dh)*r.W + ix0 + kx*r.dw) * 4, B: (ky*kw + kx) * sc.ic})
-				}
-			}
-			sc.packed.MulTapsNC4Into(dst[x*4:], r.dstPack, src, r.srcPack, r.sw*4, x1-x, run, sc.ic, sc.bias, sc.lo, sc.hi)
+			x1, taps := r.runAt(buf[:0], oy, x, r.OW, sc.attrs.KernelH, sc.attrs.KernelW, sc.ic)
+			sc.packed.MulTapsNC4Into(dst[x*4:], r.dstPack, src, r.srcPack, r.sw*4, x1-x, taps, sc.ic, sc.bias, sc.lo, sc.hi)
 			x = x1
 		}
 	}

@@ -11,54 +11,86 @@ import (
 
 // Quantized (int8) prepared kernels — the runtime half of the paper's
 // Section 3.1 model quantization. Weights are quantized symmetrically per
-// output channel at prepare time; activations are quantized on entry with
-// either the calibrated per-tensor scale (quant.Calibrate) or, as a
-// fallback, a per-sample max-abs scale derived on the fly. Accumulation is
-// int32, and requantization back to float32 (with bias and fused
-// activation) happens in the same pass that scatters the output, so the
-// fp32↔int8 boundary never materializes an extra tensor.
+// output channel at prepare time; activations are quantized once on entry,
+// in one vector pass, with either the calibrated per-tensor scale
+// (quant.Calibrate) or, as a fallback, a per-sample max-abs scale derived on
+// the fly. The int8 GEMM micro-kernel (matmul.PackedBInt8) accumulates in
+// int32 and requantizes back to float32 (scale, bias, fused activation) as
+// it stores, so the fp32↔int8 boundary costs one byte per input activation
+// of scratch and nothing else.
 //
-// Every per-sample decision (quantization scale, GEMM row blocking) is a
-// pure function of that sample's data, so a batch-N run is bitwise
-// identical to N single runs — the invariant the serving micro-batcher
-// relies on, preserved by the conformance suite.
+// Every per-sample decision (quantization scale, pixel blocking) is a pure
+// function of that sample's data and integer sums are exact, so a batch-N
+// run is bitwise identical to N single runs on any number of lanes — the
+// invariant the serving micro-batcher relies on, preserved by the
+// conformance suite.
 
-// quantizeActVal quantizes one activation value with the inverse scale:
-// round half away from zero, clamped to ±127.
-func quantizeActVal(v, inv float32) int8 {
-	r := v * inv
-	if r >= 0 {
-		r += 0.5
-		if r >= 127 {
-			return 127
-		}
-		return int8(int32(r))
-	}
-	r -= 0.5
-	if r <= -127 {
-		return -127
-	}
-	return int8(int32(r))
-}
-
-// quantizeActValU quantizes a provably non-negative activation to an
-// unsigned byte (0..254): same step size as the signed path, double the
-// headroom above a calibrated scale, and exact zeros stay zero so the int8
-// GEMM's sparsity skip fires.
-func quantizeActValU(v, inv float32) uint8 {
-	r := v*inv + 0.5
-	if r >= 254 {
-		return 254
-	}
-	if r < 0 {
+// quantizeAct is the definition of activation quantization, one value: scale
+// by the inverse step, round half away from zero, clamp to ±127 — or, for a
+// provably non-negative activation, to 0..254: the same step size with
+// double the headroom above a calibrated scale — and truncate. NaN, whose
+// conversion to an integer Go leaves to the platform, quantizes to 0; ±Inf
+// clamp like any large value. The float32 conversion keeps the multiply
+// from fusing into the add where the target could.
+func quantizeAct(v, inv float32, unsigned bool) uint8 {
+	r := float32(v * inv)
+	if r != r {
 		return 0
 	}
-	return uint8(int32(r))
+	half := float32(0.5)
+	if r < 0 && !unsigned {
+		half = -0.5
+	}
+	lo, hi := quantBounds(unsigned)
+	return uint8(int32(min(max(r+half, lo), hi)))
 }
 
-// maxAbs32 scans a slice for its largest absolute value.
-func maxAbs32(s []float32) float32 {
+// quantBounds is the clamp of the signed and the unsigned quantization mode.
+func quantBounds(unsigned bool) (lo, hi float32) {
+	if unsigned {
+		return 0, 254
+	}
+	return -127, 127
+}
+
+// quantizeInto quantizes src, whole channel packs (or any floats when lanes
+// is 4), into dst: quantizeAct on lanes l < lanes of every pack and 0 on the
+// rest, the pad lanes of a partial last pack, whatever they hold. With simd
+// the bulk runs the AVX2 twin quantizeNC4, which takes the clamp per lane —
+// [0, 0] on a pad lane — and the sign bit r's half carries, none if unsigned.
+func quantizeInto(dst []uint8, src []float32, inv float32, unsigned bool, lanes int, simd bool) {
+	done := 0
+	if blocks := len(src) / 32; simd && blocks > 0 {
+		var lo, hi [8]float32
+		for i := range lo {
+			if i%4 < lanes {
+				lo[i], hi[i] = quantBounds(unsigned)
+			}
+		}
+		sign := uint32(1 << 31)
+		if unsigned {
+			sign = 0
+		}
+		quantizeNC4(&dst[0], &src[0], blocks, inv, sign, &lo[0], &hi[0])
+		done = blocks * 32
+	}
+	dst = dst[:len(src)]
+	for i := done; i < len(src); i++ {
+		dst[i] = 0
+		if i%4 < lanes {
+			dst[i] = quantizeAct(src[i], inv, unsigned)
+		}
+	}
+}
+
+// maxAbs32 scans a slice for its largest absolute value, NaN passed over;
+// with simd the bulk runs the AVX twin maxAbs8.
+func maxAbs32(s []float32, simd bool) float32 {
 	var m float32
+	if blocks := len(s) / 8; simd && blocks > 0 {
+		m = maxAbs8(&s[0], blocks)
+		s = s[blocks*8:]
+	}
 	for _, v := range s {
 		if v < 0 {
 			v = -v
@@ -76,21 +108,13 @@ func maxAbs32(s []float32) float32 {
 // recycle bytes, so pads can hold stale values that must not inflate a
 // dynamic quantization scale (or, worse, vary between batched and unbatched
 // arena layouts).
-func maxAbsNC4Sample(s []float32, C, hw int) float32 {
+func maxAbsNC4Sample(s []float32, C, hw int, simd bool) float32 {
 	full := C / 4
-	m := maxAbs32(s[:full*hw*4])
+	m := maxAbs32(s[:full*hw*4], simd)
 	if rem := C - full*4; rem > 0 {
 		tail := s[full*hw*4:]
 		for p := 0; p < hw; p++ {
-			for l := 0; l < rem; l++ {
-				v := tail[p*4+l]
-				if v < 0 {
-					v = -v
-				}
-				if v > m {
-					m = v
-				}
-			}
+			m = max(m, maxAbs32(tail[p*4:p*4+rem], false))
 		}
 	}
 	return m
@@ -115,7 +139,7 @@ func quantizeWeightChannels(w []float32, channels, per int) (q []int8, scales []
 	scales = make([]float32, channels)
 	for c := 0; c < channels; c++ {
 		row := w[c*per : (c+1)*per]
-		scale := tensor.QuantScale(float64(maxAbs32(row)))
+		scale := tensor.QuantScale(float64(maxAbs32(row, false)))
 		scales[c] = scale
 		for i, v := range row {
 			r := math.RoundToEven(float64(v / scale))
@@ -132,421 +156,147 @@ func quantizeWeightChannels(w []float32, channels, per int) (q []int8, scales []
 }
 
 // ---------------------------------------------------------------------------
-// QuantConv: group-1 convolution as quantize+im2col → int8 GEMM → requantize.
+// QuantConv: group-1 convolution as quantize once → int8 tap GEMM.
 
-// QuantConv is the prepared int8 convolution for group-1 convs: the im2col
-// patch matrix is quantized as it is gathered, multiplied against the
-// panel-packed int8 weight with int32 accumulation, and requantized (scale,
-// bias, fused activation) while scattering to the output layout. Src and dst
-// may be NCHW or NC4HW4.
+// QuantConv is the prepared int8 convolution for group-1 convs, 1×1 and k×k
+// alike: each sample of the NC4HW4 source is quantized into a byte image of
+// the same geometry, and matmul.PackedBInt8.MulTapsNC4Into sums every run of
+// adjacent output pixels over the kernel taps that fall inside the image —
+// the zero point is 0, so a tap outside it contributes the exact 0 a padded
+// patch would — requantizing into the NC4HW4 destination as it stores. The
+// runs are cut as SlidingConv cuts them (tapGeom); there is no im2col matrix
+// and no int32 product.
 type QuantConv struct {
 	attrs   graph.Conv2DAttrs
 	ic, oc  int
-	k       int // ic·kh·kw
-	packed  *matmul.PackedBInt8
-	wScales []float32 // per-output-channel weight scales
-	bias    []float32
+	packed  *matmul.PackedBInt8 // [kh·kw][ic up to whole packs][oc]
+	wScales []float32           // per-output-channel weight scales
+	// rq.Scale is the per-channel inScale·wScale, refreshed per sample.
+	rq matmul.Requant
 	// InputScale is the calibrated activation scale (quant.Calibrate); zero
 	// derives a per-sample max-abs scale at run time.
 	InputScale float32
 	// Unsigned quantizes the input as non-negative bytes. Only set it when
-	// the input tensor is provably ≥ 0 (optimizer.PlanInt8's dataflow pass):
-	// it restores the GEMM's correlated-zero skip on post-ReLU sparsity.
+	// the input tensor is provably ≥ 0 (optimizer.PlanInt8's dataflow pass).
 	Unsigned bool
+	simd     bool // quantize with the AVX2 kernel (matmul.HaveAVX2)
 
-	outScale []float32 // per-channel inScale·wScale, refreshed per sample
-
-	rs       quantConvRun
-	colsT    quantConvCols
-	gemmT    quantConvGemm
-	scatterT quantConvScatter
+	rs     quantConvRun
+	quantT quantConvQuantize
 }
 
+// quantConvRun is the geometry of one Run and the sample it is on.
 type quantConvRun struct {
-	s, d                   []float32
-	nc4In, nc4Out          bool
-	H, W, OH, OW           int
-	kh, kw, sh, sw, dh, dw int
-	ph, pw                 int
-	px                     int
-	n                      int // current batch element
-	inv                    float32
-	cols                   []int8
-	acc                    []int32
-	rowSums                []int32
+	tapGeom
+	s, d   []float32 // the current sample
+	q      []uint8   // its quantized image
+	inv    float32
+	blocks int // four-pixel blocks per output row
 }
 
-type quantConvCols struct{ c *QuantConv }
-type quantConvGemm struct{ c *QuantConv }
-type quantConvScatter struct{ c *QuantConv }
+type quantConvQuantize struct{ c *QuantConv }
 
 // PrepareQuantConv quantizes the [oc, ic, kh, kw] group-1 weight per output
-// channel and packs it into int8 GEMM panels. inputScale zero means derive
+// channel and packs it into int8 GEMM panels, rows in (ky, kx, c) order with
+// every tap's channels padded to whole packs. inputScale zero means derive
 // per sample at run time.
 func PrepareQuantConv(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs, inputScale float32) *QuantConv {
 	oc, ic := weight.Dim(0), weight.Dim(1)
-	kh, kw := a.KernelH, a.KernelW
-	k := ic * kh * kw
-	c := &QuantConv{attrs: *a, ic: ic, oc: oc, k: k, InputScale: inputScale}
-	q, scales := quantizeWeightChannels(weight.Data(), oc, k)
+	taps := a.KernelH * a.KernelW
+	c := &QuantConv{attrs: *a, ic: ic, oc: oc, InputScale: inputScale, simd: matmul.HaveAVX2()}
+	q, scales := quantizeWeightChannels(weight.Data(), oc, ic*taps)
 	c.wScales = scales
-	// Transpose [oc][k] → [k][oc] for the GEMM right operand.
-	bT := make([]int8, k*oc)
+	icp := tensor.UpDiv(ic, 4) * 4
+	bT := make([]int8, taps*icp*oc)
 	for o := 0; o < oc; o++ {
-		for i := 0; i < k; i++ {
-			bT[i*oc+o] = q[o*k+i]
+		for i := 0; i < ic; i++ {
+			for t := 0; t < taps; t++ {
+				bT[(t*icp+i)*oc+o] = q[(o*ic+i)*taps+t]
+			}
 		}
 	}
-	c.packed = matmul.PackBInt8(bT, k, oc)
-	c.bias = make([]float32, oc)
+	c.packed = matmul.PackBInt8(bT, taps*icp, oc)
+	cols := tensor.UpDiv(oc, matmul.PanelWidthInt8) * matmul.PanelWidthInt8
+	c.rq.Scale, c.rq.Bias = make([]float32, cols), make([]float32, cols)
 	if bias != nil {
-		copy(c.bias, bias.Data())
+		copy(c.rq.Bias, bias.Data())
 	}
-	c.outScale = make([]float32, oc)
-	c.colsT.c, c.gemmT.c, c.scatterT.c = c, c, c
+	c.rq.Lo, c.rq.Hi = clampBounds(a.ReLU, a.ReLU6)
+	c.quantT.c = c
 	return c
 }
 
-// QuantConvWorkspaceFloats is the planner requirement for one batch
-// element: the int8 patch matrix [oh·ow, ic·kh·kw], the int32 accumulator
-// [oh·ow, oc], and the GEMM row-sum scratch, all counted in float32 units.
-func QuantConvWorkspaceFloats(a *graph.Conv2DAttrs, ic, oc, oh, ow int) int {
-	px := oh * ow
-	k := ic * a.KernelH * a.KernelW
-	return int8Floats(px*k) + px*oc + matmul.Int8GemmScratch(px)
-}
+// QuantConvWorkspaceFloats is the planner requirement of a QuantConv over an
+// [ic, h, w] input: one sample's quantized image, a byte per activation
+// (pad lanes included), counted in float32 units.
+func QuantConvWorkspaceFloats(ic, h, w int) int { return tensor.UpDiv(ic, 4) * h * w }
 
-// WorkspaceSize mirrors QuantConvWorkspaceFloats from the prepared state.
-func (c *QuantConv) WorkspaceSize(oh, ow int) int {
-	return QuantConvWorkspaceFloats(&c.attrs, c.ic, c.oc, oh, ow)
-}
-
-// Run executes the quantized convolution on the pool. workspace may be nil
-// or at least WorkspaceSize(oh, ow) floats; with a planner-provided
-// workspace, steady-state calls are allocation-free.
+// Run executes the quantized convolution on the pool. src and dst must be
+// NC4HW4. workspace may be nil or at least QuantConvWorkspaceFloats of the
+// input; with a planner-provided workspace, steady-state calls are
+// allocation-free.
 func (c *QuantConv) Run(dst, src *tensor.Tensor, p *sched.Pool, workspace []float32) {
 	a := &c.attrs
 	N, H, W := src.Batch(), src.Height(), src.Width()
 	OH, OW := dst.Height(), dst.Width()
-	ph, pw := graph.ConvPadding(H, W, a)
-	px := OH * OW
-	cols, rest := carveInt8(workspace, px*c.k)
-	acc, rest := carveInt32(rest, px*c.oc)
-	rowSums, _ := carveInt32(rest, matmul.Int8GemmScratch(px))
-	c.rs = quantConvRun{
-		s: src.Data(), d: dst.Data(),
-		nc4In: src.Layout() == tensor.NC4HW4, nc4Out: dst.Layout() == tensor.NC4HW4,
-		H: H, W: W, OH: OH, OW: OW,
-		kh: a.KernelH, kw: a.KernelW,
-		sh: strideOr1(a.StrideH), sw: strideOr1(a.StrideW),
-		dh: dilOr1(a.DilationH), dw: dilOr1(a.DilationW),
-		ph: ph, pw: pw, px: px,
-		cols: cols, acc: acc, rowSums: rowSums,
+	r := &c.rs
+	*r = quantConvRun{tapGeom: newTapGeom(a, H, W, OH, OW)}
+	if a.KernelH == 1 && a.KernelW == 1 && r.sh == 1 && r.sw == 1 && r.ph == 0 && r.pw == 0 {
+		// One row of H·W pixels: only its last block of four can be short.
+		r.H, r.W, r.OH, r.OW, r.xr = 1, H*W, 1, OH*OW, OH*OW
 	}
+	r.blocks = tensor.UpDiv(r.OW, 4)
+	srcLen, dstLen := tensor.UpDiv(c.ic, 4)*r.srcPack, tensor.UpDiv(c.oc, 4)*r.dstPack
+	r.q, _ = carveBytes(workspace, srcLen)
 	lanes := p.Lanes()
-	inSampleLen := len(c.rs.s) / N
 	for n := 0; n < N; n++ {
-		c.rs.n = n
-		sample := c.rs.s[n*inSampleLen : (n+1)*inSampleLen]
+		r.s = src.Data()[n*srcLen : (n+1)*srcLen]
+		r.d = dst.Data()[n*dstLen : (n+1)*dstLen]
 		var m float32
 		if c.InputScale == 0 {
-			if c.rs.nc4In {
-				m = maxAbsNC4Sample(sample, c.ic, H*W)
-			} else {
-				m = maxAbs32(sample)
-			}
+			m = maxAbsNC4Sample(r.s, c.ic, H*W, c.simd)
 		}
 		scale := actScaleFromMax(c.InputScale, m)
-		c.rs.inv = 1 / scale
+		r.inv = 1 / scale
 		for o, ws := range c.wScales {
-			c.outScale[o] = scale * ws
+			c.rq.Scale[o] = scale * ws
 		}
-		// Quantize + im2col: rows are output pixels, columns are (c, ky, kx).
-		p.Run(px, sched.Chunk(px, lanes, elemChunksPerLane), &c.colsT)
-		// Int8 GEMM [px, k] × [k, oc] → int32 [px, oc] on packed panels.
-		p.Run(px, sched.Chunk(px, lanes, 1), &c.gemmT)
-		// Requantize + bias + activation, scattered to the output layout.
-		p.Run(c.oc, sched.Chunk(c.oc, lanes, elemChunksPerLane), &c.scatterT)
+		p.Run(srcLen/4, sched.Chunk(srcLen/4, lanes, elemChunksPerLane), &c.quantT)
+		p.Run(r.OH*r.blocks, sched.Chunk(r.OH*r.blocks, lanes, elemChunksPerLane), c)
 	}
 }
 
-func (t *quantConvCols) RunChunk(_, start, end int) {
+// RunChunk quantizes source pixels start..end of the sample's pack-major
+// pixel sequence, cut at pack boundaries: only the last pack has pad lanes.
+func (t *quantConvQuantize) RunChunk(_, start, end int) {
 	c := t.c
 	r := &c.rs
-	s := r.s
-	hw := r.H * r.W
-	ic4 := tensor.UpDiv(c.ic, 4)
-	inv := r.inv
-	for p := start; p < end; p++ {
-		oy, ox := p/r.OW, p%r.OW
-		row := r.cols[p*c.k : (p+1)*c.k]
-		idx := 0
-		for ch := 0; ch < c.ic; ch++ {
-			chanOff := (r.n*c.ic + ch) * hw
-			stride := 1
-			if r.nc4In {
-				chanOff = ((r.n*ic4+ch>>2)*hw)*4 + ch&3
-				stride = 4
-			}
-			for ky := 0; ky < r.kh; ky++ {
-				iy := oy*r.sh - r.ph + ky*r.dh
-				if iy < 0 || iy >= r.H {
-					for kx := 0; kx < r.kw; kx++ {
-						row[idx] = 0
-						idx++
-					}
-					continue
-				}
-				rowOff := chanOff + iy*r.W*stride
-				if c.Unsigned {
-					for kx := 0; kx < r.kw; kx++ {
-						ix := ox*r.sw - r.pw + kx*r.dw
-						if ix < 0 || ix >= r.W {
-							row[idx] = 0
-						} else {
-							row[idx] = int8(quantizeActValU(s[rowOff+ix*stride], inv))
-						}
-						idx++
-					}
-					continue
-				}
-				for kx := 0; kx < r.kw; kx++ {
-					ix := ox*r.sw - r.pw + kx*r.dw
-					if ix < 0 || ix >= r.W {
-						row[idx] = 0
-					} else {
-						row[idx] = quantizeActVal(s[rowOff+ix*stride], inv)
-					}
-					idx++
-				}
-			}
-		}
+	hw := r.srcPack / 4
+	for i := start; i < end; {
+		pack := i / hw
+		j := min(end, (pack+1)*hw)
+		lanes := min(4, c.ic-pack*4)
+		quantizeInto(r.q[i*4:j*4], r.s[i*4:j*4], r.inv, c.Unsigned, lanes, c.simd)
+		i = j
 	}
 }
 
-func (t *quantConvGemm) RunChunk(_, start, end int) {
-	c := t.c
+// RunChunk implements sched.Task over (output row, four-pixel block) items:
+// the range is cut at row ends and each piece into MulTapsNC4Into runs by
+// runAt, SlidingConv's way.
+func (c *QuantConv) RunChunk(_, start, end int) {
 	r := &c.rs
-	rows := end - start
-	if c.Unsigned {
-		c.packed.MulIntoU8(r.acc[start*c.oc:end*c.oc], u8View(r.cols[start*c.k:end*c.k]), rows, r.rowSums[start:end])
-		return
-	}
-	c.packed.MulInto(r.acc[start*c.oc:end*c.oc], r.cols[start*c.k:end*c.k], rows, r.rowSums[start:end])
-}
-
-func (t *quantConvScatter) RunChunk(_, start, end int) {
-	c := t.c
-	r := &c.rs
-	a := &c.attrs
-	d := r.d
-	oc4 := tensor.UpDiv(c.oc, 4)
-	for o := start; o < end; o++ {
-		scale := c.outScale[o]
-		b := c.bias[o]
-		off, stride := (r.n*c.oc+o)*r.px, 1
-		if r.nc4Out {
-			off, stride = ((r.n*oc4+o>>2)*r.px)*4+o&3, 4
-		}
-		for p := 0; p < r.px; p++ {
-			v := float32(r.acc[p*c.oc+o])*scale + b
-			if a.ReLU6 {
-				v = relu6(v)
-			} else if a.ReLU {
-				v = relu(v)
-			}
-			d[off+p*stride] = v
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// QuantDepthwiseConv: per-channel int8 depthwise on NC4HW4 tensors.
-
-// QuantDepthwiseConv is the prepared int8 depthwise convolution. Each worker
-// quantizes one (batch, channel-block) of the input into a per-lane int8
-// staging block and convolves it against the packed per-channel int8
-// filters with int32 accumulation, requantizing on output. Src and dst must
-// be NC4HW4.
-type QuantDepthwiseConv struct {
-	attrs   graph.Conv2DAttrs
-	c       int
-	packed  []int8    // [c4][kh][kw][4]
-	wScales []float32 // per-channel, padded to c4·4
-	bias    []float32 // padded to c4·4
-	// InputScale is the calibrated activation scale; zero derives per sample.
-	InputScale float32
-
-	outScale []float32 // per-channel inScale·wScale, refreshed per sample
-
-	rs quantDWRun
-}
-
-type quantDWRun struct {
-	s, d                   []float32
-	H, W, OH, OW, c4       int
-	kh, kw, sh, sw, dh, dw int
-	ph, pw                 int
-	n                      int
-	inv                    float32
-	qsrc                   []int8 // per-lane staging, lanes·H·W·4
-	blk                    int    // H·W·4
-	relu, relu6            bool
-}
-
-// PrepareQuantDepthwise quantizes the [c, 1, kh, kw] depthwise weight per
-// channel and packs it to channel blocks.
-func PrepareQuantDepthwise(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs, inputScale float32) *QuantDepthwiseConv {
-	c := weight.Dim(0)
-	kh, kw := a.KernelH, a.KernelW
-	c4 := tensor.UpDiv(c, 4)
-	dc := &QuantDepthwiseConv{attrs: *a, c: c, InputScale: inputScale}
-	q, scales := quantizeWeightChannels(weight.Data(), c, kh*kw)
-	dc.packed = make([]int8, c4*kh*kw*4)
-	dc.wScales = make([]float32, c4*4)
-	copy(dc.wScales, scales)
-	for ch := 0; ch < c; ch++ {
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				dc.packed[((ch/4*kh+ky)*kw+kx)*4+ch%4] = q[(ch*kh+ky)*kw+kx]
-			}
-		}
-	}
-	dc.bias = make([]float32, c4*4)
-	if bias != nil {
-		copy(dc.bias, bias.Data())
-	}
-	dc.outScale = make([]float32, c4*4)
-	return dc
-}
-
-// QuantDepthwiseWorkspaceFloats is the planner requirement: one int8
-// input-sized staging block per worker lane, in float32 units.
-func QuantDepthwiseWorkspaceFloats(h, w, lanes int) int {
-	if lanes < 1 {
-		lanes = 1
-	}
-	return lanes * int8Floats(h*w*4)
-}
-
-// Run executes the quantized depthwise convolution on the pool. src and dst
-// must be NC4HW4; workspace may be nil or at least
-// QuantDepthwiseWorkspaceFloats(h, w, p.Lanes()) floats.
-func (dc *QuantDepthwiseConv) Run(dst, src *tensor.Tensor, p *sched.Pool, workspace []float32) {
-	a := &dc.attrs
-	N, H, W := src.Batch(), src.Height(), src.Width()
-	ph, pw := graph.ConvPadding(H, W, a)
-	lanes := p.Lanes()
-	blk := H * W * 4
-	qsrc, _ := carveInt8(workspace, lanes*blk)
-	dc.rs = quantDWRun{
-		s: src.Data(), d: dst.Data(),
-		H: H, W: W, OH: dst.Height(), OW: dst.Width(),
-		c4: tensor.UpDiv(dc.c, 4),
-		kh: a.KernelH, kw: a.KernelW,
-		sh: strideOr1(a.StrideH), sw: strideOr1(a.StrideW),
-		dh: dilOr1(a.DilationH), dw: dilOr1(a.DilationW),
-		ph: ph, pw: pw, qsrc: qsrc, blk: blk,
-		relu: a.ReLU, relu6: a.ReLU6,
-	}
-	sampleLen := dc.rs.c4 * blk
-	for n := 0; n < N; n++ {
-		dc.rs.n = n
-		var m float32
-		if dc.InputScale == 0 {
-			m = maxAbsNC4Sample(dc.rs.s[n*sampleLen:(n+1)*sampleLen], dc.c, H*W)
-		}
-		scale := actScaleFromMax(dc.InputScale, m)
-		dc.rs.inv = 1 / scale
-		for ch, ws := range dc.wScales {
-			dc.outScale[ch] = scale * ws
-		}
-		p.Run(dc.rs.c4, sched.Chunk(dc.rs.c4, lanes, elemChunksPerLane), dc)
-	}
-}
-
-// RunChunk implements sched.Task over channel blocks of the current batch
-// element: quantize the block into the lane's staging buffer, then convolve.
-func (dc *QuantDepthwiseConv) RunChunk(worker, start, end int) {
-	r := &dc.rs
-	d := r.d
-	qs := r.qsrc[worker*r.blk : (worker+1)*r.blk]
-	inv := r.inv
-	// Interior ox range: ox·sw−pw ≥ 0 and ox·sw−pw+(kw−1)·dw ≤ W−1.
-	oxLo := (r.pw + r.sw - 1) / r.sw
-	oxHi := -1
-	if num := r.W - 1 - (r.kw-1)*r.dw + r.pw; num >= 0 {
-		oxHi = num / r.sw
-	}
-	if oxHi > r.OW-1 {
-		oxHi = r.OW - 1
-	}
-	for cz := start; cz < end; cz++ {
-		src := r.s[((r.n*r.c4+cz)*r.H*r.W)*4 : ((r.n*r.c4+cz)*r.H*r.W)*4+r.blk]
-		for i, v := range src {
-			qs[i] = quantizeActVal(v, inv)
-		}
-		s0, s1, s2, s3 := dc.outScale[cz*4], dc.outScale[cz*4+1], dc.outScale[cz*4+2], dc.outScale[cz*4+3]
-		b0, b1, b2, b3 := dc.bias[cz*4], dc.bias[cz*4+1], dc.bias[cz*4+2], dc.bias[cz*4+3]
-		dstCZ := ((r.n*r.c4 + cz) * r.OH) * r.OW * 4
-		wCZ := cz * r.kh * r.kw * 4
-		for oy := 0; oy < r.OH; oy++ {
-			iy0 := oy*r.sh - r.ph
-			rowInterior := iy0 >= 0 && iy0+(r.kh-1)*r.dh < r.H
-			for ox := 0; ox < r.OW; ox++ {
-				var acc0, acc1, acc2, acc3 int32
-				if rowInterior && ox >= oxLo && ox <= oxHi {
-					base := iy0*r.W*4 + (ox*r.sw-r.pw)*4
-					wo := wCZ
-					for ky := 0; ky < r.kh; ky++ {
-						so := base + ky*r.dh*r.W*4
-						for kx := 0; kx < r.kw; kx++ {
-							wp := dc.packed[wo : wo+4]
-							acc0 += int32(qs[so]) * int32(wp[0])
-							acc1 += int32(qs[so+1]) * int32(wp[1])
-							acc2 += int32(qs[so+2]) * int32(wp[2])
-							acc3 += int32(qs[so+3]) * int32(wp[3])
-							so += r.dw * 4
-							wo += 4
-						}
-					}
-				} else {
-					for ky := 0; ky < r.kh; ky++ {
-						iy := iy0 + ky*r.dh
-						if iy < 0 || iy >= r.H {
-							continue
-						}
-						rowOff := iy * r.W * 4
-						wKY := wCZ + ky*r.kw*4
-						for kx := 0; kx < r.kw; kx++ {
-							ix := ox*r.sw - r.pw + kx*r.dw
-							if ix < 0 || ix >= r.W {
-								continue
-							}
-							so := rowOff + ix*4
-							wo := wKY + kx*4
-							acc0 += int32(qs[so]) * int32(dc.packed[wo])
-							acc1 += int32(qs[so+1]) * int32(dc.packed[wo+1])
-							acc2 += int32(qs[so+2]) * int32(dc.packed[wo+2])
-							acc3 += int32(qs[so+3]) * int32(dc.packed[wo+3])
-						}
-					}
-				}
-				v0 := float32(acc0)*s0 + b0
-				v1 := float32(acc1)*s1 + b1
-				v2 := float32(acc2)*s2 + b2
-				v3 := float32(acc3)*s3 + b3
-				if r.relu6 {
-					v0, v1, v2, v3 = relu6(v0), relu6(v1), relu6(v2), relu6(v3)
-				} else if r.relu {
-					v0, v1, v2, v3 = relu(v0), relu(v1), relu(v2), relu(v3)
-				}
-				do := dstCZ + (oy*r.OW+ox)*4
-				d[do] = v0
-				d[do+1] = v1
-				d[do+2] = v2
-				d[do+3] = v3
-			}
+	icp := tensor.UpDiv(c.ic, 4) * 4
+	var buf [64]matmul.Tap // a run's tap list; only a kernel past 8×8 spills to the heap
+	for item := start; item < end; {
+		oy, b0 := item/r.blocks, item%r.blocks
+		b1 := min(r.blocks, b0+end-item)
+		item += b1 - b0
+		dst := r.d[oy*r.OW*4:]
+		for x, xEnd := b0*4, min(b1*4, r.OW); x < xEnd; {
+			x1, taps := r.runAt(buf[:0], oy, x, xEnd, c.attrs.KernelH, c.attrs.KernelW, icp)
+			c.packed.MulTapsNC4Into(dst[x*4:], r.dstPack, r.q, r.srcPack, r.sw*4, x1-x, taps, c.ic, c.Unsigned, &c.rq)
+			x = x1
 		}
 	}
 }
@@ -568,17 +318,16 @@ type QuantInnerProduct struct {
 	InputScale float32
 	// Unsigned quantizes rows as non-negative bytes (see QuantConv.Unsigned).
 	Unsigned bool
+	simd     bool // quantize with the AVX2 kernel (matmul.HaveAVX2)
 
 	rs quantIPRun
 }
 
 type quantIPRun struct {
-	s, d    []float32
-	batch   int
-	qa      []int8
-	acc     []int32
-	rowSums []int32
-	scales  []float32 // per-row quantization scale, filled at quantize time
+	s, d   []float32
+	qa     []uint8
+	acc    []int32
+	scales []float32 // per-row quantization scale, filled at quantize time
 }
 
 // PrepareQuantInnerProduct quantizes the [out, features] weight per output
@@ -586,7 +335,7 @@ type quantIPRun struct {
 func PrepareQuantInnerProduct(weight, bias *tensor.Tensor, a *graph.InnerProductAttrs, inputScale float32) *QuantInnerProduct {
 	out := weight.Dim(0)
 	features := weight.Dim(1)
-	ip := &QuantInnerProduct{attrs: *a, features: features, InputScale: inputScale}
+	ip := &QuantInnerProduct{attrs: *a, features: features, InputScale: inputScale, simd: matmul.HaveAVX2()}
 	q, scales := quantizeWeightChannels(weight.Data(), out, features)
 	ip.wScales = scales
 	bT := make([]int8, features*out)
@@ -605,9 +354,9 @@ func PrepareQuantInnerProduct(weight, bias *tensor.Tensor, a *graph.InnerProduct
 
 // QuantInnerProductWorkspaceFloats is the planner requirement for a
 // [batch, features] × [features, out] run, in float32 units: the quantized
-// rows, the int32 product, the GEMM row-sum scratch and the per-row scales.
+// rows, the int32 product and the per-row scales.
 func QuantInnerProductWorkspaceFloats(batch, features, out int) int {
-	return int8Floats(batch*features) + batch*out + matmul.Int8GemmScratch(batch) + batch
+	return bytesFloats(batch*features) + batch*out + batch
 }
 
 // Run executes the FC layer on NCHW buffers (src flattened per batch row).
@@ -615,17 +364,15 @@ func QuantInnerProductWorkspaceFloats(batch, features, out int) int {
 func (ip *QuantInnerProduct) Run(dst, src *tensor.Tensor, p *sched.Pool, workspace []float32) {
 	batch := src.Dim(0)
 	out := ip.attrs.OutputCount
-	qa, rest := carveInt8(workspace, batch*ip.features)
+	qa, rest := carveBytes(workspace, batch*ip.features)
 	acc, rest := carveInt32(rest, batch*out)
-	rowSums, rest := carveInt32(rest, matmul.Int8GemmScratch(batch))
 	scales := rest
 	if len(scales) < batch {
 		scales = make([]float32, batch)
 	} else {
 		scales = scales[:batch]
 	}
-	ip.rs = quantIPRun{s: src.Data(), d: dst.Data(), batch: batch,
-		qa: qa, acc: acc, rowSums: rowSums, scales: scales}
+	ip.rs = quantIPRun{s: src.Data(), d: dst.Data(), qa: qa, acc: acc, scales: scales}
 	p.Run(batch, sched.Chunk(batch, p.Lanes(), 1), ip)
 }
 
@@ -635,32 +382,17 @@ func (ip *QuantInnerProduct) RunChunk(_, start, end int) {
 	r := &ip.rs
 	out := ip.attrs.OutputCount
 	f := ip.features
-	rows := end - start
 	for n := start; n < end; n++ {
 		src := r.s[n*f : (n+1)*f]
 		var m float32
 		if ip.InputScale == 0 {
-			m = maxAbs32(src) // flat NCHW rows carry no pad lanes
+			m = maxAbs32(src, ip.simd) // flat NCHW rows carry no pad lanes
 		}
 		scale := actScaleFromMax(ip.InputScale, m)
 		r.scales[n] = scale
-		inv := 1 / scale
-		q := r.qa[n*f : (n+1)*f]
-		if ip.Unsigned {
-			for i, v := range src {
-				q[i] = int8(quantizeActValU(v, inv))
-			}
-		} else {
-			for i, v := range src {
-				q[i] = quantizeActVal(v, inv)
-			}
-		}
+		quantizeInto(r.qa[n*f:(n+1)*f], src, 1/scale, ip.Unsigned, 4, ip.simd)
 	}
-	if ip.Unsigned {
-		ip.packed.MulIntoU8(r.acc[start*out:end*out], u8View(r.qa[start*f:end*f]), rows, r.rowSums[start:end])
-	} else {
-		ip.packed.MulInto(r.acc[start*out:end*out], r.qa[start*f:end*f], rows, r.rowSums[start:end])
-	}
+	ip.packed.MulRows(r.acc[start*out:end*out], r.qa[start*f:end*f], end-start, ip.Unsigned)
 	for n := start; n < end; n++ {
 		scale := r.scales[n]
 		d := r.d[n*out : (n+1)*out]

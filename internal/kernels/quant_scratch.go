@@ -4,37 +4,28 @@ import "unsafe"
 
 // The memory planner (Figure 3) deals in float32 elements: activations,
 // workspaces and staging buffers all share one arena of []float32. The
-// quantized kernels need int8 panels and int32 accumulators, so they carve
+// quantized kernels need byte images and int32 accumulators, so they carve
 // their planner slices and reinterpret the backing bytes — the arena is
 // 4-byte aligned and a workspace buffer is always fully written before it is
 // read, so the type pun never observes stale float bits.
 
-// int8Floats returns the float32 count that holds n bytes of int8 scratch.
-func int8Floats(n int) int { return (n + 3) / 4 }
+// bytesFloats returns the float32 count that holds n bytes of scratch.
+func bytesFloats(n int) int { return (n + 3) / 4 }
 
-// carveInt8 reinterprets the first int8Floats(n) floats of buf as an []int8
-// of length n, returning the view and the remaining buffer. A short buf
-// falls back to a private allocation (backends used outside a session's
+// carveBytes reinterprets the first bytesFloats(n) floats of buf as a
+// []uint8 of length n, returning the view and the remaining buffer. A short
+// buf falls back to a private allocation (backends used outside a session's
 // pre-inference walk).
-func carveInt8(buf []float32, n int) ([]int8, []float32) {
-	f := int8Floats(n)
+func carveBytes(buf []float32, n int) ([]uint8, []float32) {
+	f := bytesFloats(n)
 	if n == 0 {
 		return nil, buf
 	}
 	if len(buf) < f {
-		return make([]int8, n), buf
+		return make([]uint8, n), buf
 	}
 	head := buf[:f]
-	return unsafe.Slice((*int8)(unsafe.Pointer(unsafe.SliceData(head))), n), buf[f:]
-}
-
-// u8View reinterprets an []int8 as []uint8 (same bytes): the unsigned
-// quantization mode stores 0..254 byte values in the shared cols scratch.
-func u8View(s []int8) []uint8 {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint8)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
+	return unsafe.Slice((*uint8)(unsafe.Pointer(unsafe.SliceData(head))), n), buf[f:]
 }
 
 // carveInt32 reinterprets the first n floats of buf as an []int32 of length

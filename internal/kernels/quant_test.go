@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"fmt"
 	"testing"
 
 	"mnn/internal/graph"
@@ -53,17 +52,12 @@ func TestQuantConvMatchesRef(t *testing.T) {
 			ConvRef(want, src, weight, bias, &a)
 
 			qc := PrepareQuantConv(weight, bias, &a, 0)
-			for _, layout := range []tensor.Layout{tensor.NCHW, tensor.NC4HW4} {
-				t.Run(layout.String(), func(t *testing.T) {
-					in := src.ToLayout(layout)
-					got := tensor.NewWithLayout(layout, 2, a.OutputCount, oh, ow)
-					ws := make([]float32, qc.WorkspaceSize(oh, ow))
-					qc.Run(got, in, pool, ws)
-					budget := quantBudget(maxAbsOf(want))
-					if d := tensor.MaxAbsDiff(want, got); d > budget {
-						t.Fatalf("quant conv error %g > budget %g", d, budget)
-					}
-				})
+			got := tensor.NewWithLayout(tensor.NC4HW4, 2, a.OutputCount, oh, ow)
+			ws := make([]float32, QuantConvWorkspaceFloats(tc.ic, tc.hw, tc.hw))
+			qc.Run(got, src.ToLayout(tensor.NC4HW4), pool, ws)
+			budget := quantBudget(maxAbsOf(want))
+			if d := tensor.MaxAbsDiff(want, got); d > budget {
+				t.Fatalf("quant conv error %g > budget %g", d, budget)
 			}
 		})
 	}
@@ -81,7 +75,7 @@ func TestQuantConvBatchIndependence(t *testing.T) {
 	const N, hw = 3, 7
 	batch := tensor.NewRandom(5, 1.5, N, 20, hw, hw).ToLayout(tensor.NC4HW4)
 	gotBatch := tensor.NewWithLayout(tensor.NC4HW4, N, 24, hw, hw)
-	ws := make([]float32, qc.WorkspaceSize(hw, hw))
+	ws := make([]float32, QuantConvWorkspaceFloats(20, hw, hw))
 	qc.Run(gotBatch, batch, pool, ws)
 	for n := 0; n < N; n++ {
 		single := tensor.NewWithLayout(tensor.NC4HW4, 1, 20, hw, hw)
@@ -104,28 +98,6 @@ func TestQuantConvBatchIndependence(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestQuantDepthwiseMatchesRef(t *testing.T) {
-	pool := sched.New(4)
-	defer pool.Close()
-	a := graph.Conv2DAttrs{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1,
-		PadH: 1, PadW: 1, Group: 10, InputCount: 10, OutputCount: 10, ReLU6: true}
-	src := tensor.NewRandom(21, 1, 2, 10, 11, 11)
-	weight := tensor.NewRandom(22, 0.3, 10, 1, 3, 3)
-	bias := tensor.NewRandom(23, 0.1, 10)
-	want := tensor.New(2, 10, 11, 11)
-	ConvRef(want, src, weight, bias, &a)
-
-	dc := PrepareQuantDepthwise(weight, bias, &a, 0)
-	in := src.ToLayout(tensor.NC4HW4)
-	got := tensor.NewWithLayout(tensor.NC4HW4, 2, 10, 11, 11)
-	ws := make([]float32, QuantDepthwiseWorkspaceFloats(11, 11, pool.Lanes()))
-	dc.Run(got, in, pool, ws)
-	budget := quantBudget(maxAbsOf(want))
-	if d := tensor.MaxAbsDiff(want, got); d > budget {
-		t.Fatalf("quant depthwise error %g > budget %g", d, budget)
 	}
 }
 
@@ -158,13 +130,13 @@ func TestQuantCalibratedScaleUsed(t *testing.T) {
 	defer pool.Close()
 	a := graph.Conv2DAttrs{KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1, Group: 1, InputCount: 16, OutputCount: 16}
 	weight := tensor.NewRandom(41, 0.3, 16, 16, 1, 1)
-	src := tensor.NewRandom(42, 1, 1, 16, 6, 6)
+	src := tensor.NewRandom(42, 1, 1, 16, 6, 6).ToLayout(tensor.NC4HW4)
 
 	dynamic := PrepareQuantConv(weight, nil, &a, 0)
-	calibrated := PrepareQuantConv(weight, nil, &a, tensor.QuantScale(float64(maxAbs32(src.Data()))))
-	outD := tensor.New(1, 16, 6, 6)
-	outC := tensor.New(1, 16, 6, 6)
-	ws := make([]float32, dynamic.WorkspaceSize(6, 6))
+	calibrated := PrepareQuantConv(weight, nil, &a, tensor.QuantScale(float64(maxAbs32(src.Data(), false))))
+	outD := tensor.NewWithLayout(tensor.NC4HW4, 1, 16, 6, 6)
+	outC := tensor.NewWithLayout(tensor.NC4HW4, 1, 16, 6, 6)
+	ws := make([]float32, QuantConvWorkspaceFloats(16, 6, 6))
 	dynamic.Run(outD, src, pool, ws)
 	calibrated.Run(outC, src, pool, ws)
 	// With the calibrated scale equal to the sample's max-abs scale, the two
@@ -176,50 +148,47 @@ func TestQuantCalibratedScaleUsed(t *testing.T) {
 	}
 }
 
-func BenchmarkQuantConv1x1(b *testing.B) {
-	pool := sched.New(4)
-	defer pool.Close()
-	a := graph.Conv2DAttrs{KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1, Group: 1, InputCount: 128, OutputCount: 128, ReLU: true}
-	w := tensor.NewRandom(2, 0.2, 128, 128, 1, 1)
-	qc := PrepareQuantConv(w, nil, &a, 0)
-	src := tensor.NewWithLayout(tensor.NC4HW4, 1, 128, 28, 28)
-	tensor.FillRandom(src, 3, 1)
-	dst := tensor.NewWithLayout(tensor.NC4HW4, 1, 128, 28, 28)
-	ws := make([]float32, qc.WorkspaceSize(28, 28))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		qc.Run(dst, src, pool, ws)
-	}
-}
-
+// BenchmarkQuantVsFloatConv1x1 sets the int8 convolution beside the fp32
+// kernel of the same shape on one lane: three square 1×1 layers, the 1×1
+// layers that are hot in squeezenet-v1.1 at 224² (wide and shallow, so the
+// quantize pass and the epilogue weigh most there), and one 3×3 tap case
+// against SlidingConv.
 func BenchmarkQuantVsFloatConv1x1(b *testing.B) {
-	for _, chans := range []int{128, 256, 512} {
-		hw := 28
-		if chans == 512 {
-			hw = 14
-		}
-		a := graph.Conv2DAttrs{KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1, Group: 1, InputCount: chans, OutputCount: chans, ReLU: true}
-		w := tensor.NewRandom(2, 0.2, chans, chans, 1, 1)
-		src := tensor.NewWithLayout(tensor.NC4HW4, 1, chans, hw, hw)
+	for _, bc := range []struct {
+		name          string
+		ic, oc, hw, k int
+	}{
+		{"c128", 128, 128, 28, 1}, {"c256", 256, 256, 28, 1}, {"c512", 512, 512, 14, 1},
+		{"512to1000at13", 512, 1000, 13, 1}, {"128to32at55", 128, 32, 55, 1}, {"16to64at55", 16, 64, 55, 1},
+		{"3x3c64at28", 64, 64, 28, 3},
+	} {
+		a := graph.Conv2DAttrs{KernelH: bc.k, KernelW: bc.k, StrideH: 1, StrideW: 1, PadH: bc.k / 2, PadW: bc.k / 2,
+			Group: 1, InputCount: bc.ic, OutputCount: bc.oc, ReLU: true}
+		w := tensor.NewRandom(2, 0.2, bc.oc, bc.ic, bc.k, bc.k)
+		src := tensor.NewWithLayout(tensor.NC4HW4, 1, bc.ic, bc.hw, bc.hw)
 		tensor.FillRandom(src, 3, 1)
-		dst := tensor.NewWithLayout(tensor.NC4HW4, 1, chans, hw, hw)
-		b.Run(fmt.Sprintf("int8/c%d", chans), func(b *testing.B) {
-			pool := sched.New(4)
-			defer pool.Close()
+		dst := tensor.NewWithLayout(tensor.NC4HW4, 1, bc.oc, bc.hw, bc.hw)
+		pool := testPool(b, 1)
+		b.Run("int8/"+bc.name, func(b *testing.B) {
 			qc := PrepareQuantConv(w, nil, &a, 0)
-			ws := make([]float32, qc.WorkspaceSize(hw, hw))
+			ws := make([]float32, QuantConvWorkspaceFloats(bc.ic, bc.hw, bc.hw))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				qc.Run(dst, src, pool, ws)
 			}
 		})
-		b.Run(fmt.Sprintf("fp32/c%d", chans), func(b *testing.B) {
-			pool := sched.New(4)
-			defer pool.Close()
-			c := PrepareConv1x1(w, nil, &a)
+		b.Run("fp32/"+bc.name, func(b *testing.B) {
+			var run func()
+			if bc.k == 1 {
+				c := PrepareConv1x1(w, nil, &a)
+				run = func() { c.Run(dst, src, pool) }
+			} else {
+				c := PrepareSliding(w, nil, &a)
+				run = func() { c.Run(dst, src, pool) }
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Run(dst, src, pool)
+				run()
 			}
 		})
 	}

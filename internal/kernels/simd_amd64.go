@@ -13,3 +13,15 @@ func depthwise3x3(dst, src *float32, rows, pairs, dstRow, srcRow, srcStep, strid
 //
 //go:noescape
 func linCombNC4(dst *float32, dstRow, dstChunk, dstSplit int, src *float32, srcRow, srcChunk, srcSplit, chunks, rows int, cnt, idx *int, coef *float32, lanes int, bias *float32, lo, hi float32)
+
+// quantizeNC4 is the AVX2 activation quantizer (quantize_amd64.s): 32·blocks
+// floats to bytes, each by quantizeAct with the clamp of its lane.
+//
+//go:noescape
+func quantizeNC4(dst *uint8, src *float32, blocks int, inv float32, sign uint32, lo, hi *float32)
+
+// maxAbs8 is the AVX max-abs scan (quantize_amd64.s) over 8·blocks floats,
+// NaN passed over.
+//
+//go:noescape
+func maxAbs8(src *float32, blocks int) float32

@@ -11,3 +11,11 @@ func depthwise3x3(dst, src *float32, rows, pairs, dstRow, srcRow, srcStep, strid
 func linCombNC4(dst *float32, dstRow, dstChunk, dstSplit int, src *float32, srcRow, srcChunk, srcSplit, chunks, rows int, cnt, idx *int, coef *float32, lanes int, bias *float32, lo, hi float32) {
 	panic("kernels: no SIMD linear-combination kernel on this architecture")
 }
+
+func quantizeNC4(dst *uint8, src *float32, blocks int, inv float32, sign uint32, lo, hi *float32) {
+	panic("kernels: no SIMD quantizer on this architecture")
+}
+
+func maxAbs8(src *float32, blocks int) float32 {
+	panic("kernels: no SIMD max-abs scan on this architecture")
+}

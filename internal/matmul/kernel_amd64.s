@@ -40,6 +40,73 @@
 	VXORPS Y6, Y6, Y6 \
 	VXORPS Y7, Y7, Y7
 
+// BIAS_CLAMP_STORE_NC4 is the NC4HW4 epilogue of both convolution kernels
+// below: the 4×16 float32 tile in Y0..Y7 gets the 16 biases at (R13) added
+// and is clamped to [Y10, Y11]; then it is transposed with 128-bit lane
+// permutes into R12 ≤ 4 output channel packs of 4 pixels × 4 channels (64
+// contiguous bytes each), DX floats apart from DI on — pack j is the j-th
+// 128-bit quarter of every row, rows (pixels) 0,1 in one ymm, rows 2,3 in
+// the next — and control jumps to DONE.
+//
+// The clamp is max(lo, v) then min(hi, v) with v as the SECOND source of
+// VMAXPS/VMINPS: those return the second source when an operand is NaN or
+// both are zero, so NaN stays NaN and -0 stays -0 exactly as in the scalar
+// `if v < lo { v = lo }; if v > hi { v = hi }`.
+#define BIAS_CLAMP_STORE_NC4(DONE) \
+	SHLQ       $2, DX          \
+	VMOVUPS    (R13), Y8       \
+	VMOVUPS    32(R13), Y9     \
+	VADDPS     Y8, Y0, Y0      \
+	VADDPS     Y9, Y1, Y1      \
+	VADDPS     Y8, Y2, Y2      \
+	VADDPS     Y9, Y3, Y3      \
+	VADDPS     Y8, Y4, Y4      \
+	VADDPS     Y9, Y5, Y5      \
+	VADDPS     Y8, Y6, Y6      \
+	VADDPS     Y9, Y7, Y7      \
+	VMAXPS     Y0, Y10, Y0     \
+	VMAXPS     Y1, Y10, Y1     \
+	VMAXPS     Y2, Y10, Y2     \
+	VMAXPS     Y3, Y10, Y3     \
+	VMAXPS     Y4, Y10, Y4     \
+	VMAXPS     Y5, Y10, Y5     \
+	VMAXPS     Y6, Y10, Y6     \
+	VMAXPS     Y7, Y10, Y7     \
+	VMINPS     Y0, Y11, Y0     \
+	VMINPS     Y1, Y11, Y1     \
+	VMINPS     Y2, Y11, Y2     \
+	VMINPS     Y3, Y11, Y3     \
+	VMINPS     Y4, Y11, Y4     \
+	VMINPS     Y5, Y11, Y5     \
+	VMINPS     Y6, Y11, Y6     \
+	VMINPS     Y7, Y11, Y7     \
+	VPERM2F128 $0x20, Y2, Y0, Y8 \
+	VPERM2F128 $0x20, Y6, Y4, Y9 \
+	VMOVUPS    Y8, (DI)        \
+	VMOVUPS    Y9, 32(DI)      \
+	DECQ       R12             \
+	JZ         DONE            \
+	ADDQ       DX, DI          \
+	VPERM2F128 $0x31, Y2, Y0, Y8 \
+	VPERM2F128 $0x31, Y6, Y4, Y9 \
+	VMOVUPS    Y8, (DI)        \
+	VMOVUPS    Y9, 32(DI)      \
+	DECQ       R12             \
+	JZ         DONE            \
+	ADDQ       DX, DI          \
+	VPERM2F128 $0x20, Y3, Y1, Y8 \
+	VPERM2F128 $0x20, Y7, Y5, Y9 \
+	VMOVUPS    Y8, (DI)        \
+	VMOVUPS    Y9, 32(DI)      \
+	DECQ       R12             \
+	JZ         DONE            \
+	ADDQ       DX, DI          \
+	VPERM2F128 $0x31, Y3, Y1, Y8 \
+	VPERM2F128 $0x31, Y7, Y5, Y9 \
+	VMOVUPS    Y8, (DI)        \
+	VMOVUPS    Y9, 32(DI)      \
+	JMP        DONE
+
 // func mulPanel4x16(dst *float32, ldd int, a *float32, lda, k int, panel *float32)
 //
 // dst[r*ldd+l] = Σ_p a[r*lda+p] · panel[p*16+l] for r < 4, l < 16, summed
@@ -88,13 +155,8 @@ loop:
 // 64-byte line when aPix = 4. A 1×1 convolution is the one tap {0, 0}. After
 // the sum (taps in order, ascending c, from +0, as above) each of the 16
 // columns gets its bias added and is clamped to [lo, hi]; then the tile is
-// transposed with 128-bit lane permutes into `packs` ≤ 4 output channel packs
-// of 4 pixels × 4 channels (64 contiguous bytes each, dstPack floats apart).
-//
-// The clamp is max(lo, v) then min(hi, v) with v as the SECOND source of
-// VMAXPS/VMINPS: those return the second source when an operand is NaN or
-// both are zero, so NaN stays NaN and -0 stays -0 exactly as in the scalar
-// `if v < lo { v = lo }; if v > hi { v = hi }`. Requires kc ≥ 1; an empty tap
+// transposed into `packs` ≤ 4 output channel packs of 4 pixels × 4 channels,
+// dstPack floats apart (BIAS_CLAMP_STORE_NC4). Requires kc ≥ 1; an empty tap
 // list stores clamp(bias).
 TEXT ·mulPanelNC4(SB), NOSPLIT, $0-96
 	MOVQ a+24(FP), R10
@@ -156,65 +218,143 @@ epilogue:
 	MOVQ dstPack+8(FP), DX
 	MOVQ packs+16(FP), R12
 	MOVQ bias+80(FP), R13
-	SHLQ $2, DX
-	VMOVUPS      (R13), Y8
-	VMOVUPS      32(R13), Y9
 	VBROADCASTSS lo+88(FP), Y10
 	VBROADCASTSS hi+92(FP), Y11
-	VADDPS       Y8, Y0, Y0
-	VADDPS       Y9, Y1, Y1
-	VADDPS       Y8, Y2, Y2
-	VADDPS       Y9, Y3, Y3
-	VADDPS       Y8, Y4, Y4
-	VADDPS       Y9, Y5, Y5
-	VADDPS       Y8, Y6, Y6
-	VADDPS       Y9, Y7, Y7
-	VMAXPS       Y0, Y10, Y0
-	VMAXPS       Y1, Y10, Y1
-	VMAXPS       Y2, Y10, Y2
-	VMAXPS       Y3, Y10, Y3
-	VMAXPS       Y4, Y10, Y4
-	VMAXPS       Y5, Y10, Y5
-	VMAXPS       Y6, Y10, Y6
-	VMAXPS       Y7, Y10, Y7
-	VMINPS       Y0, Y11, Y0
-	VMINPS       Y1, Y11, Y1
-	VMINPS       Y2, Y11, Y2
-	VMINPS       Y3, Y11, Y3
-	VMINPS       Y4, Y11, Y4
-	VMINPS       Y5, Y11, Y5
-	VMINPS       Y6, Y11, Y6
-	VMINPS       Y7, Y11, Y7
-
-	// Pack j is the j-th 128-bit quarter of every row: rows (pixels) 0,1 in
-	// one ymm, rows 2,3 in the next.
-	VPERM2F128 $0x20, Y2, Y0, Y8
-	VPERM2F128 $0x20, Y6, Y4, Y9
-	VMOVUPS    Y8, (DI)
-	VMOVUPS    Y9, 32(DI)
-	DECQ       R12
-	JZ         done
-	ADDQ       DX, DI
-	VPERM2F128 $0x31, Y2, Y0, Y8
-	VPERM2F128 $0x31, Y6, Y4, Y9
-	VMOVUPS    Y8, (DI)
-	VMOVUPS    Y9, 32(DI)
-	DECQ       R12
-	JZ         done
-	ADDQ       DX, DI
-	VPERM2F128 $0x20, Y3, Y1, Y8
-	VPERM2F128 $0x20, Y7, Y5, Y9
-	VMOVUPS    Y8, (DI)
-	VMOVUPS    Y9, 32(DI)
-	DECQ       R12
-	JZ         done
-	ADDQ       DX, DI
-	VPERM2F128 $0x31, Y3, Y1, Y8
-	VPERM2F128 $0x31, Y7, Y5, Y9
-	VMOVUPS    Y8, (DI)
-	VMOVUPS    Y9, 32(DI)
+	BIAS_CLAMP_STORE_NC4(done)
 
 done:
+	VZEROUPPER
+	RET
+
+// PIXEL adds one pixel's channel quad to its two accumulators C0, C1: the
+// four bytes at A are broadcast, widened to int16 by EXT (VPMOVSXBW for a
+// signed left operand, VPMOVZXBW for an unsigned one) — int32 lanes
+// (b0,b1),(b2,b3),(b0,b1),… — and multiplied against the quad's first two
+// weight vectors Y8, Y9; the pair-swapped copy against the other two, Y10,
+// Y11 (see quadIndex). VPMADDWD's pair sums cannot saturate for byte
+// operands and VPADDD wraps like Go's int32 +=.
+#define PIXEL(EXT, A, C0, C1) \
+	VPBROADCASTD A, X12       \
+	EXT          X12, Y12     \
+	VPSHUFD      $0xB1, Y12, Y13 \
+	VPMADDWD     Y8, Y12, Y14 \
+	VPMADDWD     Y9, Y12, Y15 \
+	VPADDD       Y14, C0, C0  \
+	VPADDD       Y15, C1, C1  \
+	VPMADDWD     Y10, Y13, Y14 \
+	VPMADDWD     Y11, Y13, Y15 \
+	VPADDD       Y14, C0, C0  \
+	VPADDD       Y15, C1, C1
+
+// QUAD is one reduction step of the int8 kernel: the channel quad at SI of
+// four pixels, R8 bytes apart (R9 = 3·R8), against the 128-byte quad at BX.
+#define QUAD(EXT) \
+	VMOVDQU (BX), Y8    \
+	VMOVDQU 32(BX), Y9  \
+	VMOVDQU 64(BX), Y10 \
+	VMOVDQU 96(BX), Y11 \
+	PIXEL(EXT, (SI), Y0, Y1)       \
+	PIXEL(EXT, (SI)(R8*1), Y2, Y3) \
+	PIXEL(EXT, (SI)(R8*2), Y4, Y5) \
+	PIXEL(EXT, (SI)(R9*1), Y6, Y7) \
+	ADDQ    $128, BX
+
+// func mulPanelInt8(dst unsafe.Pointer, dstStride, packs int, a *uint8, aQuad, aPix int, taps *Tap, ntaps, kq int, panel *int16, scale, bias *float32, lo, hi float32, unsigned bool)
+//
+// The 4×16 tile over bytes, int32 accumulators: mulPanelNC4's walk — tap t
+// starts at a + t.A bytes and at panel row t.B (16 int16 each, a multiple of
+// 4), and steps through kq ≥ 1 channel quads aQuad bytes apart — with QUAD as
+// the step. The sums are exact, so no order is promised. With scale nil the
+// tile is stored as four rows of 16 int32, dstStride apart; otherwise it is
+// converted to float32, multiplied by the 16 scales (rounded), and finished
+// by BIAS_CLAMP_STORE_NC4.
+TEXT ·mulPanelInt8(SB), NOSPLIT, $0-105
+	MOVQ    a+24(FP), R10
+	MOVQ    aQuad+32(FP), R11
+	MOVQ    aPix+40(FP), R8
+	MOVQ    taps+48(FP), R14
+	MOVQ    ntaps+56(FP), R12
+	MOVQ    kq+64(FP), DX
+	MOVQ    panel+72(FP), R13
+	MOVBQZX unsigned+104(FP), DI
+	LEAQ    (R8)(R8*2), R9
+	ZERO_ACCUMULATORS
+	TESTQ   R12, R12
+	JZ      int8epilogue
+
+int8taploop:
+	MOVQ  0(R14), SI
+	MOVQ  8(R14), BX
+	ADDQ  $16, R14
+	ADDQ  R10, SI
+	SHLQ  $5, BX
+	ADDQ  R13, BX
+	MOVQ  DX, AX
+	TESTQ DI, DI
+	JNZ   unsignedquads
+
+signedquads:
+	QUAD(VPMOVSXBW)
+	ADDQ R11, SI
+	DECQ AX
+	JNZ  signedquads
+	JMP  int8nexttap
+
+unsignedquads:
+	QUAD(VPMOVZXBW)
+	ADDQ R11, SI
+	DECQ AX
+	JNZ  unsignedquads
+
+int8nexttap:
+	DECQ R12
+	JNZ  int8taploop
+
+int8epilogue:
+	MOVQ  dst+0(FP), DI
+	MOVQ  dstStride+8(FP), DX
+	MOVQ  scale+80(FP), R14
+	TESTQ R14, R14
+	JZ    int8raw
+	MOVQ  packs+16(FP), R12
+	MOVQ  bias+88(FP), R13
+	VMOVUPS      (R14), Y8
+	VMOVUPS      32(R14), Y9
+	VBROADCASTSS lo+96(FP), Y10
+	VBROADCASTSS hi+100(FP), Y11
+	VCVTDQ2PS    Y0, Y0
+	VCVTDQ2PS    Y1, Y1
+	VCVTDQ2PS    Y2, Y2
+	VCVTDQ2PS    Y3, Y3
+	VCVTDQ2PS    Y4, Y4
+	VCVTDQ2PS    Y5, Y5
+	VCVTDQ2PS    Y6, Y6
+	VCVTDQ2PS    Y7, Y7
+	VMULPS       Y8, Y0, Y0
+	VMULPS       Y9, Y1, Y1
+	VMULPS       Y8, Y2, Y2
+	VMULPS       Y9, Y3, Y3
+	VMULPS       Y8, Y4, Y4
+	VMULPS       Y9, Y5, Y5
+	VMULPS       Y8, Y6, Y6
+	VMULPS       Y9, Y7, Y7
+	BIAS_CLAMP_STORE_NC4(int8done)
+
+int8raw:
+	SHLQ    $2, DX
+	VMOVDQU Y0, (DI)
+	VMOVDQU Y1, 32(DI)
+	ADDQ    DX, DI
+	VMOVDQU Y2, (DI)
+	VMOVDQU Y3, 32(DI)
+	ADDQ    DX, DI
+	VMOVDQU Y4, (DI)
+	VMOVDQU Y5, 32(DI)
+	ADDQ    DX, DI
+	VMOVDQU Y6, (DI)
+	VMOVDQU Y7, 32(DI)
+
+int8done:
 	VZEROUPPER
 	RET
 

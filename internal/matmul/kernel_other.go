@@ -2,6 +2,8 @@
 
 package matmul
 
+import "unsafe"
+
 // Only amd64 has assembly micro-kernels; everywhere else PackedB runs the
 // portable loops.
 const haveSIMD = false
@@ -11,5 +13,9 @@ func mulPanel4x16(dst *float32, ldd int, a *float32, lda, k int, panel *float32)
 }
 
 func mulPanelNC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel, bias *float32, lo, hi float32) {
+	panic("matmul: no SIMD micro-kernel on this architecture")
+}
+
+func mulPanelInt8(dst unsafe.Pointer, dstStride, packs int, a *uint8, aQuad, aPix int, taps *Tap, ntaps, kq int, panel *int16, scale, bias *float32, lo, hi float32, unsigned bool) {
 	panic("matmul: no SIMD micro-kernel on this architecture")
 }

@@ -28,7 +28,7 @@ type Int8Plan struct {
 	Calibrated int
 	// NonNegActs marks activation tensors that are provably non-negative
 	// (post-ReLU/ReLU6/sigmoid chains). Int8 kernels consuming them quantize
-	// unsigned, which restores the correlated-zero skip in the int8 GEMM.
+	// unsigned: the same step with twice the headroom above the scale.
 	NonNegActs map[string]bool
 }
 

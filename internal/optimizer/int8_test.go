@@ -13,18 +13,20 @@ func TestPlanInt8MobileNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// MobileNet-v1: 13 pointwise + 13 depthwise convs + the FC run int8; the
-	// stem conv (sliding scheme), pool and softmax stay fp32.
-	if plan.Int8Nodes != 27 {
-		t.Errorf("int8 nodes = %d, want 27", plan.Int8Nodes)
+	// MobileNet-v1: 13 pointwise convs + the FC run int8; the stem conv
+	// (sliding scheme), the 13 depthwise convs, pool and softmax stay fp32.
+	if plan.Int8Nodes != 14 {
+		t.Errorf("int8 nodes = %d, want 14", plan.Int8Nodes)
 	}
-	for _, name := range []string{"conv2_dw", "conv2_pw", "fc7"} {
+	for _, name := range []string{"conv2_pw", "fc7"} {
 		if !plan.Int8[name] {
 			t.Errorf("node %q missing from int8 plan", name)
 		}
 	}
-	if plan.Int8["conv1"] {
-		t.Error("stem conv (sliding scheme) must stay fp32")
+	for _, name := range []string{"conv1", "conv2_dw"} {
+		if plan.Int8[name] {
+			t.Errorf("node %q (sliding or depthwise scheme) must stay fp32", name)
+		}
 	}
 	if plan.QuantBoundaries == 0 || plan.DequantBoundaries == 0 {
 		t.Errorf("boundaries: %d quant / %d dequant, want both > 0",
@@ -34,12 +36,12 @@ func TestPlanInt8MobileNet(t *testing.T) {
 	if plan.Calibrated != 0 {
 		t.Errorf("calibrated = %d on an uncalibrated graph", plan.Calibrated)
 	}
-	g.ActScales = map[string]float32{"conv1": 0.05}
+	g.ActScales = map[string]float32{"conv2_dw": 0.05}
 	plan2, err := PlanInt8(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// conv2_dw consumes conv1's output; it is now calibrated.
+	// conv2_pw consumes conv2_dw's output; it is now calibrated.
 	if plan2.Calibrated != 1 {
 		t.Errorf("calibrated = %d after one scale, want 1", plan2.Calibrated)
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 // TestMulInt8AgreesWithPackedGemm: the offline MulInt8 GEMM, the reference
-// matmul.MulInt8Ref and the packed SWAR kernel must agree bitwise (integer
+// matmul.MulInt8Ref and the packed kernel must agree bitwise (integer
 // accumulation is exact) on shapes covering the tiny-K fallback and both
 // panel-remainder paths.
 func TestMulInt8AgreesWithPackedGemm(t *testing.T) {
@@ -83,9 +83,9 @@ func TestQuantizedConvPathsAgree(t *testing.T) {
 	pool := sched.New(2)
 	defer pool.Close()
 	runtime := kernels.PrepareQuantConv(weight, bias, a, 0)
-	gotRuntime := tensor.New(1, 12, 10, 10)
-	ws := make([]float32, runtime.WorkspaceSize(10, 10))
-	runtime.Run(gotRuntime, src, pool, ws)
+	gotRuntime := tensor.NewWithLayout(tensor.NC4HW4, 1, 12, 10, 10)
+	ws := make([]float32, kernels.QuantConvWorkspaceFloats(8, 10, 10))
+	runtime.Run(gotRuntime, src.ToLayout(tensor.NC4HW4), pool, ws)
 	if d := tensor.MaxAbsDiff(want, gotRuntime); d > budget {
 		t.Fatalf("runtime QuantConv error %g > %g", d, budget)
 	}

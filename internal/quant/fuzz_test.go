@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzMulInt8 cross-checks every int8 GEMM implementation — the offline
-// MulInt8, the naive matmul reference and the packed SWAR kernel (signed and
+// MulInt8, the naive matmul reference and the packed kernel (signed and
 // unsigned-A modes) — against each other on fuzzed shapes and data. Integer
 // accumulation is exact, so any disagreement is a real bug.
 func FuzzMulInt8(f *testing.F) {

@@ -9,12 +9,13 @@
 //
 //   - the runtime contract: engines opened with int8 precision
 //     (mnn.WithPrecision) execute calibrated graphs on the prepared int8
-//     kernels in internal/kernels (im2col conv, depthwise conv and FC over
-//     the packed int8 GEMM in internal/matmul), quantizing activations at
-//     kernel entry with the calibrated scales — or per-sample max-abs when
-//     a tensor was never calibrated — and requantizing fused with bias and
-//     activation on the way out. Operators without an int8 kernel fall back
-//     to fp32 transparently (optimizer.PlanInt8 decides the partition).
+//     kernels in internal/kernels (GEMM-lowered convolutions and FC over
+//     the int8 micro-kernel in internal/matmul), quantizing activations
+//     once at kernel entry with the calibrated scales — or per-sample
+//     max-abs when a tensor was never calibrated — and requantizing fused
+//     with bias and activation in the kernel's store. Operators without an
+//     int8 kernel, depthwise convolutions among them, run fp32
+//     transparently (optimizer.PlanInt8 decides the partition).
 //
 // QuantizedConv in this package is the self-contained reference form of the
 // quantized convolution; the engine path uses the pooled, planner-backed
@@ -26,6 +27,7 @@ import (
 	"math"
 
 	"mnn/internal/graph"
+	"mnn/internal/matmul"
 	"mnn/internal/tensor"
 )
 
@@ -121,28 +123,10 @@ func MaxQuantError(t *tensor.Tensor) float64 {
 }
 
 // MulInt8 computes the int8×int8→int32 GEMM dst = a·b with int32
-// accumulation: a is m×k, b is k×n (row-major).
+// accumulation: a is m×k, b is k×n (row-major). It is matmul.MulInt8Ref,
+// the one reference loop of the int8 kernels.
 func MulInt8(dst []int32, a, b []int8, m, k, n int) {
-	if len(a) < m*k || len(b) < k*n || len(dst) < m*n {
-		panic("quant: MulInt8 buffer too small")
-	}
-	for i := 0; i < m; i++ {
-		di := dst[i*n : (i+1)*n]
-		for j := range di {
-			di[j] = 0
-		}
-		ai := a[i*k : (i+1)*k]
-		for p, av := range ai {
-			if av == 0 {
-				continue
-			}
-			avi := int32(av)
-			bp := b[p*n : (p+1)*n]
-			for j, bv := range bp {
-				di[j] += avi * int32(bv)
-			}
-		}
-	}
+	matmul.MulInt8Ref(dst, a, b, m, k, n)
 }
 
 // QuantizedConv is a prepared int8 convolution (im2col + int8 GEMM +
