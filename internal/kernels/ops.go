@@ -24,6 +24,7 @@ type PoolOp struct {
 	c4, n          int
 	kh, kw, sh, sw int
 	ph, pw         int
+	simd           bool // matmul.HaveAVX2: max windows run poolMaxNC4
 }
 
 // NewPoolOp binds a pooling execution.
@@ -34,6 +35,7 @@ func NewPoolOp(dst, src *tensor.Tensor, a *graph.PoolAttrs) *PoolOp {
 		c4: tensor.UpDiv(src.Channels(), 4), n: src.Batch(),
 		kh: a.KernelH, kw: a.KernelW,
 		sh: strideOr1(a.StrideH), sw: strideOr1(a.StrideW),
+		simd: matmul.HaveAVX2(),
 	}
 	o.ph, o.pw = graph.PoolPadding(o.H, o.W, a)
 	if a.Global {
@@ -66,7 +68,9 @@ func (o *PoolOp) RunChunk(_, start, end int) {
 				kx0, kx1 := tapRange(x, 1, o.kw, o.W)
 				x0, x1 := x+kx0, x+kx1
 				out := d[(oy*o.OW+ox)*4 : (oy*o.OW+ox)*4+4]
-				if isMax {
+				if isMax && o.simd && y0 < y1 && x0 < x1 {
+					poolMaxNC4(&out[0], &s[(y0*o.W+x0)*4], y1-y0, x1-x0, o.W*16)
+				} else if isMax {
 					poolMax(out, s, o.W, y0, y1, x0, x1)
 				} else {
 					div := float64((y1 - y0) * (x1 - x0))
@@ -87,7 +91,8 @@ func (o *PoolOp) RunChunk(_, start, end int) {
 // of one channel pack, -Inf for an empty one; `v > m` keeps the first of
 // equal values and never picks a NaN. Maxima held as bit patterns, and each
 // candidate's bits taken before the comparison, let the compiler select with
-// a conditional move: as branches these comparisons are unpredictable.
+// a conditional move: as branches these comparisons are unpredictable. It is
+// the portable form and the bitwise oracle of poolMaxNC4.
 func poolMax(out, s []float32, W, y0, y1, x0, x1 int) {
 	negInf := math.Float32bits(float32(math.Inf(-1)))
 	m0, m1, m2, m3 := negInf, negInf, negInf, negInf

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mnn/internal/graph"
+	"mnn/internal/matmul"
 	"mnn/internal/sched"
 	"mnn/internal/tensor"
 )
@@ -412,6 +413,57 @@ func TestPoolMatchesCheckedLoopBitwise(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestPoolMaxSIMDBitwise pins poolMaxNC4 to its Go oracle poolMax, physical
+// element by physical element, on max pools the zoo uses and their corners:
+// k 2 and 3, stride 1 and 2, windows clipped by padding, windows wholly in
+// the padding (empty: -Inf, from the Go path), a global pool; over inputs
+// salted with NaN, both zeros in both orders, ±Inf, denormals and runs of
+// equal values, into NaN-poisoned destinations.
+func TestPoolMaxSIMDBitwise(t *testing.T) {
+	if !matmul.HaveAVX2() {
+		t.Skip("no AVX2 on this machine")
+	}
+	negZero := float32(math.Copysign(0, -1))
+	specials := []float32{nan32, 0, negZero, float32(math.Inf(1)), float32(math.Inf(-1)), 1e-45, -1e-45, 1e-39}
+	attrs := []graph.PoolAttrs{{Type: graph.MaxPool, Global: true}}
+	for _, k := range []int{2, 3} {
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, 1, 4} { // 4: border outputs see padding only
+				attrs = append(attrs, graph.PoolAttrs{Type: graph.MaxPool, KernelH: k, KernelW: k, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad})
+			}
+		}
+	}
+	for i, a := range attrs {
+		for _, dense := range []bool{false, true} {
+			h, w := 6+i%4, 9-i%3
+			oh, ow := 1, 1
+			if !a.Global {
+				var err error
+				if oh, ow, err = graph.PoolOutputSize(h, w, &a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			src := tensor.NewWithLayout(tensor.NC4HW4, 2, 7, h, w)
+			tensor.FillRandom(src, uint64(i+1), 1)
+			sd, r := src.Data(), tensor.NewRNG(uint64(i+100))
+			for j := range sd {
+				if dense || r.Intn(6) == 0 { // dense: nothing but specials, so windows of only NaN or only zeros occur
+					sd[j] = specials[r.Intn(len(specials))]
+				}
+			}
+			simd, portable := nanNC4(2, 7, oh, ow), nanNC4(2, 7, oh, ow)
+			NewPoolOp(simd, src, &a).Run(testPool(t, 2))
+			op := NewPoolOp(portable, src, &a)
+			op.simd = false
+			op.Run(testPool(t, 2))
+			if d := firstBitDiff(simd.Data(), portable.Data()); d >= 0 {
+				t.Fatalf("%+v on %dx%d (dense %v): physical element %d = %v (%#08x), poolMax %v (%#08x)", a, h, w, dense, d,
+					simd.Data()[d], math.Float32bits(simd.Data()[d]), portable.Data()[d], math.Float32bits(portable.Data()[d]))
 			}
 		}
 	}

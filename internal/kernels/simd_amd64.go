@@ -25,3 +25,9 @@ func quantizeNC4(dst *uint8, src *float32, blocks int, inv float32, sign uint32,
 //
 //go:noescape
 func maxAbs8(src *float32, blocks int) float32
+
+// poolMaxNC4 is the AVX max-pooling kernel (pool_amd64.s): poolMax over a
+// non-empty rows × cols window of one channel pack.
+//
+//go:noescape
+func poolMaxNC4(dst, src *float32, rows, cols, rowBytes int)

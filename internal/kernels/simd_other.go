@@ -19,3 +19,7 @@ func quantizeNC4(dst *uint8, src *float32, blocks int, inv float32, sign uint32,
 func maxAbs8(src *float32, blocks int) float32 {
 	panic("kernels: no SIMD max-abs scan on this architecture")
 }
+
+func poolMaxNC4(dst, src *float32, rows, cols, rowBytes int) {
+	panic("kernels: no SIMD max-pooling kernel on this architecture")
+}

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -21,11 +23,21 @@ import (
 // response headers, for the admission tests (Retry-After, priorities,
 // deadlines).
 func tryInferWithHeaders(base, model string, in *mnn.Tensor, hdrs map[string]string) (map[string]*mnn.Tensor, int, []byte, http.Header, error) {
-	req := InferRequest{Inputs: []InferTensor{EncodeTensor("data", in)}}
-	body, err := json.Marshal(req)
+	body, err := inferBody(in)
 	if err != nil {
 		return nil, 0, nil, nil, err
 	}
+	return postInferBody(base, model, body, hdrs)
+}
+
+// inferBody encodes the request body that carries in as input "data".
+func inferBody(in *mnn.Tensor) ([]byte, error) {
+	return json.Marshal(&InferRequest{Inputs: []InferTensor{EncodeTensor("data", in)}})
+}
+
+// postInferBody is tryInferWithHeaders for a body encoded beforehand, so a
+// flood's requests cost their senders nothing but the round trip.
+func postInferBody(base, model string, body []byte, hdrs map[string]string) (map[string]*mnn.Tensor, int, []byte, http.Header, error) {
 	hreq, err := http.NewRequest(http.MethodPost, base+"/v2/models/"+model+"/infer", bytes.NewReader(body))
 	if err != nil {
 		return nil, 0, nil, nil, err
@@ -69,26 +81,51 @@ func tryInferWithHeaders(base, model string, in *mnn.Tensor, hdrs map[string]str
 // stay within budget; and the whole flood must resolve in bounded time —
 // rejections cannot wait out the backlog.
 func TestOverloadShedsWithRetryAfter(t *testing.T) {
-	// The hot model must be slow enough (tens of ms) that a burst genuinely
-	// overlaps — a sub-millisecond model drains faster than goroutines can
-	// pile up and nothing ever queues. mobilenet-v1 at this size serves in
-	// ~10ms on one thread on the AVX2 kernels (64×64 fell to ~3ms, and under
-	// a loaded `go test ./...` the flood then sometimes shed nothing).
-	shape := []int{1, 3, 128, 128}
-	if raceEnabled {
-		shape = []int{1, 3, 32, 32}
-	}
+	// The hot model must be slow enough that a burst genuinely overlaps — a
+	// model that drains faster than requests arrive never queues — and how
+	// slow a given input size is has moved with every kernel PR (and moves
+	// 10× under the race detector). So the input is sized by measurement:
+	// grow it until one warm inference takes the target service time.
+	const wantService = 8 * time.Millisecond
 	reg := NewRegistry()
-	err := reg.Load("hot", ModelConfig{
-		Model: "mobilenet-v1",
-		Options: []mnn.Option{
-			mnn.WithPoolSize(1), mnn.WithThreads(1),
-			mnn.WithInputShapes(map[string][]int{"data": shape}),
-		},
-		Admission: AdmissionConfig{Queue: 2, Concurrency: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
+	var hot *Model
+	var shape []int
+	var service time.Duration
+	for edge := 32; ; {
+		shape = []int{1, 3, edge, edge}
+		err := reg.Load("hot", ModelConfig{
+			Model: "mobilenet-v1",
+			Options: []mnn.Option{
+				mnn.WithPoolSize(1), mnn.WithThreads(1),
+				mnn.WithInputShapes(map[string][]int{"data": shape}),
+			},
+			Admission: AdmissionConfig{Queue: 2, Concurrency: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hot, _ = reg.Get("hot")
+		probe := map[string]*mnn.Tensor{"data": randomInput(1, shape)}
+		service = time.Hour
+		for i := 0; i < 4; i++ { // the first run is the warm-up; keep the quickest
+			t0 := time.Now()
+			if _, err := hot.Engine().Infer(context.Background(), probe); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(t0); i > 0 && d < service {
+				service = d
+			}
+		}
+		if service >= wantService || edge >= 320 {
+			break
+		}
+		if err := reg.Unload("hot"); err != nil {
+			t.Fatal(err)
+		}
+		// Convolution cost grows with the area; overshoot a little, step up
+		// at least one notch.
+		grow := math.Sqrt(1.2 * float64(wantService) / float64(service))
+		edge = max(edge+32, (int(float64(edge)*grow)+31)/32*32)
 	}
 	if err := reg.Load("calm", ModelConfig{
 		Model:   tinyGraph(t),
@@ -97,17 +134,38 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	base, _ := startServer(t, reg)
-	hot, _ := reg.Get("hot")
 
-	flood := 16
-	if raceEnabled {
-		flood = 12
+	// The flood, too, from a measurement. Beyond its service time a request
+	// costs `overhead` of CPU (decode, encode, HTTP) spread over the
+	// processors, so requests reach admission one per overhead/procs while
+	// one leaves per service time, and the backlog gains 1-rho per arrival:
+	// send enough to push it past concurrency 1 + queue 2, and a margin.
+	encode := func(in *mnn.Tensor) []byte {
+		body, err := inferBody(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
 	}
-	inputs := make([]*mnn.Tensor, flood)
+	warm := encode(randomInput(2, shape))
+	rtt := time.Hour
+	for i := 0; i < 3; i++ {
+		t0 := time.Now()
+		if _, code, blob, _, err := postInferBody(base, "hot", warm, nil); err != nil || code != http.StatusOK {
+			t.Fatalf("warm request: %d %v %s", code, err, blob)
+		}
+		rtt = min(rtt, time.Since(t0))
+	}
+	rho := min(0.8, float64(max(rtt-service, 0))/float64(service)/float64(runtime.GOMAXPROCS(0)))
+	flood := max(12, int(4/(1-rho))+4)
+	t.Logf("hot input %v: service %v, round trip %v, flood %d", shape, service, rtt, flood)
+
+	bodies := make([][]byte, flood)
 	want := make([]map[string]*mnn.Tensor, flood)
-	for i := range inputs {
-		inputs[i] = randomInput(uint64(300+i), shape)
-		w, err := hot.Engine().Infer(context.Background(), map[string]*mnn.Tensor{"data": inputs[i]})
+	for i := range bodies {
+		in := randomInput(uint64(300+i), shape)
+		bodies[i] = encode(in)
+		w, err := hot.Engine().Infer(context.Background(), map[string]*mnn.Tensor{"data": in})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +213,7 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 		go func(i int) {
 			defer floodWG.Done()
 			t0 := time.Now()
-			out, code, _, hdr, err := tryInferWithHeaders(base, "hot", inputs[i], nil)
+			out, code, _, hdr, err := postInferBody(base, "hot", bodies[i], nil)
 			results[i] = result{out: out, code: code, hdr: hdr, err: err, elapsed: time.Since(t0)}
 		}(i)
 	}

@@ -9,7 +9,10 @@ import (
 // FuzzDecodeInferRequest: arbitrary request bodies — including malformed
 // INT8 wire tensors (fractional data, out-of-range values, bad scales,
 // shape/data mismatches) — must either decode cleanly or fail with
-// ErrBadRequest; they must never panic the serving tier.
+// ErrBadRequest; they must never panic the serving tier. And the decoder
+// must agree with encoding/json on every body (checkAgainstStdlib): invalid
+// JSON rejected, otherwise the same fields and the same float bits, save for
+// the documented stricter readings.
 func FuzzDecodeInferRequest(f *testing.F) {
 	seed := func(v any) {
 		b, err := json.Marshal(v)
@@ -31,8 +34,13 @@ func FuzzDecodeInferRequest(f *testing.F) {
 	f.Add([]byte(`{"inputs":[{"name":"x","shape":[1],"datatype":"INT8","data":[1],"scale":-3}]}`))
 	f.Add([]byte(`{"inputs":[{"name":"x","shape":[1,1000000,1000000],"datatype":"FP32","data":[]}]}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(`{"inputs":[{"name":"x","shape":[4294967296,4294967296],"datatype":"FP32","data":[]}]}`))
+	f.Add([]byte(`{"inputs":[{"name":"x","shape":[1,3,16,6148914691236517221],"datatype":"FP32","data":[0,0]}]}`))
+	f.Add([]byte(`{"id":"\u00e9","x":[{"y":null}],"inputs":[{"name":"x","shape":[2],"data":[1e-3,null]}],"outputs":[{"name":"o"}]} `))
+	f.Add([]byte(`{"Inputs":[],"inputs":[{"data":[16777217,1.00000005960464477539063,1e39]}],"inputs":null}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkAgainstStdlib(t, body)
 		var req InferRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return

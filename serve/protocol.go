@@ -152,8 +152,10 @@ type ErrorResponse struct {
 // logical contents out in NCHW order.
 func EncodeTensor(name string, t *mnn.Tensor) InferTensor {
 	nchw := t.ToLayout(tensor.NCHW)
-	data := make([]float32, nchw.NumElements())
-	copy(data, nchw.Data())
+	data := nchw.Data()
+	if nchw == t { // already NCHW: the wire form must not alias the engine's tensor
+		data = append([]float32(nil), data...)
+	}
 	return InferTensor{
 		Name:     name,
 		Shape:    append([]int(nil), t.Shape()...),
@@ -163,7 +165,8 @@ func EncodeTensor(name string, t *mnn.Tensor) InferTensor {
 }
 
 // DecodeTensor validates a wire tensor and converts it into an engine
-// tensor. The returned tensor owns its own buffer. Every failure wraps
+// tensor that takes over it.Data as its buffer (INT8 data is dequantized in
+// place), so the wire tensor is spent afterwards. Every failure wraps
 // ErrBadRequest.
 func (it InferTensor) DecodeTensor() (*mnn.Tensor, error) {
 	if it.Name == "" {
@@ -176,11 +179,15 @@ func (it InferTensor) DecodeTensor() (*mnn.Tensor, error) {
 	if len(it.Shape) == 0 {
 		return nil, fmt.Errorf("%w: tensor %q has no shape", ErrBadRequest, it.Name)
 	}
+	// A JSON number and its comma take two bytes, so no body under the cap
+	// carries more elements than this; it also keeps the product from
+	// wrapping around.
+	const maxElements = MaxBodyBytes / 2
 	n := 1
 	for _, d := range it.Shape {
-		if d <= 0 {
-			return nil, fmt.Errorf("%w: tensor %q has non-positive dim in shape %v",
-				ErrBadRequest, it.Name, it.Shape)
+		if d <= 0 || d > maxElements/n {
+			return nil, fmt.Errorf("%w: tensor %q shape %v has a non-positive dim or more than %d elements",
+				ErrBadRequest, it.Name, it.Shape, maxElements)
 		}
 		n *= d
 	}
@@ -189,36 +196,36 @@ func (it InferTensor) DecodeTensor() (*mnn.Tensor, error) {
 			ErrBadRequest, it.Name, it.Shape, n, len(it.Data))
 	}
 	if it.Datatype == DatatypeINT8 {
-		return it.decodeInt8(n)
+		if err := it.dequantizeInt8(); err != nil {
+			return nil, err
+		}
 	}
-	data := append([]float32(nil), it.Data...)
-	return tensor.FromData(data, it.Shape...), nil
+	return tensor.FromData(it.Data, it.Shape...), nil
 }
 
-// decodeInt8 validates a quantized wire tensor — every value an integer in
-// the symmetric int8 range, a finite positive scale — and dequantizes it
-// into the fp32 tensor the engine consumes. Every failure wraps
-// ErrBadRequest; malformed payloads must never panic (the protocol fuzz
-// suite pins this).
-func (it InferTensor) decodeInt8(n int) (*mnn.Tensor, error) {
+// dequantizeInt8 validates a quantized wire tensor — every value an integer
+// in the symmetric int8 range, a finite positive scale — and dequantizes
+// it.Data in place into the fp32 values the engine consumes. Every failure
+// wraps ErrBadRequest; malformed payloads must never panic (the protocol
+// fuzz suite pins this).
+func (it InferTensor) dequantizeInt8() error {
 	scale := it.Scale
 	if scale == 0 {
 		scale = 1
 	}
 	if scale < 0 || math.IsNaN(float64(scale)) || math.IsInf(float64(scale), 0) {
-		return nil, fmt.Errorf("%w: tensor %q has invalid int8 scale %v", ErrBadRequest, it.Name, it.Scale)
+		return fmt.Errorf("%w: tensor %q has invalid int8 scale %v", ErrBadRequest, it.Name, it.Scale)
 	}
-	data := make([]float32, n)
 	for i, v := range it.Data {
 		if v != float32(int32(v)) || v < -127 || v > 127 {
 			// Catches fractions, NaN, ±Inf and out-of-range values alike:
 			// NaN fails the equality, ±Inf fails the range check.
-			return nil, fmt.Errorf("%w: tensor %q datum %d (%v) is not an int8 value in [-127, 127]",
+			return fmt.Errorf("%w: tensor %q datum %d (%v) is not an int8 value in [-127, 127]",
 				ErrBadRequest, it.Name, i, v)
 		}
-		data[i] = v * scale
+		it.Data[i] = v * scale
 	}
-	return tensor.FromData(data, it.Shape...), nil
+	return nil
 }
 
 // DecodeInputs converts a request's input list into the map Engine.Infer

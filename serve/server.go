@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -399,8 +401,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var req InferRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(&req); err != nil {
-		writeErr(fmt.Errorf("%w: decoding infer request: %v", ErrBadRequest, err))
+	if err := readInferRequest(w, r, &req); err != nil {
+		writeErr(err)
 		return
 	}
 	inputs, err := req.DecodeInputs()
@@ -423,6 +425,28 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	resp.Precision = info.Precision
 	writeJSON(w, http.StatusOK, resp)
 	m.mm.observeRequest(http.StatusOK)
+}
+
+// bodyPool holds the buffers infer request bodies are read into: a body is
+// garbage once decoded, and was most of what a request allocated.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readInferRequest reads the whole body, capped by MaxBodyBytes before
+// anything is allocated for it, and decodes it without encoding/json.
+func readInferRequest(w http.ResponseWriter, r *http.Request, req *InferRequest) error {
+	if r.ContentLength > MaxBodyBytes {
+		return fmt.Errorf("%w: request body of %d bytes is over the limit of %d", ErrBadRequest, r.ContentLength, MaxBodyBytes)
+	}
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(buf)
+	buf.Reset()
+	// ReadFrom wants MinRead spare bytes to see the end of the body; without
+	// them it doubles the buffer for the last, empty read.
+	buf.Grow(int(max(r.ContentLength, 0)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
+		return fmt.Errorf("%w: reading infer request: %v", ErrBadRequest, err)
+	}
+	return decodeInferRequest(buf.Bytes(), req)
 }
 
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
