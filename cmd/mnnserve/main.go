@@ -56,6 +56,7 @@ import (
 
 	"mnn"
 	"mnn/internal/fault"
+	"mnn/internal/matmul"
 	"mnn/serve"
 	"mnn/serve/admission"
 )
@@ -247,7 +248,7 @@ func main() {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe(*addr) }()
-	fmt.Printf("mnnserve: serving %v on %s\n", reg.Names(), *addr)
+	fmt.Printf("mnnserve: serving %v on %s (%s kernels)\n", reg.Names(), *addr, matmul.KernelISA())
 
 	select {
 	case err := <-errc:

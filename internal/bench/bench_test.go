@@ -97,23 +97,26 @@ func TestTable1OursTracksBest(t *testing.T) {
 		t.Skip("measures real conv kernels repeatedly (~5s)")
 	}
 	// For each Table 1 case, "ours" must be within 40% of the best fixed
-	// scheme (the paper's claim: best or comparable-to-best).
+	// scheme (the paper's claim: best or comparable-to-best). The reps go
+	// round-robin over the four schemes and each scheme keeps its minimum,
+	// so a busy stretch of this shared host falls on every side alike.
+	schemes := []string{"sliding", "wino2", "wino6", "ours"}
 	for _, c := range Table1Cases {
-		best := 1e18
-		for _, scheme := range []string{"sliding", "wino2", "wino6"} {
-			d, err := Table1Measure(c, scheme, 1, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m := ms(d); m < best {
-				best = m
+		least := make([]float64, len(schemes))
+		for rep := 0; rep < 3; rep++ {
+			for i, scheme := range schemes {
+				d, err := Table1Measure(c, scheme, 1, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m := ms(d); rep == 0 || m < least[i] {
+					least[i] = m
+				}
 			}
 		}
-		d, err := Table1Measure(c, "ours", 1, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ours := ms(d)
+		best, ours := min(least[0], least[1], least[2]), least[3]
+		t.Logf("case (%d,%d,%d,%d): sliding %.2f, wino2 %.2f, wino6 %.2f, ours %.2f ms: ours ÷ best %.2f",
+			c.K, c.IC, c.OC, c.Size, least[0], least[1], least[2], ours, ours/best)
 		if ours > best*1.4 {
 			t.Errorf("case (%d,%d,%d,%d): ours %.1f ms vs best fixed %.1f ms",
 				c.K, c.IC, c.OC, c.Size, ours, best)

@@ -40,6 +40,8 @@ var conv3x3Shapes = []conv3x3Shape{
 	{"squeezenet-fire6/48x192x13", 48, 192, 13, 1, 1},
 	{"squeezenet-fire8/64x256x13", 64, 256, 13, 1, 1},
 	{"resnet18-layer1/64x64x56", 64, 64, 56, 1, 1},
+	{"resnet18-layer3/256x256x14", 256, 256, 14, 1, 1},
+	{"resnet18-layer4/512x512x7", 512, 512, 7, 1, 1},
 }
 
 // setup returns the shape's operands and the GFLOP of one run.

@@ -126,3 +126,65 @@ pairs2:
 	JNZ  rows2
 	VZEROUPPER
 	RET
+
+// func depthwiseRuns(dst, src *float32, runs *dwRun, nruns int, taps *matmul.Tap, srcStep int, w, bias *float32, lo, hi float32)
+//
+// One channel pack, every pixel the interior kernel leaves: nruns ≥ 1 runs
+// of {dst offset, pixels ≥ 1, taps} (three words, floats and counts), their
+// {A, B} tap lists one after the other at taps. Pixel p of a run is the bias
+// plus, in list order, src[A + p·srcStep .. +4] · w[B .. +4] — VMULPS then
+// VADDPS with the operand order of TAP1 — clamped as in CLAMP_STORE, stored
+// at dst offset + 4p. Only the taps inside the image are listed, so nothing
+// is read or multiplied for the others; a run with no taps stores clamp(bias).
+TEXT ·depthwiseRuns(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ runs+16(FP), R8
+	MOVQ nruns+24(FP), R9
+	MOVQ taps+32(FP), R10
+	MOVQ srcStep+40(FP), R11
+	MOVQ w+48(FP), R12
+	MOVQ bias+56(FP), AX
+	SHLQ $2, R11
+	VMOVUPS      (AX), X0
+	VBROADCASTSS lo+64(FP), X1
+	VBROADCASTSS hi+68(FP), X2
+
+run:
+	MOVQ 0(R8), AX
+	MOVQ 8(R8), CX
+	MOVQ 16(R8), DX
+	ADDQ $24, R8
+	LEAQ (DI)(AX*4), R13
+	MOVQ SI, R14
+
+pixel:
+	VMOVAPS X0, X3
+	MOVQ    R10, AX
+	MOVQ    DX, BX
+	TESTQ   BX, BX
+	JZ      store
+
+tap:
+	MOVQ    0(AX), R15
+	VMOVUPS (R14)(R15*4), X4
+	MOVQ    8(AX), R15
+	VMULPS  (R12)(R15*4), X4, X4
+	VADDPS  X4, X3, X3
+	ADDQ    $16, AX
+	DECQ    BX
+	JNZ     tap
+
+store:
+	VMAXPS  X3, X1, X3
+	VMINPS  X3, X2, X3
+	VMOVUPS X3, (R13)
+	ADDQ    $16, R13
+	ADDQ    R11, R14
+	DECQ    CX
+	JNZ     pixel
+	SHLQ    $4, DX
+	ADDQ    DX, R10
+	DECQ    R9
+	JNZ     run
+	RET

@@ -166,13 +166,17 @@ func TestWinogradMatchesParentRouteBitwise(t *testing.T) {
 	}
 }
 
-// slidingPaths are the implementations of one prepared SlidingConv: the
-// active one (the assembly tap kernel where the host has AVX2) and the
-// portable twin, which defines the scheme's bits.
+// slidingPaths are the implementations of one prepared SlidingConv, by the
+// name of the micro-kernel level: every assembly tap kernel the host has and
+// the portable twin, which defines the scheme's bits.
 func slidingPaths(sc *SlidingConv) map[string]*SlidingConv {
-	portable := *sc
-	portable.packed = sc.packed.Portable()
-	return map[string]*SlidingConv{"active": sc, "portable": &portable}
+	paths := map[string]*SlidingConv{}
+	for _, isa := range matmul.ISAs() {
+		view := *sc
+		view.packed = sc.packed.WithISA(isa)
+		paths[isa] = &view
+	}
+	return paths
 }
 
 // runSliding runs sc on `lanes` lanes over the NaN-pad-laned src4 into a
@@ -193,7 +197,45 @@ func runSliding(t testing.TB, sc *SlidingConv, src4 *tensor.Tensor, outShape []i
 // on images with an interior, with a single row of it and with none (every
 // pixel's window crosses an edge), batch 3.
 func TestSlidingSIMDMatchesPortableBitwise(t *testing.T) {
+	skipAbsentISAs(t)
 	seed := uint64(0)
+	check := func(cc convCase) {
+		a := cc.attrs()
+		oh, ow, err := graph.ConvOutputSize(cc.h, cc.w, a)
+		if err != nil || oh < 1 || ow < 1 {
+			return
+		}
+		weight := tensor.NewRandom(seed+100, 1, cc.oc, cc.ic, cc.kh, cc.kw)
+		bias := tensor.NewRandom(seed+200, 1, cc.oc)
+		paths := slidingPaths(PrepareSliding(weight, bias, a))
+		outShape := []int{cc.n, cc.oc, oh, ow}
+
+		// ConvRef is slow: it checks the batch's first sample.
+		plain := tensor.NewRandom(seed, 1, cc.n, cc.ic, cc.h, cc.w)
+		first := tensor.FromData(plain.Data()[:cc.ic*cc.h*cc.w], 1, cc.ic, cc.h, cc.w)
+		want := tensor.New(1, cc.oc, oh, ow)
+		ConvRef(want, first, weight, bias, a)
+		for name, sc := range paths {
+			got := runSliding(t, sc, poisonedNC4(plain), outShape, 2)
+			if d := tensor.MaxAbsDiff(want, tensor.FromData(got.Data()[:cc.oc*oh*ow], 1, cc.oc, oh, ow)); !(d <= 1e-3) {
+				t.Fatalf("%+v %s: max diff %g from ConvRef", cc, name, d)
+			}
+		}
+
+		special := plain.Clone()
+		specialActivations(special, seed, 3e38)
+		src4 := poisonedNC4(special)
+		ref := runSliding(t, paths["portable"], src4, outShape, 1).Data()
+		for name, sc := range paths {
+			for _, lanes := range []int{1, 3} {
+				got := runSliding(t, sc, src4, outShape, lanes).Data()
+				if d := firstBitDiff(got, ref); d >= 0 {
+					t.Fatalf("%+v %s/%d lanes: element %d = %v (%#08x), portable on one lane %v (%#08x)", cc, name, lanes, d,
+						got[d], math.Float32bits(got[d]), ref[d], math.Float32bits(ref[d]))
+				}
+			}
+		}
+	}
 	for _, k := range [][2]int{{3, 3}, {5, 5}, {7, 7}, {1, 7}, {7, 1}} {
 		for _, stride := range []int{1, 2} {
 			for _, dil := range []int{1, 2} {
@@ -212,46 +254,19 @@ func TestSlidingSIMDMatchesPortableBitwise(t *testing.T) {
 							if same {
 								cc.ph, cc.pw = k[0]/2*dil, k[1]/2*dil
 							}
-							a := cc.attrs()
-							oh, ow, err := graph.ConvOutputSize(cc.h, cc.w, a)
-							if err != nil || oh < 1 || ow < 1 {
-								continue
-							}
-							weight := tensor.NewRandom(seed+100, 1, oc, ic, k[0], k[1])
-							bias := tensor.NewRandom(seed+200, 1, oc)
-							paths := slidingPaths(PrepareSliding(weight, bias, a))
-							outShape := []int{cc.n, oc, oh, ow}
-
-							// ConvRef is slow: it checks the batch's first sample.
-							plain := tensor.NewRandom(seed, 1, cc.n, ic, cc.h, cc.w)
-							first := tensor.FromData(plain.Data()[:ic*cc.h*cc.w], 1, ic, cc.h, cc.w)
-							want := tensor.New(1, oc, oh, ow)
-							ConvRef(want, first, weight, bias, a)
-							for name, sc := range paths {
-								got := runSliding(t, sc, poisonedNC4(plain), outShape, 2)
-								if d := tensor.MaxAbsDiff(want, tensor.FromData(got.Data()[:oc*oh*ow], 1, oc, oh, ow)); !(d <= 1e-3) {
-									t.Fatalf("%+v %s: max diff %g from ConvRef", cc, name, d)
-								}
-							}
-
-							special := plain.Clone()
-							specialActivations(special, seed, 3e38)
-							src4 := poisonedNC4(special)
-							ref := runSliding(t, paths["portable"], src4, outShape, 1).Data()
-							for name, sc := range paths {
-								for _, lanes := range []int{1, 3} {
-									got := runSliding(t, sc, src4, outShape, lanes).Data()
-									if d := firstBitDiff(got, ref); d >= 0 {
-										t.Fatalf("%+v %s/%d lanes: element %d = %v (%#08x), portable on one lane %v (%#08x)", cc, name, lanes, d,
-											got[d], math.Float32bits(got[d]), ref[d], math.Float32bits(ref[d]))
-									}
-								}
-							}
+							check(cc)
 						}
 					}
 				}
 			}
 		}
+	}
+	// Unpadded 3×3 at output widths 1…27: a row is one run, so every split
+	// of a run into twelve-pixel tiles, four-pixel blocks, the overlapping
+	// tail block and single pixels is hit.
+	for ow := 1; ow <= 27; ow++ {
+		seed++
+		check(convCase{n: 2, ic: 5, h: 4, w: ow + 2, oc: 20, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, relu: seed%2 == 1})
 	}
 }
 
@@ -312,9 +327,11 @@ func FuzzConvTapsNC4(f *testing.F) {
 		outShape := []int{cc.n, oc, oh, ow}
 		src4 := poisonedNC4(src)
 		ref := runSliding(t, paths["portable"], src4, outShape, 1)
-		if got := runSliding(t, paths["active"], src4, outShape, 2); firstBitDiff(got.Data(), ref.Data()) >= 0 {
-			d := firstBitDiff(got.Data(), ref.Data())
-			t.Fatalf("%+v: element %d active %v, portable %v", cc, d, got.Data()[d], ref.Data()[d])
+		for isa, sc := range paths {
+			got := runSliding(t, sc, src4, outShape, 2)
+			if d := firstBitDiff(got.Data(), ref.Data()); d >= 0 {
+				t.Fatalf("%+v: element %d %s %v, portable %v", cc, d, isa, got.Data()[d], ref.Data()[d])
+			}
 		}
 		if len(raw) < 4 {
 			want := tensor.New(outShape...)

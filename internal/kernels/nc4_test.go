@@ -121,12 +121,25 @@ func conv1x1ParentRoute(src, weight, bias *tensor.Tensor, a *graph.Conv2DAttrs, 
 	return dst
 }
 
-// conv1x1Paths are the implementations of one prepared Conv1x1: the active
-// one (assembly where the host has AVX2) and the portable twin.
+// skipAbsentISAs reports each micro-kernel level this host lacks as a
+// skipped subtest of that name, so a level a suite could not reach shows in
+// the log instead of passing silently.
+func skipAbsentISAs(t *testing.T) {
+	for _, isa := range []string{"portable", "avx2", "avx512"}[len(matmul.ISAs()):] {
+		t.Run(isa, func(t *testing.T) { t.Skipf("this host has no %s micro-kernel", isa) })
+	}
+}
+
+// conv1x1Paths are the implementations of one prepared Conv1x1, by the name
+// of the micro-kernel level: every one the host has, "portable" among them.
 func conv1x1Paths(c *Conv1x1) map[string]*Conv1x1 {
-	portable := *c
-	portable.packed = c.packed.Portable()
-	return map[string]*Conv1x1{"active": c, "portable": &portable}
+	paths := map[string]*Conv1x1{}
+	for _, isa := range matmul.ISAs() {
+		view := *c
+		view.packed = c.packed.WithISA(isa)
+		paths[isa] = &view
+	}
+	return paths
 }
 
 // TestConv1x1MatchesParentRouteBitwise is the differential test of the
@@ -134,6 +147,7 @@ func conv1x1Paths(c *Conv1x1) map[string]*Conv1x1 {
 // pad lanes and a NaN-prefilled destination: every logical output must be
 // written and carry the old bits, on one lane and on three.
 func TestConv1x1MatchesParentRouteBitwise(t *testing.T) {
+	skipAbsentISAs(t)
 	seed := uint64(0)
 	for _, ic := range []int{3, 7, 16, 130} {
 		for _, oc := range []int{6, 9, 16, 72, 140} {
@@ -170,7 +184,8 @@ func TestConv1x1MatchesParentRouteBitwise(t *testing.T) {
 }
 
 // depthwisePaths are the implementations of one prepared DepthwiseConv: the
-// active one and the scalar loop alone (the oracle).
+// active one and the scalar loop alone (the oracle). The copy is taken before
+// the first Run, which is when the kernels' cut of the output is made.
 func depthwisePaths(dc *DepthwiseConv) map[string]*DepthwiseConv {
 	scalar := *dc
 	scalar.simd = false
@@ -178,17 +193,20 @@ func depthwisePaths(dc *DepthwiseConv) map[string]*DepthwiseConv {
 }
 
 // TestDepthwiseSIMDMatchesScalarBitwise is the differential test of the
-// AVX2 interior kernel: wherever it runs it must give the scalar loop's
-// bits, and shapes it does not cover (5×5, dilated, no interior column)
-// must be left to that loop untouched. Sources carry NaN pad lanes and
-// destinations start as NaN (inputs are finite and small, so a NaN output is
-// one that was never written); c%4 != 0 throughout.
+// depthwise assembly kernels — the interior rectangle and the runs of
+// in-image taps around it, which also take the shapes the first does not
+// cover (5×5, dilated, no interior column): every pixel must have the scalar
+// loop's bits. Sources carry NaN pad lanes and destinations start as NaN
+// (inputs are finite and small, so a NaN output is one that was never
+// written); c%4 != 0 throughout.
 func TestDepthwiseSIMDMatchesScalarBitwise(t *testing.T) {
 	seed := uint64(0)
 	for _, k := range []int{3, 5} {
 		for _, stride := range []int{1, 2} {
 			for _, dil := range []int{1, 2} {
-				for _, hw := range [][2]int{{9, 12}, {7, 7}, {5, 2}, {3, 3}, {4, 1}, {14, 15}} {
+				// The last five are all border: no pixel has its whole window
+				// in the image on at least one axis.
+				for _, hw := range [][2]int{{9, 12}, {7, 7}, {5, 2}, {3, 3}, {4, 1}, {14, 15}, {1, 1}, {1, 7}, {7, 2}, {2, 3}, {3, 7}} {
 					for _, pad := range []int{0, k / 2 * dil, k/2*dil + 1} {
 						seed++
 						c := []int{6, 7, 13}[seed%3]
@@ -230,43 +248,54 @@ func TestDepthwiseSIMDMatchesScalarBitwise(t *testing.T) {
 }
 
 // TestDepthwiseClampSpecials pins the VMAXPS/VMINPS operand order of the
-// depthwise kernel's fused activation on an all-interior image: a NaN
-// source gives NaN through relu and relu6, and a -0 bias over zero sources
-// (every product -0 or skipped) stays -0 through relu — `v < 0` is false
-// for both, so the scalar relu returns them unchanged.
+// depthwise kernels' fused activation, on an all-interior image (pad 0:
+// depthwise3x3) and on one with a border (pad 1: depthwiseRuns takes the
+// border, whose pixels have 4 or 6 taps): a NaN source gives NaN through
+// relu and relu6, and a -0 bias over zero sources (every product -0 or
+// skipped) stays -0 through relu — `v < 0` is false for both, so the scalar
+// relu returns them unchanged.
 func TestDepthwiseClampSpecials(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	for _, act := range []string{"none", "relu", "relu6"} {
-		cc := convCase{n: 1, ic: 4, h: 5, w: 6, oc: 4, kh: 3, kw: 3, sh: 1, sw: 1, group: 4, relu: act == "relu", relu6: act == "relu6"}
-		a := cc.attrs()
-		src := tensor.New(1, 4, 5, 6) // channel 0: zeros; 1: NaN; 2: large; 3: negative
-		weight := tensor.New(4, 1, 3, 3)
-		bias := tensor.New(4)
-		for i := 0; i < 30; i++ {
-			src.Data()[30+i], src.Data()[60+i], src.Data()[90+i] = nan32, 5, -1
-		}
-		for i := range weight.Data() {
-			weight.Data()[i] = 1
-		}
-		for i := 0; i < 9; i++ {
-			weight.Data()[i] = -1 // 0·-1 = -0, and -0 + -0 = -0
-		}
-		bias.Data()[0] = negZero
-		want := map[string][4]float32{
-			"none":  {negZero, nan32, 45, -9},
-			"relu":  {negZero, nan32, 45, 0},
-			"relu6": {negZero, nan32, 6, 0},
-		}[act]
-		for name, dc := range depthwisePaths(PrepareDepthwise(weight, bias, a)) {
-			dst4 := nanNC4(1, 4, 3, 4)
-			dc.Run(dst4, src.ToLayout(tensor.NC4HW4), testPool(t, 1))
-			got := dst4.ToLayout(tensor.NCHW)
-			for c := 0; c < 4; c++ {
-				for i := 0; i < 12; i++ {
-					g := got.Data()[c*12+i]
-					if math.Float32bits(g) != math.Float32bits(want[c]) && !(g != g && want[c] != want[c]) {
-						t.Fatalf("%s/%s channel %d pixel %d: got %v (%#08x), want %v (%#08x)", act, name, c, i,
-							g, math.Float32bits(g), want[c], math.Float32bits(want[c]))
+		for _, pad := range []int{0, 1} {
+			cc := convCase{n: 1, ic: 4, h: 5, w: 6, oc: 4, kh: 3, kw: 3, sh: 1, sw: 1, ph: pad, pw: pad, group: 4, relu: act == "relu", relu6: act == "relu6"}
+			a := cc.attrs()
+			oh, ow := 3+2*pad, 4+2*pad
+			src := tensor.New(1, 4, 5, 6) // channel 0: zeros; 1: NaN; 2: large; 3: negative
+			weight := tensor.New(4, 1, 3, 3)
+			bias := tensor.New(4)
+			for i := 0; i < 30; i++ {
+				src.Data()[30+i], src.Data()[60+i], src.Data()[90+i] = nan32, 5, -1
+			}
+			for i := range weight.Data() {
+				weight.Data()[i] = 1
+			}
+			for i := 0; i < 9; i++ {
+				weight.Data()[i] = -1 // 0·-1 = -0, and -0 + -0 = -0
+			}
+			bias.Data()[0] = negZero
+			for name, dc := range depthwisePaths(PrepareDepthwise(weight, bias, a)) {
+				dst4 := nanNC4(1, 4, oh, ow)
+				dc.Run(dst4, src.ToLayout(tensor.NC4HW4), testPool(t, 1))
+				got := dst4.ToLayout(tensor.NCHW)
+				for i := 0; i < oh*ow; i++ {
+					// The pixel's in-image taps: 9 inside, 6 on an edge, 4 in a corner.
+					ky0, ky := tapRange(i/ow-pad, 1, 3, 5)
+					kx0, kx := tapRange(i%ow-pad, 1, 3, 6)
+					taps := float32((ky - ky0) * (kx - kx0))
+					want := [4]float32{negZero, nan32, 5 * taps, -taps}
+					if act != "none" {
+						want[3] = 0
+					}
+					if act == "relu6" {
+						want[2] = 6
+					}
+					for c := 0; c < 4; c++ {
+						g := got.Data()[c*oh*ow+i]
+						if math.Float32bits(g) != math.Float32bits(want[c]) && !(g != g && want[c] != want[c]) {
+							t.Fatalf("%s/%s pad %d channel %d pixel %d: got %v (%#08x), want %v (%#08x)", act, name, pad, c, i,
+								g, math.Float32bits(g), want[c], math.Float32bits(want[c]))
+						}
 					}
 				}
 			}

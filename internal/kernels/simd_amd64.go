@@ -1,11 +1,22 @@
 package kernels
 
+import "mnn/internal/matmul"
+
 // depthwise3x3 is the AVX2 depthwise interior kernel (depthwise_amd64.s):
 // one channel pack, a rectangle of `rows` × 2·`pairs` output pixels whose
 // 3×3 windows lie wholly inside the source, two pixels per ymm register.
 //
 //go:noescape
 func depthwise3x3(dst, src *float32, rows, pairs, dstRow, srcRow, srcStep, stride int, w, bias *float32, lo, hi float32)
+
+// depthwiseRuns is the AVX depthwise kernel for everything outside that
+// rectangle (depthwise_amd64.s): one channel pack, nruns runs of adjacent
+// output pixels whose sources are srcStep floats apart, each pixel the bias
+// plus the products of its run's taps in list order, clamped to [lo, hi];
+// see dwRun for the run and tap records.
+//
+//go:noescape
+func depthwiseRuns(dst, src *float32, runs *dwRun, nruns int, taps *matmul.Tap, srcStep int, w, bias *float32, lo, hi float32)
 
 // linCombNC4 is the AVX linear-combination kernel behind the Winograd
 // transforms (lincomb_amd64.s); see (*linComb).apply for what it computes.

@@ -2,9 +2,15 @@
 
 package kernels
 
+import "mnn/internal/matmul"
+
 // Only amd64 has assembly kernels; matmul.HaveAVX2 is false everywhere else,
 // so these are never reached.
 func depthwise3x3(dst, src *float32, rows, pairs, dstRow, srcRow, srcStep, stride int, w, bias *float32, lo, hi float32) {
+	panic("kernels: no SIMD depthwise kernel on this architecture")
+}
+
+func depthwiseRuns(dst, src *float32, runs *dwRun, nruns int, taps *matmul.Tap, srcStep int, w, bias *float32, lo, hi float32) {
 	panic("kernels: no SIMD depthwise kernel on this architecture")
 }
 

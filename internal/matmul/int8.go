@@ -61,7 +61,7 @@ func PackBInt8(b []int8, k, n int) *PackedBInt8 {
 		panic("matmul: PackBInt8 buffer too small for declared dimensions")
 	}
 	panels := (n + PanelWidthInt8 - 1) / PanelWidthInt8
-	pb := &PackedBInt8{K: k, N: n, kq: (k + 3) / 4, simd: haveSIMD}
+	pb := &PackedBInt8{K: k, N: n, kq: (k + 3) / 4, simd: HaveAVX2()}
 	pb.data = make([]int16, panels*pb.kq*quadWords)
 	for p := 0; p < k; p++ {
 		for j, v := range b[p*n : (p+1)*n] {

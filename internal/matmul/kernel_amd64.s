@@ -40,6 +40,120 @@
 	VXORPS Y6, Y6, Y6 \
 	VXORPS Y7, Y7, Y7
 
+// STEP4 is STEP on four pixels R8 bytes apart from SI (R9 = 3·R8), reading
+// the float D bytes into the channel pack.
+#define STEP4(D) STEP(D(SI), D(SI)(R8*1), D(SI)(R8*2), D(SI)(R9*1))
+
+// STEP12 is STEP on 512-bit registers, three times as tall: twelve pixels R8
+// bytes apart — rows 0–3 from SI, 4–7 from R10, 8–11 from R13 — against the
+// one zmm that holds the whole panel line, into the accumulators Z0..Z11.
+// The a elements are embedded broadcasts; VMULPS then VADDPS per element as
+// in STEP, so a row has the same bits at either width.
+#define STEP12(D) \
+	VMOVUPS     (BX), Z12              \
+	VMULPS.BCST D(SI), Z12, Z16        \
+	VMULPS.BCST D(SI)(R8*1), Z12, Z17  \
+	VMULPS.BCST D(SI)(R8*2), Z12, Z18  \
+	VMULPS.BCST D(SI)(R9*1), Z12, Z19  \
+	VMULPS.BCST D(R10), Z12, Z20       \
+	VMULPS.BCST D(R10)(R8*1), Z12, Z21 \
+	VMULPS.BCST D(R10)(R8*2), Z12, Z22 \
+	VMULPS.BCST D(R10)(R9*1), Z12, Z23 \
+	VMULPS.BCST D(R13), Z12, Z24       \
+	VMULPS.BCST D(R13)(R8*1), Z12, Z25 \
+	VMULPS.BCST D(R13)(R8*2), Z12, Z26 \
+	VMULPS.BCST D(R13)(R9*1), Z12, Z27 \
+	VADDPS      Z16, Z0, Z0            \
+	VADDPS      Z17, Z1, Z1            \
+	VADDPS      Z18, Z2, Z2            \
+	VADDPS      Z19, Z3, Z3            \
+	VADDPS      Z20, Z4, Z4            \
+	VADDPS      Z21, Z5, Z5            \
+	VADDPS      Z22, Z6, Z6            \
+	VADDPS      Z23, Z7, Z7            \
+	VADDPS      Z24, Z8, Z8            \
+	VADDPS      Z25, Z9, Z9            \
+	VADDPS      Z26, Z10, Z10          \
+	VADDPS      Z27, Z11, Z11          \
+	ADDQ        $64, BX
+
+#define ZERO12 \
+	VPXORQ Z0, Z0, Z0    \
+	VPXORQ Z1, Z1, Z1    \
+	VPXORQ Z2, Z2, Z2    \
+	VPXORQ Z3, Z3, Z3    \
+	VPXORQ Z4, Z4, Z4    \
+	VPXORQ Z5, Z5, Z5    \
+	VPXORQ Z6, Z6, Z6    \
+	VPXORQ Z7, Z7, Z7    \
+	VPXORQ Z8, Z8, Z8    \
+	VPXORQ Z9, Z9, Z9    \
+	VPXORQ Z10, Z10, Z10 \
+	VPXORQ Z11, Z11, Z11
+
+// ROWS12 points R10 and R13 at rows 4 and 8 of the tile whose row 0 is SI;
+// NEXT4 and NEXT12 move the row pointers on by one channel pack, R11 bytes.
+#define ROWS4
+#define ROWS12 \
+	LEAQ (SI)(R8*4), R10 \
+	LEAQ (R10)(R8*4), R13
+#define NEXT4 ADDQ R11, SI
+#define NEXT12 \
+	ADDQ R11, SI  \
+	ADDQ R11, R10 \
+	ADDQ R11, R13
+
+// TAPWALK is the reduction of the NC4HW4 kernels at both widths, one copy so
+// they cannot drift: R12 taps from the list at R14; tap t starts A + t.A
+// floats into the source and at row t.B of PANEL, and its step c < DX reads
+// lane c%4 of channel pack c/4, R11 bytes after pack 0 — four steps per
+// 64-byte line when the pixels are adjacent. R8 is the bytes between pixels,
+// R9 three times that. STEP is STEP4 or STEP12, with the matching ROWS and
+// NEXT. Taps in list order, channels ascending, every accumulator from +0;
+// the pad lanes of a partial last pack are never read. Falls through to the
+// caller's epilogue with AX, BX, CX, DX, SI, DI, R12 and R14 spent.
+#define TAPWALK(STEP, ROWS, NEXT, A, PANEL) \
+	MOVQ  DX, DI         \
+	SHRQ  $2, DX         \
+	ANDQ  $3, DI         \
+	TESTQ R12, R12       \
+	JZ    epilogue       \
+taploop:                 \
+	MOVQ  0(R14), SI     \
+	MOVQ  8(R14), BX     \
+	ADDQ  $16, R14       \
+	MOVQ  A, AX          \
+	LEAQ  (AX)(SI*4), SI \
+	ROWS                 \
+	SHLQ  $6, BX         \
+	ADDQ  PANEL, BX      \
+	MOVQ  DX, AX         \
+	TESTQ AX, AX         \
+	JZ    lanes          \
+packloop:                \
+	STEP(0)              \
+	STEP(4)              \
+	STEP(8)              \
+	STEP(12)             \
+	NEXT                 \
+	DECQ  AX             \
+	JNZ   packloop       \
+lanes:                   \
+	MOVQ  DI, CX         \
+	TESTQ CX, CX         \
+	JZ    nexttap        \
+	STEP(0)              \
+	DECQ  CX             \
+	JZ    nexttap        \
+	STEP(4)              \
+	DECQ  CX             \
+	JZ    nexttap        \
+	STEP(8)              \
+nexttap:                 \
+	DECQ  R12            \
+	JNZ   taploop        \
+epilogue:
+
 // BIAS_CLAMP_STORE_NC4 is the NC4HW4 epilogue of both convolution kernels
 // below: the 4×16 float32 tile in Y0..Y7 gets the 16 biases at (R13) added
 // and is clamped to [Y10, Y11]; then it is transposed with 128-bit lane
@@ -149,71 +263,23 @@ loop:
 // func mulPanelNC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel, bias *float32, lo, hi float32)
 //
 // The same 4×16 tile over NC4HW4 operands, as a convolution. Row r is pixel
-// r, aPix floats after pixel 0. The reduction walks the tap list: tap t
-// starts at a + t.A floats and at panel row t.B, and its step c < kc reads
-// lane c%4 of channel pack c/4, aPack floats after pack 0 — four steps per
-// 64-byte line when aPix = 4. A 1×1 convolution is the one tap {0, 0}. After
-// the sum (taps in order, ascending c, from +0, as above) each of the 16
-// columns gets its bias added and is clamped to [lo, hi]; then the tile is
-// transposed into `packs` ≤ 4 output channel packs of 4 pixels × 4 channels,
-// dstPack floats apart (BIAS_CLAMP_STORE_NC4). Requires kc ≥ 1; an empty tap
-// list stores clamp(bias).
+// r, aPix floats after pixel 0, the channel packs aPack floats apart; the
+// reduction is TAPWALK over the tap list (a 1×1 convolution is the one tap
+// {0, 0}). After the sum each of the 16 columns gets its bias added and is
+// clamped to [lo, hi]; then the tile is transposed into `packs` ≤ 4 output
+// channel packs of 4 pixels × 4 channels, dstPack floats apart
+// (BIAS_CLAMP_STORE_NC4). An empty tap list stores clamp(bias).
 TEXT ·mulPanelNC4(SB), NOSPLIT, $0-96
-	MOVQ a+24(FP), R10
 	MOVQ aPack+32(FP), R11
 	MOVQ aPix+40(FP), R8
 	MOVQ taps+48(FP), R14
 	MOVQ ntaps+56(FP), R12
 	MOVQ kc+64(FP), DX
-	MOVQ panel+72(FP), R13
 	SHLQ $2, R11
 	SHLQ $2, R8
 	LEAQ (R8)(R8*2), R9
 	ZERO_ACCUMULATORS
-	MOVQ DX, DI
-	SHRQ $2, DX
-	ANDQ $3, DI
-	TESTQ R12, R12
-	JZ   epilogue
-
-taploop:
-	MOVQ 0(R14), SI
-	MOVQ 8(R14), BX
-	ADDQ $16, R14
-	LEAQ (R10)(SI*4), SI
-	SHLQ $6, BX
-	ADDQ R13, BX
-	MOVQ DX, AX
-	TESTQ AX, AX
-	JZ   lanes
-
-packloop:
-	STEP(0(SI), 0(SI)(R8*1), 0(SI)(R8*2), 0(SI)(R9*1))
-	STEP(4(SI), 4(SI)(R8*1), 4(SI)(R8*2), 4(SI)(R9*1))
-	STEP(8(SI), 8(SI)(R8*1), 8(SI)(R8*2), 8(SI)(R9*1))
-	STEP(12(SI), 12(SI)(R8*1), 12(SI)(R8*2), 12(SI)(R9*1))
-	ADDQ R11, SI
-	DECQ AX
-	JNZ  packloop
-
-lanes:
-	// The kc%4 real lanes of a partial last pack; its pad lanes are never read.
-	MOVQ  DI, CX
-	TESTQ CX, CX
-	JZ    nexttap
-	STEP(0(SI), 0(SI)(R8*1), 0(SI)(R8*2), 0(SI)(R9*1))
-	DECQ CX
-	JZ   nexttap
-	STEP(4(SI), 4(SI)(R8*1), 4(SI)(R8*2), 4(SI)(R9*1))
-	DECQ CX
-	JZ   nexttap
-	STEP(8(SI), 8(SI)(R8*1), 8(SI)(R8*2), 8(SI)(R9*1))
-
-nexttap:
-	DECQ R12
-	JNZ  taploop
-
-epilogue:
+	TAPWALK(STEP4, ROWS4, NEXT4, a+24(FP), panel+72(FP))
 	MOVQ dst+0(FP), DI
 	MOVQ dstPack+8(FP), DX
 	MOVQ packs+16(FP), R12
@@ -223,6 +289,136 @@ epilogue:
 	BIAS_CLAMP_STORE_NC4(done)
 
 done:
+	VZEROUPPER
+	RET
+
+// FINISH12 is the bias add and clamp of BIAS_CLAMP_STORE_NC4 on one zmm row:
+// bias in Z12, [lo, hi] in Z13, Z14, the value as the second source of
+// VMAXPS/VMINPS.
+#define FINISH12(Z) \
+	VADDPS Z12, Z, Z \
+	VMAXPS Z, Z13, Z \
+	VMINPS Z, Z14, Z
+
+// PACK12 stores one output channel pack of the 12×16 tile in Z0..Z11 at DI:
+// 128-bit lane LANE (an immediate with the lane number in all four fields)
+// of every row, the twelve pixels in row order — three transposes of four
+// rows' lanes into one zmm each.
+#define PACK12(LANE) \
+	VSHUFF32X4 LANE, Z1, Z0, Z16     \
+	VSHUFF32X4 LANE, Z3, Z2, Z17     \
+	VSHUFF32X4 LANE, Z5, Z4, Z18     \
+	VSHUFF32X4 LANE, Z7, Z6, Z19     \
+	VSHUFF32X4 LANE, Z9, Z8, Z20     \
+	VSHUFF32X4 LANE, Z11, Z10, Z21   \
+	VSHUFF32X4 $0x88, Z17, Z16, Z16  \
+	VSHUFF32X4 $0x88, Z19, Z18, Z18  \
+	VSHUFF32X4 $0x88, Z21, Z20, Z20  \
+	VMOVUPS    Z16, (DI)             \
+	VMOVUPS    Z18, 64(DI)           \
+	VMOVUPS    Z20, 128(DI)
+
+// func mulPanel12NC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel, bias *float32, lo, hi float32)
+//
+// mulPanelNC4 on AVX-512F: a tile of 12 pixels × the same 16-float panel,
+// the same walk (TAPWALK), the same epilogue per element — bias, clamp, then
+// `packs` ≤ 4 channel packs of 12 pixels × 4 channels, dstPack floats apart.
+TEXT ·mulPanel12NC4(SB), NOSPLIT, $0-96
+	MOVQ aPack+32(FP), R11
+	MOVQ aPix+40(FP), R8
+	MOVQ taps+48(FP), R14
+	MOVQ ntaps+56(FP), R12
+	MOVQ kc+64(FP), DX
+	SHLQ $2, R11
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R9
+	ZERO12
+	TAPWALK(STEP12, ROWS12, NEXT12, a+24(FP), panel+72(FP))
+	MOVQ dst+0(FP), DI
+	MOVQ dstPack+8(FP), DX
+	MOVQ packs+16(FP), R12
+	MOVQ bias+80(FP), R13
+	SHLQ $2, DX
+	VMOVUPS      (R13), Z12
+	VBROADCASTSS lo+88(FP), Z13
+	VBROADCASTSS hi+92(FP), Z14
+	FINISH12(Z0)
+	FINISH12(Z1)
+	FINISH12(Z2)
+	FINISH12(Z3)
+	FINISH12(Z4)
+	FINISH12(Z5)
+	FINISH12(Z6)
+	FINISH12(Z7)
+	FINISH12(Z8)
+	FINISH12(Z9)
+	FINISH12(Z10)
+	FINISH12(Z11)
+	PACK12($0x00)
+	DECQ R12
+	JZ   done
+	ADDQ DX, DI
+	PACK12($0x55)
+	DECQ R12
+	JZ   done
+	ADDQ DX, DI
+	PACK12($0xAA)
+	DECQ R12
+	JZ   done
+	ADDQ DX, DI
+	PACK12($0xFF)
+
+done:
+	VZEROUPPER
+	RET
+
+// zeroTap is the tap list of a plain product: the rows themselves against
+// panel rows 0….
+DATA zeroTap<>+0(SB)/8, $0
+DATA zeroTap<>+8(SB)/8, $0
+GLOBL zeroTap<>(SB), RODATA, $16
+
+// func mulPanel12x16(dst *float32, ldd int, a *float32, lda, k int, panel *float32)
+//
+// mulPanel4x16 on AVX-512F, twelve rows: the row-major operand is the
+// NC4HW4 walk with packs of four floats 16 bytes apart and rows lda floats
+// apart, one tap. Requires k ≥ 1.
+TEXT ·mulPanel12x16(SB), NOSPLIT, $0-48
+	MOVQ lda+24(FP), R8
+	MOVQ k+32(FP), DX
+	MOVQ $16, R11
+	LEAQ zeroTap<>(SB), R14
+	MOVQ $1, R12
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R9
+	ZERO12
+	TAPWALK(STEP12, ROWS12, NEXT12, a+16(FP), panel+40(FP))
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), DX
+	SHLQ $2, DX
+	VMOVUPS Z0, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z1, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z2, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z3, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z4, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z5, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z6, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z7, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z8, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z9, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z10, (DI)
+	ADDQ    DX, DI
+	VMOVUPS Z11, (DI)
 	VZEROUPPER
 	RET
 

@@ -6,13 +6,21 @@ import "unsafe"
 
 // Only amd64 has assembly micro-kernels; everywhere else PackedB runs the
 // portable loops.
-const haveSIMD = false
+const haveSIMD = levelPortable
 
 func mulPanel4x16(dst *float32, ldd int, a *float32, lda, k int, panel *float32) {
 	panic("matmul: no SIMD micro-kernel on this architecture")
 }
 
 func mulPanelNC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel, bias *float32, lo, hi float32) {
+	panic("matmul: no SIMD micro-kernel on this architecture")
+}
+
+func mulPanel12x16(dst *float32, ldd int, a *float32, lda, k int, panel *float32) {
+	panic("matmul: no SIMD micro-kernel on this architecture")
+}
+
+func mulPanel12NC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel, bias *float32, lo, hi float32) {
 	panic("matmul: no SIMD micro-kernel on this architecture")
 }
 

@@ -1,6 +1,7 @@
 package matmul
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -314,19 +315,23 @@ func TestPackedMulZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkPackedVsDirect(b *testing.B) {
-	const m, k, n = 256, 256, 256
-	a := randMat(17, m, k)
-	bm := randMat(18, k, n)
-	dst := make([]float32, m*n)
-	b.Run("direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Mul(dst, a, bm, m, k, n)
+	const m, n = 256, 256
+	for _, k := range []int{3, 8, 12, 256} {
+		a := randMat(17, m, k)
+		bm := randMat(18, k, n)
+		dst := make([]float32, m*n)
+		b.Run(fmt.Sprintf("k%d/direct", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Mul(dst, a, bm, m, k, n)
+			}
+		})
+		for _, isa := range ISAs() {
+			pb := PackB(bm, k, n).WithISA(isa)
+			b.Run(fmt.Sprintf("k%d/%s", k, isa), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					pb.MulInto(dst, a, m)
+				}
+			})
 		}
-	})
-	pb := PackB(bm, k, n)
-	b.Run("packed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pb.MulInto(dst, a, m)
-		}
-	})
+	}
 }

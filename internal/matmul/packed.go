@@ -3,10 +3,11 @@ package matmul
 import "unsafe"
 
 // PanelWidth is the column width of a packed GEMM panel in float32
-// elements: 16 floats = 64 bytes = one cache line = two AVX2 registers =
-// four NC4HW4 channel packs. The packed right-hand operand stores each
-// panel's K rows contiguously, so the micro-kernel streams one cache line
-// per reduction step instead of striding across a full row-major row.
+// elements: 16 floats = 64 bytes = one cache line = two AVX2 registers = one
+// AVX-512 register = four NC4HW4 channel packs. The packed right-hand operand
+// stores each panel's K rows contiguously, so the micro-kernel streams one
+// cache line per reduction step instead of striding across a full row-major
+// row.
 const PanelWidth = 16
 
 // PackedB is a pre-packed right-hand GEMM operand: the K×N row-major
@@ -15,26 +16,57 @@ const PanelWidth = 16
 // time (they never change), making every steady-state multiply
 // allocation-free and cache-blocked. It is the one fp32 GEMM behind the 1×1,
 // im2col and Winograd convolutions, InnerProduct and the transformer weight
-// MatMul, on a 4×16 register-blocked micro-kernel: MulInto takes row-major
-// operands, MulNC4Into reads and writes NC4HW4 activations in place.
+// MatMul, on a register-blocked micro-kernel of 4 rows × 16 columns (12 × 16
+// on AVX-512): MulInto takes row-major operands, MulNC4Into reads and writes
+// NC4HW4 activations in place.
 type PackedB struct {
 	K, N int
 	data []float32 // [panels][K][PanelWidth]
-	raw  []float32 // the caller's row-major matrix, kept only for the tiny-K fallback (K < PanelWidth)
-	simd bool      // run the assembly micro-kernels (HaveAVX2 unless Portable)
+	simd level     // the micro-kernels to run (the host's level unless a WithISA view)
 }
+
+// level is a rung of the fp32 micro-kernel ladder. Every rung computes the
+// same bits — the width of the registers and the height of the tile change,
+// the sequence of roundings per element does not — so the choice is made
+// from the CPU's features alone and cannot be switched.
+type level uint8
+
+const (
+	levelPortable level = iota // the Go loops: any host, and the oracle
+	levelAVX2                  // 4×16 tiles, two ymm per row
+	levelAVX512                // 12×16 tiles, one zmm per row; remainders on AVX2
+)
+
+var levelNames = [...]string{"portable", "avx2", "avx512"}
+
+// KernelISA names the micro-kernels this host runs: "portable", "avx2" or
+// "avx512".
+func KernelISA() string { return levelNames[haveSIMD] }
+
+// ISAs lists the levels this host can run, "portable" first, KernelISA last.
+func ISAs() []string { return levelNames[:haveSIMD+1] }
 
 // HaveAVX2 reports whether this host runs the AVX2 kernels: the one CPU
 // probe of the engine, made at package init, which internal/kernels shares.
-func HaveAVX2() bool { return haveSIMD }
+func HaveAVX2() bool { return haveSIMD >= levelAVX2 }
+
+// WithISA returns a view of pb that runs the micro-kernels of the named
+// level, or nil where the host lacks them. Differential tests hold every
+// level the host has to the portable oracle through it.
+func (pb *PackedB) WithISA(isa string) *PackedB {
+	for l, name := range ISAs() {
+		if name == isa {
+			q := *pb
+			q.simd = level(l)
+			return &q
+		}
+	}
+	return nil
+}
 
 // Portable returns a view of pb that always runs the portable Go loops —
 // the oracle that differential tests compare the assembly kernels with.
-func (pb *PackedB) Portable() *PackedB {
-	q := *pb
-	q.simd = false
-	return &q
-}
+func (pb *PackedB) Portable() *PackedB { return pb.WithISA("portable") }
 
 // PackB packs the row-major k×n matrix b.
 func PackB(b []float32, k, n int) *PackedB {
@@ -43,9 +75,6 @@ func PackB(b []float32, k, n int) *PackedB {
 	}
 	panels := (n + PanelWidth - 1) / PanelWidth
 	pb := &PackedB{K: k, N: n, data: make([]float32, panels*k*PanelWidth), simd: haveSIMD}
-	if k < PanelWidth {
-		pb.raw = b[:k*n]
-	}
 	for jp := 0; jp < panels; jp++ {
 		j0 := jp * PanelWidth
 		lim := n - j0
@@ -71,36 +100,33 @@ func PackB(b []float32, k, n int) *PackedB {
 // guarantee. A row's bits depend on that row of a alone: not on m, on the
 // row's position, or on how a caller splits the rows over lanes.
 //
-// On amd64 hosts with AVX2 (checked once at package init) the 4×16 blocks
-// run the assembly micro-kernel mulPanel4x16; everywhere else, and as the
-// oracle the differential tests compare it with, the portable Go loop runs.
-func (pb *PackedB) MulInto(dst, a []float32, m int) { pb.mulInto(dst, a, m, pb.simd) }
-
-func (pb *PackedB) mulInto(dst, a []float32, m int, simd bool) {
+// On amd64 hosts with AVX2 (checked once at package init) the blocks run the
+// assembly micro-kernels — mulPanel12x16 on AVX-512F while twelve rows
+// remain, mulPanel4x16 otherwise; everywhere else, and as the oracle the
+// differential tests compare them with, the portable Go loop runs.
+func (pb *PackedB) MulInto(dst, a []float32, m int) {
 	k, n := pb.K, pb.N
 	if len(a) < m*k || len(dst) < m*n {
 		panic("matmul: buffer too small for declared dimensions")
 	}
-	switch {
-	case k < PanelWidth:
-		// A depth this shallow cannot amortize the micro-kernel's
-		// accumulator setup (e.g. Winograd positions of an ic=3 stem
-		// layer); the direct kernel is faster and bitwise-identical.
-		Mul(dst, a, pb.raw, m, k, n)
-	case simd:
-		pb.mulSIMD(dst, a, m)
-	default:
+	if pb.simd == levelPortable || k == 0 { // the assembly kernels take at least one step
 		pb.mulPortable(dst, a, m)
+		return
 	}
+	pb.mulSIMD(dst, a, m)
 }
 
-// mulSIMD drives mulPanel4x16 over the panels and four-row blocks. A block
-// that is not a full 4×16 — the m%4 tail rows, the zero-padded last panel —
-// runs the same kernel into a stack tile and copies out what is valid; a
-// tail row is fed as four copies of itself (lda = 0) so the kernel never
-// reads past a. There is no zero-skip here: adding av·v = ±0 to an
-// accumulator that started at +0 never changes it, so skipping is
-// value-preserving for finite weights and the branch only costs.
+// mulSIMD drives the micro-kernels over the panels and blocks of rows:
+// twelve at a time on AVX-512, then four at a time. When m%4 rows are left
+// the last block is moved back to end at row m and overlaps rows already
+// written — a row's bits depend on that row alone, so they are written
+// twice with the same value. Blocks of the zero-padded last panel, and the
+// rows of a product with fewer than four, run the four-row kernel into a
+// stack tile and copy out what is valid; such a row is fed as four copies of
+// itself (lda = 0) so the kernel never reads past a. There is no zero-skip
+// here: adding av·v = ±0 to an accumulator that started at +0 never changes
+// it, so skipping is value-preserving for finite weights and the branch only
+// costs.
 func (pb *PackedB) mulSIMD(dst, a []float32, m int) {
 	k, n := pb.K, pb.N
 	var tile [4 * PanelWidth]float32
@@ -108,7 +134,17 @@ func (pb *PackedB) mulSIMD(dst, a []float32, m int) {
 		lim := min(n-j0, PanelWidth)
 		panel := &pb.data[j0*k]
 		i := 0
-		for ; i+4 <= m; i += 4 {
+		if pb.simd == levelAVX512 && lim == PanelWidth {
+			for ; i+12 <= m; i += 12 {
+				mulPanel12x16(&dst[i*n+j0], n, &a[i*k], k, k, panel)
+			}
+		}
+		for ; i < m && m < 4; i++ {
+			mulPanel4x16(&tile[0], PanelWidth, &a[i*k], 0, k, panel)
+			copy(dst[i*n+j0:i*n+j0+lim], tile[:])
+		}
+		for ; i < m; i += 4 {
+			i = min(i, m-4) // the overlapping tail block
 			if lim == PanelWidth {
 				mulPanel4x16(&dst[i*n+j0], n, &a[i*k], k, k, panel)
 				continue
@@ -117,10 +153,6 @@ func (pb *PackedB) mulSIMD(dst, a []float32, m int) {
 			for r := 0; r < 4; r++ {
 				copy(dst[(i+r)*n+j0:(i+r)*n+j0+lim], tile[r*PanelWidth:])
 			}
-		}
-		for ; i < m; i++ {
-			mulPanel4x16(&tile[0], PanelWidth, &a[i*k], 0, k, panel)
-			copy(dst[i*n+j0:i*n+j0+lim], tile[:])
 		}
 	}
 }
@@ -231,12 +263,13 @@ func (pb *PackedB) MulNC4Into(dst []float32, dstPack int, a []float32, aPack, aP
 // fall inside the image for every pixel of the run, in ascending (ky, kx)
 // order. The sum is MulInto's — taps in list order, c < kc ascending, from
 // +0, multiply and add rounded separately — so one tap over kc = K rows is
-// MulInto bit for bit (Mul, MulInto's tiny-K fallback, rounds the same way);
-// the bias is added after it, then v < lo becomes lo and v > hi becomes hi,
-// which is relu, relu6 or the identity bit for bit (NaN stays NaN). A pixel's
-// bits depend on that pixel and its tap list alone. The pad lanes of a's
-// last pack are never read; dst is written in whole packs, pad lanes
-// included. bias holds N rounded up to whole panels.
+// MulInto bit for bit; the bias is added after it, then v < lo becomes lo and
+// v > hi becomes hi, which is relu, relu6 or the identity bit for bit (NaN
+// stays NaN). A pixel's bits depend on that pixel and its tap list alone —
+// which is what lets a run be cut into twelve-pixel tiles, four-pixel blocks
+// and a last block that overlaps pixels already written. The pad lanes of
+// a's last pack are never read; dst is written in whole packs, pad lanes
+// included, and must not alias a. bias holds N rounded up to whole panels.
 func (pb *PackedB) MulTapsNC4Into(dst []float32, dstPack int, a []float32, aPack, aPix, pixels int, taps []Tap, kc int, bias []float32, lo, hi float32) {
 	k, n := pb.K, pb.N
 	if pixels <= 0 {
@@ -260,21 +293,30 @@ func (pb *PackedB) MulTapsNC4Into(dst []float32, dstPack int, a []float32, aPack
 		panel := pb.data[jp*k*PanelWidth : (jp+1)*k*PanelWidth]
 		b := bias[jp*PanelWidth : (jp+1)*PanelWidth]
 		d := dst[jp*4*dstPack:]
-		if !pb.simd {
+		if pb.simd == levelPortable {
 			nc4Portable(d, dstPack, packs, a, aPack, aPix, pixels, taps, kc, panel, b, lo, hi)
 			continue
 		}
 		q := 0
-		for ; q+4 <= pixels; q += 4 {
-			mulPanelNC4(&d[q*4], dstPack, packs, &a[q*aPix], aPack, aPix, tp, nt, kc, &panel[0], &b[0], lo, hi)
+		if pb.simd == levelAVX512 {
+			for ; q+12 <= pixels; q += 12 {
+				mulPanel12NC4(&d[q*4], dstPack, packs, &a[q*aPix], aPack, aPix, tp, nt, kc, &panel[0], &b[0], lo, hi)
+			}
 		}
-		// A tail pixel runs as four copies of itself (aPix = 0) into a stack
-		// tile, so the kernel never reads or writes past the run.
-		for ; q < pixels; q++ {
+		// Fewer than four pixels in all: each runs as four copies of itself
+		// (aPix = 0) into a stack tile, so the kernel never reads or writes
+		// past the run.
+		for ; q < pixels && pixels < 4; q++ {
 			mulPanelNC4(&tile[0], PanelWidth, packs, &a[q*aPix], aPack, 0, tp, nt, kc, &panel[0], &b[0], lo, hi)
 			for j := 0; j < packs; j++ {
 				copy(d[j*dstPack+q*4:j*dstPack+q*4+4], tile[j*PanelWidth:])
 			}
+		}
+		// Otherwise the last block ends at the run's last pixel and overlaps
+		// pixels already written, with the same bits.
+		for ; q < pixels; q += 4 {
+			q = min(q, pixels-4)
+			mulPanelNC4(&d[q*4], dstPack, packs, &a[q*aPix], aPack, aPix, tp, nt, kc, &panel[0], &b[0], lo, hi)
 		}
 	}
 }

@@ -75,17 +75,31 @@ func weights(seed uint64, k, n int) []float32 {
 	return b
 }
 
-// TestPackedSIMDMatchesPortableBitwise is the differential test of the
-// assembly micro-kernel: over edge and seeded random shapes it must produce
-// the portable loop's bits (and therefore Mul's), with no tolerance.
-func TestPackedSIMDMatchesPortableBitwise(t *testing.T) {
-	if !haveSIMD {
-		t.Skip("no AVX2 micro-kernel on this host; the portable loop is the only path")
+// hostLevels returns the micro-kernel levels this host has, "portable"
+// first, and reports each one it lacks as a skipped subtest of that name: a
+// level the suite could not reach shows in the log instead of passing
+// silently (CI fails on such a skip where /proc/cpuinfo lists the feature).
+func hostLevels(t *testing.T) []string {
+	for _, isa := range levelNames[len(ISAs()):] {
+		t.Run(isa, func(t *testing.T) { t.Skipf("this host has no %s micro-kernel", isa) })
 	}
+	return ISAs()
+}
+
+// TestPackedSIMDMatchesPortableBitwise is the differential test of the
+// assembly micro-kernels: over edge and seeded random shapes every level
+// must produce the portable loop's bits (and therefore Mul's), with no
+// tolerance. The row counts cross every split of the drivers: twelve-row
+// tiles, four-row blocks, the overlapping tail block, fewer than four rows.
+func TestPackedSIMDMatchesPortableBitwise(t *testing.T) {
+	levels := hostLevels(t)
 	type shape struct{ m, k, n int }
 	var shapes []shape
+	for m := 1; m <= 27; m++ {
+		shapes = append(shapes, shape{m, 5 + m, 40})
+	}
 	for _, m := range []int{1, 3, 4, 5, 49} {
-		for _, k := range []int{1, 15, 16, 17} {
+		for _, k := range []int{1, 3, 15, 16, 17} {
 			for _, n := range []int{1, 15, 16, 17, 40} {
 				shapes = append(shapes, shape{m, k, n})
 			}
@@ -102,20 +116,28 @@ func TestPackedSIMDMatchesPortableBitwise(t *testing.T) {
 		b := weights(uint64(500+i), s.k, s.n)
 		pb := PackB(b, s.k, s.n)
 		want := make([]float32, s.m*s.n)
-		pb.mulInto(want, a, s.m, false)
-		got := make([]float32, s.m*s.n)
-		for j := range got {
-			got[j] = float32(math.NaN()) // every element must be written
-		}
-		pb.mulInto(got, a, s.m, true)
-		if d := firstBitDiff(got, want); d >= 0 {
-			t.Fatalf("%dx%dx%d: asm %v (%#08x) != portable %v (%#08x) at row %d col %d", s.m, s.k, s.n,
-				got[d], math.Float32bits(got[d]), want[d], math.Float32bits(want[d]), d/s.n, d%s.n)
-		}
+		pb.Portable().MulInto(want, a, s.m)
 		direct := make([]float32, s.m*s.n)
 		Mul(direct, a, b, s.m, s.k, s.n)
-		if d := firstBitDiff(got, direct); d >= 0 {
-			t.Fatalf("%dx%dx%d: packed %v != Mul %v at %d", s.m, s.k, s.n, got[d], direct[d], d)
+		if d := firstBitDiff(want, direct); d >= 0 {
+			t.Fatalf("%dx%dx%d: portable %v != Mul %v at %d", s.m, s.k, s.n, want[d], direct[d], d)
+		}
+		for _, isa := range levels[1:] {
+			const guard = 8
+			got := make([]float32, s.m*s.n+guard)
+			for j := range got {
+				got[j] = float32(math.NaN()) // every element must be written, nothing past the last
+			}
+			pb.WithISA(isa).MulInto(got[:s.m*s.n], a, s.m)
+			if d := firstBitDiff(got, want); d >= 0 {
+				t.Fatalf("%dx%dx%d: %s %v (%#08x) != portable %v (%#08x) at row %d col %d", s.m, s.k, s.n, isa,
+					got[d], math.Float32bits(got[d]), want[d], math.Float32bits(want[d]), d/s.n, d%s.n)
+			}
+			for _, v := range got[s.m*s.n:] {
+				if v == v {
+					t.Fatalf("%dx%dx%d: %s wrote past dst", s.m, s.k, s.n, isa)
+				}
+			}
 		}
 	}
 }
@@ -125,37 +147,46 @@ func TestPackedSIMDMatchesPortableBitwise(t *testing.T) {
 // bit for bit the 1-row product of that row, wherever the row falls in a
 // four-row block or the tail.
 func TestPackedMulRowIndependence(t *testing.T) {
-	for _, s := range []struct{ m, k, n int }{{49, 64, 40}, {7, 16, 16}, {13, 33, 130}, {5, 8, 20}} {
+	type shape struct{ m, k, n int }
+	shapes := []shape{{49, 64, 40}, {7, 16, 16}, {13, 33, 130}, {5, 8, 20}}
+	for m := 1; m <= 27; m++ { // every 12/4/overlap/single split of the rows
+		shapes = append(shapes, shape{m, 19, 32})
+	}
+	levels := hostLevels(t)
+	for _, s := range shapes {
 		a := activations(uint64(s.m), s.m, s.k)
-		pb := PackB(weights(uint64(s.n), s.k, s.n), s.k, s.n)
-		full := make([]float32, s.m*s.n)
-		pb.MulInto(full, a, s.m)
-		row := make([]float32, s.n)
-		for r := 0; r < s.m; r++ {
-			pb.MulInto(row, a[r*s.k:(r+1)*s.k], 1)
-			if d := firstBitDiff(full[r*s.n:(r+1)*s.n], row); d >= 0 {
-				t.Fatalf("%dx%dx%d: row %d col %d: %v in the full product, %v alone", s.m, s.k, s.n, r, d, full[r*s.n+d], row[d])
+		packed := PackB(weights(uint64(s.n), s.k, s.n), s.k, s.n)
+		for _, isa := range levels {
+			pb := packed.WithISA(isa)
+			full := make([]float32, s.m*s.n)
+			pb.MulInto(full, a, s.m)
+			row := make([]float32, s.n)
+			for r := 0; r < s.m; r++ {
+				pb.MulInto(row, a[r*s.k:(r+1)*s.k], 1)
+				if d := firstBitDiff(full[r*s.n:(r+1)*s.n], row); d >= 0 {
+					t.Fatalf("%dx%dx%d %s: row %d col %d: %v in the full product, %v alone", s.m, s.k, s.n, isa, r, d, full[r*s.n+d], row[d])
+				}
 			}
-		}
-		// Any split of the rows into chunks (as sched lanes do) gives the same bits.
-		for _, chunk := range []int{2, 3, 25} {
-			split := make([]float32, s.m*s.n)
-			for r0 := 0; r0 < s.m; r0 += chunk {
-				rows := min(chunk, s.m-r0)
-				pb.MulInto(split[r0*s.n:], a[r0*s.k:], rows)
-			}
-			if d := firstBitDiff(split, full); d >= 0 {
-				t.Fatalf("%dx%dx%d in chunks of %d differs from one call at %d", s.m, s.k, s.n, chunk, d)
+			// Any split of the rows into chunks (as sched lanes do) gives the same bits.
+			for _, chunk := range []int{2, 3, 25} {
+				split := make([]float32, s.m*s.n)
+				for r0 := 0; r0 < s.m; r0 += chunk {
+					rows := min(chunk, s.m-r0)
+					pb.MulInto(split[r0*s.n:], a[r0*s.k:], rows)
+				}
+				if d := firstBitDiff(split, full); d >= 0 {
+					t.Fatalf("%dx%dx%d %s in chunks of %d differs from one call at %d", s.m, s.k, s.n, isa, chunk, d)
+				}
 			}
 		}
 	}
 }
 
 // FuzzPackedMulInto drives shapes and raw float32 bit patterns (any value in
-// a, finite values in b) through the active micro-kernel, the portable loop
-// and Mul, which must all agree bitwise. Infinite or NaN weights are left
-// out on purpose: the portable loop's zero-skip drops 0·Inf where the
-// assembly computes NaN, and no model carries such weights.
+// a, finite values in b) through every micro-kernel level of the host, the
+// portable loop and Mul, which must all agree bitwise. Infinite or NaN
+// weights are left out on purpose: the portable loop's zero-skip drops 0·Inf
+// where the assembly computes NaN, and no model carries such weights.
 func FuzzPackedMulInto(f *testing.F) {
 	f.Add(uint8(5), uint8(17), uint8(20), uint64(1), []byte{0, 0, 0, 0x80, 1, 0, 0, 0})
 	f.Add(uint8(1), uint8(16), uint8(16), uint64(2), []byte{})
@@ -172,16 +203,14 @@ func FuzzPackedMulInto(f *testing.F) {
 			}
 		}
 		pb := PackB(b, k, n)
-		got := make([]float32, m*n)
-		pb.MulInto(got, a, m)
 		want := make([]float32, m*n)
-		pb.mulInto(want, a, m, false)
-		if d := firstBitDiff(got, want); d >= 0 {
-			t.Fatalf("%dx%dx%d: MulInto %v != portable %v at %d", m, k, n, got[d], want[d], d)
-		}
 		Mul(want, a, b, m, k, n)
-		if d := firstBitDiff(got, want); d >= 0 {
-			t.Fatalf("%dx%dx%d: MulInto %v != Mul %v at %d", m, k, n, got[d], want[d], d)
+		for _, isa := range ISAs() {
+			got := make([]float32, m*n)
+			pb.WithISA(isa).MulInto(got, a, m)
+			if d := firstBitDiff(got, want); d >= 0 {
+				t.Fatalf("%dx%dx%d: %s %v != Mul %v at %d", m, k, n, isa, got[d], want[d], d)
+			}
 		}
 	})
 }
@@ -265,12 +294,16 @@ var (
 )
 
 // TestPackedNC4MatchesMulIntoBitwise pins the NC4HW4 entry to the row-major
-// one: MulNC4Into (assembly where the host has it, and the portable twin) ≡
-// MulInto, then + bias, then clamp — bit for bit, for every k (including
-// k < PanelWidth, where MulInto falls back to Mul), tail pixels, partial
-// last packs and panels, stride-2 sources and NaN-poisoned pad lanes.
+// one: MulNC4Into (every assembly level the host has, and the portable twin)
+// ≡ MulInto, then + bias, then clamp — bit for bit, for every k (including
+// k < PanelWidth), tail pixels, partial last packs and panels, stride-2
+// sources and NaN-poisoned pad lanes.
 func TestPackedNC4MatchesMulIntoBitwise(t *testing.T) {
+	levels := hostLevels(t)
 	var cases []nc4Case
+	for pixels := 1; pixels <= 27; pixels++ { // every 12/4/overlap/single split of a run
+		cases = append(cases, nc4Case{pixels, 9 + pixels, 40, 1 + pixels%2})
+	}
 	for _, pixels := range []int{1, 3, 4, 5, 49} {
 		for _, k := range []int{1, 3, 4, 7, 16, 17, 130} {
 			for _, n := range []int{1, 6, 9, 16, 17, 72, 140} {
@@ -292,16 +325,16 @@ func TestPackedNC4MatchesMulIntoBitwise(t *testing.T) {
 		}
 		bias[r.Intn(c.n)] = 0
 		sum := make([]float32, c.pixels*c.n)
-		pb.mulInto(sum, a, c.pixels, false)
+		pb.Portable().MulInto(sum, a, c.pixels)
 		bounds := clampBounds[i%3]
 		want := make([]float32, len(sum))
 		for j, v := range sum {
 			want[j] = clamp(v+bias[j%c.n], bounds[0], bounds[1])
 		}
-		for _, impl := range []*PackedB{pb, pb.Portable()} {
-			got := runNC4(t, impl, a, c, bias, bounds[0], bounds[1])
+		for _, isa := range levels {
+			got := runNC4(t, pb.WithISA(isa), a, c, bias, bounds[0], bounds[1])
 			if d := firstBitDiff(got, want); d >= 0 {
-				t.Fatalf("%+v simd=%v clamp %v: NC4 %v (%#08x) != MulInto+bias+clamp %v (%#08x) at pixel %d channel %d", c, impl.simd, bounds,
+				t.Fatalf("%+v %s clamp %v: NC4 %v (%#08x) != MulInto+bias+clamp %v (%#08x) at pixel %d channel %d", c, isa, bounds,
 					got[d], math.Float32bits(got[d]), want[d], math.Float32bits(want[d]), d/c.n, d%c.n)
 			}
 		}
@@ -326,14 +359,19 @@ func TestPackedNC4ClampSpecials(t *testing.T) {
 	}
 	pb := PackB(b, 1, n)
 	bias := make([]float32, n)
+	levels := hostLevels(t)
 	for _, bounds := range clampBounds {
 		for _, s := range specials {
 			want := clamp(0+float32(s*1)+0, bounds[0], bounds[1])
-			for _, impl := range []*PackedB{pb, pb.Portable()} {
-				got := runNC4(t, impl, []float32{s, s, s, s, s}, nc4Case{5, 1, n, 1}, bias, bounds[0], bounds[1])
+			var pixels [17]float32 // a twelve-pixel tile, a four-pixel block and the overlapping one
+			for i := range pixels {
+				pixels[i] = s
+			}
+			for _, isa := range levels {
+				got := runNC4(t, pb.WithISA(isa), pixels[:], nc4Case{len(pixels), 1, n, 1}, bias, bounds[0], bounds[1])
 				for i, g := range got {
 					if !sameBits(g, want) {
-						t.Fatalf("clamp %v of %v (simd=%v) at %d: got %v (%#08x), want %v (%#08x)", bounds, s, impl.simd, i,
+						t.Fatalf("clamp %v of %v (%s) at %d: got %v (%#08x), want %v (%#08x)", bounds, s, isa, i,
 							g, math.Float32bits(g), want, math.Float32bits(want))
 					}
 				}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mnn/internal/graph"
+	"mnn/internal/matmul"
 )
 
 // ProfileEntry is one operator's measured cost in a profiled run.
@@ -104,7 +105,7 @@ func (p *Profile) Hottest(n int) []ProfileEntry {
 
 // Dump writes a human-readable report.
 func (p *Profile) Dump(w io.Writer, topN int) {
-	fmt.Fprintf(w, "total: %.2f ms over %d ops\n", msOf(p.Total), len(p.Entries))
+	fmt.Fprintf(w, "total: %.2f ms over %d ops (%s kernels)\n", msOf(p.Total), len(p.Entries), matmul.KernelISA())
 	fmt.Fprintf(w, "\nby op type:\n")
 	for _, e := range p.ByOp() {
 		pct := 0.0
