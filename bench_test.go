@@ -41,36 +41,11 @@ func BenchmarkTable1(b *testing.B) {
 // --- Table 2: preparation–execution decoupling --------------------------
 
 func BenchmarkTable2Decoupled(b *testing.B) {
-	g := models.MobileNetV1()
-	sess, err := mnn.NewInterpreter(g).CreateSession(mnn.Config{Threads: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fillInput(b, sess, "data")
-	if err := sess.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sess.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchInfer(b, models.MobileNetV1(), mnn.WithThreads(4))
 }
 
 func BenchmarkTable2NoPreparation(b *testing.B) {
-	g := models.MobileNetV1()
-	sess, err := mnn.NewInterpreter(g).CreateSession(mnn.Config{Threads: 4, NoPreparation: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fillInput(b, sess, "data")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sess.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchInfer(b, models.MobileNetV1(), mnn.WithThreads(4), mnn.WithoutPreparation())
 }
 
 // --- Table 3: Strassen matmul -------------------------------------------
@@ -109,9 +84,11 @@ func BenchmarkTable5PreInference(b *testing.B) {
 	g := models.ResNet18()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mnn.NewInterpreter(g).CreateSession(mnn.Config{Threads: 4}); err != nil {
+		eng, err := mnn.Open(g, mnn.WithThreads(4), mnn.WithPoolSize(1))
+		if err != nil {
 			b.Fatal(err)
 		}
+		eng.Close()
 	}
 }
 
@@ -132,21 +109,7 @@ func BenchmarkTable6FleetSim(b *testing.B) {
 // --- Table 7: MLPerf single-stream ---------------------------------------
 
 func BenchmarkTable7SingleStream(b *testing.B) {
-	g := models.MobileNetV2()
-	sess, err := mnn.NewInterpreter(g).CreateSession(mnn.Config{Threads: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fillInput(b, sess, "data")
-	if err := sess.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sess.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchInfer(b, models.MobileNetV2(), mnn.WithThreads(4))
 }
 
 // --- Table 8: Pixel CPU comparison ---------------------------------------
@@ -248,31 +211,35 @@ func BenchmarkInference(b *testing.B) {
 				if err := mnn.Optimize(g); err != nil {
 					b.Fatal(err)
 				}
-				sess, err := mnn.NewInterpreter(g).CreateSession(mnn.Config{Threads: threads})
-				if err != nil {
-					b.Fatal(err)
-				}
-				fillInput(b, sess, "data")
-				if err := sess.Run(); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := sess.Run(); err != nil {
-						b.Fatal(err)
-					}
-				}
+				benchInfer(b, g, mnn.WithThreads(threads))
 			})
 		}
 	}
 }
 
-func fillInput(b *testing.B, sess *mnn.Session, name string) {
+// benchInfer times InferInto on a one-session engine over g, after one warm
+// inference (which is also what allocates the output tensors).
+func benchInfer(b *testing.B, g *mnn.Graph, opts ...mnn.Option) {
 	b.Helper()
-	in := sess.Input(name)
-	tmp := tensor.New(in.Shape()...)
-	tensor.FillRandom(tmp, 1, 1)
-	in.CopyFrom(tmp)
+	eng, err := mnn.Open(g, append(opts, mnn.WithPoolSize(1))...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	in := tensor.New(eng.InputShape("data")...)
+	tensor.FillRandom(in, 1, 1)
+	inputs := map[string]*mnn.Tensor{"data": in}
+	ctx := context.Background()
+	outputs, err := eng.Infer(ctx, inputs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.InferInto(ctx, inputs, outputs); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // --- Engine.Infer steady state (PR 3's throughput headline) ---------------

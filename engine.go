@@ -26,7 +26,7 @@ import (
 	"mnn/internal/tuner"
 )
 
-// Engine is the concurrent v2 facade over the paper's prepared-session
+// Engine is the concurrent facade over the paper's prepared-session
 // design. Open runs the full pre-inference (shape inference, Equation 4–5
 // backend selection, Equation 2–3 scheme selection, Figure 3 memory
 // planning, constant pre-computation) once per pooled session; Infer is then

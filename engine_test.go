@@ -67,6 +67,10 @@ func TestEngineOpenVariants(t *testing.T) {
 	if _, err := mnn.Open(tinyModel(t), mnn.WithDevice("MI6"), mnn.WithForwardType(mnn.ForwardMetal)); !errors.Is(err, mnn.ErrUnknownBackend) {
 		t.Fatalf("Open(Metal on MI6) = %v, want ErrUnknownBackend", err)
 	}
+	// GPU forward type on the host, which has no device profile → typed error.
+	if _, err := mnn.Open(tinyModel(t), mnn.WithForwardType(mnn.ForwardVulkan)); !errors.Is(err, mnn.ErrUnknownBackend) {
+		t.Fatalf("Open(Vulkan on the host) = %v, want ErrUnknownBackend", err)
+	}
 }
 
 func TestEngineOptionValidation(t *testing.T) {
@@ -329,19 +333,6 @@ func TestEngineSimulatedClock(t *testing.T) {
 	plain.ResetSimulatedClock()
 	if plain.SimulatedMs() != 0 || plain.SimulatedByLabel() != nil {
 		t.Fatal("nil clock accessors must be zero-valued")
-	}
-}
-
-// Regression for the simclock nil-receiver bug at the public API level: a v1
-// session created without Simulate holds a nil clock and must not panic.
-func TestSessionWithoutSimulateClockSafe(t *testing.T) {
-	sess, err := mnn.NewInterpreter(tinyModel(t)).CreateSession(mnn.Config{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.ResetSimulatedClock()
-	if sess.SimulatedMs() != 0 {
-		t.Fatal("SimulatedMs without Simulate must be 0")
 	}
 }
 

@@ -205,3 +205,59 @@ func BenchmarkPoolGlobal(b *testing.B) {
 		op.Run(pool)
 	}
 }
+
+// BenchmarkGELU runs the transformer's feed-forward activation at its
+// longest sequence, [1,16,128], on one lane; Melem/s beside ns/op.
+func BenchmarkGELU(b *testing.B) {
+	src := tensor.NewRandom(1, 3, 1, 16, 128)
+	dst := tensor.New(1, 16, 128)
+	op := NewGELUOp(dst, src)
+	pool := testPool(b, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op.Run(pool)
+	}
+	b.ReportMetric(float64(len(src.Data()))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melem/s")
+}
+
+// BenchmarkSoftmaxLastAxis runs the attention softmax at sequence lengths 16
+// and the serving bucket's 10 (rows = heads·length), and a 1000-class head.
+func BenchmarkSoftmaxLastAxis(b *testing.B) {
+	for _, s := range []struct{ rows, d1 int }{{64, 16}, {28, 10}, {1, 1000}} {
+		b.Run(fmt.Sprintf("%dx%d", s.rows, s.d1), func(b *testing.B) {
+			src := tensor.NewRandom(1, 4, s.rows, s.d1)
+			op := NewSoftmaxOp(tensor.New(s.rows, s.d1), src)
+			pool := testPool(b, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op.Run(pool)
+			}
+		})
+	}
+}
+
+// BenchmarkAttention runs the transformer's two attention GEMMs (d 32, 4
+// heads of 8) at the lengths the benchmark sweeps.
+func BenchmarkAttention(b *testing.B) {
+	const d, h = 32, 4
+	for _, l := range []int{16, 8, 4} {
+		q, kv := tensor.NewRandom(1, 1, 1, l, d), tensor.NewRandom(2, 1, 1, l, d)
+		score := tensor.NewRandom(3, 1, 1, h*l, l)
+		for _, c := range []struct {
+			name string
+			op   *MatMulOp
+		}{
+			{"QK", NewMatMulBatchedOp(tensor.New(1, h*l, l), q, kv, &graph.MatMulAttrs{Heads: h, TransposeB: true, Scale: 0.35})},
+			{"AV", NewMatMulBatchedOp(tensor.New(1, l, d), score, kv, &graph.MatMulAttrs{Heads: h})},
+		} {
+			b.Run(fmt.Sprintf("%s/L%d", c.name, l), func(b *testing.B) {
+				pool := testPool(b, 1)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.op.Run(pool)
+				}
+				b.ReportMetric(2*float64(h*l*l*d/h)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}

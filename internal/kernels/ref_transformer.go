@@ -21,10 +21,7 @@ import (
 func LayerNormRef(dst, src, gamma, beta *tensor.Tensor, eps float32) {
 	shape := src.Shape()
 	d := shape[len(shape)-1]
-	rows := 1
-	for _, e := range shape[:len(shape)-1] {
-		rows *= e
-	}
+	rows := leadingRows(shape)
 	s, o := src.Data(), dst.Data()
 	g, b := gamma.Data(), beta.Data()
 	for r := 0; r < rows; r++ {
@@ -121,10 +118,7 @@ func matMulWeightRef(dst, src, w, bias *tensor.Tensor, scale float32) {
 	ws := w.Shape()
 	k, n := ws[0], ws[1]
 	shape := src.Shape()
-	rows := 1
-	for _, e := range shape[:len(shape)-1] {
-		rows *= e
-	}
+	rows := leadingRows(shape)
 	if shape[len(shape)-1] != k {
 		panic(fmt.Sprintf("kernels: matmul ref inner dim %d != %d", shape[len(shape)-1], k))
 	}

@@ -42,3 +42,18 @@ func maxAbs8(src *float32, blocks int) float32
 //
 //go:noescape
 func poolMaxNC4(dst, src *float32, rows, cols, rowBytes int)
+
+// expPS and geluPS are the AVX2 twins of expf32 and geluf32 (exp_amd64.s)
+// over 8·blocks floats, blocks ≥ 1; dst may be src.
+//
+//go:noescape
+func expPS(dst, src *float32, blocks int)
+
+//go:noescape
+func geluPS(dst, src *float32, blocks int)
+
+// dotCols8 is the AVX kernel behind the attention GEMMs (exp_amd64.s): 8·blocks
+// columns of dotCols, k ≥ 1, blocks ≥ 1.
+//
+//go:noescape
+func dotCols8(dst, a, b *float32, k, ldb, blocks int, scale float32)

@@ -29,3 +29,15 @@ func maxAbs8(src *float32, blocks int) float32 {
 func poolMaxNC4(dst, src *float32, rows, cols, rowBytes int) {
 	panic("kernels: no SIMD max-pooling kernel on this architecture")
 }
+
+func expPS(dst, src *float32, blocks int) {
+	panic("kernels: no SIMD exp kernel on this architecture")
+}
+
+func geluPS(dst, src *float32, blocks int) {
+	panic("kernels: no SIMD GELU kernel on this architecture")
+}
+
+func dotCols8(dst, a, b *float32, k, ldb, blocks int, scale float32) {
+	panic("kernels: no SIMD attention kernel on this architecture")
+}

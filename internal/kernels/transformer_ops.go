@@ -22,7 +22,12 @@ import (
 // LayerNorm/Softmax/weight-form MatMul via matmul.PackedB's chunk-invariant
 // contract, (batch, head) pairs for the attention GEMMs, single elements
 // for GELU/Transpose), so batch concatenation and worker-count changes
-// cannot move a single float.
+// cannot move a single float. The assembly under GELU, softmax and the
+// attention GEMMs (exp_amd64.s) repeats its scalar twin's roundings per
+// element, so neither can the SIMD level.
+
+// leadingRows is the number of last-axis rows of a tensor of this shape.
+func leadingRows(shape []int) int { return tensor.NumElements(shape[:len(shape)-1]) }
 
 // maxTransposeRank bounds Transpose to fixed-size stride arrays so RunChunk
 // stays allocation-free.
@@ -51,11 +56,7 @@ func NewLayerNormOp(dst, src, gamma, beta *tensor.Tensor, a *graph.LayerNormAttr
 
 // Run executes the layer norm on the pool, chunked over rows.
 func (o *LayerNormOp) Run(p *sched.Pool) {
-	shape := o.src.Shape()
-	rows := 1
-	for _, e := range shape[:len(shape)-1] {
-		rows *= e
-	}
+	rows := leadingRows(o.src.Shape())
 	p.Run(rows, sched.Chunk(rows, p.Lanes(), elemChunksPerLane), o)
 }
 
@@ -83,15 +84,17 @@ func (o *LayerNormOp) RunChunk(_, start, end int) {
 	}
 }
 
-// GELUOp applies the tanh-approximated GELU elementwise.
+// GELUOp applies the tanh-approximated GELU elementwise: geluf32 of every
+// element (expf.go), whose bits depend on that element alone.
 type GELUOp struct {
 	dst, src *tensor.Tensor
 	s, d     []float32
+	simd     bool // matmul.HaveAVX2: whole blocks of eight run geluPS
 }
 
 // NewGELUOp binds a GELU execution.
 func NewGELUOp(dst, src *tensor.Tensor) *GELUOp {
-	return &GELUOp{dst: dst, src: src, s: src.Data(), d: dst.Data()}
+	return &GELUOp{dst: dst, src: src, s: src.Data(), d: dst.Data(), simd: matmul.HaveAVX2()}
 }
 
 // Run executes the GELU on the pool. PhysicalLen covers NC4HW4 padding
@@ -103,55 +106,58 @@ func (o *GELUOp) Run(p *sched.Pool) {
 
 // RunChunk implements sched.Task over flat element indices.
 func (o *GELUOp) RunChunk(_, start, end int) {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	for i := start; i < end; i++ {
-		x := float64(o.s[i])
-		o.d[i] = float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
-	}
+	mapInto(o.d[start:end], o.s[start:end], o.simd, geluPS, geluf32)
 }
 
 // SoftmaxOp is the prepared last-axis softmax on flat tensors, chunked over
 // rows. Only axis == rank-1 (or -1) reaches this op; other axes run through
-// SoftmaxRef.
+// SoftmaxRef. Per row, in float32: the maximum (a `>` scan from −Inf, which
+// passes over NaN), x − max, expf32 of that, the sum in ascending order, one
+// division per element — so a row's bits depend on that row alone. A row
+// holding a NaN, or nothing but −Inf, comes out all NaN, as from SoftmaxRef.
 type SoftmaxOp struct {
 	dst, src *tensor.Tensor
 	s, d     []float32
+	simd     bool // matmul.HaveAVX2: whole blocks of eight run expPS
 }
 
 // NewSoftmaxOp binds a last-axis softmax execution.
 func NewSoftmaxOp(dst, src *tensor.Tensor) *SoftmaxOp {
-	return &SoftmaxOp{dst: dst, src: src, s: src.Data(), d: dst.Data()}
+	return &SoftmaxOp{dst: dst, src: src, s: src.Data(), d: dst.Data(), simd: matmul.HaveAVX2()}
 }
 
 // Run executes the softmax on the pool.
 func (o *SoftmaxOp) Run(p *sched.Pool) {
-	shape := o.src.Shape()
-	rows := 1
-	for _, e := range shape[:len(shape)-1] {
-		rows *= e
-	}
+	rows := leadingRows(o.src.Shape())
 	p.Run(rows, sched.Chunk(rows, p.Lanes(), elemChunksPerLane), o)
 }
 
-// RunChunk implements sched.Task over rows.
+// RunChunk implements sched.Task over rows: the exponential runs once, in
+// place, over the chunk's rows as one contiguous range.
 func (o *SoftmaxOp) RunChunk(_, start, end int) {
-	shape := o.src.Shape()
-	d1 := shape[len(shape)-1]
+	d1 := o.src.Dim(o.src.Rank() - 1)
+	out := o.d[start*d1 : end*d1]
 	for r := start; r < end; r++ {
 		row := o.s[r*d1 : (r+1)*d1]
-		out := o.d[r*d1 : (r+1)*d1]
-		maxV := float64(math.Inf(-1))
+		maxV := float32(math.Inf(-1))
 		for _, v := range row {
-			if float64(v) > maxV {
-				maxV = float64(v)
+			if v > maxV {
+				maxV = v
 			}
 		}
-		var sum float64
-		for _, v := range row {
-			sum += math.Exp(float64(v) - maxV)
-		}
 		for i, v := range row {
-			out[i] = float32(math.Exp(float64(v)-maxV) / sum)
+			out[(r-start)*d1+i] = v - maxV
+		}
+	}
+	mapInto(out, out, o.simd, expPS, expf32)
+	for ; len(out) > 0; out = out[d1:] {
+		row := out[:d1]
+		var sum float32
+		for _, e := range row {
+			sum += e
+		}
+		for i, e := range row {
+			row[i] = e / sum
 		}
 	}
 }
@@ -214,12 +220,13 @@ const (
 // MatMulOp covers the three MatMul forms of graph.MatMulAttrs. The weight
 // form packs the constant [K,N] weight into matmul.PackedB panels once and
 // row-chunks MulInto (bitwise chunk-invariant); the attention forms chunk
-// over (batch, head) pairs with plain ascending-index float32 dot products,
-// applying Scale as a single multiply after each dot.
+// over (batch, head) pairs and compute every output element as dotCols
+// describes, across output columns where they are contiguous.
 type MatMulOp struct {
 	form  matMulForm
 	heads int
 	scale float32 // resolved: 1 when attrs.Scale == 0
+	simd  bool    // matmul.HaveAVX2: attention columns run dotCols8
 
 	dst, a, b *tensor.Tensor
 	ad, bd, d []float32
@@ -259,7 +266,7 @@ func NewMatMulBatchedOp(dst, a, b *tensor.Tensor, attrs *graph.MatMulAttrs) *Mat
 		form = mmQK
 	}
 	return &MatMulOp{
-		form: form, heads: attrs.Heads, scale: resolveScale(attrs.Scale),
+		form: form, heads: attrs.Heads, scale: resolveScale(attrs.Scale), simd: matmul.HaveAVX2(),
 		dst: dst, a: a, b: b,
 		ad: a.Data(), bd: b.Data(), d: dst.Data(),
 	}
@@ -274,16 +281,10 @@ func resolveScale(s float32) float32 {
 
 // Run executes the GEMM on the pool.
 func (o *MatMulOp) Run(p *sched.Pool) {
-	if o.form == mmWeight {
-		shape := o.a.Shape()
-		rows := 1
-		for _, e := range shape[:len(shape)-1] {
-			rows *= e
-		}
-		p.Run(rows, sched.Chunk(rows, p.Lanes(), 1), o)
-		return
-	}
 	total := o.a.Dim(0) * o.heads
+	if o.form == mmWeight {
+		total = leadingRows(o.a.Shape())
+	}
 	p.Run(total, sched.Chunk(total, p.Lanes(), 1), o)
 }
 
@@ -324,48 +325,77 @@ func (o *MatMulOp) runWeight(start, end int) {
 	}
 }
 
+// dotCols sets dst[j] = (Σ_p a[p]·b[p·ps + j·js]) · scale for j < n: p
+// ascending over k terms from +0, multiply and add rounded separately, one
+// multiply by scale at the end — the sequence of roundings both attention
+// GEMMs have always had per output element, and which dotCols8 repeats on
+// eight adjacent columns (js == 1) at a time, so simd does not change a bit.
+func dotCols(dst, a, b []float32, k, n, ps, js int, scale float32, simd bool) {
+	j := 0
+	if simd && js == 1 && n >= 8 && k > 0 {
+		j = n &^ 7
+		dotCols8(&dst[0], &a[0], &b[0], k, ps, j/8, scale)
+	}
+	for ; j < n; j++ {
+		col := b[j*js:]
+		var acc float32
+		for p, v := range a[:k] {
+			acc += float32(v * col[p*ps])
+		}
+		dst[j] = acc * scale
+	}
+}
+
+// qkTile is runQK's stack scratch in floats: the K slice of one (batch, head)
+// pair transposed to [dh][key positions], as many positions at a time as fit
+// (a multiple of eight), so that the output columns of a query row lie along
+// a vector; and one output row of that width. Heads wider than qkTile/8 stay
+// on dotCols' scalar columns, which read K in place.
+const qkTile = 256
+
 func (o *MatMulOp) runQK(start, end int) {
-	qs, ks := o.a.Shape(), o.b.Shape()
-	la, d := qs[1], qs[2]
-	lb := ks[1]
-	h := o.heads
+	la, lb, d, h := o.a.Dim(1), o.b.Dim(1), o.b.Dim(2), o.heads
 	dh := d / h
+	var tile, row [qkTile]float32
+	w := 0 // key positions per tile; 0: the scalar route
+	if o.simd && dh*8 <= qkTile {
+		w = qkTile / dh &^ 7
+	}
 	for item := start; item < end; item++ {
 		b, hd := item/h, item%h
-		for i := 0; i < la; i++ {
-			q := o.ad[(b*la+i)*d+hd*dh:]
-			outRow := o.d[(b*h*la+hd*la+i)*lb:]
-			for j := 0; j < lb; j++ {
-				kr := o.bd[(b*lb+j)*d+hd*dh:]
-				var acc float32
-				for p := 0; p < dh; p++ {
-					acc += q[p] * kr[p]
+		q := o.ad[b*la*d+hd*dh:]
+		k := o.bd[b*lb*d+hd*dh:]
+		out := o.d[item*la*lb:]
+		if w == 0 {
+			for i := 0; i < la; i++ {
+				dotCols(out[i*lb:], q[i*d:], k, dh, lb, 1, d, o.scale, false)
+			}
+			continue
+		}
+		for j0 := 0; j0 < lb; j0 += w {
+			n := min(w, lb-j0)
+			n8 := (n + 7) &^ 7 // columns n..n8 of the tile are stale; their results are dropped
+			for j := 0; j < n; j++ {
+				for p, v := range k[(j0+j)*d:][:dh] {
+					tile[p*n8+j] = v
 				}
-				outRow[j] = acc * o.scale
+			}
+			for i := 0; i < la; i++ {
+				dotCols8(&row[0], &q[i*d], &tile[0], dh, n8, n8/8, o.scale)
+				copy(out[i*lb+j0:][:n], row[:n])
 			}
 		}
 	}
 }
 
 func (o *MatMulOp) runAV(start, end int) {
-	as, vs := o.a.Shape(), o.b.Shape()
-	hla, lb := as[1], as[2]
-	d := vs[2]
-	h := o.heads
-	la := hla / h
-	dh := d / h
+	lb, d, h := o.b.Dim(1), o.b.Dim(2), o.heads
+	la, dh := o.a.Dim(1)/h, d/h
 	for item := start; item < end; item++ {
 		b, hd := item/h, item%h
+		v := o.bd[b*lb*d+hd*dh:]
 		for i := 0; i < la; i++ {
-			score := o.ad[(b*hla+hd*la+i)*lb:]
-			out := o.d[(b*la+i)*d+hd*dh:]
-			for j := 0; j < dh; j++ {
-				var acc float32
-				for p := 0; p < lb; p++ {
-					acc += score[p] * o.bd[(b*lb+p)*d+hd*dh+j]
-				}
-				out[j] = acc * o.scale
-			}
+			dotCols(o.d[(b*la+i)*d+hd*dh:], o.ad[(item*la+i)*lb:], v, lb, dh, d, 1, o.scale, o.simd)
 		}
 	}
 }

@@ -11,8 +11,7 @@ import (
 )
 
 // Option configures an Engine at Open time (functional-options pattern).
-// Options replace the v1 Config struct; each validates eagerly so Open can
-// fail fast with a typed error.
+// Each validates eagerly so Open can fail fast with a typed error.
 type Option func(*engineConfig) error
 
 // engineConfig is the resolved configuration an Engine is built from.
@@ -178,7 +177,7 @@ func ParsePrecision(s string) (Precision, error) {
 }
 
 // WithInputShapes overrides the declared input shapes before pre-inference
-// (the v2 equivalent of Config.InputShapes / Session.Resize at open time).
+// (a resize at open time).
 func WithInputShapes(shapes map[string][]int) Option {
 	return func(c *engineConfig) error {
 		cp := make(map[string][]int, len(shapes))
