@@ -29,8 +29,10 @@ import (
 // Engine is the concurrent facade over the paper's prepared-session
 // design. Open runs the full pre-inference (shape inference, Equation 4–5
 // backend selection, Equation 2–3 scheme selection, Figure 3 memory
-// planning, constant pre-computation) once per pooled session; Infer is then
-// pure compute and safe to call from any number of goroutines — each call
+// planning, constant pre-computation) once per pooled session, on one set of
+// prepared weights built for the engine and shared by every session, a
+// rebuilt one included; Infer is then pure compute and safe to call from
+// any number of goroutines — each call
 // checks out a prepared session, copies the inputs in, runs, and copies the
 // outputs back out, so callers never share tensors with the engine.
 //
@@ -158,6 +160,9 @@ func Open(model any, opts ...Option) (*Engine, error) {
 			return nil, err
 		}
 	}
+	if !cfg.noPrep {
+		cfg.prepared = new(cpu.Prepared)
+	}
 	var clock *simclock.Clock
 	if cfg.simulate {
 		clock = simclock.New()
@@ -268,7 +273,8 @@ func newBackends(cfg engineConfig, clock *simclock.Clock) ([]backend.Backend, er
 			ForceScheme: force,
 			GemmScheme:  gemm,
 			Int8:        cfg.precision == PrecisionInt8, QuantPlan: cfg.int8Plan,
-			ActScales: cfg.actScales, NonNegActs: cfg.nonNegActs}),
+			ActScales: cfg.actScales, NonNegActs: cfg.nonNegActs,
+			Prepared: cfg.prepared}),
 	}
 	addGPU := func(kind backend.Kind, api device.GPUAPI) error {
 		if !dev.HasAPI(api) {
@@ -775,9 +781,9 @@ func (e *Engine) Stats() SessionStats { return e.stats }
 // MemoryBytes estimates the engine's resident size: the graph's weight
 // tensors plus every pooled session's planned arenas (4 bytes per float32
 // element). Weights of a shared graph are charged to each engine opened on
-// it, which over-counts; the prepared copies each session holds of them —
+// it, which over-counts; the one prepared copy the engine's sessions share —
 // GEMM panels, Winograd-transformed filters (mh·mw/(kh·kw) × the layer's
-// weights), int8 panels — are not counted at all, which under-counts. A
+// weights), int8 panels — is not counted at all, which under-counts. A
 // serving registry's budget is therefore an estimate, not a bound (ROADMAP:
 // counting them needs the benchmark's resident_mib re-baselined first).
 func (e *Engine) MemoryBytes() int64 {

@@ -2,6 +2,8 @@ package converter
 
 import (
 	"bytes"
+	"maps"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -12,12 +14,17 @@ import (
 	"mnn/internal/tensor"
 )
 
+// TestSaveLoadRoundTripAllNetworks saves every zoo network and loads it back
+// twice — with the chunked decode and with the per-value decode it replaced,
+// kept here as the oracle — and holds both to the saved weights bit for bit.
+// Weights are compared by hash, so no two copies of vgg-16's 528 MiB are
+// alive at once; -short keeps three networks of at most 16 MiB.
 func TestSaveLoadRoundTripAllNetworks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("round-trips every zoo network incl. resnet-50/inception-v3 (~19s)")
-	}
 	for _, name := range models.Names() {
 		t.Run(name, func(t *testing.T) {
+			if testing.Short() && name != "mobilenet-v1" && name != "squeezenet-v1.1" && name != "transformer" {
+				t.Skip("all zoo networks (vgg-16's weights are 528 MiB) only without -short")
+			}
 			g, err := models.ByName(name)
 			if err != nil {
 				t.Fatal(err)
@@ -26,30 +33,31 @@ func TestSaveLoadRoundTripAllNetworks(t *testing.T) {
 			if err := Save(g, &buf); err != nil {
 				t.Fatal(err)
 			}
-			g2, err := Load(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g2.Name != g.Name || len(g2.Nodes) != len(g.Nodes) || len(g2.Weights) != len(g.Weights) {
-				t.Fatalf("structure mismatch: %d/%d nodes, %d/%d weights",
-					len(g2.Nodes), len(g.Nodes), len(g2.Weights), len(g.Weights))
-			}
-			// Node-level equality.
-			for i, n := range g.Nodes {
-				n2 := g2.Nodes[i]
-				if n.Name != n2.Name || n.Op != n2.Op {
-					t.Fatalf("node %d differs: %s/%v vs %s/%v", i, n.Name, n.Op, n2.Name, n2.Op)
+			want, nodes, graphName := weightHashes(g), g.Nodes, g.Name
+			runtime.GC() // g is dead: only its hashes, nodes and name are kept
+			for _, dec := range []struct {
+				name string
+				f32s func(*reader, []float32)
+			}{{"chunked", (*reader).f32s}, {"per-value", f32sPerValue}} {
+				g2, err := load(bytes.NewReader(buf.Bytes()), dec.f32s)
+				if err != nil {
+					t.Fatalf("%s: %v", dec.name, err)
 				}
-			}
-			// Weight bit-equality.
-			for name, w := range g.Weights {
-				w2 := g2.Weights[name]
-				if w2 == nil {
-					t.Fatalf("weight %q missing after round trip", name)
+				if g2.Name != graphName {
+					t.Fatalf("%s: graph name %q, want %q", dec.name, g2.Name, graphName)
 				}
-				if tensor.MaxAbsDiff(w, w2) != 0 {
-					t.Fatalf("weight %q changed", name)
+				if len(g2.Nodes) != len(nodes) {
+					t.Fatalf("%s: %d nodes, want %d", dec.name, len(g2.Nodes), len(nodes))
 				}
+				for i, n := range nodes {
+					if n2 := g2.Nodes[i]; n.Name != n2.Name || n.Op != n2.Op {
+						t.Fatalf("%s: node %d is %s/%v, want %s/%v", dec.name, i, n2.Name, n2.Op, n.Name, n.Op)
+					}
+				}
+				if got := weightHashes(g2); !maps.Equal(got, want) {
+					t.Fatalf("%s: weights differ from the saved ones", dec.name)
+				}
+				runtime.GC()
 			}
 		})
 	}
@@ -229,11 +237,11 @@ func TestParseJSONFrontend(t *testing.T) {
 func TestParseJSONErrors(t *testing.T) {
 	cases := []string{
 		`{`, // malformed
-		`{"name":"x","nodes":[{"name":"n","op":"Bogus"}]}`,                         // unknown op
-		`{"name":"x","nodes":[{"name":"n","op":"Conv2D","inputs":["missing"]}]}`,   // missing attrs
-		`{"name":"x","weights":[{"name":"w","shape":[2],"data":[1,2,3]}]}`,         // bad length
-		`{"name":"x","weights":[{"name":"w","shape":[2],"init":"gaussian"}]}`,      // bad init
-		`{"name":"x","unknown_field":1}`,                                           // strict fields
+		`{"name":"x","nodes":[{"name":"n","op":"Bogus"}]}`,                       // unknown op
+		`{"name":"x","nodes":[{"name":"n","op":"Conv2D","inputs":["missing"]}]}`, // missing attrs
+		`{"name":"x","weights":[{"name":"w","shape":[2],"data":[1,2,3]}]}`,       // bad length
+		`{"name":"x","weights":[{"name":"w","shape":[2],"init":"gaussian"}]}`,    // bad init
+		`{"name":"x","unknown_field":1}`,                                         // strict fields
 	}
 	for i, c := range cases {
 		if _, err := ParseJSON(strings.NewReader(c)); err == nil {

@@ -36,8 +36,13 @@ const (
 // file). Test with errors.Is.
 var ErrUnsupportedVersion = errors.New("converter: unsupported format version")
 
+// chunkBytes is the size of the buffer weight data moves through: Load reads
+// and Save writes a tensor's values one chunk per call, never one per value.
+const chunkBytes = 64 << 10
+
 type writer struct {
 	w   *bufio.Writer
+	buf []byte // chunkBytes of encode buffer
 	err error
 }
 
@@ -45,9 +50,20 @@ func (w *writer) u32(v uint32) {
 	if w.err != nil {
 		return
 	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, w.err = w.w.Write(b[:])
+	binary.LittleEndian.PutUint32(w.buf, v)
+	_, w.err = w.w.Write(w.buf[:4])
+}
+
+// f32s encodes vs as little-endian float32 bit patterns, a chunk at a time.
+func (w *writer) f32s(vs []float32) {
+	for len(vs) > 0 && w.err == nil {
+		n := min(len(vs), chunkBytes/4)
+		for i, v := range vs[:n] {
+			binary.LittleEndian.PutUint32(w.buf[4*i:], math.Float32bits(v))
+		}
+		_, w.err = w.w.Write(w.buf[:4*n])
+		vs = vs[n:]
+	}
 }
 
 func (w *writer) i32(v int) { w.u32(uint32(int32(v))) }
@@ -86,43 +102,69 @@ func (w *writer) ints(vs []int) {
 
 type reader struct {
 	r   *bufio.Reader
+	buf []byte // chunkBytes of decode buffer
 	err error
 }
 
-func (r *reader) u32() uint32 {
+// next reads the next n ≤ chunkBytes bytes into the buffer; nil once an
+// error is recorded.
+func (r *reader) next(n int) []byte {
 	if r.err != nil {
-		return 0
+		return nil
 	}
-	var b [4]byte
-	_, r.err = io.ReadFull(r.r, b[:])
-	return binary.LittleEndian.Uint32(b[:])
+	if _, r.err = io.ReadFull(r.r, r.buf[:n]); r.err != nil {
+		return nil
+	}
+	return r.buf[:n]
+}
+
+func (r *reader) u32() uint32 {
+	if b := r.next(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+// f32s fills dst with little-endian float32s, one read per chunk.
+func (r *reader) f32s(dst []float32) {
+	for len(dst) > 0 {
+		n := min(len(dst), chunkBytes/4)
+		b := r.next(4 * n)
+		if b == nil {
+			return
+		}
+		for i := range dst[:n] {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+		dst = dst[n:]
+	}
 }
 
 func (r *reader) i32() int { return int(int32(r.u32())) }
 
-func (r *reader) str() string {
+// count reads a length or count of what, which must not pass 1<<20; 0 once
+// an error is recorded.
+func (r *reader) count(what string) int {
 	n := r.u32()
+	if r.err == nil && n > 1<<20 {
+		r.err = fmt.Errorf("converter: %s %d too large", what, n)
+	}
 	if r.err != nil {
-		return ""
+		return 0
 	}
-	if n > 1<<20 {
-		r.err = fmt.Errorf("converter: string length %d too large", n)
-		return ""
+	return int(n)
+}
+
+func (r *reader) str() string {
+	b := make([]byte, r.count("string length"))
+	if r.err == nil {
+		_, r.err = io.ReadFull(r.r, b)
 	}
-	b := make([]byte, n)
-	_, r.err = io.ReadFull(r.r, b)
 	return string(b)
 }
 
 func (r *reader) strs() []string {
-	n := r.u32()
-	if r.err != nil || n > 1<<20 {
-		if n > 1<<20 {
-			r.err = fmt.Errorf("converter: list length %d too large", n)
-		}
-		return nil
-	}
-	out := make([]string, n)
+	out := make([]string, r.count("list length"))
 	for i := range out {
 		out[i] = r.str()
 	}
@@ -134,14 +176,7 @@ func (r *reader) f32() float32 { return math.Float32frombits(r.u32()) }
 func (r *reader) bool() bool { return r.u32() != 0 }
 
 func (r *reader) ints() []int {
-	n := r.u32()
-	if r.err != nil || n > 1<<20 {
-		if n > 1<<20 {
-			r.err = fmt.Errorf("converter: list length %d too large", n)
-		}
-		return nil
-	}
-	out := make([]int, n)
+	out := make([]int, r.count("list length"))
 	for i := range out {
 		out[i] = r.i32()
 	}
@@ -153,7 +188,7 @@ func Save(g *graph.Graph, out io.Writer) error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
-	w := &writer{w: bufio.NewWriter(out)}
+	w := &writer{w: bufio.NewWriter(out), buf: make([]byte, chunkBytes)}
 	w.u32(Magic)
 	w.u32(Version)
 	w.str(g.Name)
@@ -180,9 +215,7 @@ func Save(g *graph.Graph, out io.Writer) error {
 		w.ints(t.Shape())
 		switch t.DType() {
 		case tensor.Float32:
-			for _, v := range t.Data() {
-				w.f32(v)
-			}
+			w.f32s(t.Data())
 		case tensor.Int8:
 			w.f32(t.Quant.Scale)
 			if w.err == nil {
@@ -226,7 +259,13 @@ func sortedWeightNames(g *graph.Graph) []string {
 
 // Load deserializes a graph from the binary format.
 func Load(in io.Reader) (*graph.Graph, error) {
-	r := &reader{r: bufio.NewReader(in)}
+	return load(in, (*reader).f32s)
+}
+
+// load is Load with the float32 tensor decode passed in, so tests can hold
+// the chunked decode to a per-value one.
+func load(in io.Reader, f32s func(*reader, []float32)) (*graph.Graph, error) {
+	r := &reader{r: bufio.NewReader(in), buf: make([]byte, chunkBytes)}
 	if m := r.u32(); m != Magic {
 		if r.err != nil {
 			return nil, r.err
@@ -241,14 +280,11 @@ func Load(in io.Reader) (*graph.Graph, error) {
 	g.InputNames = r.strs()
 	g.OutputNames = r.strs()
 
-	nNodes := r.u32()
+	nNodes := r.count("node count")
 	if r.err != nil {
 		return nil, r.err
 	}
-	if nNodes > 1<<20 {
-		return nil, fmt.Errorf("converter: node count %d too large", nNodes)
-	}
-	for i := uint32(0); i < nNodes; i++ {
+	for range nNodes {
 		n := &graph.Node{
 			Name: r.str(),
 			Op:   graph.OpType(r.u32()),
@@ -262,14 +298,11 @@ func Load(in io.Reader) (*graph.Graph, error) {
 		g.AddNode(n)
 	}
 
-	nWeights := r.u32()
+	nWeights := r.count("weight count")
 	if r.err != nil {
 		return nil, r.err
 	}
-	if nWeights > 1<<20 {
-		return nil, fmt.Errorf("converter: weight count %d too large", nWeights)
-	}
-	for i := uint32(0); i < nWeights; i++ {
+	for range nWeights {
 		name := r.str()
 		dt := tensor.DataType(r.u32())
 		shape := r.ints()
@@ -279,41 +312,37 @@ func Load(in io.Reader) (*graph.Graph, error) {
 		if err := checkWeightShape(name, shape); err != nil {
 			return nil, err
 		}
+		var t *tensor.Tensor
 		switch dt {
 		case tensor.Float32:
-			t := tensor.New(shape...)
-			d := t.Data()
-			for j := range d {
-				d[j] = r.f32()
-			}
-			g.AddWeight(name, t)
+			t = tensor.New(shape...)
+			f32s(r, t.Data())
 		case tensor.Int8:
-			scale := r.f32()
-			t := tensor.NewInt8(tensor.QuantParams{Scale: scale}, shape...)
-			raw := make([]byte, len(t.Int8Data()))
-			if r.err == nil {
-				_, r.err = io.ReadFull(r.r, raw)
+			t = tensor.NewInt8(tensor.QuantParams{Scale: r.f32()}, shape...)
+			for d := t.Int8Data(); len(d) > 0 && r.err == nil; {
+				b := r.next(min(len(d), chunkBytes))
+				for j, v := range b {
+					d[j] = int8(v)
+				}
+				d = d[len(b):]
 			}
-			for j, v := range raw {
-				t.Int8Data()[j] = int8(v)
-			}
-			g.AddWeight(name, t)
 		default:
 			return nil, fmt.Errorf("converter: weight %q has unsupported dtype %v", name, dt)
 		}
+		if r.err != nil {
+			return nil, fmt.Errorf("converter: weight %q: %w", name, r.err)
+		}
+		g.AddWeight(name, t)
 	}
 
 	if version >= 2 {
-		nScales := r.u32()
+		nScales := r.count("activation-scale count")
 		if r.err != nil {
 			return nil, r.err
 		}
-		if nScales > 1<<20 {
-			return nil, fmt.Errorf("converter: activation-scale count %d too large", nScales)
-		}
 		if nScales > 0 {
 			g.ActScales = make(map[string]float32, nScales)
-			for i := uint32(0); i < nScales; i++ {
+			for range nScales {
 				name := r.str()
 				g.ActScales[name] = r.f32()
 			}

@@ -181,6 +181,13 @@ func FuzzLoad(f *testing.F) {
 	// A truncated prefix and raw garbage exercise the error paths.
 	f.Add(seed.Bytes()[:len(seed.Bytes())/3])
 	f.Add([]byte("MNNGnot really"))
+	// Tensors across chunk boundaries, a zero-element and an int8 one, and
+	// those cut or patched inside the tensor decode.
+	valid, bad := corruptModels(f)
+	f.Add(valid)
+	for _, c := range bad {
+		f.Add(c.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := Load(bytes.NewReader(data))
 		if err != nil {

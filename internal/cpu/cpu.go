@@ -62,6 +62,9 @@ type Config struct {
 	// the default (packed). Both choices are bitwise chunk-invariant, so
 	// this knob can never perturb results.
 	GemmScheme func(n *graph.Node) (packB, ok bool)
+	// Prepared, when set, holds the kernels' prepared weights, each built on
+	// first use and shared by every backend of the engine; nil: build afresh.
+	Prepared *Prepared
 }
 
 // Backend is the CPU implementation of the Figure 5 interface.

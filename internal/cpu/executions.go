@@ -7,6 +7,7 @@ import (
 	"mnn/internal/core"
 	"mnn/internal/graph"
 	"mnn/internal/kernels"
+	"mnn/internal/matmul"
 	"mnn/internal/tensor"
 )
 
@@ -289,7 +290,9 @@ func (b *Backend) OnCreate(n *graph.Node, inputs, outputs []*tensor.Tensor, weig
 		if b.int8Node(n) {
 			return b.createQuantInnerProduct(n, in, out, w2, bias, a)
 		}
-		ip := kernels.PrepareInnerProduct(w2, bias, a)
+		ip := shared(b.cfg.Prepared, prepKey{node: n.Name}, func() *kernels.InnerProduct {
+			return kernels.PrepareInnerProduct(w2, bias, a)
+		})
 		muls := int64(batch) * int64(features) * int64(a.OutputCount)
 		if in.Layout() == tensor.NC4HW4 {
 			// Unpack via logical copy into a planner-backed flat buffer;
@@ -455,7 +458,13 @@ func (b *Backend) createMatMul(n *graph.Node, inputs []*tensor.Tensor, out *tens
 				packB = p
 			}
 		}
-		op := kernels.NewMatMulWeightOp(out, in, w, bias, a, packB)
+		var packed *matmul.PackedB
+		if packB {
+			packed, _ = get(b.cfg.Prepared, prepKey{node: n.Name}, func() (*matmul.PackedB, error) {
+				return matmul.PackB(w.Data(), k, nn), nil // cannot fail
+			})
+		}
+		op := kernels.NewMatMulWeightOp(out, in, w, bias, a, packed)
 		rows := in.NumElements() / k
 		muls := int64(rows) * int64(k) * int64(nn)
 		scheme := "gemm-direct"
@@ -522,12 +531,16 @@ func (b *Backend) createConv(n *graph.Node, in, out *tensor.Tensor, weights back
 		return b.createQuantConv(n, in, out, weight, bias, dec)
 	}
 
+	key := prepKey{n.Name, dec.Scheme, dec.TileH, dec.TileW}
 	switch dec.Scheme {
 	case core.SchemeWinograd:
-		wc, err := kernels.PrepareWinograd(weight, bias, a, dec.TileH, dec.TileW)
+		proto, err := get(b.cfg.Prepared, key, func() (*kernels.WinogradConv, error) {
+			return kernels.PrepareWinograd(weight, bias, a, dec.TileH, dec.TileW)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("cpu: conv %q: %w", n.Name, err)
 		}
+		wc := proto.Share()
 		ws := b.workspace(n.Name, wc.WorkspaceSize()*lanes)
 		scheme := dec.Scheme.String()
 		return execFunc(func() error {
@@ -537,7 +550,9 @@ func (b *Backend) createConv(n *graph.Node, in, out *tensor.Tensor, weights back
 		}), nil
 
 	case core.SchemeStrassen1x1:
-		c := kernels.PrepareConv1x1(weight, bias, a)
+		c := shared(b.cfg.Prepared, key, func() *kernels.Conv1x1 {
+			return kernels.PrepareConv1x1(weight, bias, a)
+		})
 		scheme := dec.Scheme.String()
 		return execFunc(func() error {
 			c.Run(out, in, pool)
@@ -546,7 +561,9 @@ func (b *Backend) createConv(n *graph.Node, in, out *tensor.Tensor, weights back
 		}), nil
 
 	case core.SchemeDepthwise:
-		dc := kernels.PrepareDepthwise(weight, bias, a)
+		dc := shared(b.cfg.Prepared, key, func() *kernels.DepthwiseConv {
+			return kernels.PrepareDepthwise(weight, bias, a)
+		})
 		scheme := dec.Scheme.String()
 		return execFunc(func() error {
 			dc.Run(out, in, pool)
@@ -555,7 +572,9 @@ func (b *Backend) createConv(n *graph.Node, in, out *tensor.Tensor, weights back
 		}), nil
 
 	case core.SchemeIm2col:
-		c := kernels.PrepareIm2col(weight, bias, a)
+		c := shared(b.cfg.Prepared, key, func() *kernels.Im2colConv {
+			return kernels.PrepareIm2col(weight, bias, a)
+		})
 		gemmWS := kernels.Im2colWorkspaceFloats(a, in.Channels(), out.Channels(), out.Height(), out.Width())
 		buf := b.workspace(n.Name, gemmWS+in.NumElements()+out.NumElements())
 		var ws []float32
@@ -577,7 +596,9 @@ func (b *Backend) createConv(n *graph.Node, in, out *tensor.Tensor, weights back
 		}), nil
 
 	default: // SchemeSliding
-		sc := kernels.PrepareSliding(weight, bias, a)
+		sc := shared(b.cfg.Prepared, key, func() *kernels.SlidingConv {
+			return kernels.PrepareSliding(weight, bias, a)
+		})
 		scheme := dec.Scheme.String()
 		return execFunc(func() error {
 			sc.Run(out, in, pool)

@@ -21,8 +21,11 @@ import (
 func (b *Backend) createQuantConv(n *graph.Node, in, out *tensor.Tensor, weight, bias *tensor.Tensor, dec core.ConvDecision) (backend.Execution, error) {
 	a := n.Attrs.(*graph.Conv2DAttrs)
 	pool := b.pool
-	qc := kernels.PrepareQuantConv(weight, bias, a, b.actScale(n))
-	qc.Unsigned = b.cfg.NonNegActs[n.Inputs[0]]
+	qc := shared(b.cfg.Prepared, prepKey{n.Name, dec.Scheme, dec.TileH, dec.TileW}, func() *kernels.QuantConv {
+		qc := kernels.PrepareQuantConv(weight, bias, a, b.actScale(n))
+		qc.Unsigned = b.cfg.NonNegActs[n.Inputs[0]]
+		return qc
+	})
 	ws := b.workspace(n.Name, kernels.QuantConvWorkspaceFloats(in.Channels(), in.Height(), in.Width()))
 	muls := dec.DirectMULs // the int8 GEMM computes every multiply
 	return execFunc(func() error {
@@ -39,8 +42,11 @@ func (b *Backend) createQuantInnerProduct(n *graph.Node, in, out *tensor.Tensor,
 	pool := b.pool
 	batch := in.Dim(0)
 	features := in.NumElements() / batch
-	ip := kernels.PrepareQuantInnerProduct(w2, bias, a, b.actScale(n))
-	ip.Unsigned = b.cfg.NonNegActs[n.Inputs[0]]
+	ip := shared(b.cfg.Prepared, prepKey{node: n.Name}, func() *kernels.QuantInnerProduct {
+		ip := kernels.PrepareQuantInnerProduct(w2, bias, a, b.actScale(n))
+		ip.Unsigned = b.cfg.NonNegActs[n.Inputs[0]]
+		return ip
+	})
 	muls := int64(batch) * int64(features) * int64(a.OutputCount)
 	quantWS := kernels.QuantInnerProductWorkspaceFloats(batch, features, a.OutputCount)
 	if in.Layout() == tensor.NC4HW4 {

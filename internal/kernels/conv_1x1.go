@@ -40,21 +40,18 @@ type conv1x1Run struct {
 // PrepareConv1x1 packs weights for the 1×1 kernel. weight is [oc, ic, 1, 1].
 func PrepareConv1x1(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs) *Conv1x1 {
 	oc, ic := weight.Dim(0), weight.Dim(1)
-	c := &Conv1x1{attrs: *a, ic: ic, oc: oc}
-	wT := make([]float32, ic*oc)
-	w := weight.Data()
-	for o := 0; o < oc; o++ {
-		for i := 0; i < ic; i++ {
-			wT[i*oc+o] = w[o*ic+i]
-		}
-	}
-	c.packed = matmul.PackB(wT, ic, oc)
-	c.bias = make([]float32, tensor.UpDiv(oc, matmul.PanelWidth)*matmul.PanelWidth)
-	if bias != nil {
-		copy(c.bias, bias.Data())
-	}
+	c := &Conv1x1{attrs: *a, ic: ic, oc: oc,
+		packed: matmul.PackWeight(weight.Data(), oc, ic, 1),
+		bias:   paddedBias(bias, tensor.UpDiv(oc, matmul.PanelWidth)*matmul.PanelWidth)}
 	c.lo, c.hi = clampBounds(a.ReLU, a.ReLU6)
 	return c
+}
+
+// Share returns a kernel over c's prepared weight with run state of its own.
+func (c *Conv1x1) Share() *Conv1x1 {
+	s := *c
+	s.rs = conv1x1Run{}
+	return &s
 }
 
 // Run executes the convolution on the pool. src and dst must be NC4HW4.

@@ -58,24 +58,25 @@ func PrepareDepthwise(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs) *Depthw
 	c4 := tensor.UpDiv(c, 4)
 	dc := &DepthwiseConv{attrs: *a, c: c, simd: matmul.HaveAVX2()}
 	dc.packed = make([]float32, c4*kh*kw*4)
-	w := weight.Data()
+	taps := kh * kw
 	for ch := 0; ch < c; ch++ {
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				v := w[(ch*kh+ky)*kw+kx]
-				cz, cl := ch/4, ch%4
-				dc.packed[((cz*kh+ky)*kw+kx)*4+cl] = v
-			}
+		for t, v := range weight.Data()[ch*taps : (ch+1)*taps] {
+			dc.packed[(ch/4*taps+t)*4+ch%4] = v
 		}
 	}
-	dc.bias = make([]float32, c4*4)
-	if bias != nil {
-		copy(dc.bias, bias.Data())
-	}
+	dc.bias = paddedBias(bias, c4*4)
 	dc.lo, dc.hi = clampBounds(a.ReLU, a.ReLU6)
 	sw := strideOr1(a.StrideW)
 	dc.shape3 = kh == 3 && kw == 3 && (sw == 1 || sw == 2) && dilOr1(a.DilationH) == 1 && dilOr1(a.DilationW) == 1
 	return dc
+}
+
+// Share returns a kernel over dc's packed weight with run state of its own:
+// the cut of a pack's output is per geometry, hence per kernel.
+func (dc *DepthwiseConv) Share() *DepthwiseConv {
+	s := *dc
+	s.rs = depthwiseRun{}
+	return &s
 }
 
 // Run executes the depthwise convolution on the pool. src and dst must be

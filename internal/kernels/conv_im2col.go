@@ -52,26 +52,20 @@ func PrepareIm2col(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs) *Im2colCon
 	}
 	ocg := oc / group
 	k := icg * kh * kw
-	c := &Im2colConv{attrs: *a, ic: icg * group, oc: oc}
-	wT := make([]float32, group*k*ocg) // [group][icg·kh·kw][oc/g]: the transposed per-group weight PackB copies
-	w := weight.Data()
-	for g := 0; g < group; g++ {
-		for o := 0; o < ocg; o++ {
-			for i := 0; i < k; i++ {
-				wT[(g*k+i)*ocg+o] = w[(g*ocg+o)*k+i]
-			}
-		}
+	packed := make([]*matmul.PackedB, group)
+	for g := range packed {
+		// Group g's [oc/g][icg·kh·kw] rows, K in the im2col patch's (c, ky, kx) order.
+		packed[g] = matmul.PackWeight(weight.Data()[g*ocg*k:(g+1)*ocg*k], ocg, k, 1)
 	}
-	c.packed = make([]*matmul.PackedB, group)
-	for g := 0; g < group; g++ {
-		c.packed[g] = matmul.PackB(wT[g*k*ocg:(g+1)*k*ocg], k, ocg)
-	}
-	c.bias = make([]float32, oc)
-	if bias != nil {
-		copy(c.bias, bias.Data())
-	}
-	c.colsT.c, c.gemmT.c, c.scatterT.c = c, c, c
-	return c
+	return (&Im2colConv{attrs: *a, ic: icg * group, oc: oc, packed: packed, bias: paddedBias(bias, oc)}).Share()
+}
+
+// Share returns a kernel over c's prepared weight with run state of its own.
+func (c *Im2colConv) Share() *Im2colConv {
+	s := *c
+	s.rs = im2colRun{}
+	s.colsT.c, s.gemmT.c, s.scatterT.c = &s, &s, &s
+	return &s
 }
 
 // WorkspaceSize returns the scratch float32 count for a batch-element run:

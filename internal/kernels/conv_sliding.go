@@ -91,24 +91,28 @@ func (g *tapGeom) runAt(taps []matmul.Tap, oy, x, x1, kh, kw, tapRows int) (int,
 // im2col path for grouped convolution). bias may be nil.
 func PrepareSliding(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs) *SlidingConv {
 	oc, ic := weight.Dim(0), weight.Dim(1)
-	taps := a.KernelH * a.KernelW
-	sc := &SlidingConv{attrs: *a, ic: ic, oc: oc}
-	wT := make([]float32, taps*ic*oc)
-	w := weight.Data()
-	for o := 0; o < oc; o++ {
-		for i := 0; i < ic; i++ {
-			for t := 0; t < taps; t++ {
-				wT[(t*ic+i)*oc+o] = w[(o*ic+i)*taps+t]
-			}
-		}
-	}
-	sc.packed = matmul.PackB(wT, taps*ic, oc)
-	sc.bias = make([]float32, tensor.UpDiv(oc, matmul.PanelWidth)*matmul.PanelWidth)
-	if bias != nil {
-		copy(sc.bias, bias.Data())
-	}
+	sc := &SlidingConv{attrs: *a, ic: ic, oc: oc,
+		packed: matmul.PackWeight(weight.Data(), oc, ic, a.KernelH*a.KernelW),
+		bias:   paddedBias(bias, tensor.UpDiv(oc, matmul.PanelWidth)*matmul.PanelWidth)}
 	sc.lo, sc.hi = clampBounds(a.ReLU, a.ReLU6)
 	return sc
+}
+
+// Share returns a kernel over sc's prepared weight with run state of its own.
+func (sc *SlidingConv) Share() *SlidingConv {
+	s := *sc
+	s.rs = slidingRun{}
+	return &s
+}
+
+// paddedBias copies bias (nil: none) into n zeroed floats, the length a
+// kernel reads.
+func paddedBias(bias *tensor.Tensor, n int) []float32 {
+	b := make([]float32, n)
+	if bias != nil {
+		copy(b, bias.Data())
+	}
+	return b
 }
 
 // Run executes the convolution on the pool. src and dst must be NC4HW4.

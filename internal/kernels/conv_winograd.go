@@ -110,39 +110,66 @@ func PrepareWinograd(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs, nh, nw i
 		simd:      matmul.HaveAVX2(),
 		tileBlock: DefaultTileBlock,
 	}
-	// wT is [mh*mw][ic][oc]: PackB copies each position's matrix into panels,
-	// so the staging copy dies with this call.
-	wT := make([]float32, mh*mw*ic*oc)
-	w := weight.Data()
-	// Transform each output channel's filters in parallel: for wide layers
-	// (512×512) this is millions of small transforms and dominates
-	// pre-inference time otherwise. One-shot goroutines are fine here —
-	// this is pre-inference, not the hot path.
-	sched.Spawn(4, oc, func(_, start, end int) {
-		kTile := make([]float32, kh*kw)
-		tTile := make([]float32, mh*mw)
-		scratch := make([]float32, mh*kw)
-		for o := start; o < end; o++ {
-			for i := 0; i < ic; i++ {
-				copy(kTile, w[(o*ic+i)*kh*kw:(o*ic+i+1)*kh*kw])
-				// W' = G_h (kh→mh rows) · W · G_wᵀ (kw→mw cols).
-				rectTransform(tTile, kTile, matsH.G, matsW.G, mh, kh, kw, mw, scratch)
-				for p := 0; p < mh*mw; p++ {
-					wT[(p*ic+i)*oc+o] = tTile[p]
+	wc.packedW = make([]*matmul.PackedB, mh*mw)
+	for p := range wc.packedW {
+		wc.packedW[p] = matmul.NewPackedB(ic, oc)
+	}
+	gh, gw := newLinComb(matsH.G, mh, kh, true), newLinComb(matsW.G, mw, kw, false)
+	transformFilters(wc.packedW, weight.Data(), oc, ic, &gh, &gw, kh, kw, wc.simd)
+	wc.bias = paddedBias(bias, tensor.AlignUp(oc, 8))
+	wc.lo, wc.hi = clampBounds(a.ReLU, a.ReLU6)
+	return wc, nil
+}
+
+// Share returns a kernel over wc's transformed weights with run state of its
+// own.
+func (wc *WinogradConv) Share() *WinogradConv {
+	s := *wc
+	s.rs = winogradRun{}
+	return &s
+}
+
+// transformFilters computes W' = G_h·W·G_wᵀ of every kh×kw filter (o, i) of
+// the [oc][ic] weight w and writes its transform position p to row i, column
+// o of panels[p]. gh and gw are the two axes as linCombs — zero coefficients
+// dropped on the first, kept on the second, the order of the scalar
+// per-filter transform (rectTransform in the tests) — and each runs over a
+// block of filters at once: the sixteen output channels of one panel times
+// up to filterBlock input channels, eight filters to a linCombNC4 lane group
+// with simd. Every element gets that transform's bits, and the block of a
+// position lands on consecutive rows of one panel, so it is copied there
+// whole. Lanes past oc are zero-filled and transform to +0 (a sum from +0 of
+// ±0 products), the panel's padding.
+func transformFilters(panels []*matmul.PackedB, w []float32, oc, ic int, gh, gw *linComb, kh, kw int, simd bool) {
+	const lanes, filterBlock = matmul.PanelWidth, 16
+	mh, mw, taps := len(gh.cnt), len(gw.cnt), kh*kw
+	src := make([]float32, taps*filterBlock*lanes)   // [ky][kx][i][lane]
+	half := make([]float32, mh*kw*filterBlock*lanes) // G_h·W: [row][kx][i][lane]
+	out := make([]float32, mw*filterBlock*lanes)     // one row of G_h·W·G_wᵀ: [col][i][lane]
+	for jp := 0; jp*lanes < oc; jp++ {
+		valid := min(lanes, oc-jp*lanes)
+		for i0 := 0; i0 < ic; i0 += filterBlock {
+			bi := min(filterBlock, ic-i0)
+			row := bi * lanes // floats per (ky, kx) or (row, kx) pair
+			if valid < lanes {
+				clear(src)
+			}
+			for l := 0; l < valid; l++ {
+				for i := 0; i < bi; i++ {
+					for e, v := range w[((jp*lanes+l)*ic+i0+i)*taps:][:taps] {
+						src[e*row+i*lanes+l] = v
+					}
+				}
+			}
+			gh.apply(simd, half, kw*row, 8, 4, src, kw*row, 8, 4, kw*row/8, mh, 8, nil, 0, 0)
+			for r := 0; r < mh; r++ {
+				gw.apply(simd, out, row, 8, 4, half[r*kw*row:], row, 8, 4, row/8, mw, 8, nil, 0, 0)
+				for c := 0; c < mw; c++ {
+					copy(panels[r*mw+c].Rows(i0, jp)[:row], out[c*row:])
 				}
 			}
 		}
-	})
-	wc.packedW = make([]*matmul.PackedB, mh*mw)
-	for p := 0; p < mh*mw; p++ {
-		wc.packedW[p] = matmul.PackB(wT[p*ic*oc:(p+1)*ic*oc], ic, oc)
 	}
-	wc.bias = make([]float32, tensor.AlignUp(oc, 8))
-	if bias != nil {
-		copy(wc.bias, bias.Data())
-	}
-	wc.lo, wc.hi = clampBounds(a.ReLU, a.ReLU6)
-	return wc, nil
 }
 
 // linComb is one axis of a Winograd transform, a rows×cols matrix, as lists
@@ -223,43 +250,6 @@ func (lc *linComb) apply(simd bool, dst []float32, dstRow, dstChunk, dstSplit in
 			}
 		}
 		t0 = t1
-	}
-}
-
-// rectTransform computes dst = L · src · Rᵀ where L is lm×lk, src is lk×rk,
-// R is rm×rk; dst is lm×rm. scratch must hold lm*rk floats. It is the weight
-// transform at prepare time and, in the tests, the per-channel oracle of the
-// pack-wise transforms: the products are written float32(a*b) so that no
-// platform fuses them into the add.
-func rectTransform(dst, src, l, r []float32, lm, lk, rk, rm int, scratch []float32) {
-	// scratch = L(lm×lk) · src(lk×rk)
-	for i := 0; i < lm; i++ {
-		li := l[i*lk : (i+1)*lk]
-		row := scratch[i*rk : (i+1)*rk]
-		for j := range row {
-			row[j] = 0
-		}
-		for p, lv := range li {
-			if lv == 0 {
-				continue
-			}
-			sp := src[p*rk : (p+1)*rk]
-			for j, sv := range sp {
-				row[j] += float32(lv * sv)
-			}
-		}
-	}
-	// dst = scratch(lm×rk) · Rᵀ: dst[i][j] = Σ_p scratch[i][p]·R[j][p]
-	for i := 0; i < lm; i++ {
-		si := scratch[i*rk : (i+1)*rk]
-		for j := 0; j < rm; j++ {
-			rj := r[j*rk : (j+1)*rk]
-			var sum float32
-			for p := 0; p < rk; p++ {
-				sum += float32(si[p] * rj[p])
-			}
-			dst[i*rm+j] = sum
-		}
 	}
 }
 

@@ -14,6 +14,43 @@ import (
 // Tests of the k×k convolutions on SIMD: SlidingConv on
 // matmul.PackedB.MulTapsNC4Into and WinogradConv's transforms on linComb.
 
+// rectTransform computes dst = L · src · Rᵀ where L is lm×lk, src is lk×rk,
+// R is rm×rk; dst is lm×rm. scratch must hold lm*rk floats. It is the
+// per-channel oracle of the pack-wise transforms and of transformFilters:
+// zero coefficients of L are skipped, none of R, and the products are
+// written float32(a*b) so that no platform fuses them into the add.
+func rectTransform(dst, src, l, r []float32, lm, lk, rk, rm int, scratch []float32) {
+	// scratch = L(lm×lk) · src(lk×rk)
+	for i := 0; i < lm; i++ {
+		li := l[i*lk : (i+1)*lk]
+		row := scratch[i*rk : (i+1)*rk]
+		for j := range row {
+			row[j] = 0
+		}
+		for p, lv := range li {
+			if lv == 0 {
+				continue
+			}
+			sp := src[p*rk : (p+1)*rk]
+			for j, sv := range sp {
+				row[j] += float32(lv * sv)
+			}
+		}
+	}
+	// dst = scratch(lm×rk) · Rᵀ: dst[i][j] = Σ_p scratch[i][p]·R[j][p]
+	for i := 0; i < lm; i++ {
+		si := scratch[i*rk : (i+1)*rk]
+		for j := 0; j < rm; j++ {
+			rj := r[j*rk : (j+1)*rk]
+			var sum float32
+			for p := 0; p < rk; p++ {
+				sum += float32(si[p] * rj[p])
+			}
+			dst[i*rm+j] = sum
+		}
+	}
+}
+
 // winogradParentRoute is the Winograd convolution as the engine ran it
 // before the transforms went over channel packs: per tile and per channel,
 // gather the patch with zero padding, rectTransform it, scatter into the

@@ -440,25 +440,19 @@ type ipRun struct {
 	batch int
 }
 
-// PrepareInnerProduct transposes the [out, features] weight and packs it
-// into GEMM panels.
+// PrepareInnerProduct packs the [out, features] weight into GEMM panels as
+// the [features][out] right operand.
 func PrepareInnerProduct(weight, bias *tensor.Tensor, a *graph.InnerProductAttrs) *InnerProduct {
-	out := weight.Dim(0)
-	features := weight.Dim(1)
-	ip := &InnerProduct{attrs: *a, features: features}
-	wT := make([]float32, features*out)
-	w := weight.Data()
-	for o := 0; o < out; o++ {
-		for i := 0; i < features; i++ {
-			wT[i*out+o] = w[o*features+i]
-		}
-	}
-	ip.packed = matmul.PackB(wT, features, out)
-	ip.bias = make([]float32, out)
-	if bias != nil {
-		copy(ip.bias, bias.Data())
-	}
-	return ip
+	out, features := weight.Dim(0), weight.Dim(1)
+	return &InnerProduct{attrs: *a, features: features,
+		packed: matmul.PackWeight(weight.Data(), out, features, 1), bias: paddedBias(bias, out)}
+}
+
+// Share returns a kernel over ip's prepared weight with run state of its own.
+func (ip *InnerProduct) Share() *InnerProduct {
+	s := *ip
+	s.rs = ipRun{}
+	return &s
 }
 
 // Run executes the FC layer on NCHW buffers (src flattened per batch).

@@ -206,24 +206,20 @@ func PrepareQuantConv(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs, inputSc
 	c := &QuantConv{attrs: *a, ic: ic, oc: oc, InputScale: inputScale, simd: matmul.HaveAVX2()}
 	q, scales := quantizeWeightChannels(weight.Data(), oc, ic*taps)
 	c.wScales = scales
-	icp := tensor.UpDiv(ic, 4) * 4
-	bT := make([]int8, taps*icp*oc)
-	for o := 0; o < oc; o++ {
-		for i := 0; i < ic; i++ {
-			for t := 0; t < taps; t++ {
-				bT[(t*icp+i)*oc+o] = q[(o*ic+i)*taps+t]
-			}
-		}
-	}
-	c.packed = matmul.PackBInt8(bT, taps*icp, oc)
-	cols := tensor.UpDiv(oc, matmul.PanelWidthInt8) * matmul.PanelWidthInt8
-	c.rq.Scale, c.rq.Bias = make([]float32, cols), make([]float32, cols)
-	if bias != nil {
-		copy(c.rq.Bias, bias.Data())
-	}
+	c.packed = matmul.PackWeightInt8(q, oc, ic, taps, tensor.UpDiv(ic, 4)*4)
+	c.rq.Bias = paddedBias(bias, tensor.UpDiv(oc, matmul.PanelWidthInt8)*matmul.PanelWidthInt8)
 	c.rq.Lo, c.rq.Hi = clampBounds(a.ReLU, a.ReLU6)
-	c.quantT.c = c
-	return c
+	return c.Share()
+}
+
+// Share returns a kernel over c's prepared weight and scales with run state
+// of its own: the per-sample requantization scales included.
+func (c *QuantConv) Share() *QuantConv {
+	s := *c
+	s.rs = quantConvRun{}
+	s.rq.Scale = make([]float32, len(c.rq.Bias))
+	s.quantT.c = &s
+	return &s
 }
 
 // QuantConvWorkspaceFloats is the planner requirement of a QuantConv over an
@@ -338,18 +334,17 @@ func PrepareQuantInnerProduct(weight, bias *tensor.Tensor, a *graph.InnerProduct
 	ip := &QuantInnerProduct{attrs: *a, features: features, InputScale: inputScale, simd: matmul.HaveAVX2()}
 	q, scales := quantizeWeightChannels(weight.Data(), out, features)
 	ip.wScales = scales
-	bT := make([]int8, features*out)
-	for o := 0; o < out; o++ {
-		for i := 0; i < features; i++ {
-			bT[i*out+o] = q[o*features+i]
-		}
-	}
-	ip.packed = matmul.PackBInt8(bT, features, out)
-	ip.bias = make([]float32, out)
-	if bias != nil {
-		copy(ip.bias, bias.Data())
-	}
+	ip.packed = matmul.PackWeightInt8(q, out, features, 1, features)
+	ip.bias = paddedBias(bias, out)
 	return ip
+}
+
+// Share returns a kernel over ip's prepared weight and scales with run state
+// of its own.
+func (ip *QuantInnerProduct) Share() *QuantInnerProduct {
+	s := *ip
+	s.rs = quantIPRun{}
+	return &s
 }
 
 // QuantInnerProductWorkspaceFloats is the planner requirement for a

@@ -218,8 +218,8 @@ const (
 )
 
 // MatMulOp covers the three MatMul forms of graph.MatMulAttrs. The weight
-// form packs the constant [K,N] weight into matmul.PackedB panels once and
-// row-chunks MulInto (bitwise chunk-invariant); the attention forms chunk
+// form row-chunks MulInto over the constant [K,N] weight's matmul.PackedB
+// panels (bitwise chunk-invariant); the attention forms chunk
 // over (batch, head) pairs and compute every output element as dotCols
 // describes, across output columns where they are contiguous.
 type MatMulOp struct {
@@ -238,18 +238,17 @@ type MatMulOp struct {
 }
 
 // NewMatMulWeightOp binds the weight form: src [.., M, K] × w [K, N] with
-// optional bias [N]. When packB is false the GEMM runs on the unpacked
-// weight via matmul.Mul — the tuner's cost model picks between the two.
-func NewMatMulWeightOp(dst, src, w, bias *tensor.Tensor, a *graph.MatMulAttrs, packB bool) *MatMulOp {
+// optional bias [N], on packed, w's matmul.PackB form, or with packed nil on
+// the unpacked weight via matmul.Mul — the tuner's cost model picks between
+// the two.
+func NewMatMulWeightOp(dst, src, w, bias *tensor.Tensor, a *graph.MatMulAttrs, packed *matmul.PackedB) *MatMulOp {
 	ws := w.Shape()
 	o := &MatMulOp{
 		form: mmWeight, scale: resolveScale(a.Scale),
 		dst: dst, a: src, ad: src.Data(), d: dst.Data(),
-		k: ws[0], n: ws[1],
+		k: ws[0], n: ws[1], packed: packed,
 	}
-	if packB {
-		o.packed = matmul.PackB(w.Data(), o.k, o.n)
-	} else {
+	if packed == nil {
 		o.bd = w.Data()
 	}
 	if bias != nil {

@@ -55,17 +55,46 @@ func (pb *PackedBInt8) index(p, j int) int {
 	return (j/PanelWidthInt8*pb.kq+p/4)*quadWords + quadIndex(p%4, j%PanelWidthInt8)
 }
 
+// newPackedBInt8 returns the packed form of the k×n zero matrix.
+func newPackedBInt8(k, n int) *PackedBInt8 {
+	panels := (n + PanelWidthInt8 - 1) / PanelWidthInt8
+	pb := &PackedBInt8{K: k, N: n, kq: (k + 3) / 4, simd: HaveAVX2()}
+	pb.data = make([]int16, panels*pb.kq*quadWords)
+	return pb
+}
+
 // PackBInt8 packs the row-major k×n int8 matrix b.
 func PackBInt8(b []int8, k, n int) *PackedBInt8 {
 	if len(b) < k*n {
 		panic("matmul: PackBInt8 buffer too small for declared dimensions")
 	}
-	panels := (n + PanelWidthInt8 - 1) / PanelWidthInt8
-	pb := &PackedBInt8{K: k, N: n, kq: (k + 3) / 4, simd: HaveAVX2()}
-	pb.data = make([]int16, panels*pb.kq*quadWords)
+	pb := newPackedBInt8(k, n)
 	for p := 0; p < k; p++ {
 		for j, v := range b[p*n : (p+1)*n] {
 			pb.data[pb.index(p, j)] = int16(v)
+		}
+	}
+	return pb
+}
+
+// PackWeightInt8 is PackWeight for an int8 weight whose taps start at whole
+// channel packs: row t·cp + i of the (taps·cp)×n matrix holds tap t of input
+// channel i < c, and rows c ≤ i < cp of each tap are zero.
+func PackWeightInt8(w []int8, n, c, taps, cp int) *PackedBInt8 {
+	if len(w) < n*c*taps || cp < c {
+		panic("matmul: PackWeightInt8 buffer too small for declared dimensions")
+	}
+	pb := newPackedBInt8(taps*cp, n)
+	for j0 := 0; j0 < n; j0 += PanelWidthInt8 {
+		for p := 0; p < pb.K; p++ {
+			t, i := p/cp, p%cp
+			if i >= c {
+				continue
+			}
+			quad := pb.data[(j0/PanelWidthInt8*pb.kq+p/4)*quadWords:][:quadWords]
+			for l := range min(PanelWidthInt8, n-j0) {
+				quad[quadIndex(p%4, l)] = int16(w[((j0+l)*c+i)*taps+t])
+			}
 		}
 	}
 	return pb

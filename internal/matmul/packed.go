@@ -68,25 +68,55 @@ func (pb *PackedB) WithISA(isa string) *PackedB {
 // the oracle that differential tests compare the assembly kernels with.
 func (pb *PackedB) Portable() *PackedB { return pb.WithISA("portable") }
 
+// NewPackedB returns the packed form of the k×n zero matrix, for a caller to
+// fill through Rows.
+func NewPackedB(k, n int) *PackedB {
+	panels := (n + PanelWidth - 1) / PanelWidth
+	return &PackedB{K: k, N: n, data: make([]float32, panels*k*PanelWidth), simd: haveSIMD}
+}
+
+// Rows returns panel jp from row p on: PanelWidth floats per row, the
+// matrix's columns jp·PanelWidth… of rows p, p+1, …, K−1. Columns past N are
+// padding and must stay zero.
+func (pb *PackedB) Rows(p, jp int) []float32 {
+	return pb.data[(jp*pb.K+p)*PanelWidth : (jp+1)*pb.K*PanelWidth]
+}
+
+// PackWeight packs the [n][c][taps] weight w — a convolution's
+// [oc][ic][kh·kw], or with taps 1 an [out][features] one — as the
+// (taps·c)×n matrix whose row t·c + i holds tap t of input channel i: the
+// kernels' (tap, channel) reduction order. It is PackB of that matrix, read
+// straight from the weight's own layout: each panel line is gathered from
+// the weight rows of its columns, so the panels are written once, in order.
+func PackWeight(w []float32, n, c, taps int) *PackedB {
+	k := taps * c
+	if len(w) < n*k {
+		panic("matmul: PackWeight buffer too small for declared dimensions")
+	}
+	pb := NewPackedB(k, n)
+	for jp := 0; jp*PanelWidth < n; jp++ {
+		cols := min(PanelWidth, n-jp*PanelWidth)
+		rows := w[jp*PanelWidth*k : (jp*PanelWidth+cols)*k] // column l is rows[l·k:]
+		for p := 0; p < k; p++ {
+			line := pb.Rows(p, jp)[:cols]
+			s := rows[p%c*taps+p/c:] // tap p/c of input channel p%c
+			for l := range line {
+				line[l] = s[l*k]
+			}
+		}
+	}
+	return pb
+}
+
 // PackB packs the row-major k×n matrix b.
 func PackB(b []float32, k, n int) *PackedB {
 	if len(b) < k*n {
 		panic("matmul: PackB buffer too small for declared dimensions")
 	}
-	panels := (n + PanelWidth - 1) / PanelWidth
-	pb := &PackedB{K: k, N: n, data: make([]float32, panels*k*PanelWidth), simd: haveSIMD}
-	for jp := 0; jp < panels; jp++ {
-		j0 := jp * PanelWidth
-		lim := n - j0
-		if lim > PanelWidth {
-			lim = PanelWidth
-		}
+	pb := NewPackedB(k, n)
+	for j0 := 0; j0 < n; j0 += PanelWidth {
 		for p := 0; p < k; p++ {
-			dst := pb.data[(jp*k+p)*PanelWidth:]
-			src := b[p*n+j0:]
-			for l := 0; l < lim; l++ {
-				dst[l] = src[l]
-			}
+			copy(pb.Rows(p, j0/PanelWidth)[:min(PanelWidth, n-j0)], b[p*n+j0:])
 		}
 	}
 	return pb

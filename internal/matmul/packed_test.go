@@ -379,3 +379,61 @@ func TestPackedNC4ClampSpecials(t *testing.T) {
 		}
 	}
 }
+
+// TestPackWeightMatchesStagedTranspose is the parity test of the packs that
+// read a weight in its own [n][c][taps] layout: each must make, byte for byte
+// — panels, zero padding, K and N — what PackB and PackBInt8 make of the
+// (tap, channel)-major transpose the kernels used to stage, over the output,
+// input and tap counts of the engine's layers, with NaN payloads, ±Inf, -0
+// and denormals among the fp32 weights, and in int8 both without padding (the
+// FC's rows) and with every tap padded to whole channel packs (QuantConv's).
+func TestPackWeightMatchesStagedTranspose(t *testing.T) {
+	for _, n := range []int{1, 15, 16, 17, 100} {
+		for _, c := range []int{1, 3, 4, 5, 64} {
+			for _, taps := range []int{1, 9, 49} {
+				w := weights(uint64(n*1000+c*10+taps), n, c*taps)
+				for i, v := range []float32{math.Float32frombits(0x7fc01234), math.Float32frombits(0xffa00001), float32(math.Inf(1)), float32(math.Inf(-1))} {
+					w[(i*7919)%len(w)] = v
+				}
+				staged := make([]float32, len(w))
+				for o := 0; o < n; o++ {
+					for i := 0; i < c; i++ {
+						for tp := 0; tp < taps; tp++ {
+							staged[(tp*c+i)*n+o] = w[(o*c+i)*taps+tp]
+						}
+					}
+				}
+				got, want := PackWeight(w, n, c, taps), PackB(staged, taps*c, n)
+				if got.K != want.K || got.N != want.N || len(got.data) != len(want.data) {
+					t.Fatalf("n=%d c=%d taps=%d: %d×%d (%d floats), want %d×%d (%d)", n, c, taps, got.K, got.N, len(got.data), want.K, want.N, len(want.data))
+				}
+				for i := range want.data {
+					if math.Float32bits(got.data[i]) != math.Float32bits(want.data[i]) {
+						t.Fatalf("n=%d c=%d taps=%d: float %d is %#x, want %#x", n, c, taps, i, math.Float32bits(got.data[i]), math.Float32bits(want.data[i]))
+					}
+				}
+
+				q := randInt8(uint32(n*c*taps), n*c*taps, true)
+				for _, cp := range []int{c, (c + 3) / 4 * 4} {
+					staged8 := make([]int8, taps*cp*n)
+					for o := 0; o < n; o++ {
+						for i := 0; i < c; i++ {
+							for tp := 0; tp < taps; tp++ {
+								staged8[(tp*cp+i)*n+o] = q[(o*c+i)*taps+tp]
+							}
+						}
+					}
+					got8, want8 := PackWeightInt8(q, n, c, taps, cp), PackBInt8(staged8, taps*cp, n)
+					if got8.K != want8.K || got8.N != want8.N || got8.kq != want8.kq || len(got8.data) != len(want8.data) {
+						t.Fatalf("int8 n=%d c=%d taps=%d cp=%d: shape differs", n, c, taps, cp)
+					}
+					for i := range want8.data {
+						if got8.data[i] != want8.data[i] {
+							t.Fatalf("int8 n=%d c=%d taps=%d cp=%d: word %d is %d, want %d", n, c, taps, cp, i, got8.data[i], want8.data[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

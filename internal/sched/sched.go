@@ -289,48 +289,3 @@ func (p *Pool) RunFunc(total, chunk int, fn func(worker, start, end int)) {
 	t := funcTask{fn: fn}
 	p.Run(total, chunk, &t)
 }
-
-// Spawn runs fn over [0, n) on up to `threads` freshly spawned goroutines
-// with a static equal split — the seed ParallelFor behaviour, kept for
-// one-shot cold paths (pre-inference weight transforms) where standing up a
-// pool isn't worth it. Panics in spawned goroutines are contained and
-// re-raised as a *PanicError on the caller once all shards finish.
-func Spawn(threads, n int, fn func(worker, start, end int)) {
-	if n <= 0 {
-		return
-	}
-	if threads > n {
-		threads = n
-	}
-	if threads <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	chunk := (n + threads - 1) / threads
-	var (
-		wg       sync.WaitGroup
-		panicked atomic.Pointer[PanicError]
-	)
-	worker := 0
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(w, s, e int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicked.CompareAndSwap(nil, &PanicError{Value: r, Stack: debug.Stack()})
-				}
-			}()
-			fn(w, s, e)
-		}(worker, start, end)
-		worker++
-	}
-	wg.Wait()
-	if pe := panicked.Load(); pe != nil {
-		panic(pe)
-	}
-}

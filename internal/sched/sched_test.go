@@ -151,28 +151,6 @@ func TestChunk(t *testing.T) {
 	}
 }
 
-func TestSpawnStaticSplit(t *testing.T) {
-	hits := make([]int32, 100)
-	workers := map[int]bool{}
-	var mu sync.Mutex
-	Spawn(4, 100, func(w, s, e int) {
-		mu.Lock()
-		workers[w] = true
-		mu.Unlock()
-		for i := s; i < e; i++ {
-			atomic.AddInt32(&hits[i], 1)
-		}
-	})
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("Spawn: index %d visited %d times", i, h)
-		}
-	}
-	if len(workers) != 4 {
-		t.Fatalf("Spawn used %d workers, want 4", len(workers))
-	}
-}
-
 func TestRunZeroAllocSteadyState(t *testing.T) {
 	p := New(4)
 	defer p.Close()
@@ -257,23 +235,4 @@ func TestRunContainsWorkerPanic(t *testing.T) {
 		}
 		p.Close()
 	}
-}
-
-func TestSpawnContainsPanic(t *testing.T) {
-	defer func() {
-		r := recover()
-		pe, ok := r.(*PanicError)
-		if !ok {
-			t.Fatalf("recovered %T (%v), want *PanicError", r, r)
-		}
-		if len(pe.Stack) == 0 {
-			t.Fatal("PanicError carries no stack")
-		}
-	}()
-	Spawn(4, 16, func(worker, start, end int) {
-		if start <= 5 && 5 < end {
-			panic("shard exploded")
-		}
-	})
-	t.Fatal("Spawn did not re-panic")
 }

@@ -418,11 +418,8 @@ func (s *Session) OutputNames() []string { return s.g.OutputNames }
 // Stats returns pre-inference statistics.
 func (s *Session) Stats() Stats { return s.stats }
 
-// Shapes exposes the inferred shape map.
-func (s *Session) Shapes() graph.ShapeMap { return s.shapes }
-
 // prepareFresh clears backend state and re-runs preparation (the
-// NoPreparation path, and Resize).
+// NoPreparation path).
 func (s *Session) prepareFresh() error {
 	saved := map[string]*tensor.Tensor{}
 	for name, t := range s.inputs {
@@ -558,21 +555,5 @@ func (s *Session) Close() error {
 			}
 		}
 	}
-	return nil
-}
-
-// Resize re-runs pre-inference with new input shapes.
-func (s *Session) Resize(inputShapes map[string][]int) error {
-	s.cfg.InputShapes = inputShapes
-	s.inputs = nil
-	s.outputs = nil
-	for _, b := range s.backends {
-		b.OnClearBuffer()
-	}
-	start := time.Now()
-	if err := s.prepare(); err != nil {
-		return err
-	}
-	s.stats.PrepareTime = time.Since(start)
 	return nil
 }

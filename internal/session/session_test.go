@@ -266,35 +266,6 @@ func TestSessionRepeatedRunsStable(t *testing.T) {
 	}
 }
 
-func TestSessionResize(t *testing.T) {
-	g := smallCNN()
-	s, err := New(g, Config{Backends: []backend.Backend{cpu.New(cpu.Config{Threads: 1})}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Resize(map[string][]int{"data": {1, 3, 32, 32}}); err != nil {
-		t.Fatal(err)
-	}
-	in := s.Input("data")
-	if !tensor.EqualShape(in.Shape(), []int{1, 3, 32, 32}) {
-		t.Fatalf("input shape after resize: %v", in.Shape())
-	}
-	fillInput(s, "data", 11)
-	if err := s.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Check against reference at the new size.
-	tmp := tensor.New(1, 3, 32, 32)
-	tensor.FillRandom(tmp, 11, 1)
-	outs, err := RunReference(g, map[string]*tensor.Tensor{"data": tmp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := tensor.MaxAbsDiff(outs["prob"], s.Output("prob")); d > 1e-3 {
-		t.Fatalf("resized output differs by %g", d)
-	}
-}
-
 func TestSessionStats(t *testing.T) {
 	g := smallCNN()
 	s, err := New(g, Config{Backends: []backend.Backend{cpu.New(cpu.Config{Threads: 1})}})

@@ -1,88 +1,5 @@
 package winograd
 
-// Tile-level transforms. All matrices are tiny (≤ 12×12); these helpers are
-// used by the Winograd convolution kernel on per-tile scratch buffers.
-
-// matMul computes dst = a·b for row-major a (rm×rk) and b (rk×rn).
-func matMul(dst, a, b []float32, rm, rk, rn int) {
-	for i := 0; i < rm; i++ {
-		ai := a[i*rk : (i+1)*rk]
-		di := dst[i*rn : (i+1)*rn]
-		for j := range di {
-			di[j] = 0
-		}
-		for p, av := range ai {
-			if av == 0 {
-				continue
-			}
-			bp := b[p*rn : (p+1)*rn]
-			for j, bv := range bp {
-				di[j] += av * bv
-			}
-		}
-	}
-}
-
-// TransformWeight computes dst = G · src · Gᵀ, mapping a k×k kernel tile to
-// an m×m transformed tile. scratch must hold at least m·k floats.
-func (mats *Matrices) TransformWeight(dst, src, scratch []float32) {
-	m, k := mats.M, mats.K
-	// scratch = G(m×k) · src(k×k) → m×k
-	matMul(scratch[:m*k], mats.G, src, m, k, k)
-	// dst = scratch(m×k) · Gᵀ(k×m): dst[i][j] = Σ scratch[i][p] * G[j][p]
-	for i := 0; i < m; i++ {
-		si := scratch[i*k : (i+1)*k]
-		for j := 0; j < m; j++ {
-			gj := mats.G[j*k : (j+1)*k]
-			var sum float32
-			for p := 0; p < k; p++ {
-				sum += si[p] * gj[p]
-			}
-			dst[i*m+j] = sum
-		}
-	}
-}
-
-// TransformInput computes dst = Bᵀ · src · B for an m×m input tile.
-// scratch must hold at least m·m floats. dst and src may not alias.
-func (mats *Matrices) TransformInput(dst, src, scratch []float32) {
-	m := mats.M
-	// scratch = BT(m×m) · src(m×m)
-	matMul(scratch[:m*m], mats.BT, src, m, m, m)
-	// dst = scratch · B = scratch · BTᵀ: dst[i][j] = Σ scratch[i][p] * BT[j][p]
-	for i := 0; i < m; i++ {
-		si := scratch[i*m : (i+1)*m]
-		for j := 0; j < m; j++ {
-			bj := mats.BT[j*m : (j+1)*m]
-			var sum float32
-			for p := 0; p < m; p++ {
-				sum += si[p] * bj[p]
-			}
-			dst[i*m+j] = sum
-		}
-	}
-}
-
-// TransformOutput computes dst = Aᵀ · src · A, reducing an m×m product tile
-// to the n×n output tile. scratch must hold at least n·m floats.
-func (mats *Matrices) TransformOutput(dst, src, scratch []float32) {
-	n, m := mats.N, mats.M
-	// scratch = AT(n×m) · src(m×m) → n×m
-	matMul(scratch[:n*m], mats.AT, src, n, m, m)
-	// dst = scratch(n×m) · A(m×n) where A = ATᵀ: dst[i][j] = Σ scratch[i][p]*AT[j][p]
-	for i := 0; i < n; i++ {
-		si := scratch[i*m : (i+1)*m]
-		for j := 0; j < n; j++ {
-			aj := mats.AT[j*m : (j+1)*m]
-			var sum float32
-			for p := 0; p < m; p++ {
-				sum += si[p] * aj[p]
-			}
-			dst[i*n+j] = sum
-		}
-	}
-}
-
 // ArithmeticCost evaluates Equation 2 of the paper: the per-tile arithmetic
 // cost of F(n×n, k×k) Winograd convolution with ic input and oc output
 // channels,

@@ -135,6 +135,22 @@ func correlate2D(d []float32, m int, g []float32, k, n int) []float32 {
 	return y
 }
 
+// sandwich returns L·src·Rᵀ for L lm×lk, src lk×rk and R rm×rk: a tile
+// transform applied along both axes.
+func sandwich(l, src, r []float32, lm, lk, rk, rm int) []float32 {
+	dst := make([]float32, lm*rm)
+	for i := 0; i < lm; i++ {
+		for j := 0; j < rm; j++ {
+			for p := 0; p < lk; p++ {
+				for q := 0; q < rk; q++ {
+					dst[i*rm+j] += l[i*lk+p] * src[p*rk+q] * r[j*rk+q]
+				}
+			}
+		}
+	}
+	return dst
+}
+
 func TestTransform2DMatchesDirect(t *testing.T) {
 	r := tensor.NewRNG(2)
 	for _, tc := range [][2]int{{2, 3}, {4, 3}, {6, 3}, {2, 5}, {4, 5}, {2, 2}, {4, 2}} {
@@ -149,17 +165,13 @@ func TestTransform2DMatchesDirect(t *testing.T) {
 		for i := range g {
 			g[i] = r.Float32()
 		}
-		scratch := make([]float32, m*m)
-		wT := make([]float32, m*m)
-		mats.TransformWeight(wT, g, scratch)
-		xT := make([]float32, m*m)
-		mats.TransformInput(xT, d, scratch)
+		wT := sandwich(mats.G, g, mats.G, m, k, k, m)
+		xT := sandwich(mats.BT, d, mats.BT, m, m, m, m)
 		prod := make([]float32, m*m)
 		for i := range prod {
 			prod[i] = wT[i] * xT[i]
 		}
-		y := make([]float32, n*n)
-		mats.TransformOutput(y, prod, scratch)
+		y := sandwich(mats.AT, prod, mats.AT, n, m, m, n)
 
 		want := correlate2D(d, m, g, k, n)
 		for i := range want {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"mnn/internal/core"
+	"mnn/internal/cpu"
 	"mnn/internal/fault"
 	"mnn/internal/tuner"
 )
@@ -24,9 +25,9 @@ type engineConfig struct {
 	inputShapes map[string][]int
 	// dynamic marks inputShapes as *maximum* shapes (WithMaxInputShapes):
 	// the engine plans once at the max and serves any smaller shape per run.
-	dynamic bool
-	noPrep  bool
-	precision   Precision
+	dynamic   bool
+	noPrep    bool
+	precision Precision
 	// int8Plan, nonNegActs and actScales are derived from the graph at Open
 	// time when precision is int8 (optimizer.PlanInt8 / graph.ActScales).
 	int8Plan   map[string]bool
@@ -41,6 +42,8 @@ type engineConfig struct {
 	tuningPlan   *tuner.Plan
 	assignment   core.Assignment
 	backendCosts core.BackendCosts
+	// prepared is the weight set every session runs on (nil: WithoutPreparation).
+	prepared *cpu.Prepared
 	// faultPlan/fi arm deterministic fault injection (WithFaultPlan /
 	// WithFaultInjector). fi == nil is the zero-cost disabled state.
 	faultPlan *fault.Plan
@@ -112,7 +115,8 @@ func WithSimulatedClock() Option {
 }
 
 // WithPoolSize sets how many prepared sessions the Engine holds (default 1).
-// Pre-inference runs once per pooled session at Open time; Infer then serves
+// Pre-inference runs once per pooled session at Open time, on one set of
+// prepared weights built for the first and shared by all; Infer then serves
 // up to n requests truly concurrently, with further callers queueing.
 func WithPoolSize(n int) Option {
 	return func(c *engineConfig) error {
