@@ -124,7 +124,7 @@ func main() {
 	addr := flag.String("addr", ":8500", "listen address")
 	pprofAddr := flag.String("pprof", "", "optional net/http/pprof listen address (e.g. localhost:6060); keep it off public interfaces")
 	maxBatch := flag.Int("max-batch", 0, "default micro-batch size for models that don't set maxbatch= (0 disables batching)")
-	maxLatency := flag.Duration("max-latency", serve.DefaultMaxLatency, "default micro-batch window for models that don't set maxlatency=")
+	maxLatency := flag.Duration("max-latency", serve.DefaultMaxLatency, "default cap on how long a queued request waits for batch-mates already on their way, for models that don't set maxlatency= (a queue nothing else can join is cut at once)")
 	maxBuckets := flag.Int("max-buckets", 0, "default shape-bucket bound for batching models that don't set buckets= (0 = serve.DefaultMaxBuckets; 1 batches only the declared input shape)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 30*time.Second, "grace period for draining in-flight requests on SIGINT/SIGTERM")
 	memoryBudget := flag.String("memory-budget", "", "resident-engine byte budget (e.g. 512MiB, 1GiB); models load lazily on first request and idle ones are evicted LRU under pressure (empty = unlimited, eager loads)")

@@ -31,14 +31,30 @@ const maxFailedSigs = 64
 // the unbatched engine; it never escapes to callers.
 var errNoBucket = errors.New("serve: no batch bucket available")
 
+// dispatchWorkers is how many batches run at once; the next batch stacks
+// while the previous one computes.
+const dispatchWorkers = 2
+
+// Why a bucket's queue was cut (the reason label of mnn_batch_cuts_total).
+const (
+	cutFull  = "full"  // the queue reached maxBatch
+	cutIdle  = "idle"  // no admitted request could still join, and a worker was free
+	cutDue   = "due"   // a member's window (or deadline budget) ran out
+	cutDrain = "drain" // shutdown
+)
+
+var cutReasons = []string{cutFull, cutIdle, cutDue, cutDrain}
+
 // batcher implements shape-bucketed continuous batching for one model.
 // Concurrent single-sample requests are keyed by their input-shape
 // signature into buckets, each holding a lazily opened engine prepared at
 // batch size maxBatch for that bucket's shapes. A scheduler goroutine cuts
-// a bucket's queue into a batch when it fills or when its oldest request's
-// window (bounded by the request's effective deadline) expires, orders
-// ready batches earliest-deadline-first, and hands them to two dispatch
-// workers — so the next batch stacks while the previous one computes.
+// an idle bucket's queue into a batch when it fills, when no admitted
+// request is still on its way to a bucket and a dispatch worker is free
+// (nothing could join the batch, so waiting buys nothing), or when its
+// oldest request's window (bounded by the request's effective deadline)
+// expires. It orders ready batches earliest-deadline-first and hands them
+// to dispatchWorkers workers.
 // Partial batches run on the bucket engine via pad-and-mask: unused slots
 // stay zero and only live slots are split back out, which preserves the
 // batched≡unbatched bitwise guarantee because every kernel is per-sample.
@@ -86,11 +102,21 @@ type batcher struct {
 	workers  sync.WaitGroup
 	closers  sync.WaitGroup // async engine closes from evictions
 
-	// mu guards the bucket table, the failed-signature memo, and every
-	// bucket's queue/usage fields.
+	// mu guards the bucket table, the failed-signature memo, every
+	// bucket's queue/usage fields and outstanding.
 	mu      sync.Mutex
 	buckets map[string]*bucket
 	failed  map[string]error
+	// outstanding counts batches cut but not yet finished, across buckets:
+	// those running on a worker and those ready to hand to one.
+	outstanding int
+
+	// approaching counts the requests inside infer that have passed
+	// admission but are not yet in a bucket: up from before the send on
+	// reqs until the scheduler has queued (or refused) them or they give
+	// up on the send. Requests waiting for admission are not counted: they
+	// wait for a slot a queued request holds.
+	approaching atomic.Int64
 
 	batchRuns atomic.Int64 // bucket-engine invocations (tests, stats)
 	evictions atomic.Int64
@@ -99,9 +125,12 @@ type batcher struct {
 // batcherHooks are the Model-side observers a batcher reports into. Any
 // field may be nil.
 type batcherHooks struct {
-	// onFlush observes every dispatched batch with its request count
-	// (metrics: cumulative batch-fill ratio).
-	onFlush func(n int)
+	// onFlush observes every dispatched batch (metrics: cumulative fill
+	// ratio, cut reasons, each member's wait from arrival to cut).
+	onFlush func(bt *batch)
+	// beforeRun runs on the dispatch worker before a batch touches an
+	// engine; tests block in it to hold a run.
+	beforeRun func(bt *batch)
 	// noteBytes reports ±deltas of dynamically opened bucket-engine bytes
 	// (the primary bucket is counted by the model's load accounting).
 	noteBytes func(delta int64)
@@ -186,9 +215,11 @@ type batchResp struct {
 
 // batch is one cut bucket queue on its way through dispatch.
 type batch struct {
-	bkt  *bucket
-	reqs []*batchReq
-	due  time.Time // earliest edfKey among members
+	bkt    *bucket
+	reqs   []*batchReq
+	due    time.Time // earliest edfKey among members
+	reason string    // one of cutReasons
+	cutAt  time.Time
 }
 
 // newBatcher builds the scheduler and opens the primary bucket (the
@@ -243,9 +274,10 @@ func newBatcher(cfg ModelConfig, fallback *mnn.Engine, hooks batcherHooks) (*bat
 		return nil, err
 	}
 	b.buckets[b.primary.sig] = b.primary
-	b.workers.Add(2)
-	go b.worker()
-	go b.worker()
+	b.workers.Add(dispatchWorkers)
+	for i := 0; i < dispatchWorkers; i++ {
+		go b.worker()
+	}
 	go b.loop()
 	return b, nil
 }
@@ -262,8 +294,8 @@ func (b *batcher) primaryBytes() int64 {
 
 // openShared opens the one batch engine of dynamic mode, planned at
 // [maxBatch, per-request maxima...], and probes it at the full batch shape
-// so "outputs cannot split along dim 0" still fails at Load time. Pool of
-// 2 matches the two dispatch workers: batches from different buckets run
+// so "outputs cannot split along dim 0" still fails at Load time. Its pool
+// matches the dispatch workers: batches from different buckets run
 // concurrently, just as two static bucket engines would.
 func (b *batcher) openShared() error {
 	shapes := make(map[string][]int, len(b.inputNames))
@@ -275,7 +307,7 @@ func (b *batcher) openShared() error {
 		shapes[name] = append([]int{b.maxBatch}, max[1:]...)
 	}
 	eng, err := mnn.Open(b.cfg.Model, append(append([]mnn.Option(nil), b.cfg.Options...),
-		mnn.WithMaxInputShapes(shapes), mnn.WithPoolSize(2))...)
+		mnn.WithMaxInputShapes(shapes), mnn.WithPoolSize(dispatchWorkers))...)
 	if err != nil {
 		return fmt.Errorf("opening shared dynamic batch-%d engine: %w", b.maxBatch, err)
 	}
@@ -499,11 +531,14 @@ func (b *batcher) infer(ctx context.Context, inputs map[string]*mnn.Tensor) (map
 		ctx: ctx, inputs: inputs, sig: sig, arrival: now,
 		deadline: deadline, resp: make(chan batchResp, 1),
 	}
+	b.approaching.Add(1)
 	select {
 	case b.reqs <- rq:
 	case <-b.quit:
+		b.depart()
 		return b.fallback.Infer(ctx, inputs)
 	case <-ctx.Done():
+		b.depart()
 		return nil, fmt.Errorf("%w: %v", mnn.ErrCancelled, ctx.Err())
 	}
 	select {
@@ -516,6 +551,23 @@ func (b *batcher) infer(ctx context.Context, inputs map[string]*mnn.Tensor) (map
 		// The batch still runs (or drops us at stack time); the buffered
 		// channel absorbs the late response either way.
 		return nil, fmt.Errorf("%w: %v", mnn.ErrCancelled, ctx.Err())
+	}
+}
+
+// depart takes a request that gave up on its way to a bucket out of
+// approaching; the last one out wakes the scheduler, whose idle queues
+// nothing can join any more.
+func (b *batcher) depart() {
+	if b.approaching.Add(-1) == 0 {
+		b.wake()
+	}
+}
+
+// wake asks the scheduler to re-evaluate its queues.
+func (b *batcher) wake() {
+	select {
+	case b.kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -566,14 +618,18 @@ func (b *batcher) loop() {
 		select {
 		case rq := <-b.reqs:
 			b.enqueue(rq, &ready)
+			if b.approaching.Load() == 0 {
+				b.cutReady(&ready, time.Now())
+			}
 		case sendC <- next:
 			next = nil
 		case <-timerC:
 			timerC = nil
-			b.cutDue(&ready, time.Now())
+			b.cutReady(&ready, time.Now())
 		case <-b.kick:
-			// A bucket went idle; re-evaluate its (possibly overdue) queue.
-			b.cutDue(&ready, time.Now())
+			// A run finished (a bucket went idle, a worker is free) or the
+			// last approaching request gave up.
+			b.cutReady(&ready, time.Now())
 		case <-b.quit:
 			stopTimer()
 			// Drain whatever raced in, then flush every queue so each
@@ -602,8 +658,10 @@ func (b *batcher) loop() {
 }
 
 // enqueue routes one request into its bucket, creating (and LRU-evicting)
-// as needed, and cuts the bucket when it fills.
+// as needed, and cuts the bucket when it fills. Either way the request is
+// no longer approaching when it returns.
 func (b *batcher) enqueue(rq *batchReq, ready *[]*batch) {
+	defer b.approaching.Add(-1)
 	b.mu.Lock()
 	bkt := b.buckets[rq.sig]
 	if bkt == nil {
@@ -623,7 +681,7 @@ func (b *batcher) enqueue(rq *batchReq, ready *[]*batch) {
 	bkt.lastUsed = time.Now()
 	var bt *batch
 	if len(bkt.pending) >= b.maxBatch {
-		bt = b.cutLocked(bkt)
+		bt = b.cutLocked(bkt, cutFull, bkt.lastUsed)
 	}
 	b.mu.Unlock()
 	if bt != nil {
@@ -671,11 +729,12 @@ func (b *batcher) makeRoomLocked() bool {
 }
 
 // cutLocked turns the bucket's queue into one dispatchable batch.
-func (b *batcher) cutLocked(bkt *bucket) *batch {
+func (b *batcher) cutLocked(bkt *bucket, reason string, now time.Time) *batch {
 	reqs := bkt.pending
 	bkt.pending = nil
 	bkt.busy++
-	bt := &batch{bkt: bkt, reqs: reqs}
+	b.outstanding++
+	bt := &batch{bkt: bkt, reqs: reqs, reason: reason, cutAt: now}
 	for i, rq := range reqs {
 		if k := rq.edfKey(b.maxLatency); i == 0 || k.Before(bt.due) {
 			bt.due = k
@@ -685,9 +744,9 @@ func (b *batcher) cutLocked(bkt *bucket) *batch {
 }
 
 // earliestDue scans buckets with queued requests for the soonest flush.
-// Busy buckets are skipped: their engine serializes runs anyway (pool of
-// 1), so a window-expired partial gains nothing from being cut early — it
-// keeps filling until the in-flight run's completion kicks the scheduler.
+// Busy buckets are skipped: a partial queued behind its bucket's run keeps
+// filling until the run's completion kicks the scheduler, so saturated
+// traffic converges to full batches instead of a train of partials.
 func (b *batcher) earliestDue() (time.Time, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -707,36 +766,49 @@ func (b *batcher) earliestDue() (time.Time, bool) {
 	return min, found
 }
 
-// cutDue flushes every idle bucket whose oldest queued request is due.
-// Full batches never wait here — enqueue cuts them the moment they fill,
-// busy or not, so a saturated bucket still double-buffers: one batch
-// stacking while the previous computes.
-func (b *batcher) cutDue(ready *[]*batch, now time.Time) {
+// cutReady cuts the queue of every idle bucket with a due member and then,
+// while no admitted request is on its way to a bucket, the idle queues a
+// free dispatch worker can take now, oldest first: nothing could still
+// join them, so waiting buys nothing. Full batches never wait here —
+// enqueue cuts them the moment they fill, busy or not, so a saturated
+// bucket still double-buffers: one batch stacking while the previous
+// computes.
+func (b *batcher) cutReady(ready *[]*batch, now time.Time) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	for _, bkt := range b.buckets {
 		if bkt.busy > 0 {
 			continue
 		}
-		due := false
 		for _, rq := range bkt.pending {
 			if !rq.due(b.maxLatency).After(now) {
-				due = true
+				*ready = append(*ready, b.cutLocked(bkt, cutDue, now))
 				break
 			}
 		}
-		if due {
-			*ready = append(*ready, b.cutLocked(bkt))
-		}
 	}
-	b.mu.Unlock()
+	for b.outstanding < dispatchWorkers && b.approaching.Load() == 0 {
+		var oldest *bucket
+		for _, bkt := range b.buckets {
+			if bkt.busy == 0 && len(bkt.pending) > 0 &&
+				(oldest == nil || bkt.pending[0].arrival.Before(oldest.pending[0].arrival)) {
+				oldest = bkt
+			}
+		}
+		if oldest == nil {
+			return
+		}
+		*ready = append(*ready, b.cutLocked(oldest, cutIdle, now))
+	}
 }
 
 // cutAll flushes every non-empty bucket (shutdown drain).
 func (b *batcher) cutAll(ready *[]*batch) {
+	now := time.Now()
 	b.mu.Lock()
 	for _, bkt := range b.buckets {
 		if len(bkt.pending) > 0 {
-			*ready = append(*ready, b.cutLocked(bkt))
+			*ready = append(*ready, b.cutLocked(bkt, cutDrain, now))
 		}
 	}
 	b.mu.Unlock()
@@ -760,8 +832,7 @@ func popEarliest(ready *[]*batch) *batch {
 
 // worker consumes dispatched batches until the scheduler closes the
 // channel. Two workers double-buffer the engine: one stacks batch k+1
-// while the other's batch k computes (same-bucket runs serialize on the
-// bucket engine's pool of 1).
+// while the other's batch k computes.
 func (b *batcher) worker() {
 	defer b.workers.Done()
 	for bt := range b.dispatch {
@@ -777,17 +848,19 @@ func (b *batcher) runBatch(bt *batch) {
 	defer func() {
 		b.mu.Lock()
 		bkt.busy--
+		b.outstanding--
 		bkt.lastUsed = time.Now()
 		b.mu.Unlock()
 		// Wake the scheduler: requests that queued behind this run may now
-		// be overdue, and their bucket is eligible for a cut again.
-		select {
-		case b.kick <- struct{}{}:
-		default:
-		}
+		// be overdue or idle, their bucket is eligible for a cut again, and
+		// a worker is free.
+		b.wake()
 	}()
 	if b.hooks.onFlush != nil {
-		b.hooks.onFlush(len(bt.reqs))
+		b.hooks.onFlush(bt)
+	}
+	if b.hooks.beforeRun != nil {
+		b.hooks.beforeRun(bt)
 	}
 	if err := b.ensureEngine(bkt); err != nil {
 		b.failBucket(bkt, err)

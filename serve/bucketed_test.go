@@ -111,21 +111,23 @@ func TestBucketedMixedShapeBitwise(t *testing.T) {
 }
 
 // TestBucketedPartialPadMask: a partial batch (3 requests, maxBatch 8) in
-// a dynamic bucket — which has no unbatched engine at its shape — runs on
+// a lazy bucket — which has no unbatched engine at its shape — runs on
 // the bucket's batch engine via pad-and-mask: one batched run carrying all
 // three requests, bitwise identical to unbatched inference at that shape.
 func TestBucketedPartialPadMask(t *testing.T) {
 	shape := []int{1, 3, 12, 12}
+	const sig = "data=1x3x12x12"
 	reg := NewRegistry()
 	defer reg.Close()
 	err := reg.Load("tiny", ModelConfig{
 		Model: tinyGraph(t),
-		Batch: BatchConfig{MaxBatch: 8, MaxLatency: 50 * time.Millisecond},
+		Batch: BatchConfig{MaxBatch: 8, MaxLatency: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, _ := reg.Get("tiny")
+	b := batcherOf(t, m)
 	ref, err := mnn.Open(tinyGraph(t), mnn.WithInputShapes(map[string][]int{"data": shape}))
 	if err != nil {
 		t.Fatal(err)
@@ -142,6 +144,10 @@ func TestBucketedPartialPadMask(t *testing.T) {
 		}
 		want[i] = w
 	}
+	// The three queue behind a phantom approaching request and leave
+	// together once it departs.
+	release := holdCuts(b)
+	defer release()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -155,23 +161,15 @@ func TestBucketedPartialPadMask(t *testing.T) {
 			assertIdentical(t, fmt.Sprintf("padded req %d", i), got, want[i])
 		}(i)
 	}
+	waitQueued(t, b, sig, n)
+	release()
 	wg.Wait()
 
-	m.lifeMu.Lock()
-	b := m.batcher
-	m.lifeMu.Unlock()
-	if runs := b.batchRuns.Load(); runs < 1 {
-		t.Fatal("partial batch never ran on the bucket engine")
+	if runs := b.batchRuns.Load(); runs != 1 {
+		t.Fatalf("%d runs on the bucket engine, want 1 padded run", runs)
 	}
-	b.mu.Lock()
-	bkt := b.buckets["data=1x3x12x12"]
-	var samples uint64
-	if bkt != nil {
-		samples = bkt.samples
-	}
-	b.mu.Unlock()
-	if samples != n {
-		t.Fatalf("bucket engine served %d samples, want %d (some requests fell through unbatched)", samples, n)
+	if flushes, samples := bucketServed(t, b, sig); flushes != 1 || samples != n {
+		t.Fatalf("bucket served %d samples in %d batches, want %d in 1", samples, flushes, n)
 	}
 }
 
@@ -262,13 +260,16 @@ func TestBatcherQueuedContextCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A phantom approaching request keeps the queue from being cut idle;
+	// the hour window keeps it from falling due.
+	defer holdCuts(b)()
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := b.infer(ctx, map[string]*mnn.Tensor{"data": randomInput(7, []int{1, 3, 16, 16})})
 		errCh <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // request is now queued in its bucket
+	waitQueued(t, b, tinySig, 1)
 	cancel()
 	if err := <-errCh; !errors.Is(err, mnn.ErrCancelled) {
 		t.Fatalf("queued-then-cancelled request: %v, want ErrCancelled", err)

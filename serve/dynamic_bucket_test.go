@@ -74,14 +74,14 @@ func TestDynamicBucketsMixedLengthBitwise(t *testing.T) {
 	err := reg.Load("transformer", ModelConfig{
 		Model:   "transformer",
 		Options: dynTransformerOptions(),
-		Batch:   BatchConfig{MaxBatch: 4, MaxLatency: 5 * time.Millisecond, Buckets: len(shapes)},
+		Batch:   BatchConfig{MaxBatch: 4, MaxLatency: time.Hour, Buckets: len(shapes)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base, _ := startServer(t, reg)
 
-	const perShape = 8
+	const perShape = 8 // two full batches of 4 per length
 	type job struct {
 		in   *mnn.Tensor
 		want map[string]*mnn.Tensor
@@ -105,6 +105,12 @@ func TestDynamicBucketsMixedLengthBitwise(t *testing.T) {
 		ref.Close()
 	}
 
+	m, _ := reg.Get("transformer")
+	// A phantom approaching request keeps every queue open until it fills,
+	// so each length is served by exactly two stacked runs of 4.
+	b := batcherOf(t, m)
+	release := holdCuts(b)
+	defer release()
 	var wg sync.WaitGroup
 	for _, j := range jobs {
 		wg.Add(1)
@@ -123,17 +129,23 @@ func TestDynamicBucketsMixedLengthBitwise(t *testing.T) {
 		}(j)
 	}
 	wg.Wait()
+	release()
+	waitRunsDone(t, b)
 
-	m, _ := reg.Get("transformer")
 	st, ok := m.batcherStats()
 	if !ok {
 		t.Fatal("no batcher stats on a batching model")
 	}
-	if st.runs == 0 {
-		t.Fatal("no batched runs despite concurrent same-length traffic")
+	if want := int64(len(shapes) * perShape / 4); st.runs != want {
+		t.Fatalf("%d stacked runs, want %d", st.runs, want)
 	}
 	if len(st.buckets) != len(shapes) {
 		t.Fatalf("tracking %d buckets, want %d: %+v", len(st.buckets), len(shapes), st.buckets)
+	}
+	for _, bs := range st.buckets {
+		if bs.fill != 1 {
+			t.Errorf("bucket %s fill %v, want 1 (every run 4 wide)", bs.sig, bs.fill)
+		}
 	}
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {

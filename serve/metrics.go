@@ -28,9 +28,11 @@ type serverMetrics struct {
 	queueCap   *metrics.GaugeVec     // mnn_queue_capacity{model}
 	inflight   *metrics.GaugeVec     // mnn_inflight_requests{model}
 
-	batchFlushes *metrics.CounterVec // mnn_batch_flushes_total{model}
-	batchedReqs  *metrics.CounterVec // mnn_batched_requests_total{model}
-	batchFill    *metrics.GaugeVec   // mnn_batch_fill_ratio{model}
+	batchFlushes *metrics.CounterVec   // mnn_batch_flushes_total{model}
+	batchedReqs  *metrics.CounterVec   // mnn_batched_requests_total{model}
+	batchFill    *metrics.GaugeVec     // mnn_batch_fill_ratio{model}
+	batchWait    *metrics.HistogramVec // mnn_batch_wait_seconds{model}
+	batchCuts    *metrics.CounterVec   // mnn_batch_cuts_total{model,reason}
 
 	bucketDepth  *metrics.GaugeVec   // mnn_batch_bucket_depth{model,bucket}
 	bucketAge    *metrics.GaugeVec   // mnn_batch_bucket_age_seconds{model,bucket}
@@ -50,6 +52,12 @@ type serverMetrics struct {
 	kernelPanics *metrics.CounterVec // mnn_kernel_panics_total{model}
 	quarantines  *metrics.CounterVec // mnn_model_quarantines_total{model}
 	quarantined  *metrics.GaugeVec   // mnn_model_quarantined{model}
+}
+
+// batchWaitBuckets resolve the batch wait from tens of microseconds (a cut
+// when nothing else can join) up to windows of 100 ms.
+var batchWaitBuckets = []float64{
+	.00005, .0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1,
 }
 
 func newServerMetrics() *serverMetrics {
@@ -78,6 +86,11 @@ func newServerMetrics() *serverMetrics {
 			"Requests that went through micro-batcher flushes, per model.", "model"),
 		batchFill: r.NewGauge("mnn_batch_fill_ratio",
 			"Cumulative micro-batch fill: batched requests / (flushes × max batch).", "model"),
+		batchWait: r.NewHistogram("mnn_batch_wait_seconds",
+			"Time a request spent in its shape bucket, from arrival at the batcher to the cut of its batch, per model.",
+			batchWaitBuckets, "model"),
+		batchCuts: r.NewCounter("mnn_batch_cuts_total",
+			"Bucket queues cut into batches, by model and reason (full, idle, due, drain).", "model", "reason"),
 		bucketDepth: r.NewGauge("mnn_batch_bucket_depth",
 			"Requests queued in one shape bucket at scrape time.", "model", "bucket"),
 		bucketAge: r.NewGauge("mnn_batch_bucket_age_seconds",
@@ -132,6 +145,7 @@ type modelMetrics struct {
 	kernelPanics  *metrics.Counter
 	quarantines   *metrics.Counter
 	quarantined   *metrics.Gauge
+	batchWait     *metrics.Histogram // nil without batching
 
 	mu       sync.Mutex
 	flushes  uint64
@@ -146,11 +160,11 @@ type modelMetrics struct {
 func (sm *serverMetrics) forModel(name string, queueCap, maxBatch int) *modelMetrics {
 	mm := &modelMetrics{
 		sm: sm, name: name, maxBatch: maxBatch,
-		queueWait:   sm.queueWait.With(name),
-		inferDur:    sm.inferDur.With(name),
-		queueDepth:  sm.queueDepth.With(name),
-		queueCap:    sm.queueCap.With(name),
-		inflight:    sm.inflight.With(name),
+		queueWait:     sm.queueWait.With(name),
+		inferDur:      sm.inferDur.With(name),
+		queueDepth:    sm.queueDepth.With(name),
+		queueCap:      sm.queueCap.With(name),
+		inflight:      sm.inflight.With(name),
 		degraded:      sm.degraded.With(name),
 		transitions:   sm.transitions.With(name),
 		loads:         sm.loads.With(name),
@@ -176,6 +190,10 @@ func (sm *serverMetrics) forModel(name string, queueCap, maxBatch int) *modelMet
 		sm.batchFill.With(name).Set(0)
 		sm.bucketCount.With(name).Set(0)
 		sm.bucketEvicts.With(name)
+		mm.batchWait = sm.batchWait.With(name)
+		for _, reason := range cutReasons {
+			sm.batchCuts.With(name, reason)
+		}
 	}
 	return mm
 }
@@ -200,8 +218,14 @@ func (mm *modelMetrics) onDegrade(degraded bool) {
 }
 
 // recordFlush is wired as the batcher's flush hook; it keeps the cumulative
-// fill ratio current.
-func (mm *modelMetrics) recordFlush(n int) {
+// fill ratio current, counts the cut by reason and observes each member's
+// batch wait.
+func (mm *modelMetrics) recordFlush(bt *batch) {
+	n := len(bt.reqs)
+	for _, rq := range bt.reqs {
+		mm.batchWait.Observe(bt.cutAt.Sub(rq.arrival).Seconds())
+	}
+	mm.sm.batchCuts.With(mm.name, bt.reason).Inc()
 	mm.mu.Lock()
 	mm.flushes++
 	mm.samples += uint64(n)

@@ -69,11 +69,15 @@ type BatchConfig struct {
 	// Values <= 1 disable batching: every request runs on the unbatched
 	// engine directly.
 	MaxBatch int
-	// MaxLatency bounds how long the first queued request waits for the
-	// batch to fill before a partial flush (default 2ms when batching is
-	// enabled). Larger values trade tail latency for bigger batches. A
+	// MaxLatency caps how long a queued request waits for batch-mates that
+	// are already on their way (default 2ms when batching is enabled). A
+	// bucket's queue is cut the moment it is full, or the moment no
+	// admitted request could still join it and a dispatch worker is free,
+	// so a lone request does not wait at all; the window only runs out
+	// while other requests are approaching or both workers are busy. A
 	// request whose effective deadline cannot afford the full window cuts
-	// its batch early instead.
+	// its batch early instead. Go timers sleep in whole milliseconds on
+	// Linux: a sub-millisecond window costs ≈ 1.07 ms when it runs out.
 	MaxLatency time.Duration
 	// Buckets bounds how many input-shape buckets — each holding a batch-
 	// prepared engine keyed by the request's shape signature — may be

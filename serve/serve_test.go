@@ -338,17 +338,17 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBatcherPartialFlushAndFallThrough covers the maxLatency partial-flush
-// path (pad-and-mask on the bucket engine), the bucketed serving of a shape
-// other than the declared one, and the fall-through for requests the
-// batcher cannot stack at all.
+// TestBatcherPartialFlushAndFallThrough covers the partial-batch path of
+// the declared shape's bucket (its members run on the unbatched engine at
+// cost n), the bucketed serving of a shape other than the declared one,
+// and the fall-through for requests the batcher cannot stack at all.
 func TestBatcherPartialFlushAndFallThrough(t *testing.T) {
 	reg := NewRegistry()
 	defer reg.Close()
 	err := reg.Load("tiny", ModelConfig{
 		Model:   tinyGraph(t),
 		Options: []mnn.Option{mnn.WithPoolSize(2)},
-		Batch:   BatchConfig{MaxBatch: 8, MaxLatency: 2 * time.Millisecond},
+		Batch:   BatchConfig{MaxBatch: 8, MaxLatency: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -357,10 +357,12 @@ func TestBatcherPartialFlushAndFallThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := batcherOf(t, m)
 
-	// 3 concurrent requests against maxBatch 8: the latency timer must
-	// flush a partial batch — padded and masked on the bucket engine — with
-	// results identical to direct unbatched inference.
+	// 3 requests against maxBatch 8 queue behind a phantom approaching
+	// request; once it departs nothing else can join, so they are cut as
+	// one partial batch with results identical to direct unbatched
+	// inference.
 	inputs := make([]*mnn.Tensor, 3)
 	want := make([]map[string]*mnn.Tensor, 3)
 	for i := range inputs {
@@ -371,6 +373,7 @@ func TestBatcherPartialFlushAndFallThrough(t *testing.T) {
 		}
 		want[i] = w
 	}
+	release := holdCuts(b)
 	var wg sync.WaitGroup
 	for i := range inputs {
 		wg.Add(1)
@@ -384,7 +387,12 @@ func TestBatcherPartialFlushAndFallThrough(t *testing.T) {
 			assertIdentical(t, fmt.Sprintf("partial req %d", i), got, want[i])
 		}(i)
 	}
+	waitQueued(t, b, tinySig, len(inputs))
+	release()
 	wg.Wait()
+	if flushes, samples := bucketServed(t, b, tinySig); flushes != 1 || samples != uint64(len(inputs)) {
+		t.Fatalf("declared bucket served %d samples in %d batches, want %d in 1", samples, flushes, len(inputs))
+	}
 
 	// A single-sample request with a shape other than the declared one is
 	// served by its own shape bucket now (pre-bucketing it was rejected
@@ -427,19 +435,22 @@ func TestBatcherPartialFlushAndFallThrough(t *testing.T) {
 }
 
 // TestBatcherFullBatchIdentity drives exactly maxBatch concurrent requests
-// so at least one stacked run happens, and checks element-wise identity.
+// into one stacked run and checks element-wise identity.
 func TestBatcherFullBatchIdentity(t *testing.T) {
 	reg := NewRegistry()
 	defer reg.Close()
 	err := reg.Load("tiny", ModelConfig{
 		Model: tinyGraph(t),
-		// A generous window so all four requests coalesce into one batch.
-		Batch: BatchConfig{MaxBatch: 4, MaxLatency: 100 * time.Millisecond},
+		Batch: BatchConfig{MaxBatch: 4, MaxLatency: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, _ := reg.Get("tiny")
+	b := batcherOf(t, m)
+	// A phantom approaching request keeps the queue open until all four
+	// have joined; the fourth fills the batch.
+	defer holdCuts(b)()
 	const n = 4
 	inputs := make([]*mnn.Tensor, n)
 	want := make([]map[string]*mnn.Tensor, n)
@@ -465,6 +476,12 @@ func TestBatcherFullBatchIdentity(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	if runs := b.batchRuns.Load(); runs != 1 {
+		t.Fatalf("%d stacked runs, want 1", runs)
+	}
+	if flushes, samples := bucketServed(t, b, tinySig); flushes != 1 || samples != n {
+		t.Fatalf("declared bucket served %d samples in %d batches, want %d in 1", samples, flushes, n)
+	}
 }
 
 // TestRegistryLifecycle covers hot swap, unload of unknown models, and

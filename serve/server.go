@@ -112,7 +112,9 @@ type LoadRequest struct {
 	Options LoadOptions `json:"options"`
 	// MaxBatch > 1 enables the dynamic micro-batcher at that batch size.
 	MaxBatch int `json:"max_batch,omitempty"`
-	// MaxLatencyMs is the batching window in milliseconds (default 2).
+	// MaxLatencyMs caps, in milliseconds, how long a queued request waits
+	// for batch-mates already on their way (default 2); a queue nothing
+	// else can join is cut at once (see BatchConfig.MaxLatency).
 	MaxLatencyMs float64 `json:"max_latency_ms,omitempty"`
 	// Buckets bounds how many input-shape buckets the micro-batcher keeps
 	// batch engines for (0 = default; 1 = only the declared input shape,
