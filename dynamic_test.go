@@ -176,16 +176,12 @@ func TestDynamicInferIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDynamicTunedMatchesUntuned: a cost-tuned dynamic engine prepares its
-// gemm kernels from the tuner's packed-vs-direct decisions; both kernels are
-// bitwise-identical, so tuned output must equal untuned output exactly at
-// every in-plan shape.
+// TestDynamicTunedMatchesUntuned: a cost-tuned dynamic engine has no
+// convolution to decide and runs the same packed GEMMs, so tuned output must
+// equal untuned output exactly at every in-plan shape.
 func TestDynamicTunedMatchesUntuned(t *testing.T) {
 	plain := openDynamicTransformer(t, []int{2, 16, 32})
 	tuned := openDynamicTransformer(t, []int{2, 16, 32}, mnn.WithTuning(mnn.TuningCost))
-	if rep := tuned.TuningStats(); rep.GemmOps == 0 {
-		t.Fatalf("tuned engine has no gemm decisions: %+v", rep)
-	}
 	for _, shape := range [][]int{{1, 16, 32}, {2, 7, 32}} {
 		in := tensor.New(shape...)
 		tensor.FillRandom(in, 17, 1)

@@ -262,16 +262,13 @@ func newBackends(cfg engineConfig, clock *simclock.Clock) ([]backend.Backend, er
 	// operator dispatches onto it, so steady-state inference spawns no
 	// goroutines. Session.Close (via Engine.Close) releases the workers.
 	var force func(*graph.Node, core.ConvDecision) core.ConvDecision
-	var gemm func(*graph.Node) (bool, bool)
 	if cfg.tuningPlan != nil {
 		force = cfg.tuningPlan.ForceScheme
-		gemm = cfg.tuningPlan.GemmScheme
 	}
 	backends := []backend.Backend{
 		cpu.New(cpu.Config{Threads: cfg.threads, Device: dev, Clock: clock,
 			Pool:        sched.New(cfg.threads),
 			ForceScheme: force,
-			GemmScheme:  gemm,
 			Int8:        cfg.precision == PrecisionInt8, QuantPlan: cfg.int8Plan,
 			ActScales: cfg.actScales, NonNegActs: cfg.nonNegActs,
 			Prepared: cfg.prepared}),

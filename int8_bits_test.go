@@ -40,20 +40,22 @@ func signedInt8Graph() *graph.Graph {
 }
 
 // TestInt8GraphBitsPinned pins the int8 path's bits at the engine level: the
-// hashed outputs of two built-ins opened at int8 precision equal what the
-// engine produced at the commit before the AVX2 int8 micro-kernel, when
-// int8 convolutions ran as quantize+im2col, a SWAR GEMM and a requantizing
-// scatter (the int8-signed hashes taken there, on amd64). Integer sums are
-// exact and the quantize and requantize arithmetic did not change, so the
-// bits must not either, calibrated or not, on one lane or three. The
-// built-ins are hashed at the input of their closing Softmax, the last tensor
-// the int8 route decides: `prob` also carries SoftmaxOp's bits, which PR 20
-// redefined (float32 exp) with no int8 bit moving. Their four hashes were
-// taken by running this test, so edited, on PR 20's parent commit d09806b,
-// where the `prob` hashes it replaced still passed. squeezenet-v1.1 has 17
-// int8 1×1 convolutions; resnet-18 adds strided ones and the int8
-// fully-connected layer; signedInt8Graph the signed quantization mode. None
-// has a depthwise layer, the one case whose partition changed. The kernel-level differential tests are
+// hashed outputs of int8 engines, calibrated or not, on one lane or three.
+// The int8-signed hashes, whose every layer is int8, equal what the engine
+// produced before the AVX2 int8 micro-kernel, when int8 convolutions ran as
+// quantize+im2col, a SWAR GEMM and a requantizing scatter (taken then, on
+// amd64): integer sums are exact and the quantize and requantize arithmetic
+// did not change, so the bits must not either. The built-ins are hashed at
+// the input of their closing Softmax, the last tensor the int8 route
+// decides, and also carry their fp32 layers — the 3×3 convolutions the int8
+// partition leaves in fp32 and whatever feeds an int8 layer. Those run on the
+// fp32 GEMM, whose move to one rounding per multiply-add (fma32,
+// VFMADD231PS) moved the four built-in hashes once — squeezenet-v1.1 from
+// 776df81bba071aee / 7675913a99dbd165, resnet-18 from 0e29b09bb8e881f4 /
+// 305179c637ee552f (uncalibrated / calibrated) — while the int8-signed ones
+// stayed. squeezenet-v1.1 has 17 int8 1×1 convolutions; resnet-18 adds
+// strided ones and the int8 fully-connected layer; signedInt8Graph the
+// signed quantization mode. The kernel-level differential tests are
 // TestQuantConvMatchesParentRouteBitwise and
 // TestInt8TapsSIMDMatchesPortableBitwise; this one covers the route through
 // the planner's partition and workspace and the pool.
@@ -78,10 +80,10 @@ func TestInt8GraphBitsPinned(t *testing.T) {
 		calibrated bool
 		want       string
 	}{
-		{"squeezenet-v1.1", false, "776df81bba071aee"},
-		{"squeezenet-v1.1", true, "7675913a99dbd165"},
-		{"resnet-18", false, "0e29b09bb8e881f4"},
-		{"resnet-18", true, "305179c637ee552f"},
+		{"squeezenet-v1.1", false, "254254ea437ff481"},
+		{"squeezenet-v1.1", true, "a6de43d7db1f3183"},
+		{"resnet-18", false, "f4b613f2241a3fed"},
+		{"resnet-18", true, "7903e44a5045d16f"},
 		{"int8-signed", false, "dac8ad5c58adb2d1"},
 		{"int8-signed", true, "2245126dc309a3fe"},
 	} {

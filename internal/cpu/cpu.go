@@ -56,12 +56,6 @@ type Config struct {
 	// planner's dataflow pass; int8 kernels consuming them quantize unsigned
 	// (0..254 at the same step: twice the headroom above the scale).
 	NonNegActs map[string]bool
-	// GemmScheme, when set, overrides the packed-vs-direct choice for
-	// weight-form MatMul nodes (the tuner's measured/cost decision). The
-	// second return reports whether the tuner has an opinion; false keeps
-	// the default (packed). Both choices are bitwise chunk-invariant, so
-	// this knob can never perturb results.
-	GemmScheme func(n *graph.Node) (packB, ok bool)
 	// Prepared, when set, holds the kernels' prepared weights, each built on
 	// first use and shared by every backend of the engine; nil: build afresh.
 	Prepared *Prepared

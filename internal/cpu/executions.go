@@ -452,28 +452,15 @@ func (b *Backend) createMatMul(n *graph.Node, inputs []*tensor.Tensor, out *tens
 		}
 		in := inputs[0]
 		k, nn := w.Dim(0), w.Dim(1)
-		packB := true
-		if b.cfg.GemmScheme != nil {
-			if p, ok := b.cfg.GemmScheme(n); ok {
-				packB = p
-			}
-		}
-		var packed *matmul.PackedB
-		if packB {
-			packed, _ = get(b.cfg.Prepared, prepKey{node: n.Name}, func() (*matmul.PackedB, error) {
-				return matmul.PackB(w.Data(), k, nn), nil // cannot fail
-			})
-		}
+		packed, _ := get(b.cfg.Prepared, prepKey{node: n.Name}, func() (*matmul.PackedB, error) {
+			return matmul.PackB(w.Data(), k, nn), nil // cannot fail
+		})
 		op := kernels.NewMatMulWeightOp(out, in, w, bias, a, packed)
 		rows := in.NumElements() / k
 		muls := int64(rows) * int64(k) * int64(nn)
-		scheme := "gemm-direct"
-		if packB {
-			scheme = "gemm-packed"
-		}
 		return execFunc(func() error {
 			op.Run(pool)
-			b.charge("MatMul", muls, n, scheme)
+			b.charge("MatMul", muls, n, "gemm-packed")
 			return nil
 		}), nil
 	}

@@ -305,8 +305,8 @@ func TestDepthwiseClampSpecials(t *testing.T) {
 
 // FuzzConv1x1NC4 drives shapes, stride, activation and raw float32 bit
 // patterns through the single-pass Conv1x1 (active and portable) and the
-// route it replaced, which must agree bitwise. As in FuzzPackedMulInto,
-// weights stay finite: the portable loops' zero-skip drops 0·Inf.
+// route it replaced, which must agree bitwise; the raw patterns go into the
+// activations, the weights and the bias alike.
 func FuzzConv1x1NC4(f *testing.F) {
 	f.Add(uint8(7), uint8(9), uint8(7), uint8(1), uint8(0), uint64(1), []byte{0, 0, 0, 0x80, 1, 0, 0, 0})
 	f.Add(uint8(16), uint8(16), uint8(4), uint8(0), uint8(1), uint64(2), []byte{})
@@ -324,10 +324,8 @@ func FuzzConv1x1NC4(f *testing.F) {
 		for i := 0; i+4 <= len(raw); i += 4 {
 			v := math.Float32frombits(binary.LittleEndian.Uint32(raw[i:]))
 			src.Data()[(i*13)%len(src.Data())] = v
-			if !math.IsInf(float64(v), 0) && v == v {
-				weight.Data()[(i*29)%len(weight.Data())] = v
-				bias.Data()[(i*7)%oc] = v
-			}
+			weight.Data()[(i*29)%len(weight.Data())] = v
+			bias.Data()[(i*7)%oc] = v
 		}
 		oh, ow, err := graph.ConvOutputSize(cc.h, cc.w, a)
 		if err != nil {

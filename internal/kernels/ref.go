@@ -45,6 +45,10 @@ func ConvRef(dst, src, weight, bias *tensor.Tensor, a *graph.Conv2DAttrs) {
 	if bias != nil {
 		b = bias.Data()
 	}
+	kh, kw := a.KernelH, a.KernelW
+	sd, wd := src.ToLayout(tensor.NCHW).Data(), weight.ToLayout(tensor.NCHW).Data()
+	out := dst.ToLayout(tensor.NCHW)
+	od := out.Data()
 	for n := 0; n < N; n++ {
 		for oc := 0; oc < OC; oc++ {
 			g := oc / ocg
@@ -52,18 +56,19 @@ func ConvRef(dst, src, weight, bias *tensor.Tensor, a *graph.Conv2DAttrs) {
 				for ox := 0; ox < OW; ox++ {
 					var sum float64
 					for ic := 0; ic < icg; ic++ {
-						srcC := g*icg + ic
-						for ky := 0; ky < a.KernelH; ky++ {
+						plane := sd[(n*C+g*icg+ic)*H*W:]
+						taps := wd[(oc*icg+ic)*kh*kw:]
+						for ky := 0; ky < kh; ky++ {
 							iy := oy*sh - ph + ky*dh
 							if iy < 0 || iy >= H {
 								continue
 							}
-							for kx := 0; kx < a.KernelW; kx++ {
+							for kx := 0; kx < kw; kx++ {
 								ix := ox*sw - pw + kx*dw
 								if ix < 0 || ix >= W {
 									continue
 								}
-								sum += float64(src.At(n, srcC, iy, ix)) * float64(weight.At(oc, ic, ky, kx))
+								sum += float64(plane[iy*W+ix]) * float64(taps[ky*kw+kx])
 							}
 						}
 					}
@@ -71,11 +76,13 @@ func ConvRef(dst, src, weight, bias *tensor.Tensor, a *graph.Conv2DAttrs) {
 					if b != nil {
 						v += b[oc]
 					}
-					v = applyActivation(v, a.ReLU, a.ReLU6)
-					dst.Set(n, oc, oy, ox, v)
+					od[((n*OC+oc)*OH+oy)*OW+ox] = applyActivation(v, a.ReLU, a.ReLU6)
 				}
 			}
 		}
+	}
+	if out != dst {
+		dst.CopyFrom(out)
 	}
 }
 

@@ -238,18 +238,13 @@ type MatMulOp struct {
 }
 
 // NewMatMulWeightOp binds the weight form: src [.., M, K] × w [K, N] with
-// optional bias [N], on packed, w's matmul.PackB form, or with packed nil on
-// the unpacked weight via matmul.Mul — the tuner's cost model picks between
-// the two.
+// optional bias [N], on packed, w's matmul.PackB form.
 func NewMatMulWeightOp(dst, src, w, bias *tensor.Tensor, a *graph.MatMulAttrs, packed *matmul.PackedB) *MatMulOp {
 	ws := w.Shape()
 	o := &MatMulOp{
 		form: mmWeight, scale: resolveScale(a.Scale),
 		dst: dst, a: src, ad: src.Data(), d: dst.Data(),
 		k: ws[0], n: ws[1], packed: packed,
-	}
-	if packed == nil {
-		o.bd = w.Data()
 	}
 	if bias != nil {
 		o.bias = bias.Data()
@@ -304,11 +299,7 @@ func (o *MatMulOp) runWeight(start, end int) {
 	k, n := o.k, o.n
 	rows := end - start
 	d := o.d[start*n : end*n]
-	if o.packed != nil {
-		o.packed.MulInto(d, o.ad[start*k:end*k], rows)
-	} else {
-		matmul.Mul(d, o.ad[start*k:end*k], o.bd, rows, k, n)
-	}
+	o.packed.MulInto(d, o.ad[start*k:end*k], rows)
 	if o.scale != 1 {
 		for i := range d {
 			d[i] *= o.scale

@@ -11,9 +11,9 @@ import "unsafe"
 // VPADDD accumulates. A pair sum is at most 2·255·128, so no instruction
 // saturates, and int32 addition wraps exactly like Go's — the product equals
 // MulInt8Ref bit for bit on every byte input, at any depth, under any split
-// of the rows. That is half the instructions of the fp32 kernel's
-// VMULPS+VADDPS for the same multiply-adds. (VPMADDUBSW would halve them
-// again but saturates its int16 pair sums; it is not used.)
+// of the rows. That is as many instructions as the fp32 kernel's ymm
+// VFMADD231PS for the same multiply-adds. (VPMADDUBSW would halve them but
+// saturates its int16 pair sums; it is not used.)
 //
 // Weights are widened at pack time rather than in the kernel: byte panels
 // with a VPMOVSXBW per weight vector ran the 169×512×1000 GEMM 14 % slower

@@ -1,11 +1,11 @@
 package matmul
 
 // The amd64 micro-kernels (kernel_amd64.s) and the one decision which of them
-// run. fp32 has two SIMD levels over the same packed panels — AVX2 (4×16
-// tiles) and AVX-512F (12×16 tiles, remainders on AVX2) — that round every
-// element alike, VMULPS then VADDPS and never FMA, so the level is picked
-// from CPUID and XCR0 alone and nothing can or need switch it; int8 has the
-// AVX2 kernel.
+// run. fp32 has two SIMD levels over the same packed panels — AVX2 with FMA
+// (4×16 tiles) and AVX-512F (12×16 tiles, remainders on AVX2) — that round
+// every element alike, one VFMADD231PS per step as the portable loops' fma32,
+// so the level is picked from CPUID and XCR0 alone and nothing can or need
+// switch it; int8 has the AVX2 kernel.
 
 import "unsafe"
 
@@ -29,15 +29,15 @@ func probeLevel() level {
 const osxsave = 1 << 27 // CPUID.1:ECX: the OS uses XSAVE, so XCR0 can be read
 
 // detectLevel is the dispatch decision as a function of the four register
-// values it rests on: the highest CPUID leaf, CPUID.1:ECX (OSXSAVE, AVX),
-// XCR0 (the register state the OS saves: bits 1–2 xmm and ymm, 5–7 opmask
-// and zmm) and CPUID.7:EBX (AVX2, AVX512F). A level needs the instructions
-// and the saved state; AVX-512 also needs the AVX2 level, whose kernels take
-// its remainders.
+// values it rests on: the highest CPUID leaf, CPUID.1:ECX (FMA, OSXSAVE,
+// AVX), XCR0 (the register state the OS saves: bits 1–2 xmm and ymm, 5–7
+// opmask and zmm) and CPUID.7:EBX (AVX2, AVX512F). A level needs the
+// instructions and the saved state; AVX-512 also needs the AVX2 level, whose
+// kernels take its remainders.
 func detectLevel(maxLeaf, ecx1, xcr0, ebx7 uint32) level {
-	const avx, ymmState, zmmState, avx2, avx512f = 1 << 28, 0x06, 0xe6, 1 << 5, 1 << 16
+	const fma, avx, ymmState, zmmState, avx2, avx512f = 1 << 12, 1 << 28, 0x06, 0xe6, 1 << 5, 1 << 16
 	switch {
-	case maxLeaf < 7 || ecx1&(osxsave|avx) != osxsave|avx || xcr0&ymmState != ymmState || ebx7&avx2 == 0:
+	case maxLeaf < 7 || ecx1&(fma|osxsave|avx) != fma|osxsave|avx || xcr0&ymmState != ymmState || ebx7&avx2 == 0:
 		return levelPortable
 	case xcr0&zmmState != zmmState || ebx7&avx512f == 0:
 		return levelAVX2

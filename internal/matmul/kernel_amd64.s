@@ -3,31 +3,23 @@
 // STEP is one reduction step of the 4×16 micro-kernel, shared by both entry
 // points below so they cannot drift apart: Y0..Y7 hold the accumulators (two
 // ymm per row), A0..A3 address one a element per row, BX the 64-byte panel
-// line. VMULPS then VADDPS — never FMA — so every element sees exactly the
-// roundings of the scalar loop `acc += float32(av * v)`.
+// line. One VFMADD231PS per accumulator, so every element sees exactly the
+// one rounding per step of the scalar loop `acc = fma32(av, v, acc)`.
 #define STEP(A0, A1, A2, A3) \
-	VMOVUPS      (BX), Y8     \
-	VMOVUPS      32(BX), Y9   \
-	VBROADCASTSS A0, Y10      \
-	VBROADCASTSS A1, Y11      \
-	VMULPS       Y8, Y10, Y12 \
-	VMULPS       Y9, Y10, Y13 \
-	VMULPS       Y8, Y11, Y14 \
-	VMULPS       Y9, Y11, Y15 \
-	VADDPS       Y12, Y0, Y0  \
-	VADDPS       Y13, Y1, Y1  \
-	VADDPS       Y14, Y2, Y2  \
-	VADDPS       Y15, Y3, Y3  \
-	VBROADCASTSS A2, Y10      \
-	VBROADCASTSS A3, Y11      \
-	VMULPS       Y8, Y10, Y12 \
-	VMULPS       Y9, Y10, Y13 \
-	VMULPS       Y8, Y11, Y14 \
-	VMULPS       Y9, Y11, Y15 \
-	VADDPS       Y12, Y4, Y4  \
-	VADDPS       Y13, Y5, Y5  \
-	VADDPS       Y14, Y6, Y6  \
-	VADDPS       Y15, Y7, Y7  \
+	VMOVUPS      (BX), Y8      \
+	VMOVUPS      32(BX), Y9    \
+	VBROADCASTSS A0, Y10       \
+	VBROADCASTSS A1, Y11       \
+	VBROADCASTSS A2, Y12       \
+	VBROADCASTSS A3, Y13       \
+	VFMADD231PS  Y8, Y10, Y0   \
+	VFMADD231PS  Y9, Y10, Y1   \
+	VFMADD231PS  Y8, Y11, Y2   \
+	VFMADD231PS  Y9, Y11, Y3   \
+	VFMADD231PS  Y8, Y12, Y4   \
+	VFMADD231PS  Y9, Y12, Y5   \
+	VFMADD231PS  Y8, Y13, Y6   \
+	VFMADD231PS  Y9, Y13, Y7   \
 	ADDQ         $64, BX
 
 #define ZERO_ACCUMULATORS \
@@ -47,35 +39,23 @@
 // STEP12 is STEP on 512-bit registers, three times as tall: twelve pixels R8
 // bytes apart — rows 0–3 from SI, 4–7 from R10, 8–11 from R13 — against the
 // one zmm that holds the whole panel line, into the accumulators Z0..Z11.
-// The a elements are embedded broadcasts; VMULPS then VADDPS per element as
-// in STEP, so a row has the same bits at either width.
+// The a elements are embedded broadcasts; one VFMADD231PS per element as in
+// STEP, so a row has the same bits at either width.
 #define STEP12(D) \
-	VMOVUPS     (BX), Z12              \
-	VMULPS.BCST D(SI), Z12, Z16        \
-	VMULPS.BCST D(SI)(R8*1), Z12, Z17  \
-	VMULPS.BCST D(SI)(R8*2), Z12, Z18  \
-	VMULPS.BCST D(SI)(R9*1), Z12, Z19  \
-	VMULPS.BCST D(R10), Z12, Z20       \
-	VMULPS.BCST D(R10)(R8*1), Z12, Z21 \
-	VMULPS.BCST D(R10)(R8*2), Z12, Z22 \
-	VMULPS.BCST D(R10)(R9*1), Z12, Z23 \
-	VMULPS.BCST D(R13), Z12, Z24       \
-	VMULPS.BCST D(R13)(R8*1), Z12, Z25 \
-	VMULPS.BCST D(R13)(R8*2), Z12, Z26 \
-	VMULPS.BCST D(R13)(R9*1), Z12, Z27 \
-	VADDPS      Z16, Z0, Z0            \
-	VADDPS      Z17, Z1, Z1            \
-	VADDPS      Z18, Z2, Z2            \
-	VADDPS      Z19, Z3, Z3            \
-	VADDPS      Z20, Z4, Z4            \
-	VADDPS      Z21, Z5, Z5            \
-	VADDPS      Z22, Z6, Z6            \
-	VADDPS      Z23, Z7, Z7            \
-	VADDPS      Z24, Z8, Z8            \
-	VADDPS      Z25, Z9, Z9            \
-	VADDPS      Z26, Z10, Z10          \
-	VADDPS      Z27, Z11, Z11          \
-	ADDQ        $64, BX
+	VMOVUPS          (BX), Z12              \
+	VFMADD231PS.BCST D(SI), Z12, Z0         \
+	VFMADD231PS.BCST D(SI)(R8*1), Z12, Z1   \
+	VFMADD231PS.BCST D(SI)(R8*2), Z12, Z2   \
+	VFMADD231PS.BCST D(SI)(R9*1), Z12, Z3   \
+	VFMADD231PS.BCST D(R10), Z12, Z4        \
+	VFMADD231PS.BCST D(R10)(R8*1), Z12, Z5  \
+	VFMADD231PS.BCST D(R10)(R8*2), Z12, Z6  \
+	VFMADD231PS.BCST D(R10)(R9*1), Z12, Z7  \
+	VFMADD231PS.BCST D(R13), Z12, Z8        \
+	VFMADD231PS.BCST D(R13)(R8*1), Z12, Z9  \
+	VFMADD231PS.BCST D(R13)(R8*2), Z12, Z10 \
+	VFMADD231PS.BCST D(R13)(R9*1), Z12, Z11 \
+	ADDQ             $64, BX
 
 #define ZERO12 \
 	VPXORQ Z0, Z0, Z0    \

@@ -28,12 +28,6 @@ func Mul(dst, a, b []float32, m, k, n int) {
 	gemm(view{dst, m, n, n}, view{a, m, k, k}, view{b, k, n, n}, false)
 }
 
-// MulAdd computes dst += a·b.
-func MulAdd(dst, a, b []float32, m, k, n int) {
-	checkDims(dst, a, b, m, k, n)
-	gemm(view{dst, m, n, n}, view{a, m, k, k}, view{b, k, n, n}, true)
-}
-
 func checkDims(dst, a, b []float32, m, k, n int) {
 	if len(a) < m*k || len(b) < k*n || len(dst) < m*n {
 		panic("matmul: buffer too small for declared dimensions")
@@ -41,45 +35,27 @@ func checkDims(dst, a, b []float32, m, k, n int) {
 }
 
 // gemm is the base kernel: i-p-j loop order so the inner loop streams rows of
-// b and dst, with 4-wide manual unrolling standing in for the NEON SIMD the
-// paper's kernels use. The float32 conversions keep multiply and add
-// separately rounded on every platform, which is what makes PackedB.MulInto
-// (portable or assembly) bitwise equal to Mul.
+// b and dst. Each step is one fma32 — multiply and add rounded once, in
+// ascending p from +0 (or from dst when accumulating) — which is what makes
+// PackedB.MulInto (portable or assembly) bitwise equal to Mul.
 func gemm(dst, a, b view, accumulate bool) {
-	m, k, n := a.rows, a.cols, b.cols
+	m, k := a.rows, a.cols
 	if !accumulate {
 		for i := 0; i < m; i++ {
-			di := dst.row(i)
-			for j := range di {
-				di[j] = 0
-			}
+			clear(dst.row(i))
 		}
 	}
 	// Block over k to keep the working set of b rows cache-resident.
 	const kc = 128
 	for p0 := 0; p0 < k; p0 += kc {
-		pEnd := p0 + kc
-		if pEnd > k {
-			pEnd = k
-		}
+		pEnd := min(p0+kc, k)
 		for i := 0; i < m; i++ {
 			ai := a.row(i)
 			di := dst.row(i)
 			for p := p0; p < pEnd; p++ {
 				av := ai[p]
-				if av == 0 {
-					continue
-				}
-				bp := b.row(p)
-				j := 0
-				for ; j+4 <= n; j += 4 {
-					di[j] += float32(av * bp[j])
-					di[j+1] += float32(av * bp[j+1])
-					di[j+2] += float32(av * bp[j+2])
-					di[j+3] += float32(av * bp[j+3])
-				}
-				for ; j < n; j++ {
-					di[j] += float32(av * bp[j])
+				for j, v := range b.row(p) {
+					di[j] = fma32(av, v, di[j])
 				}
 			}
 		}

@@ -123,12 +123,12 @@ func PackB(b []float32, k, n int) *PackedB {
 }
 
 // MulInto computes dst = a·B for the m×K row-major a, writing the m×N
-// row-major product. Every output element is summed in ascending p from +0
-// with a separately rounded multiply and add, exactly as Mul does, so the
-// packed and direct kernels produce bitwise-equal results — prepared kernels
-// may pick either per chunk without breaking the batched≡unbatched serving
-// guarantee. A row's bits depend on that row of a alone: not on m, on the
-// row's position, or on how a caller splits the rows over lanes.
+// row-major product. Every output element is summed in ascending p from +0,
+// each step a fused multiply-add rounded once (fma32), exactly as Mul does,
+// so the packed and direct kernels produce bitwise-equal results. A row's
+// bits depend on that row of a alone: not on m, on the row's position, or on
+// how a caller splits the rows over lanes — which is what keeps batched
+// results equal to unbatched ones.
 //
 // On amd64 hosts with AVX2 (checked once at package init) the blocks run the
 // assembly micro-kernels — mulPanel12x16 on AVX-512F while twelve rows
@@ -153,10 +153,9 @@ func (pb *PackedB) MulInto(dst, a []float32, m int) {
 // twice with the same value. Blocks of the zero-padded last panel, and the
 // rows of a product with fewer than four, run the four-row kernel into a
 // stack tile and copy out what is valid; such a row is fed as four copies of
-// itself (lda = 0) so the kernel never reads past a. There is no zero-skip
-// here: adding av·v = ±0 to an accumulator that started at +0 never changes
-// it, so skipping is value-preserving for finite weights and the branch only
-// costs.
+// itself (lda = 0) so the kernel never reads past a. No step is skipped for
+// a zero a: 0·Inf is NaN, and a fused step can leave −0 in an accumulator
+// that a following +0·v turns back into +0.
 func (pb *PackedB) mulSIMD(dst, a []float32, m int) {
 	k, n := pb.K, pb.N
 	var tile [4 * PanelWidth]float32
@@ -188,80 +187,27 @@ func (pb *PackedB) mulSIMD(dst, a []float32, m int) {
 }
 
 // mulPortable is the micro-kernel in plain Go: the only path off amd64 or
-// without AVX2, and the reference the assembly is tested against.
+// without AVX2, and the reference the assembly is tested against. Four rows
+// of a share each streamed panel line (fmaTile), quartering the panel
+// traffic — the 4×16 micro-kernel shape NEON GEMMs use, in scalar Go; a tail
+// block repeats its last row in the unused ones and stores only the real
+// rows.
 func (pb *PackedB) mulPortable(dst, a []float32, m int) {
 	k, n := pb.K, pb.N
-	panels := (n + PanelWidth - 1) / PanelWidth
-	// Register blocking: four rows of a share each streamed panel line,
-	// quartering the panel traffic — the 4×16 micro-kernel shape NEON GEMMs
-	// use, in scalar Go. The float32 conversions stop the compiler fusing
-	// multiply and add where the target could, so the roundings are those of
-	// Mul and of mulPanel4x16 on every platform.
-	var acc0, acc1, acc2, acc3 [PanelWidth]float32
-	for jp := 0; jp < panels; jp++ {
-		j0 := jp * PanelWidth
-		lim := n - j0
-		if lim > PanelWidth {
-			lim = PanelWidth
-		}
-		panel := pb.data[jp*k*PanelWidth : (jp+1)*k*PanelWidth]
-		i := 0
-		for ; i+4 <= m; i += 4 {
-			a0 := a[i*k : (i+1)*k]
-			a1 := a[(i+1)*k : (i+2)*k]
-			a2 := a[(i+2)*k : (i+3)*k]
-			a3 := a[(i+3)*k : (i+4)*k]
-			for l := range acc0 {
-				acc0[l] = 0
-				acc1[l] = 0
-				acc2[l] = 0
-				acc3[l] = 0
-			}
+	var acc [4][PanelWidth]float32
+	for j0 := 0; j0 < n; j0 += PanelWidth {
+		lim := min(n-j0, PanelWidth)
+		panel := pb.data[j0*k : (j0+PanelWidth)*k]
+		for i := 0; i < m; i += 4 {
+			rows := min(4, m-i)
+			a0 := a[i*k:]
+			a1, a2, a3 := a0[min(1, rows-1)*k:], a0[min(2, rows-1)*k:], a0[min(3, rows-1)*k:]
+			acc = [4][PanelWidth]float32{}
 			for p := 0; p < k; p++ {
-				av0, av1, av2, av3 := a0[p], a1[p], a2[p], a3[p]
-				// Post-ReLU activations are sparse and spatially
-				// correlated: the four adjacent pixels of this row block
-				// are often zero together, so the skip fires for real.
-				if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-					continue
-				}
-				bp := panel[p*PanelWidth : p*PanelWidth+PanelWidth]
-				for l := 0; l < PanelWidth; l++ {
-					v := bp[l]
-					acc0[l] += float32(av0 * v)
-					acc1[l] += float32(av1 * v)
-					acc2[l] += float32(av2 * v)
-					acc3[l] += float32(av3 * v)
-				}
+				fmaTile(&acc, &[4]float32{a0[p], a1[p], a2[p], a3[p]}, (*[PanelWidth]float32)(panel[p*PanelWidth:]))
 			}
-			d0 := dst[i*n+j0:]
-			d1 := dst[(i+1)*n+j0:]
-			d2 := dst[(i+2)*n+j0:]
-			d3 := dst[(i+3)*n+j0:]
-			for l := 0; l < lim; l++ {
-				d0[l] = acc0[l]
-				d1[l] = acc1[l]
-				d2[l] = acc2[l]
-				d3[l] = acc3[l]
-			}
-		}
-		for ; i < m; i++ {
-			ai := a[i*k : (i+1)*k]
-			for l := range acc0 {
-				acc0[l] = 0
-			}
-			for p, av := range ai {
-				if av == 0 {
-					continue
-				}
-				bp := panel[p*PanelWidth : p*PanelWidth+PanelWidth]
-				for l := 0; l < PanelWidth; l++ {
-					acc0[l] += float32(av * bp[l])
-				}
-			}
-			di := dst[i*n+j0:]
-			for l := 0; l < lim; l++ {
-				di[l] = acc0[l]
+			for r := 0; r < rows; r++ {
+				copy(dst[(i+r)*n+j0:(i+r)*n+j0+lim], acc[r][:])
 			}
 		}
 	}
@@ -292,7 +238,7 @@ func (pb *PackedB) MulNC4Into(dst []float32, dstPack int, a []float32, aPack, aP
 // adjacent output pixels (4·stride). The caller lists only the taps that
 // fall inside the image for every pixel of the run, in ascending (ky, kx)
 // order. The sum is MulInto's — taps in list order, c < kc ascending, from
-// +0, multiply and add rounded separately — so one tap over kc = K rows is
+// +0, one rounding per multiply-add — so one tap over kc = K rows is
 // MulInto bit for bit; the bias is added after it, then v < lo becomes lo and
 // v > hi becomes hi, which is relu, relu6 or the identity bit for bit (NaN
 // stays NaN). A pixel's bits depend on that pixel and its tap list alone —
@@ -365,20 +311,7 @@ func nc4Portable(dst []float32, dstPack, packs int, a []float32, aPack, aPix, pi
 		for _, t := range taps {
 			for p := 0; p < kc; p++ {
 				c := t.A + (p/4)*aPack + p%4
-				av0, av1, av2, av3 := a[o0+c], a[o1+c], a[o2+c], a[o3+c]
-				// The zero-skip of mulPortable: post-ReLU pixels are often zero
-				// together, and skipping ±0·v is value-preserving for finite v.
-				if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-					continue
-				}
-				bp := panel[(t.B+p)*PanelWidth : (t.B+p)*PanelWidth+PanelWidth]
-				for l := 0; l < PanelWidth; l++ {
-					v := bp[l]
-					acc[0][l] += float32(av0 * v)
-					acc[1][l] += float32(av1 * v)
-					acc[2][l] += float32(av2 * v)
-					acc[3][l] += float32(av3 * v)
-				}
+				fmaTile(&acc, &[4]float32{a[o0+c], a[o1+c], a[o2+c], a[o3+c]}, (*[PanelWidth]float32)(panel[(t.B+p)*PanelWidth:]))
 			}
 		}
 		for j := 0; j < packs; j++ {

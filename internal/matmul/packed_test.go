@@ -91,8 +91,40 @@ func hostLevels(t *testing.T) []string {
 // must produce the portable loop's bits (and therefore Mul's), with no
 // tolerance. The row counts cross every split of the drivers: twelve-row
 // tiles, four-row blocks, the overlapping tail block, fewer than four rows.
+// Two cases pin that no step is skipped for a zero activation: an infinite
+// weight against a column of zeros is NaN (0·Inf), and a −0 left in an
+// accumulator by a product below half the smallest denormal turns +0 at the
+// next step, +0·1.
 func TestPackedSIMDMatchesPortableBitwise(t *testing.T) {
 	levels := hostLevels(t)
+	check := func(a, b []float32, m, k, n int) {
+		t.Helper()
+		pb := PackB(b, k, n)
+		want := make([]float32, m*n)
+		pb.Portable().MulInto(want, a, m)
+		direct := make([]float32, m*n)
+		Mul(direct, a, b, m, k, n)
+		if d := firstBitDiff(want, direct); d >= 0 {
+			t.Fatalf("%dx%dx%d: portable %v != Mul %v at %d", m, k, n, want[d], direct[d], d)
+		}
+		for _, isa := range levels[1:] {
+			const guard = 8
+			got := make([]float32, m*n+guard)
+			for j := range got {
+				got[j] = float32(math.NaN()) // every element must be written, nothing past the last
+			}
+			pb.WithISA(isa).MulInto(got[:m*n], a, m)
+			if d := firstBitDiff(got, want); d >= 0 {
+				t.Fatalf("%dx%dx%d: %s %v (%#08x) != portable %v (%#08x) at row %d col %d", m, k, n, isa,
+					got[d], math.Float32bits(got[d]), want[d], math.Float32bits(want[d]), d/n, d%n)
+			}
+			for _, v := range got[m*n:] {
+				if v == v {
+					t.Fatalf("%dx%dx%d: %s wrote past dst", m, k, n, isa)
+				}
+			}
+		}
+	}
 	type shape struct{ m, k, n int }
 	var shapes []shape
 	for m := 1; m <= 27; m++ {
@@ -112,32 +144,32 @@ func TestPackedSIMDMatchesPortableBitwise(t *testing.T) {
 		shapes = append(shapes, shape{1 + r.Intn(70), 1 + r.Intn(150), 1 + r.Intn(130)})
 	}
 	for i, s := range shapes {
-		a := activations(uint64(100+i), s.m, s.k)
-		b := weights(uint64(500+i), s.k, s.n)
-		pb := PackB(b, s.k, s.n)
-		want := make([]float32, s.m*s.n)
-		pb.Portable().MulInto(want, a, s.m)
-		direct := make([]float32, s.m*s.n)
-		Mul(direct, a, b, s.m, s.k, s.n)
-		if d := firstBitDiff(want, direct); d >= 0 {
-			t.Fatalf("%dx%dx%d: portable %v != Mul %v at %d", s.m, s.k, s.n, want[d], direct[d], d)
+		check(activations(uint64(100+i), s.m, s.k), weights(uint64(500+i), s.k, s.n), s.m, s.k, s.n)
+	}
+
+	for _, m := range []int{1, 4, 13} {
+		got := make([]float32, m*17)
+		// Row i: 1, 0, 2 against weights (1, Inf, 3) in column 0: NaN.
+		a, b := make([]float32, m*3), weights(7, 3, 17)
+		for i := 0; i < m; i++ {
+			a[i*3], a[i*3+2] = 1, 2
 		}
-		for _, isa := range levels[1:] {
-			const guard = 8
-			got := make([]float32, s.m*s.n+guard)
-			for j := range got {
-				got[j] = float32(math.NaN()) // every element must be written, nothing past the last
-			}
-			pb.WithISA(isa).MulInto(got[:s.m*s.n], a, s.m)
-			if d := firstBitDiff(got, want); d >= 0 {
-				t.Fatalf("%dx%dx%d: %s %v (%#08x) != portable %v (%#08x) at row %d col %d", s.m, s.k, s.n, isa,
-					got[d], math.Float32bits(got[d]), want[d], math.Float32bits(want[d]), d/s.n, d%s.n)
-			}
-			for _, v := range got[s.m*s.n:] {
-				if v == v {
-					t.Fatalf("%dx%dx%d: %s wrote past dst", s.m, s.k, s.n, isa)
-				}
-			}
+		b[17] = inf32
+		check(a, b, m, 3, 17)
+		if PackB(b, 3, 17).MulInto(got, a, m); got[0] == got[0] {
+			t.Fatalf("%d rows: 0·Inf summed to %v, want NaN", m, got[0])
+		}
+
+		// Row i: −2^-100, 0 against weights (2^-100, 1): fma(−2^-100, 2^-100,
+		// +0) = −0, then fma(0, 1, −0) = +0.
+		for i := 0; i < m; i++ {
+			a[i*3], a[i*3+2] = -0x1p-100, 0
+		}
+		b = make([]float32, 3*17)
+		b[0], b[17] = 0x1p-100, 1
+		check(a, b, m, 3, 17)
+		if PackB(b, 3, 17).MulInto(got, a, m); math.Float32bits(got[0]) != 0 {
+			t.Fatalf("%d rows: a −0 accumulator plus 0·1 is %#08x, want +0", m, math.Float32bits(got[0]))
 		}
 	}
 }
@@ -182,11 +214,9 @@ func TestPackedMulRowIndependence(t *testing.T) {
 	}
 }
 
-// FuzzPackedMulInto drives shapes and raw float32 bit patterns (any value in
-// a, finite values in b) through every micro-kernel level of the host, the
-// portable loop and Mul, which must all agree bitwise. Infinite or NaN
-// weights are left out on purpose: the portable loop's zero-skip drops 0·Inf
-// where the assembly computes NaN, and no model carries such weights.
+// FuzzPackedMulInto drives shapes and raw float32 bit patterns (any value, in
+// a and in b) through every micro-kernel level of the host, the portable loop
+// and Mul, which must all agree bitwise.
 func FuzzPackedMulInto(f *testing.F) {
 	f.Add(uint8(5), uint8(17), uint8(20), uint64(1), []byte{0, 0, 0, 0x80, 1, 0, 0, 0})
 	f.Add(uint8(1), uint8(16), uint8(16), uint64(2), []byte{})
@@ -198,9 +228,7 @@ func FuzzPackedMulInto(f *testing.F) {
 		for i := 0; i+4 <= len(raw); i += 4 {
 			v := math.Float32frombits(binary.LittleEndian.Uint32(raw[i:]))
 			a[(i*13)%len(a)] = v
-			if !math.IsInf(float64(v), 0) && v == v {
-				b[(i*29)%len(b)] = v
-			}
+			b[(i*29)%len(b)] = v
 		}
 		pb := PackB(b, k, n)
 		want := make([]float32, m*n)
@@ -344,9 +372,9 @@ func TestPackedNC4MatchesMulIntoBitwise(t *testing.T) {
 // TestPackedNC4ClampSpecials pins the VMAXPS/VMINPS operand order of the
 // fused epilogue: NaN must come out NaN, as the scalar `if v < lo` / `if v >
 // hi` leave it, and ±Inf and the bounds themselves clamp as written. (-0
-// cannot reach this clamp: a sum that starts at +0 is never -0, and +0 plus
-// a -0 bias is +0. The depthwise kernel, whose sum starts at the bias, pins
-// relu(-0) = -0 in internal/kernels.)
+// reaches this clamp only as a sum that underflowed to -0 plus a -0 bias;
+// the depthwise kernel, whose sum starts at the bias, pins relu(-0) = -0 in
+// internal/kernels.)
 func TestPackedNC4ClampSpecials(t *testing.T) {
 	specials := []float32{float32(math.NaN()), float32(math.Copysign(0, -1)), 0, -1, 6, 7, inf32, -inf32,
 		-math.SmallestNonzeroFloat32, 5.9999995, 6.0000005}

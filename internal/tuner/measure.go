@@ -68,7 +68,7 @@ func measureCandidate(a *graph.Conv2DAttrs, inShape []int, dec core.ConvDecision
 		ic = inShape[1]
 	}
 	w := tensor.New(a.OutputCount, ic/group, a.KernelH, a.KernelW)
-	tensor.FillRandom(w, 11, 1) // non-zero: the GEMM's zero skip must not flatter one path
+	tensor.FillRandom(w, 11, 1)
 	g.AddWeight("w", w)
 	b := tensor.New(a.OutputCount)
 	tensor.FillRandom(b, 13, 0.1)

@@ -101,9 +101,6 @@ type Report struct {
 	Mode string
 	// ConvOps counts convolution nodes covered by decisions.
 	ConvOps int
-	// GemmOps counts weight-form MatMul nodes covered by packed-vs-direct
-	// decisions (cost-only; GEMM kernels are not micro-benchmarked).
-	GemmOps int
 	// Unique counts distinct convolution signatures (the dedup unit).
 	Unique int
 	// CacheHits counts signatures resolved from the loaded cache.
@@ -122,25 +119,8 @@ type Report struct {
 type Plan struct {
 	// Decisions maps node name → the algorithm to prepare.
 	Decisions map[string]core.ConvDecision
-	// Gemm maps weight-form MatMul node name → whether to pre-pack the
-	// weight into GEMM panels (true) or keep the direct row-major kernel
-	// (false). Both kernels are bitwise-identical per output element, so
-	// this is purely a throughput choice.
-	Gemm map[string]bool
 	// Report summarizes the search.
 	Report Report
-}
-
-// GemmScheme adapts the plan to the cpu.Config.GemmScheme hook: it resolves
-// the packed-vs-direct choice for a weight-form MatMul node, reporting
-// ok=false for nodes the plan does not cover (the backend then keeps its
-// default).
-func (p *Plan) GemmScheme(n *graph.Node) (packB, ok bool) {
-	if p == nil || p.Gemm == nil {
-		return false, false
-	}
-	packB, ok = p.Gemm[n.Name]
-	return packB, ok
 }
 
 // SchemeFor resolves a node's decision, falling back to the heuristic for
@@ -287,69 +267,6 @@ func candidateFromCache(e CacheEntry, cands []core.ConvCandidate) (core.ConvDeci
 	return core.ConvDecision{}, false
 }
 
-// gemmSite is one unique weight-form MatMul signature. Like convSite, the
-// deciding shape has its batch normalized to 1 so the committed kernel is
-// identical across batch sizes — the packed and direct kernels are bitwise
-// equal anyway, but batch-invariant decisions keep the tuning report (and
-// any future measured ranking) stable between the serving tier's batched
-// and unbatched engines.
-type gemmSite struct {
-	sig     string
-	m, k, n int // batch-1 GEMM dims: m rows, reduction depth k, n columns
-	nodes   []string
-}
-
-// collectGemmSites groups weight-form MatMul nodes (Heads == 0: activation
-// × constant weight) by their batch-1 GEMM signature. Batched QK/AV forms
-// have no weight to pack and are skipped.
-func collectGemmSites(g *graph.Graph, shapes graph.ShapeMap) []*gemmSite {
-	var order []*gemmSite
-	bySig := map[string]*gemmSite{}
-	for _, n := range g.Nodes {
-		if n.Op != graph.OpMatMul {
-			continue
-		}
-		if a := n.Attrs.(*graph.MatMulAttrs); a.Heads > 0 {
-			continue
-		}
-		inShape := shapes[n.Inputs[0]]
-		w := g.Weights[n.WeightNames[0]]
-		if len(inShape) < 2 || w == nil || w.Rank() != 2 {
-			continue
-		}
-		k, nn := w.Dim(0), w.Dim(1)
-		m := 1
-		for _, d := range inShape[1 : len(inShape)-1] { // batch normalized to 1
-			m *= d
-		}
-		sig := fmt.Sprintf("gemm/m%d/k%d/n%d", m, k, nn)
-		site, ok := bySig[sig]
-		if !ok {
-			site = &gemmSite{sig: sig, m: m, k: k, n: nn}
-			bySig[sig] = site
-			order = append(order, site)
-		}
-		site.nodes = append(site.nodes, n.Name)
-	}
-	return order
-}
-
-// gemmPacked is the analytic packed-vs-direct choice. Packing happens once
-// at pre-inference (the weight never changes), so at run time the packed
-// panel kernel is never slower once the reduction depth reaches the panel
-// width; below it the packed kernel's own tiny-K fallback runs the direct
-// loop anyway, so committing direct there skips a pointless pack and the
-// panel copy it would retain. m and n are carried for a future measured
-// ranking; today's model depends only on k.
-func gemmPacked(m, k, n int) bool {
-	_, _ = m, n
-	return k >= minGemmPackK
-}
-
-// minGemmPackK mirrors matmul.PanelWidth: the depth below which the packed
-// kernel's own tiny-K fallback makes packing pure overhead.
-const minGemmPackK = 16
-
 // New runs the search for a graph whose shapes are already inferred and
 // returns the committed plan. ModeHeuristic returns (nil, nil): callers keep
 // the built-in selection with zero overhead.
@@ -375,21 +292,6 @@ func New(g *graph.Graph, shapes graph.ShapeMap, cfg Config) (*Plan, error) {
 	}
 	sites := collectSites(g, shapes)
 	plan.Report.Unique = len(sites)
-
-	// Weight-form MatMul nodes get a cost-only packed-vs-direct decision in
-	// every non-heuristic mode. Both kernels are bitwise-identical, so there
-	// is nothing for ModeMeasured to rank that the cost model can get wrong
-	// in a correctness-visible way.
-	for _, gs := range collectGemmSites(g, shapes) {
-		packed := gemmPacked(gs.m, gs.k, gs.n)
-		for _, name := range gs.nodes {
-			if plan.Gemm == nil {
-				plan.Gemm = map[string]bool{}
-			}
-			plan.Gemm[name] = packed
-			plan.Report.GemmOps++
-		}
-	}
 
 	var cache *Cache
 	if cfg.Mode == ModeMeasured {

@@ -244,93 +244,3 @@ func TestMeasuredModeCommitsAndCaches(t *testing.T) {
 		}
 	}
 }
-
-// TestGemmDecisionsOnTransformer: a cost-mode plan covers every weight-form
-// MatMul of the transformer with a batch-invariant packed-vs-direct choice,
-// and the adapter reports ok=false for nodes outside the plan.
-func TestGemmDecisionsOnTransformer(t *testing.T) {
-	g, err := models.ByName("transformer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shapes, err := graph.InferShapes(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := New(g, shapes, Config{Mode: ModeCost})
-	if err != nil {
-		t.Fatal(err)
-	}
-	weightForm := 0
-	for _, n := range g.Nodes {
-		if n.Op != graph.OpMatMul {
-			continue
-		}
-		a := n.Attrs.(*graph.MatMulAttrs)
-		packed, ok := plan.GemmScheme(n)
-		if a.Heads > 0 {
-			if ok {
-				t.Errorf("batched matmul %q got a gemm decision", n.Name)
-			}
-			continue
-		}
-		weightForm++
-		if !ok {
-			t.Errorf("weight-form matmul %q has no gemm decision", n.Name)
-		}
-		// Every transformer weight GEMM has K >= 32 — deep enough to pack.
-		if !packed {
-			t.Errorf("matmul %q: expected packed at K>=32", n.Name)
-		}
-	}
-	// 2 layers × (Q,K,V,proj,FFN up,FFN down) + classifier = 13.
-	if weightForm != 13 || plan.Report.GemmOps != 13 {
-		t.Errorf("weight-form matmuls = %d, Report.GemmOps = %d, want 13", weightForm, plan.Report.GemmOps)
-	}
-}
-
-// TestGemmDecisionBatchInvariant: the same graph inferred at different batch
-// sizes must commit identical gemm decisions (the serving tier's batched and
-// unbatched engines must prepare the same kernels).
-func TestGemmDecisionBatchInvariant(t *testing.T) {
-	g, err := models.ByName("transformer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := graph.InferShapes(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s4, err := graph.InferShapes(g, map[string][]int{"tokens": {4, 16, 32}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, err := New(g, s1, Config{Mode: ModeCost})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p4, err := New(g, s4, Config{Mode: ModeCost})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p1.Gemm) != len(p4.Gemm) {
-		t.Fatalf("decision counts differ: %d vs %d", len(p1.Gemm), len(p4.Gemm))
-	}
-	for name, v := range p1.Gemm {
-		if p4.Gemm[name] != v {
-			t.Errorf("node %q: batch-1 packed=%v, batch-4 packed=%v", name, v, p4.Gemm[name])
-		}
-	}
-}
-
-// TestGemmPackedThreshold pins the tiny-K rule: below the panel width the
-// packed kernel would fall back to the direct loop anyway, so the plan must
-// commit direct.
-func TestGemmPackedThreshold(t *testing.T) {
-	if gemmPacked(16, 15, 64) {
-		t.Error("K=15 must stay direct")
-	}
-	if !gemmPacked(16, 16, 64) {
-		t.Error("K=16 must pack")
-	}
-}

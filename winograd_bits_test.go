@@ -45,12 +45,14 @@ func winogradOnlyGraph() *graph.Graph {
 }
 
 // TestWinogradGraphBitsPinned pins the Winograd scheme's bits at the engine
-// level: the output of a Winograd-only network, hashed, equals what the
-// engine produced when the transforms still ran channel by channel in scalar
-// Go (the hash was taken at the commit before the pack-wise transforms, on
-// amd64). The kernel-level
-// differential test is TestWinogradMatchesParentRouteBitwise; this one covers
-// the route through scheme selection, the planner's workspace and the pool.
+// level: the output of a Winograd-only network, hashed. The transforms give
+// the bits they gave when they still ran channel by channel in scalar Go;
+// the per-position GEMM between them rounds once per multiply-add (fma32,
+// VFMADD231PS), which moved the hash once, from baeffa97bd7cd72f — taken on
+// amd64 before the pack-wise transforms, with multiply and add rounded
+// separately — to the one below. The kernel-level differential test is
+// TestWinogradMatchesParentRouteBitwise; this one covers the route through
+// scheme selection, the planner's workspace and the pool.
 func TestWinogradGraphBitsPinned(t *testing.T) {
 	g := winogradOnlyGraph()
 	for _, threads := range []int{1, 3} {
@@ -72,9 +74,9 @@ func TestWinogradGraphBitsPinned(t *testing.T) {
 			bits := math.Float32bits(v)
 			h.Write([]byte{byte(bits), byte(bits >> 8), byte(bits >> 16), byte(bits >> 24)})
 		}
-		const want = "baeffa97bd7cd72f"
+		const want = "68260cbefb2a6a7a"
 		if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
-			t.Fatalf("%d threads: output hash %s, the per-channel transforms gave %s", threads, got, want)
+			t.Fatalf("%d threads: output hash %s, pinned %s", threads, got, want)
 		}
 	}
 }
