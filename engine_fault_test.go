@@ -141,6 +141,48 @@ func TestEngineInferIntoPanicContained(t *testing.T) {
 	}
 }
 
+// TestEngineInferProfiledFaults: the profiled path runs the same step loop
+// as Infer, so the session.kernel site fires there too — an injected error
+// comes back as that error, and an injected panic is contained and
+// attributed to the node it hit, not to the graph.
+func TestEngineInferProfiledFaults(t *testing.T) {
+	leakcheck.Check(t)
+	open := func(spec string) *mnn.Engine {
+		eng, err := mnn.Open(tinyModel(t), mnn.WithThreads(2),
+			mnn.WithFaultPlan(faultPlan(t, 1, spec)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		return eng
+	}
+	in := tinyInput(t)
+
+	eng := open("session.kernel=error,count=1,match=conv1")
+	if _, _, err := eng.InferProfiled(context.Background(), in); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("InferProfiled under session.kernel=error = %v, want injected error", err)
+	}
+
+	eng = open("session.kernel=panic,count=1,match=conv1")
+	_, _, err := eng.InferProfiled(context.Background(), in)
+	var kp *mnn.KernelPanicError
+	if !errors.As(err, &kp) {
+		t.Fatalf("InferProfiled under session.kernel=panic = %v, want *KernelPanicError", err)
+	}
+	if kp.Op != "conv1" {
+		t.Fatalf("panic attributed to op %q, want conv1", kp.Op)
+	}
+	// The poisoned session was rebuilt; the next profiled run is clean and
+	// still reports one entry per operator.
+	_, p, err := eng.InferProfiled(context.Background(), in)
+	if err != nil {
+		t.Fatalf("post-panic InferProfiled = %v", err)
+	}
+	if len(p.Entries) == 0 || p.Total <= 0 {
+		t.Fatalf("post-panic profile = %+v", p)
+	}
+}
+
 // TestEngineFaultDeterminism replays one plan twice and asserts the fault
 // schedule lands on the same inferences both times.
 func TestEngineFaultDeterminism(t *testing.T) {

@@ -7,10 +7,12 @@ import (
 )
 
 // Every experiment must run clean in quick mode and emit its table header —
-// this is the regression net for the harness behind cmd/mnnbench.
+// this is the regression net for the harness behind cmd/mnnbench. An
+// experiment without an entry in headers fails rather than matching any
+// output with an empty header.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every experiment end to end (~20s even in quick mode)")
+		t.Skip("runs every experiment end to end (~5s even in quick mode)")
 	}
 	headers := map[string]string{
 		"table1":            "Table 1",
@@ -28,30 +30,21 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 		"ablation-layout":   "NC4HW4",
 		"ablation-memory":   "memory",
 		"ablation-tile":     "tile",
-		"throughput":        "Throughput",
-		"serving":           "Serving",
 	}
-	rec := &Recorder{}
 	for _, exp := range Experiments {
-		exp := exp
 		t.Run(exp, func(t *testing.T) {
+			header, ok := headers[exp]
+			if !ok {
+				t.Fatalf("experiment %q has no expected header", exp)
+			}
 			var buf bytes.Buffer
-			if err := Run(exp, Options{Quick: true, Out: &buf, Recorder: rec}); err != nil {
+			if err := Run(exp, Options{Quick: true, Out: &buf}); err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(buf.String(), headers[exp]) {
-				t.Errorf("output missing header %q:\n%s", headers[exp], buf.String())
+			if !strings.Contains(buf.String(), header) {
+				t.Errorf("output missing header %q:\n%s", header, buf.String())
 			}
 		})
-	}
-	// The instrumented experiments must have fed the -json recorder, and
-	// the rows must serialize.
-	if len(rec.Results()) == 0 {
-		t.Error("no experiment recorded machine-readable results")
-	}
-	var out bytes.Buffer
-	if err := rec.WriteJSON(&out); err != nil {
-		t.Errorf("WriteJSON: %v", err)
 	}
 }
 

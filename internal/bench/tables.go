@@ -112,8 +112,6 @@ func Table1(opt Options) error {
 				return err
 			}
 			vals[i] = ms(d)
-			opt.record("table1", fmt.Sprintf("conv(%d,%d,%d,%d)/%s", c.K, c.IC, c.OC, c.Size, scheme),
-				float64(d.Nanoseconds()), 0)
 		}
 		pad := 22 - len(fmt.Sprintf("(%d,%d,%d,%d)", c.K, c.IC, c.OC, c.Size))
 		opt.printf("%*s", pad, "")
@@ -285,8 +283,6 @@ func Table3(opt Options) error {
 	opt.printf("%-18s %16s %18s %8s\n", "size (m,k,n)", "w/o Strassen", "w/ Strassen", "gain")
 	for _, c := range cases {
 		d, s := Table3Measure(c, reps)
-		opt.record("table3", fmt.Sprintf("matmul(%d,%d,%d)/direct", c.M, c.K, c.N), float64(d.Nanoseconds()), 0)
-		opt.record("table3", fmt.Sprintf("matmul(%d,%d,%d)/strassen", c.M, c.K, c.N), float64(s.Nanoseconds()), 0)
 		gain := (1 - float64(s)/float64(d)) * 100
 		opt.printf("(%d,%d,%d)%*s %8.1f(%6.1f) %8.1f(%6.1f) %7.1f%%\n",
 			c.M, c.K, c.N, 18-len(fmt.Sprintf("(%d,%d,%d)", c.M, c.K, c.N)), "",
@@ -418,7 +414,6 @@ func Table7(opt Options) error {
 	if err != nil {
 		return err
 	}
-	opt.record("table7", "mobilenet-v2/single-stream", float64(st.MeanLatency.Nanoseconds()), st.QPSWithLoadgen)
 	opt.printf("Table 7 — MLPerf single-stream, MobileNet-v2, 4 CPU threads (host; paper on Pixel 3)\n")
 	opt.printf("%-34s %14s %14s\n", "item", "this repo", "paper")
 	opt.printf("%-34s %14d %14s\n", "query count", st.QueryCount, "1024–5000")

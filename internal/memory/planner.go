@@ -24,8 +24,7 @@
 // workspaces share bytes with dead activations and with other steps'
 // workspaces. Together with the persistent worker pool (internal/sched)
 // this makes steady-state inference fully allocation-free; the
-// testing.AllocsPerRun regression tests and `mnnbench -exp allocs` hold
-// that line.
+// testing.AllocsPerRun regression tests hold that line.
 package memory
 
 import (

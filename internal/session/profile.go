@@ -9,6 +9,7 @@ import (
 
 	"mnn/internal/graph"
 	"mnn/internal/matmul"
+	"mnn/internal/tensor"
 )
 
 // ProfileEntry is one operator's measured cost in a profiled run.
@@ -28,54 +29,30 @@ type Profile struct {
 }
 
 // RunProfiled executes one inference measuring every operator, the
-// equivalent of the original engine's per-op profiler tooling. Like Run it
-// checks ctx between operators; a nil ctx behaves like context.Background().
+// equivalent of the original engine's per-op profiler tooling. It is a
+// timing observer on RunObserved's loop — one timestamp per step, so fault
+// injection, panic containment and cancellation behave exactly as in Run —
+// and each entry's Wall runs from the previous step's end (the run's start
+// for the first step, which therefore also carries a NoPreparation
+// session's interleaved preparation).
 func (s *Session) RunProfiled(ctx context.Context) (*Profile, error) {
-	if s.cfg.NoPreparation {
-		if err := s.prepareFresh(); err != nil {
-			return nil, err
-		}
-	}
-	done, err := ctxDone(ctx)
+	p := &Profile{Entries: make([]ProfileEntry, 0, len(s.steps))}
+	start := time.Now()
+	last := start
+	err := s.RunObserved(ctx, func(n *graph.Node, _ []*tensor.Tensor) {
+		now := time.Now()
+		p.Entries = append(p.Entries, ProfileEntry{
+			Node:    n.Name,
+			Op:      n.Op,
+			Backend: s.assign[n.Name],
+			Wall:    now.Sub(last),
+		})
+		last = now
+	})
 	if err != nil {
 		return nil, err
 	}
-	p := &Profile{Entries: make([]ProfileEntry, 0, len(s.steps))}
-	start := time.Now()
-	for _, b := range s.backends {
-		b.OnExecuteBegin()
-	}
-	defer func() {
-		for _, b := range s.backends {
-			b.OnExecuteEnd()
-		}
-	}()
-	for i := range s.steps {
-		st := &s.steps[i]
-		if done != nil {
-			select {
-			case <-done:
-				return nil, fmt.Errorf("session: cancelled at node %q: %w", st.node.Name, ctx.Err())
-			default:
-			}
-		}
-		t0 := time.Now()
-		for _, c := range st.copies {
-			if err := c.via.OnCopyBuffer(c.from, c.to); err != nil {
-				return nil, fmt.Errorf("session: staging for %q: %w", st.node.Name, err)
-			}
-		}
-		if err := st.exec.Run(); err != nil {
-			return nil, fmt.Errorf("session: node %q: %w", st.node.Name, err)
-		}
-		p.Entries = append(p.Entries, ProfileEntry{
-			Node:    st.node.Name,
-			Op:      st.node.Op,
-			Backend: s.assign[st.node.Name],
-			Wall:    time.Since(t0),
-		})
-	}
-	p.Total = time.Since(start)
+	p.Total = last.Sub(start)
 	return p, nil
 }
 

@@ -840,47 +840,66 @@ func (b *batcher) worker() {
 	}
 }
 
-// runBatch serves one batch: lazy engine open, stack, one batched run,
-// split. Members whose caller already gave up are dropped before stacking;
-// if none are left the engine isn't touched at all.
+// runBatch serves one batch, then hands its bucket and worker slot back to
+// the scheduler before answering any member: a caller's next request must
+// find the bucket idle (cuttable, evictable) and the worker free, not still
+// counted busy behind an answer the caller already holds.
 func (b *batcher) runBatch(bt *batch) {
-	bkt := bt.bkt
-	defer func() {
-		b.mu.Lock()
-		bkt.busy--
-		b.outstanding--
-		bkt.lastUsed = time.Now()
-		b.mu.Unlock()
-		// Wake the scheduler: requests that queued behind this run may now
-		// be overdue or idle, their bucket is eligible for a cut again, and
-		// a worker is free.
-		b.wake()
-	}()
 	if b.hooks.onFlush != nil {
 		b.hooks.onFlush(bt)
 	}
 	if b.hooks.beforeRun != nil {
 		b.hooks.beforeRun(bt)
 	}
+	resps, served := b.serveBatch(bt)
+	bkt := bt.bkt
+	b.mu.Lock()
+	bkt.busy--
+	b.outstanding--
+	bkt.lastUsed = time.Now()
+	if served > 0 {
+		bkt.flushes++
+		bkt.samples += uint64(served)
+	}
+	b.mu.Unlock()
+	// Wake the scheduler: requests that queued behind this run may now be
+	// overdue or idle, their bucket is eligible for a cut again, and a
+	// worker is free.
+	b.wake()
+	for i, rq := range bt.reqs {
+		rq.resp <- resps[i]
+	}
+}
+
+// serveBatch runs one batch — lazy engine open, stack, one batched run,
+// split — and returns every member's answer in member order, with how many
+// members the flush served (0 when none ran). Members whose caller already
+// gave up are dropped before stacking; if none are left the engine isn't
+// touched at all.
+func (b *batcher) serveBatch(bt *batch) ([]batchResp, int) {
+	bkt := bt.bkt
+	resps := make([]batchResp, len(bt.reqs))
 	if err := b.ensureEngine(bkt); err != nil {
 		b.failBucket(bkt, err)
 		// Serve the stranded members unbatched, each under its own context.
-		for _, rq := range bt.reqs {
+		for i, rq := range bt.reqs {
 			out, ferr := b.fallback.Infer(rq.ctx, rq.inputs)
-			rq.resp <- batchResp{outputs: out, err: ferr}
+			resps[i] = batchResp{outputs: out, err: ferr}
 		}
-		return
+		return resps, 0
 	}
 	live := make([]*batchReq, 0, len(bt.reqs))
-	for _, rq := range bt.reqs {
+	at := make([]int, 0, len(bt.reqs)) // live[j] is member at[j]
+	for i, rq := range bt.reqs {
 		if err := rq.ctx.Err(); err != nil {
-			rq.resp <- batchResp{err: fmt.Errorf("%w: %v", mnn.ErrCancelled, err)}
+			resps[i] = batchResp{err: fmt.Errorf("%w: %v", mnn.ErrCancelled, err)}
 			continue
 		}
 		live = append(live, rq)
+		at = append(at, i)
 	}
 	if len(live) == 0 {
-		return
+		return resps, 0
 	}
 	// Partial primary-bucket batches skip pad-and-mask: the unbatched
 	// engine is prepared at exactly this shape and bitwise-identical, so
@@ -891,20 +910,16 @@ func (b *batcher) runBatch(bt *batch) {
 	// partial or full, primary or not — takes the stacked path below.
 	if !b.dynamic && bkt.primary && len(live) < b.maxBatch {
 		var wg sync.WaitGroup
-		for _, rq := range live {
+		for j, rq := range live {
 			wg.Add(1)
-			go func(rq *batchReq) {
+			go func() {
 				defer wg.Done()
 				out, err := b.fallback.Infer(rq.ctx, rq.inputs)
-				rq.resp <- batchResp{outputs: out, err: err}
-			}(rq)
+				resps[at[j]] = batchResp{outputs: out, err: err}
+			}()
 		}
 		wg.Wait()
-		b.mu.Lock()
-		bkt.flushes++
-		bkt.samples += uint64(len(live))
-		b.mu.Unlock()
-		return
+		return resps, len(live)
 	}
 	stacked := b.stack(bkt, live)
 	ctx, cancel := runContext(live)
@@ -912,19 +927,16 @@ func (b *batcher) runBatch(bt *batch) {
 	cancel()
 	b.batchRuns.Add(1)
 	if err != nil {
-		for _, rq := range live {
-			rq.resp <- batchResp{err: err}
+		for _, i := range at {
+			resps[i] = batchResp{err: err}
 		}
-		return
+		return resps, 0
 	}
 	outs := splitOutputs(b.outputNames, bkt, out, len(live))
-	for i, rq := range live {
-		rq.resp <- batchResp{outputs: outs[i]}
+	for j, i := range at {
+		resps[i] = batchResp{outputs: outs[j]}
 	}
-	b.mu.Lock()
-	bkt.flushes++
-	bkt.samples += uint64(len(live))
-	b.mu.Unlock()
+	return resps, len(live)
 }
 
 // failBucket retires a bucket whose engine cannot open: future requests

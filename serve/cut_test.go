@@ -54,29 +54,11 @@ func waitQueued(t *testing.T, b *batcher, sig string, n int) {
 	}
 }
 
-// waitRunsDone polls until every cut batch has finished. A batch's members
-// are answered before its bucket's counts move, so callers returning does
-// not mean the counts are final.
-func waitRunsDone(t *testing.T, b *batcher) {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		b.mu.Lock()
-		n := b.outstanding
-		b.mu.Unlock()
-		if n == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d batches still running after 10 s", n)
-		}
-	}
-}
-
-// bucketServed waits for the running batches, then reads how many batches
-// a bucket has served and how many requests they carried.
+// bucketServed reads how many batches a bucket has served and how many
+// requests they carried. A batch's counts move before any member is
+// answered, so once every caller has returned they are final.
 func bucketServed(t *testing.T, b *batcher, sig string) (flushes, samples uint64) {
 	t.Helper()
-	waitRunsDone(t, b)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if bkt := b.buckets[sig]; bkt != nil {

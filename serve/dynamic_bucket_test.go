@@ -130,7 +130,6 @@ func TestDynamicBucketsMixedLengthBitwise(t *testing.T) {
 	}
 	wg.Wait()
 	release()
-	waitRunsDone(t, b)
 
 	st, ok := m.batcherStats()
 	if !ok {

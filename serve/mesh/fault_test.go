@@ -37,7 +37,7 @@ func TestBackoffDelaySchedule(t *testing.T) {
 }
 
 // TestBackoffSeedDeterminism: the same RetrySeed replays the same jittered
-// delays (the property the chaos soak relies on for reproducible runs).
+// delays (the property a seeded -chaos run relies on to replay).
 func TestBackoffSeedDeterminism(t *testing.T) {
 	draw := func(seed uint64) []time.Duration {
 		rt, err := New(Config{
