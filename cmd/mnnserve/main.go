@@ -10,12 +10,12 @@
 // Each -model flag is name=source[,key=value...]; a bare source serves under
 // its own name. Keys: pool, threads, forward, device, precision (fp32/int8),
 // tuning (heuristic/cost/measured), tuningcache (persistent tuning-cache
-// path), maxbatch, maxlatency, buckets (how many input-shape buckets the
-// batcher keeps batch engines for; 1 batches only the declared shape),
-// shape=input:AxBxC... (repeatable), maxshape=input:AxBxC... (repeatable;
-// opens a dynamic engine planned once at the max shape — requests may then
-// use any shape elementwise ≤ the max, and the batcher serves every in-plan
-// shape bucket from one shared batch engine; mutually exclusive with
+// path), maxbatch, maxlatency, buckets (how many input-shape queues the
+// batcher tracks at once; every queue runs on one shared batch engine),
+// shape=input:AxBxC... (repeatable; the batcher batches exactly this shape),
+// maxshape=input:AxBxC... (repeatable; opens a dynamic engine planned once
+// at the max shape — requests may then use any shape elementwise ≤ the
+// max, and the batcher batches every such shape; mutually exclusive with
 // shape), queue
 // (admission queue depth; enables SLO-aware load shedding), concurrency,
 // slo (latency budget, e.g. slo=50ms), priority (default class:
@@ -125,7 +125,7 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "optional net/http/pprof listen address (e.g. localhost:6060); keep it off public interfaces")
 	maxBatch := flag.Int("max-batch", 0, "default micro-batch size for models that don't set maxbatch= (0 disables batching)")
 	maxLatency := flag.Duration("max-latency", serve.DefaultMaxLatency, "default cap on how long a queued request waits for batch-mates already on their way, for models that don't set maxlatency= (a queue nothing else can join is cut at once)")
-	maxBuckets := flag.Int("max-buckets", 0, "default shape-bucket bound for batching models that don't set buckets= (0 = serve.DefaultMaxBuckets; 1 batches only the declared input shape)")
+	maxBuckets := flag.Int("max-buckets", 0, "default bound on the shape queues a batching model tracks at once, for models that don't set buckets= (0 = serve.DefaultMaxBuckets)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 30*time.Second, "grace period for draining in-flight requests on SIGINT/SIGTERM")
 	memoryBudget := flag.String("memory-budget", "", "resident-engine byte budget (e.g. 512MiB, 1GiB); models load lazily on first request and idle ones are evicted LRU under pressure (empty = unlimited, eager loads)")
 	chaos := flag.String("chaos", "", "fault-injection spec, e.g. 'session.kernel=panic,p=0.01;registry.load=error,count=1' (empty = disabled; see README)")

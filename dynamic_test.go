@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"mnn"
@@ -109,21 +110,79 @@ func TestDynamicShapeOutOfPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wd, gd := want["prob"].Data(), got["prob"].Data()
-	for i := range wd {
-		if wd[i] != gd[i] {
-			t.Fatalf("output changed after rejected requests: idx %d, %g vs %g", i, wd[i], gd[i])
+	assertBitwise(t, "after rejected requests", got, want)
+
+	// A spatial shape inside the planned max that changes the features a
+	// fully-connected layer reads is outside the plan too, and so is
+	// refused before its input is copied in.
+	t.Run("fc-features-change", func(t *testing.T) {
+		g, err := mnn.ParseJSONModel(strings.NewReader(flatFCJSON))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		// A static engine prepared at that shape fails to open, naming the fc.
+		if _, err := mnn.Open(g, mnn.WithInputShapes(map[string][]int{"data": {1, 3, 6, 6}})); err == nil || !strings.Contains(err.Error(), `"fc"`) {
+			t.Fatalf("Open at 6×6 into an 8×8 flatten→fc: %v, want an error naming the fc", err)
+		}
+		eng, err := mnn.Open(g, mnn.WithMaxInputShapes(map[string][]int{"data": {2, 3, 8, 8}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		in := map[string]*mnn.Tensor{"data": tensor.NewRandom(5, 1, 2, 3, 8, 8)}
+		want, err := eng.Infer(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = eng.Infer(ctx, map[string]*mnn.Tensor{"data": tensor.NewRandom(6, 1, 2, 3, 6, 6)})
+		if !errors.Is(err, mnn.ErrShapeOutOfPlan) || !strings.Contains(err.Error(), `"fc"`) {
+			t.Fatalf("6×6 into an 8×8 flatten→fc: %v, want ErrShapeOutOfPlan naming the fc", err)
+		}
+		got, err := eng.Infer(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitwise(t, "fc after rejected request", got, want)
+	})
 }
+
+// flatFCJSON is a conv whose whole feature map feeds a fully-connected
+// layer, so its input size fixes the spatial shape: 8×8 gives the 4·8·8
+// features its weight holds.
+const flatFCJSON = `{
+  "name": "flatfc",
+  "inputs": ["data"],
+  "outputs": ["fc"],
+  "nodes": [
+    {"name": "data", "op": "Input", "attrs": {"shape": [1, 3, 8, 8]}},
+    {"name": "conv", "op": "Conv2D", "inputs": ["data"], "weights": ["wc", "bc"],
+     "attrs": {"kernel": [3], "pad": [1], "outputs": 4, "relu": true}},
+    {"name": "flat", "op": "Flatten", "inputs": ["conv"], "attrs": {"axis": 1}},
+    {"name": "fc", "op": "InnerProduct", "inputs": ["flat"], "weights": ["wf", "bf"],
+     "attrs": {"outputs": 5}}
+  ],
+  "weights": [
+    {"name": "wc", "shape": [4, 3, 3, 3], "init": "random", "seed": 1, "scale": 0.3},
+    {"name": "bc", "shape": [4], "init": "random", "seed": 2, "scale": 0.1},
+    {"name": "wf", "shape": [5, 256], "init": "random", "seed": 3, "scale": 0.1},
+    {"name": "bf", "shape": [5], "init": "random", "seed": 4, "scale": 0.1}
+  ]
+}`
 
 // TestDynamicOptionValidation: WithMaxInputShapes composes only with the
 // plans that can actually re-derive shapes per run.
 func TestDynamicOptionValidation(t *testing.T) {
 	dyn := mnn.WithMaxInputShapes(map[string][]int{"tokens": {1, 16, 32}})
-	// Conv-family networks bake NC4HW4 geometry into their prepared kernels.
-	if _, err := mnn.Open("mobilenet-v1", mnn.WithMaxInputShapes(map[string][]int{"data": {1, 3, 224, 224}})); err == nil {
-		t.Error("dynamic shapes on a conv network must fail")
+	// Conv-family networks re-derive NC4HW4 geometry per run, at both
+	// precisions.
+	for _, p := range []mnn.Precision{mnn.PrecisionFP32, mnn.PrecisionInt8} {
+		eng, err := mnn.Open("mobilenet-v1", mnn.WithPrecision(p),
+			mnn.WithMaxInputShapes(map[string][]int{"data": {1, 3, 224, 224}}))
+		if err != nil {
+			t.Errorf("dynamic shapes on a conv network at %v: %v", p, err)
+			continue
+		}
+		eng.Close()
 	}
 	if _, err := mnn.Open("transformer", dyn, mnn.WithoutPreparation()); err == nil {
 		t.Error("dynamic + WithoutPreparation must fail")
@@ -139,23 +198,41 @@ func TestDynamicOptionValidation(t *testing.T) {
 
 // TestDynamicInferIntoZeroAllocs pins the zero-allocation steady state for
 // dynamic shapes: once a shape's plan is cached, InferInto at that shape —
-// including alternating between two shapes — allocates nothing.
+// including alternating between two shapes — allocates nothing, on the
+// transformer and on a conv network (its staging views re-bounded per run).
 func TestDynamicInferIntoZeroAllocs(t *testing.T) {
-	eng := openDynamicTransformer(t, []int{2, 16, 32}, mnn.WithThreads(2))
-	ctx := context.Background()
+	t.Run("transformer", func(t *testing.T) {
+		eng := openDynamicTransformer(t, []int{2, 16, 32}, mnn.WithThreads(2))
+		assertAlternatingZeroAllocs(t, eng, "tokens", "prob",
+			[]int{1, 8, 32}, []int{2, 16, 32}, func(s []int) []int { return []int{s[0], s[1], 10} })
+	})
+	t.Run("mobilenet-v1", func(t *testing.T) {
+		eng, err := mnn.Open("mobilenet-v1", mnn.WithThreads(2),
+			mnn.WithMaxInputShapes(map[string][]int{"data": {2, 3, 64, 64}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		assertAlternatingZeroAllocs(t, eng, "data", "prob",
+			[]int{1, 3, 48, 48}, []int{2, 3, 64, 64}, func(s []int) []int { return []int{s[0], 1000} })
+	})
+}
 
+// assertAlternatingZeroAllocs warms eng at shapes a and b, then requires
+// InferInto at a, and at a and b in turn, to allocate nothing.
+func assertAlternatingZeroAllocs(t *testing.T, eng *mnn.Engine, input, output string, a, b []int, outShape func([]int) []int) {
+	t.Helper()
+	ctx := context.Background()
 	mk := func(shape []int, seed uint64) (map[string]*mnn.Tensor, map[string]*mnn.Tensor) {
-		in := tensor.New(shape...)
-		tensor.FillRandom(in, seed, 1)
-		inputs := map[string]*mnn.Tensor{"tokens": in}
-		outputs := map[string]*mnn.Tensor{"prob": tensor.New(shape[0], shape[1], 10)}
+		inputs := map[string]*mnn.Tensor{input: tensor.NewRandom(seed, 1, shape...)}
+		outputs := map[string]*mnn.Tensor{output: tensor.New(outShape(shape)...)}
 		if err := eng.InferInto(ctx, inputs, outputs); err != nil {
 			t.Fatal(err)
 		}
 		return inputs, outputs
 	}
-	inA, outA := mk([]int{1, 8, 32}, 3)
-	inB, outB := mk([]int{2, 16, 32}, 4)
+	inA, outA := mk(a, 3)
+	inB, outB := mk(b, 4)
 
 	if allocs := testing.AllocsPerRun(5, func() {
 		if err := eng.InferInto(ctx, inA, outA); err != nil {

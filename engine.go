@@ -94,14 +94,10 @@ func Open(model any, opts ...Option) (*Engine, error) {
 	}
 	if cfg.dynamic {
 		// Dynamic shapes re-derive geometry on prepared CPU kernels; the
-		// ablation path re-prepares anyway and the int8/GPU paths bake
-		// shape-dependent state (quant plans, staging schedules) into the
-		// prepared form.
+		// ablation path re-prepares anyway and the GPU path bakes a
+		// shape-dependent staging schedule into the prepared form.
 		if cfg.noPrep {
 			return nil, fmt.Errorf("mnn: WithMaxInputShapes is incompatible with WithoutPreparation")
-		}
-		if cfg.precision == PrecisionInt8 {
-			return nil, fmt.Errorf("mnn: WithMaxInputShapes requires fp32 precision")
 		}
 		if cfg.forward != ForwardAuto && cfg.forward != ForwardCPU {
 			return nil, fmt.Errorf("%w: dynamic shapes require the CPU backend", ErrUnknownBackend)

@@ -144,6 +144,18 @@ func carveTensor(buf []float32, layout tensor.Layout, shape []int) (*tensor.Tens
 	return tensor.WrapBuffer(buf[:need], layout, shape...), buf[need:]
 }
 
+// bound re-bounds a staging tensor or view to the shape its activation has
+// this run and returns it: a dynamic-shape session changes activation shapes
+// in place between runs, and SetBoundedShape does not allocate. Staging is
+// carved at the planned shapes, which bound every shape the session accepts,
+// so a failure is a planner bug; it panics into the session's kernel barrier.
+func bound(t *tensor.Tensor, shape []int) *tensor.Tensor {
+	if err := t.SetBoundedShape(shape); err != nil {
+		panic(err)
+	}
+	return t
+}
+
 // OnCreate implements backend.Backend: it binds tensors, runs scheme
 // selection (for convolutions), transforms/packs weights, and binds
 // planner-provided workspaces, returning a pure-compute Execution. This is
@@ -263,9 +275,9 @@ func (b *Backend) OnCreate(n *graph.Node, inputs, outputs []*tensor.Tensor, weig
 		tmpOut, _ := carveTensor(buf, tensor.NCHW, out.Shape())
 		return execFunc(func() error {
 			for i, in := range ins {
-				tmpIns[i].CopyFrom(in)
+				bound(tmpIns[i], in.Shape()).CopyFrom(in)
 			}
-			kernels.ConcatAxis(tmpOut, tmpIns, a.Axis)
+			kernels.ConcatAxis(bound(tmpOut, out.Shape()), tmpIns, a.Axis)
 			out.CopyFrom(tmpOut)
 			b.charge("Concat", muls, n, "concat")
 			return nil
@@ -281,8 +293,8 @@ func (b *Backend) OnCreate(n *graph.Node, inputs, outputs []*tensor.Tensor, weig
 		in, out := inputs[0], outputs[0]
 		batch := in.Dim(0)
 		features := in.NumElements() / batch
-		// The FC weight may be stored [out, features]; flatten input to
-		// match regardless of its rank/layout.
+		// The FC weight may be stored [out, features]; the kernels read the
+		// input as batch rows of features whatever its rank.
 		w2 := weight
 		if weight.Rank() != 2 {
 			w2 = weight.Reshape(a.OutputCount, features)
@@ -295,23 +307,17 @@ func (b *Backend) OnCreate(n *graph.Node, inputs, outputs []*tensor.Tensor, weig
 		})
 		muls := int64(batch) * int64(features) * int64(a.OutputCount)
 		if in.Layout() == tensor.NC4HW4 {
-			// Unpack via logical copy into a planner-backed flat buffer;
-			// flat4 is the rank-4 view the copy goes through.
-			flat, _ := carveTensor(b.workspace(n.Name, batch*features), tensor.NCHW, []int{batch, features})
-			flat4 := flat.Reshape(in.Shape()...)
+			// Unpack via logical copy into a planner-backed flat buffer.
+			flat, _ := carveTensor(b.workspace(n.Name, in.NumElements()), tensor.NCHW, in.Shape())
 			return execFunc(func() error {
-				flat4.CopyFrom(in)
+				bound(flat, in.Shape()).CopyFrom(in)
 				ip.Run(out, flat, pool)
 				b.charge("InnerProduct", muls, n, "gemm")
 				return nil
 			}), nil
 		}
-		src := in
-		if in.Rank() != 2 {
-			src = in.Reshape(batch, features)
-		}
 		return execFunc(func() error {
-			ip.Run(out, src, pool)
+			ip.Run(out, in, pool)
 			b.charge("InnerProduct", muls, n, "gemm")
 			return nil
 		}), nil
@@ -346,8 +352,8 @@ func (b *Backend) OnCreate(n *graph.Node, inputs, outputs []*tensor.Tensor, weig
 		tmpIn, buf := carveTensor(buf, tensor.NCHW, in.Shape())
 		tmpOut, _ := carveTensor(buf, tensor.NCHW, out.Shape())
 		return execFunc(func() error {
-			tmpIn.CopyFrom(in)
-			kernels.SoftmaxRef(tmpOut, tmpIn, a.Axis)
+			bound(tmpIn, in.Shape()).CopyFrom(in)
+			kernels.SoftmaxRef(bound(tmpOut, out.Shape()), tmpIn, a.Axis)
 			out.CopyFrom(tmpOut)
 			b.charge("Softmax", muls, n, "softmax")
 			return nil
@@ -493,12 +499,12 @@ func (b *Backend) createReinterpret(n *graph.Node, dst, src *tensor.Tensor) func
 		staging, _ := carveTensor(b.workspace(n.Name, src.NumElements()), tensor.NCHW, src.Shape())
 		view := staging.Reshape(dst.Shape()...)
 		return func() {
-			staging.CopyFrom(src)
-			dst.CopyFrom(view)
+			bound(staging, src.Shape()).CopyFrom(src)
+			dst.CopyFrom(bound(view, dst.Shape()))
 		}
 	}
 	view := src.Reshape(dst.Shape()...)
-	return func() { dst.CopyFrom(view) }
+	return func() { dst.CopyFrom(bound(view, dst.Shape())) }
 }
 
 // createConv runs scheme selection (Equations 2–3) and prepares the chosen
@@ -575,8 +581,8 @@ func (b *Backend) createConv(n *graph.Node, in, out *tensor.Tensor, weights back
 		tmpOut, _ := carveTensor(buf, tensor.NCHW, out.Shape())
 		scheme := dec.Scheme.String()
 		return execFunc(func() error {
-			tmpIn.CopyFrom(in)
-			c.Run(tmpOut, tmpIn, pool, ws)
+			bound(tmpIn, in.Shape()).CopyFrom(in)
+			c.Run(bound(tmpOut, out.Shape()), tmpIn, pool, ws)
 			out.CopyFrom(tmpOut)
 			b.charge("Conv2D", dec.EffMULs, n, scheme)
 			return nil
@@ -607,8 +613,8 @@ func (b *Backend) createDeconv(n *graph.Node, in, out *tensor.Tensor, weights ba
 	tmpOut, _ := carveTensor(buf, tensor.NCHW, out.Shape())
 	muls := int64(in.NumElements()) * int64(a.OutputCount) * int64(a.KernelH) * int64(a.KernelW)
 	return execFunc(func() error {
-		tmpIn.CopyFrom(in)
-		kernels.DeconvRef(tmpOut, tmpIn, weight, bias, a)
+		bound(tmpIn, in.Shape()).CopyFrom(in)
+		kernels.DeconvRef(bound(tmpOut, out.Shape()), tmpIn, weight, bias, a)
 		out.CopyFrom(tmpOut)
 		b.charge("Deconv2D", muls, n, "deconv")
 		return nil

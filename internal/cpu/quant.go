@@ -51,22 +51,17 @@ func (b *Backend) createQuantInnerProduct(n *graph.Node, in, out *tensor.Tensor,
 	quantWS := kernels.QuantInnerProductWorkspaceFloats(batch, features, a.OutputCount)
 	if in.Layout() == tensor.NC4HW4 {
 		buf := b.workspace(n.Name, batch*features+quantWS)
-		flat, buf := carveTensor(buf, tensor.NCHW, []int{batch, features})
-		flat4 := flat.Reshape(in.Shape()...)
+		flat, buf := carveTensor(buf, tensor.NCHW, in.Shape())
 		return execFunc(func() error {
-			flat4.CopyFrom(in)
+			bound(flat, in.Shape()).CopyFrom(in)
 			ip.Run(out, flat, pool, buf)
 			b.charge("InnerProduct", muls, n, "int8-gemm")
 			return nil
 		}), nil
 	}
-	src := in
-	if in.Rank() != 2 {
-		src = in.Reshape(batch, features)
-	}
 	ws := b.workspace(n.Name, quantWS)
 	return execFunc(func() error {
-		ip.Run(out, src, pool, ws)
+		ip.Run(out, in, pool, ws)
 		b.charge("InnerProduct", muls, n, "int8-gemm")
 		return nil
 	}), nil

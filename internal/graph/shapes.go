@@ -193,6 +193,19 @@ func inferNode(g *Graph, n *Node, shapes ShapeMap, overrides map[string][]int) e
 			return err
 		}
 		batch := s[0]
+		if len(n.WeightNames) == 0 {
+			return fmt.Errorf("inner product needs a weight name")
+		}
+		w, ok := g.Weights[n.WeightNames[0]]
+		if !ok {
+			return fmt.Errorf("inner product weight %q missing", n.WeightNames[0])
+		}
+		// The weight is [out, features] in any rank; each sample must supply
+		// exactly its features.
+		if features := tensor.NumElements(s) / max(batch, 1); w.NumElements() != a.OutputCount*features {
+			return fmt.Errorf("inner product reads %d features per sample, but weight %q has shape %v for %d outputs",
+				features, n.WeightNames[0], w.Shape(), a.OutputCount)
+		}
 		setOut(0, []int{batch, a.OutputCount})
 		return nil
 

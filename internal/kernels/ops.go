@@ -10,43 +10,43 @@ import (
 )
 
 // The operators in this file follow one pattern: a New*Op constructor binds
-// tensors and derives geometry once (pre-inference), and Run dispatches the
-// op's RunChunk onto the persistent worker pool — no closures, no per-run
-// allocation. The loose function forms at the bottom keep the seed API for
-// reference kernels and tests; they construct a throwaway op per call.
+// tensors and per-channel constants once (pre-inference), and Run reads the
+// geometry from the tensors' current shapes — a dynamic-shape session changes
+// them in place between runs — and dispatches the op's RunChunk onto the
+// persistent worker pool: no closures, no per-run allocation. The loose
+// function forms at the bottom keep the seed API for reference kernels and
+// tests; they construct a throwaway op per call.
 
 // PoolOp is the prepared max/average pooling execution on NC4HW4 tensors,
 // processing the four packed channels of a block lane-parallel.
 type PoolOp struct {
-	a              graph.PoolAttrs
+	a        graph.PoolAttrs
+	src, dst *tensor.Tensor
+	simd     bool // matmul.HaveAVX2: max windows run poolMaxNC4
+
+	// This run's geometry, set by Run.
 	s, d           []float32
 	H, W, OH, OW   int
-	c4, n          int
 	kh, kw, sh, sw int
 	ph, pw         int
-	simd           bool // matmul.HaveAVX2: max windows run poolMaxNC4
 }
 
 // NewPoolOp binds a pooling execution.
 func NewPoolOp(dst, src *tensor.Tensor, a *graph.PoolAttrs) *PoolOp {
-	o := &PoolOp{
-		a: *a, s: src.Data(), d: dst.Data(),
-		H: src.Height(), W: src.Width(), OH: dst.Height(), OW: dst.Width(),
-		c4: tensor.UpDiv(src.Channels(), 4), n: src.Batch(),
-		kh: a.KernelH, kw: a.KernelW,
-		sh: strideOr1(a.StrideH), sw: strideOr1(a.StrideW),
-		simd: matmul.HaveAVX2(),
-	}
-	o.ph, o.pw = graph.PoolPadding(o.H, o.W, a)
-	if a.Global {
-		o.kh, o.kw, o.sh, o.sw, o.ph, o.pw = o.H, o.W, 1, 1, 0, 0
-	}
-	return o
+	return &PoolOp{a: *a, src: src, dst: dst, simd: matmul.HaveAVX2()}
 }
 
 // Run executes the pooling on the pool.
 func (o *PoolOp) Run(p *sched.Pool) {
-	total := o.n * o.c4
+	a := &o.a
+	o.s, o.d = o.src.Data(), o.dst.Data()
+	o.H, o.W, o.OH, o.OW = o.src.Height(), o.src.Width(), o.dst.Height(), o.dst.Width()
+	o.kh, o.kw, o.sh, o.sw = a.KernelH, a.KernelW, strideOr1(a.StrideH), strideOr1(a.StrideW)
+	o.ph, o.pw = graph.PoolPadding(o.H, o.W, a)
+	if a.Global {
+		o.kh, o.kw, o.sh, o.sw, o.ph, o.pw = o.H, o.W, 1, 1, 0, 0
+	}
+	total := o.src.Batch() * tensor.UpDiv(o.src.Channels(), 4)
 	p.Run(total, sched.Chunk(total, p.Lanes(), elemChunksPerLane), o)
 }
 
@@ -143,21 +143,24 @@ const (
 	ActTanh
 )
 
-// ActivationOp is the prepared elementwise activation execution. For
-// NC4HW4 tensors the padding lanes are transformed too, which is harmless:
-// they are never read logically and ReLU/ReLU6 keep them zero.
+// ActivationOp is the prepared elementwise activation execution over the
+// source's physical buffer at its current shape. For NC4HW4 tensors the
+// padding lanes are transformed too, which is harmless: they are never read
+// logically and ReLU/ReLU6 keep them zero.
 type ActivationOp struct {
-	kind ActivationKind
-	s, d []float32
+	kind     ActivationKind
+	src, dst *tensor.Tensor
+	s, d     []float32 // this run's buffers, set by Run
 }
 
 // NewActivationOp binds an activation execution.
 func NewActivationOp(dst, src *tensor.Tensor, kind ActivationKind) *ActivationOp {
-	return &ActivationOp{kind: kind, s: src.Data(), d: dst.Data()}
+	return &ActivationOp{kind: kind, src: src, dst: dst}
 }
 
 // Run executes the activation on the pool.
 func (o *ActivationOp) Run(p *sched.Pool) {
+	o.s, o.d = o.src.Data(), o.dst.Data()
 	p.Run(len(o.s), sched.Chunk(len(o.s), p.Lanes(), elemChunksPerLane), o)
 }
 
@@ -249,19 +252,21 @@ func (o *EltwiseOp) RunChunk(_, start, end int) {
 // parameters are packed to padded channel blocks once at creation (the seed
 // re-packed them on every run).
 type ScaleOp struct {
-	s, d   []float32
-	ps, pb []float32 // padded-lane-safe packed parameters
-	c4, n  int
-	hw     int
+	src, dst *tensor.Tensor
+	ps, pb   []float32 // padded-lane-safe packed parameters
+	c4       int
+
+	s, d []float32 // this run's buffers and pixel count, set by Run
+	hw   int
 }
 
 // NewScaleOp binds a scale execution.
 func NewScaleOp(dst, src *tensor.Tensor, scale, shift []float32) *ScaleOp {
 	c4 := tensor.UpDiv(src.Channels(), 4)
 	o := &ScaleOp{
-		s: src.Data(), d: dst.Data(),
+		src: src, dst: dst,
 		ps: make([]float32, c4*4), pb: make([]float32, c4*4),
-		c4: c4, n: src.Batch(), hw: src.Height() * src.Width(),
+		c4: c4,
 	}
 	copy(o.ps, scale)
 	if shift != nil {
@@ -272,7 +277,9 @@ func NewScaleOp(dst, src *tensor.Tensor, scale, shift []float32) *ScaleOp {
 
 // Run executes the scale on the pool.
 func (o *ScaleOp) Run(p *sched.Pool) {
-	total := o.n * o.c4
+	o.s, o.d = o.src.Data(), o.dst.Data()
+	o.hw = o.src.Height() * o.src.Width()
+	total := o.src.Batch() * o.c4
 	p.Run(total, sched.Chunk(total, p.Lanes(), elemChunksPerLane), o)
 }
 
@@ -296,26 +303,24 @@ func (o *ScaleOp) RunChunk(_, start, end int) {
 
 // PadOp is the prepared spatial zero-padding execution on NC4HW4 tensors.
 type PadOp struct {
-	a            graph.PaddingAttrs
-	s, d         []float32
+	a        graph.PaddingAttrs
+	src, dst *tensor.Tensor
+
+	s, d         []float32 // this run's buffers and geometry, set by Run
 	H, W, OH, OW int
-	c4, n        int
-	dst          *tensor.Tensor
 }
 
 // NewPadOp binds a padding execution.
 func NewPadOp(dst, src *tensor.Tensor, a *graph.PaddingAttrs) *PadOp {
-	return &PadOp{
-		a: *a, s: src.Data(), d: dst.Data(), dst: dst,
-		H: src.Height(), W: src.Width(), OH: dst.Height(), OW: dst.Width(),
-		c4: tensor.UpDiv(src.Channels(), 4), n: src.Batch(),
-	}
+	return &PadOp{a: *a, src: src, dst: dst}
 }
 
 // Run executes the padding on the pool.
 func (o *PadOp) Run(p *sched.Pool) {
+	o.s, o.d = o.src.Data(), o.dst.Data()
+	o.H, o.W, o.OH, o.OW = o.src.Height(), o.src.Width(), o.dst.Height(), o.dst.Width()
 	o.dst.Zero()
-	total := o.n * o.c4
+	total := o.src.Batch() * tensor.UpDiv(o.src.Channels(), 4)
 	p.Run(total, sched.Chunk(total, p.Lanes(), elemChunksPerLane), o)
 }
 

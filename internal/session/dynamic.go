@@ -2,12 +2,12 @@
 // any smaller shape without re-preparation. The Figure-3 arena, every
 // workspace, and every prepared kernel are planned once at the max; per run
 // the only thing that changes is the shape metadata on the arena-wrapped
-// activation tensors, which ApplyInputShapes overwrites in place (the
-// logical content of each tensor becomes the flat row-major prefix of its
-// planned buffer). Kernels in the dynamic-capable op set re-derive their
-// geometry from those shapes at every Run, so the steady state stays
-// pure-compute and allocation-free: repeat shapes hit a cached shape plan
-// and only loop over SetBoundedShape calls.
+// activation tensors, which ApplyInputShapes overwrites in place (each
+// tensor's content becomes the prefix of its planned buffer, in the tensor's
+// own layout: NC4HW4 geometry does not depend on N, H or W). Every CPU kernel
+// re-derives its geometry from those shapes at Run, so the steady state stays
+// pure-compute and allocation-free: repeat shapes hit a cached shape plan and
+// only loop over SetBoundedShape calls.
 package session
 
 import (
@@ -16,20 +16,6 @@ import (
 	"mnn/internal/graph"
 	"mnn/internal/tensor"
 )
-
-// dynamicCapable is the op set whose prepared CPU kernels re-derive geometry
-// from tensor shapes at Run time. Everything here is rank-agnostic and flat
-// (NCHW) on the CPU backend; convolution-family ops bake NC4HW4 geometry
-// into their prepared state and would need re-preparation.
-var dynamicCapable = map[graph.OpType]bool{
-	graph.OpInput:     true,
-	graph.OpMatMul:    true,
-	graph.OpLayerNorm: true,
-	graph.OpGELU:      true,
-	graph.OpTranspose: true,
-	graph.OpSoftmax:   true,
-	graph.OpEltwise:   true,
-}
 
 // dynPlan is one cached shape derivation: the input dims it was derived
 // from (collision check) and the per-tensor shapes to apply.
@@ -52,10 +38,9 @@ type dynState struct {
 
 // EnableDynamic validates that the prepared session can serve smaller-than-
 // planned input shapes without re-preparation and retains the machinery to
-// do it. Requirements: the session is prepared (not NoPreparation), every
+// do it. Requirements: the session is prepared (not NoPreparation) and every
 // node runs on the CPU backend (no cross-backend mirrors, whose staging
-// schedule is shape-dependent), every op is in the dynamic-capable set, and
-// every activation is flat (no NC4HW4 packing geometry).
+// schedule is shape-dependent).
 func (s *Session) EnableDynamic() error {
 	if s.cfg.NoPreparation {
 		return fmt.Errorf("session: dynamic shapes require preparation")
@@ -65,9 +50,6 @@ func (s *Session) EnableDynamic() error {
 	}
 	cpuName := s.backends[0].Name()
 	for _, n := range s.g.Nodes {
-		if !dynamicCapable[n.Op] {
-			return fmt.Errorf("session: op %v (node %q) does not support dynamic shapes", n.Op, n.Name)
-		}
 		if s.assign[n.Name] != cpuName {
 			return fmt.Errorf("session: dynamic shapes are CPU-only; node %q assigned to %q", n.Name, s.assign[n.Name])
 		}
@@ -77,9 +59,6 @@ func (s *Session) EnableDynamic() error {
 		t := s.bound[name+"#"+cpuName]
 		if t == nil {
 			return fmt.Errorf("session: dynamic shapes: activation %q has no CPU binding", name)
-		}
-		if t.Layout() != tensor.NCHW {
-			return fmt.Errorf("session: dynamic shapes: activation %q is %v, need flat NCHW", name, t.Layout())
 		}
 		tensors[name] = t
 	}
@@ -188,12 +167,12 @@ func (s *Session) derivePlan(inputs map[string]*tensor.Tensor) (*dynPlan, error)
 		if t == nil {
 			return nil, fmt.Errorf("session: activation %q appeared during dynamic inference", name)
 		}
-		if need := tensor.PhysicalLen(t.Layout(), shape); need > len(t.Data()) {
-			return nil, fmt.Errorf("session: activation %q shape %v needs %d floats, planned %d",
-				name, shape, need, len(t.Data()))
-		}
 		if len(shape) != t.Rank() {
 			return nil, fmt.Errorf("session: activation %q rank changed %d -> %d", name, t.Rank(), len(shape))
+		}
+		if need := tensor.PhysicalLen(t.Layout(), shape); need > t.Capacity() {
+			return nil, fmt.Errorf("session: activation %q shape %v needs %d floats, planned %d",
+				name, shape, need, t.Capacity())
 		}
 		p.applied = append(p.applied, appliedShape{t: t, shape: append([]int(nil), shape...)})
 	}

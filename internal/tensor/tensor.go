@@ -79,6 +79,9 @@ type Tensor struct {
 	f32 []float32
 	i8  []int8
 	i32 []int32
+	// planned is the whole float32 buffer once SetBoundedShape has cut f32
+	// down to a smaller shape (nil until then: f32 is the whole buffer).
+	planned []float32
 
 	// Quant carries quantization parameters when dtype == Int8.
 	Quant *QuantParams
@@ -129,14 +132,16 @@ func FromData(data []float32, shape ...int) *Tensor {
 
 // WrapBuffer wraps a pre-allocated buffer (e.g. an arena slice from the
 // memory planner) as a tensor of the given layout. The buffer length must be
-// at least PhysicalLen for the shape/layout.
+// at least PhysicalLen for the shape/layout; the tensor's Data ends there,
+// capacity included, so nothing reached through it runs past the wrapped
+// region.
 func WrapBuffer(buf []float32, layout Layout, shape ...int) *Tensor {
 	t := &Tensor{shape: cloneInts(shape), layout: layout, dtype: Float32}
 	need := t.PhysicalLen()
 	if len(buf) < need {
 		panic(fmt.Sprintf("tensor: WrapBuffer length %d < required %d for %v %s", len(buf), need, shape, layout))
 	}
-	t.f32 = buf[:need]
+	t.f32 = buf[:need:need]
 	return t
 }
 
@@ -270,25 +275,38 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{shape: cloneInts(shape), layout: NCHW, dtype: t.dtype, f32: t.f32, i8: t.i8, i32: t.i32, Quant: t.Quant}
 }
 
-// SetBoundedShape overwrites the tensor's shape in place without touching the
-// backing buffer, which keeps its planned (max-shape) capacity. This is the
-// dynamic-shape primitive: the logical content becomes the flat row-major
-// prefix of the buffer. The new shape must have the same rank and fit the
-// existing buffer; only flat layouts (NCHW on rank != 4 data, or rank-4 NCHW)
-// are supported. No allocation occurs.
+// SetBoundedShape overwrites the tensor's shape in place and cuts Data down
+// to the shape's physical length, within the buffer the tensor was created
+// with (its planned, max-shape buffer). This is the dynamic-shape primitive:
+// the logical content becomes the prefix of the planned buffer, laid out as
+// the tensor's layout lays out the new shape (in NC4HW4 the pixel count and
+// batch vary, the pack stride follows them). Data's capacity ends with the
+// shape too, so a kernel still working at a larger, earlier extent panics
+// instead of reading stale bytes. The new shape must have the same rank and
+// fit the capacity. No allocation occurs.
 func (t *Tensor) SetBoundedShape(shape []int) error {
-	if t.layout == NC4HW4 {
-		return fmt.Errorf("tensor: SetBoundedShape on NC4HW4 tensor")
-	}
 	if len(shape) != len(t.shape) {
 		return fmt.Errorf("tensor: SetBoundedShape rank %d -> %d", len(t.shape), len(shape))
 	}
 	need := PhysicalLen(t.layout, shape)
-	if need > len(t.f32) {
-		return fmt.Errorf("tensor: SetBoundedShape %v needs %d floats, buffer holds %d", shape, need, len(t.f32))
+	if need > t.Capacity() {
+		return fmt.Errorf("tensor: SetBoundedShape %v needs %d floats, buffer holds %d", shape, need, t.Capacity())
+	}
+	if t.planned == nil {
+		t.planned = t.f32
 	}
 	copy(t.shape, shape)
+	t.f32 = t.planned[:need:need]
 	return nil
+}
+
+// Capacity is the float32 count of the buffer the tensor was created with:
+// the largest PhysicalLen SetBoundedShape accepts.
+func (t *Tensor) Capacity() int {
+	if t.planned != nil {
+		return len(t.planned)
+	}
+	return len(t.f32)
 }
 
 // MinNormalScale is the smallest normal float32 (0x1p-126), the floor for

@@ -224,6 +224,40 @@ func TestWrapBuffer(t *testing.T) {
 	if buf[5] != 9 {
 		t.Fatal("WrapBuffer must alias the buffer")
 	}
+	if cap(tt.Data()) != 24 {
+		t.Fatalf("Data capacity %d reaches past the wrapped 24 floats", cap(tt.Data()))
+	}
+}
+
+// TestSetBoundedShapeNC4HW4: a planned NC4HW4 buffer takes any smaller
+// shape of its rank, Data (capacity included) ends with that shape, and the
+// planned size comes back.
+func TestSetBoundedShapeNC4HW4(t *testing.T) {
+	buf := make([]float32, 200)
+	tt := WrapBuffer(buf, NC4HW4, 2, 5, 3, 3) // 2·2·9·4 = 144 floats
+	for _, c := range []struct {
+		shape []int
+		want  int
+	}{{[]int{1, 5, 2, 2}, 32}, {[]int{2, 3, 3, 3}, 72}, {[]int{2, 5, 3, 3}, 144}} {
+		if err := tt.SetBoundedShape(c.shape); err != nil {
+			t.Fatal(err)
+		}
+		if d := tt.Data(); len(d) != c.want || cap(d) != c.want || &d[0] != &buf[0] {
+			t.Fatalf("%v: Data len %d cap %d, want %d over the planned buffer", c.shape, len(d), cap(d), c.want)
+		}
+		if !EqualShape(tt.Shape(), c.shape) {
+			t.Fatalf("shape %v, want %v", tt.Shape(), c.shape)
+		}
+	}
+	if err := tt.SetBoundedShape([]int{2, 5, 4, 3}); err == nil {
+		t.Fatal("a shape past the planned 144 floats was accepted")
+	}
+	if err := tt.SetBoundedShape([]int{2, 5, 9}); err == nil {
+		t.Fatal("a rank change was accepted")
+	}
+	if tt.Capacity() != 144 {
+		t.Fatalf("capacity %d, want 144", tt.Capacity())
+	}
 }
 
 func TestAllClose(t *testing.T) {

@@ -198,10 +198,11 @@ func WithInputShapes(shapes map[string][]int) Option {
 // and prepared kernels are all sized for the max — and Infer then accepts
 // any input whose rank matches and whose every dim is <= the planned max,
 // re-deriving per-run shapes in place without re-preparation. Inputs that
-// do not fit the plan fail with ErrShapeOutOfPlan. Dynamic mode requires
-// the CPU backend and a graph whose ops all support shape re-derivation
-// (the transformer op set: Input, MatMul, LayerNorm, GELU, Transpose,
-// Softmax, Eltwise); Open fails otherwise.
+// do not fit the plan fail with ErrShapeOutOfPlan, and so do shapes the
+// graph itself rejects (a fully-connected layer fed a different number of
+// features). Scheme choices are made once, at the max. Dynamic mode runs
+// on the CPU backend, at either precision; Open fails with
+// ErrUnknownBackend for an explicit GPU forward type.
 func WithMaxInputShapes(shapes map[string][]int) Option {
 	return func(c *engineConfig) error {
 		cp := make(map[string][]int, len(shapes))

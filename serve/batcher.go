@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,19 +17,14 @@ import (
 	"mnn/serve/admission"
 )
 
-// DefaultMaxBuckets is the shape-bucket bound used when BatchConfig enables
+// DefaultMaxBuckets is the shape-queue bound used when BatchConfig enables
 // batching without choosing one.
 const DefaultMaxBuckets = 4
 
-// maxFailedSigs bounds the memo of shape signatures whose batch engine
-// failed to open, so a hostile mix of unpreparable shapes cannot grow it
-// without bound. Overflowing signatures just retry the open.
-const maxFailedSigs = 64
-
 // errNoBucket is the scheduler's internal "cannot give this request a
-// bucket" answer (bucket table full of busy buckets, or a signature whose
-// engine is known not to open). infer translates it into a fall-through to
-// the unbatched engine; it never escapes to callers.
+// bucket" answer (the bucket table is full of busy buckets). infer
+// translates it into a fall-through to the unbatched engine; it never
+// escapes to callers.
 var errNoBucket = errors.New("serve: no batch bucket available")
 
 // dispatchWorkers is how many batches run at once; the next batch stacks
@@ -47,50 +43,40 @@ var cutReasons = []string{cutFull, cutIdle, cutDue, cutDrain}
 
 // batcher implements shape-bucketed continuous batching for one model.
 // Concurrent single-sample requests are keyed by their input-shape
-// signature into buckets, each holding a lazily opened engine prepared at
-// batch size maxBatch for that bucket's shapes. A scheduler goroutine cuts
-// an idle bucket's queue into a batch when it fills, when no admitted
-// request is still on its way to a bucket and a dispatch worker is free
-// (nothing could join the batch, so waiting buys nothing), or when its
-// oldest request's window (bounded by the request's effective deadline)
-// expires. It orders ready batches earliest-deadline-first and hands them
-// to dispatchWorkers workers.
-// Partial batches run on the bucket engine via pad-and-mask: unused slots
-// stay zero and only live slots are split back out, which preserves the
-// batched≡unbatched bitwise guarantee because every kernel is per-sample.
+// signature into buckets: exact-shape queues, because stacking only
+// identical shapes keeps every result bitwise equal to an unbatched run.
+// Every bucket's batches run on one shared engine planned once, with
+// WithMaxInputShapes, at [maxBatch, max...], where max is the unbatched
+// engine's planned maximum (its declared shape when it is static). A batch
+// of n requests stacks exactly n; the engine re-derives every shape for it,
+// so no padded slot ever computes.
 //
-// The bucket of the model's declared input shapes (the primary bucket) is
-// opened eagerly so load-time validation errors still surface at Load.
-// Other buckets open on their first flush and are evicted least-recently-
-// used when the table exceeds maxBuckets; requests that cannot get a
-// bucket fall through to the unbatched engine.
+// The batcher accepts exactly the shapes the unbatched engine accepts; any
+// other request, and any request that finds the bucket table full of busy
+// buckets, falls through to the unbatched engine. Idle buckets are evicted
+// least-recently-used when the table exceeds maxBuckets; a bucket owns no
+// engine, so eviction is bookkeeping.
 //
-// Dynamic mode: when the model's unbatched engine was opened with
-// WithMaxInputShapes, one shared batch engine planned at
-// [maxBatch, maxDims...] serves every bucket. Buckets keep their role as
-// exact-shape queues (stacking only identical shapes preserves the
-// batched≡unbatched bitwise guarantee per bucket) but own no engine: their
-// lazy step is a batch-1 probe through the shared engine to learn output
-// shapes, batches stack at their exact member count (no padding — the
-// dynamic engine accepts any leading dim <= maxBatch), and eviction is pure
-// bookkeeping that never closes the shared engine.
+// A scheduler goroutine cuts an idle bucket's queue into a batch when it
+// fills, when no admitted request is still on its way to a bucket and a
+// dispatch worker is free (nothing could join the batch, so waiting buys
+// nothing), or when its oldest request's window (bounded by the request's
+// effective deadline) expires. It orders ready batches earliest-deadline-
+// first and hands them to dispatchWorkers workers.
 type batcher struct {
 	fallback   *mnn.Engine // the model's unbatched engine (not owned)
-	cfg        ModelConfig // source + options for opening bucket engines
+	shared     *mnn.Engine // the one batch engine (owned)
 	maxBatch   int
 	maxLatency time.Duration
 	maxBuckets int
 	slo        time.Duration // admission SLO; bounds effective deadlines
 
-	// dynamic mode (see type comment): shared is the one batch engine
-	// (owned), dynMax the fallback's per-request planned maxima.
-	dynamic bool
-	dynMax  map[string][]int
-	shared  *mnn.Engine
+	// lo and hi bound each input's per-request dims, leading 1 included:
+	// the shapes the unbatched engine accepts (lo == hi when it is static).
+	lo, hi map[string][]int
 
 	inputNames  []string
 	outputNames []string
-	primary     *bucket
 
 	hooks batcherHooks
 
@@ -100,13 +86,11 @@ type batcher struct {
 	quit     chan struct{}
 	done     chan struct{}
 	workers  sync.WaitGroup
-	closers  sync.WaitGroup // async engine closes from evictions
 
-	// mu guards the bucket table, the failed-signature memo, every
-	// bucket's queue/usage fields and outstanding.
+	// mu guards the bucket table, every bucket's queue/usage fields and
+	// outstanding.
 	mu      sync.Mutex
 	buckets map[string]*bucket
-	failed  map[string]error
 	// outstanding counts batches cut but not yet finished, across buckets:
 	// those running on a worker and those ready to hand to one.
 	outstanding int
@@ -118,7 +102,7 @@ type batcher struct {
 	// wait for a slot a queued request holds.
 	approaching atomic.Int64
 
-	batchRuns atomic.Int64 // bucket-engine invocations (tests, stats)
+	batchRuns atomic.Int64 // shared-engine invocations (tests, stats)
 	evictions atomic.Int64
 }
 
@@ -131,37 +115,15 @@ type batcherHooks struct {
 	// beforeRun runs on the dispatch worker before a batch touches an
 	// engine; tests block in it to hold a run.
 	beforeRun func(bt *batch)
-	// noteBytes reports ±deltas of dynamically opened bucket-engine bytes
-	// (the primary bucket is counted by the model's load accounting).
-	noteBytes func(delta int64)
 	// onEvict observes one bucket eviction.
 	onEvict func()
 }
 
-// bucket is one shape signature's queue plus its batch-prepared engine.
+// bucket is one shape signature's queue.
 type bucket struct {
-	sig     string
-	primary bool
-
-	perShape   map[string][]int
-	perLen     map[string]int
-	batchShape map[string][]int
-	outShape   map[string][]int // per-request output shape (dim0 == 1)
-	outLen     map[string]int
-
-	// openMu serializes the lazy engine open (or, in dynamic mode, the
-	// batch-1 output probe) across dispatch workers. Nothing that holds
-	// batcher.mu may block on openMu: an engine open can take arbitrarily
-	// long, and the scheduler's intake path lives under batcher.mu —
-	// readers that only need "is the engine resident" use the resident
-	// flag instead.
-	openMu  sync.Mutex
-	eng     *mnn.Engine
-	bytes   int64
-	openErr error
-	// resident mirrors "this bucket is ready to serve batches" (engine
-	// open, or probe done in dynamic mode) without requiring openMu.
-	resident atomic.Bool
+	sig      string
+	perShape map[string][]int
+	perLen   map[string]int
 
 	// Guarded by batcher.mu:
 	pending  []*batchReq
@@ -222,26 +184,25 @@ type batch struct {
 	cutAt  time.Time
 }
 
-// newBatcher builds the scheduler and opens the primary bucket (the
-// model's declared input shapes) eagerly, probing it once so output shapes
-// are known to be splittable along N before any traffic arrives.
+// newBatcher opens the shared batch engine and starts the scheduler.
 func newBatcher(cfg ModelConfig, fallback *mnn.Engine, hooks batcherHooks) (*batcher, error) {
 	b := &batcher{
-		fallback:   fallback,
-		cfg:        cfg,
-		maxBatch:   cfg.Batch.MaxBatch,
-		maxLatency: cfg.Batch.MaxLatency,
-		maxBuckets: cfg.Batch.Buckets,
-		slo:        cfg.Admission.SLO,
-		hooks:      hooks,
-		inputNames: fallback.InputNames(),
-		reqs:       make(chan *batchReq),
-		dispatch:   make(chan *batch),
-		kick:       make(chan struct{}, 1),
-		quit:       make(chan struct{}),
-		done:       make(chan struct{}),
-		buckets:    make(map[string]*bucket),
-		failed:     make(map[string]error),
+		fallback:    fallback,
+		maxBatch:    cfg.Batch.MaxBatch,
+		maxLatency:  cfg.Batch.MaxLatency,
+		maxBuckets:  cfg.Batch.Buckets,
+		slo:         cfg.Admission.SLO,
+		hooks:       hooks,
+		inputNames:  fallback.InputNames(),
+		outputNames: fallback.OutputNames(),
+		lo:          make(map[string][]int),
+		hi:          make(map[string][]int),
+		reqs:        make(chan *batchReq),
+		dispatch:    make(chan *batch),
+		kick:        make(chan struct{}, 1),
+		quit:        make(chan struct{}),
+		done:        make(chan struct{}),
+		buckets:     make(map[string]*bucket),
 	}
 	if b.maxLatency <= 0 {
 		b.maxLatency = DefaultMaxLatency
@@ -249,31 +210,21 @@ func newBatcher(cfg ModelConfig, fallback *mnn.Engine, hooks batcherHooks) (*bat
 	if b.maxBuckets <= 0 {
 		b.maxBuckets = DefaultMaxBuckets
 	}
-	b.outputNames = fallback.OutputNames()
-	shapes := make(map[string][]int, len(b.inputNames))
+	planned := fallback.DynamicShapes() // nil on a static engine
 	for _, name := range b.inputNames {
-		s := fallback.InputShape(name)
-		if len(s) == 0 || s[0] != 1 {
-			return nil, fmt.Errorf("input %q has shape %v: batching needs a leading batch dim of 1", name, s)
+		lo, hi := slices.Repeat([]int{1}, len(planned[name])), planned[name]
+		if planned == nil {
+			hi = fallback.InputShape(name)
+			lo = hi
 		}
-		shapes[name] = s
+		if len(hi) == 0 || hi[0] != 1 {
+			return nil, fmt.Errorf("input %q has shape %v: batching needs a leading batch dim of 1", name, hi)
+		}
+		b.lo[name], b.hi[name] = lo, hi
 	}
-	if ds := fallback.DynamicShapes(); ds != nil {
-		b.dynamic = true
-		b.dynMax = ds
-		if err := b.openShared(); err != nil {
-			return nil, err
-		}
-	}
-	b.primary = b.newBucket(signatureOf(b.inputNames, shapes), shapes)
-	b.primary.primary = true
-	if err := b.ensureEngine(b.primary); err != nil {
-		if b.shared != nil {
-			b.shared.Close()
-		}
+	if err := b.openShared(cfg); err != nil {
 		return nil, err
 	}
-	b.buckets[b.primary.sig] = b.primary
 	b.workers.Add(dispatchWorkers)
 	for i := 0; i < dispatchWorkers; i++ {
 		go b.worker()
@@ -282,173 +233,60 @@ func newBatcher(cfg ModelConfig, fallback *mnn.Engine, hooks batcherHooks) (*bat
 	return b, nil
 }
 
-// primaryBytes is the eagerly opened primary bucket engine's byte
-// accounting (counted by the model's load, unlike dynamic buckets). In
-// dynamic mode it is the shared engine — the only batch engine there is.
-func (b *batcher) primaryBytes() int64 {
-	if b.dynamic {
-		return b.shared.MemoryBytes()
-	}
-	return b.primary.bytes
-}
-
-// openShared opens the one batch engine of dynamic mode, planned at
-// [maxBatch, per-request maxima...], and probes it at the full batch shape
-// so "outputs cannot split along dim 0" still fails at Load time. Its pool
-// matches the dispatch workers: batches from different buckets run
-// concurrently, just as two static bucket engines would.
-func (b *batcher) openShared() error {
+// openShared opens the one batch engine, planned at [maxBatch, hi...], and
+// probes it at the full batch shape so "outputs cannot split along dim 0"
+// fails at Load time. Its pool matches the dispatch workers: batches from
+// different buckets run concurrently. Batched results must equal unbatched
+// ones, so the shared engine (CPU-only: dynamic shapes are) must schedule
+// every node where the unbatched engine does.
+func (b *batcher) openShared(cfg ModelConfig) error {
 	shapes := make(map[string][]int, len(b.inputNames))
 	for _, name := range b.inputNames {
-		max := b.dynMax[name]
-		if len(max) == 0 || max[0] != 1 {
-			return fmt.Errorf("input %q has planned max shape %v: batching needs a leading batch dim of 1", name, max)
-		}
-		shapes[name] = append([]int{b.maxBatch}, max[1:]...)
+		shapes[name] = append([]int{b.maxBatch}, b.hi[name][1:]...)
 	}
-	eng, err := mnn.Open(b.cfg.Model, append(append([]mnn.Option(nil), b.cfg.Options...),
+	eng, err := mnn.Open(cfg.Model, append(append([]mnn.Option(nil), cfg.Options...),
 		mnn.WithMaxInputShapes(shapes), mnn.WithPoolSize(dispatchWorkers))...)
 	if err != nil {
-		return fmt.Errorf("opening shared dynamic batch-%d engine: %w", b.maxBatch, err)
+		return fmt.Errorf("opening the shared batch-%d engine: %w", b.maxBatch, err)
+	}
+	shared := eng.Stats().Assignment
+	for node, bk := range b.fallback.Stats().Assignment {
+		if shared[node] != bk {
+			eng.Close()
+			return fmt.Errorf("%w: batching runs on the CPU backend, and the unbatched engine schedules node %q on %s",
+				mnn.ErrUnknownBackend, node, bk)
+		}
 	}
 	probe := make(map[string]*mnn.Tensor, len(b.inputNames))
 	for name, s := range shapes {
 		probe[name] = tensor.New(s...)
 	}
 	out, err := eng.Infer(context.Background(), probe)
+	if err == nil {
+		_, err = splitOutputs(b.outputNames, out, b.maxBatch)
+	}
 	if err != nil {
 		eng.Close()
-		return fmt.Errorf("probing shared dynamic batch-%d engine: %w", b.maxBatch, err)
-	}
-	for _, name := range b.outputNames {
-		if s := out[name].Shape(); len(s) == 0 || s[0] != b.maxBatch {
-			eng.Close()
-			return fmt.Errorf("output %q has batched shape %v: cannot split %d requests along dim 0", name, s, b.maxBatch)
-		}
+		return fmt.Errorf("probing the shared batch-%d engine: %w", b.maxBatch, err)
 	}
 	b.shared = eng
 	return nil
 }
 
-// engineFor resolves the engine a bucket's batches run on.
-func (b *batcher) engineFor(bkt *bucket) *mnn.Engine {
-	if b.dynamic {
-		return b.shared
-	}
-	return bkt.eng
-}
-
-// newBucket builds the bookkeeping for one signature; the engine opens on
-// first flush (ensureEngine).
+// newBucket builds the queue of one signature.
 func (b *batcher) newBucket(sig string, shapes map[string][]int) *bucket {
 	bkt := &bucket{
-		sig:        sig,
-		perShape:   make(map[string][]int, len(b.inputNames)),
-		perLen:     make(map[string]int, len(b.inputNames)),
-		batchShape: make(map[string][]int, len(b.inputNames)),
-		outShape:   make(map[string][]int, len(b.outputNames)),
-		outLen:     make(map[string]int, len(b.outputNames)),
-		lastUsed:   time.Now(),
+		sig:      sig,
+		perShape: make(map[string][]int, len(b.inputNames)),
+		perLen:   make(map[string]int, len(b.inputNames)),
+		lastUsed: time.Now(),
 	}
 	for _, name := range b.inputNames {
 		per := append([]int(nil), shapes[name]...)
 		bkt.perShape[name] = per
 		bkt.perLen[name] = tensor.NumElements(per)
-		bkt.batchShape[name] = append([]int{b.maxBatch}, per[1:]...)
 	}
 	return bkt
-}
-
-// ensureEngine makes the bucket ready to serve batches. Static mode opens
-// (once) the bucket's own batch engine and probes it with zeros to learn
-// the output slots; dynamic mode only runs the batch-1 output probe through
-// the shared engine. Serialized per bucket; a failure is sticky so every
-// queued batch of the bucket falls back instead of re-paying the attempt.
-func (b *batcher) ensureEngine(bkt *bucket) error {
-	if b.dynamic {
-		return b.probeDynamic(bkt)
-	}
-	bkt.openMu.Lock()
-	defer bkt.openMu.Unlock()
-	if bkt.eng != nil {
-		return nil
-	}
-	if bkt.openErr != nil {
-		return bkt.openErr
-	}
-	shapes := make(map[string][]int, len(bkt.batchShape))
-	for name, s := range bkt.batchShape {
-		shapes[name] = s
-	}
-	eng, err := mnn.Open(b.cfg.Model, append(append([]mnn.Option(nil), b.cfg.Options...),
-		mnn.WithInputShapes(shapes), mnn.WithPoolSize(1))...)
-	if err != nil {
-		bkt.openErr = fmt.Errorf("opening batch-%d engine for bucket %s: %w", b.maxBatch, bkt.sig, err)
-		return bkt.openErr
-	}
-	probe := make(map[string]*mnn.Tensor, len(b.inputNames))
-	for _, name := range b.inputNames {
-		probe[name] = tensor.New(bkt.batchShape[name]...)
-	}
-	out, err := eng.Infer(context.Background(), probe)
-	if err != nil {
-		eng.Close()
-		bkt.openErr = fmt.Errorf("probing batch-%d engine for bucket %s: %w", b.maxBatch, bkt.sig, err)
-		return bkt.openErr
-	}
-	for _, name := range b.outputNames {
-		s := out[name].Shape()
-		if len(s) == 0 || s[0] != b.maxBatch {
-			eng.Close()
-			bkt.openErr = fmt.Errorf("output %q has batched shape %v: cannot split %d requests along dim 0", name, s, b.maxBatch)
-			return bkt.openErr
-		}
-		per := append([]int{1}, s[1:]...)
-		bkt.outShape[name] = per
-		bkt.outLen[name] = tensor.NumElements(per)
-	}
-	bkt.eng = eng
-	bkt.bytes = eng.MemoryBytes()
-	bkt.resident.Store(true)
-	if !bkt.primary && b.hooks.noteBytes != nil {
-		b.hooks.noteBytes(bkt.bytes)
-	}
-	return nil
-}
-
-// probeDynamic learns the bucket's per-request output shapes with one
-// batch-1 zero run through the shared engine. The shared engine validates
-// the shape against its plan, so an out-of-plan signature that slipped past
-// the intake check fails here (sticky) and its requests fall back.
-func (b *batcher) probeDynamic(bkt *bucket) error {
-	bkt.openMu.Lock()
-	defer bkt.openMu.Unlock()
-	if bkt.resident.Load() {
-		return nil
-	}
-	if bkt.openErr != nil {
-		return bkt.openErr
-	}
-	probe := make(map[string]*mnn.Tensor, len(b.inputNames))
-	for _, name := range b.inputNames {
-		probe[name] = tensor.New(bkt.perShape[name]...)
-	}
-	out, err := b.shared.Infer(context.Background(), probe)
-	if err != nil {
-		bkt.openErr = fmt.Errorf("probing bucket %s on the shared dynamic engine: %w", bkt.sig, err)
-		return bkt.openErr
-	}
-	for _, name := range b.outputNames {
-		s := out[name].Shape()
-		if len(s) == 0 || s[0] != 1 {
-			bkt.openErr = fmt.Errorf("output %q has shape %v at batch 1: cannot stack along dim 0", name, s)
-			return bkt.openErr
-		}
-		bkt.outShape[name] = append([]int(nil), s...)
-		bkt.outLen[name] = tensor.NumElements(s)
-	}
-	bkt.resident.Store(true)
-	return nil
 }
 
 // signatureOf renders the canonical bucket key of a shape set, e.g.
@@ -472,9 +310,9 @@ func signatureOf(names []string, shapes map[string][]int) string {
 }
 
 // signature computes the request's bucket key, or ok=false when the
-// request cannot occupy one slot of a stacked batch at all (wrong input
-// set, or a leading batch dim that isn't 1) — those fall through to the
-// unbatched engine, which reports the precise validation error.
+// unbatched engine would not accept the request as one batch slot (wrong
+// input set, a leading batch dim that isn't 1, a shape outside lo..hi):
+// those fall through to it, and it reports the precise typed error.
 func (b *batcher) signature(inputs map[string]*mnn.Tensor) (string, bool) {
 	if len(inputs) != len(b.inputNames) {
 		return "", false
@@ -485,22 +323,13 @@ func (b *batcher) signature(inputs map[string]*mnn.Tensor) (string, bool) {
 		if !ok || t == nil {
 			return "", false
 		}
-		s := t.Shape()
-		if len(s) == 0 || s[0] != 1 {
+		s, lo, hi := t.Shape(), b.lo[name], b.hi[name]
+		if len(s) != len(hi) {
 			return "", false
 		}
-		if b.dynamic {
-			// Out-of-plan shapes fall through to the unbatched engine,
-			// which reports the typed ErrShapeOutOfPlan — never waste a
-			// bucket (and a sticky probe failure) on them.
-			max := b.dynMax[name]
-			if len(s) != len(max) {
+		for i, d := range s {
+			if d < lo[i] || d > hi[i] {
 				return "", false
-			}
-			for i, d := range s {
-				if d < 1 || d > max[i] {
-					return "", false
-				}
 			}
 		}
 		shapes[name] = s
@@ -518,12 +347,6 @@ func (b *batcher) infer(ctx context.Context, inputs map[string]*mnn.Tensor) (map
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	b.mu.Lock()
-	_, bad := b.failed[sig]
-	b.mu.Unlock()
-	if bad {
-		return b.fallback.Infer(ctx, inputs)
 	}
 	now := time.Now()
 	deadline, _ := admission.EffectiveDeadline(ctx, now, b.slo)
@@ -665,7 +488,7 @@ func (b *batcher) enqueue(rq *batchReq, ready *[]*batch) {
 	b.mu.Lock()
 	bkt := b.buckets[rq.sig]
 	if bkt == nil {
-		if _, bad := b.failed[rq.sig]; bad || !b.makeRoomLocked() {
+		if !b.makeRoomLocked() {
 			b.mu.Unlock()
 			rq.resp <- batchResp{err: errNoBucket}
 			return
@@ -690,15 +513,15 @@ func (b *batcher) enqueue(rq *batchReq, ready *[]*batch) {
 }
 
 // makeRoomLocked ensures the bucket table has a free slot, evicting the
-// least-recently-used idle non-primary bucket. Reports false when every
-// bucket is busy or primary (the request then falls through).
+// least-recently-used idle bucket. Reports false when every bucket is busy
+// or queued (the request then falls through).
 func (b *batcher) makeRoomLocked() bool {
 	if len(b.buckets) < b.maxBuckets {
 		return true
 	}
 	var victim *bucket
 	for _, bkt := range b.buckets {
-		if bkt.primary || bkt.busy > 0 || len(bkt.pending) > 0 {
+		if bkt.busy > 0 || len(bkt.pending) > 0 {
 			continue
 		}
 		if victim == nil || bkt.lastUsed.Before(victim.lastUsed) {
@@ -713,19 +536,7 @@ func (b *batcher) makeRoomLocked() bool {
 	if b.hooks.onEvict != nil {
 		b.hooks.onEvict()
 	}
-	if eng, bytes := victim.eng, victim.bytes; eng != nil {
-		victim.eng = nil
-		// Closing drains the engine's session pool; do it off the scheduler.
-		b.closers.Add(1)
-		go func() {
-			defer b.closers.Done()
-			eng.Close()
-			if b.hooks.noteBytes != nil && bytes != 0 {
-				b.hooks.noteBytes(-bytes)
-			}
-		}()
-	}
-	return len(b.buckets) < b.maxBuckets
+	return true
 }
 
 // cutLocked turns the bucket's queue into one dispatchable batch.
@@ -871,23 +682,12 @@ func (b *batcher) runBatch(bt *batch) {
 	}
 }
 
-// serveBatch runs one batch — lazy engine open, stack, one batched run,
-// split — and returns every member's answer in member order, with how many
-// members the flush served (0 when none ran). Members whose caller already
-// gave up are dropped before stacking; if none are left the engine isn't
-// touched at all.
+// serveBatch runs one batch — stack, one run on the shared engine, split —
+// and returns every member's answer in member order, with how many members
+// the flush served (0 when none ran). Members whose caller already gave up
+// are dropped before stacking; if none are left the engine isn't touched.
 func (b *batcher) serveBatch(bt *batch) ([]batchResp, int) {
-	bkt := bt.bkt
 	resps := make([]batchResp, len(bt.reqs))
-	if err := b.ensureEngine(bkt); err != nil {
-		b.failBucket(bkt, err)
-		// Serve the stranded members unbatched, each under its own context.
-		for i, rq := range bt.reqs {
-			out, ferr := b.fallback.Infer(rq.ctx, rq.inputs)
-			resps[i] = batchResp{outputs: out, err: ferr}
-		}
-		return resps, 0
-	}
 	live := make([]*batchReq, 0, len(bt.reqs))
 	at := make([]int, 0, len(bt.reqs)) // live[j] is member at[j]
 	for i, rq := range bt.reqs {
@@ -901,55 +701,24 @@ func (b *batcher) serveBatch(bt *batch) ([]batchResp, int) {
 	if len(live) == 0 {
 		return resps, 0
 	}
-	// Partial primary-bucket batches skip pad-and-mask: the unbatched
-	// engine is prepared at exactly this shape and bitwise-identical, so
-	// serving n members at cost n beats padding to cost maxBatch — the
-	// kernels are per-sample, padded slots are pure wasted compute. Lazy
-	// static buckets have no unbatched twin, so they always pad. Dynamic
-	// mode never pads at all (exact-n stacking costs n), so every batch —
-	// partial or full, primary or not — takes the stacked path below.
-	if !b.dynamic && bkt.primary && len(live) < b.maxBatch {
-		var wg sync.WaitGroup
-		for j, rq := range live {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				out, err := b.fallback.Infer(rq.ctx, rq.inputs)
-				resps[at[j]] = batchResp{outputs: out, err: err}
-			}()
-		}
-		wg.Wait()
-		return resps, len(live)
-	}
-	stacked := b.stack(bkt, live)
 	ctx, cancel := runContext(live)
-	out, err := b.engineFor(bkt).Infer(ctx, stacked)
+	out, err := b.shared.Infer(ctx, b.stack(bt.bkt, live))
 	cancel()
 	b.batchRuns.Add(1)
+	var outs []map[string]*mnn.Tensor
+	if err == nil {
+		outs, err = splitOutputs(b.outputNames, out, len(live))
+	}
 	if err != nil {
 		for _, i := range at {
 			resps[i] = batchResp{err: err}
 		}
 		return resps, 0
 	}
-	outs := splitOutputs(b.outputNames, bkt, out, len(live))
 	for j, i := range at {
 		resps[i] = batchResp{outputs: outs[j]}
 	}
 	return resps, len(live)
-}
-
-// failBucket retires a bucket whose engine cannot open: future requests
-// with its signature fall through immediately instead of queueing.
-func (b *batcher) failBucket(bkt *bucket, err error) {
-	b.mu.Lock()
-	if b.buckets[bkt.sig] == bkt {
-		delete(b.buckets, bkt.sig)
-	}
-	if len(b.failed) < maxFailedSigs {
-		b.failed[bkt.sig] = err
-	}
-	b.mu.Unlock()
 }
 
 // runContext bounds the batched run: detached from any single caller (one
@@ -972,20 +741,12 @@ func runContext(reqs []*batchReq) (context.Context, context.CancelFunc) {
 	return context.WithDeadline(context.Background(), min)
 }
 
-// stack copies the live requests into slots 0..n-1 of the bucket's batch
-// tensors. In static mode the batch tensor is always maxBatch wide and
-// slots past n stay zero — the pad half of pad-and-mask; the mask half is
-// splitOutputs reading only the live slots back out. In dynamic mode the
-// batch tensor is exactly n wide: the shared engine re-derives shapes for
-// the actual member count and no padded slot ever computes.
+// stack copies the n live requests into one [n, perShape[1:]...] tensor
+// per input.
 func (b *batcher) stack(bkt *bucket, reqs []*batchReq) map[string]*mnn.Tensor {
 	stacked := make(map[string]*mnn.Tensor, len(b.inputNames))
 	for _, name := range b.inputNames {
-		shape := bkt.batchShape[name]
-		if b.dynamic {
-			shape = append([]int{len(reqs)}, shape[1:]...)
-		}
-		dst := tensor.New(shape...)
+		dst := tensor.New(append([]int{len(reqs)}, bkt.perShape[name][1:]...)...)
 		per := bkt.perLen[name]
 		for i, rq := range reqs {
 			// A view over request i's slot; CopyFrom converts layout if the
@@ -998,26 +759,32 @@ func (b *batcher) stack(bkt *bucket, reqs []*batchReq) map[string]*mnn.Tensor {
 	return stacked
 }
 
-// splitOutputs cuts the batched outputs back into n per-request maps.
+// splitOutputs cuts the batched outputs of n stacked requests back into n
+// per-request maps, each output of shape [1, s[1:]...] where s, the batched
+// shape, must lead with n; otherwise every member gets ErrBatchSplit.
 // Each output tensor is layout-converted exactly once per flush — the
 // conversion allocates a full batch-sized tensor, so doing it per request
 // was the allocation hot spot the regression test pins.
-func splitOutputs(names []string, bkt *bucket, out map[string]*mnn.Tensor, n int) []map[string]*mnn.Tensor {
+func splitOutputs(names []string, out map[string]*mnn.Tensor, n int) ([]map[string]*mnn.Tensor, error) {
 	res := make([]map[string]*mnn.Tensor, n)
 	for i := range res {
 		res[i] = make(map[string]*mnn.Tensor, len(names))
 	}
 	for _, name := range names {
-		src := out[name].ToLayout(tensor.NCHW)
-		data := src.Data()
-		per := bkt.outLen[name]
+		s := out[name].Shape()
+		if len(s) == 0 || s[0] != n {
+			return nil, fmt.Errorf("%w: output %q has batched shape %v, not %d requests along dim 0", ErrBatchSplit, name, s, n)
+		}
+		per := append([]int{1}, s[1:]...)
+		perLen := tensor.NumElements(per)
+		data := out[name].ToLayout(tensor.NCHW).Data()
 		for i := 0; i < n; i++ {
-			dst := tensor.New(bkt.outShape[name]...)
-			copy(dst.Data(), data[i*per:(i+1)*per])
+			dst := tensor.New(per...)
+			copy(dst.Data(), data[i*perLen:(i+1)*perLen])
 			res[i][name] = dst
 		}
 	}
-	return res
+	return res, nil
 }
 
 // bucketStat is one bucket's scrape-time snapshot.
@@ -1026,7 +793,6 @@ type bucketStat struct {
 	depth     int           // requests queued now
 	oldestAge time.Duration // age of the oldest queued request
 	fill      float64       // cumulative: batched samples / (flushes × maxBatch)
-	resident  bool          // engine open
 }
 
 // batcherStats snapshots the bucket table for /metrics.
@@ -1052,11 +818,6 @@ func (b *batcher) stats() batcherStats {
 		if bkt.flushes > 0 {
 			bs.fill = float64(bkt.samples) / (float64(bkt.flushes) * float64(b.maxBatch))
 		}
-		// The resident flag, not openMu: a dispatch worker can hold openMu
-		// across an arbitrarily slow engine open, and blocking here while
-		// holding b.mu would stall the scheduler's whole intake path for
-		// the duration (the metrics-scrape-freezes-serving bug).
-		bs.resident = bkt.resident.Load()
 		st.buckets = append(st.buckets, bs)
 	}
 	b.mu.Unlock()
@@ -1065,30 +826,11 @@ func (b *batcher) stats() batcherStats {
 }
 
 // close stops accepting requests, lets the scheduler drain every queue
-// through the workers, then closes the bucket engines. The fallback engine
+// through the workers, then closes the shared engine. The fallback engine
 // belongs to the Model and is closed by it.
 func (b *batcher) close() {
 	close(b.quit)
 	<-b.done // scheduler drained reqs, flushed queues, closed dispatch
 	b.workers.Wait()
-	b.closers.Wait()
-	b.mu.Lock()
-	bkts := make([]*bucket, 0, len(b.buckets))
-	for _, bkt := range b.buckets {
-		bkts = append(bkts, bkt)
-	}
-	b.buckets = make(map[string]*bucket)
-	b.mu.Unlock()
-	for _, bkt := range bkts {
-		if bkt.eng == nil {
-			continue
-		}
-		bkt.eng.Close()
-		if !bkt.primary && b.hooks.noteBytes != nil && bkt.bytes != 0 {
-			b.hooks.noteBytes(-bkt.bytes)
-		}
-	}
-	if b.shared != nil {
-		b.shared.Close()
-	}
+	b.shared.Close()
 }

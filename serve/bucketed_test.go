@@ -16,24 +16,31 @@ import (
 	"mnn/internal/tensor"
 )
 
+// tinyMaxShapes plans the tiny graph's unbatched engine for every spatial
+// size up to 20², so its batcher buckets every such shape.
+func tinyMaxShapes() mnn.Option {
+	return mnn.WithMaxInputShapes(map[string][]int{"data": {1, 3, 20, 20}})
+}
+
 // TestBucketedMixedShapeBitwise is the mixed-shape extension of the serve
 // bitwise e2e (run explicitly by the CI serve -race job): three input
-// shapes hit one batching model concurrently over HTTP, each shape is
-// served by its own bucket's batch engine, and every response is bitwise
-// identical to an unbatched engine prepared at that shape.
+// shapes hit one batching model concurrently over HTTP, each shape queues
+// in its own bucket and runs stacked on the shared batch engine, and every
+// response is bitwise identical to the model's own unbatched engine.
 func TestBucketedMixedShapeBitwise(t *testing.T) {
 	shapes := [][]int{{1, 3, 16, 16}, {1, 3, 12, 12}, {1, 3, 20, 20}}
 	reg := NewRegistry()
 	defer reg.Close()
 	err := reg.Load("tiny", ModelConfig{
 		Model:   tinyGraph(t),
-		Options: []mnn.Option{mnn.WithPoolSize(2)},
+		Options: []mnn.Option{mnn.WithPoolSize(2), tinyMaxShapes()},
 		Batch:   BatchConfig{MaxBatch: 4, MaxLatency: 5 * time.Millisecond, Buckets: len(shapes)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base, _ := startServer(t, reg)
+	m, _ := reg.Get("tiny")
 
 	const perShape = 8
 	type job struct {
@@ -43,20 +50,14 @@ func TestBucketedMixedShapeBitwise(t *testing.T) {
 	}
 	var jobs []job
 	for si, shape := range shapes {
-		ref, err := mnn.Open(tinyGraph(t), mnn.WithInputShapes(map[string][]int{"data": shape}))
-		if err != nil {
-			t.Fatal(err)
-		}
 		for i := 0; i < perShape; i++ {
 			in := randomInput(uint64(100*si+i+1), shape)
-			want, err := ref.Infer(context.Background(), map[string]*mnn.Tensor{"data": in})
+			want, err := m.Engine().Infer(context.Background(), map[string]*mnn.Tensor{"data": in})
 			if err != nil {
-				ref.Close()
 				t.Fatal(err)
 			}
 			jobs = append(jobs, job{in: in, want: want, name: fmt.Sprintf("shape %v req %d", shape, i)})
 		}
-		ref.Close()
 	}
 
 	var wg sync.WaitGroup
@@ -80,7 +81,6 @@ func TestBucketedMixedShapeBitwise(t *testing.T) {
 
 	// At least one real batched run happened, and the scrape shows the
 	// per-bucket series with every shape's bucket tracked.
-	m, _ := reg.Get("tiny")
 	st, ok := m.batcherStats()
 	if !ok {
 		t.Fatal("no batcher stats on a batching model")
@@ -110,92 +110,29 @@ func TestBucketedMixedShapeBitwise(t *testing.T) {
 	}
 }
 
-// TestBucketedPartialPadMask: a partial batch (3 requests, maxBatch 8) in
-// a lazy bucket — which has no unbatched engine at its shape — runs on
-// the bucket's batch engine via pad-and-mask: one batched run carrying all
-// three requests, bitwise identical to unbatched inference at that shape.
-func TestBucketedPartialPadMask(t *testing.T) {
-	shape := []int{1, 3, 12, 12}
-	const sig = "data=1x3x12x12"
-	reg := NewRegistry()
-	defer reg.Close()
-	err := reg.Load("tiny", ModelConfig{
-		Model: tinyGraph(t),
-		Batch: BatchConfig{MaxBatch: 8, MaxLatency: time.Hour},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _ := reg.Get("tiny")
-	b := batcherOf(t, m)
-	ref, err := mnn.Open(tinyGraph(t), mnn.WithInputShapes(map[string][]int{"data": shape}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	const n = 3
-	inputs := make([]*mnn.Tensor, n)
-	want := make([]map[string]*mnn.Tensor, n)
-	for i := range inputs {
-		inputs[i] = randomInput(uint64(i+30), shape)
-		w, err := ref.Infer(context.Background(), map[string]*mnn.Tensor{"data": inputs[i]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = w
-	}
-	// The three queue behind a phantom approaching request and leave
-	// together once it departs.
-	release := holdCuts(b)
-	defer release()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got, err := m.Infer(context.Background(), map[string]*mnn.Tensor{"data": inputs[i]})
-			if err != nil {
-				t.Errorf("req %d: %v", i, err)
-				return
-			}
-			assertIdentical(t, fmt.Sprintf("padded req %d", i), got, want[i])
-		}(i)
-	}
-	waitQueued(t, b, sig, n)
-	release()
-	wg.Wait()
-
-	if runs := b.batchRuns.Load(); runs != 1 {
-		t.Fatalf("%d runs on the bucket engine, want 1 padded run", runs)
-	}
-	if flushes, samples := bucketServed(t, b, sig); flushes != 1 || samples != n {
-		t.Fatalf("bucket served %d samples in %d batches, want %d in 1", samples, flushes, n)
-	}
-}
-
 // TestBucketLRUEviction: with the bucket table bounded at 2, a third shape
-// evicts the least-recently-used idle bucket instead of leaking engines,
-// every shape still serves bitwise-correct results, and closing the
-// registry returns the resident-byte accounting to zero (dynamic bucket
-// engines included).
+// evicts the least-recently-used idle bucket, every shape still serves
+// bitwise-correct results, evictions leave the model's resident bytes as
+// Load fixed them (a bucket owns no engine), and closing the registry
+// returns the accounting to zero.
 func TestBucketLRUEviction(t *testing.T) {
 	reg := NewRegistry()
 	err := reg.Load("tiny", ModelConfig{
-		Model: tinyGraph(t),
-		Batch: BatchConfig{MaxBatch: 2, MaxLatency: time.Millisecond, Buckets: 2},
+		Model:   tinyGraph(t),
+		Options: []mnn.Option{tinyMaxShapes()},
+		Batch:   BatchConfig{MaxBatch: 2, MaxLatency: time.Millisecond, Buckets: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, _ := reg.Get("tiny")
+	loaded := reg.ResidentBytes()
+	if loaded <= 0 || m.ResidentBytes() != loaded {
+		t.Fatalf("resident bytes after Load: registry %d, model %d", loaded, m.ResidentBytes())
+	}
 	for i, shape := range [][]int{{1, 3, 16, 16}, {1, 3, 12, 12}, {1, 3, 20, 20}, {1, 3, 10, 10}} {
 		in := randomInput(uint64(i+60), shape)
-		ref, err := mnn.Open(tinyGraph(t), mnn.WithInputShapes(map[string][]int{"data": shape}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.Infer(context.Background(), map[string]*mnn.Tensor{"data": in})
-		ref.Close()
+		want, err := m.Engine().Infer(context.Background(), map[string]*mnn.Tensor{"data": in})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,6 +141,9 @@ func TestBucketLRUEviction(t *testing.T) {
 			t.Fatalf("shape %v: %v", shape, err)
 		}
 		assertIdentical(t, fmt.Sprintf("shape %v", shape), got, want)
+		if r := reg.ResidentBytes(); r != loaded {
+			t.Fatalf("shape %v: resident bytes %d, Load fixed %d", shape, r, loaded)
+		}
 	}
 	st, _ := m.batcherStats()
 	if len(st.buckets) > 2 {
@@ -214,31 +154,80 @@ func TestBucketLRUEviction(t *testing.T) {
 	}
 	reg.Close()
 	if got := reg.ResidentBytes(); got != 0 {
-		t.Fatalf("resident bytes %d after Close, want 0 (dynamic bucket engines leaked from the accounting)", got)
+		t.Fatalf("resident bytes %d after Close, want 0", got)
 	}
 }
 
-// TestBucketsOneFallThrough: Buckets=1 confines batching to the model's
-// declared input shape — the pre-bucketing behaviour where every other
-// shape falls through to the unbatched engine's precise validation error.
+// TestBucketsOneFallThrough: Buckets=1 tracks one shape queue at a time. A
+// second in-plan shape arriving while that queue is busy falls through to
+// the unbatched engine, which serves it; shapes the unbatched engine
+// refuses fall through to its typed error either way.
 func TestBucketsOneFallThrough(t *testing.T) {
 	reg := NewRegistry()
 	defer reg.Close()
 	err := reg.Load("tiny", ModelConfig{
-		Model: tinyGraph(t),
-		Batch: BatchConfig{MaxBatch: 4, MaxLatency: time.Millisecond, Buckets: 1},
+		Model:   tinyGraph(t),
+		Options: []mnn.Option{tinyMaxShapes()},
+		Batch:   BatchConfig{MaxBatch: 4, MaxLatency: time.Hour, Buckets: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, _ := reg.Get("tiny")
-	if _, err := m.Infer(context.Background(), map[string]*mnn.Tensor{"data": tensor.New(1, 3, 8, 8)}); !errors.Is(err, mnn.ErrInputShape) {
-		t.Fatalf("odd shape with buckets=1: %v, want ErrInputShape", err)
+	b := batcherOf(t, m)
+	if _, err := m.Infer(context.Background(), map[string]*mnn.Tensor{"data": tensor.New(1, 3, 24, 24)}); !errors.Is(err, mnn.ErrShapeOutOfPlan) {
+		t.Fatalf("out-of-plan shape: %v, want ErrShapeOutOfPlan", err)
 	}
-	// The declared shape still batches.
-	got, err := m.Infer(context.Background(), map[string]*mnn.Tensor{"data": randomInput(5, []int{1, 3, 16, 16})})
-	if err != nil || len(got) == 0 {
-		t.Fatalf("declared shape: %v", err)
+	// One request holds the only queue (a phantom approaching request keeps
+	// it from being cut).
+	release := holdCuts(b)
+	defer release()
+	queued := make(chan error, 1)
+	go func() {
+		_, err := m.Infer(context.Background(), tinyInput(5))
+		queued <- err
+	}()
+	waitQueued(t, b, tinySig, 1)
+	odd := randomInput(6, []int{1, 3, 12, 12})
+	want, err := m.Engine().Infer(context.Background(), map[string]*mnn.Tensor{"data": odd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Infer(context.Background(), map[string]*mnn.Tensor{"data": odd})
+	if err != nil {
+		t.Fatalf("second shape with the table full: %v", err)
+	}
+	assertIdentical(t, "fell-through shape", got, want)
+	if flushes, _ := bucketServed(t, b, "data=1x3x12x12"); flushes != 0 {
+		t.Fatalf("second shape got a bucket of its own (%d flushes) past a bound of 1", flushes)
+	}
+	release()
+	if err := <-queued; err != nil {
+		t.Fatalf("queued declared shape: %v", err)
+	}
+}
+
+// TestBatchingRefusesOffCPUSchedules: the shared batch engine runs on the
+// CPU, so a model whose unbatched engine schedules nodes on a (simulated)
+// GPU could not keep batched ≡ unbatched, and Load refuses it with
+// ErrUnknownBackend — whether the cost model picked the device's GPU for
+// squeezenet's nodes or the forward type names it.
+func TestBatchingRefusesOffCPUSchedules(t *testing.T) {
+	reg := NewRegistry()
+	defer reg.Close()
+	for _, forward := range []mnn.ForwardType{mnn.ForwardAuto, mnn.ForwardVulkan} {
+		err := reg.Load("sq", ModelConfig{
+			Model: "squeezenet-v1.1",
+			Options: []mnn.Option{mnn.WithDevice("Mate20"), mnn.WithForwardType(forward),
+				mnn.WithInputShapes(map[string][]int{"data": {1, 3, 64, 64}})},
+			Batch: BatchConfig{MaxBatch: 4},
+		})
+		if !errors.Is(err, mnn.ErrUnknownBackend) {
+			t.Errorf("forward %v on Mate20 with batching: Load = %v, want ErrUnknownBackend", forward, err)
+		}
+	}
+	if _, err := reg.Get("sq"); !errors.Is(err, ErrModelNotFound) {
+		t.Fatalf("refused loads left a model behind: %v", err)
 	}
 }
 
@@ -309,12 +298,6 @@ func TestRunContextMinDeadline(t *testing.T) {
 func TestSplitOutputsSingleConversion(t *testing.T) {
 	const n = 8
 	outShape := []int{n, 64, 8, 8}
-	perShape := []int{1, 64, 8, 8}
-	perLen := tensor.NumElements(perShape)
-	bkt := &bucket{
-		outShape: map[string][]int{"prob": perShape},
-		outLen:   map[string]int{"prob": perLen},
-	}
 	src := tensor.NewWithLayout(tensor.NC4HW4, outShape...)
 	out := map[string]*mnn.Tensor{"prob": src}
 	names := []string{"prob"}
@@ -324,8 +307,8 @@ func TestSplitOutputsSingleConversion(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < iters; i++ {
-		res := splitOutputs(names, bkt, out, n)
-		if len(res) != n {
+		res, err := splitOutputs(names, out, n)
+		if err != nil || len(res) != n {
 			t.Fatalf("split produced %d request outputs, want %d", len(res), n)
 		}
 	}
@@ -338,6 +321,11 @@ func TestSplitOutputsSingleConversion(t *testing.T) {
 	// (n+1)×batchBytes.
 	if limit := 4 * batchBytes; perOp > limit {
 		t.Fatalf("splitOutputs allocates %d B/op, want <= %d (layout conversion back inside the per-request loop?)", perOp, limit)
+	}
+	// A batched output that does not lead with the member count is refused
+	// with the typed error every member then gets.
+	if _, err := splitOutputs(names, out, n-1); !errors.Is(err, ErrBatchSplit) {
+		t.Fatalf("splitting %v into %d requests: %v, want ErrBatchSplit", outShape, n-1, err)
 	}
 }
 
@@ -370,9 +358,9 @@ func TestBatcherShutdownRace(t *testing.T) {
 			in := randomInput(uint64(i+1), shapes[i%len(shapes)])
 			for {
 				if _, err := b.infer(context.Background(), map[string]*mnn.Tensor{"data": in}); err != nil {
-					// Once close() has fallen the batcher through to the
-					// unbatched engine, non-primary shapes are rejected with
-					// the engine's own shape error — a valid single response.
+					// The unbatched engine is static, so the batcher hands
+					// the 12×12 shape to it and it answers with its own
+					// shape error — a valid single response.
 					if !errors.Is(err, mnn.ErrInputShape) {
 						t.Errorf("submitter %d: %v", i, err)
 					}

@@ -232,19 +232,20 @@ func TestBatcherHeldRunFormsFullBatches(t *testing.T) {
 
 // TestBatcherApproachingSettlesToZero hammers every way into and out of
 // infer — served, cancelled before the send, refused a bucket
-// (errNoBucket), unstackable (falls through before the send), and the
-// shutdown drain — and checks that approaching and outstanding return to
-// 0. A leaked count would silently put the timer back on every request.
+// (errNoBucket: two shapes share a one-bucket table), unstackable (falls
+// through before the send), and the shutdown drain — and checks that
+// approaching and outstanding return to 0. A leaked count would silently
+// put the timer back on every request.
 func TestBatcherApproachingSettlesToZero(t *testing.T) {
 	g := tinyGraph(t)
-	eng, err := mnn.Open(g, mnn.WithPoolSize(2))
+	opts := []mnn.Option{mnn.WithPoolSize(2), mnn.WithMaxInputShapes(map[string][]int{"data": {1, 3, 16, 16}})}
+	eng, err := mnn.Open(g, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	b, err := newBatcher(ModelConfig{
-		Model: g,
-		// One bucket: the declared shape's, so any other shape is refused.
+		Model: g, Options: opts,
 		Batch: BatchConfig{MaxBatch: 4, MaxLatency: 200 * time.Microsecond, Buckets: 1},
 	}, eng, batcherHooks{})
 	if err != nil {
@@ -259,8 +260,8 @@ func TestBatcherApproachingSettlesToZero(t *testing.T) {
 	}{
 		{context.Background(), randomInput(1, []int{1, 3, 16, 16}), nil},
 		{cancelled, randomInput(2, []int{1, 3, 16, 16}), mnn.ErrCancelled},
-		{context.Background(), randomInput(3, []int{1, 3, 12, 12}), mnn.ErrInputShape},
-		{context.Background(), tensor.New(2, 3, 16, 16), mnn.ErrInputShape},
+		{context.Background(), randomInput(3, []int{1, 3, 12, 12}), nil},
+		{context.Background(), tensor.New(2, 3, 16, 16), mnn.ErrShapeOutOfPlan},
 	}
 	var calls [4]atomic.Int64 // per kind
 	stop := make(chan struct{})

@@ -100,7 +100,7 @@ func newServerMetrics() *serverMetrics {
 		bucketCount: r.NewGauge("mnn_batch_buckets",
 			"Shape buckets currently tracked by the model's batcher.", "model"),
 		bucketEvicts: r.NewCounter("mnn_batch_bucket_evictions_total",
-			"Shape buckets evicted (engine closed) under the bucket bound, per model.", "model"),
+			"Idle shape buckets evicted under the bucket bound, per model.", "model"),
 		degraded: r.NewGauge("mnn_degraded",
 			"1 while the model is routed to its degrade engine under sustained overload.", "model"),
 		transitions: r.NewCounter("mnn_degrade_transitions_total",

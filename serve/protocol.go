@@ -67,6 +67,10 @@ var (
 	// X-Model-Quarantined header so the mesh router routes around the
 	// replica instead of retrying into the same fault.
 	ErrModelQuarantined = errors.New("serve: model quarantined")
+
+	// ErrBatchSplit marks a batched run whose outputs do not carry one
+	// row per stacked request; every member of the batch gets it (HTTP 500).
+	ErrBatchSplit = errors.New("serve: batched outputs cannot be split per request")
 )
 
 // TensorMetadata describes one model input or output in metadata responses.

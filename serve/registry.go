@@ -65,7 +65,8 @@ func compareVersions(a, b string) int {
 // BatchConfig tunes the per-model dynamic micro-batcher.
 type BatchConfig struct {
 	// MaxBatch is the largest number of single requests coalesced into one
-	// batched run (and the batch size the second engine is prepared at).
+	// batched run (and the batch size the shared batch engine is planned
+	// for).
 	// Values <= 1 disable batching: every request runs on the unbatched
 	// engine directly.
 	MaxBatch int
@@ -79,13 +80,12 @@ type BatchConfig struct {
 	// its batch early instead. Go timers sleep in whole milliseconds on
 	// Linux: a sub-millisecond window costs ≈ 1.07 ms when it runs out.
 	MaxLatency time.Duration
-	// Buckets bounds how many input-shape buckets — each holding a batch-
-	// prepared engine keyed by the request's shape signature — may be
-	// resident at once. 0 means DefaultMaxBuckets. 1 keeps only the bucket
-	// of the model's declared input shapes, so every other shape falls
-	// through to the unbatched engine (the pre-bucketing behaviour).
-	// Buckets past the bound are opened by evicting the least-recently-used
-	// idle one; when all are busy the request falls through.
+	// Buckets bounds how many input-shape queues the batcher tracks at
+	// once (and so the bucket label's cardinality in /metrics); 0 means
+	// DefaultMaxBuckets. A queue owns no engine: every queue's batches run
+	// on the one shared batch engine. A new shape evicts the least-recently-
+	// used idle queue; when every queue is busy the request falls through
+	// to the unbatched engine.
 	Buckets int
 }
 
@@ -140,8 +140,10 @@ type ModelConfig struct {
 	// or model file path, or an io.Reader of the binary format.
 	Model any
 	// Options configure the unbatched engine (pool size, threads, forward
-	// type, prepared input shapes, …). The batched engine, when enabled,
-	// reuses them with only the input shapes overridden to batch size.
+	// type, prepared input shapes, …). The shared batch engine, when
+	// batching is enabled, reuses them with WithMaxInputShapes at
+	// [MaxBatch, the unbatched engine's per-request maximum...] (its
+	// declared shapes when it is static), on the CPU backend.
 	Options []mnn.Option
 	// Batch enables and tunes dynamic micro-batching.
 	Batch BatchConfig
@@ -165,7 +167,7 @@ type engines struct {
 }
 
 // Model is one versioned entry of a Registry: the unbatched engine plus an
-// optional micro-batcher in front of a second, batch-prepared engine, an
+// optional micro-batcher in front of a shared batch engine, an
 // optional admission controller gating both, and an optional degrade engine
 // for overload fallback. Lazy models open their engines on first request
 // and may be evicted (engines closed, configuration kept) under memory
@@ -771,9 +773,8 @@ func (m *Model) loadLocked() error {
 	var b *batcher
 	if cfg.Batch.MaxBatch > 1 {
 		b, err = newBatcher(cfg, eng, batcherHooks{
-			onFlush:   m.mm.recordFlush,
-			noteBytes: m.noteBucketBytes,
-			onEvict:   m.mm.onBucketEvict,
+			onFlush: m.mm.recordFlush,
+			onEvict: m.mm.onBucketEvict,
 		})
 		if err != nil {
 			eng.Close()
@@ -848,32 +849,20 @@ func (m *Model) loadLocked() error {
 	return nil
 }
 
-// engineSetBytes sums the byte accounting of a model's engines opened at
-// load time (the batcher's primary bucket engine included; dynamically
-// opened bucket engines report themselves through noteBucketBytes).
-// Weights of a shared graph are counted per engine — a deliberately
-// conservative estimate, so the budget can under-fill but never silently
-// over-fill.
+// engineSetBytes sums the byte accounting of a model's engines, all opened
+// at load time (the batcher's shared engine included), so a model's
+// resident bytes are fixed from Load to eviction. Weights of a shared graph
+// are counted per engine — a deliberately conservative estimate, so the
+// budget can under-fill but never silently over-fill.
 func engineSetBytes(eng *mnn.Engine, b *batcher, deg *mnn.Engine) int64 {
 	total := eng.MemoryBytes()
 	if b != nil {
-		total += b.primaryBytes()
+		total += b.shared.MemoryBytes()
 	}
 	if deg != nil {
 		total += deg.MemoryBytes()
 	}
 	return total
-}
-
-// noteBucketBytes is the batcher's accounting hook for dynamically opened
-// bucket engines: it keeps the registry's resident-byte gauge and the
-// model's lock-free mirror in step as shape buckets open and are evicted.
-// The memory budget is enforced at the next load rather than here —
-// enforcing from a batch worker could deadlock against an eviction waiting
-// on that same worker — so dynamic buckets may transiently overshoot it.
-func (m *Model) noteBucketBytes(delta int64) {
-	atomic.AddInt64(&m.bytesApprox, delta)
-	m.reg.noteResident(delta)
 }
 
 // batcherStats snapshots the batcher's bucket table (ok=false while the

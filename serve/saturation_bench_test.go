@@ -12,26 +12,23 @@ import (
 
 // BenchmarkBatcherSaturation drives 8 closed-loop callers into one batcher
 // (MaxBatch 4, 2 ms window) and reports requests per second and the mean
-// batch size. "dynamic" is the transformer on its one shared engine
-// (exact-n stacking) over three lengths; "static" is squeezenet with one
-// batch-4 engine per shape over three shapes, and "static-lazy" sends every
-// caller to one lazy bucket, which pads each partial batch to 4.
+// batch size: the transformer over three lengths, and squeezenet over three
+// resolutions, each on its one shared batch engine (exact-n stacking).
 //
 //	go test -run '^$' -bench BatcherSaturation -benchtime 4000x ./serve/
 func BenchmarkBatcherSaturation(b *testing.B) {
 	squeezenet := []mnn.Option{mnn.WithPoolSize(2), mnn.WithThreads(1),
-		mnn.WithInputShapes(map[string][]int{"data": {1, 3, 48, 48}})}
+		mnn.WithMaxInputShapes(map[string][]int{"data": {1, 3, 48, 48}})}
 	for _, c := range []struct {
 		name, input string
 		model       any
 		opts        []mnn.Option
 		shapes      [][]int // caller i sends shapes[i%len(shapes)]
 	}{
-		{"dynamic", "tokens", "transformer", dynTransformerOptions(),
+		{"transformer", "tokens", "transformer", dynTransformerOptions(),
 			[][]int{{1, 16, 32}, {1, 8, 32}, {1, 4, 32}}},
-		{"static", "data", "squeezenet-v1.1", squeezenet,
+		{"squeezenet", "data", "squeezenet-v1.1", squeezenet,
 			[][]int{{1, 3, 48, 48}, {1, 3, 40, 40}, {1, 3, 32, 32}}},
-		{"static-lazy", "data", "squeezenet-v1.1", squeezenet, [][]int{{1, 3, 40, 40}}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			eng, err := mnn.Open(c.model, c.opts...)

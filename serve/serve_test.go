@@ -338,10 +338,10 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBatcherPartialFlushAndFallThrough covers the partial-batch path of
-// the declared shape's bucket (its members run on the unbatched engine at
-// cost n), the bucketed serving of a shape other than the declared one,
-// and the fall-through for requests the batcher cannot stack at all.
+// TestBatcherPartialFlushAndFallThrough covers the fall-through for
+// requests the batcher cannot stack: on a static engine the batcher takes
+// exactly the declared shape, so anything else reaches the unbatched engine
+// and gets its precise typed error.
 func TestBatcherPartialFlushAndFallThrough(t *testing.T) {
 	reg := NewRegistry()
 	defer reg.Close()
@@ -357,63 +357,11 @@ func TestBatcherPartialFlushAndFallThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := batcherOf(t, m)
-
-	// 3 requests against maxBatch 8 queue behind a phantom approaching
-	// request; once it departs nothing else can join, so they are cut as
-	// one partial batch with results identical to direct unbatched
-	// inference.
-	inputs := make([]*mnn.Tensor, 3)
-	want := make([]map[string]*mnn.Tensor, 3)
-	for i := range inputs {
-		inputs[i] = randomInput(uint64(i+1), []int{1, 3, 16, 16})
-		w, err := m.Engine().Infer(context.Background(), map[string]*mnn.Tensor{"data": inputs[i]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = w
+	// A spatial shape other than the declared one: a model that wants it
+	// batched plans for it with WithMaxInputShapes.
+	if _, err := m.Infer(context.Background(), map[string]*mnn.Tensor{"data": tensor.New(1, 3, 8, 8)}); !errors.Is(err, mnn.ErrInputShape) {
+		t.Fatalf("undeclared shape: %v, want ErrInputShape", err)
 	}
-	release := holdCuts(b)
-	var wg sync.WaitGroup
-	for i := range inputs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got, err := m.Infer(context.Background(), map[string]*mnn.Tensor{"data": inputs[i]})
-			if err != nil {
-				t.Errorf("req %d: %v", i, err)
-				return
-			}
-			assertIdentical(t, fmt.Sprintf("partial req %d", i), got, want[i])
-		}(i)
-	}
-	waitQueued(t, b, tinySig, len(inputs))
-	release()
-	wg.Wait()
-	if flushes, samples := bucketServed(t, b, tinySig); flushes != 1 || samples != uint64(len(inputs)) {
-		t.Fatalf("declared bucket served %d samples in %d batches, want %d in 1", samples, flushes, len(inputs))
-	}
-
-	// A single-sample request with a shape other than the declared one is
-	// served by its own shape bucket now (pre-bucketing it was rejected
-	// with ErrInputShape), bitwise identical to an engine prepared at that
-	// shape.
-	odd := randomInput(77, []int{1, 3, 8, 8})
-	oddRef, err := mnn.Open(tinyGraph(t), mnn.WithInputShapes(map[string][]int{"data": {1, 3, 8, 8}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oddRef.Close()
-	oddWant, err := oddRef.Infer(context.Background(), map[string]*mnn.Tensor{"data": odd})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oddGot, err := m.Infer(context.Background(), map[string]*mnn.Tensor{"data": odd})
-	if err != nil {
-		t.Fatalf("odd shape via bucket: %v", err)
-	}
-	assertIdentical(t, "odd-shape bucket", oddGot, oddWant)
-
 	// A request that can never occupy one batch slot — leading batch dim
 	// that isn't 1 — falls through to the unbatched engine and gets its
 	// precise ErrInputShape.
@@ -429,7 +377,7 @@ func TestBatcherPartialFlushAndFallThrough(t *testing.T) {
 	// A cancelled context surfaces ErrCancelled without hanging.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.Infer(ctx, map[string]*mnn.Tensor{"data": inputs[0]}); !errors.Is(err, mnn.ErrCancelled) {
+	if _, err := m.Infer(ctx, tinyInput(1)); !errors.Is(err, mnn.ErrCancelled) {
 		t.Fatalf("cancelled: %v, want ErrCancelled", err)
 	}
 }

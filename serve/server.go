@@ -51,8 +51,8 @@ type LoadOptions struct {
 	// MaxInputShapes opens a dynamic engine planned once at these maxima;
 	// requests may then use any shape elementwise ≤ the max without
 	// re-preparation (mnn.WithMaxInputShapes). Mutually exclusive with
-	// InputShapes. With batching, the batcher switches to dynamic mode:
-	// one shared batch engine serves every in-plan shape bucket.
+	// InputShapes. With batching, every in-plan shape batches; with
+	// InputShapes (or neither) only the declared shape does.
 	MaxInputShapes map[string][]int `json:"max_input_shapes,omitempty"`
 }
 
@@ -116,9 +116,9 @@ type LoadRequest struct {
 	// for batch-mates already on their way (default 2); a queue nothing
 	// else can join is cut at once (see BatchConfig.MaxLatency).
 	MaxLatencyMs float64 `json:"max_latency_ms,omitempty"`
-	// Buckets bounds how many input-shape buckets the micro-batcher keeps
-	// batch engines for (0 = default; 1 = only the declared input shape,
-	// other shapes fall through unbatched).
+	// Buckets bounds how many input-shape queues the micro-batcher tracks
+	// at once (0 = default); a shape arriving while every queue is busy
+	// falls through unbatched.
 	Buckets int `json:"buckets,omitempty"`
 	// Queue > 0 enables admission control: a bounded queue of that depth in
 	// front of the engine, with overflow rejected as HTTP 429.
