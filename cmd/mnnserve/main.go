@@ -248,7 +248,7 @@ func main() {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe(*addr) }()
-	fmt.Printf("mnnserve: serving %v on %s (%s kernels)\n", reg.Names(), *addr, matmul.KernelISA())
+	fmt.Printf("mnnserve: serving %v on %s (%s kernels, int8 %s)\n", reg.Names(), *addr, matmul.KernelISA(), matmul.Int8ISA())
 
 	select {
 	case err := <-errc:

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
+
+	"mnn/internal/sched"
 )
 
 // Every experiment must run clean in quick mode and emit its table header —
@@ -90,19 +93,28 @@ func TestTable1OursTracksBest(t *testing.T) {
 		t.Skip("measures real conv kernels repeatedly (~5s)")
 	}
 	// For each Table 1 case, "ours" must be within 40% of the best fixed
-	// scheme (the paper's claim: best or comparable-to-best). The reps go
-	// round-robin over the four schemes and each scheme keeps its minimum,
-	// so a busy stretch of this shared host falls on every side alike.
+	// scheme (the paper's claim: best or comparable-to-best). The schemes
+	// run round-robin for a fixed time per case and each keeps its minimum,
+	// so a short case gets as many samples as its time holds and a busy
+	// stretch of this shared host falls on every side alike.
+	const perCase = time.Second
 	schemes := []string{"sliding", "wino2", "wino6", "ours"}
+	pool := sched.New(1)
+	defer pool.Close()
 	for _, c := range Table1Cases {
+		runs := make([]func(), len(schemes))
+		for i, scheme := range schemes {
+			run, err := table1Run(c, scheme, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run() // warm up
+			runs[i] = run
+		}
 		least := make([]float64, len(schemes))
-		for rep := 0; rep < 3; rep++ {
-			for i, scheme := range schemes {
-				d, err := Table1Measure(c, scheme, 1, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if m := ms(d); rep == 0 || m < least[i] {
+		for start := time.Now(); time.Since(start) < perCase; {
+			for i, run := range runs {
+				if m := ms(minOf(1, run)); least[i] == 0 || m < least[i] {
 					least[i] = m
 				}
 			}

@@ -42,6 +42,19 @@ var Table1Cases = []Table1Case{
 // Table1Measure runs one scheme ("sliding", "wino2", "wino6", "ours") for a
 // case on the host and returns the minimum latency of reps runs.
 func Table1Measure(c Table1Case, scheme string, threads, reps int) (time.Duration, error) {
+	pool := sched.New(threads)
+	defer pool.Close()
+	run, err := table1Run(c, scheme, pool)
+	if err != nil {
+		return 0, err
+	}
+	run() // warm up
+	return minOf(reps, run), nil
+}
+
+// table1Run prepares one scheme for a case and returns one run of it on
+// pool.
+func table1Run(c Table1Case, scheme string, pool *sched.Pool) (func(), error) {
 	a := &graph.Conv2DAttrs{
 		KernelH: c.K, KernelW: c.K, StrideH: 1, StrideW: 1,
 		Group: 1, InputCount: c.IC, OutputCount: c.OC,
@@ -52,17 +65,14 @@ func Table1Measure(c Table1Case, scheme string, threads, reps int) (time.Duratio
 	bias := tensor.NewRandom(9, 0.1, c.OC)
 	oh, ow, err := graph.ConvOutputSize(c.Size, c.Size, a)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	dst := tensor.NewWithLayout(tensor.NC4HW4, 1, c.OC, oh, ow)
 
-	pool := sched.New(threads)
-	defer pool.Close()
-	var run func()
 	switch scheme {
 	case "sliding":
 		sc := kernels.PrepareSliding(weight, bias, a)
-		run = func() { sc.Run(dst, src, pool) }
+		return func() { sc.Run(dst, src, pool) }, nil
 	case "wino2", "wino6":
 		tile := 2
 		if scheme == "wino6" {
@@ -70,29 +80,24 @@ func Table1Measure(c Table1Case, scheme string, threads, reps int) (time.Duratio
 		}
 		wc, err := kernels.PrepareWinograd(weight, bias, a, tile, tile)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		ws := make([]float32, wc.WorkspaceSize()*threads)
-		run = func() { wc.Run(dst, src, pool, ws) }
+		ws := make([]float32, wc.WorkspaceSize()*pool.Lanes())
+		return func() { wc.Run(dst, src, pool, ws) }, nil
 	case "ours":
 		dec := core.SelectConvScheme(a, src.Shape())
-		switch dec.Scheme {
-		case core.SchemeWinograd:
-			wc, err := kernels.PrepareWinograd(weight, bias, a, dec.TileH, dec.TileW)
-			if err != nil {
-				return 0, err
-			}
-			ws := make([]float32, wc.WorkspaceSize()*threads)
-			run = func() { wc.Run(dst, src, pool, ws) }
-		default:
+		if dec.Scheme != core.SchemeWinograd {
 			sc := kernels.PrepareSliding(weight, bias, a)
-			run = func() { sc.Run(dst, src, pool) }
+			return func() { sc.Run(dst, src, pool) }, nil
 		}
-	default:
-		return 0, fmt.Errorf("bench: unknown scheme %q", scheme)
+		wc, err := kernels.PrepareWinograd(weight, bias, a, dec.TileH, dec.TileW)
+		if err != nil {
+			return nil, err
+		}
+		ws := make([]float32, wc.WorkspaceSize()*pool.Lanes())
+		return func() { wc.Run(dst, src, pool, ws) }, nil
 	}
-	run() // warm up
-	return minOf(reps, run), nil
+	return nil, fmt.Errorf("bench: unknown scheme %q", scheme)
 }
 
 // Table1 reproduces the computation-scheme comparison (host-measured).

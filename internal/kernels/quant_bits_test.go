@@ -114,15 +114,31 @@ func quantConvParentRoute(src, weight, bias *tensor.Tensor, a *graph.Conv2DAttrs
 	return dst
 }
 
-// quantPaths are the implementations of one prepared QuantConv: the active
-// one (assembly quantizer and tap kernel where the host has AVX2) and the
-// portable twins.
+// quantPaths are the implementations of one prepared QuantConv, one per
+// int8 level the host has: its weights packed for that level, quantized by
+// the assembly quantizer where the host has AVX2 — and, as "portable", the
+// Go twins of both.
 func quantPaths(qc *QuantConv) map[string]*QuantConv {
-	portable := *qc
-	portable.simd = false
-	portable.packed = qc.packed.Portable()
-	portable.quantT.c = &portable
-	return map[string]*QuantConv{"active": qc, "portable": &portable}
+	paths := make(map[string]*QuantConv)
+	for _, isa := range matmul.Int8ISAs() {
+		p := *qc
+		p.packed = qc.packed.WithISA(isa)
+		p.simd = qc.simd && isa != "portable"
+		p.quantT.c = &p
+		paths[isa] = &p
+	}
+	return paths
+}
+
+// int8Levels returns the SIMD int8 levels this host has and reports each
+// one it lacks as a skipped subtest of that name: a level the suite could
+// not reach shows in the log instead of passing silently.
+func int8Levels(t *testing.T) []string {
+	all := []string{"portable", "avx2", "avx512vnni"}
+	for _, isa := range all[len(matmul.Int8ISAs()):] {
+		t.Run(isa, func(t *testing.T) { t.Skipf("this host has no %s int8 kernel", isa) })
+	}
+	return matmul.Int8ISAs()[1:]
 }
 
 // runQuant runs qc on `lanes` lanes over the NaN-pad-laned src4 into a
@@ -220,11 +236,13 @@ func (qc *quantCase) outShape() []int { return []int{qc.cc.n, qc.cc.oc, qc.oh, q
 
 // TestInt8TapsSIMDMatchesPortableBitwise is the differential test of the
 // assembly behind QuantConv — the quantizer and the int8 tap kernel with its
-// requantizing store — on one lane and on three against the portable twins
-// on one (TestQuantConvMatchesParentRouteBitwise runs those on two), every
-// logical output written. Here the activations also hold NaN and ±Inf,
-// which both must quantize alike.
+// requantizing store, at every level the host has — on one lane and on
+// three against the portable twins on one
+// (TestQuantConvMatchesParentRouteBitwise runs those on two), every logical
+// output written. Here the activations also hold NaN and ±Inf, which both
+// must quantize alike.
 func TestInt8TapsSIMDMatchesPortableBitwise(t *testing.T) {
+	levels := int8Levels(t)
 	forEachQuantCase(t, func(qc quantCase) {
 		d := qc.src.Data()
 		for i, v := range []float32{nan32, float32(math.Inf(1)), float32(math.Inf(-1))} {
@@ -232,11 +250,13 @@ func TestInt8TapsSIMDMatchesPortableBitwise(t *testing.T) {
 		}
 		paths, src4 := quantPaths(qc.prepare()), poisonedNC4(qc.src)
 		ref := runQuant(t, paths["portable"], src4, qc.outShape(), 1).Data()
-		for _, lanes := range []int{1, 3} {
-			got := runQuant(t, paths["active"], src4, qc.outShape(), lanes).Data()
-			if d := firstBitDiff(got, ref); d >= 0 {
-				t.Fatalf("%+v unsigned=%v scale=%v %d lanes: element %d = %v (%#08x), portable on one lane %v (%#08x)", qc.cc, qc.unsigned, qc.inputScale,
-					lanes, d, got[d], math.Float32bits(got[d]), ref[d], math.Float32bits(ref[d]))
+		for _, isa := range levels {
+			for _, lanes := range []int{1, 3} {
+				got := runQuant(t, paths[isa], src4, qc.outShape(), lanes).Data()
+				if d := firstBitDiff(got, ref); d >= 0 {
+					t.Fatalf("%+v unsigned=%v scale=%v %s on %d lanes: element %d = %v (%#08x), portable on one lane %v (%#08x)", qc.cc, qc.unsigned, qc.inputScale,
+						isa, lanes, d, got[d], math.Float32bits(got[d]), ref[d], math.Float32bits(ref[d]))
+				}
 			}
 		}
 	})
@@ -244,16 +264,22 @@ func TestInt8TapsSIMDMatchesPortableBitwise(t *testing.T) {
 
 // TestQuantConvMatchesParentRouteBitwise is the differential test of the
 // quantize-once tap GEMM against the quantize+im2col → GEMM → scatter route
-// it replaced: the same bits for every logical output, from the assembly on
-// one lane and three and from the portable twins.
+// it replaced: the same bits for every logical output, from every level the
+// host has on one lane and three and from the portable twins.
 func TestQuantConvMatchesParentRouteBitwise(t *testing.T) {
+	levels := int8Levels(t)
 	forEachQuantCase(t, func(qc quantCase) {
 		want := quantConvParentRoute(qc.src, qc.weight, qc.bias, qc.cc.attrs(), qc.inputScale, qc.unsigned, qc.oh, qc.ow).Data()
 		paths, src4 := quantPaths(qc.prepare()), poisonedNC4(qc.src)
-		for _, run := range []struct {
+		type run struct {
 			path  string
 			lanes int
-		}{{"active", 1}, {"active", 3}, {"portable", 2}} {
+		}
+		runs := []run{{"portable", 2}}
+		for _, isa := range levels {
+			runs = append(runs, run{isa, 1}, run{isa, 3})
+		}
+		for _, run := range runs {
 			got := runQuant(t, paths[run.path], src4, qc.outShape(), run.lanes).Data()
 			if d := firstBitDiff(got, want); d >= 0 {
 				t.Fatalf("%+v unsigned=%v scale=%v %s/%d lanes: element %d = %v (%#08x), parent route %v (%#08x)", qc.cc, qc.unsigned, qc.inputScale,
@@ -316,8 +342,9 @@ func TestQuantizeSIMDMatchesScalarBitwise(t *testing.T) {
 
 // FuzzInt8TapsNC4 drives kernel shape, stride, dilation, padding, channel
 // counts, activation, quantization mode and raw float32 bit patterns through
-// QuantConv: the active path must equal the portable twins bitwise, and,
-// when every activation is finite, both must equal the im2col parent route.
+// QuantConv: every level the host has, on one lane and on two, must equal
+// the portable twins bitwise, and, when every activation is finite, those
+// must equal the im2col parent route.
 func FuzzInt8TapsNC4(f *testing.F) {
 	f.Add(uint8(2), uint8(2), uint8(0), uint8(0), uint8(9), uint8(2), uint8(7), uint8(0x8e), uint8(0), uint8(3), uint64(1), []byte{})
 	f.Fuzz(func(t *testing.T, khR, kwR, strideR, dilR, padR, icR, ocR, hwR, actR, modeR uint8, seed uint64, raw []byte) {
@@ -339,9 +366,13 @@ func FuzzInt8TapsNC4(f *testing.F) {
 		}
 		paths, src4 := quantPaths(qc.prepare()), poisonedNC4(qc.src)
 		ref := runQuant(t, paths["portable"], src4, qc.outShape(), 1).Data()
-		if got := runQuant(t, paths["active"], src4, qc.outShape(), 2).Data(); firstBitDiff(got, ref) >= 0 {
-			d := firstBitDiff(got, ref)
-			t.Fatalf("%+v unsigned=%v scale=%v: element %d active %v, portable %v", cc, qc.unsigned, qc.inputScale, d, got[d], ref[d])
+		for _, isa := range matmul.Int8ISAs()[1:] {
+			for _, lanes := range []int{1, 2} {
+				if got := runQuant(t, paths[isa], src4, qc.outShape(), lanes).Data(); firstBitDiff(got, ref) >= 0 {
+					d := firstBitDiff(got, ref)
+					t.Fatalf("%+v unsigned=%v scale=%v: element %d %s on %d lanes %v, portable %v", cc, qc.unsigned, qc.inputScale, d, isa, lanes, got[d], ref[d])
+				}
+			}
 		}
 		if finite {
 			want := quantConvParentRoute(qc.src, qc.weight, qc.bias, cc.attrs(), qc.inputScale, qc.unsigned, qc.oh, qc.ow).Data()

@@ -3,63 +3,109 @@ package matmul
 import "unsafe"
 
 // Int8 GEMM for the quantized inference path (paper Section 3.1): byte
-// operands, int32 accumulation, one 4×16 micro-kernel. Per channel quad the
-// kernel broadcasts the four activation bytes of a pixel, widens them to
-// int16 (sign-extended, or zero-extended for the unsigned left operand of
-// post-ReLU activations) and multiplies them against pre-widened int16
-// weights with VPMADDWD, which sums adjacent products into int32 lanes;
-// VPADDD accumulates. A pair sum is at most 2·255·128, so no instruction
-// saturates, and int32 addition wraps exactly like Go's — the product equals
-// MulInt8Ref bit for bit on every byte input, at any depth, under any split
-// of the rows. That is as many instructions as the fp32 kernel's ymm
-// VFMADD231PS for the same multiply-adds. (VPMADDUBSW would halve them but
-// saturates its int16 pair sums; it is not used.)
+// operands, int32 accumulation, one micro-kernel at three levels picked from
+// CPUID alone, as the fp32 ones are:
 //
-// Weights are widened at pack time rather than in the kernel: byte panels
-// with a VPMOVSXBW per weight vector ran the 169×512×1000 GEMM 14 % slower
-// (1.99 vs 1.74 ms, minima of four alternating runs) and a bandwidth-bound
-// 8×4096×1000 one no faster.
+//   - avx512vnni: 12 pixels × 16 columns in zmm accumulators. Per channel
+//     quad one 64-byte weight load and one VPDPBUSD per pixel, which
+//     multiplies the pixel's four bytes, broadcast to every column, by the
+//     column's four weight bytes and adds the four products to the column's
+//     int32 — 64 multiply-adds an instruction. VPDPBUSD reads its left
+//     operand unsigned: a signed activation v is loaded as v XOR 0x80 =
+//     v+128, and 128·Σw, one more VPDPBUSD per quad shared by the tile, is
+//     subtracted before the epilogue. Runs shorter than a tile use a
+//     4-pixel variant.
+//   - avx2: 4 × 16 tiles. Per quad the pixel's four bytes are broadcast,
+//     widened to int16 (sign- or zero-extended) and multiplied against int16
+//     weights with VPMADDWD, which sums adjacent products into int32 lanes;
+//     VPADDD accumulates. Eleven instructions per pixel and quad, about the
+//     fp32 AVX2 kernel's count for the same multiply-adds.
+//   - portable: the Go twin, over either weight layout, and the oracle.
+//
+// No instruction saturates — a VPMADDWD pair sum is at most 2·255·128, and
+// VPDPBUSD (unlike VPDPBUSDS) wraps — and int32 addition wraps exactly like
+// Go's, so the signed correction cancels exactly and every level equals
+// MulInt8Ref bit for bit on every byte input, at any depth, under any split
+// of the rows. (VPMADDUBSW would halve the AVX2 work but saturates its int16
+// pair sums; it is not used.)
+//
+// Weights are packed once, in the layout of the host's level: int8 dwords
+// on VNNI hosts, int16 elsewhere. Widening bytes in the AVX2 kernel instead
+// (a VPMOVSXBW per weight vector) ran the 169×512×1000 GEMM 14 % slower
+// (1.99 vs 1.74 ms, minima of four alternating runs).
 
 // PanelWidthInt8 is the column width of a packed int8 panel: 16 int32
-// accumulators = two AVX2 registers = four NC4HW4 channel packs.
+// accumulators = one zmm = two ymm = four NC4HW4 channel packs.
 const PanelWidthInt8 = 16
 
-// quadWords is the int16 count of one channel quad of a panel: 4 rows × 16
-// columns.
-const quadWords = 4 * PanelWidthInt8
+// quadLen is the weight count of one channel quad of a panel, 4 rows × 16
+// columns, in either layout.
+const quadLen = 4 * PanelWidthInt8
 
 // PackedBInt8 is a pre-packed right-hand int8 GEMM operand: the K×N
-// row-major matrix widened to int16 and rearranged into
-// ceil(N/PanelWidthInt8) panels of ceil(K/4) channel quads, zero-padded on
-// both axes. A quad is four 32-byte vectors of (even row, odd row) pairs in
-// the lane order VPMADDWD wants — see quadIndex. Quantized weights are
-// packed once at pre-inference time, so steady-state multiplies are
-// allocation-free.
+// row-major matrix rearranged into ceil(N/PanelWidthInt8) panels of
+// ceil(K/4) channel quads, zero-padded on both axes, each quad in the order
+// its kernel reads (quadIndex). Quantized weights are packed once at
+// pre-inference time, so steady-state multiplies are allocation-free.
 type PackedBInt8 struct {
 	K, N int
 	kq   int     // K in quads, rounded up
-	data []int16 // [panels][kq][quadWords]
-	simd bool    // run the assembly micro-kernel (HaveAVX2 unless Portable)
+	w16  []int16 // [panels][kq][quadLen] for the avx2 kernel; nil at avx512vnni
+	w8   []int8  // [panels][kq][quadLen] for the avx512vnni kernels; nil otherwise
+	simd level   // the kernels to run: levelPortable, levelAVX2 or levelVNNI
 }
 
-// quadIndex is where row c < 4, column l < 16 of a quad lives. The kernel
-// holds a pixel's widened bytes as V = (b0,b1),(b2,b3),(b0,b1),… down the
-// int32 lanes and V′, the same with the pairs swapped. Words 0–31 multiply V:
-// lane l carries rows 0,1 of column l when l is even, rows 2,3 when odd.
-// Words 32–63 multiply V′ and carry the other pair, so the two products sum
-// to all four rows of column l in lane l.
-func quadIndex(c, l int) int { return (c>>1^l&1)*2*PanelWidthInt8 + l*2 + c&1 }
+// int8Ladder is the int8 kernels' ladder, lowest first.
+var int8Ladder = [...]level{levelPortable, levelAVX2, levelVNNI}
 
-// index is where row p, column j of the matrix lives in data.
+// quadIndex is where row c < 4, column l < 16 of a quad lives.
+//
+// VNNI: column l's four rows are dword l, the bytes VPDPBUSD multiplies a
+// broadcast pixel quad with.
+//
+// AVX2: the kernel holds a pixel's widened bytes as V = (b0,b1),(b2,b3),
+// (b0,b1),… down the int32 lanes and V′, the same with the pairs swapped.
+// Words 0–31 multiply V: lane l carries rows 0,1 of column l when l is even,
+// rows 2,3 when odd. Words 32–63 multiply V′ and carry the other pair, so the
+// two products sum to all four rows of column l in lane l.
+func quadIndex(vnni bool, c, l int) int {
+	if vnni {
+		return l*4 + c
+	}
+	return (c>>1^l&1)*2*PanelWidthInt8 + l*2 + c&1
+}
+
+// index is where row p, column j of the matrix lives in pb's layout.
 func (pb *PackedBInt8) index(p, j int) int {
-	return (j/PanelWidthInt8*pb.kq+p/4)*quadWords + quadIndex(p%4, j%PanelWidthInt8)
+	return (j/PanelWidthInt8*pb.kq+p/4)*quadLen + quadIndex(pb.w8 != nil, p%4, j%PanelWidthInt8)
 }
 
-// newPackedBInt8 returns the packed form of the k×n zero matrix.
-func newPackedBInt8(k, n int) *PackedBInt8 {
+// at is the weight at index i of either layout.
+func (pb *PackedBInt8) at(i int) int32 {
+	if pb.w8 != nil {
+		return int32(pb.w8[i])
+	}
+	return int32(pb.w16[i])
+}
+
+func (pb *PackedBInt8) set(i int, v int8) {
+	if pb.w8 != nil {
+		pb.w8[i] = v
+	} else {
+		pb.w16[i] = int16(v)
+	}
+}
+
+// newPackedBInt8 returns the packed form of the k×n zero matrix for the
+// kernels of level lv.
+func newPackedBInt8(k, n int, lv level) *PackedBInt8 {
 	panels := (n + PanelWidthInt8 - 1) / PanelWidthInt8
-	pb := &PackedBInt8{K: k, N: n, kq: (k + 3) / 4, simd: HaveAVX2()}
-	pb.data = make([]int16, panels*pb.kq*quadWords)
+	pb := &PackedBInt8{K: k, N: n, kq: (k + 3) / 4, simd: lv}
+	if lv == levelVNNI {
+		pb.w8 = make([]int8, panels*pb.kq*quadLen)
+	} else {
+		pb.w16 = make([]int16, panels*pb.kq*quadLen)
+	}
 	return pb
 }
 
@@ -68,10 +114,10 @@ func PackBInt8(b []int8, k, n int) *PackedBInt8 {
 	if len(b) < k*n {
 		panic("matmul: PackBInt8 buffer too small for declared dimensions")
 	}
-	pb := newPackedBInt8(k, n)
+	pb := newPackedBInt8(k, n, haveInt8)
 	for p := 0; p < k; p++ {
 		for j, v := range b[p*n : (p+1)*n] {
-			pb.data[pb.index(p, j)] = int16(v)
+			pb.set(pb.index(p, j), v)
 		}
 	}
 	return pb
@@ -84,27 +130,69 @@ func PackWeightInt8(w []int8, n, c, taps, cp int) *PackedBInt8 {
 	if len(w) < n*c*taps || cp < c {
 		panic("matmul: PackWeightInt8 buffer too small for declared dimensions")
 	}
-	pb := newPackedBInt8(taps*cp, n)
+	pb := newPackedBInt8(taps*cp, n, haveInt8)
+	vnni := pb.w8 != nil
 	for j0 := 0; j0 < n; j0 += PanelWidthInt8 {
 		for p := 0; p < pb.K; p++ {
 			t, i := p/cp, p%cp
 			if i >= c {
 				continue
 			}
-			quad := pb.data[(j0/PanelWidthInt8*pb.kq+p/4)*quadWords:][:quadWords]
+			quad := (j0/PanelWidthInt8*pb.kq + p/4) * quadLen
 			for l := range min(PanelWidthInt8, n-j0) {
-				quad[quadIndex(p%4, l)] = int16(w[((j0+l)*c+i)*taps+t])
+				pb.set(quad+quadIndex(vnni, p%4, l), w[((j0+l)*c+i)*taps+t])
 			}
 		}
 	}
 	return pb
 }
 
+// Int8ISA names the int8 micro-kernels this host runs: "portable", "avx2" or
+// "avx512vnni".
+func Int8ISA() string { return levelNames[haveInt8] }
+
+// Int8ISAs lists the int8 levels this host can run, "portable" first,
+// Int8ISA last.
+func Int8ISAs() []string {
+	var isas []string
+	for _, lv := range int8Ladder {
+		if lv <= haveInt8 {
+			isas = append(isas, levelNames[lv])
+		}
+	}
+	return isas
+}
+
+// WithISA returns pb packed for the int8 micro-kernels of the named level,
+// or nil where the host lacks them. The avx2 and avx512vnni kernels read
+// different layouts, so theirs is a copy; "portable" is Portable's view, as
+// the Go twin reads either. Differential tests hold every level the host has
+// to MulInt8Ref through it.
+func (pb *PackedBInt8) WithISA(isa string) *PackedBInt8 {
+	for _, lv := range int8Ladder {
+		if lv > haveInt8 || levelNames[lv] != isa {
+			continue
+		}
+		if lv == levelPortable {
+			return pb.Portable()
+		}
+		q := newPackedBInt8(pb.K, pb.N, lv)
+		for p := 0; p < pb.K; p++ {
+			for j := 0; j < pb.N; j++ {
+				q.set(q.index(p, j), int8(pb.at(pb.index(p, j))))
+			}
+		}
+		return q
+	}
+	return nil
+}
+
 // Portable returns a view of pb that always runs the plain-Go twin of the
-// micro-kernel — the oracle that differential tests compare the assembly with.
+// micro-kernels — the oracle that differential tests compare the assembly
+// with.
 func (pb *PackedBInt8) Portable() *PackedBInt8 {
 	q := *pb
-	q.simd = false
+	q.simd = levelPortable
 	return &q
 }
 
@@ -160,11 +248,11 @@ func (pb *PackedBInt8) MulRows(dst []int32, a []uint8, m int, unsigned bool) {
 	if len(a) < m*k || len(dst) < m*n {
 		panic("matmul: buffer too small for declared dimensions")
 	}
-	taps := oneTap
 	if k < 4 {
-		taps = nil
+		clear(dst[:m*n])
+	} else {
+		pb.run(&int8Run{a: a, aQuad: 4, aPix: k, taps: oneTap, kq: k / 4, unsigned: unsigned, raw: dst, stride: n}, m)
 	}
-	pb.run(&int8Out{raw: dst, stride: n}, a, 4, k, m, taps, k/4, unsigned)
 	for p := k &^ 3; p < k; p++ {
 		for i := 0; i < m; i++ {
 			av := int32(a[i*k+p])
@@ -172,7 +260,7 @@ func (pb *PackedBInt8) MulRows(dst []int32, a []uint8, m int, unsigned bool) {
 				av = int32(int8(av))
 			}
 			for j := range dst[i*n : (i+1)*n] {
-				dst[i*n+j] += av * int32(pb.data[pb.index(p, j)])
+				dst[i*n+j] += av * pb.at(pb.index(p, j))
 			}
 		}
 	}
@@ -217,100 +305,157 @@ func (pb *PackedBInt8) MulTapsNC4Into(dst []float32, dstPack int, a []uint8, aPa
 			panic("matmul: tap outside the source or the packed rows")
 		}
 	}
-	pb.run(&int8Out{f32: dst, stride: dstPack, rq: rq}, a, aPack, aPix, pixels, taps, kq, unsigned)
+	pb.run(&int8Run{a: a, aQuad: aPack, aPix: aPix, taps: taps, kq: kq, unsigned: unsigned, f32: dst, stride: dstPack, rq: rq}, pixels)
 }
 
-// int8Out is where a 4×16 tile of sums goes: the row-major int32 product
-// (rows `stride` apart) or, requantized, the NC4HW4 destination (packs
-// `stride` floats apart).
-type int8Out struct {
+// int8Run is one product: the left operand and its tap walk, and where the
+// tiles go — the row-major int32 product (rows `stride` apart) or,
+// requantized, the NC4HW4 destination (packs `stride` floats apart).
+type int8Run struct {
+	a           []uint8
+	aQuad, aPix int
+	taps        []Tap
+	kq          int
+	unsigned    bool
+
 	raw    []int32
 	f32    []float32
 	stride int
 	rq     *Requant
+
+	acc [12][PanelWidthInt8]int32 // the stack tile
 }
 
-// run drives the micro-kernel over the panels and four-pixel blocks. A full
-// block goes through the assembly epilogues; a tail pixel (as four copies of
-// itself, aPix = 0, so the kernel never reads past the run), the clipped
-// columns of a raw product's last panel, and everything on the portable path
-// come back as an int32 tile and are stored by the Go epilogue.
-func (pb *PackedBInt8) run(o *int8Out, a []uint8, aQuad, aPix, pixels int, taps []Tap, kq int, unsigned bool) {
-	var acc [4][PanelWidthInt8]int32
-	tp, nt := unsafe.SliceData(taps), len(taps)
+// run drives the micro-kernels over the panels and tiles of pixels: at
+// avx512vnni twelve at a time, and a remainder of more than eight as one
+// more twelve-pixel tile that ends at the last pixel; then four at a time,
+// the last block again ending at the last pixel. An overlapped pixel is
+// written twice with the same bits: its sums are exact and depend on that
+// pixel alone. Fewer than four pixels in all run one at a time as four
+// copies of themselves (aPix = 0), so no kernel reads past the run.
+func (pb *PackedBInt8) run(r *int8Run, pixels int) {
 	for j0 := 0; j0 < pb.N; j0 += PanelWidthInt8 {
-		panel := pb.data[j0/PanelWidthInt8*pb.kq*quadWords:]
-		lim := min(PanelWidthInt8, pb.N-j0)
-		for q := 0; q < pixels; q += 4 {
-			rows := min(4, pixels-q)
-			switch {
-			case !pb.simd:
-				mulPanelInt8Go(&acc, a[q*aPix:], aQuad, aPix, rows, taps, kq, panel, unsigned)
-				o.store(&acc, j0, lim, q, rows)
-			case rows < 4:
-				for ; q < pixels; q++ {
-					mulPanelInt8(unsafe.Pointer(&acc), PanelWidthInt8, 0, &a[q*aPix], aQuad, 0, tp, nt, kq, &panel[0], nil, nil, 0, 0, unsigned)
-					o.store(&acc, j0, lim, q, 1)
-				}
-			case o.raw == nil:
-				rq := o.rq
-				mulPanelInt8(unsafe.Pointer(&o.f32[j0/4*o.stride+q*4]), o.stride, (lim+3)/4, &a[q*aPix], aQuad, aPix, tp, nt, kq, &panel[0], &rq.Scale[j0], &rq.Bias[j0], rq.Lo, rq.Hi, unsigned)
-			case lim == PanelWidthInt8:
-				mulPanelInt8(unsafe.Pointer(&o.raw[q*o.stride+j0]), o.stride, 0, &a[q*aPix], aQuad, aPix, tp, nt, kq, &panel[0], nil, nil, 0, 0, unsigned)
-			default:
-				mulPanelInt8(unsafe.Pointer(&acc), PanelWidthInt8, 0, &a[q*aPix], aQuad, aPix, tp, nt, kq, &panel[0], nil, nil, 0, 0, unsigned)
-				o.store(&acc, j0, lim, q, 4)
+		panel := j0 / PanelWidthInt8 * pb.kq * quadLen
+		if pb.simd == levelPortable {
+			for q := 0; q < pixels; q += 4 {
+				rows := min(4, pixels-q)
+				pb.mulPanelGo(r.acc[:rows], panel, r, q)
+				r.store(r.acc[:rows], j0, min(PanelWidthInt8, pb.N-j0), q)
 			}
+			continue
+		}
+		q := 0
+		if pb.simd == levelVNNI && pixels >= 12 {
+			for ; q+12 <= pixels; q += 12 {
+				pb.tile(r, 12, q, r.aPix, panel, j0)
+			}
+			if pixels-q > 8 {
+				pb.tile(r, 12, pixels-12, r.aPix, panel, j0)
+				q = pixels
+			}
+		}
+		for ; q < pixels && pixels < 4; q++ {
+			pb.tile(r, 1, q, 0, panel, j0)
+		}
+		for ; q < pixels; q += 4 {
+			q = min(q, pixels-4)
+			pb.tile(r, 4, q, r.aPix, panel, j0)
 		}
 	}
 }
 
-// store is the epilogue in plain Go: rows `rows` of the tile, columns
-// j0..j0+lim, to pixels q… of o. The float32 conversion stops the compiler
-// fusing the multiply into the add where the target could, so the roundings
-// are the assembly's on every platform.
-func (o *int8Out) store(acc *[4][PanelWidthInt8]int32, j0, lim, q, rows int) {
-	for r := 0; r < rows; r++ {
-		if o.raw != nil {
-			copy(o.raw[(q+r)*o.stride+j0:(q+r)*o.stride+j0+lim], acc[r][:])
+// tile runs one kernel call — twelve pixels, four, or with rows 1 four
+// copies of pixel q — against the panel whose weights start at index panel
+// (columns j0…), for pixels q…. A requantized tile, and a raw one of a whole
+// panel, is stored by the kernel; a raw one of the clipped last panel and a
+// single pixel come back through the stack tile and the Go epilogue.
+func (pb *PackedBInt8) tile(r *int8Run, rows, q, aPix, panel, j0 int) {
+	lim := min(PanelWidthInt8, pb.N-j0)
+	viaTile := rows == 1 || r.raw != nil && lim < PanelWidthInt8
+	dst, stride, packs := unsafe.Pointer(&r.acc), PanelWidthInt8, 0
+	var scale, bias *float32
+	var lo, hi float32
+	switch {
+	case viaTile:
+	case r.raw != nil:
+		dst, stride = unsafe.Pointer(&r.raw[q*r.stride+j0]), r.stride
+	default:
+		dst, stride, packs = unsafe.Pointer(&r.f32[j0/4*r.stride+q*4]), r.stride, (lim+3)/4
+		scale, bias, lo, hi = &r.rq.Scale[j0], &r.rq.Bias[j0], r.rq.Lo, r.rq.Hi
+	}
+	a, tp, nt := &r.a[q*r.aPix], unsafe.SliceData(r.taps), len(r.taps)
+	switch {
+	case pb.simd == levelAVX2:
+		mulPanelInt8(dst, stride, packs, a, r.aQuad, aPix, tp, nt, r.kq, &pb.w16[panel], scale, bias, lo, hi, r.unsigned)
+	case rows == 12:
+		mulPanel12Int8(dst, stride, packs, a, r.aQuad, aPix, tp, nt, r.kq, &pb.w8[panel], scale, bias, lo, hi, r.unsigned)
+	default:
+		mulPanel4Int8(dst, stride, packs, a, r.aQuad, aPix, tp, nt, r.kq, &pb.w8[panel], scale, bias, lo, hi, r.unsigned)
+	}
+	if viaTile {
+		r.store(r.acc[:rows], j0, lim, q)
+	}
+}
+
+// store is the epilogue in plain Go: the tile's rows as pixels q… of r,
+// columns j0…j0+lim. The float32 conversion stops the compiler fusing the
+// multiply into the add where the target could, so the roundings are the
+// assembly's on every platform.
+func (r *int8Run) store(tile [][PanelWidthInt8]int32, j0, lim, q int) {
+	for i := range tile {
+		if r.raw != nil {
+			copy(r.raw[(q+i)*r.stride+j0:(q+i)*r.stride+j0+lim], tile[i][:])
 			continue
 		}
-		rq := o.rq
+		rq := r.rq
 		for l := 0; l < (lim+3)/4*4; l++ {
-			v := float32(float32(acc[r][l])*rq.Scale[j0+l]) + rq.Bias[j0+l]
+			v := float32(float32(tile[i][l])*rq.Scale[j0+l]) + rq.Bias[j0+l]
 			if v < rq.Lo {
 				v = rq.Lo
 			}
 			if v > rq.Hi {
 				v = rq.Hi
 			}
-			o.f32[(j0+l)/4*o.stride+(q+r)*4+l%4] = v
+			r.f32[(j0+l)/4*r.stride+(q+i)*4+l%4] = v
 		}
 	}
 }
 
-// mulPanelInt8Go is mulPanelInt8 up to its epilogue in plain Go, over the
-// same packed words: the only path off amd64 or without AVX2, and the
-// reference the assembly is tested against. It fills rows r < rows of acc;
-// pixel r is aPix bytes after pixel 0.
-func mulPanelInt8Go(acc *[4][PanelWidthInt8]int32, a []uint8, aQuad, aPix, rows int, taps []Tap, kq int, panel []int16, unsigned bool) {
-	*acc = [4][PanelWidthInt8]int32{}
-	for _, t := range taps {
-		for q := 0; q < kq; q++ {
-			w := (*[quadWords]int16)(panel[(t.B/4+q)*quadWords:])
-			for r := 0; r < rows; r++ {
-				b := (*[4]uint8)(a[t.A+q*aQuad+r*aPix:])
+// mulPanelGo is the micro-kernels up to their epilogue in plain Go, over
+// either layout: the only path off amd64 or without AVX2, and the reference
+// the assembly is tested against. It fills the tile's rows with the sums of
+// pixels q, q+1, … against the panel whose weights start at index panel.
+func (pb *PackedBInt8) mulPanelGo(tile [][PanelWidthInt8]int32, panel int, r *int8Run, q int) {
+	clear(tile)
+	var w [4][PanelWidthInt8]int32
+	for _, t := range r.taps {
+		for k := 0; k < r.kq; k++ {
+			at := panel + (t.B/4+k)*quadLen
+			if pb.w8 != nil {
+				unpackQuad(&w, pb.w8[at:at+quadLen], true)
+			} else {
+				unpackQuad(&w, pb.w16[at:at+quadLen], false)
+			}
+			for i := range tile {
+				b := (*[4]uint8)(r.a[t.A+k*r.aQuad+(q+i)*r.aPix:])
 				x := [4]int32{int32(b[0]), int32(b[1]), int32(b[2]), int32(b[3])}
-				if !unsigned {
+				if !r.unsigned {
 					x = [4]int32{int32(int8(b[0])), int32(int8(b[1])), int32(int8(b[2])), int32(int8(b[3]))}
 				}
-				// quadIndex, two columns a step: an even column has rows 0,1 in
-				// words 0–31 and rows 2,3 in words 32–63, an odd one the reverse.
-				for l, row := 0, &acc[r]; l < PanelWidthInt8; l += 2 {
-					row[l] += x[0]*int32(w[l*2]) + x[1]*int32(w[l*2+1]) + x[2]*int32(w[32+l*2]) + x[3]*int32(w[33+l*2])
-					row[l+1] += x[2]*int32(w[l*2+2]) + x[3]*int32(w[l*2+3]) + x[0]*int32(w[34+l*2]) + x[1]*int32(w[35+l*2])
+				row := &tile[i]
+				for l := range row {
+					row[l] += x[0]*w[0][l] + x[1]*w[1][l] + x[2]*w[2][l] + x[3]*w[3][l]
 				}
 			}
+		}
+	}
+}
+
+// unpackQuad reads one packed quad into w[row][column].
+func unpackQuad[T int8 | int16](w *[4][PanelWidthInt8]int32, quad []T, vnni bool) {
+	for c := range w {
+		for l := range w[c] {
+			w[c][l] = int32(quad[quadIndex(vnni, c, l)])
 		}
 	}
 }

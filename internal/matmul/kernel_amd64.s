@@ -534,6 +534,292 @@ int8done:
 	VZEROUPPER
 	RET
 
+// signBytes is 0x80 in every byte. XORed into a signed activation quad it
+// gives the unsigned v+128 that VPDPBUSD's left operand takes; as that left
+// operand itself, against a weight quad, it gives 128·Σw per column — what
+// the +128 added, which the signed mode subtracts.
+DATA signBytes<>+0(SB)/4, $0x80808080
+GLOBL signBytes<>(SB), RODATA|NOPTR, $4
+
+// BCASTS and BCASTU broadcast the channel quad at A to the 16 dword lanes
+// of Z: XORed with the 0x80 bytes in Z14 in the signed mode, the load
+// folded into the XOR; as it is in the unsigned one.
+#define BCASTS(A, Z) VPXORD.BCST A, Z14, Z
+#define BCASTU(A, Z) VPBROADCASTD A, Z
+
+// CORRS adds 128·(the four rows of the weight quad in Z12) to every column
+// of Z15, the signed mode's correction; CORRU is the unsigned mode's
+// nothing.
+#define CORRS VPDPBUSD Z12, Z14, Z15
+#define CORRU
+
+// DOT4 adds the quads of four pixels — at BASE, BASE+R8, BASE+2·R8 and
+// BASE+R9 — times the weight quad in Z12 to C0..C3, one VPDPBUSD each: a
+// column's four byte products summed into its int32 lane, wrapping.
+#define DOT4(BCAST, BASE, C0, C1, C2, C3) \
+	BCAST((BASE), Z16)       \
+	BCAST((BASE)(R8*1), Z17) \
+	BCAST((BASE)(R8*2), Z18) \
+	BCAST((BASE)(R9*1), Z19) \
+	VPDPBUSD Z12, Z16, C0    \
+	VPDPBUSD Z12, Z17, C1    \
+	VPDPBUSD Z12, Z18, C2    \
+	VPDPBUSD Z12, Z19, C3
+
+// VQUAD4 and VQUAD12 are one channel quad of the four- and twelve-pixel
+// VNNI tiles: the quad's 64 weight bytes at BX (column l's four rows in
+// dword l), the correction, then one VPDPBUSD per pixel into Z0…; pixels
+// 4–7 from R10 and 8–11 from R13 (ROWS12).
+#define VQUAD4(BCAST, CORR) \
+	VMOVDQU32 (BX), Z12             \
+	CORR                            \
+	DOT4(BCAST, SI, Z0, Z1, Z2, Z3) \
+	ADDQ      $64, BX
+
+#define VQUAD12(BCAST, CORR) \
+	VMOVDQU32 (BX), Z12                \
+	CORR                               \
+	DOT4(BCAST, SI, Z0, Z1, Z2, Z3)    \
+	DOT4(BCAST, R10, Z4, Z5, Z6, Z7)   \
+	DOT4(BCAST, R13, Z8, Z9, Z10, Z11) \
+	ADDQ      $64, BX
+
+// VNNIWALK is the reduction of both VNNI kernels, mulPanelInt8's walk: R12
+// taps from the list at R14; tap t starts t.A bytes after A and at row t.B
+// of PANEL — quad t.B/4, 64 bytes each — and steps through DX quads R11
+// bytes apart, of pixels R8 bytes apart (R9 = 3·R8). DI ≠ 0 is the unsigned
+// mode; the two modes are two loops over QUAD. Falls through to the
+// caller's epilogue with AX, BX, SI, R12 and R14 spent.
+#define VNNIWALK(QUAD, ROWS, NEXT, A, PANEL) \
+	TESTQ R12, R12      \
+	JZ    epilogue      \
+taploop:                \
+	MOVQ  0(R14), SI    \
+	MOVQ  8(R14), BX    \
+	ADDQ  $16, R14      \
+	ADDQ  A, SI         \
+	ROWS                \
+	SHLQ  $4, BX        \
+	ADDQ  PANEL, BX     \
+	MOVQ  DX, AX        \
+	TESTQ DI, DI        \
+	JNZ   unsignedquads \
+signedquads:            \
+	QUAD(BCASTS, CORRS) \
+	NEXT                \
+	DECQ  AX            \
+	JNZ   signedquads   \
+	JMP   nexttap       \
+unsignedquads:          \
+	QUAD(BCASTU, CORRU) \
+	NEXT                \
+	DECQ  AX            \
+	JNZ   unsignedquads \
+nexttap:                \
+	DECQ  R12           \
+	JNZ   taploop       \
+epilogue:
+
+// UNBIAS subtracts the signed mode's correction (zero in the unsigned one)
+// from a row; REQUANT converts it to float32 and multiplies it by the
+// scales in Z12 — mulPanelInt8's VCVTDQ2PS and VMULPS element for element.
+#define UNBIAS(Z) VPSUBD Z15, Z, Z
+#define REQUANT(Z) \
+	VCVTDQ2PS Z, Z \
+	VMULPS    Z12, Z, Z
+
+// PACK4 is PACK12 for the four-pixel tile in Z0..Z3: lane LANE of every
+// row, one 64-byte channel pack at DI.
+#define PACK4(LANE) \
+	VSHUFF32X4 LANE, Z1, Z0, Z16    \
+	VSHUFF32X4 LANE, Z3, Z2, Z17    \
+	VSHUFF32X4 $0x88, Z17, Z16, Z16 \
+	VMOVUPS    Z16, (DI)
+
+// func mulPanel12Int8(dst unsafe.Pointer, dstStride, packs int, a *uint8, aQuad, aPix int, taps *Tap, ntaps, kq int, panel *int8, scale, bias *float32, lo, hi float32, unsigned bool)
+//
+// mulPanelInt8 on AVX-512 VNNI, twelve pixels: VNNIWALK over a panel in the
+// VNNI layout, the signed correction subtracted, then mulPanelInt8's
+// epilogue per element — twelve rows of 16 int32, dstStride apart, or
+// converted, multiplied by the scales (rounded) and finished as
+// mulPanel12NC4's tile is (FINISH12, PACK12): `packs` ≤ 4 channel packs of
+// 12 pixels × 4 channels, dstStride floats apart.
+TEXT ·mulPanel12Int8(SB), NOSPLIT, $0-105
+	MOVQ         aQuad+32(FP), R11
+	MOVQ         aPix+40(FP), R8
+	MOVQ         taps+48(FP), R14
+	MOVQ         ntaps+56(FP), R12
+	MOVQ         kq+64(FP), DX
+	MOVBQZX      unsigned+104(FP), DI
+	LEAQ         (R8)(R8*2), R9
+	VPBROADCASTD signBytes<>(SB), Z14
+	VPXORQ       Z15, Z15, Z15
+	ZERO12
+	VNNIWALK(VQUAD12, ROWS12, NEXT12, a+24(FP), panel+72(FP))
+	UNBIAS(Z0)
+	UNBIAS(Z1)
+	UNBIAS(Z2)
+	UNBIAS(Z3)
+	UNBIAS(Z4)
+	UNBIAS(Z5)
+	UNBIAS(Z6)
+	UNBIAS(Z7)
+	UNBIAS(Z8)
+	UNBIAS(Z9)
+	UNBIAS(Z10)
+	UNBIAS(Z11)
+	MOVQ  dst+0(FP), DI
+	MOVQ  dstStride+8(FP), DX
+	SHLQ  $2, DX
+	MOVQ  scale+80(FP), R14
+	TESTQ R14, R14
+	JZ    raw
+	MOVQ  packs+16(FP), R12
+	MOVQ  bias+88(FP), R13
+	VMOVUPS      (R14), Z12
+	REQUANT(Z0)
+	REQUANT(Z1)
+	REQUANT(Z2)
+	REQUANT(Z3)
+	REQUANT(Z4)
+	REQUANT(Z5)
+	REQUANT(Z6)
+	REQUANT(Z7)
+	REQUANT(Z8)
+	REQUANT(Z9)
+	REQUANT(Z10)
+	REQUANT(Z11)
+	VMOVUPS      (R13), Z12
+	VBROADCASTSS lo+96(FP), Z13
+	VBROADCASTSS hi+100(FP), Z14
+	FINISH12(Z0)
+	FINISH12(Z1)
+	FINISH12(Z2)
+	FINISH12(Z3)
+	FINISH12(Z4)
+	FINISH12(Z5)
+	FINISH12(Z6)
+	FINISH12(Z7)
+	FINISH12(Z8)
+	FINISH12(Z9)
+	FINISH12(Z10)
+	FINISH12(Z11)
+	PACK12($0x00)
+	DECQ R12
+	JZ   done
+	ADDQ DX, DI
+	PACK12($0x55)
+	DECQ R12
+	JZ   done
+	ADDQ DX, DI
+	PACK12($0xAA)
+	DECQ R12
+	JZ   done
+	ADDQ DX, DI
+	PACK12($0xFF)
+	JMP  done
+
+raw:
+	VMOVDQU32 Z0, (DI)
+	ADDQ      DX, DI
+	VMOVDQU32 Z1, (DI)
+	ADDQ      DX, DI
+	VMOVDQU32 Z2, (DI)
+	ADDQ      DX, DI
+	VMOVDQU32 Z3, (DI)
+	ADDQ      DX, DI
+	VMOVDQU32 Z4, (DI)
+	ADDQ      DX, DI
+	VMOVDQU32 Z5, (DI)
+	ADDQ      DX, DI
+	VMOVDQU32 Z6, (DI)
+	ADDQ      DX, DI
+	VMOVDQU32 Z7, (DI)
+	ADDQ      DX, DI
+	VMOVDQU32 Z8, (DI)
+	ADDQ      DX, DI
+	VMOVDQU32 Z9, (DI)
+	ADDQ      DX, DI
+	VMOVDQU32 Z10, (DI)
+	ADDQ      DX, DI
+	VMOVDQU32 Z11, (DI)
+
+done:
+	VZEROUPPER
+	RET
+
+// func mulPanel4Int8(dst unsafe.Pointer, dstStride, packs int, a *uint8, aQuad, aPix int, taps *Tap, ntaps, kq int, panel *int8, scale, bias *float32, lo, hi float32, unsigned bool)
+//
+// mulPanel12Int8 for four pixels, the tile of runs shorter than twelve:
+// Z0..Z3, the same walk, the same epilogue per element, one channel pack
+// of 4 pixels × 4 channels at a time (PACK4).
+TEXT ·mulPanel4Int8(SB), NOSPLIT, $0-105
+	MOVQ         aQuad+32(FP), R11
+	MOVQ         aPix+40(FP), R8
+	MOVQ         taps+48(FP), R14
+	MOVQ         ntaps+56(FP), R12
+	MOVQ         kq+64(FP), DX
+	MOVBQZX      unsigned+104(FP), DI
+	LEAQ         (R8)(R8*2), R9
+	VPBROADCASTD signBytes<>(SB), Z14
+	VPXORQ       Z15, Z15, Z15
+	VPXORQ       Z0, Z0, Z0
+	VPXORQ       Z1, Z1, Z1
+	VPXORQ       Z2, Z2, Z2
+	VPXORQ       Z3, Z3, Z3
+	VNNIWALK(VQUAD4, ROWS4, NEXT4, a+24(FP), panel+72(FP))
+	UNBIAS(Z0)
+	UNBIAS(Z1)
+	UNBIAS(Z2)
+	UNBIAS(Z3)
+	MOVQ  dst+0(FP), DI
+	MOVQ  dstStride+8(FP), DX
+	SHLQ  $2, DX
+	MOVQ  scale+80(FP), R14
+	TESTQ R14, R14
+	JZ    raw
+	MOVQ  packs+16(FP), R12
+	MOVQ  bias+88(FP), R13
+	VMOVUPS      (R14), Z12
+	REQUANT(Z0)
+	REQUANT(Z1)
+	REQUANT(Z2)
+	REQUANT(Z3)
+	VMOVUPS      (R13), Z12
+	VBROADCASTSS lo+96(FP), Z13
+	VBROADCASTSS hi+100(FP), Z14
+	FINISH12(Z0)
+	FINISH12(Z1)
+	FINISH12(Z2)
+	FINISH12(Z3)
+	PACK4($0x00)
+	DECQ R12
+	JZ   done
+	ADDQ DX, DI
+	PACK4($0x55)
+	DECQ R12
+	JZ   done
+	ADDQ DX, DI
+	PACK4($0xAA)
+	DECQ R12
+	JZ   done
+	ADDQ DX, DI
+	PACK4($0xFF)
+	JMP  done
+
+raw:
+	VMOVDQU32 Z0, (DI)
+	ADDQ      DX, DI
+	VMOVDQU32 Z1, (DI)
+	ADDQ      DX, DI
+	VMOVDQU32 Z2, (DI)
+	ADDQ      DX, DI
+	VMOVDQU32 Z3, (DI)
+
+done:
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

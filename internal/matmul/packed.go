@@ -25,19 +25,21 @@ type PackedB struct {
 	simd level     // the micro-kernels to run (the host's level unless a WithISA view)
 }
 
-// level is a rung of the fp32 micro-kernel ladder. Every rung computes the
-// same bits — the width of the registers and the height of the tile change,
-// the sequence of roundings per element does not — so the choice is made
-// from the CPU's features alone and cannot be switched.
+// level is a rung of a micro-kernel ladder: fp32 portable → avx2 → avx512,
+// int8 portable → avx2 → avx512vnni. Every rung computes the same bits —
+// the width of the registers and the height of the tile change, the
+// sequence of roundings per element does not, and int8 sums are exact — so
+// the choice is made from the CPU's features alone and cannot be switched.
 type level uint8
 
 const (
 	levelPortable level = iota // the Go loops: any host, and the oracle
 	levelAVX2                  // 4×16 tiles, two ymm per row
-	levelAVX512                // 12×16 tiles, one zmm per row; remainders on AVX2
+	levelAVX512                // fp32: 12×16 tiles, one zmm per row; remainders on AVX2
+	levelVNNI                  // int8: 12×16 VPDPBUSD tiles; remainders on a 4-pixel variant
 )
 
-var levelNames = [...]string{"portable", "avx2", "avx512"}
+var levelNames = [...]string{"portable", "avx2", "avx512", "avx512vnni"}
 
 // KernelISA names the micro-kernels this host runs: "portable", "avx2" or
 // "avx512".

@@ -80,7 +80,7 @@ func weights(seed uint64, k, n int) []float32 {
 // level the suite could not reach shows in the log instead of passing
 // silently (CI fails on such a skip where /proc/cpuinfo lists the feature).
 func hostLevels(t *testing.T) []string {
-	for _, isa := range levelNames[len(ISAs()):] {
+	for _, isa := range levelNames[len(ISAs()):levelVNNI] {
 		t.Run(isa, func(t *testing.T) { t.Skipf("this host has no %s micro-kernel", isa) })
 	}
 	return ISAs()
@@ -452,12 +452,17 @@ func TestPackWeightMatchesStagedTranspose(t *testing.T) {
 						}
 					}
 					got8, want8 := PackWeightInt8(q, n, c, taps, cp), PackBInt8(staged8, taps*cp, n)
-					if got8.K != want8.K || got8.N != want8.N || got8.kq != want8.kq || len(got8.data) != len(want8.data) {
+					if got8.K != want8.K || got8.N != want8.N || got8.kq != want8.kq || len(got8.w16) != len(want8.w16) || len(got8.w8) != len(want8.w8) {
 						t.Fatalf("int8 n=%d c=%d taps=%d cp=%d: shape differs", n, c, taps, cp)
 					}
-					for i := range want8.data {
-						if got8.data[i] != want8.data[i] {
-							t.Fatalf("int8 n=%d c=%d taps=%d cp=%d: word %d is %d, want %d", n, c, taps, cp, i, got8.data[i], want8.data[i])
+					for i := range want8.w16 {
+						if got8.w16[i] != want8.w16[i] {
+							t.Fatalf("int8 n=%d c=%d taps=%d cp=%d: word %d is %d, want %d", n, c, taps, cp, i, got8.w16[i], want8.w16[i])
+						}
+					}
+					for i := range want8.w8 {
+						if got8.w8[i] != want8.w8[i] {
+							t.Fatalf("int8 n=%d c=%d taps=%d cp=%d: byte %d is %d, want %d", n, c, taps, cp, i, got8.w8[i], want8.w8[i])
 						}
 					}
 				}

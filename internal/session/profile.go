@@ -82,7 +82,7 @@ func (p *Profile) Hottest(n int) []ProfileEntry {
 
 // Dump writes a human-readable report.
 func (p *Profile) Dump(w io.Writer, topN int) {
-	fmt.Fprintf(w, "total: %.2f ms over %d ops (%s kernels)\n", msOf(p.Total), len(p.Entries), matmul.KernelISA())
+	fmt.Fprintf(w, "total: %.2f ms over %d ops (%s kernels, int8 %s)\n", msOf(p.Total), len(p.Entries), matmul.KernelISA(), matmul.Int8ISA())
 	fmt.Fprintf(w, "\nby op type:\n")
 	for _, e := range p.ByOp() {
 		pct := 0.0

@@ -193,10 +193,10 @@ func sumMetric(text string, substrings ...string) float64 {
 }
 
 // TestRouterFailover is the mesh e2e: 3 replicas all serving the same
-// model set, a flood through the router, one replica crash-killed between
-// flood phases. Requirements: zero failed client requests (connection-level
-// failures retry on other replicas), the health checker ejects the dead
-// replica, and the survivors absorb its traffic.
+// model set, a flood through the router, one replica — the home of m0 —
+// crash-killed between flood phases. Requirements: zero failed client
+// requests (connection-level failures retry on other replicas), the health
+// checker ejects the dead replica, and the survivors absorb its traffic.
 func TestRouterFailover(t *testing.T) {
 	models := []string{"m0", "m1", "m2", "m3", "m4", "m5"}
 	loadAll := func(reg *serve.Registry) {
@@ -208,7 +208,7 @@ func TestRouterFailover(t *testing.T) {
 		}
 	}
 	reps := []*replicaHandle{bootReplica(t, loadAll), bootReplica(t, loadAll), bootReplica(t, loadAll)}
-	base, _ := startRouter(t, fastHealth(reps[0].base, reps[1].base, reps[2].base))
+	base, rt := startRouter(t, fastHealth(reps[0].base, reps[1].base, reps[2].base))
 
 	in := testInput(7)
 	var failures atomic.Int64
@@ -233,18 +233,17 @@ func TestRouterFailover(t *testing.T) {
 
 	flood(160)
 
-	// Find a replica that actually served traffic and crash it.
-	victim := -1
-	for i, rep := range reps {
-		if sumMetric(scrape(t, base), "mnn_mesh_requests_total", rep.base, `code="200"`) > 0 {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		t.Fatal("no replica served any traffic")
-	}
+	// Crash m0's home with the health checker paused, then ask for m0: the
+	// dead home is picked first, so the retry path runs. Left running, the
+	// checker (25 ms, 2 misses) could eject the victim before any post-kill
+	// request reached it.
+	victim := rt.ring.walk(models[0])[0]
+	rt.hc.stop()
 	reps[victim].kill()
+	if _, code, _, err := inferVia(base, models[0], in); err != nil || code != http.StatusOK {
+		t.Fatalf("infer %s right after the kill: code %d err %v", models[0], code, err)
+	}
+	rt.hc.start()
 
 	flood(160)
 
