@@ -136,8 +136,8 @@ func Open(model any, opts ...Option) (*Engine, error) {
 		}
 		cfg.forward = ForwardCPU
 		// The partition must follow the schemes that will actually run:
-		// Int8ConvSupported depends on the chosen algorithm, so a tuned
-		// engine plans from the tuner's decisions.
+		// Int8ConvSupported prices the int8 route against the chosen
+		// algorithm, so a tuned engine plans from the tuner's decisions.
 		plan, err := optimizer.PlanInt8With(g, cfg.inputShapes, schemeResolver(cfg.tuningPlan))
 		if err != nil {
 			return nil, err

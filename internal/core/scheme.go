@@ -68,22 +68,6 @@ type ConvDecision struct {
 	CostPerPixel float64
 }
 
-// Int8ConvSupported reports whether the prepared int8 kernel covers a
-// convolution decision: group-1 convolutions whose scheme lowers to a GEMM
-// (1×1 Strassen, im2col), which run as one quantize pass and the int8 tap
-// GEMM. The partition follows measurement. Depthwise convolutions stay fp32:
-// a depthwise layer does kh·kw multiplies per activation, too few to pay for
-// quantizing it, and the AVX2 fp32 kernel ran mobilenet-v1's 13 depthwise
-// layers in 4.1 ms where the scalar int8 one took 33.7. Winograd-scheme
-// convolutions stay fp32 because the algorithm's 2–4× fewer multiplies
-// outweigh what int8 wins per multiply; sliding-scheme ones until the cost
-// model carries an int8 rate to choose by (ROADMAP item 2). Both the offline
-// int8 planner (optimizer.PlanInt8) and the CPU backend's dispatch consult
-// this single predicate so the partition can never drift between them.
-func Int8ConvSupported(a *graph.Conv2DAttrs, dec ConvDecision) bool {
-	return a.Group <= 1 && (dec.Scheme == SchemeStrassen1x1 || dec.Scheme == SchemeIm2col)
-}
-
 // winoTileCandidates are the output tile sizes considered for n̂ (Eq. 2).
 // MNN's implementation bounds the transform size; beyond n=6 the float32
 // transforms lose too much precision to be useful.
@@ -310,10 +294,13 @@ func ParseConvScheme(s string) (ConvScheme, error) {
 
 // ConvSchemer is the slice of a backend that reports which algorithm it will
 // actually prepare for a convolution — the heuristic decision possibly
-// overridden by a tuner. Sessions consult it for their scheme statistics so
-// reporting can never drift from execution.
+// overridden by a tuner — and which kernel runs it: the scheme's name, or
+// another route the backend takes instead (the CPU backend's "int8-gemm").
+// Sessions consult it for their scheme statistics so reporting can never
+// drift from execution.
 type ConvSchemer interface {
 	ConvSchemeFor(n *graph.Node, inShape []int) ConvDecision
+	ConvRoute(n *graph.Node, inShape []int) string
 }
 
 // ConvCandidate is one legal algorithm for a convolution together with the

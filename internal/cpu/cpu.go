@@ -40,9 +40,10 @@ type Config struct {
 	// the backend create (and own) one sized to Threads; either way Close
 	// releases it.
 	Pool *sched.Pool
-	// Int8 enables the quantized execution path: eligible convolutions
-	// (core.Int8ConvSupported) and fully-connected layers run the prepared
-	// int8 kernels; everything else falls back to fp32 transparently.
+	// Int8 enables the quantized execution path: fully-connected layers
+	// and the convolutions core.Int8ConvSupported prices cheaper in int8 on
+	// this host's int8 level run the prepared int8 kernels; everything else
+	// falls back to fp32 transparently.
 	Int8 bool
 	// QuantPlan optionally restricts which nodes run int8 (the
 	// optimizer.PlanInt8 partition, keyed by node name); nil quantizes every
@@ -128,6 +129,16 @@ func (b *Backend) ConvSchemeFor(n *graph.Node, inShape []int) core.ConvDecision 
 		dec = b.cfg.ForceScheme(n, dec)
 	}
 	return dec
+}
+
+// ConvRoute implements core.ConvSchemer: "int8-gemm" for a convolution that
+// runs on the int8 tap GEMM, else its scheme's name.
+func (b *Backend) ConvRoute(n *graph.Node, inShape []int) string {
+	dec := b.ConvSchemeFor(n, inShape)
+	if b.int8Conv(n, inShape, dec) {
+		return int8Route
+	}
+	return dec.Scheme.String()
 }
 
 // OnExecuteBegin implements backend.Backend (no-op on CPU).

@@ -57,7 +57,7 @@ func (b *Backend) NodeWorkspaceFloats(n *graph.Node, inputShapes, outputShapes [
 		dec := b.ConvSchemeFor(n, in0)
 		ic, oc := in0[1], out0[1]
 		OH, OW := out0[2], out0[3]
-		if b.int8Node(n) && core.Int8ConvSupported(a, dec) {
+		if b.int8Conv(n, in0, dec) {
 			return kernels.QuantConvWorkspaceFloats(ic, in0[2], in0[3])
 		}
 		switch dec.Scheme {
@@ -123,6 +123,13 @@ func (b *Backend) NodeWorkspaceFloats(n *graph.Node, inputShapes, outputShapes [
 // backend runs int8 and the plan (when present) includes the node.
 func (b *Backend) int8Node(n *graph.Node) bool {
 	return b.cfg.Int8 && (b.cfg.QuantPlan == nil || b.cfg.QuantPlan[n.Name])
+}
+
+// int8Conv reports whether a convolution runs on the int8 tap GEMM: the
+// quantized path applies to it and core.Int8ConvSupported prices the int8
+// route below its fp32 decision on this host's int8 level.
+func (b *Backend) int8Conv(n *graph.Node, inShape []int, dec core.ConvDecision) bool {
+	return b.int8Node(n) && core.Int8ConvSupported(n.Attrs.(*graph.Conv2DAttrs), inShape, dec, matmul.Int8ISA())
 }
 
 // actScale resolves the calibrated scale of a node's first input (0 = none,
@@ -520,7 +527,7 @@ func (b *Backend) createConv(n *graph.Node, in, out *tensor.Tensor, weights back
 	pool := b.pool
 	lanes := pool.Lanes()
 
-	if b.int8Node(n) && core.Int8ConvSupported(a, dec) {
+	if b.int8Conv(n, in.Shape(), dec) {
 		return b.createQuantConv(n, in, out, weight, bias, dec)
 	}
 

@@ -15,6 +15,9 @@ import (
 // their quantized activations from the same planner arena as every other
 // workspace, so the int8 hot path is as allocation-free as the fp32 one.
 
+// int8Route labels the int8 tap GEMM in charges and scheme counts.
+const int8Route = "int8-gemm"
+
 // createQuantConv binds the int8 tap GEMM for a node whose decision passed
 // core.Int8ConvSupported. Activations are NC4HW4 on this backend
 // (PreferredLayout), which is all the kernel takes.
@@ -30,7 +33,7 @@ func (b *Backend) createQuantConv(n *graph.Node, in, out *tensor.Tensor, weight,
 	muls := dec.DirectMULs // the int8 GEMM computes every multiply
 	return execFunc(func() error {
 		qc.Run(out, in, pool, ws)
-		b.charge("Conv2D", muls, n, "int8-gemm")
+		b.charge("Conv2D", muls, n, int8Route)
 		return nil
 	}), nil
 }
@@ -55,14 +58,14 @@ func (b *Backend) createQuantInnerProduct(n *graph.Node, in, out *tensor.Tensor,
 		return execFunc(func() error {
 			bound(flat, in.Shape()).CopyFrom(in)
 			ip.Run(out, flat, pool, buf)
-			b.charge("InnerProduct", muls, n, "int8-gemm")
+			b.charge("InnerProduct", muls, n, int8Route)
 			return nil
 		}), nil
 	}
 	ws := b.workspace(n.Name, quantWS)
 	return execFunc(func() error {
 		ip.Run(out, in, pool, ws)
-		b.charge("InnerProduct", muls, n, "int8-gemm")
+		b.charge("InnerProduct", muls, n, int8Route)
 		return nil
 	}), nil
 }

@@ -184,6 +184,11 @@ func (b *Backend) ConvSchemeFor(n *graph.Node, inShape []int) core.ConvDecision 
 	return b.compute.ConvSchemeFor(n, inShape)
 }
 
+// ConvRoute implements core.ConvSchemer: the compute backend's route.
+func (b *Backend) ConvRoute(n *graph.Node, inShape []int) string {
+	return b.compute.ConvRoute(n, inShape)
+}
+
 // OnExecuteBegin opens a fresh command stream for one inference.
 func (b *Backend) OnExecuteBegin() { b.inFlight = 0 }
 

@@ -338,6 +338,26 @@ func TestQuantizeSIMDMatchesScalarBitwise(t *testing.T) {
 			t.Fatalf("max-abs of %d: vector %v, scalar %v", n, got, want)
 		}
 	}
+	// Per sample, the pad lanes of a partial last pack are passed over
+	// whatever they hold, so they hold the largest values here.
+	for c := 1; c <= 7; c++ {
+		for _, hw := range []int{1, 2, 3, 16, 17} {
+			s := make([]float32, tensor.UpDiv(c, 4)*4*hw)
+			var want float32
+			for i := range s {
+				if s[i] = r.Float32() - 0.5; i/(4*hw) == c/4 && i%4 >= c%4 {
+					s[i] = []float32{3e38, -3e38, nan32}[i%3]
+				} else {
+					want = max(want, float32(math.Abs(float64(s[i]))))
+				}
+			}
+			for _, simd := range []bool{true, false} {
+				if got := maxAbsNC4Sample(s, c, hw, simd); got != want {
+					t.Fatalf("NC4 max-abs of %d channels × %d pixels, simd %v: %v, want %v", c, hw, simd, got, want)
+				}
+			}
+		}
+	}
 }
 
 // FuzzInt8TapsNC4 drives kernel shape, stride, dilation, padding, channel

@@ -88,7 +88,7 @@ func quantizeInto(dst []uint8, src []float32, inv float32, unsigned bool, lanes 
 func maxAbs32(s []float32, simd bool) float32 {
 	var m float32
 	if blocks := len(s) / 8; simd && blocks > 0 {
-		m = maxAbs8(&s[0], blocks)
+		m = maxAbs8(&s[0], blocks, &packLanes[4])
 		s = s[blocks*8:]
 	}
 	for _, v := range s {
@@ -102,6 +102,18 @@ func maxAbs32(s []float32, simd bool) float32 {
 	return m
 }
 
+// packLanes[n] is maxAbs8's mask for the first n lanes of every pack.
+var packLanes = func() (m [5][8]uint32) {
+	for n := range m {
+		for l := range m[n] {
+			if l%4 < n {
+				m[n][l] = 0x7fffffff
+			}
+		}
+	}
+	return m
+}()
+
 // maxAbsNC4Sample scans one NC4HW4 sample slice (C channels over hw spatial
 // positions) for its largest logical absolute value. Pad lanes of a
 // partially-used last channel block are excluded: arena-backed activations
@@ -111,10 +123,23 @@ func maxAbs32(s []float32, simd bool) float32 {
 func maxAbsNC4Sample(s []float32, C, hw int, simd bool) float32 {
 	full := C / 4
 	m := maxAbs32(s[:full*hw*4], simd)
-	if rem := C - full*4; rem > 0 {
-		tail := s[full*hw*4:]
-		for p := 0; p < hw; p++ {
-			m = max(m, maxAbs32(tail[p*4:p*4+rem], false))
+	rem := C - full*4
+	if rem == 0 {
+		return m
+	}
+	tail := s[full*hw*4 : (full+1)*hw*4]
+	if blocks := len(tail) / 8; simd && blocks > 0 {
+		m = max(m, maxAbs8(&tail[0], blocks, &packLanes[rem]))
+		tail = tail[blocks*8:]
+	}
+	for p := 0; p < len(tail); p += 4 {
+		for _, v := range tail[p : p+rem] {
+			if v < 0 {
+				v = -v
+			}
+			if v > m {
+				m = v
+			}
 		}
 	}
 	return m

@@ -1,9 +1,12 @@
 package kernels
 
 import (
+	"fmt"
 	"testing"
 
+	"mnn/internal/core"
 	"mnn/internal/graph"
+	"mnn/internal/matmul"
 	"mnn/internal/sched"
 	"mnn/internal/tensor"
 )
@@ -191,5 +194,64 @@ func BenchmarkQuantVsFloatConv1x1(b *testing.B) {
 				run()
 			}
 		})
+	}
+}
+
+// BenchmarkQuantVsFloatConv3x3 sets the int8 convolution beside the fp32
+// scheme the Equation 2–3 heuristic picks for the same 3×3 layer, at every
+// int8 and fp32 level the host has, on one lane: squeezenet's fire2 and
+// fire9 expand3x3 (Winograd F6 and F4), its 3-channel stride-2 conv1
+// (sliding) and vgg-16's 3-channel conv1_1 (Winograd F6). These are the
+// contested picks of core.Int8ConvSupported; GMAC/s counts direct
+// multiply-adds (9·ic·oc per output pixel) whatever the route.
+func BenchmarkQuantVsFloatConv3x3(b *testing.B) {
+	for _, bc := range []struct {
+		name                    string
+		ic, oc, hw, stride, pad int
+	}{
+		{"fire2-16to64at55", 16, 64, 55, 1, 1}, {"fire9-64to256at13", 64, 256, 13, 1, 1},
+		{"conv1-3to64at224s2", 3, 64, 224, 2, 0}, {"vgg-3to64at224", 3, 64, 224, 1, 1},
+	} {
+		a := graph.Conv2DAttrs{KernelH: 3, KernelW: 3, StrideH: bc.stride, StrideW: bc.stride, PadH: bc.pad, PadW: bc.pad,
+			Group: 1, InputCount: bc.ic, OutputCount: bc.oc, ReLU: true}
+		w := tensor.NewRandom(2, 0.2, bc.oc, bc.ic, 3, 3)
+		src := tensor.NewWithLayout(tensor.NC4HW4, 1, bc.ic, bc.hw, bc.hw)
+		tensor.FillRandom(src, 3, 1)
+		oh, ow, _ := graph.ConvOutputSize(bc.hw, bc.hw, &a)
+		dst := tensor.NewWithLayout(tensor.NC4HW4, 1, bc.oc, oh, ow)
+		gmac := float64(oh*ow) * float64(9*bc.ic*bc.oc) / 1e9
+		pool := testPool(b, 1)
+		run := func(b *testing.B, f func()) {
+			for i := 0; i < b.N; i++ {
+				f()
+			}
+			b.ReportMetric(gmac*float64(b.N)/b.Elapsed().Seconds(), "GMAC/s")
+		}
+		quant := quantPaths(PrepareQuantConv(w, nil, &a, 0.05))
+		ws := make([]float32, QuantConvWorkspaceFloats(bc.ic, bc.hw, bc.hw))
+		for _, isa := range matmul.Int8ISAs() {
+			b.Run("int8-"+isa+"/"+bc.name, func(b *testing.B) { run(b, func() { quant[isa].Run(dst, src, pool, ws) }) })
+		}
+		dec := core.SelectConvScheme(&a, src.Shape())
+		for _, isa := range matmul.ISAs() {
+			var f func()
+			if dec.Scheme == core.SchemeWinograd {
+				wc, err := PrepareWinograd(w, nil, &a, dec.TileH, dec.TileW)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i, p := range wc.packedW {
+					wc.packedW[i] = p.WithISA(isa)
+				}
+				wc.simd = isa != "portable"
+				wws := make([]float32, wc.WorkspaceSize())
+				f = func() { wc.Run(dst, src, pool, wws) }
+			} else {
+				sc := PrepareSliding(w, nil, &a)
+				sc.packed = sc.packed.WithISA(isa)
+				f = func() { sc.Run(dst, src, pool) }
+			}
+			b.Run(fmt.Sprintf("fp32-%s-%v/%s", isa, dec.Scheme, bc.name), func(b *testing.B) { run(b, f) })
+		}
 	}
 }

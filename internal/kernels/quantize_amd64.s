@@ -17,9 +17,6 @@ DATA quantizeOrder<>+24(SB)/4, $3
 DATA quantizeOrder<>+28(SB)/4, $7
 GLOBL quantizeOrder<>(SB), RODATA|NOPTR, $32
 
-DATA quantizeAbs<>+0(SB)/4, $0x7fffffff
-GLOBL quantizeAbs<>(SB), RODATA|NOPTR, $4
-
 // ROUND8 quantizes the eight floats at M into int32 lanes of Y: quantizeAct's
 // steps in its order — r = v·inv (Y8); r + 0.5 carrying r's sign where the
 // mode keeps signs (Y9 is the sign bit, or 0 in unsigned mode); NaN, the one
@@ -75,16 +72,18 @@ loop:
 	VZEROUPPER
 	RET
 
-// func maxAbs8(src *float32, blocks int) float32
+// func maxAbs8(src *float32, blocks int, mask *[8]uint32) float32
 //
-// The largest |src[i]| for i < 8·blocks, blocks ≥ 1, NaN passed over as by
-// the scalar `if v > m`: VMAXPS returns its second source, the running
+// The largest |src[i]| for i < 8·blocks, blocks ≥ 1, over the lanes i%8
+// whose mask is 0x7fffffff (a 0 mask lane reads as +0), NaN passed over as
+// by the scalar `if v > m`: VMAXPS returns its second source, the running
 // maximum, when the first is NaN.
-TEXT ·maxAbs8(SB), NOSPLIT, $0-20
-	MOVQ src+0(FP), SI
-	MOVQ blocks+8(FP), CX
-	VBROADCASTSS quantizeAbs<>(SB), Y1
-	VXORPS       Y0, Y0, Y0
+TEXT ·maxAbs8(SB), NOSPLIT, $0-28
+	MOVQ    src+0(FP), SI
+	MOVQ    blocks+8(FP), CX
+	MOVQ    mask+16(FP), AX
+	VMOVUPS (AX), Y1
+	VXORPS  Y0, Y0, Y0
 
 maxloop:
 	VANDPS (SI), Y1, Y2
@@ -98,6 +97,6 @@ maxloop:
 	VMAXPS       X1, X0, X0
 	VPERMILPS    $0xb1, X0, X1
 	VMAXPS       X1, X0, X0
-	VMOVSS       X0, ret+16(FP)
+	VMOVSS       X0, ret+24(FP)
 	VZEROUPPER
 	RET

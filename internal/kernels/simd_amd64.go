@@ -32,10 +32,10 @@ func linCombNC4(dst *float32, dstRow, dstChunk, dstSplit int, src *float32, srcR
 func quantizeNC4(dst *uint8, src *float32, blocks int, inv float32, sign uint32, lo, hi *float32)
 
 // maxAbs8 is the AVX max-abs scan (quantize_amd64.s) over 8·blocks floats,
-// NaN passed over.
+// the lanes i%8 whose mask is 0 read as +0, NaN passed over.
 //
 //go:noescape
-func maxAbs8(src *float32, blocks int) float32
+func maxAbs8(src *float32, blocks int, mask *[8]uint32) float32
 
 // poolMaxNC4 is the AVX max-pooling kernel (pool_amd64.s): poolMax over a
 // non-empty rows × cols window of one channel pack.

@@ -22,7 +22,7 @@ func quantizeNC4(dst *uint8, src *float32, blocks int, inv float32, sign uint32,
 	panic("kernels: no SIMD quantizer on this architecture")
 }
 
-func maxAbs8(src *float32, blocks int) float32 {
+func maxAbs8(src *float32, blocks int, mask *[8]uint32) float32 {
 	panic("kernels: no SIMD max-abs scan on this architecture")
 }
 

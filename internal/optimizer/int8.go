@@ -5,6 +5,7 @@ import (
 
 	"mnn/internal/core"
 	"mnn/internal/graph"
+	"mnn/internal/matmul"
 )
 
 // Int8Plan is the offline precision partition of a graph for int8
@@ -32,14 +33,14 @@ type Int8Plan struct {
 	NonNegActs map[string]bool
 }
 
-// PlanInt8 partitions a graph for int8 execution: every operator the int8
-// kernel set covers (see core.Int8ConvSupported; plus fully-connected
-// layers) is marked int8, everything else stays fp32. The engine's CPU
-// backend consumes the plan when the engine is opened with
-// mnn.WithPrecision(mnn.PrecisionInt8). inputShapes optionally overrides
-// the declared input shapes (the engine passes its WithInputShapes
-// overrides) — scheme selection, and therefore the partition, depends on
-// the shapes the session will actually run.
+// PlanInt8 partitions a graph for int8 execution: every convolution the
+// int8 tap GEMM runs cheaper than its fp32 scheme on this host's int8 level
+// (core.Int8ConvSupported), and every fully-connected layer, is marked
+// int8; everything else stays fp32. The engine's CPU backend consumes the
+// plan when the engine is opened with mnn.WithPrecision(mnn.PrecisionInt8).
+// inputShapes optionally overrides the declared input shapes (the engine
+// passes its WithInputShapes overrides) — scheme selection, and therefore
+// the partition, depends on the shapes the session will actually run.
 func PlanInt8(g *graph.Graph, inputShapes map[string][]int) (*Int8Plan, error) {
 	return PlanInt8With(g, inputShapes, nil)
 }
@@ -47,8 +48,9 @@ func PlanInt8(g *graph.Graph, inputShapes map[string][]int) (*Int8Plan, error) {
 // PlanInt8With is PlanInt8 with an explicit per-convolution scheme resolver.
 // When a tuner overrides the Equation 2–3 heuristic, the int8 partition must
 // be computed from the schemes that will actually run — Int8ConvSupported
-// depends on the algorithm — or the offline plan and the runtime dispatch
-// would drift. A nil schemeFor falls back to core.SelectConvScheme.
+// prices the int8 route against the chosen algorithm — or the offline plan
+// and the runtime dispatch would drift. A nil schemeFor falls back to
+// core.SelectConvScheme.
 func PlanInt8With(g *graph.Graph, inputShapes map[string][]int, schemeFor func(n *graph.Node, inShape []int) core.ConvDecision) (*Int8Plan, error) {
 	shapes, err := graph.InferShapes(g, inputShapes)
 	if err != nil {
@@ -68,9 +70,8 @@ func PlanInt8With(g *graph.Graph, inputShapes map[string][]int, schemeFor func(n
 		isInt8 := false
 		switch n.Op {
 		case graph.OpConv2D:
-			a := n.Attrs.(*graph.Conv2DAttrs)
-			dec := schemeFor(n, shapes[n.Inputs[0]])
-			isInt8 = core.Int8ConvSupported(a, dec)
+			in := shapes[n.Inputs[0]]
+			isInt8 = core.Int8ConvSupported(n.Attrs.(*graph.Conv2DAttrs), in, schemeFor(n, in), matmul.Int8ISA())
 		case graph.OpInnerProduct:
 			isInt8 = true
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mnn/internal/graph"
+	"mnn/internal/matmul"
 	"mnn/internal/models"
 )
 
@@ -13,20 +14,27 @@ func TestPlanInt8MobileNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// MobileNet-v1: 13 pointwise convs + the FC run int8; the stem conv
-	// (sliding scheme), the 13 depthwise convs, pool and softmax stay fp32.
-	if plan.Int8Nodes != 14 {
-		t.Errorf("int8 nodes = %d, want 14", plan.Int8Nodes)
+	// MobileNet-v1: 13 pointwise convs + the FC run int8; the 13 depthwise
+	// convs, pool and softmax stay fp32. The 3→32 stem is priced against its
+	// fp32 sliding route: int8 wins at every level but avx2
+	// (core.TestInt8DecisionTable reads the rates).
+	stem, want := matmul.Int8ISA() != "avx2", 14
+	if stem {
+		want++
+	}
+	if plan.Int8Nodes != want {
+		t.Errorf("int8 nodes = %d, want %d", plan.Int8Nodes, want)
 	}
 	for _, name := range []string{"conv2_pw", "fc7"} {
 		if !plan.Int8[name] {
 			t.Errorf("node %q missing from int8 plan", name)
 		}
 	}
-	for _, name := range []string{"conv1", "conv2_dw"} {
-		if plan.Int8[name] {
-			t.Errorf("node %q (sliding or depthwise scheme) must stay fp32", name)
-		}
+	if plan.Int8["conv2_dw"] {
+		t.Error("depthwise node conv2_dw must stay fp32")
+	}
+	if plan.Int8["conv1"] != stem {
+		t.Errorf("stem conv1 int8 = %v on %s, want %v", plan.Int8["conv1"], matmul.Int8ISA(), stem)
 	}
 	if plan.QuantBoundaries == 0 || plan.DequantBoundaries == 0 {
 		t.Errorf("boundaries: %d quant / %d dequant, want both > 0",

@@ -9,13 +9,14 @@
 //
 //   - the runtime contract: engines opened with int8 precision
 //     (mnn.WithPrecision) execute calibrated graphs on the prepared int8
-//     kernels in internal/kernels (GEMM-lowered convolutions and FC over
-//     the int8 micro-kernel in internal/matmul), quantizing activations
-//     once at kernel entry with the calibrated scales — or per-sample
-//     max-abs when a tensor was never calibrated — and requantizing fused
-//     with bias and activation in the kernel's store. Operators without an
-//     int8 kernel, depthwise convolutions among them, run fp32
-//     transparently (optimizer.PlanInt8 decides the partition).
+//     kernels in internal/kernels (the group-1 convolutions the int8 tap
+//     GEMM runs cheaper than their fp32 scheme, and FC, over the int8
+//     micro-kernel in internal/matmul), quantizing activations once at
+//     kernel entry with the calibrated scales — or per-sample max-abs when
+//     a tensor was never calibrated — and requantizing fused with bias and
+//     activation in the kernel's store. Every other operator, depthwise
+//     convolutions among them, runs fp32 transparently (optimizer.PlanInt8
+//     decides the partition).
 //
 // QuantizedConv in this package is the self-contained reference form of the
 // quantized convolution; the engine path uses the pooled, planner-backed

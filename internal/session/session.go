@@ -61,7 +61,9 @@ type Stats struct {
 	BackendCosts core.BackendCosts
 	// Assignment maps node → backend name.
 	Assignment core.Assignment
-	// SchemeCounts counts convolutions per selected scheme.
+	// SchemeCounts counts convolutions per kernel route: the selected
+	// scheme, or "int8-gemm" for those an int8 engine runs on the int8 tap
+	// GEMM.
 	SchemeCounts map[string]int
 	// ArenaFloats is the planned arena size (float32 elements) per backend.
 	ArenaFloats map[string]int
@@ -366,15 +368,15 @@ func (s *Session) prepare() error {
 			outs[j] = lookup(oName, bk)
 		}
 		if n.Op == graph.OpConv2D {
-			// Ask the owning backend which algorithm it will actually prepare
-			// (a tuner override may differ from the bare heuristic).
-			var dec core.ConvDecision
+			// Ask the owning backend which kernel will actually run (a tuner
+			// override or the int8 route may differ from the bare heuristic).
+			var route string
 			if cs, ok := bk.(core.ConvSchemer); ok {
-				dec = cs.ConvSchemeFor(n, shapes[n.Inputs[0]])
+				route = cs.ConvRoute(n, shapes[n.Inputs[0]])
 			} else {
-				dec = core.SelectConvScheme(n.Attrs.(*graph.Conv2DAttrs), shapes[n.Inputs[0]])
+				route = core.SelectConvScheme(n.Attrs.(*graph.Conv2DAttrs), shapes[n.Inputs[0]]).Scheme.String()
 			}
-			s.stats.SchemeCounts[dec.Scheme.String()]++
+			s.stats.SchemeCounts[route]++
 		}
 		exec, err := bk.OnCreate(n, ins, outs, weights)
 		if err != nil {

@@ -51,10 +51,11 @@ func measureBest(a *graph.Conv2DAttrs, inShape []int, ranked []core.ConvCandidat
 // forced, and times steady-state runs. Timing the real session — not a bare
 // kernel loop — makes the measurement include exactly the staging copies and
 // layout conversions the algorithm would pay inside a full network. In int8
-// mode the backend runs the quantized path, so GEMM-lowered candidates time
-// the int8 kernels that would actually execute (per-sample dynamic scales,
-// the uncalibrated worst case) while Winograd/sliding time their fp32
-// fallbacks — the same split the int8 planner will commit.
+// mode the backend runs the quantized path, so a candidate
+// core.Int8ConvSupported routes int8 times the int8 kernel that would
+// actually execute (per-sample dynamic scales, the uncalibrated worst case)
+// and the others time their fp32 scheme — the same split the int8 planner
+// will commit.
 func measureCandidate(a *graph.Conv2DAttrs, inShape []int, dec core.ConvDecision, pool *sched.Pool, reps int, int8Mode bool) (float64, error) {
 	g := graph.New("tuner-probe")
 	g.AddNode(&graph.Node{Name: "in", Op: graph.OpInput, Outputs: []string{"in"},

@@ -72,8 +72,9 @@ type Config struct {
 	// reflects real parallel speedups. <1 means 1.
 	Threads int
 	// Int8 tells the search the engine will execute at int8 precision:
-	// micro-benchmarks then time the quantized kernels for GEMM-lowered
-	// candidates (what would actually run) instead of their fp32 twins, and
+	// micro-benchmarks then time the quantized kernel for candidates the
+	// int8 route is priced cheaper on (what would actually run) instead of
+	// their fp32 twins, and
 	// cache entries are keyed separately — an fp32 ranking must never decide
 	// an int8 engine's schemes, and vice versa.
 	Int8 bool

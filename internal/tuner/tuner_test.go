@@ -7,6 +7,7 @@ import (
 
 	"mnn/internal/core"
 	"mnn/internal/graph"
+	"mnn/internal/matmul"
 	"mnn/internal/models"
 	"mnn/internal/optimizer"
 )
@@ -183,7 +184,7 @@ func TestInt8PlanRespectsTunedSchemes(t *testing.T) {
 			}
 			a := n.Attrs.(*graph.Conv2DAttrs)
 			dec := plan.SchemeFor(n, shapes[n.Inputs[0]])
-			if !core.Int8ConvSupported(a, dec) {
+			if !core.Int8ConvSupported(a, shapes[n.Inputs[0]], dec, matmul.Int8ISA()) {
 				t.Errorf("%s: node %q planned int8 but tuned scheme %v is not int8-supported",
 					net, n.Name, dec.Scheme)
 			}

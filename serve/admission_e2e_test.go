@@ -6,9 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -81,52 +79,36 @@ func postInferBody(base, model string, body []byte, hdrs map[string]string) (map
 // stay within budget; and the whole flood must resolve in bounded time —
 // rejections cannot wait out the backlog.
 func TestOverloadShedsWithRetryAfter(t *testing.T) {
-	// The hot model must be slow enough that a burst genuinely overlaps — a
-	// model that drains faster than requests arrive never queues — and how
-	// slow a given input size is has moved with every kernel PR (and moves
-	// 10× under the race detector). So the input is sized by measurement:
-	// grow it until one warm inference takes the target service time.
-	const wantService = 8 * time.Millisecond
-	reg := NewRegistry()
-	var hot *Model
-	var shape []int
-	var service time.Duration
-	for edge := 32; ; {
-		shape = []int{1, 3, edge, edge}
-		err := reg.Load("hot", ModelConfig{
-			Model: "mobilenet-v1",
-			Options: []mnn.Option{
-				mnn.WithPoolSize(1), mnn.WithThreads(1),
-				mnn.WithInputShapes(map[string][]int{"data": shape}),
-			},
-			Admission: AdmissionConfig{Queue: 2, Concurrency: 1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hot, _ = reg.Get("hot")
-		probe := map[string]*mnn.Tensor{"data": randomInput(1, shape)}
-		service = time.Hour
-		for i := 0; i < 4; i++ { // the first run is the warm-up; keep the quickest
-			t0 := time.Now()
-			if _, err := hot.Engine().Infer(context.Background(), probe); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(t0); i > 0 && d < service {
-				service = d
-			}
-		}
-		if service >= wantService || edge >= 320 {
-			break
-		}
-		if err := reg.Unload("hot"); err != nil {
-			t.Fatal(err)
-		}
-		// Convolution cost grows with the area; overshoot a little, step up
-		// at least one notch.
-		grow := math.Sqrt(1.2 * float64(wantService) / float64(service))
-		edge = max(edge+32, (int(float64(edge)*grow)+31)/32*32)
+	// The hot model must hold its one slot for the whole flood, or the
+	// backlog drains as fast as requests arrive and nothing sheds: a kernel's
+	// speed moves with every kernel change, the host's load and the race
+	// detector, so the service time is the fault injector's latency rule
+	// instead. Every inference of the hot engine sleeps `hold` first; the
+	// flood reaches admission in a fraction of that, so at most concurrency
+	// 1 + queue 2 of it can be admitted before the first one finishes.
+	const hold, flood = 300 * time.Millisecond, 12
+	shape := []int{1, 3, 32, 32}
+	plan, err := mnn.ParseFaultPlan(1, fmt.Sprintf("engine.infer=latency:%v", hold))
+	if err != nil {
+		t.Fatal(err)
 	}
+	engineOpts := []mnn.Option{mnn.WithPoolSize(1), mnn.WithThreads(1),
+		mnn.WithInputShapes(map[string][]int{"data": shape})}
+	reg := NewRegistry()
+	if err := reg.Load("hot", ModelConfig{
+		Model:     "mobilenet-v1",
+		Options:   append(engineOpts, mnn.WithFaultPlan(plan)),
+		Admission: AdmissionConfig{Queue: 2, Concurrency: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// The admitted outputs are checked against a twin engine without the
+	// latency rule.
+	twin, err := mnn.Open("mobilenet-v1", engineOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
 	if err := reg.Load("calm", ModelConfig{
 		Model:   tinyGraph(t),
 		Options: []mnn.Option{mnn.WithPoolSize(1), mnn.WithThreads(1)},
@@ -135,11 +117,6 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	}
 	base, _ := startServer(t, reg)
 
-	// The flood, too, from a measurement. Beyond its service time a request
-	// costs `overhead` of CPU (decode, encode, HTTP) spread over the
-	// processors, so requests reach admission one per overhead/procs while
-	// one leaves per service time, and the backlog gains 1-rho per arrival:
-	// send enough to push it past concurrency 1 + queue 2, and a margin.
 	encode := func(in *mnn.Tensor) []byte {
 		body, err := inferBody(in)
 		if err != nil {
@@ -147,25 +124,12 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 		}
 		return body
 	}
-	warm := encode(randomInput(2, shape))
-	rtt := time.Hour
-	for i := 0; i < 3; i++ {
-		t0 := time.Now()
-		if _, code, blob, _, err := postInferBody(base, "hot", warm, nil); err != nil || code != http.StatusOK {
-			t.Fatalf("warm request: %d %v %s", code, err, blob)
-		}
-		rtt = min(rtt, time.Since(t0))
-	}
-	rho := min(0.8, float64(max(rtt-service, 0))/float64(service)/float64(runtime.GOMAXPROCS(0)))
-	flood := max(12, int(4/(1-rho))+4)
-	t.Logf("hot input %v: service %v, round trip %v, flood %d", shape, service, rtt, flood)
-
 	bodies := make([][]byte, flood)
 	want := make([]map[string]*mnn.Tensor, flood)
 	for i := range bodies {
 		in := randomInput(uint64(300+i), shape)
 		bodies[i] = encode(in)
-		w, err := hot.Engine().Infer(context.Background(), map[string]*mnn.Tensor{"data": in})
+		w, err := twin.Infer(context.Background(), map[string]*mnn.Tensor{"data": in})
 		if err != nil {
 			t.Fatal(err)
 		}
