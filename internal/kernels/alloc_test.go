@@ -158,10 +158,19 @@ func TestPreparedOpsZeroAlloc(t *testing.T) {
 	assertZeroAllocs(t, "ScaleOp.Run",
 		func() { sc.Run(pool) }, func() { sc.Run(pool) })
 
-	pl := NewPoolOp(tensor.NewWithLayout(tensor.NC4HW4, 1, 16, 8, 8), src,
-		&graph.PoolAttrs{Type: graph.MaxPool, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2})
-	assertZeroAllocs(t, "PoolOp.Run",
-		func() { pl.Run(pool) }, func() { pl.Run(pool) })
+	for _, pc := range []struct {
+		name string
+		out  int
+		a    graph.PoolAttrs
+	}{
+		{"max 2x2 s2", 8, graph.PoolAttrs{Type: graph.MaxPool, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2}},
+		{"max 3x3 s2", 8, graph.PoolAttrs{Type: graph.MaxPool, KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2}},
+		{"global avg", 1, graph.PoolAttrs{Type: graph.AvgPool, Global: true}},
+	} {
+		pl := NewPoolOp(tensor.NewWithLayout(tensor.NC4HW4, 1, 16, pc.out, pc.out), src, &pc.a)
+		assertZeroAllocs(t, "PoolOp.Run "+pc.name,
+			func() { pl.Run(pool) }, func() { pl.Run(pool) })
+	}
 
 	elt := NewEltwiseOp(dst, []*tensor.Tensor{src, src}, &graph.EltwiseAttrs{Type: graph.EltSum})
 	assertZeroAllocs(t, "EltwiseOp.Run",

@@ -175,35 +175,39 @@ func BenchmarkConvAsymmetric1x7Winograd(b *testing.B) {
 }
 
 // BenchmarkPoolMax3x3s2 runs squeezenet-v1.1's three max pools (3×3, stride
-// 2, no padding) on one lane.
+// 2, no padding) on one lane. GB/s counts source bytes, so it reads directly
+// against the host's copy bandwidth (benchmark row host.copy_gbps).
 func BenchmarkPoolMax3x3s2(b *testing.B) {
 	for _, s := range []struct{ c, size int }{{64, 111}, {128, 55}, {256, 27}} {
 		b.Run(fmt.Sprintf("%dx%dx%d", s.size, s.size, s.c), func(b *testing.B) {
-			src := tensor.NewWithLayout(tensor.NC4HW4, 1, s.c, s.size, s.size)
-			tensor.FillRandom(src, 1, 1)
 			out := (s.size-3)/2 + 1
-			dst := tensor.NewWithLayout(tensor.NC4HW4, 1, s.c, out, out)
-			op := NewPoolOp(dst, src, &graph.PoolAttrs{Type: graph.MaxPool, KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2})
-			pool := testPool(b, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				op.Run(pool)
-			}
+			benchPool(b, 1, s.c, s.size, out, &graph.PoolAttrs{Type: graph.MaxPool, KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2})
 		})
 	}
 }
 
+// BenchmarkPoolGlobal runs the global average pools of mobilenet-v1 (1024
+// channels at 7², four lanes) and of squeezenet-v1.1's pool10 (1000 at 13²,
+// one lane), in source GB/s like BenchmarkPoolMax3x3s2.
 func BenchmarkPoolGlobal(b *testing.B) {
-	src := tensor.NewWithLayout(tensor.NC4HW4, 1, 1024, 7, 7)
+	for _, s := range []struct{ c, size, lanes int }{{1024, 7, 4}, {1000, 13, 1}} {
+		b.Run(fmt.Sprintf("%dx%dx%d/lanes%d", s.size, s.size, s.c, s.lanes), func(b *testing.B) {
+			benchPool(b, s.lanes, s.c, s.size, 1, &graph.PoolAttrs{Type: graph.AvgPool, Global: true})
+		})
+	}
+}
+
+// benchPool times a pool of c channels from size² to out² on lanes lanes.
+func benchPool(b *testing.B, lanes, c, size, out int, a *graph.PoolAttrs) {
+	src := tensor.NewWithLayout(tensor.NC4HW4, 1, c, size, size)
 	tensor.FillRandom(src, 1, 1)
-	dst := tensor.NewWithLayout(tensor.NC4HW4, 1, 1024, 1, 1)
-	a := &graph.PoolAttrs{Type: graph.AvgPool, Global: true}
-	op := NewPoolOp(dst, src, a)
-	pool := testPool(b, 4)
+	op := NewPoolOp(tensor.NewWithLayout(tensor.NC4HW4, 1, c, out, out), src, a)
+	pool := testPool(b, lanes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op.Run(pool)
 	}
+	b.ReportMetric(float64(4*len(src.Data()))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
 }
 
 // BenchmarkGELU runs the transformer's feed-forward activation at its

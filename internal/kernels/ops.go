@@ -22,13 +22,15 @@ import (
 type PoolOp struct {
 	a        graph.PoolAttrs
 	src, dst *tensor.Tensor
-	simd     bool // matmul.HaveAVX2: max windows run poolMaxNC4
+	simd     bool // matmul.HaveAVX2: windows run poolMaxRowNC4 / poolAvgRowNC4
 
-	// This run's geometry, set by Run.
+	// This run's geometry, set by Run. The output columns [ox0, ox1) have
+	// windows wholly inside the image's columns.
 	s, d           []float32
 	H, W, OH, OW   int
 	kh, kw, sh, sw int
 	ph, pw         int
+	ox0, ox1       int
 }
 
 // NewPoolOp binds a pooling execution.
@@ -46,43 +48,76 @@ func (o *PoolOp) Run(p *sched.Pool) {
 	if a.Global {
 		o.kh, o.kw, o.sh, o.sw, o.ph, o.pw = o.H, o.W, 1, 1, 0, 0
 	}
+	o.ox0 = min(tensor.UpDiv(o.pw, o.sw), o.OW)
+	o.ox1 = o.ox0
+	if last := o.W + o.pw - o.kw; last >= 0 {
+		o.ox1 = max(o.ox0, min(last/o.sw+1, o.OW))
+	}
 	total := o.src.Batch() * tensor.UpDiv(o.src.Channels(), 4)
 	p.Run(total, sched.Chunk(total, p.Lanes(), elemChunksPerLane), o)
 }
 
-// RunChunk implements sched.Task over (batch, channel-block) items. Every
-// window is clipped to the image once, so the tap loops test no bounds; the
-// taps it keeps are visited in (ky, kx) order, as a bounds test per tap
-// would visit them.
+// RunChunk implements sched.Task over (batch, channel-block) items. Each
+// output row is its clipped border pixels one by one and one run of the
+// pixels between, whose windows are the same taps shifted by the stride; a
+// 1×1 output (a global pool) makes the chunk's items one such run.
 func (o *PoolOp) RunChunk(_, start, end int) {
-	isMax := o.a.Type == graph.MaxPool
+	plane, oplane := o.H*o.W*4, o.OH*o.OW*4
+	if oplane == 4 {
+		o.pool(o.d[start*4:end*4], o.s[start*plane:end*plane], plane, 0, 0)
+		return
+	}
 	for item := start; item < end; item++ {
-		s := o.s[item*o.H*o.W*4 : (item+1)*o.H*o.W*4]
-		d := o.d[item*o.OH*o.OW*4 : (item+1)*o.OH*o.OW*4]
+		s := o.s[item*plane : (item+1)*plane]
+		d := o.d[item*oplane : (item+1)*oplane]
 		for oy := 0; oy < o.OH; oy++ {
-			y := oy*o.sh - o.ph
-			ky0, ky1 := tapRange(y, 1, o.kh, o.H)
-			y0, y1 := y+ky0, y+ky1
-			for ox := 0; ox < o.OW; ox++ {
-				x := ox*o.sw - o.pw
-				kx0, kx1 := tapRange(x, 1, o.kw, o.W)
-				x0, x1 := x+kx0, x+kx1
-				out := d[(oy*o.OW+ox)*4 : (oy*o.OW+ox)*4+4]
-				if isMax && o.simd && y0 < y1 && x0 < x1 {
-					poolMaxNC4(&out[0], &s[(y0*o.W+x0)*4], y1-y0, x1-x0, o.W*16)
-				} else if isMax {
-					poolMax(out, s, o.W, y0, y1, x0, x1)
-				} else {
-					div := float64((y1 - y0) * (x1 - x0))
-					if o.a.CountIncludePad {
-						div = float64(o.kh * o.kw)
-					}
-					if div == 0 {
-						div = 1
-					}
-					poolAvg(out, s, o.W, y0, y1, x0, x1, div)
-				}
+			row := d[oy*o.OW*4 : (oy+1)*o.OW*4]
+			for ox := 0; ox < o.ox0; ox++ {
+				o.pool(row[ox*4:ox*4+4], s, 0, oy, ox)
 			}
+			o.pool(row[o.ox0*4:o.ox1*4], s, o.sw*4, oy, o.ox0)
+			for ox := o.ox1; ox < o.OW; ox++ {
+				o.pool(row[ox*4:ox*4+4], s, 0, oy, ox)
+			}
+		}
+	}
+}
+
+// pool writes the len(out)/4 output pixels from (oy, ox) on, whose windows
+// are the same taps of s shifted by step floats each. The window is clipped
+// to the image once, so the tap loops test no bounds; the taps it keeps are
+// visited in (ky, kx) order, as a bounds test per tap would visit them.
+func (o *PoolOp) pool(out, s []float32, step, oy, ox int) {
+	n := len(out) / 4
+	if n == 0 {
+		return
+	}
+	y, x := oy*o.sh-o.ph, ox*o.sw-o.pw
+	ky0, ky1 := tapRange(y, 1, o.kh, o.H)
+	kx0, kx1 := tapRange(x, 1, o.kw, o.W)
+	y0, y1, x0, x1 := y+ky0, y+ky1, x+kx0, x+kx1
+	isMax := o.a.Type == graph.MaxPool
+	div := float64((y1 - y0) * (x1 - x0))
+	if o.a.CountIncludePad {
+		div = float64(o.kh * o.kw)
+	}
+	if div == 0 {
+		div = 1
+	}
+	if o.simd && y0 < y1 && x0 < x1 {
+		at := &s[(y0*o.W+x0)*4]
+		if isMax {
+			poolMaxRowNC4(&out[0], at, n, y1-y0, x1-x0, o.W*16, step*4)
+		} else {
+			poolAvgRowNC4(&out[0], at, n, y1-y0, x1-x0, o.W*16, step*4, div)
+		}
+		return
+	}
+	for j := range n {
+		if isMax {
+			poolMax(out[j*4:j*4+4], s[j*step:], o.W, y0, y1, x0, x1)
+		} else {
+			poolAvg(out[j*4:j*4+4], s[j*step:], o.W, y0, y1, x0, x1, div)
 		}
 	}
 }
@@ -92,7 +127,7 @@ func (o *PoolOp) RunChunk(_, start, end int) {
 // equal values and never picks a NaN. Maxima held as bit patterns, and each
 // candidate's bits taken before the comparison, let the compiler select with
 // a conditional move: as branches these comparisons are unpredictable. It is
-// the portable form and the bitwise oracle of poolMaxNC4.
+// the portable form and the bitwise oracle of poolMaxRowNC4.
 func poolMax(out, s []float32, W, y0, y1, x0, x1 int) {
 	negInf := math.Float32bits(float32(math.Inf(-1)))
 	m0, m1, m2, m3 := negInf, negInf, negInf, negInf
@@ -118,7 +153,9 @@ func poolMax(out, s []float32, W, y0, y1, x0, x1 int) {
 	out[0], out[1], out[2], out[3] = math.Float32frombits(m0), math.Float32frombits(m1), math.Float32frombits(m2), math.Float32frombits(m3)
 }
 
-// poolAvg writes the per-channel float64 sum of the window over div.
+// poolAvg writes the per-channel float64 sum of the window over div, summed
+// in (ky, kx) order: the portable form and the bitwise oracle of
+// poolAvgRowNC4.
 func poolAvg(out, s []float32, W, y0, y1, x0, x1 int, div float64) {
 	var a0, a1, a2, a3 float64
 	for iy := y0; iy < y1 && x0 < x1; iy++ {

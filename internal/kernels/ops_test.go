@@ -418,53 +418,132 @@ func TestPoolMatchesCheckedLoopBitwise(t *testing.T) {
 	}
 }
 
-// TestPoolMaxSIMDBitwise pins poolMaxNC4 to its Go oracle poolMax, physical
-// element by physical element, on max pools the zoo uses and their corners:
-// k 2 and 3, stride 1 and 2, windows clipped by padding, windows wholly in
-// the padding (empty: -Inf, from the Go path), a global pool; over inputs
-// salted with NaN, both zeros in both orders, ±Inf, denormals and runs of
-// equal values, into NaN-poisoned destinations.
+// poolSIMDCase is one pool the row-kernel pins run, over batch 2.
+type poolSIMDCase struct {
+	a       graph.PoolAttrs
+	c, h, w int
+}
+
+// poolSIMDCases lists the pools of type base the row kernels are pinned on:
+// global pools, one over enough channel blocks that a chunk's items make runs
+// of four and more; and kernels 2, 3 and 5 at strides 1, 2 and 3, each
+// unpadded (ceil-rounded outputs, whose last window clips), with padding 1,
+// and with padding 4 (border outputs see padding only), at every width up to
+// k + 4·stride + 3. It fails t unless a row's run of unclipped windows takes
+// every length mod 4 and length 0, and last windows clip both unpadded and
+// padded.
+func poolSIMDCases(t *testing.T, base graph.PoolAttrs) []poolSIMDCase {
+	t.Helper()
+	global := base
+	global.Global = true
+	cases := []poolSIMDCase{{global, 7, 6, 9}, {global, 7, 13, 13}, {global, 37, 5, 3}}
+	runs := map[int]bool{} // run length mod 4 for runs ≥ 1, and -1 for length 0
+	var clipped [2]bool    // a last window clips: [0] unpadded, [1] padded
+	for _, k := range []int{2, 3, 5} {
+		for _, stride := range []int{1, 2, 3} {
+			for _, pad := range []int{0, 1, 4} {
+				a := base
+				a.KernelH, a.KernelW, a.StrideH, a.StrideW, a.PadH, a.PadW = k, k, stride, stride, pad, pad
+				for w := 1; w <= k+4*stride+3; w++ {
+					h := 3 + (w+k)%5
+					_, ow, err := graph.PoolOutputSize(h, w, &a)
+					if err != nil {
+						continue
+					}
+					run := 0
+					for ox := range ow {
+						if x := ox*stride - pad; x >= 0 && x+k <= w {
+							run++
+						}
+					}
+					if run == 0 {
+						runs[-1] = true
+					} else {
+						runs[run%4] = true
+					}
+					if (ow-1)*stride-pad+k > w {
+						clipped[min(pad, 1)] = true
+					}
+					cases = append(cases, poolSIMDCase{a, 7, h, w})
+				}
+			}
+		}
+	}
+	if len(runs) != 5 || !clipped[0] || !clipped[1] {
+		t.Fatalf("cases miss a run length or a clipped last window: runs %v, clipped %v", runs, clipped)
+	}
+	return cases
+}
+
+// checkPoolSIMDBitwise runs every case through the row kernels and through
+// their Go oracles (simd off), on one lane and on three, and fails t at the
+// first physical element whose bits differ (firstBitDiff). Inputs
+// are random with one element in six drawn from specials, and then — dense —
+// with every element drawn from denseSpecials; destinations start as NaN.
+func checkPoolSIMDBitwise(t *testing.T, cases []poolSIMDCase, specials, denseSpecials []float32) {
+	t.Helper()
+	pools := []*sched.Pool{testPool(t, 1), testPool(t, 3)}
+	for i, c := range cases {
+		for _, dense := range []bool{false, true} {
+			oh, ow := 1, 1
+			if !c.a.Global {
+				var err error
+				if oh, ow, err = graph.PoolOutputSize(c.h, c.w, &c.a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			src := tensor.NewWithLayout(tensor.NC4HW4, 2, c.c, c.h, c.w)
+			tensor.FillRandom(src, uint64(i+1), 1)
+			sd, r := src.Data(), tensor.NewRNG(uint64(i+100))
+			for j := range sd {
+				if dense {
+					sd[j] = denseSpecials[r.Intn(len(denseSpecials))]
+				} else if r.Intn(6) == 0 {
+					sd[j] = specials[r.Intn(len(specials))]
+				}
+			}
+			for _, p := range pools {
+				simd, portable := nanNC4(2, c.c, oh, ow), nanNC4(2, c.c, oh, ow)
+				NewPoolOp(simd, src, &c.a).Run(p)
+				op := NewPoolOp(portable, src, &c.a)
+				op.simd = false
+				op.Run(p)
+				if d := firstBitDiff(simd.Data(), portable.Data()); d >= 0 {
+					got, want := simd.Data()[d], portable.Data()[d]
+					t.Fatalf("%+v on %dx%dx%d (dense %v, %d lanes): physical element %d = %v (%#08x), oracle %v (%#08x)",
+						c.a, c.c, c.h, c.w, dense, p.Lanes(), d, got, math.Float32bits(got), want, math.Float32bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestPoolMaxSIMDBitwise pins poolMaxRowNC4 to its Go oracle poolMax on
+// poolSIMDCases, over inputs salted with NaN, both zeros in both orders,
+// ±Inf and denormals; dense inputs are nothing but those, so windows of only
+// NaN, only zeros and runs of equal values occur.
 func TestPoolMaxSIMDBitwise(t *testing.T) {
 	if !matmul.HaveAVX2() {
 		t.Skip("no AVX2 on this machine")
 	}
 	negZero := float32(math.Copysign(0, -1))
 	specials := []float32{nan32, 0, negZero, float32(math.Inf(1)), float32(math.Inf(-1)), 1e-45, -1e-45, 1e-39}
-	attrs := []graph.PoolAttrs{{Type: graph.MaxPool, Global: true}}
-	for _, k := range []int{2, 3} {
-		for _, stride := range []int{1, 2} {
-			for _, pad := range []int{0, 1, 4} { // 4: border outputs see padding only
-				attrs = append(attrs, graph.PoolAttrs{Type: graph.MaxPool, KernelH: k, KernelW: k, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad})
-			}
-		}
+	checkPoolSIMDBitwise(t, poolSIMDCases(t, graph.PoolAttrs{Type: graph.MaxPool}), specials, specials)
+}
+
+// TestPoolAvgSIMDBitwise pins poolAvgRowNC4 to its Go oracle poolAvg on
+// poolSIMDCases, with CountIncludePad both ways. Dense inputs are values
+// near ±3e38 beside denormals, zeros and ±1, so a window's float64 sum
+// cancels and its order shows in the result; sparse ones add NaN and ±Inf.
+func TestPoolAvgSIMDBitwise(t *testing.T) {
+	if !matmul.HaveAVX2() {
+		t.Skip("no AVX2 on this machine")
 	}
-	for i, a := range attrs {
-		for _, dense := range []bool{false, true} {
-			h, w := 6+i%4, 9-i%3
-			oh, ow := 1, 1
-			if !a.Global {
-				var err error
-				if oh, ow, err = graph.PoolOutputSize(h, w, &a); err != nil {
-					t.Fatal(err)
-				}
-			}
-			src := tensor.NewWithLayout(tensor.NC4HW4, 2, 7, h, w)
-			tensor.FillRandom(src, uint64(i+1), 1)
-			sd, r := src.Data(), tensor.NewRNG(uint64(i+100))
-			for j := range sd {
-				if dense || r.Intn(6) == 0 { // dense: nothing but specials, so windows of only NaN or only zeros occur
-					sd[j] = specials[r.Intn(len(specials))]
-				}
-			}
-			simd, portable := nanNC4(2, 7, oh, ow), nanNC4(2, 7, oh, ow)
-			NewPoolOp(simd, src, &a).Run(testPool(t, 2))
-			op := NewPoolOp(portable, src, &a)
-			op.simd = false
-			op.Run(testPool(t, 2))
-			if d := firstBitDiff(simd.Data(), portable.Data()); d >= 0 {
-				t.Fatalf("%+v on %dx%d (dense %v): physical element %d = %v (%#08x), poolMax %v (%#08x)", a, h, w, dense, d,
-					simd.Data()[d], math.Float32bits(simd.Data()[d]), portable.Data()[d], math.Float32bits(portable.Data()[d]))
-			}
-		}
+	finite := []float32{3e38, -3e38, math.MaxFloat32, -math.MaxFloat32, 1e-45, -1e-45, 1e-39, -1e-39,
+		0, float32(math.Copysign(0, -1)), 1, -1}
+	specials := append([]float32{nan32, float32(math.Inf(1)), float32(math.Inf(-1))}, finite...)
+	for _, incl := range []bool{false, true} {
+		cases := poolSIMDCases(t, graph.PoolAttrs{Type: graph.AvgPool, CountIncludePad: incl})
+		checkPoolSIMDBitwise(t, cases, specials, finite)
 	}
 }

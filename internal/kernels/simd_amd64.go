@@ -37,11 +37,16 @@ func quantizeNC4(dst *uint8, src *float32, blocks int, inv float32, sign uint32,
 //go:noescape
 func maxAbs8(src *float32, blocks int, mask *[8]uint32) float32
 
-// poolMaxNC4 is the AVX max-pooling kernel (pool_amd64.s): poolMax over a
-// non-empty rows × cols window of one channel pack.
+// poolMaxRowNC4 and poolAvgRowNC4 are the AVX pooling kernels
+// (pool_amd64.s): poolMax and poolAvg of n output pixels of one channel
+// pack, 16 bytes apart at dst, whose non-empty rows × cols windows start
+// stepBytes apart at src.
 //
 //go:noescape
-func poolMaxNC4(dst, src *float32, rows, cols, rowBytes int)
+func poolMaxRowNC4(dst, src *float32, n, rows, cols, rowBytes, stepBytes int)
+
+//go:noescape
+func poolAvgRowNC4(dst, src *float32, n, rows, cols, rowBytes, stepBytes int, div float64)
 
 // expPS and geluPS are the AVX2 twins of expf32 and geluf32 (exp_amd64.s)
 // over 8·blocks floats, blocks ≥ 1; dst may be src.

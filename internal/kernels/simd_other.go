@@ -26,8 +26,12 @@ func maxAbs8(src *float32, blocks int, mask *[8]uint32) float32 {
 	panic("kernels: no SIMD max-abs scan on this architecture")
 }
 
-func poolMaxNC4(dst, src *float32, rows, cols, rowBytes int) {
-	panic("kernels: no SIMD max-pooling kernel on this architecture")
+func poolMaxRowNC4(dst, src *float32, n, rows, cols, rowBytes, stepBytes int) {
+	panic("kernels: no SIMD pooling kernel on this architecture")
+}
+
+func poolAvgRowNC4(dst, src *float32, n, rows, cols, rowBytes, stepBytes int, div float64) {
+	panic("kernels: no SIMD pooling kernel on this architecture")
 }
 
 func expPS(dst, src *float32, blocks int) {

@@ -41,15 +41,23 @@ func driveEngine(t *testing.T, poolSize, inFlight, queries int, opts ...mnn.Opti
 // TestEnginePoolThroughputSmoke is the -short loadgen smoke: with 4 requests
 // in flight, a pool of 4 prepared sessions must serve them side by side
 // where a pool of 1 serves them one after another. Each inference holds its
-// session for an injected sleep sized from one measured warm request — eight
-// times its compute, at least 20 ms — so the comparison rests on how many
-// sessions run at once, not on how many idle CPUs a shared host has: pool 4
-// must reach twice pool 1's throughput (four times, ideally), on one CPU too.
+// session for an injected sleep, hold, so the comparison rests on how many
+// sessions run at once, not on how many idle CPUs a shared host has.
+//
+// The bound follows from the hold. Let c be one inference's compute during
+// the run. Pool 1 serves the queries one at a time, each for hold + c. Pool 4
+// serves them in queries/inFlight full waves — queries is a multiple of
+// inFlight, so no part-filled wave skews the ratio — each lasting at most
+// hold + inFlight·c, the computes sharing one CPU. Pool 4's throughput is
+// then at least inFlight·(hold + c)/(hold + inFlight·c) times pool 1's,
+// which is 2 or more whenever hold ≥ 2c. Sizing hold as the larger of 40 ms
+// and 16 warm requests keeps that true for a compute a busy neighbour
+// stretches 8× (or to 20 ms); on a quiet host the ratio is ≈ 3.5.
 func TestEnginePoolThroughputSmoke(t *testing.T) {
-	const inFlight, queries = 4, 8
+	const inFlight, queries = 4, 3 * 4
 	shape := mnn.WithInputShapes(map[string][]int{"data": {1, 3, 64, 64}})
 	warm := driveEngine(t, 1, 1, 3, shape)
-	hold := max(20*time.Millisecond, 8*warm.MinLatency)
+	hold := max(40*time.Millisecond, 16*warm.MinLatency)
 	plan, err := mnn.ParseFaultPlan(1, fmt.Sprintf("engine.infer=latency:%v", hold))
 	if err != nil {
 		t.Fatal(err)
