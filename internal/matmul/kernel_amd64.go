@@ -2,12 +2,15 @@ package matmul
 
 // The amd64 micro-kernels (kernel_amd64.s) and the one decision which of them
 // run. fp32 has two SIMD levels over the same packed panels — AVX2 with FMA
-// (4×16 tiles) and AVX-512F (12×16 tiles, remainders on AVX2) — that round
-// every element alike, one VFMADD231PS per step as the portable loops' fma32,
-// so the level is picked from CPUID and XCR0 alone and nothing can or need
-// switch it. int8 has its own ladder over exact integer sums — AVX2
-// (VPMADDWD, 4×16 tiles) and AVX-512 VNNI (VPDPBUSD, 12×16 tiles, remainders
-// on a 4-pixel variant) — picked from the same registers and CPUID.7:ECX.
+// (4×16 tiles) and AVX-512F (12×32 tiles over two adjacent panels, 12×16 for
+// a panel left unpaired, remainders on AVX2) — that round every element
+// alike, one VFMADD231PS per step as the portable loops' fma32, so the level
+// is picked from CPUID and XCR0 alone and nothing can or need switch it. The
+// pair tile loads two panel lines and twelve broadcasts per step for 24
+// FMAs, where the 12×16 tile loads 13 for 12. int8 has its own ladder over
+// exact integer sums — AVX2 (VPMADDWD, 4×16 tiles) and AVX-512 VNNI
+// (VPDPBUSD, 12×16 tiles, remainders on a 4-pixel variant) — picked from the
+// same registers and CPUID.7:ECX.
 
 import "unsafe"
 
@@ -77,6 +80,18 @@ func mulPanel12x16(dst *float32, ldd int, a *float32, lda, k int, panel *float32
 
 //go:noescape
 func mulPanel12NC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel, bias *float32, lo, hi float32)
+
+// mulPanel12x32 and mulPanel12x32NC4 are the AVX-512F kernels over two
+// adjacent panels (kernel_amd64.s): the second panel's k rows start k·16
+// floats after panel, the tile is twelve rows or pixels × 32 columns, and
+// each element gets the twelve-row kernels' reduction and epilogue.
+// mulPanel12x32NC4 stores 4 < packs ≤ 8 channel packs from 32 biases.
+//
+//go:noescape
+func mulPanel12x32(dst *float32, ldd int, a *float32, lda, k int, panel *float32)
+
+//go:noescape
+func mulPanel12x32NC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel *float32, k int, bias *float32, lo, hi float32)
 
 // mulPanelInt8 is the int8 micro-kernel (kernel_amd64.s): four pixels of
 // bytes, aPix apart, summed over ntaps taps of kq ≥ 1 channel quads each, the

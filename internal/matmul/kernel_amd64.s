@@ -57,19 +57,70 @@
 	VFMADD231PS.BCST D(R13)(R9*1), Z12, Z11 \
 	ADDQ             $64, BX
 
+// STEP12X2 is STEP12 over two adjacent panels, a tile of twelve pixels × 32
+// columns: the two panel lines, R15 bytes apart, in Z24 and Z25, and each
+// pixel's a element broadcast once (Z26..Z31) against both — panel 0 into
+// Z0..Z11, panel 1 into Z12..Z23. That is 14 loads for 24 VFMADD231PS where
+// STEP12 spends 13 on 12, so the two load ports no longer set the pace; one
+// rounded multiply-add per element and step as before.
+#define STEP12X2(D) \
+	VMOVUPS      (BX), Z24         \
+	VMOVUPS      (BX)(R15*1), Z25  \
+	VBROADCASTSS D(SI), Z26        \
+	VBROADCASTSS D(SI)(R8*1), Z27  \
+	VBROADCASTSS D(SI)(R8*2), Z28  \
+	VBROADCASTSS D(SI)(R9*1), Z29  \
+	VBROADCASTSS D(R10), Z30       \
+	VBROADCASTSS D(R10)(R8*1), Z31 \
+	VFMADD231PS  Z24, Z26, Z0      \
+	VFMADD231PS  Z25, Z26, Z12     \
+	VFMADD231PS  Z24, Z27, Z1      \
+	VFMADD231PS  Z25, Z27, Z13     \
+	VFMADD231PS  Z24, Z28, Z2      \
+	VFMADD231PS  Z25, Z28, Z14     \
+	VFMADD231PS  Z24, Z29, Z3      \
+	VFMADD231PS  Z25, Z29, Z15     \
+	VFMADD231PS  Z24, Z30, Z4      \
+	VFMADD231PS  Z25, Z30, Z16     \
+	VFMADD231PS  Z24, Z31, Z5      \
+	VFMADD231PS  Z25, Z31, Z17     \
+	VBROADCASTSS D(R10)(R8*2), Z26 \
+	VBROADCASTSS D(R10)(R9*1), Z27 \
+	VBROADCASTSS D(R13), Z28       \
+	VBROADCASTSS D(R13)(R8*1), Z29 \
+	VBROADCASTSS D(R13)(R8*2), Z30 \
+	VBROADCASTSS D(R13)(R9*1), Z31 \
+	VFMADD231PS  Z24, Z26, Z6      \
+	VFMADD231PS  Z25, Z26, Z18     \
+	VFMADD231PS  Z24, Z27, Z7      \
+	VFMADD231PS  Z25, Z27, Z19     \
+	VFMADD231PS  Z24, Z28, Z8      \
+	VFMADD231PS  Z25, Z28, Z20     \
+	VFMADD231PS  Z24, Z29, Z9      \
+	VFMADD231PS  Z25, Z29, Z21     \
+	VFMADD231PS  Z24, Z30, Z10     \
+	VFMADD231PS  Z25, Z30, Z22     \
+	VFMADD231PS  Z24, Z31, Z11     \
+	VFMADD231PS  Z25, Z31, Z23     \
+	ADDQ         $64, BX
+
+#define ZERO4(V0, V1, V2, V3) \
+	VPXORQ V0, V0, V0 \
+	VPXORQ V1, V1, V1 \
+	VPXORQ V2, V2, V2 \
+	VPXORQ V3, V3, V3
+
 #define ZERO12 \
-	VPXORQ Z0, Z0, Z0    \
-	VPXORQ Z1, Z1, Z1    \
-	VPXORQ Z2, Z2, Z2    \
-	VPXORQ Z3, Z3, Z3    \
-	VPXORQ Z4, Z4, Z4    \
-	VPXORQ Z5, Z5, Z5    \
-	VPXORQ Z6, Z6, Z6    \
-	VPXORQ Z7, Z7, Z7    \
-	VPXORQ Z8, Z8, Z8    \
-	VPXORQ Z9, Z9, Z9    \
-	VPXORQ Z10, Z10, Z10 \
-	VPXORQ Z11, Z11, Z11
+	ZERO4(Z0, Z1, Z2, Z3) \
+	ZERO4(Z4, Z5, Z6, Z7) \
+	ZERO4(Z8, Z9, Z10, Z11)
+
+// ZERO24 clears the accumulators of the two-panel tile.
+#define ZERO24 \
+	ZERO12                     \
+	ZERO4(Z12, Z13, Z14, Z15) \
+	ZERO4(Z16, Z17, Z18, Z19) \
+	ZERO4(Z20, Z21, Z22, Z23)
 
 // ROWS12 points R10 and R13 at rows 4 and 8 of the tile whose row 0 is SI;
 // NEXT4 and NEXT12 move the row pointers on by one channel pack, R11 bytes.
@@ -88,8 +139,8 @@
 // floats into the source and at row t.B of PANEL, and its step c < DX reads
 // lane c%4 of channel pack c/4, R11 bytes after pack 0 — four steps per
 // 64-byte line when the pixels are adjacent. R8 is the bytes between pixels,
-// R9 three times that. STEP is STEP4 or STEP12, with the matching ROWS and
-// NEXT. Taps in list order, channels ascending, every accumulator from +0;
+// R9 three times that. STEP is STEP4, STEP12 or STEP12X2 (whose second
+// panel is R15 bytes after the first), with the matching ROWS and NEXT. Taps in list order, channels ascending, every accumulator from +0;
 // the pad lanes of a partial last pack are never read. Falls through to the
 // caller's epilogue with AX, BX, CX, DX, SI, DI, R12 and R14 spent.
 #define TAPWALK(STEP, ROWS, NEXT, A, PANEL) \
@@ -272,31 +323,30 @@ done:
 	VZEROUPPER
 	RET
 
-// FINISH12 is the bias add and clamp of BIAS_CLAMP_STORE_NC4 on one zmm row:
-// bias in Z12, [lo, hi] in Z13, Z14, the value as the second source of
+// FINISH12 is the bias add and clamp of BIAS_CLAMP_STORE_NC4 on one zmm row
+// V: bias in BIAS, [lo, hi] in LO, HI, the value as the second source of
 // VMAXPS/VMINPS.
-#define FINISH12(Z) \
-	VADDPS Z12, Z, Z \
-	VMAXPS Z, Z13, Z \
-	VMINPS Z, Z14, Z
+#define FINISH12(V, BIAS, LO, HI) \
+	VADDPS BIAS, V, V \
+	VMAXPS V, LO, V   \
+	VMINPS V, HI, V
 
-// PACK12 stores one output channel pack of the 12×16 tile in Z0..Z11 at DI:
-// 128-bit lane LANE (an immediate with the lane number in all four fields)
-// of every row, the twelve pixels in row order — three transposes of four
-// rows' lanes into one zmm each.
-#define PACK12(LANE) \
-	VSHUFF32X4 LANE, Z1, Z0, Z16     \
-	VSHUFF32X4 LANE, Z3, Z2, Z17     \
-	VSHUFF32X4 LANE, Z5, Z4, Z18     \
-	VSHUFF32X4 LANE, Z7, Z6, Z19     \
-	VSHUFF32X4 LANE, Z9, Z8, Z20     \
-	VSHUFF32X4 LANE, Z11, Z10, Z21   \
-	VSHUFF32X4 $0x88, Z17, Z16, Z16  \
-	VSHUFF32X4 $0x88, Z19, Z18, Z18  \
-	VSHUFF32X4 $0x88, Z21, Z20, Z20  \
-	VMOVUPS    Z16, (DI)             \
-	VMOVUPS    Z18, 64(DI)           \
-	VMOVUPS    Z20, 128(DI)
+// PACK4 stores lane LANE (an immediate with the lane number in all four
+// fields) of the rows V0..V3 — one 128-bit quarter of each, in row order —
+// as the 64 bytes at OFF(DI): a transpose through T0 and T1.
+#define PACK4(LANE, V0, V1, V2, V3, T0, T1, OFF) \
+	VSHUFF32X4 LANE, V1, V0, T0  \
+	VSHUFF32X4 LANE, V3, V2, T1  \
+	VSHUFF32X4 $0x88, T1, T0, T0 \
+	VMOVUPS    T0, OFF(DI)
+
+// PACK12 stores one output channel pack of the 12×16 tile in V0..V11 at DI:
+// lane LANE of every row, the twelve pixels in row order — PACK4 of rows
+// 0–3, 4–7 and 8–11, through T0 and T1.
+#define PACK12(LANE, V0, V1, V2, V3, V4, V5, V6, V7, V8, V9, V10, V11, T0, T1) \
+	PACK4(LANE, V0, V1, V2, V3, T0, T1, 0)    \
+	PACK4(LANE, V4, V5, V6, V7, T0, T1, 64)   \
+	PACK4(LANE, V8, V9, V10, V11, T0, T1, 128)
 
 // func mulPanel12NC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel, bias *float32, lo, hi float32)
 //
@@ -322,31 +372,111 @@ TEXT ·mulPanel12NC4(SB), NOSPLIT, $0-96
 	VMOVUPS      (R13), Z12
 	VBROADCASTSS lo+88(FP), Z13
 	VBROADCASTSS hi+92(FP), Z14
-	FINISH12(Z0)
-	FINISH12(Z1)
-	FINISH12(Z2)
-	FINISH12(Z3)
-	FINISH12(Z4)
-	FINISH12(Z5)
-	FINISH12(Z6)
-	FINISH12(Z7)
-	FINISH12(Z8)
-	FINISH12(Z9)
-	FINISH12(Z10)
-	FINISH12(Z11)
-	PACK12($0x00)
+	FINISH12(Z0, Z12, Z13, Z14)
+	FINISH12(Z1, Z12, Z13, Z14)
+	FINISH12(Z2, Z12, Z13, Z14)
+	FINISH12(Z3, Z12, Z13, Z14)
+	FINISH12(Z4, Z12, Z13, Z14)
+	FINISH12(Z5, Z12, Z13, Z14)
+	FINISH12(Z6, Z12, Z13, Z14)
+	FINISH12(Z7, Z12, Z13, Z14)
+	FINISH12(Z8, Z12, Z13, Z14)
+	FINISH12(Z9, Z12, Z13, Z14)
+	FINISH12(Z10, Z12, Z13, Z14)
+	FINISH12(Z11, Z12, Z13, Z14)
+	PACK12($0x00, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z16, Z17)
 	DECQ R12
 	JZ   done
 	ADDQ DX, DI
-	PACK12($0x55)
+	PACK12($0x55, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z16, Z17)
 	DECQ R12
 	JZ   done
 	ADDQ DX, DI
-	PACK12($0xAA)
+	PACK12($0xAA, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z16, Z17)
 	DECQ R12
 	JZ   done
 	ADDQ DX, DI
-	PACK12($0xFF)
+	PACK12($0xFF, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z16, Z17)
+
+done:
+	VZEROUPPER
+	RET
+
+// func mulPanel12x32NC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel *float32, k int, bias *float32, lo, hi float32)
+//
+// mulPanel12NC4 over two adjacent panels of k rows, the second k·16 floats
+// after panel: a tile of 12 pixels × 32 columns on STEP12X2, the same walk
+// and the same epilogue per element — the 32 biases at bias, then 4 < packs
+// ≤ 8 channel packs, the first panel's four and as many of the second's as
+// remain.
+TEXT ·mulPanel12x32NC4(SB), NOSPLIT, $0-104
+	MOVQ aPack+32(FP), R11
+	MOVQ aPix+40(FP), R8
+	MOVQ taps+48(FP), R14
+	MOVQ ntaps+56(FP), R12
+	MOVQ kc+64(FP), DX
+	MOVQ k+80(FP), R15
+	SHLQ $2, R11
+	SHLQ $2, R8
+	SHLQ $6, R15
+	LEAQ (R8)(R8*2), R9
+	ZERO24
+	TAPWALK(STEP12X2, ROWS12, NEXT12, a+24(FP), panel+72(FP))
+	MOVQ dst+0(FP), DI
+	MOVQ dstPack+8(FP), DX
+	MOVQ packs+16(FP), R12
+	MOVQ bias+88(FP), R13
+	SHLQ $2, DX
+	VMOVUPS      (R13), Z24
+	VMOVUPS      64(R13), Z25
+	VBROADCASTSS lo+96(FP), Z26
+	VBROADCASTSS hi+100(FP), Z27
+	FINISH12(Z0, Z24, Z26, Z27)
+	FINISH12(Z1, Z24, Z26, Z27)
+	FINISH12(Z2, Z24, Z26, Z27)
+	FINISH12(Z3, Z24, Z26, Z27)
+	FINISH12(Z4, Z24, Z26, Z27)
+	FINISH12(Z5, Z24, Z26, Z27)
+	FINISH12(Z6, Z24, Z26, Z27)
+	FINISH12(Z7, Z24, Z26, Z27)
+	FINISH12(Z8, Z24, Z26, Z27)
+	FINISH12(Z9, Z24, Z26, Z27)
+	FINISH12(Z10, Z24, Z26, Z27)
+	FINISH12(Z11, Z24, Z26, Z27)
+	FINISH12(Z12, Z25, Z26, Z27)
+	FINISH12(Z13, Z25, Z26, Z27)
+	FINISH12(Z14, Z25, Z26, Z27)
+	FINISH12(Z15, Z25, Z26, Z27)
+	FINISH12(Z16, Z25, Z26, Z27)
+	FINISH12(Z17, Z25, Z26, Z27)
+	FINISH12(Z18, Z25, Z26, Z27)
+	FINISH12(Z19, Z25, Z26, Z27)
+	FINISH12(Z20, Z25, Z26, Z27)
+	FINISH12(Z21, Z25, Z26, Z27)
+	FINISH12(Z22, Z25, Z26, Z27)
+	FINISH12(Z23, Z25, Z26, Z27)
+	PACK12($0x00, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z24, Z25)
+	ADDQ DX, DI
+	PACK12($0x55, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z24, Z25)
+	ADDQ DX, DI
+	PACK12($0xAA, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z24, Z25)
+	ADDQ DX, DI
+	PACK12($0xFF, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z24, Z25)
+	SUBQ $4, R12
+	ADDQ DX, DI
+	PACK12($0x00, Z12, Z13, Z14, Z15, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23, Z24, Z25)
+	DECQ R12
+	JZ   done
+	ADDQ DX, DI
+	PACK12($0x55, Z12, Z13, Z14, Z15, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23, Z24, Z25)
+	DECQ R12
+	JZ   done
+	ADDQ DX, DI
+	PACK12($0xAA, Z12, Z13, Z14, Z15, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23, Z24, Z25)
+	DECQ R12
+	JZ   done
+	ADDQ DX, DI
+	PACK12($0xFF, Z12, Z13, Z14, Z15, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23, Z24, Z25)
 
 done:
 	VZEROUPPER
@@ -399,6 +529,64 @@ TEXT ·mulPanel12x16(SB), NOSPLIT, $0-48
 	VMOVUPS Z10, (DI)
 	ADDQ    DX, DI
 	VMOVUPS Z11, (DI)
+	VZEROUPPER
+	RET
+
+// func mulPanel12x32(dst *float32, ldd int, a *float32, lda, k int, panel *float32)
+//
+// mulPanel12x16 over two adjacent panels, the second k·16 floats after
+// panel: twelve rows × 32 columns on STEP12X2, row r's first 16 columns
+// from Z(r), the next 16 from Z(12+r). Requires k ≥ 1.
+TEXT ·mulPanel12x32(SB), NOSPLIT, $0-48
+	MOVQ lda+24(FP), R8
+	MOVQ k+32(FP), DX
+	MOVQ $16, R11
+	LEAQ zeroTap<>(SB), R14
+	MOVQ $1, R12
+	MOVQ DX, R15
+	SHLQ $2, R8
+	SHLQ $6, R15
+	LEAQ (R8)(R8*2), R9
+	ZERO24
+	TAPWALK(STEP12X2, ROWS12, NEXT12, a+16(FP), panel+40(FP))
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), DX
+	SHLQ $2, DX
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z12, 64(DI)
+	ADDQ    DX, DI
+	VMOVUPS Z1, (DI)
+	VMOVUPS Z13, 64(DI)
+	ADDQ    DX, DI
+	VMOVUPS Z2, (DI)
+	VMOVUPS Z14, 64(DI)
+	ADDQ    DX, DI
+	VMOVUPS Z3, (DI)
+	VMOVUPS Z15, 64(DI)
+	ADDQ    DX, DI
+	VMOVUPS Z4, (DI)
+	VMOVUPS Z16, 64(DI)
+	ADDQ    DX, DI
+	VMOVUPS Z5, (DI)
+	VMOVUPS Z17, 64(DI)
+	ADDQ    DX, DI
+	VMOVUPS Z6, (DI)
+	VMOVUPS Z18, 64(DI)
+	ADDQ    DX, DI
+	VMOVUPS Z7, (DI)
+	VMOVUPS Z19, 64(DI)
+	ADDQ    DX, DI
+	VMOVUPS Z8, (DI)
+	VMOVUPS Z20, 64(DI)
+	ADDQ    DX, DI
+	VMOVUPS Z9, (DI)
+	VMOVUPS Z21, 64(DI)
+	ADDQ    DX, DI
+	VMOVUPS Z10, (DI)
+	VMOVUPS Z22, 64(DI)
+	ADDQ    DX, DI
+	VMOVUPS Z11, (DI)
+	VMOVUPS Z23, 64(DI)
 	VZEROUPPER
 	RET
 
@@ -628,14 +816,6 @@ epilogue:
 	VCVTDQ2PS Z, Z \
 	VMULPS    Z12, Z, Z
 
-// PACK4 is PACK12 for the four-pixel tile in Z0..Z3: lane LANE of every
-// row, one 64-byte channel pack at DI.
-#define PACK4(LANE) \
-	VSHUFF32X4 LANE, Z1, Z0, Z16    \
-	VSHUFF32X4 LANE, Z3, Z2, Z17    \
-	VSHUFF32X4 $0x88, Z17, Z16, Z16 \
-	VMOVUPS    Z16, (DI)
-
 // func mulPanel12Int8(dst unsafe.Pointer, dstStride, packs int, a *uint8, aQuad, aPix int, taps *Tap, ntaps, kq int, panel *int8, scale, bias *float32, lo, hi float32, unsigned bool)
 //
 // mulPanelInt8 on AVX-512 VNNI, twelve pixels: VNNIWALK over a panel in the
@@ -692,31 +872,31 @@ TEXT ·mulPanel12Int8(SB), NOSPLIT, $0-105
 	VMOVUPS      (R13), Z12
 	VBROADCASTSS lo+96(FP), Z13
 	VBROADCASTSS hi+100(FP), Z14
-	FINISH12(Z0)
-	FINISH12(Z1)
-	FINISH12(Z2)
-	FINISH12(Z3)
-	FINISH12(Z4)
-	FINISH12(Z5)
-	FINISH12(Z6)
-	FINISH12(Z7)
-	FINISH12(Z8)
-	FINISH12(Z9)
-	FINISH12(Z10)
-	FINISH12(Z11)
-	PACK12($0x00)
+	FINISH12(Z0, Z12, Z13, Z14)
+	FINISH12(Z1, Z12, Z13, Z14)
+	FINISH12(Z2, Z12, Z13, Z14)
+	FINISH12(Z3, Z12, Z13, Z14)
+	FINISH12(Z4, Z12, Z13, Z14)
+	FINISH12(Z5, Z12, Z13, Z14)
+	FINISH12(Z6, Z12, Z13, Z14)
+	FINISH12(Z7, Z12, Z13, Z14)
+	FINISH12(Z8, Z12, Z13, Z14)
+	FINISH12(Z9, Z12, Z13, Z14)
+	FINISH12(Z10, Z12, Z13, Z14)
+	FINISH12(Z11, Z12, Z13, Z14)
+	PACK12($0x00, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z16, Z17)
 	DECQ R12
 	JZ   done
 	ADDQ DX, DI
-	PACK12($0x55)
+	PACK12($0x55, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z16, Z17)
 	DECQ R12
 	JZ   done
 	ADDQ DX, DI
-	PACK12($0xAA)
+	PACK12($0xAA, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z16, Z17)
 	DECQ R12
 	JZ   done
 	ADDQ DX, DI
-	PACK12($0xFF)
+	PACK12($0xFF, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z16, Z17)
 	JMP  done
 
 raw:
@@ -763,10 +943,7 @@ TEXT ·mulPanel4Int8(SB), NOSPLIT, $0-105
 	LEAQ         (R8)(R8*2), R9
 	VPBROADCASTD signBytes<>(SB), Z14
 	VPXORQ       Z15, Z15, Z15
-	VPXORQ       Z0, Z0, Z0
-	VPXORQ       Z1, Z1, Z1
-	VPXORQ       Z2, Z2, Z2
-	VPXORQ       Z3, Z3, Z3
+	ZERO4(Z0, Z1, Z2, Z3)
 	VNNIWALK(VQUAD4, ROWS4, NEXT4, a+24(FP), panel+72(FP))
 	UNBIAS(Z0)
 	UNBIAS(Z1)
@@ -788,23 +965,23 @@ TEXT ·mulPanel4Int8(SB), NOSPLIT, $0-105
 	VMOVUPS      (R13), Z12
 	VBROADCASTSS lo+96(FP), Z13
 	VBROADCASTSS hi+100(FP), Z14
-	FINISH12(Z0)
-	FINISH12(Z1)
-	FINISH12(Z2)
-	FINISH12(Z3)
-	PACK4($0x00)
+	FINISH12(Z0, Z12, Z13, Z14)
+	FINISH12(Z1, Z12, Z13, Z14)
+	FINISH12(Z2, Z12, Z13, Z14)
+	FINISH12(Z3, Z12, Z13, Z14)
+	PACK4($0x00, Z0, Z1, Z2, Z3, Z16, Z17, 0)
 	DECQ R12
 	JZ   done
 	ADDQ DX, DI
-	PACK4($0x55)
+	PACK4($0x55, Z0, Z1, Z2, Z3, Z16, Z17, 0)
 	DECQ R12
 	JZ   done
 	ADDQ DX, DI
-	PACK4($0xAA)
+	PACK4($0xAA, Z0, Z1, Z2, Z3, Z16, Z17, 0)
 	DECQ R12
 	JZ   done
 	ADDQ DX, DI
-	PACK4($0xFF)
+	PACK4($0xFF, Z0, Z1, Z2, Z3, Z16, Z17, 0)
 	JMP  done
 
 raw:

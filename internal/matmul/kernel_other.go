@@ -24,6 +24,14 @@ func mulPanel12NC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int
 	panic("matmul: no SIMD micro-kernel on this architecture")
 }
 
+func mulPanel12x32(dst *float32, ldd int, a *float32, lda, k int, panel *float32) {
+	panic("matmul: no SIMD micro-kernel on this architecture")
+}
+
+func mulPanel12x32NC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel *float32, k int, bias *float32, lo, hi float32) {
+	panic("matmul: no SIMD micro-kernel on this architecture")
+}
+
 func mulPanelInt8(dst unsafe.Pointer, dstStride, packs int, a *uint8, aQuad, aPix int, taps *Tap, ntaps, kq int, panel *int16, scale, bias *float32, lo, hi float32, unsigned bool) {
 	panic("matmul: no SIMD micro-kernel on this architecture")
 }

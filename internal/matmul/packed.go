@@ -16,9 +16,10 @@ const PanelWidth = 16
 // time (they never change), making every steady-state multiply
 // allocation-free and cache-blocked. It is the one fp32 GEMM behind the 1×1,
 // im2col and Winograd convolutions, InnerProduct and the transformer weight
-// MatMul, on a register-blocked micro-kernel of 4 rows × 16 columns (12 × 16
-// on AVX-512): MulInto takes row-major operands, MulNC4Into reads and writes
-// NC4HW4 activations in place.
+// MatMul, on a register-blocked micro-kernel of 4 rows × 16 columns (on
+// AVX-512, 12 rows × two adjacent panels, 32 columns, and 12 × 16 for an
+// unpaired panel): MulInto takes row-major operands, MulNC4Into reads and
+// writes NC4HW4 activations in place.
 type PackedB struct {
 	K, N int
 	data []float32 // [panels][K][PanelWidth]
@@ -35,7 +36,7 @@ type level uint8
 const (
 	levelPortable level = iota // the Go loops: any host, and the oracle
 	levelAVX2                  // 4×16 tiles, two ymm per row
-	levelAVX512                // fp32: 12×16 tiles, one zmm per row; remainders on AVX2
+	levelAVX512                // fp32: 12×32 tiles over panel pairs, 12×16 for a lone panel; remainders on AVX2
 	levelVNNI                  // int8: 12×16 VPDPBUSD tiles; remainders on a 4-pixel variant
 )
 
@@ -133,9 +134,11 @@ func PackB(b []float32, k, n int) *PackedB {
 // results equal to unbatched ones.
 //
 // On amd64 hosts with AVX2 (checked once at package init) the blocks run the
-// assembly micro-kernels — mulPanel12x16 on AVX-512F while twelve rows
-// remain, mulPanel4x16 otherwise; everywhere else, and as the oracle the
-// differential tests compare them with, the portable Go loop runs.
+// assembly micro-kernels — on AVX-512F while twelve rows remain
+// mulPanel12x32 over each pair of full panels and mulPanel12x16 over a full
+// panel left over, mulPanel4x16 otherwise; everywhere else, and as the
+// oracle the differential tests compare them with, the portable Go loop
+// runs.
 func (pb *PackedB) MulInto(dst, a []float32, m int) {
 	k, n := pb.K, pb.N
 	if len(a) < m*k || len(dst) < m*n {
@@ -148,16 +151,18 @@ func (pb *PackedB) MulInto(dst, a []float32, m int) {
 	pb.mulSIMD(dst, a, m)
 }
 
-// mulSIMD drives the micro-kernels over the panels and blocks of rows:
-// twelve at a time on AVX-512, then four at a time. When m%4 rows are left
-// the last block is moved back to end at row m and overlaps rows already
-// written — a row's bits depend on that row alone, so they are written
-// twice with the same value. Blocks of the zero-padded last panel, and the
-// rows of a product with fewer than four, run the four-row kernel into a
-// stack tile and copy out what is valid; such a row is fed as four copies of
-// itself (lda = 0) so the kernel never reads past a. No step is skipped for
-// a zero a: 0·Inf is NaN, and a fused step can leave −0 in an accumulator
-// that a following +0·v turns back into +0.
+// mulSIMD drives the micro-kernels over the panels and blocks of rows: twelve
+// at a time on AVX-512, then four at a time. The twelve-row tiles of panels
+// 2i and 2i+1 run as one 12×32 tile when both are full — the pairing reads
+// only N — and the second panel's iteration starts at the rows those tiles
+// left. When m%4 rows are left the last block is moved back to end at row m
+// and overlaps rows already written — a row's bits depend on that row alone,
+// so they are written twice with the same value. Blocks of the zero-padded
+// last panel, and the rows of a product with fewer than four, run the
+// four-row kernel into a stack tile and copy out what is valid; such a row is
+// fed as four copies of itself (lda = 0) so the kernel never reads past a. No
+// step is skipped for a zero a: 0·Inf is NaN, and a fused step can leave −0
+// in an accumulator that a following +0·v turns back into +0.
 func (pb *PackedB) mulSIMD(dst, a []float32, m int) {
 	k, n := pb.K, pb.N
 	var tile [4 * PanelWidth]float32
@@ -166,8 +171,17 @@ func (pb *PackedB) mulSIMD(dst, a []float32, m int) {
 		panel := &pb.data[j0*k]
 		i := 0
 		if pb.simd == levelAVX512 && lim == PanelWidth {
-			for ; i+12 <= m; i += 12 {
-				mulPanel12x16(&dst[i*n+j0], n, &a[i*k], k, k, panel)
+			switch {
+			case j0/PanelWidth%2 == 1: // the second of a pair: its tiles ran with the first
+				i = m / 12 * 12
+			case n-j0 >= 2*PanelWidth: // the next panel is full too: twelve rows × both
+				for ; i+12 <= m; i += 12 {
+					mulPanel12x32(&dst[i*n+j0], n, &a[i*k], k, k, panel)
+				}
+			default:
+				for ; i+12 <= m; i += 12 {
+					mulPanel12x16(&dst[i*n+j0], n, &a[i*k], k, k, panel)
+				}
 			}
 		}
 		for ; i < m && m < 4; i++ {
@@ -237,17 +251,20 @@ func (pb *PackedB) MulNC4Into(dst []float32, dstPack int, a []float32, aPack, aP
 //
 // for q < pixels and o < N, where aPack and dstPack are the floats between
 // channel packs (H·W·4) and aPix the floats between the source pixels of
-// adjacent output pixels (4·stride). The caller lists only the taps that
-// fall inside the image for every pixel of the run, in ascending (ky, kx)
-// order. The sum is MulInto's — taps in list order, c < kc ascending, from
-// +0, one rounding per multiply-add — so one tap over kc = K rows is
-// MulInto bit for bit; the bias is added after it, then v < lo becomes lo and
-// v > hi becomes hi, which is relu, relu6 or the identity bit for bit (NaN
-// stays NaN). A pixel's bits depend on that pixel and its tap list alone —
-// which is what lets a run be cut into twelve-pixel tiles, four-pixel blocks
-// and a last block that overlaps pixels already written. The pad lanes of
-// a's last pack are never read; dst is written in whole packs, pad lanes
-// included, and must not alias a. bias holds N rounded up to whole panels.
+// adjacent output pixels (4·stride). The caller lists only the taps that fall
+// inside the image for every pixel of the run, in ascending (ky, kx) order.
+// The sum is MulInto's — taps in list order, c < kc ascending, from +0, one
+// rounding per multiply-add — so one tap over kc = K rows is MulInto bit for
+// bit; the bias is added after it, then v < lo becomes lo and v > hi becomes
+// hi, which is relu, relu6 or the identity bit for bit (NaN stays NaN). A
+// pixel's bits depend on that pixel and its tap list alone — which is what
+// lets a run be cut into twelve-pixel tiles, four-pixel blocks and a last
+// block that overlaps pixels already written. On AVX-512 the twelve-pixel
+// tiles of panels 2i and 2i+1 run as one tile of 32 columns (its packs clip a
+// partial second panel), an odd last panel on 12 × 16; the pairing reads only
+// N. The pad lanes of a's last pack are never read; dst is written in whole
+// packs, pad lanes included, and must not alias a. bias holds N rounded up to
+// whole panels.
 func (pb *PackedB) MulTapsNC4Into(dst []float32, dstPack int, a []float32, aPack, aPix, pixels int, taps []Tap, kc int, bias []float32, lo, hi float32) {
 	k, n := pb.K, pb.N
 	if pixels <= 0 {
@@ -277,8 +294,17 @@ func (pb *PackedB) MulTapsNC4Into(dst []float32, dstPack int, a []float32, aPack
 		}
 		q := 0
 		if pb.simd == levelAVX512 {
-			for ; q+12 <= pixels; q += 12 {
-				mulPanel12NC4(&d[q*4], dstPack, packs, &a[q*aPix], aPack, aPix, tp, nt, kc, &panel[0], &b[0], lo, hi)
+			switch {
+			case jp%2 == 1: // the second of a pair: its tiles ran with the first
+				q = pixels / 12 * 12
+			case jp+1 < panels: // twelve pixels × this panel and the next, partial or not
+				for ; q+12 <= pixels; q += 12 {
+					mulPanel12x32NC4(&d[q*4], dstPack, min(8, n4-jp*4), &a[q*aPix], aPack, aPix, tp, nt, kc, &panel[0], k, &b[0], lo, hi)
+				}
+			default:
+				for ; q+12 <= pixels; q += 12 {
+					mulPanel12NC4(&d[q*4], dstPack, packs, &a[q*aPix], aPack, aPix, tp, nt, kc, &panel[0], &b[0], lo, hi)
+				}
 			}
 		}
 		// Fewer than four pixels in all: each runs as four copies of itself

@@ -2,7 +2,6 @@ package matmul
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"testing"
 
@@ -90,7 +89,10 @@ func hostLevels(t *testing.T) []string {
 // assembly micro-kernels: over edge and seeded random shapes every level
 // must produce the portable loop's bits (and therefore Mul's), with no
 // tolerance. The row counts cross every split of the drivers: twelve-row
-// tiles, four-row blocks, the overlapping tail block, fewer than four rows.
+// tiles, four-row blocks, the overlapping tail block, fewer than four rows;
+// the column counts every split of the panels: one, a pair of full panels
+// (32, 64), a pair beside a partial panel (33, 40, 47) and a pair beside a
+// lone full one (48).
 // Two cases pin that no step is skipped for a zero activation: an infinite
 // weight against a column of zeros is NaN (0·Inf), and a −0 left in an
 // accumulator by a product below half the smallest denormal turns +0 at the
@@ -132,7 +134,7 @@ func TestPackedSIMDMatchesPortableBitwise(t *testing.T) {
 	}
 	for _, m := range []int{1, 3, 4, 5, 49} {
 		for _, k := range []int{1, 3, 15, 16, 17} {
-			for _, n := range []int{1, 15, 16, 17, 40} {
+			for _, n := range []int{1, 15, 16, 17, 32, 33, 40, 47, 48, 64} {
 				shapes = append(shapes, shape{m, k, n})
 			}
 		}
@@ -177,10 +179,10 @@ func TestPackedSIMDMatchesPortableBitwise(t *testing.T) {
 // TestPackedMulRowIndependence pins what the prepared kernels rely on when
 // they split rows over lanes or stack a batch: row r of an m-row product is
 // bit for bit the 1-row product of that row, wherever the row falls in a
-// four-row block or the tail.
+// twelve-row tile of one panel or of a pair, a four-row block or the tail.
 func TestPackedMulRowIndependence(t *testing.T) {
 	type shape struct{ m, k, n int }
-	shapes := []shape{{49, 64, 40}, {7, 16, 16}, {13, 33, 130}, {5, 8, 20}}
+	shapes := []shape{{49, 64, 40}, {7, 16, 16}, {13, 33, 130}, {5, 8, 20}, {25, 21, 48}}
 	for m := 1; m <= 27; m++ { // every 12/4/overlap/single split of the rows
 		shapes = append(shapes, shape{m, 19, 32})
 	}
@@ -241,25 +243,6 @@ func FuzzPackedMulInto(f *testing.F) {
 			}
 		}
 	})
-}
-
-// BenchmarkPackedMobilenetShapes reports the micro-kernel at the pointwise
-// GEMM shapes of mobilenet-v1 (pixels × ic × oc), in GFLOP/s.
-func BenchmarkPackedMobilenetShapes(b *testing.B) {
-	for _, s := range []struct{ m, k, n int }{
-		{12544, 32, 64}, {3136, 64, 128}, {3136, 128, 128}, {784, 128, 256}, {784, 256, 256},
-		{196, 256, 512}, {196, 512, 512}, {49, 512, 1024}, {49, 1024, 1024},
-	} {
-		a := randMat(1, s.m, s.k)
-		pb := PackB(randMat(2, s.k, s.n), s.k, s.n)
-		dst := make([]float32, s.m*s.n)
-		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pb.MulInto(dst, a, s.m)
-			}
-			b.ReportMetric(2*float64(s.m)*float64(s.k)*float64(s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
-	}
 }
 
 // nc4Case is one MulNC4Into problem: `pixels` output pixels whose sources
@@ -324,8 +307,9 @@ var (
 // TestPackedNC4MatchesMulIntoBitwise pins the NC4HW4 entry to the row-major
 // one: MulNC4Into (every assembly level the host has, and the portable twin)
 // ≡ MulInto, then + bias, then clamp — bit for bit, for every k (including
-// k < PanelWidth), tail pixels, partial last packs and panels, stride-2
-// sources and NaN-poisoned pad lanes.
+// k < PanelWidth), tail pixels, partial last packs and panels, panel pairs
+// (32), a pair whose second panel holds one pack (33) and a pair beside a
+// lone panel (48), stride-2 sources and NaN-poisoned pad lanes.
 func TestPackedNC4MatchesMulIntoBitwise(t *testing.T) {
 	levels := hostLevels(t)
 	var cases []nc4Case
@@ -334,7 +318,7 @@ func TestPackedNC4MatchesMulIntoBitwise(t *testing.T) {
 	}
 	for _, pixels := range []int{1, 3, 4, 5, 49} {
 		for _, k := range []int{1, 3, 4, 7, 16, 17, 130} {
-			for _, n := range []int{1, 6, 9, 16, 17, 72, 140} {
+			for _, n := range []int{1, 6, 9, 16, 17, 32, 33, 48, 72, 140} {
 				cases = append(cases, nc4Case{pixels, k, n, 1 + (pixels+k+n)%2})
 			}
 		}

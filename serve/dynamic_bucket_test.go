@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -248,6 +249,8 @@ func TestDynamicBucketEvictHammer(t *testing.T) {
 	}
 	shapes := [][]int{{1, 16, 32}, {1, 8, 32}, {1, 12, 32}, {1, 4, 32}, {1, 6, 32}}
 	stop := make(chan struct{})
+	var gate sync.RWMutex // write-held to pause every submitter between requests
+	var served atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 12; i++ {
 		wg.Add(1)
@@ -258,10 +261,14 @@ func TestDynamicBucketEvictHammer(t *testing.T) {
 				// Every shape is in-plan: whether it lands in a bucket, is
 				// evicted mid-queue, or falls through to the (dynamic)
 				// unbatched engine during shutdown, it must succeed.
-				if _, err := b.infer(context.Background(), map[string]*mnn.Tensor{"tokens": in}); err != nil {
+				gate.RLock()
+				_, err := b.infer(context.Background(), map[string]*mnn.Tensor{"tokens": in})
+				gate.RUnlock()
+				if err != nil {
 					t.Errorf("submitter %d: %v", i, err)
 					return
 				}
+				served.Add(1)
 				select {
 				case <-stop:
 					return
@@ -270,15 +277,36 @@ func TestDynamicBucketEvictHammer(t *testing.T) {
 			}
 		}(i)
 	}
-	// Wait for the event, not a fixed sleep: under -race on a loaded host
-	// the shared batch engine alone can take longer than 100 ms to open.
-	for deadline := time.Now().Add(10 * time.Second); b.evictions.Load() == 0 && time.Now().Before(deadline); {
-		time.Sleep(5 * time.Millisecond)
+	// Progress is counted, not timed: under -race on a loaded host the
+	// shared batch engine alone can take longer than 100 ms to open.
+	waitServed := func(n int64) {
+		t.Helper()
+		target := served.Load() + n
+		for deadline := time.Now().Add(60 * time.Second); served.Load() < target; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("submitters stalled at %d of %d requests", served.Load(), target)
+				return
+			}
+		}
 	}
-	if b.evictions.Load() == 0 {
-		t.Error("no evictions despite 5 signatures against a bound of 2")
+	waitServed(100)
+	// Saturated submitters can keep both buckets busy or queued for seconds
+	// on a loaded host, so that no new signature finds one to evict. Paused
+	// between requests they leave every bucket idle, and the five
+	// signatures sent in turn must evict at least three times.
+	gate.Lock()
+	before := b.evictions.Load()
+	for _, shape := range shapes {
+		if _, err := b.infer(context.Background(), map[string]*mnn.Tensor{"tokens": randomInput(99, shape)}); err != nil {
+			t.Errorf("shape %v in turn: %v", shape, err)
+		}
 	}
-	b.close() // shared engine closes only here, after the drain
+	if got := b.evictions.Load() - before; got < 3 {
+		t.Errorf("%d evictions for five signatures in turn against a bound of 2, want ≥ 3", got)
+	}
+	gate.Unlock()
+	waitServed(100) // the hammer again, against the table the turn left
+	b.close()       // shared engine closes only here, after the drain
 	close(stop)
 	wg.Wait()
 }
