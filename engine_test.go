@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mnn"
+	"mnn/internal/fault"
 	"mnn/internal/tensor"
 )
 
@@ -185,21 +186,43 @@ func TestEngineInferCancelledMidRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds mobilenet-v1; skipping in -short mode")
 	}
-	eng, err := mnn.Open("mobilenet-v1", mnn.WithThreads(1))
+	// Every kernel is held up by 10 ms of injected latency, so the run lasts
+	// at least ~30 × 10 ms of wall time however fast the kernels themselves
+	// are. The cancel is sent once the first kernel has been dispatched, so
+	// it lands while that kernel is running: after the run has started and
+	// long before it could finish, however loaded the machine is. The count
+	// (more than the graph's node count) lets Fired report dispatches.
+	plan, err := mnn.ParseFaultPlan(1, "session.kernel=latency:10ms,count=100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi := fault.NewInjector(plan)
+	eng, err := mnn.Open("mobilenet-v1", mnn.WithThreads(1), mnn.WithFaultInjector(fi))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	in := tensor.New(1, 3, 224, 224)
 	tensor.FillRandom(in, 3, 1)
+	kernelsBefore := fi.Fired(fault.SiteSessionKernel)
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go func() {
-		time.Sleep(2 * time.Millisecond)
+		for fi.Fired(fault.SiteSessionKernel) == kernelsBefore {
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
 		cancel()
 	}()
 	_, err = eng.Infer(ctx, map[string]*mnn.Tensor{"data": in})
 	if !errors.Is(err, mnn.ErrCancelled) {
 		t.Fatalf("Infer with mid-run cancel = %v, want ErrCancelled", err)
+	}
+	if !strings.Contains(err.Error(), "cancelled at node") {
+		t.Fatalf("Infer with mid-run cancel = %v, want a cancel between nodes", err)
 	}
 }
 
