@@ -48,7 +48,9 @@ func signedInt8Graph() *graph.Graph {
 // ones, so an output depends on the int8 partition alone; the partition
 // follows the host's int8 level (core.Int8ConvSupported prices each
 // convolution with that level's rates), so each row pins one hash per level,
-// picked by matmul.Int8ISA(). The built-ins are hashed at the input of their
+// picked by matmul.Int8ISA(); the amx entries are the avx512vnni ones,
+// copied: the amx kernels compute the VNNI kernels' sums and partition with
+// their rates, so matching those hashes is their proof. The built-ins are hashed at the input of their
 // closing Softmax, the last tensor the int8 route decides, and also carry
 // their fp32 layers — the convolutions the partition leaves in fp32 and
 // whatever feeds an int8 layer. Those run on the fp32 GEMM, whose move to one
@@ -92,17 +94,17 @@ func TestInt8GraphBitsPinned(t *testing.T) {
 		want       map[string]string // matmul.Int8ISA() → hash
 	}{
 		{"squeezenet-v1.1", false, map[string]string{
-			"avx512vnni": "c0462d215526e889", "avx2": "b5adfc70af41e8f7", "portable": "df4530ca23f975a4"}},
+			"amx": "c0462d215526e889", "avx512vnni": "c0462d215526e889", "avx2": "b5adfc70af41e8f7", "portable": "df4530ca23f975a4"}},
 		{"squeezenet-v1.1", true, map[string]string{
-			"avx512vnni": "9f855004e5c7232e", "avx2": "24f67a281cbd95f5", "portable": "67d34413c6e9bd51"}},
+			"amx": "9f855004e5c7232e", "avx512vnni": "9f855004e5c7232e", "avx2": "24f67a281cbd95f5", "portable": "67d34413c6e9bd51"}},
 		{"resnet-18", false, map[string]string{
-			"avx512vnni": "e67ca3c9af75117d", "avx2": "bb9a834a22cd00aa", "portable": "05883b76ea0930bc"}},
+			"amx": "e67ca3c9af75117d", "avx512vnni": "e67ca3c9af75117d", "avx2": "bb9a834a22cd00aa", "portable": "05883b76ea0930bc"}},
 		{"resnet-18", true, map[string]string{
-			"avx512vnni": "392a5c567ac8a090", "avx2": "571d3b6e13687ee2", "portable": "16ce57fb1fbb3b22"}},
+			"amx": "392a5c567ac8a090", "avx512vnni": "392a5c567ac8a090", "avx2": "571d3b6e13687ee2", "portable": "16ce57fb1fbb3b22"}},
 		{"int8-signed", false, map[string]string{
-			"avx512vnni": "c89b143d3294f003", "avx2": "c89b143d3294f003", "portable": "c89b143d3294f003"}},
+			"amx": "c89b143d3294f003", "avx512vnni": "c89b143d3294f003", "avx2": "c89b143d3294f003", "portable": "c89b143d3294f003"}},
 		{"int8-signed", true, map[string]string{
-			"avx512vnni": "0d4a32885fc8b1f3", "avx2": "0d4a32885fc8b1f3", "portable": "0d4a32885fc8b1f3"}},
+			"amx": "0d4a32885fc8b1f3", "avx512vnni": "0d4a32885fc8b1f3", "avx2": "0d4a32885fc8b1f3", "portable": "0d4a32885fc8b1f3"}},
 	} {
 		g, shape := build(tc.net)
 		in := tensor.NewRandom(77, 1, shape...)

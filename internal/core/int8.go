@@ -34,6 +34,9 @@ type int8Rates struct {
 // to the fp32 kernels of the level it runs beside: avx512vnni beside the
 // avx512 fp32 kernels, avx2 beside avx2 (an AVX2-only host), portable beside
 // portable. It is the static seed of the rate probe ROADMAP item 3 plans.
+// amx holds the avx512vnni rates unchanged, so an AMX host partitions a
+// network exactly as a VNNI one does and computes the same bits; its own
+// rates wait for that probe.
 //
 // The rates were fitted on one lane of a 2-core AVX-512 VNNI Xeon (int8 and
 // fp32 of each level side by side through the WithISA views) over the
@@ -51,6 +54,7 @@ type int8Rates struct {
 // BenchmarkQuantVsFloatConv3x3 and BenchmarkQuantVsFloatConv1x1 in
 // internal/kernels rerun the contested shapes.
 var int8RateTable = map[string]int8Rates{
+	"amx":        {Int8: 230, Quantize: 6.0, GEMM: 80, Winograd: 42},
 	"avx512vnni": {Int8: 230, Quantize: 6.0, GEMM: 80, Winograd: 42},
 	"avx2":       {Int8: 58, Quantize: 6.0, GEMM: 45, Winograd: 33},
 	"portable":   {Int8: 2.0, Quantize: 0.16, GEMM: 0.87, Winograd: 0.90},
@@ -65,7 +69,8 @@ const winogradHalfDepth = 8
 // Int8ConvSupported reports whether an int8 engine runs a convolution on the
 // int8 tap GEMM: it is group 1 (the kernel packs the full [oc, ic] filter)
 // and the int8 route is priced below the fp32 decision on the given int8
-// level ("avx512vnni", "avx2" or "portable"; any other level keeps fp32).
+// level ("amx", "avx512vnni", "avx2" or "portable"; any other level keeps
+// fp32).
 // The price reads the per-sample input geometry only — inShape[0] is
 // ignored — so a batched engine partitions as its unbatched twin does.
 // Depthwise convolutions stay fp32. The offline int8 planner

@@ -15,6 +15,8 @@ import (
 // runs on the int8 tap GEMM; a network not listed runs all of them int8).
 // Reading it:
 //
+//   - amx is avx512vnni's entry, copied: its rates are avx512vnni's until
+//     the rate probe (ROADMAP item 3) measures its own.
 //   - avx512vnni runs all eight squeezenet expand3x3 Winograd layers in int8
 //     (2.6× to 1.04× faster than F6/F4 Winograd, BenchmarkQuantVsFloatConv3x3),
 //     and the 3-channel stems too (1.2–1.8× faster than sliding; vgg-16's
@@ -30,6 +32,9 @@ import (
 //     stride-2 layers and squeezenet's smaller Winograd layers go int8, deep
 //     Winograd stays fp32.
 var int8FP32Convs = map[string]map[string][]string{
+	"amx": {
+		"squeezenet-v1.1": {"fire2_squeeze", "fire3_squeeze"},
+	},
 	"avx512vnni": {
 		"squeezenet-v1.1": {"fire2_squeeze", "fire3_squeeze"},
 	},

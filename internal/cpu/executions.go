@@ -58,7 +58,7 @@ func (b *Backend) NodeWorkspaceFloats(n *graph.Node, inputShapes, outputShapes [
 		ic, oc := in0[1], out0[1]
 		OH, OW := out0[2], out0[3]
 		if b.int8Conv(n, in0, dec) {
-			return kernels.QuantConvWorkspaceFloats(ic, in0[2], in0[3])
+			return kernels.QuantConvWorkspaceFloats(a, ic, in0[2], in0[3])
 		}
 		switch dec.Scheme {
 		case core.SchemeWinograd:

@@ -29,7 +29,7 @@ func (b *Backend) createQuantConv(n *graph.Node, in, out *tensor.Tensor, weight,
 		qc.Unsigned = b.cfg.NonNegActs[n.Inputs[0]]
 		return qc
 	})
-	ws := b.workspace(n.Name, kernels.QuantConvWorkspaceFloats(in.Channels(), in.Height(), in.Width()))
+	ws := b.workspace(n.Name, kernels.QuantConvWorkspaceFloats(a, in.Channels(), in.Height(), in.Width()))
 	muls := dec.DirectMULs // the int8 GEMM computes every multiply
 	return execFunc(func() error {
 		qc.Run(out, in, pool, ws)

@@ -119,7 +119,7 @@ func TestQuantKernelsZeroAllocAfterPrepare(t *testing.T) {
 				src := tensor.NewWithLayout(tensor.NC4HW4, 1, 16, 24, 24)
 				tensor.FillRandom(src, 22, 1)
 				dst := tensor.NewWithLayout(tensor.NC4HW4, 1, 16, 24, 24)
-				ws := make([]float32, QuantConvWorkspaceFloats(16, 24, 24))
+				ws := make([]float32, QuantConvWorkspaceFloats(a, 16, 24, 24))
 				assertZeroAllocs(t, "QuantConv.Run",
 					func() { qc.Run(dst, src, pool, ws) },
 					func() { qc.Run(dst, src, pool, ws) })

@@ -126,7 +126,7 @@ func (dc *DepthwiseConv) cut() {
 				}
 			}
 			n, x0 := len(r.taps), x
-			x, r.taps = r.runAt(r.taps, oy, x, r.OW, kh, kw, 4)
+			x, r.taps = r.runAt(r.taps, oy, x, r.OW, kh, kw, kw*4, 4)
 			r.runs = append(r.runs, dwRun{dst: (oy*r.OW + x0) * 4, pixels: x - x0, taps: len(r.taps) - n})
 		}
 	}

@@ -69,8 +69,8 @@ func newTapGeom(a *graph.Conv2DAttrs, H, W, OH, OW int) tapGeom {
 // tap list and are one run; each of the few pixels left and right of them is
 // a run of its own with the taps it has. Only taps inside the image are
 // listed, in ascending (ky, kx) order; tap (ky, kx) starts at packed weight
-// row (ky·kw + kx)·tapRows.
-func (g *tapGeom) runAt(taps []matmul.Tap, oy, x, x1, kh, kw, tapRows int) (int, []matmul.Tap) {
+// row ky·kyRows + kx·kxRows.
+func (g *tapGeom) runAt(taps []matmul.Tap, oy, x, x1, kh, kw, kyRows, kxRows int) (int, []matmul.Tap) {
 	iy0, ix0 := oy*g.sh-g.ph, x*g.sw-g.pw
 	ky0, ky1 := tapRange(iy0, g.dh, kh, g.H)
 	kx0, kx1 := tapRange(ix0, g.dw, kw, g.W)
@@ -80,7 +80,7 @@ func (g *tapGeom) runAt(taps []matmul.Tap, oy, x, x1, kh, kw, tapRows int) (int,
 	}
 	for ky := ky0; ky < ky1; ky++ {
 		for kx := kx0; kx < kx1; kx++ {
-			taps = append(taps, matmul.Tap{A: ((iy0+ky*g.dh)*g.W + ix0 + kx*g.dw) * 4, B: (ky*kw + kx) * tapRows})
+			taps = append(taps, matmul.Tap{A: ((iy0+ky*g.dh)*g.W + ix0 + kx*g.dw) * 4, B: ky*kyRows + kx*kxRows})
 		}
 	}
 	return end, taps
@@ -141,7 +141,7 @@ func (sc *SlidingConv) RunChunk(worker, start, end int) {
 		src := r.s[n*r.srcBatch : (n+1)*r.srcBatch]
 		dst := r.d[n*r.dstBatch+oy*r.OW*4 : (n+1)*r.dstBatch]
 		for x := 0; x < r.OW; {
-			x1, taps := r.runAt(buf[:0], oy, x, r.OW, sc.attrs.KernelH, sc.attrs.KernelW, sc.ic)
+			x1, taps := r.runAt(buf[:0], oy, x, r.OW, sc.attrs.KernelH, sc.attrs.KernelW, sc.attrs.KernelW*sc.ic, sc.ic)
 			sc.packed.MulTapsNC4Into(dst[x*4:], r.dstPack, src, r.srcPack, r.sw*4, x1-x, taps, sc.ic, sc.bias, sc.lo, sc.hi)
 			x = x1
 		}

@@ -29,8 +29,8 @@ func stagedPack(w []float32, n, c, taps int) *matmul.PackedB {
 }
 
 // stagedPackInt8 is stagedPack for an int8 weight with every tap's channels
-// padded to cp rows.
-func stagedPackInt8(q []int8, n, c, taps, cp int) *matmul.PackedBInt8 {
+// padded to cp rows, in segments of kw taps (a kernel row).
+func stagedPackInt8(q []int8, n, c, taps, kw, cp int) *matmul.PackedBInt8 {
 	bT := make([]int8, taps*cp*n)
 	for o := 0; o < n; o++ {
 		for i := 0; i < c; i++ {
@@ -39,7 +39,7 @@ func stagedPackInt8(q []int8, n, c, taps, cp int) *matmul.PackedBInt8 {
 			}
 		}
 	}
-	return matmul.PackBInt8(bT, taps*cp, n)
+	return matmul.PackBInt8Segments(bT, taps*cp, n, kw*cp)
 }
 
 // stagedWinograd is how PrepareWinograd transformed filters before
@@ -96,11 +96,11 @@ func TestPreparedPanelsMatchStagedRoute(t *testing.T) {
 						fc := weight.Reshape(oc, ic)
 						same(t, "InnerProduct", PrepareInnerProduct(fc, nil, &graph.InnerProductAttrs{OutputCount: oc}).packed, stagedPack(w, oc, ic, 1))
 						q, _ := quantizeWeightChannels(w, oc, ic)
-						same(t, "QuantInnerProduct", PrepareQuantInnerProduct(fc, nil, &graph.InnerProductAttrs{OutputCount: oc}, 0).packed, stagedPackInt8(q, oc, ic, 1, ic))
+						same(t, "QuantInnerProduct", PrepareQuantInnerProduct(fc, nil, &graph.InnerProductAttrs{OutputCount: oc}, 0).packed, stagedPackInt8(q, oc, ic, 1, 1, ic))
 					}
 					same(t, "SlidingConv", PrepareSliding(weight, nil, a).packed, stagedPack(w, oc, ic, taps))
 					q, _ := quantizeWeightChannels(w, oc, ic*taps)
-					same(t, "QuantConv", PrepareQuantConv(weight, nil, a, 0).packed, stagedPackInt8(q, oc, ic, taps, tensor.UpDiv(ic, 4)*4))
+					same(t, "QuantConv", PrepareQuantConv(weight, nil, a, 0).packed, stagedPackInt8(q, oc, ic, taps, k, tensor.UpDiv(ic, 4)*4))
 					for _, g := range []int{1, 2, 32} {
 						if oc%g != 0 || ic%g != 0 {
 							continue

@@ -134,7 +134,7 @@ func quantPaths(qc *QuantConv) map[string]*QuantConv {
 // one it lacks as a skipped subtest of that name: a level the suite could
 // not reach shows in the log instead of passing silently.
 func int8Levels(t *testing.T) []string {
-	all := []string{"portable", "avx2", "avx512vnni"}
+	all := []string{"portable", "avx2", "avx512vnni", "amx"}
 	for _, isa := range all[len(matmul.Int8ISAs()):] {
 		t.Run(isa, func(t *testing.T) { t.Skipf("this host has no %s int8 kernel", isa) })
 	}
@@ -146,7 +146,7 @@ func int8Levels(t *testing.T) []string {
 // the result as NCHW.
 func runQuant(t testing.TB, qc *QuantConv, src4 *tensor.Tensor, outShape []int, lanes int) *tensor.Tensor {
 	dst4 := nanNC4(outShape...)
-	ws := make([]float32, QuantConvWorkspaceFloats(src4.Channels(), src4.Height(), src4.Width()))
+	ws := make([]float32, QuantConvWorkspaceFloats(&qc.attrs, src4.Channels(), src4.Height(), src4.Width()))
 	for i := range ws {
 		ws[i] = nan32
 	}
@@ -195,7 +195,13 @@ func newQuantCase(cc convCase, unsigned, calibrated bool, seed uint64) (quantCas
 // channel counts on both sides of a pack and a panel with the signed and
 // unsigned modes and calibrated and dynamic scales, batch 3; image sizes
 // cycle through roomy, no interior column for the wider kernels, and tiny.
+// Then come the edges of the amx kernel, which runs stride-1 grids of 32
+// pixels or more (amxGrid), in every mode: kernel rows of kw·icp = 48, 96
+// and 144 bytes, which cross 64-byte tile rows; channel counts off a pack
+// and off four packs; output channels off a panel pair; grids of 31, 32 and
+// 33 pixels; rows narrower than 16 and than 4; pad 0, 1 and 2.
 func forEachQuantCase(t *testing.T, fn func(qc quantCase)) {
+	defer forEachAMXQuantCase(fn)
 	seed := uint64(0)
 	for _, k := range [][2]int{{1, 1}, {3, 3}, {5, 5}, {1, 7}} {
 		for _, stride := range []int{1, 2} {
@@ -221,6 +227,36 @@ func forEachQuantCase(t *testing.T, fn func(qc quantCase)) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// amxQuantCases are forEachQuantCase's amx edges, as
+// {ic, oc, h, w, kh, kw, ph, pw}; the comment is each one's grid.
+var amxQuantCases = [][8]int{
+	{16, 33, 9, 9, 3, 3, 1, 1},   // 97 pixels, 48-byte kernel rows, two pairs, the last of one column
+	{32, 40, 7, 12, 3, 3, 1, 1},  // 96, 96-byte rows
+	{48, 72, 6, 6, 3, 3, 1, 1},   // 46, 144-byte rows
+	{18, 24, 3, 9, 3, 3, 1, 1},   // 31: one short of a block, on the VNNI kernels
+	{20, 17, 2, 15, 3, 3, 1, 1},  // 32: one block
+	{130, 48, 5, 5, 3, 3, 1, 1},  // 33: a block and one that overlaps it; 396-byte rows
+	{16, 16, 4, 8, 1, 1, 0, 0},   // 32, 1×1, one panel
+	{24, 30, 3, 11, 1, 1, 0, 0},  // 33, 1×1
+	{40, 5, 40, 2, 1, 1, 0, 0},   // 80, rows of two pixels
+	{16, 64, 12, 10, 3, 3, 0, 0}, // 98, 3×3 without padding
+	{16, 20, 6, 6, 3, 3, 2, 2},   // 78, a border of two
+	{24, 20, 9, 10, 1, 7, 0, 3},  // 90, 1×7
+	{16, 36, 7, 7, 5, 5, 2, 2},   // 73, 5×5, 80-byte rows
+}
+
+func forEachAMXQuantCase(fn func(qc quantCase)) {
+	for i, c := range amxQuantCases {
+		cc := convCase{n: 3, ic: c[0], oc: c[1], h: c[2], w: c[3], kh: c[4], kw: c[5], ph: c[6], pw: c[7], sh: 1, sw: 1, dh: 1, dw: 1,
+			relu: i%3 == 1, relu6: i%3 == 2}
+		for mode := 0; mode < 4; mode++ {
+			if qc, ok := newQuantCase(cc, mode&1 != 0, mode&2 != 0, uint64(1000+i)); ok {
+				fn(qc)
 			}
 		}
 	}
@@ -360,23 +396,101 @@ func TestQuantizeSIMDMatchesScalarBitwise(t *testing.T) {
 	}
 }
 
+// TestQuantizePixelsSIMDMatchesTwinBitwise pins the amx level's quantizer,
+// quantizePixelsNC4 with the border QuantConv.quantizeRows clears around
+// it, to quantizeRows' Go twin byte for byte over the whole bordered image —
+// pad lanes, border and slack included — on every kind of float (random
+// bit patterns, so NaNs, infinities and denormals, .5 ties and values
+// around both clamps), signed and unsigned, under ordinary, huge and
+// infinite inverse scales, for channel counts on and off a pack and four,
+// rows of four pixels and more (the overlapped last group), and borders of
+// 0, 1 and 2.
+func TestQuantizePixelsSIMDMatchesTwinBitwise(t *testing.T) {
+	if !matmul.HaveAMX() {
+		t.Skip("the pixel-major quantizer runs at the amx level only")
+	}
+	r := tensor.NewRNG(9)
+	for _, ic := range []int{13, 16, 18, 64, 130} {
+		for _, w := range []int{4, 5, 8, 13, 21} {
+			for _, pad := range []int{0, 1, 2} {
+				h := 1 + (ic+w+pad)%4
+				src := make([]float32, tensor.UpDiv(ic, 4)*4*h*w)
+				for i := range src {
+					switch i % 3 {
+					case 0:
+						src[i] = math.Float32frombits(uint32(r.Uint64()))
+					case 1:
+						src[i] = float32(r.Intn(600)-300) + 0.5
+					default:
+						src[i] = []float32{0, nan32, float32(math.Inf(1)), float32(math.Inf(-1)), 126.5, -127.5, 253.5, 254.5, 1e-39}[r.Intn(9)]
+					}
+				}
+				oh, ow := h+2*pad-2, w+2*pad-2
+				if oh < 1 || ow < 1 {
+					continue
+				}
+				g := matmul.Grid{Pix: tensor.UpDiv(ic, 4) * 4, Width: ow + 2, OW: ow, KH: 3, KW: 3, Pixels: (oh-1)*(ow+2) + ow}
+				for _, inv := range []float32{1, 64, 3e38, float32(math.Inf(1))} {
+					for _, unsigned := range []bool{false, true} {
+						var imgs [2][]uint8
+						for i, simd := range []bool{true, false} {
+							c := &QuantConv{ic: ic, Unsigned: unsigned, simd: simd}
+							c.rs = quantConvRun{tapGeom: tapGeom{H: h, W: w, srcPack: h * w * 4, ph: pad, pw: pad}, s: src, inv: inv, amx: true, grid: g}
+							c.rs.q = make([]uint8, g.ImageBytes())
+							for j := range c.rs.q {
+								c.rs.q[j] = 0xa5
+							}
+							c.quantizeRows(0, oh+2)
+							imgs[i] = c.rs.q
+						}
+						for j := range imgs[0] {
+							if imgs[0][j] != imgs[1][j] {
+								t.Fatalf("ic=%d %dx%d pad %d inv=%v unsigned=%v: image byte %d (pixel %d, channel %d) = %d, twin %d",
+									ic, h, w, pad, inv, unsigned, j, j/g.Pix, j%g.Pix, imgs[0][j], imgs[1][j])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzInt8TapsNC4 drives kernel shape, stride, dilation, padding, channel
 // counts, activation, quantization mode and raw float32 bit patterns through
 // QuantConv: every level the host has, on one lane and on two, must equal
 // the portable twins bitwise, and, when every activation is finite, those
-// must equal the im2col parent route.
+// must equal the im2col parent route. A wide input is a 3×3 convolution of
+// 15 000 channels over 6×6 pixels (an amx grid of 46) whose weights all
+// quantize to 127 and activations to the clamp, so its int32 sums wrap —
+// 135 000 products of 127·127 or more — which no instruction may saturate.
 func FuzzInt8TapsNC4(f *testing.F) {
-	f.Add(uint8(2), uint8(2), uint8(0), uint8(0), uint8(9), uint8(2), uint8(7), uint8(0x8e), uint8(0), uint8(3), uint64(1), []byte{})
-	f.Fuzz(func(t *testing.T, khR, kwR, strideR, dilR, padR, icR, ocR, hwR, actR, modeR uint8, seed uint64, raw []byte) {
+	f.Add(uint8(2), uint8(2), uint8(0), uint8(0), uint8(9), uint8(2), uint8(7), uint8(0x8e), uint8(0), uint8(3), uint64(1), []byte{}, false)
+	f.Fuzz(func(t *testing.T, khR, kwR, strideR, dilR, padR, icR, ocR, hwR, actR, modeR uint8, seed uint64, raw []byte, wide bool) {
 		kh, kw := int(khR)%7+1, int(kwR)%7+1
 		stride, dil := int(strideR)%3+1, int(dilR)%2+1
 		ic, oc := int(icR)%21+1, int(ocR)%40+1
 		h, w := int(hwR)%13+1, int(hwR/13)%13+1
 		cc := convCase{n: 2, ic: ic, h: h, w: w, oc: oc, kh: kh, kw: kw, sh: stride, sw: stride, dh: dil, dw: dil,
 			ph: int(padR) % (kh*dil + 1), pw: int(padR/8) % (kw*dil + 1), relu: actR%3 == 1, relu6: actR%3 == 2}
+		if wide {
+			if testing.Short() {
+				t.Skip("wide inputs take seconds")
+			}
+			cc = convCase{n: 1, ic: 15000, h: 6, w: 6, oc: 17 + int(ocR)%17, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, ph: 1, pw: 1,
+				relu: actR%3 == 1, relu6: actR%3 == 2}
+		}
 		qc, ok := newQuantCase(cc, modeR&1 != 0, modeR&2 != 0, seed)
 		if !ok {
 			t.Skip()
+		}
+		if wide {
+			for i := range qc.weight.Data() {
+				qc.weight.Data()[i] = 0.5
+			}
+			for i := range qc.src.Data() {
+				qc.src.Data()[i] = 1e6
+			}
 		}
 		finite := true
 		for i := 0; i+4 <= len(raw); i += 4 {

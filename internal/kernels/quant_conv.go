@@ -191,10 +191,16 @@ func quantizeWeightChannels(w []float32, channels, per int) (q []int8, scales []
 // patch would — requantizing into the NC4HW4 destination as it stores. The
 // runs are cut as SlidingConv cuts them (tapGeom); there is no im2col matrix
 // and no int32 product.
+//
+// At the amx level a stride-1 convolution (amxGrid) is quantized instead
+// into a pixel-major image with its zero border in place, and
+// matmul.PackedBInt8.MulGridNC4Into runs every output pixel over all its
+// taps, 32 pixels a block — the same exact sums, the same requantizing
+// store, so the same bits.
 type QuantConv struct {
 	attrs   graph.Conv2DAttrs
 	ic, oc  int
-	packed  *matmul.PackedBInt8 // [kh·kw][ic up to whole packs][oc]
+	packed  *matmul.PackedBInt8 // [kh·kw][ic up to whole packs][oc], one segment a kernel row
 	wScales []float32           // per-output-channel weight scales
 	// rq.Scale is the per-channel inScale·wScale, refreshed per sample.
 	rq matmul.Requant
@@ -217,6 +223,9 @@ type quantConvRun struct {
 	q      []uint8   // its quantized image
 	inv    float32
 	blocks int // four-pixel blocks per output row
+
+	amx  bool        // run on the amx kernel: q is grid's pixel-major image
+	grid matmul.Grid // valid when amx
 }
 
 type quantConvQuantize struct{ c *QuantConv }
@@ -231,7 +240,7 @@ func PrepareQuantConv(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs, inputSc
 	c := &QuantConv{attrs: *a, ic: ic, oc: oc, InputScale: inputScale, simd: matmul.HaveAVX2()}
 	q, scales := quantizeWeightChannels(weight.Data(), oc, ic*taps)
 	c.wScales = scales
-	c.packed = matmul.PackWeightInt8(q, oc, ic, taps, tensor.UpDiv(ic, 4)*4)
+	c.packed = matmul.PackWeightInt8(q, oc, ic, a.KernelH, a.KernelW, tensor.UpDiv(ic, 4)*4)
 	c.rq.Bias = paddedBias(bias, tensor.UpDiv(oc, matmul.PanelWidthInt8)*matmul.PanelWidthInt8)
 	c.rq.Lo, c.rq.Hi = clampBounds(a.ReLU, a.ReLU6)
 	return c.Share()
@@ -247,10 +256,34 @@ func (c *QuantConv) Share() *QuantConv {
 	return &s
 }
 
-// QuantConvWorkspaceFloats is the planner requirement of a QuantConv over an
-// [ic, h, w] input: one sample's quantized image, a byte per activation
-// (pad lanes included), counted in float32 units.
-func QuantConvWorkspaceFloats(ic, h, w int) int { return tensor.UpDiv(ic, 4) * h * w }
+// QuantConvWorkspaceFloats is the planner requirement of a QuantConv with
+// attributes a over an [ic, h, w] input: one sample's quantized image, a
+// byte per activation (pad lanes included) — on an amx host, for a
+// convolution amxGrid takes, the bordered image — counted in float32 units.
+func QuantConvWorkspaceFloats(a *graph.Conv2DAttrs, ic, h, w int) int {
+	n := tensor.UpDiv(ic, 4) * h * w
+	if oh, ow, err := graph.ConvOutputSize(h, w, a); err == nil && matmul.HaveAMX() {
+		if g, ok := amxGrid(a, ic, oh, ow); ok {
+			n = max(n, bytesFloats(g.ImageBytes()))
+		}
+	}
+	return n
+}
+
+// amxGrid is a convolution with an OH×OW output as the amx kernel runs it:
+// its grid over the bordered image, whose rows are OW + kw − 1 pixels. ok
+// is false where the amx kernel does not take it — a stride or dilation
+// other than 1, fewer than four channel packs (its quantizer transposes
+// four at a time), or a grid shorter than one block — and the VNNI kernels
+// run it. QuantConvWorkspaceFloats and Run both decide by it.
+func amxGrid(a *graph.Conv2DAttrs, ic, OH, OW int) (g matmul.Grid, ok bool) {
+	if strideOr1(a.StrideH) != 1 || strideOr1(a.StrideW) != 1 || dilOr1(a.DilationH) != 1 || dilOr1(a.DilationW) != 1 || OH < 1 || OW < 1 || ic <= 12 {
+		return g, false
+	}
+	width := OW + a.KernelW - 1
+	g = matmul.Grid{Pix: tensor.UpDiv(ic, 4) * 4, Width: width, OW: OW, KH: a.KernelH, KW: a.KernelW, Pixels: (OH-1)*width + OW}
+	return g, g.Pixels >= matmul.AMXBlock
+}
 
 // Run executes the quantized convolution on the pool. src and dst must be
 // NC4HW4. workspace may be nil or at least QuantConvWorkspaceFloats of the
@@ -262,13 +295,20 @@ func (c *QuantConv) Run(dst, src *tensor.Tensor, p *sched.Pool, workspace []floa
 	OH, OW := dst.Height(), dst.Width()
 	r := &c.rs
 	*r = quantConvRun{tapGeom: newTapGeom(a, H, W, OH, OW)}
-	if a.KernelH == 1 && a.KernelW == 1 && r.sh == 1 && r.sw == 1 && r.ph == 0 && r.pw == 0 {
+	if c.packed.AMX() {
+		r.grid, r.amx = amxGrid(a, c.ic, OH, OW)
+	}
+	if !r.amx && a.KernelH == 1 && a.KernelW == 1 && r.sh == 1 && r.sw == 1 && r.ph == 0 && r.pw == 0 {
 		// One row of H·W pixels: only its last block of four can be short.
 		r.H, r.W, r.OH, r.OW, r.xr = 1, H*W, 1, OH*OW, OH*OW
 	}
 	r.blocks = tensor.UpDiv(r.OW, 4)
 	srcLen, dstLen := tensor.UpDiv(c.ic, 4)*r.srcPack, tensor.UpDiv(c.oc, 4)*r.dstPack
-	r.q, _ = carveBytes(workspace, srcLen)
+	imgLen, rows, items := srcLen, srcLen/4, r.OH*r.blocks
+	if r.amx {
+		imgLen, rows, items = r.grid.ImageBytes(), OH+a.KernelH-1, r.grid.Blocks()
+	}
+	r.q, _ = carveBytes(workspace, imgLen)
 	lanes := p.Lanes()
 	for n := 0; n < N; n++ {
 		r.s = src.Data()[n*srcLen : (n+1)*srcLen]
@@ -282,16 +322,21 @@ func (c *QuantConv) Run(dst, src *tensor.Tensor, p *sched.Pool, workspace []floa
 		for o, ws := range c.wScales {
 			c.rq.Scale[o] = scale * ws
 		}
-		p.Run(srcLen/4, sched.Chunk(srcLen/4, lanes, elemChunksPerLane), &c.quantT)
-		p.Run(r.OH*r.blocks, sched.Chunk(r.OH*r.blocks, lanes, elemChunksPerLane), c)
+		p.Run(rows, sched.Chunk(rows, lanes, elemChunksPerLane), &c.quantT)
+		p.Run(items, sched.Chunk(items, lanes, elemChunksPerLane), c)
 	}
 }
 
 // RunChunk quantizes source pixels start..end of the sample's pack-major
 // pixel sequence, cut at pack boundaries: only the last pack has pad lanes.
+// At amx it writes rows start..end of the bordered image instead.
 func (t *quantConvQuantize) RunChunk(_, start, end int) {
 	c := t.c
 	r := &c.rs
+	if r.amx {
+		c.quantizeRows(start, end)
+		return
+	}
 	hw := r.srcPack / 4
 	for i := start; i < end; {
 		pack := i / hw
@@ -302,11 +347,59 @@ func (t *quantConvQuantize) RunChunk(_, start, end int) {
 	}
 }
 
+// quantizeRows writes rows start..end of the sample's amx image, rows of
+// grid.Width pixels of grid.Pix bytes: the border zero — ph rows above the
+// source, pw columns left of it, the rest right and below — and the source
+// pixels quantized pixel-major, pad lanes included (the weight rows they
+// meet are zero). From four pixels a row on the quantizer is the AVX-512
+// quantizePixelsNC4 (amxGrid leaves fewer than four packs to the VNNI
+// kernels); its Go twin below is the oracle.
+func (c *QuantConv) quantizeRows(start, end int) {
+	r, g := &c.rs, &c.rs.grid
+	rowBytes := g.Width * g.Pix
+	x0, x1 := min(r.pw, g.Width), min(r.pw+r.W, g.Width) // the source's columns
+	y0, y1 := max(start, r.ph), min(end, r.ph+r.H)      // and its rows among start..end
+	for y := start; y < end; y++ {
+		row := r.q[y*rowBytes : (y+1)*rowBytes]
+		if y < y0 || y >= y1 {
+			clear(row)
+			continue
+		}
+		clear(row[:x0*g.Pix])
+		clear(row[x1*g.Pix:])
+	}
+	if y0 >= y1 || x0 >= x1 {
+		return
+	}
+	dst, src := r.q[y0*rowBytes+x0*g.Pix:], r.s[(y0-r.ph)*r.W*4:]
+	packs, pixels := g.Pix/4, x1-x0
+	if c.simd && pixels >= 4 {
+		sign := uint32(1 << 31)
+		if c.Unsigned {
+			sign = 0
+		}
+		lo, hi := quantBounds(c.Unsigned)
+		quantizePixelsNC4(&dst[0], g.Pix, rowBytes, &src[0], r.srcPack, r.W*4, packs, y1-y0, pixels, r.inv, sign, lo, hi)
+		return
+	}
+	for y := range y1 - y0 {
+		for x := range pixels {
+			for i := range g.Pix {
+				dst[y*rowBytes+x*g.Pix+i] = quantizeAct(src[i/4*r.srcPack+y*r.W*4+x*4+i%4], r.inv, c.Unsigned)
+			}
+		}
+	}
+}
+
 // RunChunk implements sched.Task over (output row, four-pixel block) items:
 // the range is cut at row ends and each piece into MulTapsNC4Into runs by
-// runAt, SlidingConv's way.
+// runAt, SlidingConv's way. At amx the items are the grid's blocks.
 func (c *QuantConv) RunChunk(_, start, end int) {
 	r := &c.rs
+	if r.amx {
+		c.packed.MulGridNC4Into(r.d, r.dstPack, r.q, &r.grid, start, end, c.Unsigned, &c.rq)
+		return
+	}
 	icp := tensor.UpDiv(c.ic, 4) * 4
 	var buf [64]matmul.Tap // a run's tap list; only a kernel past 8×8 spills to the heap
 	for item := start; item < end; {
@@ -315,7 +408,7 @@ func (c *QuantConv) RunChunk(_, start, end int) {
 		item += b1 - b0
 		dst := r.d[oy*r.OW*4:]
 		for x, xEnd := b0*4, min(b1*4, r.OW); x < xEnd; {
-			x1, taps := r.runAt(buf[:0], oy, x, xEnd, c.attrs.KernelH, c.attrs.KernelW, icp)
+			x1, taps := r.runAt(buf[:0], oy, x, xEnd, c.attrs.KernelH, c.attrs.KernelW, c.packed.KyRows(), icp)
 			c.packed.MulTapsNC4Into(dst[x*4:], r.dstPack, r.q, r.srcPack, r.sw*4, x1-x, taps, c.ic, c.Unsigned, &c.rq)
 			x = x1
 		}
@@ -359,7 +452,7 @@ func PrepareQuantInnerProduct(weight, bias *tensor.Tensor, a *graph.InnerProduct
 	ip := &QuantInnerProduct{attrs: *a, features: features, InputScale: inputScale, simd: matmul.HaveAVX2()}
 	q, scales := quantizeWeightChannels(weight.Data(), out, features)
 	ip.wScales = scales
-	ip.packed = matmul.PackWeightInt8(q, out, features, 1, features)
+	ip.packed = matmul.PackWeightInt8(q, out, features, 1, 1, features)
 	ip.bias = paddedBias(bias, out)
 	return ip
 }
@@ -418,7 +511,7 @@ func (ip *QuantInnerProduct) RunChunk(_, start, end int) {
 		d := r.d[n*out : (n+1)*out]
 		a := r.acc[n*out : (n+1)*out]
 		for o := 0; o < out; o++ {
-			v := float32(a[o])*(scale*ip.wScales[o]) + ip.bias[o]
+			v := float32(float32(a[o])*(scale*ip.wScales[o])) + ip.bias[o] // rounded twice on every target, as int8Run.store
 			if ip.attrs.ReLU && v < 0 {
 				v = 0
 			}

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"mnn/internal/core"
@@ -56,7 +57,7 @@ func TestQuantConvMatchesRef(t *testing.T) {
 
 			qc := PrepareQuantConv(weight, bias, &a, 0)
 			got := tensor.NewWithLayout(tensor.NC4HW4, 2, a.OutputCount, oh, ow)
-			ws := make([]float32, QuantConvWorkspaceFloats(tc.ic, tc.hw, tc.hw))
+			ws := make([]float32, QuantConvWorkspaceFloats(&a, tc.ic, tc.hw, tc.hw))
 			qc.Run(got, src.ToLayout(tensor.NC4HW4), pool, ws)
 			budget := quantBudget(maxAbsOf(want))
 			if d := tensor.MaxAbsDiff(want, got); d > budget {
@@ -78,7 +79,7 @@ func TestQuantConvBatchIndependence(t *testing.T) {
 	const N, hw = 3, 7
 	batch := tensor.NewRandom(5, 1.5, N, 20, hw, hw).ToLayout(tensor.NC4HW4)
 	gotBatch := tensor.NewWithLayout(tensor.NC4HW4, N, 24, hw, hw)
-	ws := make([]float32, QuantConvWorkspaceFloats(20, hw, hw))
+	ws := make([]float32, QuantConvWorkspaceFloats(&a, 20, hw, hw))
 	qc.Run(gotBatch, batch, pool, ws)
 	for n := 0; n < N; n++ {
 		single := tensor.NewWithLayout(tensor.NC4HW4, 1, 20, hw, hw)
@@ -124,6 +125,54 @@ func TestQuantInnerProductMatchesRef(t *testing.T) {
 	}
 }
 
+// TestQuantInnerProductRoundsTwiceBitwise holds the int8 fully-connected
+// layer to a scalar reference that rounds its requantize twice — the int32
+// sum times the output scale, rounded to float32, plus the bias — on every
+// target: a compiler that fuses the multiply into the add (FMADDS on arm64)
+// would move the last bit of some outputs. The shapes run MulRows on the
+// tiles (128 features, 40 rows) and off them (67 features).
+func TestQuantInnerProductRoundsTwiceBitwise(t *testing.T) {
+	pool := sched.New(2)
+	defer pool.Close()
+	for _, f := range []int{128, 67} {
+		const batch, out = 40, 40
+		a := graph.InnerProductAttrs{OutputCount: out, ReLU: true}
+		src := tensor.NewRandom(41, 1, batch, f)
+		weight := tensor.NewRandom(42, 0.2, out, f)
+		bias := tensor.NewRandom(43, 0.1, out)
+		ip := PrepareQuantInnerProduct(weight, bias, &a, 0)
+		got := tensor.New(batch, out)
+		ip.Run(got, src, pool, make([]float32, QuantInnerProductWorkspaceFloats(batch, f, out)))
+
+		qw, wScales := quantizeWeightChannels(weight.Data(), out, f)
+		bT := make([]int8, f*out)
+		for o := 0; o < out; o++ {
+			for i := 0; i < f; i++ {
+				bT[i*out+o] = qw[o*f+i]
+			}
+		}
+		for n := 0; n < batch; n++ {
+			row := src.Data()[n*f : (n+1)*f]
+			scale := actScaleFromMax(0, maxAbs32(row, false))
+			qa := make([]int8, f)
+			for i, v := range row {
+				qa[i] = int8(quantizeAct(v, 1/scale, false))
+			}
+			acc := make([]int32, out)
+			matmul.MulInt8Ref(acc, qa, bT, 1, f, out)
+			for o := 0; o < out; o++ {
+				want := float32(float32(acc[o])*(scale*wScales[o])) + bias.Data()[o]
+				if want < 0 {
+					want = 0
+				}
+				if g := got.Data()[n*out+o]; math.Float32bits(g) != math.Float32bits(want) {
+					t.Fatalf("%d features: row %d output %d = %v (%#08x), twice-rounded reference %v (%#08x)", f, n, o, g, math.Float32bits(g), want, math.Float32bits(want))
+				}
+			}
+		}
+	}
+}
+
 // TestQuantCalibratedScaleUsed pins that a prepared kernel honours a
 // calibrated input scale rather than deriving one per sample: feeding the
 // same data scaled down must then produce different quantized outputs than
@@ -139,7 +188,7 @@ func TestQuantCalibratedScaleUsed(t *testing.T) {
 	calibrated := PrepareQuantConv(weight, nil, &a, tensor.QuantScale(float64(maxAbs32(src.Data(), false))))
 	outD := tensor.NewWithLayout(tensor.NC4HW4, 1, 16, 6, 6)
 	outC := tensor.NewWithLayout(tensor.NC4HW4, 1, 16, 6, 6)
-	ws := make([]float32, QuantConvWorkspaceFloats(16, 6, 6))
+	ws := make([]float32, QuantConvWorkspaceFloats(&a, 16, 6, 6))
 	dynamic.Run(outD, src, pool, ws)
 	calibrated.Run(outC, src, pool, ws)
 	// With the calibrated scale equal to the sample's max-abs scale, the two
@@ -174,7 +223,7 @@ func BenchmarkQuantVsFloatConv1x1(b *testing.B) {
 		pool := testPool(b, 1)
 		b.Run("int8/"+bc.name, func(b *testing.B) {
 			qc := PrepareQuantConv(w, nil, &a, 0)
-			ws := make([]float32, QuantConvWorkspaceFloats(bc.ic, bc.hw, bc.hw))
+			ws := make([]float32, QuantConvWorkspaceFloats(&a, bc.ic, bc.hw, bc.hw))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				qc.Run(dst, src, pool, ws)
@@ -228,7 +277,7 @@ func BenchmarkQuantVsFloatConv3x3(b *testing.B) {
 			b.ReportMetric(gmac*float64(b.N)/b.Elapsed().Seconds(), "GMAC/s")
 		}
 		quant := quantPaths(PrepareQuantConv(w, nil, &a, 0.05))
-		ws := make([]float32, QuantConvWorkspaceFloats(bc.ic, bc.hw, bc.hw))
+		ws := make([]float32, QuantConvWorkspaceFloats(&a, bc.ic, bc.hw, bc.hw))
 		for _, isa := range matmul.Int8ISAs() {
 			b.Run("int8-"+isa+"/"+bc.name, func(b *testing.B) { run(b, func() { quant[isa].Run(dst, src, pool, ws) }) })
 		}

@@ -32,6 +32,20 @@ GLOBL quantizeOrder<>(SB), RODATA|NOPTR, $32
 	VMINPS     Y11, Y, Y    \
 	VCVTTPS2DQ Y, Y
 
+// ROUND16 is ROUND8 on the sixteen floats at M, into V (AVX-512): the same
+// steps in the same order, the constants in Z8..Z12, NaN lanes zeroed
+// through the mask VCMPPS leaves in K1.
+#define ROUND16(M, V) \
+	VMULPS     M, Z8, V      \
+	VPANDD     Z9, V, Z15    \
+	VPORD      Z12, Z15, Z15 \
+	VADDPS     Z15, V, V     \
+	VCMPPS     $0, V, V, K1  \
+	VMOVAPS.Z  V, K1, V      \
+	VMAXPS     Z10, V, V     \
+	VMINPS     Z11, V, V     \
+	VCVTTPS2DQ V, V
+
 // func quantizeNC4(dst *uint8, src *float32, blocks int, inv float32, sign uint32, lo, hi *float32)
 //
 // dst[i] = quantizeAct(src[i]) for i < 32·blocks, blocks ≥ 1: eight pixels
@@ -69,6 +83,98 @@ loop:
 	ADDQ      $32, DI
 	DECQ      CX
 	JNZ       loop
+	VZEROUPPER
+	RET
+
+// func quantizePixelsNC4(dst *uint8, dstPix, dstRow int, src *float32, srcPack, srcRow, packs, rows, pixels int, inv float32, sign uint32, lo, hi float32)
+//
+// quantizeNC4 into a pixel-major image, on AVX-512: for r < rows,
+// x < pixels, p < packs and lane l < 4, the float
+// src[p·srcPack + r·srcRow + x·4 + l] is quantized by quantizeAct, clamped
+// to [lo, hi], into the byte dst[r·dstRow + x·dstPix + p·4 + l]. Needs
+// packs ≥ 4 and pixels ≥ 4: four pixels of four packs at a time (ROUND16,
+// then VPMOVDB keeps each int32's low byte, which holds the value as signed
+// or as unsigned), turned pixel-major by a 4×4 dword transpose, sixteen
+// bytes a pixel; the last four packs and the last four pixels of a row end
+// on its end, rewriting some with the same bytes.
+TEXT ·quantizePixelsNC4(SB), NOSPLIT, $0-88
+	MOVQ dst+0(FP), DI
+	MOVQ dstPix+8(FP), R10
+	MOVQ src+24(FP), SI
+	MOVQ srcPack+32(FP), R11
+	MOVQ packs+48(FP), R14
+	MOVQ rows+56(FP), R12
+	MOVQ pixels+64(FP), R15
+	SHLQ $2, R11
+	LEAQ (R10)(R10*2), R13
+	VBROADCASTSS inv+72(FP), Z8
+	VBROADCASTSS sign+76(FP), Z9
+	VBROADCASTSS lo+80(FP), Z10
+	VBROADCASTSS hi+84(FP), Z11
+	VBROADCASTSS quantizeHalf<>(SB), Z12
+
+pmrow:
+	XORQ R8, R8
+
+pmpacks:
+	MOVQ    R14, AX
+	SUBQ    $4, AX
+	CMPQ    R8, AX
+	CMOVQGT AX, R8
+	XORQ    R9, R9
+
+pmpixels:
+	MOVQ    R15, AX
+	SUBQ    $4, AX
+	CMPQ    R9, AX
+	CMOVQGT AX, R9
+	MOVQ    R8, BX
+	IMULQ   R11, BX
+	ADDQ    SI, BX
+	MOVQ    R9, AX
+	SHLQ    $4, AX
+	ADDQ    AX, BX
+	ROUND16((BX), Z0)
+	ADDQ    R11, BX
+	ROUND16((BX), Z1)
+	ADDQ    R11, BX
+	ROUND16((BX), Z2)
+	ADDQ    R11, BX
+	ROUND16((BX), Z3)
+	VPMOVDB Z0, X0
+	VPMOVDB Z1, X1
+	VPMOVDB Z2, X2
+	VPMOVDB Z3, X3
+	// X0..X3 hold packs pg…pg+3 of pixels x…x+3, a dword a pixel; the
+	// transpose leaves pixel x+i in X(i), packs in order.
+	VPUNPCKLDQ  X1, X0, X4
+	VPUNPCKHDQ  X1, X0, X5
+	VPUNPCKLDQ  X3, X2, X6
+	VPUNPCKHDQ  X3, X2, X7
+	VPUNPCKLQDQ X6, X4, X0
+	VPUNPCKHQDQ X6, X4, X1
+	VPUNPCKLQDQ X7, X5, X2
+	VPUNPCKHQDQ X7, X5, X3
+	MOVQ    R9, CX
+	IMULQ   R10, CX
+	ADDQ    DI, CX
+	LEAQ    (CX)(R8*4), CX
+	VMOVDQU X0, (CX)
+	VMOVDQU X1, (CX)(R10*1)
+	VMOVDQU X2, (CX)(R10*2)
+	VMOVDQU X3, (CX)(R13*1)
+	ADDQ $4, R9
+	CMPQ R9, R15
+	JLT  pmpixels
+	ADDQ $4, R8
+	CMPQ R8, R14
+	JLT  pmpacks
+	MOVQ srcRow+40(FP), AX
+	SHLQ $2, AX
+	ADDQ AX, SI
+	ADDQ dstRow+16(FP), DI
+	DECQ R12
+	JNZ  pmrow
 	VZEROUPPER
 	RET
 

@@ -31,6 +31,14 @@ func linCombNC4(dst *float32, dstRow, dstChunk, dstSplit int, src *float32, srcR
 //go:noescape
 func quantizeNC4(dst *uint8, src *float32, blocks int, inv float32, sign uint32, lo, hi *float32)
 
+// quantizePixelsNC4 is the AVX-512 quantizer into a pixel-major image
+// (quantize_amd64.s): rows × pixels pixels, pixels ≥ 4, of packs ≥ 4
+// channel packs, each float by quantizeAct clamped to [lo, hi], pixel x of
+// row r at dst + r·dstRow + x·dstPix, its packs 4 bytes apart.
+//
+//go:noescape
+func quantizePixelsNC4(dst *uint8, dstPix, dstRow int, src *float32, srcPack, srcRow, packs, rows, pixels int, inv float32, sign uint32, lo, hi float32)
+
 // maxAbs8 is the AVX max-abs scan (quantize_amd64.s) over 8·blocks floats,
 // the lanes i%8 whose mask is 0 read as +0, NaN passed over.
 //

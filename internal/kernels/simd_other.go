@@ -22,6 +22,10 @@ func quantizeNC4(dst *uint8, src *float32, blocks int, inv float32, sign uint32,
 	panic("kernels: no SIMD quantizer on this architecture")
 }
 
+func quantizePixelsNC4(dst *uint8, dstPix, dstRow int, src *float32, srcPack, srcRow, packs, rows, pixels int, inv float32, sign uint32, lo, hi float32) {
+	panic("kernels: no SIMD quantizer on this architecture")
+}
+
 func maxAbs8(src *float32, blocks int, mask *[8]uint32) float32 {
 	panic("kernels: no SIMD max-abs scan on this architecture")
 }

@@ -3,9 +3,17 @@ package matmul
 import "unsafe"
 
 // Int8 GEMM for the quantized inference path (paper Section 3.1): byte
-// operands, int32 accumulation, one micro-kernel at three levels picked from
-// CPUID alone, as the fp32 ones are:
+// operands, int32 accumulation, one micro-kernel at four levels picked from
+// CPUID (and, for AMX, the OS's grant of the tile state), as the fp32 ones
+// are:
 //
+//   - amx: blocks of 32 pixels × 32 columns in the four C tiles, two
+//     adjacent panels at once (amx.go): per 64-byte chunk of a pixel's
+//     bytes one TDPBUSD (unsigned activations) or TDPBSSD (signed) per C
+//     tile, 16×64×16 multiply-adds an instruction. It runs the stride-1
+//     convolutions over a zero-bordered pixel-major image (MulGridNC4Into)
+//     and MulRows over whole 64-byte rows; everything else runs the VNNI
+//     kernels over the same pack.
 //   - avx512vnni: 12 pixels × 16 columns in zmm accumulators. Per channel
 //     quad one 64-byte weight load and one VPDPBUSD per pixel, which
 //     multiplies the pixel's four bytes, broadcast to every column, by the
@@ -30,7 +38,7 @@ import "unsafe"
 // pair sums; it is not used.)
 //
 // Weights are packed once, in the layout of the host's level: int8 dwords
-// on VNNI hosts, int16 elsewhere. Widening bytes in the AVX2 kernel instead
+// on VNNI and AMX hosts, int16 elsewhere. Widening bytes in the AVX2 kernel instead
 // (a VPMOVSXBW per weight vector) ran the 169×512×1000 GEMM 14 % slower
 // (1.99 vs 1.74 ms, minima of four alternating runs).
 
@@ -47,16 +55,24 @@ const quadLen = 4 * PanelWidthInt8
 // ceil(K/4) channel quads, zero-padded on both axes, each quad in the order
 // its kernel reads (quadIndex). Quantized weights are packed once at
 // pre-inference time, so steady-state multiplies are allocation-free.
+//
+// The rows come in segments of seg rows — a convolution weight's kernel
+// rows, kw·cp each; the whole matrix otherwise. At amx each segment is
+// zero-padded to whole 64-row chunks, the K of one tile instruction, and
+// the panels to an even count, the pair a block covers; a zero row adds an
+// exact 0, so the VNNI kernels run over that layout too.
 type PackedBInt8 struct {
-	K, N int
-	kq   int     // K in quads, rounded up
-	w16  []int16 // [panels][kq][quadLen] for the avx2 kernel; nil at avx512vnni
-	w8   []int8  // [panels][kq][quadLen] for the avx512vnni kernels; nil otherwise
-	simd level   // the kernels to run: levelPortable, levelAVX2 or levelVNNI
+	K, N    int
+	kq      int     // quads per panel: the packed rows in quads, rounded up
+	seg     int     // rows per segment
+	segRows int     // packed rows per segment: seg, or at amx seg rounded up to whole chunks
+	w16     []int16 // [panels][kq][quadLen] for the avx2 kernel; nil at avx512vnni and amx
+	w8      []int8  // [panels][kq][quadLen] for the avx512vnni and amx kernels; nil otherwise
+	simd    level   // the kernels to run: levelPortable, levelAVX2, levelVNNI or levelAMX
 }
 
 // int8Ladder is the int8 kernels' ladder, lowest first.
-var int8Ladder = [...]level{levelPortable, levelAVX2, levelVNNI}
+var int8Ladder = [...]level{levelPortable, levelAVX2, levelVNNI, levelAMX}
 
 // quadIndex is where row c < 4, column l < 16 of a quad lives.
 //
@@ -75,10 +91,18 @@ func quadIndex(vnni bool, c, l int) int {
 	return (c>>1^l&1)*2*PanelWidthInt8 + l*2 + c&1
 }
 
+// row is the packed row of row p of the matrix.
+func (pb *PackedBInt8) row(p int) int { return p/pb.seg*pb.segRows + p%pb.seg }
+
 // index is where row p, column j of the matrix lives in pb's layout.
 func (pb *PackedBInt8) index(p, j int) int {
-	return (j/PanelWidthInt8*pb.kq+p/4)*quadLen + quadIndex(pb.w8 != nil, p%4, j%PanelWidthInt8)
+	r := pb.row(p)
+	return (j/PanelWidthInt8*pb.kq+r/4)*quadLen + quadIndex(pb.w8 != nil, r%4, j%PanelWidthInt8)
 }
+
+// KyRows is the packed rows between two segments' starts: the row a tap of
+// kernel row ky, column kx starts at is ky·KyRows + kx·cp.
+func (pb *PackedBInt8) KyRows() int { return pb.segRows }
 
 // at is the weight at index i of either layout.
 func (pb *PackedBInt8) at(i int) int32 {
@@ -96,12 +120,18 @@ func (pb *PackedBInt8) set(i int, v int8) {
 	}
 }
 
-// newPackedBInt8 returns the packed form of the k×n zero matrix for the
-// kernels of level lv.
-func newPackedBInt8(k, n int, lv level) *PackedBInt8 {
+// newPackedBInt8 returns the packed form of the k×n zero matrix, in
+// segments of seg rows (k a multiple of seg), for the kernels of level lv.
+func newPackedBInt8(k, n, seg int, lv level) *PackedBInt8 {
 	panels := (n + PanelWidthInt8 - 1) / PanelWidthInt8
-	pb := &PackedBInt8{K: k, N: n, kq: (k + 3) / 4, simd: lv}
-	if lv == levelVNNI {
+	seg = max(seg, 1)
+	pb := &PackedBInt8{K: k, N: n, seg: seg, segRows: seg, simd: lv}
+	if lv == levelAMX {
+		pb.segRows = (seg + amxChunk - 1) / amxChunk * amxChunk
+		panels += panels & 1
+	}
+	pb.kq = (k/seg*pb.segRows + k%seg + 3) / 4
+	if lv >= levelVNNI {
 		pb.w8 = make([]int8, panels*pb.kq*quadLen)
 	} else {
 		pb.w16 = make([]int16, panels*pb.kq*quadLen)
@@ -110,11 +140,16 @@ func newPackedBInt8(k, n int, lv level) *PackedBInt8 {
 }
 
 // PackBInt8 packs the row-major k×n int8 matrix b.
-func PackBInt8(b []int8, k, n int) *PackedBInt8 {
+func PackBInt8(b []int8, k, n int) *PackedBInt8 { return PackBInt8Segments(b, k, n, k) }
+
+// PackBInt8Segments is PackBInt8 for a matrix whose rows come in segments
+// of seg rows, k a multiple of seg — a convolution weight's kernel rows, as
+// PackWeightInt8 packs them.
+func PackBInt8Segments(b []int8, k, n, seg int) *PackedBInt8 {
 	if len(b) < k*n {
 		panic("matmul: PackBInt8 buffer too small for declared dimensions")
 	}
-	pb := newPackedBInt8(k, n, haveInt8)
+	pb := newPackedBInt8(k, n, seg, haveInt8)
 	for p := 0; p < k; p++ {
 		for j, v := range b[p*n : (p+1)*n] {
 			pb.set(pb.index(p, j), v)
@@ -123,14 +158,16 @@ func PackBInt8(b []int8, k, n int) *PackedBInt8 {
 	return pb
 }
 
-// PackWeightInt8 is PackWeight for an int8 weight whose taps start at whole
-// channel packs: row t·cp + i of the (taps·cp)×n matrix holds tap t of input
-// channel i < c, and rows c ≤ i < cp of each tap are zero.
-func PackWeightInt8(w []int8, n, c, taps, cp int) *PackedBInt8 {
+// PackWeightInt8 is PackWeight for a kh×kw int8 weight whose taps start at
+// whole channel packs: row t·cp + i of the (kh·kw·cp)×n matrix holds tap t
+// of input channel i < c, and rows c ≤ i < cp of each tap are zero. Each
+// kernel row, kw·cp rows, is one segment.
+func PackWeightInt8(w []int8, n, c, kh, kw, cp int) *PackedBInt8 {
+	taps := kh * kw
 	if len(w) < n*c*taps || cp < c {
 		panic("matmul: PackWeightInt8 buffer too small for declared dimensions")
 	}
-	pb := newPackedBInt8(taps*cp, n, haveInt8)
+	pb := newPackedBInt8(taps*cp, n, kw*cp, haveInt8)
 	vnni := pb.w8 != nil
 	for j0 := 0; j0 < n; j0 += PanelWidthInt8 {
 		for p := 0; p < pb.K; p++ {
@@ -138,17 +175,18 @@ func PackWeightInt8(w []int8, n, c, taps, cp int) *PackedBInt8 {
 			if i >= c {
 				continue
 			}
-			quad := (j0/PanelWidthInt8*pb.kq + p/4) * quadLen
+			r := pb.row(p)
+			quad := (j0/PanelWidthInt8*pb.kq + r/4) * quadLen
 			for l := range min(PanelWidthInt8, n-j0) {
-				pb.set(quad+quadIndex(vnni, p%4, l), w[((j0+l)*c+i)*taps+t])
+				pb.set(quad+quadIndex(vnni, r%4, l), w[((j0+l)*c+i)*taps+t])
 			}
 		}
 	}
 	return pb
 }
 
-// Int8ISA names the int8 micro-kernels this host runs: "portable", "avx2" or
-// "avx512vnni".
+// Int8ISA names the int8 micro-kernels this host runs: "portable", "avx2",
+// "avx512vnni" or "amx".
 func Int8ISA() string { return levelNames[haveInt8] }
 
 // Int8ISAs lists the int8 levels this host can run, "portable" first,
@@ -164,9 +202,9 @@ func Int8ISAs() []string {
 }
 
 // WithISA returns pb packed for the int8 micro-kernels of the named level,
-// or nil where the host lacks them. The avx2 and avx512vnni kernels read
-// different layouts, so theirs is a copy; "portable" is Portable's view, as
-// the Go twin reads either. Differential tests hold every level the host has
+// or nil where the host lacks them. The avx2, avx512vnni and amx kernels
+// read different layouts, so theirs is a copy; "portable" is Portable's
+// view, as the Go twin reads any. Differential tests hold every level the host has
 // to MulInt8Ref through it.
 func (pb *PackedBInt8) WithISA(isa string) *PackedBInt8 {
 	for _, lv := range int8Ladder {
@@ -176,7 +214,7 @@ func (pb *PackedBInt8) WithISA(isa string) *PackedBInt8 {
 		if lv == levelPortable {
 			return pb.Portable()
 		}
-		q := newPackedBInt8(pb.K, pb.N, lv)
+		q := newPackedBInt8(pb.K, pb.N, pb.seg, lv)
 		for p := 0; p < pb.K; p++ {
 			for j := 0; j < pb.N; j++ {
 				q.set(q.index(p, j), int8(pb.at(pb.index(p, j))))
@@ -242,16 +280,24 @@ func (pb *PackedBInt8) MulIntoU8(dst []int32, a []uint8, m int, _ []int32) {
 // the micro-kernel over a row-major left operand, where a row is a pixel K
 // bytes after the last, its quads 4 bytes apart. The K%4 bytes that end a
 // row are no whole quad (reading one would run past the last row); their
-// products are added here, from the same packed weights.
+// products are added here, from the same packed weights. At amx, rows of
+// whole 64-byte chunks, AMXBlock or more of them, run on the tiles over
+// every whole panel pair (amx.go), and the VNNI kernels take the columns
+// left.
 func (pb *PackedBInt8) MulRows(dst []int32, a []uint8, m int, unsigned bool) {
 	k, n := pb.K, pb.N
 	if len(a) < m*k || len(dst) < m*n {
 		panic("matmul: buffer too small for declared dimensions")
 	}
-	if k < 4 {
+	r := &int8Run{a: a, aQuad: 4, aPix: k, taps: oneTap, kq: k / 4, unsigned: unsigned, raw: dst, stride: n}
+	switch {
+	case k < 4:
 		clear(dst[:m*n])
-	} else {
-		pb.run(&int8Run{a: a, aQuad: 4, aPix: k, taps: oneTap, kq: k / 4, unsigned: unsigned, raw: dst, stride: n}, m)
+	case pb.simd == levelAMX && m >= AMXBlock && k%amxChunk == 0:
+		pb.mulRowsAMX(dst, a, m, unsigned)
+		pb.run(r, m, n/(2*PanelWidthInt8)*2*PanelWidthInt8)
+	default:
+		pb.run(r, m, 0)
 	}
 	for p := k &^ 3; p < k; p++ {
 		for i := 0; i < m; i++ {
@@ -305,7 +351,7 @@ func (pb *PackedBInt8) MulTapsNC4Into(dst []float32, dstPack int, a []uint8, aPa
 			panic("matmul: tap outside the source or the packed rows")
 		}
 	}
-	pb.run(&int8Run{a: a, aQuad: aPack, aPix: aPix, taps: taps, kq: kq, unsigned: unsigned, f32: dst, stride: dstPack, rq: rq}, pixels)
+	pb.run(&int8Run{a: a, aQuad: aPack, aPix: aPix, taps: taps, kq: kq, unsigned: unsigned, f32: dst, stride: dstPack, rq: rq}, pixels, 0)
 }
 
 // int8Run is one product: the left operand and its tap walk, and where the
@@ -326,15 +372,15 @@ type int8Run struct {
 	acc [12][PanelWidthInt8]int32 // the stack tile
 }
 
-// run drives the micro-kernels over the panels and tiles of pixels: at
-// avx512vnni twelve at a time, and a remainder of more than eight as one
+// run drives the micro-kernels over the panels from column j0 on and the
+// tiles of pixels: at avx512vnni and amx twelve at a time, and a remainder of more than eight as one
 // more twelve-pixel tile that ends at the last pixel; then four at a time,
 // the last block again ending at the last pixel. An overlapped pixel is
 // written twice with the same bits: its sums are exact and depend on that
 // pixel alone. Fewer than four pixels in all run one at a time as four
 // copies of themselves (aPix = 0), so no kernel reads past the run.
-func (pb *PackedBInt8) run(r *int8Run, pixels int) {
-	for j0 := 0; j0 < pb.N; j0 += PanelWidthInt8 {
+func (pb *PackedBInt8) run(r *int8Run, pixels, j0 int) {
+	for ; j0 < pb.N; j0 += PanelWidthInt8 {
 		panel := j0 / PanelWidthInt8 * pb.kq * quadLen
 		if pb.simd == levelPortable {
 			for q := 0; q < pixels; q += 4 {
@@ -345,7 +391,7 @@ func (pb *PackedBInt8) run(r *int8Run, pixels int) {
 			continue
 		}
 		q := 0
-		if pb.simd == levelVNNI && pixels >= 12 {
+		if pb.simd >= levelVNNI && pixels >= 12 {
 			for ; q+12 <= pixels; q += 12 {
 				pb.tile(r, 12, q, r.aPix, panel, j0)
 			}

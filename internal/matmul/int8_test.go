@@ -2,6 +2,7 @@ package matmul
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -135,8 +136,9 @@ func checkInt8(t *testing.T, impls map[string]*PackedBInt8, a []uint8, b []int8,
 // raw int8 GEMM: over every byte value on both sides — −128 and, read
 // unsigned, 255 among them — every level the host has, the Go twin over
 // each level's layout and MulInt8Ref agree exactly, in the signed and the
-// unsigned mode, for row counts around the four- and twelve-row tiles,
-// depths around a quad and widths around a panel.
+// unsigned mode, for row counts around the four- and twelve-row tiles and
+// the 32-row amx block, depths around a quad and at whole 64-byte tile rows,
+// and widths around a panel and a pair.
 func TestPackedBInt8SIMDMatchesPortableBitwise(t *testing.T) {
 	levels := hostInt8Levels(t)
 	seed := uint32(1)
@@ -151,9 +153,9 @@ func TestPackedBInt8SIMDMatchesPortableBitwise(t *testing.T) {
 		}
 		return out
 	}
-	for _, m := range []int{1, 3, 4, 5, 9, 11, 12, 13, 21, 24, 25} {
-		for _, k := range []int{1, 3, 4, 7, 16, 33, 130} {
-			for _, n := range []int{1, 5, 16, 17, 40} {
+	for _, m := range []int{1, 3, 4, 5, 9, 11, 12, 13, 21, 24, 25, 31, 32, 33, 70} {
+		for _, k := range []int{1, 3, 4, 7, 16, 33, 64, 130, 192} {
+			for _, n := range []int{1, 5, 16, 17, 32, 40, 64} {
 				a, bu := bytes(m*k), bytes(k*n)
 				b := make([]int8, len(bu))
 				for i, v := range bu {
@@ -167,11 +169,20 @@ func TestPackedBInt8SIMDMatchesPortableBitwise(t *testing.T) {
 
 // FuzzPackedBInt8 drives the raw int8 GEMM over m, k and n, both sign modes
 // and raw bytes, −128 and 255 among them: every level the host has, and the
-// Go twin over each level's layout, must equal MulInt8Ref exactly.
+// Go twin over each level's layout, must equal MulInt8Ref exactly. A wide
+// input is one amx block or a pixel more deep enough for its int32 sums to
+// wrap — 2^17 and more products of −128·−128 or 128·−128 — which no
+// instruction may saturate.
 func FuzzPackedBInt8(f *testing.F) {
-	f.Add(uint8(11), uint8(32), uint8(16), []byte{0x80, 0xff, 0x7f, 0x01, 0x00})
-	f.Fuzz(func(t *testing.T, mR, kR, nR uint8, raw []byte) {
+	f.Add(uint8(11), uint8(32), uint8(16), []byte{0x80, 0xff, 0x7f, 0x01, 0x00}, false)
+	f.Fuzz(func(t *testing.T, mR, kR, nR uint8, raw []byte, wide bool) {
 		m, k, n := int(mR)%40+1, int(kR)%140+1, int(nR)%48+1
+		if wide {
+			if testing.Short() {
+				t.Skip("wide inputs take seconds")
+			}
+			m, k, n = 32+int(mR)%2, 1<<17+int(kR)%140, 16+int(nR)%17
+		}
 		if len(raw) == 0 {
 			raw = []byte{0}
 		}
@@ -182,7 +193,15 @@ func FuzzPackedBInt8(f *testing.F) {
 		for i := range b {
 			b[i] = int8(raw[(i*7+3)%len(raw)])
 		}
-		checkInt8(t, int8Impls(b, k, n, Int8ISAs()), a, b, m, k, n)
+		impls := int8Impls(b, k, n, Int8ISAs())
+		if wide { // the Go loops wrap as MulInt8Ref does; the assembly is on trial
+			for name := range impls {
+				if name == "portable" || strings.HasSuffix(name, "/twin") {
+					delete(impls, name)
+				}
+			}
+		}
+		checkInt8(t, impls, a, b, m, k, n)
 	})
 }
 

@@ -8,40 +8,52 @@ package matmul
 // is picked from CPUID and XCR0 alone and nothing can or need switch it. The
 // pair tile loads two panel lines and twelve broadcasts per step for 24
 // FMAs, where the 12×16 tile loads 13 for 12. int8 has its own ladder over
-// exact integer sums — AVX2 (VPMADDWD, 4×16 tiles) and AVX-512 VNNI
-// (VPDPBUSD, 12×16 tiles, remainders on a 4-pixel variant) — picked from the
-// same registers and CPUID.7:ECX.
+// exact integer sums — AVX2 (VPMADDWD, 4×16 tiles), AVX-512 VNNI
+// (VPDPBUSD, 12×16 tiles, remainders on a 4-pixel variant) and AMX (TDPBUSD
+// and TDPBSSD, 32×32 tile blocks over the VNNI layout, everything it does
+// not take on the VNNI kernels) — picked from the same registers, CPUID.7:ECX
+// and EDX, and the operating system's grant of the AMX tile state.
 
 import "unsafe"
 
 // haveSIMD and haveInt8 are the fp32 and int8 kernel levels of this host,
-// decided once at package init from the hardware alone.
+// decided once at package init from the hardware alone — and, for amx, the
+// OS's grant of the tile state (requestAMX, asked only where the hardware
+// and XCR0 have AMX).
 var haveSIMD, haveInt8 = probeLevel()
 
 func probeLevel() (f32, i8 level) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	_, _, ecx1, _ := cpuid(1, 0)
-	var xcr0, ebx7, ecx7 uint32
+	var xcr0, ebx7, ecx7, edx7 uint32
 	if ecx1&osxsave != 0 { // XGETBV faults without it
 		xcr0 = xgetbv0()
 	}
 	if maxLeaf >= 7 {
-		_, ebx7, ecx7, _ = cpuid(7, 0)
+		_, ebx7, ecx7, edx7 = cpuid(7, 0)
 	}
-	return detectLevel(maxLeaf, ecx1, xcr0, ebx7, ecx7)
+	granted := edx7&amxInt8 == amxInt8 && xcr0&amxState == amxState && requestAMX()
+	return detectLevel(maxLeaf, ecx1, xcr0, ebx7, ecx7, edx7, granted)
 }
 
-const osxsave = 1 << 27 // CPUID.1:ECX: the OS uses XSAVE, so XCR0 can be read
+const (
+	osxsave  = 1 << 27       // CPUID.1:ECX: the OS uses XSAVE, so XCR0 can be read
+	amxInt8  = 1<<24 | 1<<25 // CPUID.7:EDX: AMX-TILE and AMX-INT8
+	amxState = 1<<17 | 1<<18 // XCR0: XTILECFG and XTILEDATA
+)
 
-// detectLevel is the dispatch decision as a function of the five register
-// values it rests on: the highest CPUID leaf, CPUID.1:ECX (FMA, OSXSAVE,
-// AVX), XCR0 (the register state the OS saves: bits 1–2 xmm and ymm, 5–7
-// opmask and zmm), CPUID.7:EBX (AVX2, AVX512F) and CPUID.7:ECX
-// (AVX512_VNNI). A level needs the instructions and the saved state;
-// AVX-512 also needs the AVX2 level, whose kernels take its remainders. The
-// int8 level is the fp32 one, except that AVX-512 without VNNI runs the
-// AVX2 int8 kernel.
-func detectLevel(maxLeaf, ecx1, xcr0, ebx7, ecx7 uint32) (f32, i8 level) {
+// detectLevel is the dispatch decision as a function of the six register
+// values it rests on and one answer of the OS: the highest CPUID leaf,
+// CPUID.1:ECX (FMA, OSXSAVE, AVX), XCR0 (the register state the OS saves:
+// bits 1–2 xmm and ymm, 5–7 opmask and zmm, 17–18 the AMX tile
+// configuration and data), CPUID.7:EBX (AVX2, AVX512F), CPUID.7:ECX
+// (AVX512_VNNI), CPUID.7:EDX (AMX-TILE, AMX-INT8), and whether the process
+// was granted the tile data state. A level needs the instructions and the
+// saved state; AVX-512 also needs the AVX2 level, whose kernels take its
+// remainders, and AMX the VNNI level, whose kernels take everything the
+// tiles do not. The int8 level is the fp32 one, except that AVX-512 without
+// VNNI runs the AVX2 int8 kernel and AMX runs above VNNI.
+func detectLevel(maxLeaf, ecx1, xcr0, ebx7, ecx7, edx7 uint32, amxGranted bool) (f32, i8 level) {
 	const fma, avx, ymmState, zmmState, avx2, avx512f, avx512vnni = 1 << 12, 1 << 28, 0x06, 0xe6, 1 << 5, 1 << 16, 1 << 11
 	switch {
 	case maxLeaf < 7 || ecx1&(fma|osxsave|avx) != fma|osxsave|avx || xcr0&ymmState != ymmState || ebx7&avx2 == 0:
@@ -50,8 +62,10 @@ func detectLevel(maxLeaf, ecx1, xcr0, ebx7, ecx7 uint32) (f32, i8 level) {
 		return levelAVX2, levelAVX2
 	case ecx7&avx512vnni == 0:
 		return levelAVX512, levelAVX2
+	case edx7&amxInt8 != amxInt8 || xcr0&amxState != amxState || !amxGranted:
+		return levelAVX512, levelVNNI
 	}
-	return levelAVX512, levelVNNI
+	return levelAVX512, levelAMX
 }
 
 // mulPanel4x16 is the AVX2 4×16 micro-kernel (kernel_amd64.s): four rows of
@@ -117,6 +131,14 @@ func mulPanel12Int8(dst unsafe.Pointer, dstStride, packs int, a *uint8, aQuad, a
 
 //go:noescape
 func mulPanel4Int8(dst unsafe.Pointer, dstStride, packs int, a *uint8, aQuad, aPix int, taps *Tap, ntaps, kq int, panel *int8, scale, bias *float32, lo, hi float32, unsigned bool)
+
+// mulAMXInt8 is the amx micro-kernel (kernel_amd64.s): blocks of 32 grid
+// pixels × the 32 columns of a panel pair on the AMX tiles, the sums of the
+// VNNI kernels, stored raw (scale nil) or through their epilogue one pixel
+// at a time (amx.go).
+//
+//go:noescape
+func mulAMXInt8(dst unsafe.Pointer, dstStride, packs int, a *uint8, aPix, rowBytes, kh, chunks int, panel *int8, pairBytes, g0, blocks, pixels, width, ow int, scale, bias *float32, lo, hi float32, unsigned bool, tmp *int32)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -810,11 +810,11 @@ epilogue:
 
 // UNBIAS subtracts the signed mode's correction (zero in the unsigned one)
 // from a row; REQUANT converts it to float32 and multiplies it by the
-// scales in Z12 — mulPanelInt8's VCVTDQ2PS and VMULPS element for element.
+// scales in S — mulPanelInt8's VCVTDQ2PS and VMULPS element for element.
 #define UNBIAS(Z) VPSUBD Z15, Z, Z
-#define REQUANT(Z) \
+#define REQUANT(Z, S) \
 	VCVTDQ2PS Z, Z \
-	VMULPS    Z12, Z, Z
+	VMULPS    S, Z, Z
 
 // func mulPanel12Int8(dst unsafe.Pointer, dstStride, packs int, a *uint8, aQuad, aPix int, taps *Tap, ntaps, kq int, panel *int8, scale, bias *float32, lo, hi float32, unsigned bool)
 //
@@ -857,18 +857,18 @@ TEXT ·mulPanel12Int8(SB), NOSPLIT, $0-105
 	MOVQ  packs+16(FP), R12
 	MOVQ  bias+88(FP), R13
 	VMOVUPS      (R14), Z12
-	REQUANT(Z0)
-	REQUANT(Z1)
-	REQUANT(Z2)
-	REQUANT(Z3)
-	REQUANT(Z4)
-	REQUANT(Z5)
-	REQUANT(Z6)
-	REQUANT(Z7)
-	REQUANT(Z8)
-	REQUANT(Z9)
-	REQUANT(Z10)
-	REQUANT(Z11)
+	REQUANT(Z0, Z12)
+	REQUANT(Z1, Z12)
+	REQUANT(Z2, Z12)
+	REQUANT(Z3, Z12)
+	REQUANT(Z4, Z12)
+	REQUANT(Z5, Z12)
+	REQUANT(Z6, Z12)
+	REQUANT(Z7, Z12)
+	REQUANT(Z8, Z12)
+	REQUANT(Z9, Z12)
+	REQUANT(Z10, Z12)
+	REQUANT(Z11, Z12)
 	VMOVUPS      (R13), Z12
 	VBROADCASTSS lo+96(FP), Z13
 	VBROADCASTSS hi+100(FP), Z14
@@ -958,10 +958,10 @@ TEXT ·mulPanel4Int8(SB), NOSPLIT, $0-105
 	MOVQ  packs+16(FP), R12
 	MOVQ  bias+88(FP), R13
 	VMOVUPS      (R14), Z12
-	REQUANT(Z0)
-	REQUANT(Z1)
-	REQUANT(Z2)
-	REQUANT(Z3)
+	REQUANT(Z0, Z12)
+	REQUANT(Z1, Z12)
+	REQUANT(Z2, Z12)
+	REQUANT(Z3, Z12)
 	VMOVUPS      (R13), Z12
 	VBROADCASTSS lo+96(FP), Z13
 	VBROADCASTSS hi+100(FP), Z14
@@ -994,6 +994,324 @@ raw:
 	VMOVDQU32 Z3, (DI)
 
 done:
+	VZEROUPPER
+	RET
+
+// amxTileConfig is mulAMXInt8's tile configuration (LDTILECFG's 64 bytes):
+// palette 1, tmm0–7 each 16 rows of 64 bytes — C tiles of 16 × 16 int32,
+// A tiles of 16 pixels × 16 channel quads, B tiles of 16 quads × 16
+// columns.
+DATA amxTileConfig<>+0(SB)/8, $1
+DATA amxTileConfig<>+16(SB)/8, $0x0040004000400040
+DATA amxTileConfig<>+24(SB)/8, $0x0040004000400040
+DATA amxTileConfig<>+48(SB)/8, $0x1010101010101010
+GLOBL amxTileConfig<>(SB), RODATA|NOPTR, $64
+
+// The AMX instructions, which the Go assembler does not know, as bytes
+// (VEX.128.0F38.W0, registers below R8 only). TDP(C, A, B) forms are named
+// after their tiles.
+#define LDTILECFG_AX BYTE $0xC4; BYTE $0xE2; BYTE $0x78; BYTE $0x49; BYTE $0x00
+#define TILERELEASE BYTE $0xC4; BYTE $0xE2; BYTE $0x78; BYTE $0x49; BYTE $0xC0
+#define TILEZERO_C \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x49; BYTE $0xC0 \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x49; BYTE $0xC8 \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x49; BYTE $0xD0 \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x49; BYTE $0xD8
+
+// AMXLOADS is TILELOADD tmm4, (SI)(DX*1); tmm5, (DI)(DX*1); tmm6, (BX)(AX*1);
+// tmm7, (CX)(AX*1): the A tiles of pixels 0–15 and 16–31, DX bytes a row,
+// and the B tiles of the pair's two panels, 64 bytes a row.
+#define AMXLOADS \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x4B; BYTE $0x24; BYTE $0x16 \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x4B; BYTE $0x2C; BYTE $0x17 \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x4B; BYTE $0x34; BYTE $0x03 \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x4B; BYTE $0x3C; BYTE $0x01
+
+// TDPBUSD4 and TDPBSSD4 add A·B into the four C tiles, the A bytes read
+// unsigned or signed (the B bytes signed in both): tmm0 += tmm4·tmm6,
+// tmm1 += tmm4·tmm7, tmm2 += tmm5·tmm6, tmm3 += tmm5·tmm7.
+#define TDPBUSD4 \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x49; BYTE $0x5E; BYTE $0xC4 \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x41; BYTE $0x5E; BYTE $0xCC \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x49; BYTE $0x5E; BYTE $0xD5 \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x41; BYTE $0x5E; BYTE $0xDD
+#define TDPBSSD4 \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x4B; BYTE $0x5E; BYTE $0xC4 \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x43; BYTE $0x5E; BYTE $0xCC \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x4B; BYTE $0x5E; BYTE $0xD5 \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x43; BYTE $0x5E; BYTE $0xDD
+
+// AMXSTORES is TILESTORED (DI)(AX*1), tmm0; 64(DI)(AX*1), tmm1;
+// (SI)(AX*1), tmm2; 64(SI)(AX*1), tmm3: the block's 32 rows × 32 int32,
+// rows 0–15 from DI and 16–31 from SI, AX bytes apart.
+#define AMXSTORES \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x7A; BYTE $0x4B; BYTE $0x04; BYTE $0x07 \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x7A; BYTE $0x4B; BYTE $0x4C; BYTE $0x07; BYTE $0x40 \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x7A; BYTE $0x4B; BYTE $0x14; BYTE $0x06 \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x7A; BYTE $0x4B; BYTE $0x5C; BYTE $0x06; BYTE $0x40
+
+// AMXLANES stores the first PACKS − FIRST (at most four) 128-bit lanes of
+// the requantized row Z — one pixel's four channels of one pack each — at
+// BASE, DX bytes apart (R9 = 3·DX), PACKS in R11; with none left it goes to
+// DONE.
+#define AMXLANES(Z, X, BASE, FIRST, DONE) \
+	VMOVUPS       X, (BASE)               \
+	CMPQ          R11, $(FIRST+2)         \
+	JLT           DONE                    \
+	VEXTRACTF32X4 $1, Z, (BASE)(DX*1)     \
+	CMPQ          R11, $(FIRST+3)         \
+	JLT           DONE                    \
+	VEXTRACTF32X4 $2, Z, (BASE)(DX*2)     \
+	CMPQ          R11, $(FIRST+4)         \
+	JLT           DONE                    \
+	VEXTRACTF32X4 $3, Z, (BASE)(R9*1)
+
+// AMXQUAD requantizes the panel half at OFF of four tmp rows from SI — four
+// adjacent stored pixels — with the scales S and biases B, and stores it as
+// PACKS − FIRST (at most four) channel packs of 4 pixels × 4 channels
+// (PACK4), DX bytes apart from DI on; DI ends on the last pack stored, and
+// with none left it goes to DONE.
+#define AMXQUAD(OFF, S, B, FIRST, DONE) \
+	VMOVDQU32 OFF(SI), Z0               \
+	VMOVDQU32 OFF+128(SI), Z1           \
+	VMOVDQU32 OFF+256(SI), Z2           \
+	VMOVDQU32 OFF+384(SI), Z3           \
+	REQUANT(Z0, S)                      \
+	REQUANT(Z1, S)                      \
+	REQUANT(Z2, S)                      \
+	REQUANT(Z3, S)                      \
+	FINISH12(Z0, B, Z20, Z21)           \
+	FINISH12(Z1, B, Z20, Z21)           \
+	FINISH12(Z2, B, Z20, Z21)           \
+	FINISH12(Z3, B, Z20, Z21)           \
+	PACK4($0x00, Z0, Z1, Z2, Z3, Z4, Z5, 0) \
+	CMPQ R11, $(FIRST+2)                \
+	JLT  DONE                           \
+	ADDQ DX, DI                         \
+	PACK4($0x55, Z0, Z1, Z2, Z3, Z4, Z5, 0) \
+	CMPQ R11, $(FIRST+3)                \
+	JLT  DONE                           \
+	ADDQ DX, DI                         \
+	PACK4($0xAA, Z0, Z1, Z2, Z3, Z4, Z5, 0) \
+	CMPQ R11, $(FIRST+4)                \
+	JLT  DONE                           \
+	ADDQ DX, DI                         \
+	PACK4($0xFF, Z0, Z1, Z2, Z3, Z4, Z5, 0)
+
+// func mulAMXInt8(dst unsafe.Pointer, dstStride, packs int, a *uint8, aPix, rowBytes, kh, chunks int, panel *int8, pairBytes, g0, blocks, pixels, width, ow int, scale, bias *float32, lo, hi float32, unsigned bool, tmp *int32)
+//
+// The amx micro-kernel: `blocks` blocks of 32 grid pixels, the first at g0
+// and each next 32 on, none past the last pixel (one that would be ends on
+// it), against the panel pair at panel and panel+pairBytes. Grid pixel g
+// reads, for each of kh kernel rows rowBytes apart, `chunks` 64-byte pieces
+// from a + g·aPix on, against the pair's next 16 quads each; the sums are
+// exact. With scale nil the 32×32 int32 block is stored as it is, rows of
+// dstStride int32 from dst + g·dstStride·4. Otherwise the block goes to one
+// half of tmp (2 × 32 rows × 32 int32) and, while the next block's tile
+// instructions run, through mulPanel12Int8's epilogue — converted, times
+// its scales, plus its biases, clamped to [lo, hi] — to `packs` ≤ 8
+// channel packs, dstStride floats apart, at its output pixels: grid pixel
+// oy·width + ox is output pixel oy·ow + ox, and a column ox ≥ ow is not
+// stored. Four adjacent stored pixels go out as whole packs (AMXQUAD), the
+// rest a pixel at a time (AMXLANES).
+TEXT ·mulAMXInt8(SB), NOSPLIT, $0-160
+	MOVQ  scale+120(FP), AX
+	TESTQ AX, AX
+	JZ    amxconfig
+	MOVQ  bias+128(FP), BX
+	VMOVUPS      (AX), Z16
+	VMOVUPS      (BX), Z18
+	VBROADCASTSS lo+136(FP), Z20
+	VBROADCASTSS hi+140(FP), Z21
+	CMPQ  packs+16(FP), $4
+	JLE   amxconfig
+	VMOVUPS 64(AX), Z17
+	VMOVUPS 64(BX), Z19
+
+amxconfig:
+	LEAQ amxTileConfig<>(SB), AX
+	LDTILECFG_AX
+	MOVQ g0+80(FP), R13
+	MOVQ blocks+88(FP), R12
+
+amxblock:
+	TESTQ   R12, R12
+	JZ      amxlast
+	MOVQ    pixels+96(FP), AX
+	SUBQ    $32, AX
+	CMPQ    R13, AX
+	CMOVQGT AX, R13
+	TILEZERO_C
+	MOVQ  aPix+32(FP), DX
+	MOVQ  DX, R10
+	IMULQ R13, R10
+	ADDQ  a+24(FP), R10
+	MOVQ  DX, R11
+	SHLQ  $4, R11
+	MOVQ  rowBytes+40(FP), R14
+	MOVQ  pairBytes+72(FP), R15
+	MOVQ  panel+64(FP), BX
+	MOVQ  kh+48(FP), R8
+	MOVQ  $64, AX
+
+amxrow:
+	MOVQ R10, SI
+	MOVQ chunks+56(FP), R9
+
+amxchunk:
+	LEAQ (SI)(R11*1), DI
+	LEAQ (BX)(R15*1), CX
+	AMXLOADS
+	CMPB unsigned+144(FP), $0
+	JNE  amxunsigned
+	TDPBSSD4
+	JMP  amxnext
+
+amxunsigned:
+	TDPBUSD4
+
+amxnext:
+	ADDQ $64, SI
+	ADDQ $1024, BX
+	DECQ R9
+	JNZ  amxchunk
+	ADDQ R14, R10
+	DECQ R8
+	JNZ  amxrow
+	MOVQ  scale+120(FP), AX
+	TESTQ AX, AX
+	JZ    amxraw
+	CMPQ  R12, blocks+88(FP)
+	JNE   amxepilogue
+
+amxkeep:
+	// The block goes to the tmp half of its index's parity.
+	MOVQ blocks+88(FP), DI
+	SUBQ R12, DI
+	ANDQ $1, DI
+	SHLQ $12, DI
+	ADDQ tmp+152(FP), DI
+	MOVQ $128, AX
+	LEAQ 2048(DI), SI
+	AMXSTORES
+	ADDQ $32, R13
+	DECQ R12
+	JMP  amxblock
+
+amxraw:
+	MOVQ  dstStride+8(FP), AX
+	SHLQ  $2, AX
+	MOVQ  R13, DI
+	IMULQ AX, DI
+	ADDQ  dst+0(FP), DI
+	MOVQ  AX, SI
+	SHLQ  $4, SI
+	ADDQ  DI, SI
+	AMXSTORES
+	ADDQ  $32, R13
+	DECQ  R12
+	JMP   amxblock
+
+amxlast:
+	MOVQ  scale+120(FP), AX
+	TESTQ AX, AX
+	JZ    amxdone
+
+amxepilogue:
+	// The previous block, blocks − R12 − 1: its tmp half, its first grid
+	// pixel (AX), and from that its column (R8) and first stored output
+	// pixel (DI).
+	MOVQ    blocks+88(FP), AX
+	SUBQ    R12, AX
+	DECQ    AX
+	MOVQ    AX, SI
+	ANDQ    $1, SI
+	SHLQ    $12, SI
+	ADDQ    tmp+152(FP), SI
+	SHLQ    $5, AX
+	ADDQ    g0+80(FP), AX
+	MOVQ    pixels+96(FP), DX
+	SUBQ    $32, DX
+	CMPQ    AX, DX
+	CMOVQGT DX, AX
+	XORQ    DX, DX
+	MOVQ    width+104(FP), BX
+	DIVQ    BX
+	MOVQ    ow+112(FP), CX
+	MOVQ    DX, R8
+	IMULQ   CX, AX
+	CMPQ    DX, CX
+	CMOVQGT CX, DX
+	ADDQ    DX, AX
+	SHLQ    $4, AX
+	MOVQ    dst+0(FP), DI
+	ADDQ    AX, DI
+	MOVQ    dstStride+8(FP), DX
+	SHLQ    $2, DX
+	LEAQ    (DX)(DX*2), R9
+	MOVQ    packs+16(FP), R11
+	MOVQ    $8, R10
+
+amxgroup:
+	LEAQ 4(R8), AX
+	CMPQ AX, CX
+	JGT  amxsingles
+	MOVQ DI, R14
+	AMXQUAD(0, Z16, Z18, 0, amxquaddone)
+	CMPQ R11, $5
+	JLT  amxquaddone
+	ADDQ DX, DI
+	AMXQUAD(64, Z17, Z19, 4, amxquaddone)
+
+amxquaddone:
+	LEAQ 64(R14), DI
+	ADDQ $512, SI
+	MOVQ AX, R8
+	CMPQ R8, BX
+	JNE  amxgroupon
+	XORQ R8, R8
+	JMP  amxgroupon
+
+amxsingles:
+	MOVQ $4, AX
+
+amxpixel:
+	CMPQ R8, CX
+	JGE  amxskip
+	VMOVDQU32 (SI), Z0
+	REQUANT(Z0, Z16)
+	FINISH12(Z0, Z18, Z20, Z21)
+	AMXLANES(Z0, X0, DI, 0, amxstored)
+	CMPQ R11, $5
+	JLT  amxstored
+	LEAQ (DI)(DX*4), R14
+	VMOVDQU32 64(SI), Z1
+	REQUANT(Z1, Z17)
+	FINISH12(Z1, Z19, Z20, Z21)
+	AMXLANES(Z1, X1, R14, 4, amxstored)
+
+amxstored:
+	ADDQ $16, DI
+
+amxskip:
+	INCQ R8
+	CMPQ R8, BX
+	JNE  amxrowon
+	XORQ R8, R8
+
+amxrowon:
+	ADDQ $128, SI
+	DECQ AX
+	JNZ  amxpixel
+
+amxgroupon:
+	DECQ  R10
+	JNZ   amxgroup
+	TESTQ R12, R12
+	JNZ   amxkeep
+
+amxdone:
+	TILERELEASE
 	VZEROUPPER
 	RET
 

@@ -43,3 +43,7 @@ func mulPanel12Int8(dst unsafe.Pointer, dstStride, packs int, a *uint8, aQuad, a
 func mulPanel4Int8(dst unsafe.Pointer, dstStride, packs int, a *uint8, aQuad, aPix int, taps *Tap, ntaps, kq int, panel *int8, scale, bias *float32, lo, hi float32, unsigned bool) {
 	panic("matmul: no SIMD micro-kernel on this architecture")
 }
+
+func mulAMXInt8(dst unsafe.Pointer, dstStride, packs int, a *uint8, aPix, rowBytes, kh, chunks int, panel *int8, pairBytes, g0, blocks, pixels, width, ow int, scale, bias *float32, lo, hi float32, unsigned bool, tmp *int32) {
+	panic("matmul: no SIMD micro-kernel on this architecture")
+}

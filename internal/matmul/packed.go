@@ -27,7 +27,7 @@ type PackedB struct {
 }
 
 // level is a rung of a micro-kernel ladder: fp32 portable → avx2 → avx512,
-// int8 portable → avx2 → avx512vnni. Every rung computes the same bits —
+// int8 portable → avx2 → avx512vnni → amx. Every rung computes the same bits —
 // the width of the registers and the height of the tile change, the
 // sequence of roundings per element does not, and int8 sums are exact — so
 // the choice is made from the CPU's features alone and cannot be switched.
@@ -38,9 +38,10 @@ const (
 	levelAVX2                  // 4×16 tiles, two ymm per row
 	levelAVX512                // fp32: 12×32 tiles over panel pairs, 12×16 for a lone panel; remainders on AVX2
 	levelVNNI                  // int8: 12×16 VPDPBUSD tiles; remainders on a 4-pixel variant
+	levelAMX                   // int8: 32×32 TDPBUSD/TDPBSSD blocks over two panels; the rest on VNNI
 )
 
-var levelNames = [...]string{"portable", "avx2", "avx512", "avx512vnni"}
+var levelNames = [...]string{"portable", "avx2", "avx512", "avx512vnni", "amx"}
 
 // KernelISA names the micro-kernels this host runs: "portable", "avx2" or
 // "avx512".

@@ -435,7 +435,7 @@ func TestPackWeightMatchesStagedTranspose(t *testing.T) {
 							}
 						}
 					}
-					got8, want8 := PackWeightInt8(q, n, c, taps, cp), PackBInt8(staged8, taps*cp, n)
+					got8, want8 := PackWeightInt8(q, n, c, 1, taps, cp), PackBInt8(staged8, taps*cp, n)
 					if got8.K != want8.K || got8.N != want8.N || got8.kq != want8.kq || len(got8.w16) != len(want8.w16) || len(got8.w8) != len(want8.w8) {
 						t.Fatalf("int8 n=%d c=%d taps=%d cp=%d: shape differs", n, c, taps, cp)
 					}

@@ -84,7 +84,7 @@ func TestQuantizedConvPathsAgree(t *testing.T) {
 	defer pool.Close()
 	runtime := kernels.PrepareQuantConv(weight, bias, a, 0)
 	gotRuntime := tensor.NewWithLayout(tensor.NC4HW4, 1, 12, 10, 10)
-	ws := make([]float32, kernels.QuantConvWorkspaceFloats(8, 10, 10))
+	ws := make([]float32, kernels.QuantConvWorkspaceFloats(a, 8, 10, 10))
 	runtime.Run(gotRuntime, src.ToLayout(tensor.NC4HW4), pool, ws)
 	if d := tensor.MaxAbsDiff(want, gotRuntime); d > budget {
 		t.Fatalf("runtime QuantConv error %g > %g", d, budget)
