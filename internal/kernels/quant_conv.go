@@ -358,7 +358,7 @@ func (c *QuantConv) quantizeRows(start, end int) {
 	r, g := &c.rs, &c.rs.grid
 	rowBytes := g.Width * g.Pix
 	x0, x1 := min(r.pw, g.Width), min(r.pw+r.W, g.Width) // the source's columns
-	y0, y1 := max(start, r.ph), min(end, r.ph+r.H)      // and its rows among start..end
+	y0, y1 := max(start, r.ph), min(end, r.ph+r.H)       // and its rows among start..end
 	for y := start; y < end; y++ {
 		row := r.q[y*rowBytes : (y+1)*rowBytes]
 		if y < y0 || y >= y1 {
