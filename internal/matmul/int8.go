@@ -38,9 +38,9 @@ import "unsafe"
 // pair sums; it is not used.)
 //
 // Weights are packed once, in the layout of the host's level: int8 dwords
-// on VNNI and AMX hosts, int16 elsewhere. Widening bytes in the AVX2 kernel instead
-// (a VPMOVSXBW per weight vector) ran the 169×512×1000 GEMM 14 % slower
-// (1.99 vs 1.74 ms, minima of four alternating runs).
+// on VNNI and AMX hosts, int16 elsewhere. Widening bytes in the AVX2 kernel
+// instead (a VPMOVSXBW per weight vector) ran the 169×512×1000 GEMM 14 %
+// slower (1.99 vs 1.74 ms, minima of four alternating runs).
 
 // PanelWidthInt8 is the column width of a packed int8 panel: 16 int32
 // accumulators = one zmm = two ymm = four NC4HW4 channel packs.
@@ -130,7 +130,7 @@ func newPackedBInt8(k, n, seg int, lv level) *PackedBInt8 {
 		pb.segRows = (seg + amxChunk - 1) / amxChunk * amxChunk
 		panels += panels & 1
 	}
-	pb.kq = (k/seg*pb.segRows + k%seg + 3) / 4
+	pb.kq = (k/seg*pb.segRows + 3) / 4
 	if lv >= levelVNNI {
 		pb.w8 = make([]int8, panels*pb.kq*quadLen)
 	} else {
@@ -148,6 +148,9 @@ func PackBInt8(b []int8, k, n int) *PackedBInt8 { return PackBInt8Segments(b, k,
 func PackBInt8Segments(b []int8, k, n, seg int) *PackedBInt8 {
 	if len(b) < k*n {
 		panic("matmul: PackBInt8 buffer too small for declared dimensions")
+	}
+	if k > 0 && (seg < 1 || k%seg != 0) {
+		panic("matmul: PackBInt8Segments rows are not whole segments")
 	}
 	pb := newPackedBInt8(k, n, seg, haveInt8)
 	for p := 0; p < k; p++ {
@@ -204,8 +207,8 @@ func Int8ISAs() []string {
 // WithISA returns pb packed for the int8 micro-kernels of the named level,
 // or nil where the host lacks them. The avx2, avx512vnni and amx kernels
 // read different layouts, so theirs is a copy; "portable" is Portable's
-// view, as the Go twin reads any. Differential tests hold every level the host has
-// to MulInt8Ref through it.
+// view, as the Go twin reads any. Differential tests hold every level the
+// host has to MulInt8Ref through it.
 func (pb *PackedBInt8) WithISA(isa string) *PackedBInt8 {
 	for _, lv := range int8Ladder {
 		if lv > haveInt8 || levelNames[lv] != isa {
@@ -280,10 +283,9 @@ func (pb *PackedBInt8) MulIntoU8(dst []int32, a []uint8, m int, _ []int32) {
 // the micro-kernel over a row-major left operand, where a row is a pixel K
 // bytes after the last, its quads 4 bytes apart. The K%4 bytes that end a
 // row are no whole quad (reading one would run past the last row); their
-// products are added here, from the same packed weights. At amx, rows of
-// whole 64-byte chunks, AMXBlock or more of them, run on the tiles over
-// every whole panel pair (amx.go), and the VNNI kernels take the columns
-// left.
+// products are added here, from the same packed weights. At amx, AMXBlock
+// rows or more of whole 64-byte chunks run on the tiles over every whole
+// panel pair (amx.go), and the VNNI kernels take the columns left.
 func (pb *PackedBInt8) MulRows(dst []int32, a []uint8, m int, unsigned bool) {
 	k, n := pb.K, pb.N
 	if len(a) < m*k || len(dst) < m*n {
