@@ -291,6 +291,9 @@ func (pb *PackedBInt8) MulRows(dst []int32, a []uint8, m int, unsigned bool) {
 	if len(a) < m*k || len(dst) < m*n {
 		panic("matmul: buffer too small for declared dimensions")
 	}
+	if pb.seg < k && pb.segRows != pb.seg {
+		panic("matmul: MulRows over a convolution weight packed at amx, whose kernel rows are padded apart")
+	}
 	r := &int8Run{a: a, aQuad: 4, aPix: k, taps: oneTap, kq: k / 4, unsigned: unsigned, raw: dst, stride: n}
 	switch {
 	case k < 4:
