@@ -134,8 +134,9 @@ func mulPanel4Int8(dst unsafe.Pointer, dstStride, packs int, a *uint8, aQuad, aP
 
 // mulAMXInt8 is the amx micro-kernel (kernel_amd64.s): blocks of 32 grid
 // pixels × the 32 columns of a panel pair on the AMX tiles, the sums of the
-// VNNI kernels, stored raw (scale nil) or through their epilogue one pixel
-// at a time (amx.go).
+// VNNI kernels, stored raw (scale nil) or through their epilogue into
+// NC4HW4 packs, four adjacent output pixels at a time where it can (amx.go).
+// tmp holds two blocks of 32 × 32 int32.
 //
 //go:noescape
 func mulAMXInt8(dst unsafe.Pointer, dstStride, packs int, a *uint8, aPix, rowBytes, kh, chunks int, panel *int8, pairBytes, g0, blocks, pixels, width, ow int, scale, bias *float32, lo, hi float32, unsigned bool, tmp *int32)
