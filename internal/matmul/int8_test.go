@@ -170,9 +170,9 @@ func TestPackedBInt8SIMDMatchesPortableBitwise(t *testing.T) {
 // FuzzPackedBInt8 drives the raw int8 GEMM over m, k and n, both sign modes
 // and raw bytes, −128 and 255 among them: every level the host has, and the
 // Go twin over each level's layout, must equal MulInt8Ref exactly. A wide
-// input is one amx block or a pixel more deep enough for its int32 sums to
-// wrap — 2^17 and more products of −128·−128 or 128·−128 — which no
-// instruction may saturate.
+// input — 32 or 33 rows, one amx block or a row more — is deep enough for
+// its int32 sums to wrap: 2^17 and more products of −128·−128 or 128·−128,
+// which no instruction may saturate.
 func FuzzPackedBInt8(f *testing.F) {
 	f.Add(uint8(11), uint8(32), uint8(16), []byte{0x80, 0xff, 0x7f, 0x01, 0x00}, false)
 	f.Fuzz(func(t *testing.T, mR, kR, nR uint8, raw []byte, wide bool) {
