@@ -16,8 +16,8 @@ import (
 
 func main() {
 	type cfg struct {
-		desc                   string
-		k, kw, ic, oc, size    int
+		desc                    string
+		k, kw, ic, oc, size     int
 		stride, dilation, group int
 	}
 	cases := []cfg{

@@ -133,9 +133,9 @@ type fakeBackend struct {
 	supports func(*graph.Node) bool
 }
 
-func (f *fakeBackend) Name() string                  { return f.name }
-func (f *fakeBackend) FLOPS() float64                { return f.flops }
-func (f *fakeBackend) ScheduleOverheadMs() float64   { return f.tSched }
+func (f *fakeBackend) Name() string                { return f.name }
+func (f *fakeBackend) FLOPS() float64              { return f.flops }
+func (f *fakeBackend) ScheduleOverheadMs() float64 { return f.tSched }
 func (f *fakeBackend) Supports(n *graph.Node) bool {
 	if f.supports == nil {
 		return true

@@ -31,8 +31,8 @@ import (
 	"mnn/internal/backend"
 	"mnn/internal/core"
 	"mnn/internal/device"
-	"mnn/internal/graph"
 	"mnn/internal/gpusim"
+	"mnn/internal/graph"
 	"mnn/internal/simclock"
 )
 

@@ -43,12 +43,12 @@ func TestParsePlanRejects(t *testing.T) {
 		"",
 		"nonsense",
 		"bogus.site=error",
-		"engine.infer=connreset",      // mode not legal at site
-		"engine.infer=latency",        // latency mode without duration
-		"engine.infer=error,p=1.5",    // probability out of range
-		"engine.infer=error,every=x",  // non-integer
-		"engine.infer=error,zzz=1",    // unknown param
-		"tuner.cache.read=torn",       // torn only on write
+		"engine.infer=connreset",     // mode not legal at site
+		"engine.infer=latency",       // latency mode without duration
+		"engine.infer=error,p=1.5",   // probability out of range
+		"engine.infer=error,every=x", // non-integer
+		"engine.infer=error,zzz=1",   // unknown param
+		"tuner.cache.read=torn",      // torn only on write
 	}
 	for _, spec := range bad {
 		if _, err := ParsePlan(1, spec); err == nil {

@@ -134,9 +134,9 @@ func TestInferShapesWithOverride(t *testing.T) {
 
 func TestConvOutputSizeCases(t *testing.T) {
 	cases := []struct {
-		ih, iw           int
-		a                Conv2DAttrs
-		wantH, wantW     int
+		ih, iw       int
+		a            Conv2DAttrs
+		wantH, wantW int
 	}{
 		// 3x3 s1 p1 keeps size.
 		{224, 224, Conv2DAttrs{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 224, 224},

@@ -181,7 +181,7 @@ func TestZeroSizeItem(t *testing.T) {
 func TestResNetLikePattern(t *testing.T) {
 	// Residual block: input lives across the block (skip connection).
 	items := []Item{
-		{Name: "in", Size: 1000, DefStep: 0, LastStep: 3},  // consumed by add at step 3
+		{Name: "in", Size: 1000, DefStep: 0, LastStep: 3}, // consumed by add at step 3
 		{Name: "c1", Size: 1000, DefStep: 1, LastStep: 2},
 		{Name: "c2", Size: 1000, DefStep: 2, LastStep: 3},
 		{Name: "add", Size: 1000, DefStep: 3, LastStep: 4},

@@ -42,9 +42,9 @@ func InceptionV3() *graph.Graph {
 		ic = 64 + 64 + 96 + poolProj
 		return out
 	}
-	x = inceptionA("mixed0", x, 32)  // 256
-	x = inceptionA("mixed1", x, 64)  // 288
-	x = inceptionA("mixed2", x, 64)  // 288
+	x = inceptionA("mixed0", x, 32) // 256
+	x = inceptionA("mixed1", x, 64) // 288
+	x = inceptionA("mixed2", x, 64) // 288
 
 	// Reduction-A: 35 → 17.
 	{
@@ -143,7 +143,7 @@ func CommoditySearchDetector() *graph.Graph {
 		ic = blk.oc
 	}
 	// Feature pyramid: two extra downsampling stages.
-	p1 := x // 19×19×512
+	p1 := x                                                                                // 19×19×512
 	p2 := b.conv("extra1", p1, 512, 256, convOpts{kh: 3, sh: 2, ph: 1, pw: 1, relu: true}) // 10×10
 	p3 := b.conv("extra2", p2, 256, 256, convOpts{kh: 3, sh: 2, ph: 1, pw: 1, relu: true}) // 5×5
 	// Per-scale heads: 4 box coords + 100 classes per anchor (1 anchor/cell

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -21,20 +20,14 @@ import (
 // batching without choosing one.
 const DefaultMaxBuckets = 4
 
-// errNoBucket is the scheduler's internal "cannot give this request a
-// bucket" answer (the bucket table is full of busy buckets). infer
-// translates it into a fall-through to the unbatched engine; it never
-// escapes to callers.
-var errNoBucket = errors.New("serve: no batch bucket available")
-
-// dispatchWorkers is how many batches run at once; the next batch stacks
-// while the previous one computes.
-const dispatchWorkers = 2
+// maxRuns is how many batches run at once; the next batch stacks while the
+// previous one computes.
+const maxRuns = 2
 
 // Why a bucket's queue was cut (the reason label of mnn_batch_cuts_total).
 const (
 	cutFull  = "full"  // the queue reached maxBatch
-	cutIdle  = "idle"  // no admitted request could still join, and a worker was free
+	cutIdle  = "idle"  // no admitted request could still join, and a run slot was free
 	cutDue   = "due"   // a member's window (or deadline budget) ran out
 	cutDrain = "drain" // shutdown
 )
@@ -57,12 +50,16 @@ var cutReasons = []string{cutFull, cutIdle, cutDue, cutDrain}
 // least-recently-used when the table exceeds maxBuckets; a bucket owns no
 // engine, so eviction is bookkeeping.
 //
-// A scheduler goroutine cuts an idle bucket's queue into a batch when it
-// fills, when no admitted request is still on its way to a bucket and a
-// dispatch worker is free (nothing could join the batch, so waiting buys
-// nothing), or when its oldest request's window (bounded by the request's
-// effective deadline) expires. It orders ready batches earliest-deadline-
-// first and hands them to dispatchWorkers workers.
+// The batcher owns no goroutine. Every change to its queues — an arrival,
+// a finished run, the due timer, the last approaching request leaving,
+// shutdown — applies one cut rule under mu: an idle bucket's queue is cut
+// into a batch when it fills, when no admitted request is still on its way
+// to a bucket and a run slot is free (nothing could join the batch, so
+// waiting buys nothing), or when its oldest request's window (bounded by
+// the request's effective deadline) expires. Cut batches take the maxRuns
+// run slots earliest-deadline-first. A request whose arrival starts its own
+// batch runs it on its caller's goroutine and answers its batch-mates; any
+// other batch runs on a goroutine that ends with the run.
 type batcher struct {
 	fallback   *mnn.Engine // the model's unbatched engine (not owned)
 	shared     *mnn.Engine // the one batch engine (owned)
@@ -80,26 +77,23 @@ type batcher struct {
 
 	hooks batcherHooks
 
-	reqs     chan *batchReq
-	dispatch chan *batch
-	kick     chan struct{}
-	quit     chan struct{}
-	done     chan struct{}
-	workers  sync.WaitGroup
-
 	// mu guards the bucket table, every bucket's queue/usage fields and
-	// outstanding.
+	// the run state below.
 	mu      sync.Mutex
 	buckets map[string]*bucket
 	// outstanding counts batches cut but not yet finished, across buckets:
-	// those running on a worker and those ready to hand to one.
+	// those running and those ready to run.
 	outstanding int
+	running     int         // batches holding a run slot (at most maxRuns)
+	ready       []*batch    // cut batches waiting for a run slot
+	timer       *time.Timer // re-applies the cut rule at the earliest due time
+	closed      bool
+	runs        sync.WaitGroup // one per running batch; close waits for them
 
 	// approaching counts the requests inside infer that have passed
-	// admission but are not yet in a bucket: up from before the send on
-	// reqs until the scheduler has queued (or refused) them or they give
-	// up on the send. Requests waiting for admission are not counted: they
-	// wait for a slot a queued request holds.
+	// admission but are not yet in a bucket: up from before they wait for
+	// mu until they are queued (or refused). Requests waiting for admission
+	// are not counted: they wait for a slot a queued request holds.
 	approaching atomic.Int64
 
 	batchRuns atomic.Int64 // shared-engine invocations (tests, stats)
@@ -109,11 +103,11 @@ type batcher struct {
 // batcherHooks are the Model-side observers a batcher reports into. Any
 // field may be nil.
 type batcherHooks struct {
-	// onFlush observes every dispatched batch (metrics: cumulative fill
+	// onFlush observes every batch as its run starts (metrics: cumulative fill
 	// ratio, cut reasons, each member's wait from arrival to cut).
 	onFlush func(bt *batch)
-	// beforeRun runs on the dispatch worker before a batch touches an
-	// engine; tests block in it to hold a run.
+	// beforeRun runs on the batch's goroutine, holding its run slot, before
+	// the batch touches an engine; tests block in it to hold a run.
 	beforeRun func(bt *batch)
 	// onEvict observes one bucket eviction.
 	onEvict func()
@@ -175,7 +169,7 @@ type batchResp struct {
 	err     error
 }
 
-// batch is one cut bucket queue on its way through dispatch.
+// batch is one cut bucket queue on its way to a run slot.
 type batch struct {
 	bkt    *bucket
 	reqs   []*batchReq
@@ -184,7 +178,7 @@ type batch struct {
 	cutAt  time.Time
 }
 
-// newBatcher opens the shared batch engine and starts the scheduler.
+// newBatcher opens the shared batch engine.
 func newBatcher(cfg ModelConfig, fallback *mnn.Engine, hooks batcherHooks) (*batcher, error) {
 	b := &batcher{
 		fallback:    fallback,
@@ -197,11 +191,6 @@ func newBatcher(cfg ModelConfig, fallback *mnn.Engine, hooks batcherHooks) (*bat
 		outputNames: fallback.OutputNames(),
 		lo:          make(map[string][]int),
 		hi:          make(map[string][]int),
-		reqs:        make(chan *batchReq),
-		dispatch:    make(chan *batch),
-		kick:        make(chan struct{}, 1),
-		quit:        make(chan struct{}),
-		done:        make(chan struct{}),
 		buckets:     make(map[string]*bucket),
 	}
 	if b.maxLatency <= 0 {
@@ -225,17 +214,12 @@ func newBatcher(cfg ModelConfig, fallback *mnn.Engine, hooks batcherHooks) (*bat
 	if err := b.openShared(cfg); err != nil {
 		return nil, err
 	}
-	b.workers.Add(dispatchWorkers)
-	for i := 0; i < dispatchWorkers; i++ {
-		go b.worker()
-	}
-	go b.loop()
 	return b, nil
 }
 
 // openShared opens the one batch engine, planned at [maxBatch, hi...], and
 // probes it at the full batch shape so "outputs cannot split along dim 0"
-// fails at Load time. Its pool matches the dispatch workers: batches from
+// fails at Load time. Its pool holds one session per run slot: batches from
 // different buckets run concurrently. Batched results must equal unbatched
 // ones, so the shared engine (CPU-only: dynamic shapes are) must schedule
 // every node where the unbatched engine does.
@@ -245,7 +229,7 @@ func (b *batcher) openShared(cfg ModelConfig) error {
 		shapes[name] = append([]int{b.maxBatch}, b.hi[name][1:]...)
 	}
 	eng, err := mnn.Open(cfg.Model, append(append([]mnn.Option(nil), cfg.Options...),
-		mnn.WithMaxInputShapes(shapes), mnn.WithPoolSize(dispatchWorkers))...)
+		mnn.WithMaxInputShapes(shapes), mnn.WithPoolSize(maxRuns))...)
 	if err != nil {
 		return fmt.Errorf("opening the shared batch-%d engine: %w", b.maxBatch, err)
 	}
@@ -337,9 +321,10 @@ func (b *batcher) signature(inputs map[string]*mnn.Tensor) (string, bool) {
 	return signatureOf(b.inputNames, shapes), true
 }
 
-// infer submits one request to its shape bucket. The caller's context
-// travels with the request: a caller that gives up while queued is dropped
-// at stack time instead of burning an engine run.
+// infer submits one request to its shape bucket and, when its arrival
+// starts the batch it is in, runs that batch on the caller's goroutine. The
+// caller's context travels with the request: a caller that gives up while
+// queued is dropped at stack time instead of burning an engine run.
 func (b *batcher) infer(ctx context.Context, inputs map[string]*mnn.Tensor) (map[string]*mnn.Tensor, error) {
 	sig, ok := b.signature(inputs)
 	if !ok {
@@ -348,6 +333,11 @@ func (b *batcher) infer(ctx context.Context, inputs map[string]*mnn.Tensor) (map
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if err := ctx.Err(); err != nil {
+		// Queued, it could only be dropped at stack time, and its bucket
+		// cut for nobody.
+		return nil, fmt.Errorf("%w: %v", mnn.ErrCancelled, err)
+	}
 	now := time.Now()
 	deadline, _ := admission.EffectiveDeadline(ctx, now, b.slo)
 	rq := &batchReq{
@@ -355,20 +345,24 @@ func (b *batcher) infer(ctx context.Context, inputs map[string]*mnn.Tensor) (map
 		deadline: deadline, resp: make(chan batchResp, 1),
 	}
 	b.approaching.Add(1)
-	select {
-	case b.reqs <- rq:
-	case <-b.quit:
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
 		b.depart()
 		return b.fallback.Infer(ctx, inputs)
-	case <-ctx.Done():
-		b.depart()
-		return nil, fmt.Errorf("%w: %v", mnn.ErrCancelled, ctx.Err())
+	}
+	now = time.Now()
+	queued := b.enqueueLocked(rq, now)
+	own := b.scheduleLocked(rq, now)
+	b.mu.Unlock()
+	if !queued {
+		return b.fallback.Infer(ctx, inputs)
+	}
+	if own != nil {
+		b.runBatch(own)
 	}
 	select {
 	case resp := <-rq.resp:
-		if errors.Is(resp.err, errNoBucket) {
-			return b.fallback.Infer(ctx, inputs)
-		}
 		return resp.outputs, resp.err
 	case <-ctx.Done():
 		// The batch still runs (or drops us at stack time); the buffered
@@ -377,121 +371,34 @@ func (b *batcher) infer(ctx context.Context, inputs map[string]*mnn.Tensor) (map
 	}
 }
 
-// depart takes a request that gave up on its way to a bucket out of
-// approaching; the last one out wakes the scheduler, whose idle queues
-// nothing can join any more.
+// depart takes a request that leaves without queueing out of approaching;
+// the last one out re-applies the cut rule, since nothing can join the idle
+// queues any more.
 func (b *batcher) depart() {
 	if b.approaching.Add(-1) == 0 {
-		b.wake()
+		b.schedule()
 	}
 }
 
-// wake asks the scheduler to re-evaluate its queues.
-func (b *batcher) wake() {
-	select {
-	case b.kick <- struct{}{}:
-	default:
-	}
-}
-
-// loop is the scheduler: it owns batch formation and never blocks on
-// engine work. Ready batches queue in EDF order behind a nil-able send to
-// the dispatch workers; a single timer tracks the earliest flush due time
-// across buckets.
-func (b *batcher) loop() {
-	defer close(b.done)
-	var (
-		ready  []*batch
-		next   *batch
-		timer  *time.Timer
-		timerC <-chan time.Time
-	)
-	stopTimer := func() {
-		if timer != nil && !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timerC = nil
-	}
-	for {
-		if next == nil && len(ready) > 0 {
-			next = popEarliest(&ready)
-		}
-		var sendC chan *batch
-		if next != nil {
-			sendC = b.dispatch
-		}
-		if due, ok := b.earliestDue(); ok {
-			d := time.Until(due)
-			if d < 0 {
-				d = 0
-			}
-			stopTimer()
-			if timer == nil {
-				timer = time.NewTimer(d)
-			} else {
-				timer.Reset(d)
-			}
-			timerC = timer.C
-		} else {
-			stopTimer()
-		}
-		select {
-		case rq := <-b.reqs:
-			b.enqueue(rq, &ready)
-			if b.approaching.Load() == 0 {
-				b.cutReady(&ready, time.Now())
-			}
-		case sendC <- next:
-			next = nil
-		case <-timerC:
-			timerC = nil
-			b.cutReady(&ready, time.Now())
-		case <-b.kick:
-			// A run finished (a bucket went idle, a worker is free) or the
-			// last approaching request gave up.
-			b.cutReady(&ready, time.Now())
-		case <-b.quit:
-			stopTimer()
-			// Drain whatever raced in, then flush every queue so each
-			// accepted request gets exactly one answer before the engines
-			// close. The workers are still running, so blocking sends drain.
-			for {
-				select {
-				case rq := <-b.reqs:
-					b.enqueue(rq, &ready)
-					continue
-				default:
-				}
-				break
-			}
-			b.cutAll(&ready)
-			if next != nil {
-				b.dispatch <- next
-			}
-			for len(ready) > 0 {
-				b.dispatch <- popEarliest(&ready)
-			}
-			close(b.dispatch)
-			return
-		}
-	}
-}
-
-// enqueue routes one request into its bucket, creating (and LRU-evicting)
-// as needed, and cuts the bucket when it fills. Either way the request is
-// no longer approaching when it returns.
-func (b *batcher) enqueue(rq *batchReq, ready *[]*batch) {
-	defer b.approaching.Add(-1)
+// schedule applies the cut rule on behalf of no request: when the due timer
+// fires and when the last approaching request departs.
+func (b *batcher) schedule() {
 	b.mu.Lock()
+	b.scheduleLocked(nil, time.Now())
+	b.mu.Unlock()
+}
+
+// enqueueLocked routes one request into its bucket, creating (and
+// LRU-evicting) as needed, and cuts the bucket when it fills. It reports
+// false when the bucket table is full of busy buckets: the request then
+// falls through to the unbatched engine. Either way the request is no
+// longer approaching when it returns.
+func (b *batcher) enqueueLocked(rq *batchReq, now time.Time) bool {
+	defer b.approaching.Add(-1)
 	bkt := b.buckets[rq.sig]
 	if bkt == nil {
 		if !b.makeRoomLocked() {
-			b.mu.Unlock()
-			rq.resp <- batchResp{err: errNoBucket}
-			return
+			return false
 		}
 		shapes := make(map[string][]int, len(b.inputNames))
 		for _, name := range b.inputNames {
@@ -501,15 +408,11 @@ func (b *batcher) enqueue(rq *batchReq, ready *[]*batch) {
 		b.buckets[rq.sig] = bkt
 	}
 	bkt.pending = append(bkt.pending, rq)
-	bkt.lastUsed = time.Now()
-	var bt *batch
+	bkt.lastUsed = now
 	if len(bkt.pending) >= b.maxBatch {
-		bt = b.cutLocked(bkt, cutFull, bkt.lastUsed)
+		b.ready = append(b.ready, b.cutLocked(bkt, cutFull, now))
 	}
-	b.mu.Unlock()
-	if bt != nil {
-		*ready = append(*ready, bt)
-	}
+	return true
 }
 
 // makeRoomLocked ensures the bucket table has a free slot, evicting the
@@ -539,7 +442,7 @@ func (b *batcher) makeRoomLocked() bool {
 	return true
 }
 
-// cutLocked turns the bucket's queue into one dispatchable batch.
+// cutLocked turns the bucket's queue into one batch.
 func (b *batcher) cutLocked(bkt *bucket, reason string, now time.Time) *batch {
 	reqs := bkt.pending
 	bkt.pending = nil
@@ -554,13 +457,11 @@ func (b *batcher) cutLocked(bkt *bucket, reason string, now time.Time) *batch {
 	return bt
 }
 
-// earliestDue scans buckets with queued requests for the soonest flush.
-// Busy buckets are skipped: a partial queued behind its bucket's run keeps
-// filling until the run's completion kicks the scheduler, so saturated
+// earliestDueLocked scans buckets with queued requests for the soonest
+// flush. Busy buckets are skipped: a partial queued behind its bucket's run
+// keeps filling until the run's end re-applies the cut rule, so saturated
 // traffic converges to full batches instead of a train of partials.
-func (b *batcher) earliestDue() (time.Time, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+func (b *batcher) earliestDueLocked() (time.Time, bool) {
 	var min time.Time
 	found := false
 	for _, bkt := range b.buckets {
@@ -577,28 +478,31 @@ func (b *batcher) earliestDue() (time.Time, bool) {
 	return min, found
 }
 
-// cutReady cuts the queue of every idle bucket with a due member and then,
-// while no admitted request is on its way to a bucket, the idle queues a
-// free dispatch worker can take now, oldest first: nothing could still
-// join them, so waiting buys nothing. Full batches never wait here —
-// enqueue cuts them the moment they fill, busy or not, so a saturated
-// bucket still double-buffers: one batch stacking while the previous
-// computes.
-func (b *batcher) cutReady(ready *[]*batch, now time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// scheduleLocked applies the cut rule after any change to the queues. It
+// cuts the queue of every idle bucket with a due member and then, while no
+// admitted request is on its way to a bucket, the idle queues a free run
+// slot can take, oldest first: nothing could still join them, so waiting
+// buys nothing. Full batches never wait here — enqueueLocked cuts them the
+// moment they fill, busy or not, so a saturated bucket still
+// double-buffers: one batch stacking while the previous computes.
+//
+// It then starts ready batches, earliest deadline first, while a run slot
+// is free, and re-arms the timer for the next due cut. It returns the
+// started batch that holds own, for own's caller to run; every other
+// started batch runs on a goroutine of its own.
+func (b *batcher) scheduleLocked(own *batchReq, now time.Time) *batch {
 	for _, bkt := range b.buckets {
 		if bkt.busy > 0 {
 			continue
 		}
 		for _, rq := range bkt.pending {
 			if !rq.due(b.maxLatency).After(now) {
-				*ready = append(*ready, b.cutLocked(bkt, cutDue, now))
+				b.ready = append(b.ready, b.cutLocked(bkt, cutDue, now))
 				break
 			}
 		}
 	}
-	for b.outstanding < dispatchWorkers && b.approaching.Load() == 0 {
+	for b.outstanding < maxRuns && b.approaching.Load() == 0 {
 		var oldest *bucket
 		for _, bkt := range b.buckets {
 			if bkt.busy == 0 && len(bkt.pending) > 0 &&
@@ -607,22 +511,31 @@ func (b *batcher) cutReady(ready *[]*batch, now time.Time) {
 			}
 		}
 		if oldest == nil {
-			return
+			break
 		}
-		*ready = append(*ready, b.cutLocked(oldest, cutIdle, now))
+		b.ready = append(b.ready, b.cutLocked(oldest, cutIdle, now))
 	}
-}
-
-// cutAll flushes every non-empty bucket (shutdown drain).
-func (b *batcher) cutAll(ready *[]*batch) {
-	now := time.Now()
-	b.mu.Lock()
-	for _, bkt := range b.buckets {
-		if len(bkt.pending) > 0 {
-			*ready = append(*ready, b.cutLocked(bkt, cutDrain, now))
+	var mine *batch
+	for b.running < maxRuns && len(b.ready) > 0 {
+		bt := popEarliest(&b.ready)
+		b.running++
+		b.runs.Add(1)
+		if own != nil && slices.Contains(bt.reqs, own) {
+			mine = bt
+		} else {
+			go b.runBatch(bt)
 		}
 	}
-	b.mu.Unlock()
+	if due, ok := b.earliestDueLocked(); !ok {
+		if b.timer != nil {
+			b.timer.Stop()
+		}
+	} else if b.timer == nil {
+		b.timer = time.AfterFunc(time.Until(due), b.schedule)
+	} else {
+		b.timer.Reset(time.Until(due))
+	}
+	return mine
 }
 
 // popEarliest removes and returns the ready batch with the earliest
@@ -641,21 +554,13 @@ func popEarliest(ready *[]*batch) *batch {
 	return bt
 }
 
-// worker consumes dispatched batches until the scheduler closes the
-// channel. Two workers double-buffer the engine: one stacks batch k+1
-// while the other's batch k computes.
-func (b *batcher) worker() {
-	defer b.workers.Done()
-	for bt := range b.dispatch {
-		b.runBatch(bt)
-	}
-}
-
-// runBatch serves one batch, then hands its bucket and worker slot back to
-// the scheduler before answering any member: a caller's next request must
-// find the bucket idle (cuttable, evictable) and the worker free, not still
-// counted busy behind an answer the caller already holds.
+// runBatch serves one batch in its run slot, then hands the bucket and the
+// slot back and re-applies the cut rule before answering any member: a
+// caller's next request must find the bucket idle (cuttable, evictable)
+// and the slot free or already taken by the queues that waited on this
+// run, not still counted busy behind an answer the caller already holds.
 func (b *batcher) runBatch(bt *batch) {
+	defer b.runs.Done()
 	if b.hooks.onFlush != nil {
 		b.hooks.onFlush(bt)
 	}
@@ -664,19 +569,18 @@ func (b *batcher) runBatch(bt *batch) {
 	}
 	resps, served := b.serveBatch(bt)
 	bkt := bt.bkt
+	now := time.Now()
 	b.mu.Lock()
 	bkt.busy--
 	b.outstanding--
-	bkt.lastUsed = time.Now()
+	b.running--
+	bkt.lastUsed = now
 	if served > 0 {
 		bkt.flushes++
 		bkt.samples += uint64(served)
 	}
+	b.scheduleLocked(nil, now)
 	b.mu.Unlock()
-	// Wake the scheduler: requests that queued behind this run may now be
-	// overdue or idle, their bucket is eligible for a cut again, and a
-	// worker is free.
-	b.wake()
 	for i, rq := range bt.reqs {
 		rq.resp <- resps[i]
 	}
@@ -825,12 +729,21 @@ func (b *batcher) stats() batcherStats {
 	return st
 }
 
-// close stops accepting requests, lets the scheduler drain every queue
-// through the workers, then closes the shared engine. The fallback engine
-// belongs to the Model and is closed by it.
+// close stops accepting requests (later ones fall through to the
+// unbatched engine), cuts every queue so each accepted request gets exactly
+// one answer, waits for every run, then closes the shared engine. The
+// fallback engine belongs to the Model and is closed by it.
 func (b *batcher) close() {
-	close(b.quit)
-	<-b.done // scheduler drained reqs, flushed queues, closed dispatch
-	b.workers.Wait()
+	now := time.Now()
+	b.mu.Lock()
+	b.closed = true
+	for _, bkt := range b.buckets {
+		if len(bkt.pending) > 0 {
+			b.ready = append(b.ready, b.cutLocked(bkt, cutDrain, now))
+		}
+	}
+	b.scheduleLocked(nil, now)
+	b.mu.Unlock()
+	b.runs.Wait()
 	b.shared.Close()
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mnn"
+	"mnn/internal/leakcheck"
 	"mnn/internal/tensor"
 )
 
@@ -330,11 +331,13 @@ func TestSplitOutputsSingleConversion(t *testing.T) {
 }
 
 // TestBatcherShutdownRace: requests racing close() must each get exactly
-// one response — a request that wins the submit immediately before the
-// quit channel closes is drained and answered, later ones fall through to
-// the unbatched engine — and close() itself returns. Run under -race in
-// CI; a double response would deadlock a dispatch worker and hang the test.
+// one response — a request that queues just before close() marks the
+// batcher closed is drained and answered, later ones fall through to the
+// unbatched engine — and close() itself returns, leaving no batch
+// goroutine behind. Run under -race in CI; a double response would block
+// a run on a full response channel and hang the test.
 func TestBatcherShutdownRace(t *testing.T) {
+	leakcheck.Check(t)
 	g := tinyGraph(t)
 	eng, err := mnn.Open(g, mnn.WithPoolSize(2))
 	if err != nil {

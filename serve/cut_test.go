@@ -12,12 +12,14 @@ import (
 	"time"
 
 	"mnn"
+	"mnn/internal/leakcheck"
 	"mnn/internal/tensor"
 )
 
 // holdCuts counts one phantom request as approaching the batcher, so idle
 // buckets keep their queues until they fill or fall due. release takes it
-// out the way a request that gives up on its send does; it is idempotent.
+// out the way a request that leaves without queueing does; it is
+// idempotent.
 func holdCuts(b *batcher) (release func()) {
 	b.approaching.Add(1)
 	return sync.OnceFunc(b.depart)
@@ -230,13 +232,93 @@ func TestBatcherHeldRunFormsFullBatches(t *testing.T) {
 	wg.Wait()
 }
 
+// TestBatcherEDFTakesFreedSlot: cut batches take a freed run slot earliest
+// deadline first, not in the order they were cut. Two held lone runs fill
+// both slots; a full batch due in 2 h is cut, then one due in 1 h; the
+// first slot to free goes to the 1 h batch.
+func TestBatcherEDFTakesFreedSlot(t *testing.T) {
+	g := tinyGraph(t)
+	opts := []mnn.Option{mnn.WithPoolSize(2), mnn.WithMaxInputShapes(map[string][]int{"data": {1, 3, 16, 16}})}
+	eng, err := mnn.Open(g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	runs := make(chan *batch, 8)
+	hold := make(chan struct{})
+	var started atomic.Int64
+	// The window is a minute and every deadline an hour or more away, so
+	// due() never pulls a cut forward.
+	b, err := newBatcher(ModelConfig{
+		Model: g, Options: opts,
+		Batch: BatchConfig{MaxBatch: 2, MaxLatency: time.Minute},
+	}, eng, batcherHooks{beforeRun: func(bt *batch) {
+		runs <- bt
+		if started.Add(1) <= 2 {
+			<-hold
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.close()
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(hold)
+	send := func(side int, within time.Duration) {
+		ctx, cancel := context.WithTimeout(context.Background(), within)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer cancel()
+			in := map[string]*mnn.Tensor{"data": randomInput(uint64(side), []int{1, 3, side, side})}
+			if _, err := b.infer(ctx, in); err != nil {
+				t.Errorf("%d×%d request: %v", side, side, err)
+			}
+		}()
+	}
+	readyLen := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			b.mu.Lock()
+			got := len(b.ready)
+			b.mu.Unlock()
+			if got == n {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d batches wait for a run slot, want %d", got, n)
+			}
+		}
+	}
+	for _, side := range []int{16, 8} {
+		send(side, 3*time.Hour)
+		if bt := <-runs; len(bt.reqs) != 1 {
+			t.Fatalf("lone %d×%d run holds %d requests", side, side, len(bt.reqs))
+		}
+	}
+	for i := 0; i < 2; i++ {
+		send(12, 2*time.Hour)
+	}
+	readyLen(1)
+	for i := 0; i < 2; i++ {
+		send(14, time.Hour)
+	}
+	readyLen(2)
+	hold <- struct{}{}
+	if bt := <-runs; bt.bkt.sig != "data=1x3x14x14" {
+		t.Fatalf("the freed slot ran %s, want the earlier-deadline data=1x3x14x14", bt.bkt.sig)
+	}
+}
+
 // TestBatcherApproachingSettlesToZero hammers every way into and out of
-// infer — served, cancelled before the send, refused a bucket
-// (errNoBucket: two shapes share a one-bucket table), unstackable (falls
-// through before the send), and the shutdown drain — and checks that
-// approaching and outstanding return to 0. A leaked count would silently
-// put the timer back on every request.
+// infer — served, cancelled before queueing, refused a bucket (two shapes
+// share a one-bucket table), unstackable (falls through before queueing),
+// and the shutdown drain — and checks that approaching and outstanding
+// return to 0. A leaked count would silently put the timer back on every
+// request.
 func TestBatcherApproachingSettlesToZero(t *testing.T) {
+	leakcheck.Check(t)
 	g := tinyGraph(t)
 	opts := []mnn.Option{mnn.WithPoolSize(2), mnn.WithMaxInputShapes(map[string][]int{"data": {1, 3, 16, 16}})}
 	eng, err := mnn.Open(g, opts...)

@@ -137,8 +137,8 @@ type RequestedOutput struct {
 
 // InferResponse is the POST /v2/models/{name}/infer response body.
 type InferResponse struct {
-	ModelName string        `json:"model_name"`
-	ID        string        `json:"id,omitempty"`
+	ModelName string `json:"model_name"`
+	ID        string `json:"id,omitempty"`
 	// Precision is the execution precision that actually served this
 	// request; it differs from the model's loaded precision ("int8" vs
 	// "fp32") exactly when the request was served by the degrade engine

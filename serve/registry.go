@@ -73,9 +73,9 @@ type BatchConfig struct {
 	// MaxLatency caps how long a queued request waits for batch-mates that
 	// are already on their way (default 2ms when batching is enabled). A
 	// bucket's queue is cut the moment it is full, or the moment no
-	// admitted request could still join it and a dispatch worker is free,
-	// so a lone request does not wait at all; the window only runs out
-	// while other requests are approaching or both workers are busy. A
+	// admitted request could still join it and one of the two run slots is
+	// free, so a lone request does not wait at all; the window only runs
+	// out while other requests are approaching or both slots are busy. A
 	// request whose effective deadline cannot afford the full window cuts
 	// its batch early instead. Go timers sleep in whole milliseconds on
 	// Linux: a sub-millisecond window costs ≈ 1.07 ms when it runs out.
