@@ -7,23 +7,11 @@
 //	         -model det=path/to/detector.mnng,shape=data:1x3x320x320
 //	mnnserve -model mobilenet-v1 -max-batch 4        # global batching default
 //
-// Each -model flag is name=source[,key=value...]; a bare source serves under
-// its own name. Keys: pool, threads, forward, device, precision (fp32/int8),
-// tuning (heuristic/cost/measured), tuningcache (persistent tuning-cache
-// path), maxbatch, maxlatency, buckets (how many input-shape queues the
-// batcher tracks at once; every queue runs on one shared batch engine),
-// shape=input:AxBxC... (repeatable; the batcher batches exactly this shape),
-// maxshape=input:AxBxC... (repeatable; opens a dynamic engine planned once
-// at the max shape — requests may then use any shape elementwise ≤ the
-// max, and the batcher batches every such shape; mutually exclusive with
-// shape), queue
-// (admission queue depth; enables SLO-aware load shedding), concurrency,
-// slo (latency budget, e.g. slo=50ms), priority (default class:
-// high/normal/batch), degrade=int8 (route to a quantized engine under
-// sustained overload), version (registry version; the model serves as
-// name:version), default=true (pin this version for bare-name requests)
-// and lazy=true (open engines on first request). Two -model flags naming
-// the same name:version are rejected. With -memory-budget every model
+// Each -model flag is name=source[,key=value...], where source is a built-in
+// network name or a .mnng path and a bare source serves under its own name.
+// The keys are the fields of the repository API's load request; README
+// "Per-model keys" lists each key beside its JSON field. Two -model flags
+// naming the same name:version are rejected. With -memory-budget every model
 // loads lazily and idle engines are evicted least-recently-used when the
 // resident byte total exceeds the budget. Models can also be hot-loaded and
 // unloaded at runtime through POST /v2/repository/models/{name}/load and
@@ -43,8 +31,10 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	_ "net/http/pprof" // registered on the default mux, served only via -pprof
 	"os"
@@ -54,28 +44,20 @@ import (
 	"syscall"
 	"time"
 
-	"mnn"
 	"mnn/internal/fault"
 	"mnn/internal/matmul"
 	"mnn/serve"
-	"mnn/serve/admission"
 )
 
+// modelSpec is one -model flag: the name it serves under and its load.
 type modelSpec struct {
-	name    string
-	version string // empty = serve.DefaultVersion
-	// setDefault pins this version as what bare-name requests resolve to.
-	setDefault bool
-	cfg        serve.ModelConfig
-	// tuning/tuningCache are kept for the batching+measured validation in
-	// main, which runs after the global -max-batch default is applied.
-	tuning      string
-	tuningCache string
+	name string
+	req  serve.LoadRequest
 }
 
 // ref is the registry reference the spec loads under.
 func (s modelSpec) ref() string {
-	v := s.version
+	v := s.req.Version
 	if v == "" {
 		v = serve.DefaultVersion
 	}
@@ -96,6 +78,22 @@ func checkSpecs(specs []modelSpec) error {
 	return nil
 }
 
+// config fills the batching knobs the spec left unset from the global
+// flags, so a per-model maxbatch= still honours the global -max-latency
+// and vice versa, and converts the request.
+func (s *modelSpec) config(maxBatch int, maxLatency time.Duration, maxBuckets int) (serve.ModelConfig, error) {
+	if s.req.MaxBatch == 0 {
+		s.req.MaxBatch = maxBatch
+	}
+	if s.req.MaxLatencyMs <= 0 {
+		s.req.MaxLatencyMs = float64(maxLatency) / float64(time.Millisecond)
+	}
+	if s.req.Buckets == 0 {
+		s.req.Buckets = maxBuckets
+	}
+	return s.req.Config()
+}
+
 // parseBytes parses a -memory-budget value: a plain byte count or a number
 // with a KiB/MiB/GiB (or KB/MB/GB, decimal) suffix, e.g. "512MiB".
 func parseBytes(v string) (int64, error) {
@@ -114,10 +112,13 @@ func parseBytes(v string) (int64, error) {
 		}
 	}
 	f, err := strconv.ParseFloat(num, 64)
-	if err != nil || f < 0 {
+	n := f * float64(mult)
+	// float64(math.MaxInt64) rounds up to 2^63, so < keeps int64(n) in
+	// range; NaN fails both comparisons.
+	if err != nil || !(n >= 0 && n < math.MaxInt64) {
 		return 0, fmt.Errorf("invalid byte size %q (want e.g. 1073741824, 512MiB, 1GiB)", v)
 	}
-	return int64(f * float64(mult)), nil
+	return int64(n), nil
 }
 
 func main() {
@@ -134,11 +135,11 @@ func main() {
 	quarantineCooldown := flag.Duration("quarantine-cooldown", serve.DefaultQuarantineCooldown, "how long a quarantined model sheds requests before a half-open probe")
 	var specs []modelSpec
 	flag.Func("model", "model to serve: name=source[,key=value...] (repeatable; see package docs)", func(v string) error {
-		s, err := parseModelSpec(v)
+		name, req, err := serve.ParseModelSpec(v)
 		if err != nil {
 			return err
 		}
-		specs = append(specs, s)
+		specs = append(specs, modelSpec{name, req})
 		return nil
 	})
 	flag.Parse()
@@ -147,6 +148,14 @@ func main() {
 	}
 	if err := checkSpecs(specs); err != nil {
 		fail(err)
+	}
+	cfgs := make([]serve.ModelConfig, len(specs))
+	for i := range specs {
+		cfg, err := specs[i].config(*maxBatch, *maxLatency, *maxBuckets)
+		if err != nil {
+			fail(fmt.Errorf("-model %q: %v", specs[i].ref(), err))
+		}
+		cfgs[i] = cfg
 	}
 
 	reg := serve.NewRegistry()
@@ -170,65 +179,28 @@ func main() {
 		}
 		reg.SetMemoryBudget(budget)
 	}
-	for _, s := range specs {
-		// The global flags fill whichever knobs the spec left unset, so a
-		// per-model maxbatch= still honours the global -max-latency and
-		// vice versa.
-		if s.cfg.Batch.MaxBatch == 0 {
-			s.cfg.Batch.MaxBatch = *maxBatch
-		}
-		if s.cfg.Batch.MaxLatency <= 0 {
-			s.cfg.Batch.MaxLatency = *maxLatency
-		}
-		if s.cfg.Batch.Buckets == 0 {
-			s.cfg.Batch.Buckets = *maxBuckets
-		}
-		// Measured picks only repeat across the batched and unbatched
-		// engines through a shared cache; without one the micro-batcher
-		// could commit different algorithms and break the batched≡unbatched
-		// bitwise guarantee.
-		if mode, err := mnn.ParseTuningMode(s.tuning); err == nil &&
-			mode == mnn.TuningMeasured && s.cfg.Batch.MaxBatch > 1 && s.tuningCache == "" {
-			reg.Close()
-			fail(fmt.Errorf("-model %q: tuning=measured with batching requires tuningcache=", s.name))
-		}
+	for i, s := range specs {
 		t0 := time.Now()
-		if err := reg.Load(s.ref(), s.cfg); err != nil {
+		if err := reg.Load(s.ref(), cfgs[i]); err != nil {
 			reg.Close()
 			fail(err)
 		}
-		if s.setDefault {
+		if s.req.Default {
 			name, version := serve.SplitRef(s.ref())
 			if err := reg.SetDefault(name, version); err != nil {
 				reg.Close()
 				fail(err)
 			}
 		}
-		m, _ := reg.Get(s.ref())
-		batching := "off"
-		if m.Batching() {
-			buckets := s.cfg.Batch.Buckets
-			if buckets <= 0 {
-				buckets = serve.DefaultMaxBuckets
-			}
-			batching = fmt.Sprintf("%d within %v, %d shape buckets", s.cfg.Batch.MaxBatch, s.cfg.Batch.MaxLatency, buckets)
-		}
-		adm := "off"
-		if m.Admission() {
-			adm = fmt.Sprintf("queue %d", s.cfg.Admission.Queue)
-			if s.cfg.Admission.SLO > 0 {
-				adm += fmt.Sprintf(", slo %v", s.cfg.Admission.SLO)
-			}
-			if s.cfg.Admission.Degrade != "" {
-				adm += ", degrade " + s.cfg.Admission.Degrade
-			}
-		}
-		if m.Lazy() {
-			fmt.Printf("mnnserve: registered %q lazily (engines open on first request, batching %s, admission %s)\n",
-				s.ref(), batching, adm)
+		// The parsed request with the global defaults filled in (its fields
+		// are all plain values, so Marshal cannot fail). It is a load-API
+		// body except for options.tuning_cache, which only the operator sets;
+		// max_latency_ms is filled even where batching is off, and unused.
+		req, _ := json.Marshal(s.req)
+		if m, _ := reg.Get(s.ref()); m.Lazy() {
+			fmt.Printf("mnnserve: registered %q lazily (engines open on first request): %s\n", s.ref(), req)
 		} else {
-			fmt.Printf("mnnserve: loaded %q (pre-inference %.0f ms, batching %s, admission %s)\n",
-				s.ref(), float64(time.Since(t0).Milliseconds()), batching, adm)
+			fmt.Printf("mnnserve: loaded %q in %d ms: %s\n", s.ref(), time.Since(t0).Milliseconds(), req)
 		}
 	}
 
@@ -262,156 +234,6 @@ func main() {
 		}
 	}
 	fmt.Println("mnnserve: bye")
-}
-
-// parseModelSpec parses one -model flag value.
-func parseModelSpec(v string) (modelSpec, error) {
-	parts := strings.Split(v, ",")
-	head := parts[0]
-	name, source := head, head
-	if i := strings.Index(head, "="); i >= 0 {
-		name, source = head[:i], head[i+1:]
-	}
-	if name == "" || source == "" {
-		return modelSpec{}, fmt.Errorf("-model %q: want name=source[,key=value...]", v)
-	}
-	s := modelSpec{name: name, cfg: serve.ModelConfig{Model: source}}
-	var lo serve.LoadOptions
-	for _, kv := range parts[1:] {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return modelSpec{}, fmt.Errorf("-model %q: option %q is not key=value", v, kv)
-		}
-		switch key {
-		case "pool":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return modelSpec{}, fmt.Errorf("-model %q: pool=%q: %v", v, val, err)
-			}
-			lo.PoolSize = n
-		case "threads":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return modelSpec{}, fmt.Errorf("-model %q: threads=%q: %v", v, val, err)
-			}
-			lo.Threads = n
-		case "forward":
-			lo.Forward = val
-		case "device":
-			lo.Device = val
-		case "precision":
-			lo.Precision = val
-		case "tuning":
-			lo.Tuning = val
-		case "tuningcache":
-			lo.TuningCache = val
-		case "maxbatch":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return modelSpec{}, fmt.Errorf("-model %q: maxbatch=%q: %v", v, val, err)
-			}
-			s.cfg.Batch.MaxBatch = n
-		case "maxlatency":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return modelSpec{}, fmt.Errorf("-model %q: maxlatency=%q: %v", v, val, err)
-			}
-			s.cfg.Batch.MaxLatency = d
-		case "buckets":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return modelSpec{}, fmt.Errorf("-model %q: buckets=%q: %v", v, val, err)
-			}
-			s.cfg.Batch.Buckets = n
-		case "queue":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return modelSpec{}, fmt.Errorf("-model %q: queue=%q: %v", v, val, err)
-			}
-			s.cfg.Admission.Queue = n
-		case "concurrency":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return modelSpec{}, fmt.Errorf("-model %q: concurrency=%q: %v", v, val, err)
-			}
-			s.cfg.Admission.Concurrency = n
-		case "slo":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return modelSpec{}, fmt.Errorf("-model %q: slo=%q: %v", v, val, err)
-			}
-			s.cfg.Admission.SLO = d
-		case "priority":
-			p, err := admission.ParsePriority(val)
-			if err != nil {
-				return modelSpec{}, fmt.Errorf("-model %q: priority=%q: %v", v, val, err)
-			}
-			s.cfg.Admission.DefaultPriority = p
-		case "degrade":
-			s.cfg.Admission.Degrade = val
-		case "version":
-			if val == "" || strings.Contains(val, ":") {
-				return modelSpec{}, fmt.Errorf("-model %q: version=%q: must be non-empty without ':'", v, val)
-			}
-			s.version = val
-		case "default":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return modelSpec{}, fmt.Errorf("-model %q: default=%q: %v", v, val, err)
-			}
-			s.setDefault = b
-		case "lazy":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return modelSpec{}, fmt.Errorf("-model %q: lazy=%q: %v", v, val, err)
-			}
-			s.cfg.Lazy = b
-		case "shape":
-			input, dims, ok := strings.Cut(val, ":")
-			if !ok {
-				return modelSpec{}, fmt.Errorf("-model %q: shape=%q: want input:AxBxC...", v, val)
-			}
-			var shape []int
-			for _, d := range strings.Split(dims, "x") {
-				n, err := strconv.Atoi(d)
-				if err != nil {
-					return modelSpec{}, fmt.Errorf("-model %q: shape=%q: %v", v, val, err)
-				}
-				shape = append(shape, n)
-			}
-			if lo.InputShapes == nil {
-				lo.InputShapes = make(map[string][]int)
-			}
-			lo.InputShapes[input] = shape
-		case "maxshape":
-			input, dims, ok := strings.Cut(val, ":")
-			if !ok {
-				return modelSpec{}, fmt.Errorf("-model %q: maxshape=%q: want input:AxBxC...", v, val)
-			}
-			var shape []int
-			for _, d := range strings.Split(dims, "x") {
-				n, err := strconv.Atoi(d)
-				if err != nil {
-					return modelSpec{}, fmt.Errorf("-model %q: maxshape=%q: %v", v, val, err)
-				}
-				shape = append(shape, n)
-			}
-			if lo.MaxInputShapes == nil {
-				lo.MaxInputShapes = make(map[string][]int)
-			}
-			lo.MaxInputShapes[input] = shape
-		default:
-			return modelSpec{}, fmt.Errorf("-model %q: unknown option %q (want pool, threads, forward, device, precision, tuning, tuningcache, maxbatch, maxlatency, shape, maxshape, queue, concurrency, slo, priority, degrade, version, default or lazy)", v, key)
-		}
-	}
-	opts, err := lo.EngineOptions()
-	if err != nil {
-		return modelSpec{}, fmt.Errorf("-model %q: %v", v, err)
-	}
-	s.cfg.Options = opts
-	s.tuning = lo.Tuning
-	s.tuningCache = lo.TuningCache
-	return s, nil
 }
 
 func fail(err error) {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mnn/serve"
 )
 
 // TestCheckSpecsRejectsDuplicates: two -model flags naming the same
@@ -12,11 +14,11 @@ import (
 func TestCheckSpecsRejectsDuplicates(t *testing.T) {
 	mk := func(v string) modelSpec {
 		t.Helper()
-		s, err := parseModelSpec(v)
+		name, req, err := serve.ParseModelSpec(v)
 		if err != nil {
-			t.Fatalf("parseModelSpec(%q): %v", v, err)
+			t.Fatalf("ParseModelSpec(%q): %v", v, err)
 		}
-		return s
+		return modelSpec{name, req}
 	}
 	cases := []struct {
 		name    string
@@ -43,18 +45,18 @@ func TestCheckSpecsRejectsDuplicates(t *testing.T) {
 }
 
 func TestParseModelSpecVersionKeys(t *testing.T) {
-	s, err := parseModelSpec("m=mobilenet-v1,version=3,default=true,lazy=true,queue=4,slo=50ms")
+	s, cfg, err := parseAndConfig("m=mobilenet-v1,version=3,default=true,lazy=true,queue=4,slo=50ms")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.ref() != "m:3" {
 		t.Errorf("ref %q, want m:3", s.ref())
 	}
-	if !s.setDefault || !s.cfg.Lazy {
-		t.Errorf("setDefault=%v lazy=%v, want both true", s.setDefault, s.cfg.Lazy)
+	if !s.req.Default || !cfg.Lazy {
+		t.Errorf("setDefault=%v lazy=%v, want both true", s.req.Default, cfg.Lazy)
 	}
-	if s.cfg.Admission.Queue != 4 || s.cfg.Admission.SLO != 50*time.Millisecond {
-		t.Errorf("admission %+v not carried through", s.cfg.Admission)
+	if cfg.Admission.Queue != 4 || cfg.Admission.SLO != 50*time.Millisecond {
+		t.Errorf("admission %+v not carried through", cfg.Admission)
 	}
 	for _, bad := range []string{
 		"m=x,version=",
@@ -62,10 +64,50 @@ func TestParseModelSpecVersionKeys(t *testing.T) {
 		"m=x,default=maybe",
 		"m=x,lazy=2x",
 	} {
-		if _, err := parseModelSpec(bad); err == nil {
-			t.Errorf("parseModelSpec(%q): no error", bad)
+		if _, _, err := parseAndConfig(bad); err == nil {
+			t.Errorf("parseAndConfig(%q): no error", bad)
 		}
 	}
+}
+
+// TestModelSpecGlobalDefaults: -max-batch, -max-latency and -max-buckets
+// fill only the batching knobs a spec leaves unset, so a per-model
+// maxbatch= still takes the global -max-latency.
+func TestModelSpecGlobalDefaults(t *testing.T) {
+	cases := []struct {
+		spec string
+		want serve.BatchConfig
+	}{
+		{"m=x", serve.BatchConfig{MaxBatch: 4, MaxLatency: 1001 * time.Microsecond, Buckets: 3}},
+		{"m=x,maxbatch=2", serve.BatchConfig{MaxBatch: 2, MaxLatency: 1001 * time.Microsecond, Buckets: 3}},
+		{"m=x,maxlatency=5ms,buckets=1", serve.BatchConfig{MaxBatch: 4, MaxLatency: 5 * time.Millisecond, Buckets: 1}},
+	}
+	for _, tc := range cases {
+		name, req, err := serve.ParseModelSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := modelSpec{name, req}
+		cfg, err := s.config(4, 1001*time.Microsecond, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
+		}
+		if cfg.Batch != tc.want {
+			t.Errorf("%s: batch %+v, want %+v", tc.spec, cfg.Batch, tc.want)
+		}
+	}
+}
+
+// parseAndConfig runs a -model value through what main does with it: parse
+// at flag time, then convert with no global defaults.
+func parseAndConfig(v string) (modelSpec, serve.ModelConfig, error) {
+	name, req, err := serve.ParseModelSpec(v)
+	if err != nil {
+		return modelSpec{}, serve.ModelConfig{}, err
+	}
+	s := modelSpec{name, req}
+	cfg, err := s.config(0, 0, 0)
+	return s, cfg, err
 }
 
 func TestParseBytes(t *testing.T) {
@@ -91,7 +133,7 @@ func TestParseBytes(t *testing.T) {
 			t.Errorf("parseBytes(%q) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
-	for _, bad := range []string{"", "MiB", "-1", "many"} {
+	for _, bad := range []string{"", "MiB", "-1", "many", "NaN", "Inf", "1e30"} {
 		if _, err := parseBytes(bad); err == nil {
 			t.Errorf("parseBytes(%q): no error", bad)
 		}

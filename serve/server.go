@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,35 +26,36 @@ const Version = "0.1.0"
 // realistic batch-1 tensor payload) so one client cannot OOM the server.
 const MaxBodyBytes = 256 << 20
 
-// LoadOptions is the JSON form of the engine options a client may set when
-// hot-loading a model through the repository API. The zero value means the
-// engine defaults. It is also what cmd/mnnserve parses its -model flags into.
+// LoadOptions is the engine-option half of a LoadRequest. The zero value
+// means the engine defaults. Each json tag names the repository-API field
+// and each spec tag the mnnserve -model key (see ParseModelSpec).
 type LoadOptions struct {
-	PoolSize int `json:"pool_size,omitempty"`
+	PoolSize int `json:"pool_size,omitempty" spec:"pool"`
 	// Threads is the CPU worker-pool width per pooled session; 0 resolves
 	// to mnn.DefaultThreads() = min(GOMAXPROCS, 4). Total worker
 	// goroutines for a model ≈ PoolSize × Threads, held parked between
 	// requests by the persistent scheduler.
-	Threads int    `json:"threads,omitempty"`
-	Forward string `json:"forward,omitempty"`
-	Device  string `json:"device,omitempty"`
+	Threads int    `json:"threads,omitempty" spec:"threads"`
+	Forward string `json:"forward,omitempty" spec:"forward"`
+	Device  string `json:"device,omitempty" spec:"device"`
 	// Precision selects the execution precision ("fp32" default, "int8"
 	// runs the quantized kernel path — see mnn.WithPrecision).
-	Precision string `json:"precision,omitempty"`
+	Precision string `json:"precision,omitempty" spec:"precision"`
 	// Tuning selects the kernel-search mode ("heuristic" default, "cost",
 	// "measured" — see mnn.WithTuning). Measured tuning runs micro-benchmarks
 	// during load unless TuningCache already holds this host's results.
-	Tuning string `json:"tuning,omitempty"`
+	Tuning string `json:"tuning,omitempty" spec:"tuning"`
 	// TuningCache is the persistent tuning-cache path on the server
-	// (mnn.WithTuningCache); meaningful with Tuning "measured".
-	TuningCache string           `json:"tuning_cache,omitempty"`
-	InputShapes map[string][]int `json:"input_shapes,omitempty"`
+	// (mnn.WithTuningCache); meaningful with Tuning "measured". Only the
+	// operator sets it: ModelConfig refuses it.
+	TuningCache string           `json:"tuning_cache,omitempty" spec:"tuningcache"`
+	InputShapes map[string][]int `json:"input_shapes,omitempty" spec:"shape"`
 	// MaxInputShapes opens a dynamic engine planned once at these maxima;
 	// requests may then use any shape elementwise ≤ the max without
 	// re-preparation (mnn.WithMaxInputShapes). Mutually exclusive with
 	// InputShapes. With batching, every in-plan shape batches; with
 	// InputShapes (or neither) only the declared shape does.
-	MaxInputShapes map[string][]int `json:"max_input_shapes,omitempty"`
+	MaxInputShapes map[string][]int `json:"max_input_shapes,omitempty" spec:"maxshape"`
 }
 
 // EngineOptions converts the wire form into mnn.Open options.
@@ -104,50 +106,57 @@ func (o LoadOptions) EngineOptions() ([]mnn.Option, error) {
 	return opts, nil
 }
 
-// LoadRequest is the POST /v2/repository/models/{name}/load request body.
+// LoadRequest describes one model load: it is the POST
+// /v2/repository/models/{name}/load request body, and what each mnnserve
+// -model flag parses into. Every field but Model carries its -model key in
+// a spec tag. Priority and Version are tagged checked: the -model grammar
+// has always refused a bad value of those two keys even when a later repeat
+// of the key replaces it (priority=bad,priority=high), while every other
+// key is last-wins and checked only as finally set.
 type LoadRequest struct {
 	// Model is a built-in network name (see mnn.Networks()) or the path of
 	// a serialized .mnng model file on the server.
 	Model   string      `json:"model"`
 	Options LoadOptions `json:"options"`
 	// MaxBatch > 1 enables the dynamic micro-batcher at that batch size.
-	MaxBatch int `json:"max_batch,omitempty"`
+	MaxBatch int `json:"max_batch,omitempty" spec:"maxbatch"`
 	// MaxLatencyMs caps, in milliseconds, how long a queued request waits
 	// for batch-mates already on their way (default 2); a queue nothing
 	// else can join is cut at once (see BatchConfig.MaxLatency).
-	MaxLatencyMs float64 `json:"max_latency_ms,omitempty"`
+	MaxLatencyMs float64 `json:"max_latency_ms,omitempty" spec:"maxlatency"`
 	// Buckets bounds how many input-shape queues the micro-batcher tracks
 	// at once (0 = default); a shape arriving while every queue is busy
 	// falls through unbatched.
-	Buckets int `json:"buckets,omitempty"`
+	Buckets int `json:"buckets,omitempty" spec:"buckets"`
 	// Queue > 0 enables admission control: a bounded queue of that depth in
 	// front of the engine, with overflow rejected as HTTP 429.
-	Queue int `json:"queue,omitempty"`
+	Queue int `json:"queue,omitempty" spec:"queue"`
+	// Concurrency is how many admitted requests execute at once (0 =
+	// max(pool size, max batch); see AdmissionConfig.Concurrency).
+	Concurrency int `json:"concurrency,omitempty" spec:"concurrency"`
 	// SLOMs is the per-model latency budget in milliseconds; requests that
 	// cannot meet it given the current backlog are shed immediately.
-	SLOMs float64 `json:"slo_ms,omitempty"`
+	SLOMs float64 `json:"slo_ms,omitempty" spec:"slo"`
 	// Priority is the default class for requests without an
 	// X-Request-Priority header: "normal" (default), "high", or "batch".
-	Priority string `json:"priority,omitempty"`
+	Priority string `json:"priority,omitempty" spec:"priority,checked"`
 	// Degrade ("int8") routes to a quantized sibling engine while the
 	// shed-rate EWMA stays above the degrade threshold.
-	Degrade string `json:"degrade,omitempty"`
+	Degrade string `json:"degrade,omitempty" spec:"degrade"`
 	// Version loads the model under name:version when the URL path carries
-	// a bare name (default version "1"). A versioned path and a body
-	// version must agree.
-	Version string `json:"version,omitempty"`
+	// a bare name (default version "1"); it must not contain ':'. A
+	// versioned path and a body version must agree.
+	Version string `json:"version,omitempty" spec:"version,nonempty,checked"`
 	// Default pins this version as what bare-name references resolve to.
-	Default bool `json:"default,omitempty"`
+	Default bool `json:"default,omitempty" spec:"default"`
 	// Lazy defers opening the engines until the first request and makes the
 	// model evictable under the server's memory budget.
-	Lazy bool `json:"lazy,omitempty"`
+	Lazy bool `json:"lazy,omitempty" spec:"lazy"`
 }
 
-// ModelConfig converts the wire form into a registry load.
+// ModelConfig converts a repository-API request into a registry load: Config,
+// after refusing the one setting only the operator may make.
 func (r LoadRequest) ModelConfig() (ModelConfig, error) {
-	if r.Model == "" {
-		return ModelConfig{}, fmt.Errorf("%w: load request missing \"model\"", ErrBadRequest)
-	}
 	if r.Options.TuningCache != "" {
 		// The load API reads server paths (the model file) but must never
 		// hand clients a write primitive: a tuning cache is created with
@@ -155,14 +164,27 @@ func (r LoadRequest) ModelConfig() (ModelConfig, error) {
 		// via mnnserve -model flags; API loads still tune, non-persistently.
 		return ModelConfig{}, fmt.Errorf("%w: tuning_cache cannot be set through the repository API (configure it server-side via mnnserve -model)", ErrBadRequest)
 	}
+	return r.Config()
+}
+
+// Config converts an operator-side request into a registry load. Every
+// error wraps ErrBadRequest.
+func (r LoadRequest) Config() (ModelConfig, error) {
+	if r.Model == "" {
+		return ModelConfig{}, fmt.Errorf("%w: load request missing \"model\"", ErrBadRequest)
+	}
+	if strings.Contains(r.Version, ":") {
+		// name:version is how references carry a version; a ':' inside the
+		// version would load a model named after part of it.
+		return ModelConfig{}, fmt.Errorf("%w: version %q must not contain ':'", ErrBadRequest, r.Version)
+	}
 	if mode, err := mnn.ParseTuningMode(r.Options.Tuning); err == nil &&
-		mode == mnn.TuningMeasured && r.MaxBatch > 1 {
+		mode == mnn.TuningMeasured && r.MaxBatch > 1 && r.Options.TuningCache == "" {
 		// The micro-batcher's second engine must commit exactly the
 		// unbatched engine's algorithms or batched results stop being
 		// bitwise identical to unbatched ones. Measured picks are only
 		// guaranteed to repeat across the two engines through a shared
-		// tuning cache — which the API cannot set — so measured+batching is
-		// operator-side configuration only.
+		// tuning cache.
 		return ModelConfig{}, fmt.Errorf("%w: measured tuning with batching requires a shared tuning cache; configure both server-side via mnnserve -model (tuning=measured,tuningcache=...,maxbatch=...)", ErrBadRequest)
 	}
 	opts, err := r.Options.EngineOptions()
@@ -178,17 +200,33 @@ func (r LoadRequest) ModelConfig() (ModelConfig, error) {
 		Options: opts,
 		Batch: BatchConfig{
 			MaxBatch:   r.MaxBatch,
-			MaxLatency: time.Duration(r.MaxLatencyMs * float64(time.Millisecond)),
+			MaxLatency: msDuration(r.MaxLatencyMs),
 			Buckets:    r.Buckets,
 		},
 		Admission: AdmissionConfig{
 			Queue:           r.Queue,
-			SLO:             time.Duration(r.SLOMs * float64(time.Millisecond)),
+			Concurrency:     r.Concurrency,
+			SLO:             msDuration(r.SLOMs),
 			DefaultPriority: pri,
 			Degrade:         r.Degrade,
 		},
 		Lazy: r.Lazy,
 	}, nil
+}
+
+// msDuration converts a millisecond count to a Duration, rounded to the
+// nanosecond (a truncating conversion turns 1.001 ms into 1.000999 ms) and
+// held within the Duration range. The count float64(d)/1e6 of a Duration d
+// converts back to d exactly while |d| < 2^51 ns (≈ 26 days).
+func msDuration(ms float64) time.Duration {
+	ns := math.Round(ms * float64(time.Millisecond))
+	switch {
+	case ns >= math.MaxInt64:
+		return math.MaxInt64
+	case ns <= math.MinInt64:
+		return math.MinInt64
+	}
+	return time.Duration(ns)
 }
 
 // Server is the HTTP front of a Registry. Create with NewServer, start with
