@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mnn/internal/graph"
+	"mnn/internal/matmul"
 	"mnn/internal/tensor"
 )
 
@@ -263,5 +264,44 @@ func BenchmarkAttention(b *testing.B) {
 				b.ReportMetric(2*float64(h*l*l*d/h)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
 		}
+	}
+}
+
+// BenchmarkMatMulWeight runs the transformer's weight-form MatMul, bias
+// included, on one lane at the rows its sweep gives one sequence (16, 8, 4)
+// and its four weight shapes: the Q/K/V/projection GEMMs (32×32), the two
+// feed-forward GEMMs (32×128, 128×32) and the classifier (32×10).
+func BenchmarkMatMulWeight(b *testing.B) {
+	for _, m := range []int{16, 8, 4} {
+		for _, s := range []struct{ k, n int }{{32, 32}, {32, 128}, {128, 32}, {32, 10}} {
+			b.Run(fmt.Sprintf("m%d/k%dn%d", m, s.k, s.n), func(b *testing.B) {
+				src := tensor.NewRandom(1, 1, 1, m, s.k)
+				w, bias := tensor.NewRandom(2, 0.2, s.k, s.n), tensor.NewRandom(3, 0.1, s.n)
+				op := NewMatMulWeightOp(tensor.New(1, m, s.n), src, w, bias, &graph.MatMulAttrs{}, matmul.PackB(w.Data(), s.k, s.n))
+				pool := testPool(b, 1)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					op.Run(pool)
+				}
+				b.ReportMetric(2*float64(m*s.k*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}
+
+// BenchmarkLayerNorm runs the transformer's LayerNorm (width 32) at its
+// longest and shortest sequence on one lane.
+func BenchmarkLayerNorm(b *testing.B) {
+	for _, rows := range []int{16, 4} {
+		b.Run(fmt.Sprintf("%dx32", rows), func(b *testing.B) {
+			src := tensor.NewRandom(1, 1, 1, rows, 32)
+			gamma, beta := tensor.NewRandom(2, 1, 32), tensor.NewRandom(3, 0.1, 32)
+			op := NewLayerNormOp(tensor.New(1, rows, 32), src, gamma, beta, &graph.LayerNormAttrs{Eps: 1e-5})
+			pool := testPool(b, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op.Run(pool)
+			}
+		})
 	}
 }

@@ -258,7 +258,7 @@ func TestTranscendentalClampSpecials(t *testing.T) {
 			}},
 		} {
 			vals := append(append(append([]float32(nil), plain...), c.row...), plain...)
-			out := softmaxRows(t, vals, 3, 10, 1, simd)
+			out := runSoftmax(t, vals, 3, 10, 1, simd)
 			if !c.ok(out[10:20]) {
 				t.Errorf("softmax, %s: got %v", c.name, out[10:20])
 			}
@@ -299,8 +299,8 @@ func TestGELUPositionIndependent(t *testing.T) {
 	})
 }
 
-// softmaxRows runs SoftmaxOp over rows × d1 values.
-func softmaxRows(t *testing.T, vals []float32, rows, d1, lanes int, simd bool) []float32 {
+// runSoftmax runs SoftmaxOp over rows × d1 values.
+func runSoftmax(t *testing.T, vals []float32, rows, d1, lanes int, simd bool) []float32 {
 	src, dst := tensor.New(rows, d1), tensor.New(rows, d1)
 	copy(src.Data(), vals)
 	op := NewSoftmaxOp(dst, src)
@@ -320,7 +320,7 @@ func TestSoftmaxRowIndependent(t *testing.T) {
 			for i := range row {
 				row[i] = (r.Float32()*2 - 1) * 9
 			}
-			want := append([]float32(nil), softmaxRows(t, row, 1, d1, 1, false)...)
+			want := append([]float32(nil), runSoftmax(t, row, 1, d1, 1, false)...)
 			for _, rows := range []int{1, 2, 5, 13} {
 				for at := 0; at < rows; at++ {
 					for _, lanes := range []int{1, 2, 3} {
@@ -329,7 +329,7 @@ func TestSoftmaxRowIndependent(t *testing.T) {
 							vals[i] = (r.Float32()*2 - 1) * 30
 						}
 						copy(vals[at*d1:], row)
-						got := softmaxRows(t, vals, rows, d1, lanes, simd)[at*d1:][:d1]
+						got := runSoftmax(t, vals, rows, d1, lanes, simd)[at*d1:][:d1]
 						if d := exactBitDiff(got, want); d >= 0 {
 							t.Fatalf("d1 %d, row %d of %d, %d lanes: element %d = %#08x, alone on the portable path %#08x", d1, at, rows, lanes, d,
 								math.Float32bits(got[d]), math.Float32bits(want[d]))
@@ -351,7 +351,7 @@ func TestSoftmaxOpWithinToleranceOfRef(t *testing.T) {
 				src := tensor.NewRandom(uint64(d1), scale, rows, d1)
 				want := tensor.New(rows, d1)
 				SoftmaxRef(want, src, 1)
-				got := softmaxRows(t, src.Data(), rows, d1, 2, simd)
+				got := runSoftmax(t, src.Data(), rows, d1, 2, simd)
 				for r := 0; r < rows; r++ {
 					sum := 0.0
 					for i := 0; i < d1; i++ {

@@ -330,10 +330,10 @@ func (o *ScaleOp) RunChunk(_, start, end int) {
 		off := item * o.hw * 4
 		for p := 0; p < o.hw; p++ {
 			i := off + p*4
-			d[i] = s[i]*s0 + b0
-			d[i+1] = s[i+1]*s1 + b1
-			d[i+2] = s[i+2]*s2 + b2
-			d[i+3] = s[i+3]*s3 + b3
+			d[i] = float32(s[i]*s0) + b0 // multiply and add rounded apart, as on amd64
+			d[i+1] = float32(s[i+1]*s1) + b1
+			d[i+2] = float32(s[i+2]*s2) + b2
+			d[i+3] = float32(s[i+3]*s3) + b3
 		}
 	}
 }
@@ -461,7 +461,7 @@ func FoldBatchNorm(gamma, beta, mean, variance []float32, eps float32) (scale, s
 	for i := 0; i < n; i++ {
 		s := gamma[i] / float32(math.Sqrt(float64(variance[i]+eps)))
 		scale[i] = s
-		shift[i] = beta[i] - s*mean[i]
+		shift[i] = beta[i] - float32(s*mean[i]) // not fused on arm64
 	}
 	return scale, shift
 }
@@ -487,7 +487,8 @@ type ipRun struct {
 func PrepareInnerProduct(weight, bias *tensor.Tensor, a *graph.InnerProductAttrs) *InnerProduct {
 	out, features := weight.Dim(0), weight.Dim(1)
 	return &InnerProduct{attrs: *a, features: features,
-		packed: matmul.PackWeight(weight.Data(), out, features, 1), bias: paddedBias(bias, out)}
+		packed: matmul.PackWeight(weight.Data(), out, features, 1),
+		bias:   paddedBias(bias, tensor.UpDiv(out, matmul.PanelWidth)*matmul.PanelWidth)}
 }
 
 // Share returns a kernel over ip's prepared weight with run state of its own.
@@ -503,23 +504,13 @@ func (ip *InnerProduct) Run(dst, src *tensor.Tensor, p *sched.Pool) {
 	p.Run(ip.rs.batch, sched.Chunk(ip.rs.batch, p.Lanes(), 1), ip)
 }
 
-// RunChunk implements sched.Task over batch rows: the row-block GEMM plus
-// the (row-local) bias and activation.
+// RunChunk implements sched.Task over batch rows: the row-block GEMM with
+// the bias and activation in its epilogue.
 func (ip *InnerProduct) RunChunk(_, start, end int) {
 	r := &ip.rs
 	out := ip.attrs.OutputCount
-	rows := end - start
-	d := r.d[start*out : end*out]
-	ip.packed.MulInto(d, r.s[start*ip.features:end*ip.features], rows)
-	for n := 0; n < rows; n++ {
-		for o := 0; o < out; o++ {
-			v := d[n*out+o] + ip.bias[o]
-			if ip.attrs.ReLU && v < 0 {
-				v = 0
-			}
-			d[n*out+o] = v
-		}
-	}
+	lo, hi := clampBounds(ip.attrs.ReLU, false)
+	ip.packed.MulBiasInto(r.d[start*out:end*out], r.s[start*ip.features:end*ip.features], end-start, ip.bias, lo, hi)
 }
 
 // --- seed-compatible function forms (reference kernels, tests) -----------

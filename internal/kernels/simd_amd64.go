@@ -57,7 +57,9 @@ func poolMaxRowNC4(dst, src *float32, n, rows, cols, rowBytes, stepBytes int)
 func poolAvgRowNC4(dst, src *float32, n, rows, cols, rowBytes, stepBytes int, div float64)
 
 // expPS and geluPS are the AVX2 twins of expf32 and geluf32 (exp_amd64.s)
-// over 8·blocks floats, blocks ≥ 1; dst may be src.
+// over 8·blocks floats, blocks ≥ 1; dst may be src. expPS runs in the tests
+// alone: it holds EXP8, which softmaxRows8 runs on x − max ≤ 0 only, to
+// expf32 on every float32 bit pattern.
 //
 //go:noescape
 func expPS(dst, src *float32, blocks int)
@@ -70,3 +72,13 @@ func geluPS(dst, src *float32, blocks int)
 //
 //go:noescape
 func dotCols8(dst, a, b *float32, k, ldb, blocks int, scale float32)
+
+// softmaxRows8 and layerNormRows8 are the AVX2 twins of softmaxRows and
+// layerNormRows (exp_amd64.s) over rows ≥ 1 rows of d1 ≥ 1 floats, eight
+// at a time, a row per lane; dst may be src.
+//
+//go:noescape
+func softmaxRows8(dst, src *float32, d1, rows int)
+
+//go:noescape
+func layerNormRows8(dst, src *float32, d1, rows int, gamma, beta *float32, eps float32)

@@ -49,3 +49,11 @@ func geluPS(dst, src *float32, blocks int) {
 func dotCols8(dst, a, b *float32, k, ldb, blocks int, scale float32) {
 	panic("kernels: no SIMD attention kernel on this architecture")
 }
+
+func softmaxRows8(dst, src *float32, d1, rows int) {
+	panic("kernels: no SIMD softmax kernel on this architecture")
+}
+
+func layerNormRows8(dst, src *float32, d1, rows int, gamma, beta *float32, eps float32) {
+	panic("kernels: no SIMD layer-norm kernel on this architecture")
+}

@@ -22,9 +22,12 @@ import (
 // LayerNorm/Softmax/weight-form MatMul via matmul.PackedB's chunk-invariant
 // contract, (batch, head) pairs for the attention GEMMs, single elements
 // for GELU/Transpose), so batch concatenation and worker-count changes
-// cannot move a single float. The assembly under GELU, softmax and the
-// attention GEMMs (exp_amd64.s) repeats its scalar twin's roundings per
-// element, so neither can the SIMD level.
+// cannot move a single float. The assembly under GELU, softmax, LayerNorm
+// and the attention GEMMs (exp_amd64.s) repeats its scalar twin's roundings
+// per element — softmaxRows8 and layerNormRows8 put one row in each lane, so
+// a row's reductions keep their order — and the weight MatMul's bias is the
+// GEMM micro-kernels' own epilogue (MulBiasInto), so neither can the SIMD
+// level.
 
 // leadingRows is the number of last-axis rows of a tensor of this shape.
 func leadingRows(shape []int) int { return tensor.NumElements(shape[:len(shape)-1]) }
@@ -33,14 +36,16 @@ func leadingRows(shape []int) int { return tensor.NumElements(shape[:len(shape)-
 // stays allocation-free.
 const maxTransposeRank = 6
 
-// LayerNormOp normalizes over the last axis with per-feature gamma/beta.
+// LayerNormOp normalizes over the last axis with per-feature gamma/beta
+// (layerNormRows).
 type LayerNormOp struct {
 	eps        float32
 	dst, src   *tensor.Tensor
 	s, d       []float32
 	gamma, bet []float32
 
-	d1 int // last-axis extent (static: feature dim never changes)
+	d1   int  // last-axis extent (static: feature dim never changes)
+	simd bool // matmul.HaveAVX2: the rows run layerNormRows8
 }
 
 // NewLayerNormOp binds a layer-norm execution.
@@ -50,21 +55,45 @@ func NewLayerNormOp(dst, src, gamma, beta *tensor.Tensor, a *graph.LayerNormAttr
 		eps: a.Eps, dst: dst, src: src,
 		s: src.Data(), d: dst.Data(),
 		gamma: gamma.Data(), bet: beta.Data(),
-		d1: shape[len(shape)-1],
+		d1: shape[len(shape)-1], simd: matmul.HaveAVX2(),
 	}
 }
 
 // Run executes the layer norm on the pool, chunked over rows.
 func (o *LayerNormOp) Run(p *sched.Pool) {
 	rows := leadingRows(o.src.Shape())
-	p.Run(rows, sched.Chunk(rows, p.Lanes(), elemChunksPerLane), o)
+	p.Run(rows, rowChunk(rows, p.Lanes(), o.simd), o)
 }
 
-// RunChunk implements sched.Task over rows.
+// RunChunk implements sched.Task over rows: on the assembly, or its twin.
 func (o *LayerNormOp) RunChunk(_, start, end int) {
 	d1 := o.d1
-	for r := start; r < end; r++ {
-		row := o.s[r*d1 : (r+1)*d1]
+	if o.simd && d1 > 0 {
+		layerNormRows8(&o.d[start*d1], &o.s[start*d1], d1, end-start, &o.gamma[0], &o.bet[0], o.eps)
+		return
+	}
+	layerNormRows(o.d[start*d1:end*d1], o.s[start*d1:end*d1], d1, o.gamma, o.bet, o.eps)
+}
+
+// rowChunk is the chunk of the row ops: whole groups of eight rows where
+// the assembly runs, which takes eight rows for little more than one.
+func rowChunk(rows, lanes int, simd bool) int {
+	c := sched.Chunk(rows, lanes, elemChunksPerLane)
+	if simd {
+		c = (c + 7) &^ 7
+	}
+	return c
+}
+
+// layerNormRows normalizes each row of d1 floats of src into dst: the mean
+// and the variance in float64, summed in ascending order, then in float32
+// ((v − mean)·inv)·γ + β, inv = 1/√(variance + eps). Every multiply and add
+// is rounded on its own — the conversions stop a fusing compiler (arm64) —
+// so a row's bits depend on that row alone; layerNormRows8 repeats them on
+// eight rows at a time.
+func layerNormRows(dst, src []float32, d1 int, gamma, beta []float32, eps float32) {
+	for ; len(src) > 0; src, dst = src[d1:], dst[d1:] {
+		row := src[:d1]
 		var mean float64
 		for _, v := range row {
 			mean += float64(v)
@@ -73,13 +102,12 @@ func (o *LayerNormOp) RunChunk(_, start, end int) {
 		var variance float64
 		for _, v := range row {
 			dv := float64(v) - mean
-			variance += dv * dv
+			variance += float64(dv * dv)
 		}
 		variance /= float64(d1)
-		inv := float32(1 / math.Sqrt(variance+float64(o.eps)))
-		out := o.d[r*d1 : (r+1)*d1]
+		inv := float32(1 / math.Sqrt(variance+float64(eps)))
 		for i, v := range row {
-			out[i] = (v-float32(mean))*inv*o.gamma[i] + o.bet[i]
+			dst[i] = float32((v-float32(mean))*inv*gamma[i]) + beta[i]
 		}
 	}
 }
@@ -118,7 +146,7 @@ func (o *GELUOp) RunChunk(_, start, end int) {
 type SoftmaxOp struct {
 	dst, src *tensor.Tensor
 	s, d     []float32
-	simd     bool // matmul.HaveAVX2: whole blocks of eight run expPS
+	simd     bool // matmul.HaveAVX2: the rows run softmaxRows8
 }
 
 // NewSoftmaxOp binds a last-axis softmax execution.
@@ -129,16 +157,25 @@ func NewSoftmaxOp(dst, src *tensor.Tensor) *SoftmaxOp {
 // Run executes the softmax on the pool.
 func (o *SoftmaxOp) Run(p *sched.Pool) {
 	rows := leadingRows(o.src.Shape())
-	p.Run(rows, sched.Chunk(rows, p.Lanes(), elemChunksPerLane), o)
+	p.Run(rows, rowChunk(rows, p.Lanes(), o.simd), o)
 }
 
-// RunChunk implements sched.Task over rows: the exponential runs once, in
-// place, over the chunk's rows as one contiguous range.
+// RunChunk implements sched.Task over rows: on the assembly, or its twin.
 func (o *SoftmaxOp) RunChunk(_, start, end int) {
 	d1 := o.src.Dim(o.src.Rank() - 1)
-	out := o.d[start*d1 : end*d1]
-	for r := start; r < end; r++ {
-		row := o.s[r*d1 : (r+1)*d1]
+	if o.simd && d1 > 0 {
+		softmaxRows8(&o.d[start*d1], &o.s[start*d1], d1, end-start)
+		return
+	}
+	softmaxRows(o.d[start*d1:end*d1], o.s[start*d1:end*d1], d1)
+}
+
+// softmaxRows is the softmax of each row of d1 floats of src into dst, as
+// SoftmaxOp describes; softmaxRows8 repeats it on eight rows at a time.
+func softmaxRows(dst, src []float32, d1 int) {
+	out := dst[:len(src)]
+	for r := 0; r < len(src); r += d1 {
+		row := src[r : r+d1]
 		maxV := float32(math.Inf(-1))
 		for _, v := range row {
 			if v > maxV {
@@ -146,10 +183,9 @@ func (o *SoftmaxOp) RunChunk(_, start, end int) {
 			}
 		}
 		for i, v := range row {
-			out[(r-start)*d1+i] = v - maxV
+			out[r+i] = expf32(v - maxV)
 		}
 	}
-	mapInto(out, out, o.simd, expPS, expf32)
 	for ; len(out) > 0; out = out[d1:] {
 		row := out[:d1]
 		var sum float32
@@ -218,7 +254,7 @@ const (
 )
 
 // MatMulOp covers the three MatMul forms of graph.MatMulAttrs. The weight
-// form row-chunks MulInto over the constant [K,N] weight's matmul.PackedB
+// form row-chunks MulBiasInto over the constant [K,N] weight's matmul.PackedB
 // panels (bitwise chunk-invariant); the attention forms chunk
 // over (batch, head) pairs and compute every output element as dotCols
 // describes, across output columns where they are contiguous.
@@ -247,7 +283,7 @@ func NewMatMulWeightOp(dst, src, w, bias *tensor.Tensor, a *graph.MatMulAttrs, p
 		k: ws[0], n: ws[1], packed: packed,
 	}
 	if bias != nil {
-		o.bias = bias.Data()
+		o.bias = paddedBias(bias, tensor.UpDiv(o.n, matmul.PanelWidth)*matmul.PanelWidth)
 	}
 	return o
 }
@@ -295,23 +331,24 @@ func (o *MatMulOp) RunChunk(_, start, end int) {
 	}
 }
 
+// runWeight adds the bias in the GEMM's own epilogue (MulBiasInto, no
+// clamp); a scaled product is scaled first and gets its bias after, each a
+// rounding of its own.
 func (o *MatMulOp) runWeight(start, end int) {
 	k, n := o.k, o.n
-	rows := end - start
-	d := o.d[start*n : end*n]
-	o.packed.MulInto(d, o.ad[start*k:end*k], rows)
-	if o.scale != 1 {
-		for i := range d {
-			d[i] *= o.scale
-		}
+	d, a := o.d[start*n:end*n], o.ad[start*k:end*k]
+	if o.scale == 1 {
+		lo, hi := clampBounds(false, false)
+		o.packed.MulBiasInto(d, a, end-start, o.bias, lo, hi)
+		return
 	}
-	if o.bias != nil {
-		for r := 0; r < rows; r++ {
-			row := d[r*n : (r+1)*n]
-			for j, b := range o.bias {
-				row[j] += b
-			}
+	o.packed.MulInto(d, a, end-start)
+	for i := range d {
+		v := float32(d[i] * o.scale) // not fused into the add
+		if o.bias != nil {
+			v += o.bias[i%n]
 		}
+		d[i] = v
 	}
 }
 

@@ -37,7 +37,7 @@ func fmaHost(out *[4][PanelWidth]float32, a *[4]float32, b, c *[PanelWidth]float
 	var panel [2 * PanelWidth]float32
 	copy(panel[:PanelWidth], c[:])
 	copy(panel[PanelWidth:], b[:])
-	mulPanel4x16(&out[0][0], PanelWidth, &rows[0][0], 2, 2, &panel[0])
+	mulPanel4x16(&out[0][0], PanelWidth, &rows[0][0], 2, 2, &panel[0], nil, 0, 0)
 }
 
 func bits32(u uint32) float32 { return math.Float32frombits(u) }

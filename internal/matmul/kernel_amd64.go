@@ -70,10 +70,11 @@ func detectLevel(maxLeaf, ecx1, xcr0, ebx7, ecx7, edx7 uint32, amxGranted bool) 
 
 // mulPanel4x16 is the AVX2 4×16 micro-kernel (kernel_amd64.s): four rows of
 // a, lda floats apart, times one k×16 packed panel, stored to four rows of
-// dst, ldd floats apart.
+// dst, ldd floats apart. With bias non-nil (16 floats) each column gets its
+// bias added and is clamped to [lo, hi] first — mulPanelNC4's epilogue.
 //
 //go:noescape
-func mulPanel4x16(dst *float32, ldd int, a *float32, lda, k int, panel *float32)
+func mulPanel4x16(dst *float32, ldd int, a *float32, lda, k int, panel, bias *float32, lo, hi float32)
 
 // mulPanelNC4 is the same micro-kernel over NC4HW4 operands, as a
 // convolution (kernel_amd64.s): four pixels of a, aPix floats apart, summed
@@ -90,7 +91,7 @@ func mulPanelNC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, 
 // reduction and the epilogue of the four-row kernels element for element.
 //
 //go:noescape
-func mulPanel12x16(dst *float32, ldd int, a *float32, lda, k int, panel *float32)
+func mulPanel12x16(dst *float32, ldd int, a *float32, lda, k int, panel, bias *float32, lo, hi float32)
 
 //go:noescape
 func mulPanel12NC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel, bias *float32, lo, hi float32)
@@ -98,11 +99,11 @@ func mulPanel12NC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int
 // mulPanel12x32 and mulPanel12x32NC4 are the AVX-512F kernels over two
 // adjacent panels (kernel_amd64.s): the second panel's k rows start k·16
 // floats after panel, the tile is twelve rows or pixels × 32 columns, and
-// each element gets the twelve-row kernels' reduction and epilogue.
-// mulPanel12x32NC4 stores 4 < packs ≤ 8 channel packs from 32 biases.
+// each element gets the twelve-row kernels' reduction and epilogue, from 32
+// biases. mulPanel12x32NC4 stores 4 < packs ≤ 8 channel packs.
 //
 //go:noescape
-func mulPanel12x32(dst *float32, ldd int, a *float32, lda, k int, panel *float32)
+func mulPanel12x32(dst *float32, ldd int, a *float32, lda, k int, panel, bias *float32, lo, hi float32)
 
 //go:noescape
 func mulPanel12x32NC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel *float32, k int, bias *float32, lo, hi float32)

@@ -185,20 +185,14 @@ nexttap:                 \
 	JNZ   taploop        \
 epilogue:
 
-// BIAS_CLAMP_STORE_NC4 is the NC4HW4 epilogue of both convolution kernels
-// below: the 4×16 float32 tile in Y0..Y7 gets the 16 biases at (R13) added
-// and is clamped to [Y10, Y11]; then it is transposed with 128-bit lane
-// permutes into R12 ≤ 4 output channel packs of 4 pixels × 4 channels (64
-// contiguous bytes each), DX floats apart from DI on — pack j is the j-th
-// 128-bit quarter of every row, rows (pixels) 0,1 in one ymm, rows 2,3 in
-// the next — and control jumps to DONE.
+// BIAS_CLAMP4 is the epilogue of every 4×16 tile: the 16 biases at (R13)
+// added to the rows in Y0..Y7, then each value clamped to [Y10, Y11].
 //
 // The clamp is max(lo, v) then min(hi, v) with v as the SECOND source of
 // VMAXPS/VMINPS: those return the second source when an operand is NaN or
 // both are zero, so NaN stays NaN and -0 stays -0 exactly as in the scalar
 // `if v < lo { v = lo }; if v > hi { v = hi }`.
-#define BIAS_CLAMP_STORE_NC4(DONE) \
-	SHLQ       $2, DX          \
+#define BIAS_CLAMP4 \
 	VMOVUPS    (R13), Y8       \
 	VMOVUPS    32(R13), Y9     \
 	VADDPS     Y8, Y0, Y0      \
@@ -224,7 +218,17 @@ epilogue:
 	VMINPS     Y4, Y11, Y4     \
 	VMINPS     Y5, Y11, Y5     \
 	VMINPS     Y6, Y11, Y6     \
-	VMINPS     Y7, Y11, Y7     \
+	VMINPS     Y7, Y11, Y7
+
+// BIAS_CLAMP_STORE_NC4 is the NC4HW4 epilogue of both convolution kernels
+// below: BIAS_CLAMP4, then the tile is transposed with 128-bit lane
+// permutes into R12 ≤ 4 output channel packs of 4 pixels × 4 channels (64
+// contiguous bytes each), DX floats apart from DI on — pack j is the j-th
+// 128-bit quarter of every row, rows (pixels) 0,1 in one ymm, rows 2,3 in
+// the next — and control jumps to DONE.
+#define BIAS_CLAMP_STORE_NC4(DONE) \
+	SHLQ       $2, DX          \
+	BIAS_CLAMP4                \
 	VPERM2F128 $0x20, Y2, Y0, Y8 \
 	VPERM2F128 $0x20, Y6, Y4, Y9 \
 	VMOVUPS    Y8, (DI)        \
@@ -252,11 +256,12 @@ epilogue:
 	VMOVUPS    Y9, 32(DI)      \
 	JMP        DONE
 
-// func mulPanel4x16(dst *float32, ldd int, a *float32, lda, k int, panel *float32)
+// func mulPanel4x16(dst *float32, ldd int, a *float32, lda, k int, panel, bias *float32, lo, hi float32)
 //
 // dst[r*ldd+l] = Σ_p a[r*lda+p] · panel[p*16+l] for r < 4, l < 16, summed
-// in ascending p from +0. Requires k ≥ 1.
-TEXT ·mulPanel4x16(SB), NOSPLIT, $0-48
+// in ascending p from +0; with bias non-nil, then + bias[l] and clamped to
+// [lo, hi] (BIAS_CLAMP4). Requires k ≥ 1.
+TEXT ·mulPanel4x16(SB), NOSPLIT, $0-64
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), DX
 	MOVQ a+16(FP), SI
@@ -276,7 +281,14 @@ loop:
 	INCQ AX
 	CMPQ AX, CX
 	JLT  loop
+	MOVQ  bias+48(FP), R13
+	TESTQ R13, R13
+	JZ    store
+	VBROADCASTSS lo+56(FP), Y10
+	VBROADCASTSS hi+60(FP), Y11
+	BIAS_CLAMP4
 
+store:
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	ADDQ    DX, DI
@@ -348,6 +360,21 @@ done:
 	PACK4(LANE, V4, V5, V6, V7, T0, T1, 64)   \
 	PACK4(LANE, V8, V9, V10, V11, T0, T1, 128)
 
+// FINISH12ROWS is FINISH12 on the twelve rows V0..V11 of a tile.
+#define FINISH12ROWS(V0, V1, V2, V3, V4, V5, V6, V7, V8, V9, V10, V11, BIAS, LO, HI) \
+	FINISH12(V0, BIAS, LO, HI)  \
+	FINISH12(V1, BIAS, LO, HI)  \
+	FINISH12(V2, BIAS, LO, HI)  \
+	FINISH12(V3, BIAS, LO, HI)  \
+	FINISH12(V4, BIAS, LO, HI)  \
+	FINISH12(V5, BIAS, LO, HI)  \
+	FINISH12(V6, BIAS, LO, HI)  \
+	FINISH12(V7, BIAS, LO, HI)  \
+	FINISH12(V8, BIAS, LO, HI)  \
+	FINISH12(V9, BIAS, LO, HI)  \
+	FINISH12(V10, BIAS, LO, HI) \
+	FINISH12(V11, BIAS, LO, HI)
+
 // func mulPanel12NC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel, bias *float32, lo, hi float32)
 //
 // mulPanelNC4 on AVX-512F: a tile of 12 pixels × the same 16-float panel,
@@ -372,18 +399,7 @@ TEXT ·mulPanel12NC4(SB), NOSPLIT, $0-96
 	VMOVUPS      (R13), Z12
 	VBROADCASTSS lo+88(FP), Z13
 	VBROADCASTSS hi+92(FP), Z14
-	FINISH12(Z0, Z12, Z13, Z14)
-	FINISH12(Z1, Z12, Z13, Z14)
-	FINISH12(Z2, Z12, Z13, Z14)
-	FINISH12(Z3, Z12, Z13, Z14)
-	FINISH12(Z4, Z12, Z13, Z14)
-	FINISH12(Z5, Z12, Z13, Z14)
-	FINISH12(Z6, Z12, Z13, Z14)
-	FINISH12(Z7, Z12, Z13, Z14)
-	FINISH12(Z8, Z12, Z13, Z14)
-	FINISH12(Z9, Z12, Z13, Z14)
-	FINISH12(Z10, Z12, Z13, Z14)
-	FINISH12(Z11, Z12, Z13, Z14)
+	FINISH12ROWS(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14)
 	PACK12($0x00, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z16, Z17)
 	DECQ R12
 	JZ   done
@@ -431,30 +447,8 @@ TEXT ·mulPanel12x32NC4(SB), NOSPLIT, $0-104
 	VMOVUPS      64(R13), Z25
 	VBROADCASTSS lo+96(FP), Z26
 	VBROADCASTSS hi+100(FP), Z27
-	FINISH12(Z0, Z24, Z26, Z27)
-	FINISH12(Z1, Z24, Z26, Z27)
-	FINISH12(Z2, Z24, Z26, Z27)
-	FINISH12(Z3, Z24, Z26, Z27)
-	FINISH12(Z4, Z24, Z26, Z27)
-	FINISH12(Z5, Z24, Z26, Z27)
-	FINISH12(Z6, Z24, Z26, Z27)
-	FINISH12(Z7, Z24, Z26, Z27)
-	FINISH12(Z8, Z24, Z26, Z27)
-	FINISH12(Z9, Z24, Z26, Z27)
-	FINISH12(Z10, Z24, Z26, Z27)
-	FINISH12(Z11, Z24, Z26, Z27)
-	FINISH12(Z12, Z25, Z26, Z27)
-	FINISH12(Z13, Z25, Z26, Z27)
-	FINISH12(Z14, Z25, Z26, Z27)
-	FINISH12(Z15, Z25, Z26, Z27)
-	FINISH12(Z16, Z25, Z26, Z27)
-	FINISH12(Z17, Z25, Z26, Z27)
-	FINISH12(Z18, Z25, Z26, Z27)
-	FINISH12(Z19, Z25, Z26, Z27)
-	FINISH12(Z20, Z25, Z26, Z27)
-	FINISH12(Z21, Z25, Z26, Z27)
-	FINISH12(Z22, Z25, Z26, Z27)
-	FINISH12(Z23, Z25, Z26, Z27)
+	FINISH12ROWS(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z24, Z26, Z27)
+	FINISH12ROWS(Z12, Z13, Z14, Z15, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23, Z25, Z26, Z27)
 	PACK12($0x00, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z24, Z25)
 	ADDQ DX, DI
 	PACK12($0x55, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z24, Z25)
@@ -488,12 +482,13 @@ DATA zeroTap<>+0(SB)/8, $0
 DATA zeroTap<>+8(SB)/8, $0
 GLOBL zeroTap<>(SB), RODATA, $16
 
-// func mulPanel12x16(dst *float32, ldd int, a *float32, lda, k int, panel *float32)
+// func mulPanel12x16(dst *float32, ldd int, a *float32, lda, k int, panel, bias *float32, lo, hi float32)
 //
 // mulPanel4x16 on AVX-512F, twelve rows: the row-major operand is the
 // NC4HW4 walk with packs of four floats 16 bytes apart and rows lda floats
-// apart, one tap. Requires k ≥ 1.
-TEXT ·mulPanel12x16(SB), NOSPLIT, $0-48
+// apart, one tap; the same epilogue with bias non-nil (FINISH12). Requires
+// k ≥ 1.
+TEXT ·mulPanel12x16(SB), NOSPLIT, $0-64
 	MOVQ lda+24(FP), R8
 	MOVQ k+32(FP), DX
 	MOVQ $16, R11
@@ -503,6 +498,15 @@ TEXT ·mulPanel12x16(SB), NOSPLIT, $0-48
 	LEAQ (R8)(R8*2), R9
 	ZERO12
 	TAPWALK(STEP12, ROWS12, NEXT12, a+16(FP), panel+40(FP))
+	MOVQ  bias+48(FP), R13
+	TESTQ R13, R13
+	JZ    store
+	VMOVUPS      (R13), Z12
+	VBROADCASTSS lo+56(FP), Z13
+	VBROADCASTSS hi+60(FP), Z14
+	FINISH12ROWS(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14)
+
+store:
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), DX
 	SHLQ $2, DX
@@ -532,12 +536,13 @@ TEXT ·mulPanel12x16(SB), NOSPLIT, $0-48
 	VZEROUPPER
 	RET
 
-// func mulPanel12x32(dst *float32, ldd int, a *float32, lda, k int, panel *float32)
+// func mulPanel12x32(dst *float32, ldd int, a *float32, lda, k int, panel, bias *float32, lo, hi float32)
 //
 // mulPanel12x16 over two adjacent panels, the second k·16 floats after
 // panel: twelve rows × 32 columns on STEP12X2, row r's first 16 columns
-// from Z(r), the next 16 from Z(12+r). Requires k ≥ 1.
-TEXT ·mulPanel12x32(SB), NOSPLIT, $0-48
+// from Z(r), the next 16 from Z(12+r); with bias non-nil, the 32 biases at
+// bias and the clamp. Requires k ≥ 1.
+TEXT ·mulPanel12x32(SB), NOSPLIT, $0-64
 	MOVQ lda+24(FP), R8
 	MOVQ k+32(FP), DX
 	MOVQ $16, R11
@@ -549,6 +554,17 @@ TEXT ·mulPanel12x32(SB), NOSPLIT, $0-48
 	LEAQ (R8)(R8*2), R9
 	ZERO24
 	TAPWALK(STEP12X2, ROWS12, NEXT12, a+16(FP), panel+40(FP))
+	MOVQ  bias+48(FP), R13
+	TESTQ R13, R13
+	JZ    store
+	VMOVUPS      (R13), Z24
+	VMOVUPS      64(R13), Z25
+	VBROADCASTSS lo+56(FP), Z26
+	VBROADCASTSS hi+60(FP), Z27
+	FINISH12ROWS(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z24, Z26, Z27)
+	FINISH12ROWS(Z12, Z13, Z14, Z15, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23, Z25, Z26, Z27)
+
+store:
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), DX
 	SHLQ $2, DX
@@ -872,18 +888,7 @@ TEXT ·mulPanel12Int8(SB), NOSPLIT, $0-105
 	VMOVUPS      (R13), Z12
 	VBROADCASTSS lo+96(FP), Z13
 	VBROADCASTSS hi+100(FP), Z14
-	FINISH12(Z0, Z12, Z13, Z14)
-	FINISH12(Z1, Z12, Z13, Z14)
-	FINISH12(Z2, Z12, Z13, Z14)
-	FINISH12(Z3, Z12, Z13, Z14)
-	FINISH12(Z4, Z12, Z13, Z14)
-	FINISH12(Z5, Z12, Z13, Z14)
-	FINISH12(Z6, Z12, Z13, Z14)
-	FINISH12(Z7, Z12, Z13, Z14)
-	FINISH12(Z8, Z12, Z13, Z14)
-	FINISH12(Z9, Z12, Z13, Z14)
-	FINISH12(Z10, Z12, Z13, Z14)
-	FINISH12(Z11, Z12, Z13, Z14)
+	FINISH12ROWS(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14)
 	PACK12($0x00, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z16, Z17)
 	DECQ R12
 	JZ   done

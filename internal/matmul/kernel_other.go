@@ -8,7 +8,7 @@ import "unsafe"
 // PackedBInt8 run the portable loops.
 const haveSIMD, haveInt8 = levelPortable, levelPortable
 
-func mulPanel4x16(dst *float32, ldd int, a *float32, lda, k int, panel *float32) {
+func mulPanel4x16(dst *float32, ldd int, a *float32, lda, k int, panel, bias *float32, lo, hi float32) {
 	panic("matmul: no SIMD micro-kernel on this architecture")
 }
 
@@ -16,7 +16,7 @@ func mulPanelNC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, 
 	panic("matmul: no SIMD micro-kernel on this architecture")
 }
 
-func mulPanel12x16(dst *float32, ldd int, a *float32, lda, k int, panel *float32) {
+func mulPanel12x16(dst *float32, ldd int, a *float32, lda, k int, panel, bias *float32, lo, hi float32) {
 	panic("matmul: no SIMD micro-kernel on this architecture")
 }
 
@@ -24,7 +24,7 @@ func mulPanel12NC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int
 	panic("matmul: no SIMD micro-kernel on this architecture")
 }
 
-func mulPanel12x32(dst *float32, ldd int, a *float32, lda, k int, panel *float32) {
+func mulPanel12x32(dst *float32, ldd int, a *float32, lda, k int, panel, bias *float32, lo, hi float32) {
 	panic("matmul: no SIMD micro-kernel on this architecture")
 }
 

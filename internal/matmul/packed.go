@@ -18,8 +18,10 @@ const PanelWidth = 16
 // im2col and Winograd convolutions, InnerProduct and the transformer weight
 // MatMul, on a register-blocked micro-kernel of 4 rows × 16 columns (on
 // AVX-512, 12 rows × two adjacent panels, 32 columns, and 12 × 16 for an
-// unpaired panel): MulInto takes row-major operands, MulNC4Into reads and
-// writes NC4HW4 activations in place.
+// unpaired panel): MulBiasInto takes row-major operands and ends each
+// element with the bias and clamp of a fully connected layer in the same
+// registers, MulInto is its plain product, and MulNC4Into reads and writes
+// NC4HW4 activations in place.
 type PackedB struct {
 	K, N int
 	data []float32 // [panels][K][PanelWidth]
@@ -127,29 +129,37 @@ func PackB(b []float32, k, n int) *PackedB {
 }
 
 // MulInto computes dst = a·B for the m×K row-major a, writing the m×N
+// row-major product: MulBiasInto with no bias.
+func (pb *PackedB) MulInto(dst, a []float32, m int) { pb.MulBiasInto(dst, a, m, nil, 0, 0) }
+
+// MulBiasInto computes dst = a·B for the m×K row-major a, writing the m×N
 // row-major product. Every output element is summed in ascending p from +0,
 // each step a fused multiply-add rounded once (fma32), exactly as Mul does,
-// so the packed and direct kernels produce bitwise-equal results. A row's
-// bits depend on that row of a alone: not on m, on the row's position, or on
-// how a caller splits the rows over lanes — which is what keeps batched
-// results equal to unbatched ones.
+// so the packed and direct kernels produce bitwise-equal results. With bias
+// non-nil — N rounded up to whole panels, as MulTapsNC4Into takes it — each
+// element then gets its column's bias added, and v < lo becomes lo and v >
+// hi becomes hi: MulTapsNC4Into's epilogue, so lo = −Inf, hi = +Inf is the
+// bare bias add and lo = 0 a relu. With bias nil the sum is stored as it is
+// (a −0 stays −0). A row's bits depend on that row of a alone: not on m, on
+// the row's position, or on how a caller splits the rows over lanes — which
+// is what keeps batched results equal to unbatched ones.
 //
 // On amd64 hosts with AVX2 (checked once at package init) the blocks run the
-// assembly micro-kernels — on AVX-512F while twelve rows remain
-// mulPanel12x32 over each pair of full panels and mulPanel12x16 over a full
-// panel left over, mulPanel4x16 otherwise; everywhere else, and as the
-// oracle the differential tests compare them with, the portable Go loop
-// runs.
-func (pb *PackedB) MulInto(dst, a []float32, m int) {
+// assembly micro-kernels, the epilogue included — on AVX-512F while twelve
+// rows remain mulPanel12x32 over each pair of full panels and mulPanel12x16
+// over a full panel left over, mulPanel4x16 otherwise; everywhere else, and
+// as the oracle the differential tests compare them with, the portable Go
+// loop runs.
+func (pb *PackedB) MulBiasInto(dst, a []float32, m int, bias []float32, lo, hi float32) {
 	k, n := pb.K, pb.N
-	if len(a) < m*k || len(dst) < m*n {
+	if len(a) < m*k || len(dst) < m*n || bias != nil && len(bias) < (n+PanelWidth-1)/PanelWidth*PanelWidth {
 		panic("matmul: buffer too small for declared dimensions")
 	}
 	if pb.simd == levelPortable || k == 0 { // the assembly kernels take at least one step
-		pb.mulPortable(dst, a, m)
+		pb.mulPortable(dst, a, m, bias, lo, hi)
 		return
 	}
-	pb.mulSIMD(dst, a, m)
+	pb.mulSIMD(dst, a, m, bias, lo, hi)
 }
 
 // mulSIMD drives the micro-kernels over the panels and blocks of rows: twelve
@@ -164,12 +174,16 @@ func (pb *PackedB) MulInto(dst, a []float32, m int) {
 // fed as four copies of itself (lda = 0) so the kernel never reads past a. No
 // step is skipped for a zero a: 0·Inf is NaN, and a fused step can leave −0
 // in an accumulator that a following +0·v turns back into +0.
-func (pb *PackedB) mulSIMD(dst, a []float32, m int) {
+func (pb *PackedB) mulSIMD(dst, a []float32, m int, bias []float32, lo, hi float32) {
 	k, n := pb.K, pb.N
 	var tile [4 * PanelWidth]float32
 	for j0 := 0; j0 < n; j0 += PanelWidth {
 		lim := min(n-j0, PanelWidth)
 		panel := &pb.data[j0*k]
+		var b *float32 // the panel's biases; the kernels skip the epilogue for nil
+		if bias != nil {
+			b = &bias[j0]
+		}
 		i := 0
 		if pb.simd == levelAVX512 && lim == PanelWidth {
 			switch {
@@ -177,25 +191,25 @@ func (pb *PackedB) mulSIMD(dst, a []float32, m int) {
 				i = m / 12 * 12
 			case n-j0 >= 2*PanelWidth: // the next panel is full too: twelve rows × both
 				for ; i+12 <= m; i += 12 {
-					mulPanel12x32(&dst[i*n+j0], n, &a[i*k], k, k, panel)
+					mulPanel12x32(&dst[i*n+j0], n, &a[i*k], k, k, panel, b, lo, hi)
 				}
 			default:
 				for ; i+12 <= m; i += 12 {
-					mulPanel12x16(&dst[i*n+j0], n, &a[i*k], k, k, panel)
+					mulPanel12x16(&dst[i*n+j0], n, &a[i*k], k, k, panel, b, lo, hi)
 				}
 			}
 		}
 		for ; i < m && m < 4; i++ {
-			mulPanel4x16(&tile[0], PanelWidth, &a[i*k], 0, k, panel)
+			mulPanel4x16(&tile[0], PanelWidth, &a[i*k], 0, k, panel, b, lo, hi)
 			copy(dst[i*n+j0:i*n+j0+lim], tile[:])
 		}
 		for ; i < m; i += 4 {
 			i = min(i, m-4) // the overlapping tail block
 			if lim == PanelWidth {
-				mulPanel4x16(&dst[i*n+j0], n, &a[i*k], k, k, panel)
+				mulPanel4x16(&dst[i*n+j0], n, &a[i*k], k, k, panel, b, lo, hi)
 				continue
 			}
-			mulPanel4x16(&tile[0], PanelWidth, &a[i*k], k, k, panel)
+			mulPanel4x16(&tile[0], PanelWidth, &a[i*k], k, k, panel, b, lo, hi)
 			for r := 0; r < 4; r++ {
 				copy(dst[(i+r)*n+j0:(i+r)*n+j0+lim], tile[r*PanelWidth:])
 			}
@@ -208,8 +222,8 @@ func (pb *PackedB) mulSIMD(dst, a []float32, m int) {
 // of a share each streamed panel line (fmaTile), quartering the panel
 // traffic — the 4×16 micro-kernel shape NEON GEMMs use, in scalar Go; a tail
 // block repeats its last row in the unused ones and stores only the real
-// rows.
-func (pb *PackedB) mulPortable(dst, a []float32, m int) {
+// rows, each through finish when there is a bias.
+func (pb *PackedB) mulPortable(dst, a []float32, m int, bias []float32, lo, hi float32) {
 	k, n := pb.K, pb.N
 	var acc [4][PanelWidth]float32
 	for j0 := 0; j0 < n; j0 += PanelWidth {
@@ -224,6 +238,9 @@ func (pb *PackedB) mulPortable(dst, a []float32, m int) {
 				fmaTile(&acc, &[4]float32{a0[p], a1[p], a2[p], a3[p]}, (*[PanelWidth]float32)(panel[p*PanelWidth:]))
 			}
 			for r := 0; r < rows; r++ {
+				if bias != nil {
+					finish(&acc[r], bias[j0:], lo, hi)
+				}
 				copy(dst[(i+r)*n+j0:(i+r)*n+j0+lim], acc[r][:])
 			}
 		}
@@ -343,20 +360,26 @@ func nc4Portable(dst []float32, dstPack, packs int, a []float32, aPack, aPix, pi
 				fmaTile(&acc, &[4]float32{a[o0+c], a[o1+c], a[o2+c], a[o3+c]}, (*[PanelWidth]float32)(panel[(t.B+p)*PanelWidth:]))
 			}
 		}
-		for j := 0; j < packs; j++ {
-			for r := 0; r < rows; r++ {
-				d := dst[j*dstPack+(q+r)*4 : j*dstPack+(q+r)*4+4]
-				for l := range d {
-					v := acc[r][j*4+l] + bias[j*4+l]
-					if v < lo {
-						v = lo
-					}
-					if v > hi {
-						v = hi
-					}
-					d[l] = v
-				}
+		for r := 0; r < rows; r++ {
+			finish(&acc[r], bias, lo, hi)
+			for j := 0; j < packs; j++ {
+				copy(dst[j*dstPack+(q+r)*4:j*dstPack+(q+r)*4+4], acc[r][j*4:])
 			}
 		}
+	}
+}
+
+// finish is the kernels' epilogue on one tile row in plain Go: each column
+// gets its bias added, then v < lo becomes lo and v > hi becomes hi.
+func finish(row *[PanelWidth]float32, bias []float32, lo, hi float32) {
+	for l, b := range bias[:PanelWidth] {
+		v := row[l] + b
+		if v < lo {
+			v = lo
+		}
+		if v > hi {
+			v = hi
+		}
+		row[l] = v
 	}
 }

@@ -74,6 +74,34 @@ func weights(seed uint64, k, n int) []float32 {
 	return b
 }
 
+// biases builds a bias for n columns, padded with zeros to whole panels,
+// ±0 and large values among them.
+func biases(seed uint64, n int) []float32 {
+	r := tensor.NewRNG(seed)
+	b := make([]float32, (n+PanelWidth-1)/PanelWidth*PanelWidth)
+	for i := range b[:n] {
+		b[i] = (r.Float32()*2 - 1) * 4
+	}
+	b[r.Intn(n)] = float32(math.Copysign(0, -1))
+	b[r.Intn(n)] = 3e38
+	return b
+}
+
+// addBias is MulBiasInto's epilogue in plain Go over the row-major product
+// d of n columns: the oracle for it.
+func addBias(d []float32, n int, bias []float32, lo, hi float32) {
+	for i, v := range d {
+		v += bias[i%n]
+		if v < lo {
+			v = lo
+		}
+		if v > hi {
+			v = hi
+		}
+		d[i] = v
+	}
+}
+
 // hostLevels returns the micro-kernel levels this host has, "portable"
 // first, and reports each one it lacks as a skipped subtest of that name: a
 // level the suite could not reach shows in the log instead of passing
@@ -96,33 +124,43 @@ func hostLevels(t *testing.T) []string {
 // Two cases pin that no step is skipped for a zero activation: an infinite
 // weight against a column of zeros is NaN (0·Inf), and a −0 left in an
 // accumulator by a product below half the smallest denormal turns +0 at the
-// next step, +0·1.
+// next step, +0·1. Every product also runs through MulBiasInto's epilogue at
+// each of the three clamps, held to Mul plus addBias; a −0 sum stays −0
+// without a bias.
 func TestPackedSIMDMatchesPortableBitwise(t *testing.T) {
 	levels := hostLevels(t)
 	check := func(a, b []float32, m, k, n int) {
 		t.Helper()
 		pb := PackB(b, k, n)
-		want := make([]float32, m*n)
-		pb.Portable().MulInto(want, a, m)
 		direct := make([]float32, m*n)
 		Mul(direct, a, b, m, k, n)
-		if d := firstBitDiff(want, direct); d >= 0 {
-			t.Fatalf("%dx%dx%d: portable %v != Mul %v at %d", m, k, n, want[d], direct[d], d)
-		}
-		for _, isa := range levels[1:] {
-			const guard = 8
-			got := make([]float32, m*n+guard)
-			for j := range got {
-				got[j] = float32(math.NaN()) // every element must be written, nothing past the last
+		bias := biases(uint64(m*k*n), n)
+		for c := -1; c < len(clampBounds); c++ {
+			var bs []float32 // c = −1: MulInto, no bias
+			want := append([]float32(nil), direct...)
+			if c >= 0 {
+				bs = bias
+				addBias(want, n, bs, clampBounds[c][0], clampBounds[c][1])
 			}
-			pb.WithISA(isa).MulInto(got[:m*n], a, m)
-			if d := firstBitDiff(got, want); d >= 0 {
-				t.Fatalf("%dx%dx%d: %s %v (%#08x) != portable %v (%#08x) at row %d col %d", m, k, n, isa,
-					got[d], math.Float32bits(got[d]), want[d], math.Float32bits(want[d]), d/n, d%n)
-			}
-			for _, v := range got[m*n:] {
-				if v == v {
-					t.Fatalf("%dx%dx%d: %s wrote past dst", m, k, n, isa)
+			for _, isa := range levels {
+				const guard = 8
+				got := make([]float32, m*n+guard)
+				for j := range got {
+					got[j] = float32(math.NaN()) // every element must be written, nothing past the last
+				}
+				if c < 0 {
+					pb.WithISA(isa).MulInto(got[:m*n], a, m)
+				} else {
+					pb.WithISA(isa).MulBiasInto(got[:m*n], a, m, bs, clampBounds[c][0], clampBounds[c][1])
+				}
+				if d := firstBitDiff(got, want); d >= 0 {
+					t.Fatalf("%dx%dx%d clamp %d: %s %v (%#08x) != Mul %v (%#08x) at row %d col %d", m, k, n, c, isa,
+						got[d], math.Float32bits(got[d]), want[d], math.Float32bits(want[d]), d/n, d%n)
+				}
+				for _, v := range got[m*n:] {
+					if v == v {
+						t.Fatalf("%dx%dx%d: %s wrote past dst", m, k, n, isa)
+					}
 				}
 			}
 		}
@@ -137,6 +175,13 @@ func TestPackedSIMDMatchesPortableBitwise(t *testing.T) {
 			for _, n := range []int{1, 15, 16, 17, 32, 33, 40, 47, 48, 64} {
 				shapes = append(shapes, shape{m, k, n})
 			}
+		}
+	}
+	// The transformer's weight GEMMs at its lengths, its classifier's ten
+	// columns among them, and rows that fill no, one and one-plus tiles.
+	for _, m := range []int{1, 2, 3, 4, 8, 12, 13, 16} {
+		for _, kn := range [][2]int{{32, 10}, {32, 32}, {32, 128}, {128, 32}} {
+			shapes = append(shapes, shape{m, kn[0], kn[1]})
 		}
 	}
 	// mobilenet-v1's smallest and an FC-like shape, then random ones.
@@ -172,6 +217,24 @@ func TestPackedSIMDMatchesPortableBitwise(t *testing.T) {
 		check(a, b, m, 3, 17)
 		if PackB(b, 3, 17).MulInto(got, a, m); math.Float32bits(got[0]) != 0 {
 			t.Fatalf("%d rows: a −0 accumulator plus 0·1 is %#08x, want +0", m, math.Float32bits(got[0]))
+		}
+
+		// Row i: −2^-100 against 2^-100 and nothing after: the sum is −0. No
+		// bias keeps it; a +0 bias makes it +0.
+		a, b = a[:m], []float32{0x1p-100}
+		for i := range a {
+			a[i] = -0x1p-100
+		}
+		check(a, b, m, 1, 1)
+		zero := make([]float32, PanelWidth)
+		for _, isa := range levels {
+			pb := PackB(b, 1, 1).WithISA(isa)
+			if pb.MulBiasInto(got[:m], a, m, nil, 0, 0); math.Float32bits(got[m-1]) != 0x80000000 {
+				t.Fatalf("%d rows, %s: a −0 sum with no bias is %#08x, want −0", m, isa, math.Float32bits(got[m-1]))
+			}
+			if pb.MulBiasInto(got[:m], a, m, zero, -inf32, inf32); math.Float32bits(got[m-1]) != 0 {
+				t.Fatalf("%d rows, %s: a −0 sum plus a +0 bias is %#08x, want +0", m, isa, math.Float32bits(got[m-1]))
+			}
 		}
 	}
 }
@@ -217,12 +280,16 @@ func TestPackedMulRowIndependence(t *testing.T) {
 }
 
 // FuzzPackedMulInto drives shapes and raw float32 bit patterns (any value, in
-// a and in b) through every micro-kernel level of the host, the portable loop
-// and Mul, which must all agree bitwise.
+// a, b and the bias) through every micro-kernel level of the host, the
+// portable loop and Mul, which must all agree bitwise: the plain product
+// (MulInto), then MulBiasInto at the clamp the seed picks, against Mul plus
+// addBias.
 func FuzzPackedMulInto(f *testing.F) {
 	f.Add(uint8(5), uint8(17), uint8(20), uint64(1), []byte{0, 0, 0, 0x80, 1, 0, 0, 0})
 	f.Add(uint8(1), uint8(16), uint8(16), uint64(2), []byte{})
 	f.Add(uint8(49), uint8(64), uint8(33), uint64(3), []byte{0xff, 0xff, 0x7f, 0x00, 0x00, 0x00, 0x80, 0x7f})
+	f.Add(uint8(12), uint8(32), uint8(10), uint64(4), []byte{0, 0, 0, 0x80})
+	f.Add(uint8(13), uint8(128), uint8(32), uint64(5), []byte{0, 0, 0xc0, 0x7f})
 	f.Fuzz(func(t *testing.T, mR, kR, nR uint8, seed uint64, raw []byte) {
 		m, k, n := int(mR)%64+1, int(kR)%80+1, int(nR)%80+1
 		a := activations(seed, m, k)
@@ -232,14 +299,25 @@ func FuzzPackedMulInto(f *testing.F) {
 			a[(i*13)%len(a)] = v
 			b[(i*29)%len(b)] = v
 		}
+		bias := biases(seed+2, n)
+		for i := 0; i+4 <= len(raw); i += 4 {
+			bias[(i*7)%n] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i:]))
+		}
+		lo, hi := clampBounds[seed%3][0], clampBounds[seed%3][1]
 		pb := PackB(b, k, n)
 		want := make([]float32, m*n)
 		Mul(want, a, b, m, k, n)
+		wantBias := append([]float32(nil), want...)
+		addBias(wantBias, n, bias, lo, hi)
 		for _, isa := range ISAs() {
 			got := make([]float32, m*n)
 			pb.WithISA(isa).MulInto(got, a, m)
 			if d := firstBitDiff(got, want); d >= 0 {
 				t.Fatalf("%dx%dx%d: %s %v != Mul %v at %d", m, k, n, isa, got[d], want[d], d)
+			}
+			pb.WithISA(isa).MulBiasInto(got, a, m, bias, lo, hi)
+			if d := firstBitDiff(got, wantBias); d >= 0 {
+				t.Fatalf("%dx%dx%d, bias, clamp [%v, %v]: %s %v != Mul plus bias %v at %d", m, k, n, lo, hi, isa, got[d], wantBias[d], d)
 			}
 		}
 	})

@@ -93,14 +93,14 @@ func (b *builder) batchNorm(name, in string, c int) string {
 	// Gamma around 1, variance positive.
 	gt := b.g.Weights[g]
 	for i := range gt.Data() {
-		gt.Data()[i] = gt.Data()[i]*0.1 + 1
+		gt.Data()[i] = float32(gt.Data()[i]*0.1) + 1 // the same weights on every architecture: not fused
 	}
 	beta := b.weight(name+"_beta", 0.1, c)
 	mean := b.weight(name+"_mean", 0.1, c)
 	vname := b.weight(name+"_var", 0, c)
 	vt := b.g.Weights[vname]
 	for i := range vt.Data() {
-		vt.Data()[i] = vt.Data()[i]*0.05 + 1
+		vt.Data()[i] = float32(vt.Data()[i]*0.05) + 1
 	}
 	b.g.AddNode(&graph.Node{Name: name, Op: graph.OpBatchNorm,
 		Inputs: []string{in}, Outputs: []string{name},

@@ -66,7 +66,7 @@ func (b *builder) layerNorm(name, in string, d int) string {
 	g := b.weight(name+"_gamma", 0, d)
 	gt := b.g.Weights[g]
 	for i := range gt.Data() {
-		gt.Data()[i] = gt.Data()[i]*0.1 + 1
+		gt.Data()[i] = float32(gt.Data()[i]*0.1) + 1 // not fused: the same weights on every architecture
 	}
 	beta := b.weight(name+"_beta", 0.1, d)
 	b.g.AddNode(&graph.Node{Name: name, Op: graph.OpLayerNorm,

@@ -80,20 +80,21 @@ func (p *Profile) Hottest(n int) []ProfileEntry {
 	return out[:n]
 }
 
-// Dump writes a human-readable report.
+// Dump writes a human-readable report, times to the microsecond: a
+// transformer op takes a few of them.
 func (p *Profile) Dump(w io.Writer, topN int) {
-	fmt.Fprintf(w, "total: %.2f ms over %d ops (%s kernels, int8 %s)\n", msOf(p.Total), len(p.Entries), matmul.KernelISA(), matmul.Int8ISA())
+	fmt.Fprintf(w, "total: %.3f ms over %d ops (%s kernels, int8 %s)\n", msOf(p.Total), len(p.Entries), matmul.KernelISA(), matmul.Int8ISA())
 	fmt.Fprintf(w, "\nby op type:\n")
 	for _, e := range p.ByOp() {
 		pct := 0.0
 		if p.Total > 0 {
 			pct = float64(e.Wall) / float64(p.Total) * 100
 		}
-		fmt.Fprintf(w, "  %-14s %9.2f ms %5.1f%%\n", e.Op, msOf(e.Wall), pct)
+		fmt.Fprintf(w, "  %-14s %9.3f ms %5.1f%%\n", e.Op, msOf(e.Wall), pct)
 	}
 	fmt.Fprintf(w, "\nhottest %d operators:\n", topN)
 	for _, e := range p.Hottest(topN) {
-		fmt.Fprintf(w, "  %-28s %-12s %-8s %9.2f ms\n", e.Node, e.Op, e.Backend, msOf(e.Wall))
+		fmt.Fprintf(w, "  %-28s %-12s %-8s %9.3f ms\n", e.Node, e.Op, e.Backend, msOf(e.Wall))
 	}
 }
 
