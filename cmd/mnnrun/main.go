@@ -22,6 +22,7 @@ import (
 
 	"mnn"
 	"mnn/internal/loadgen"
+	"mnn/internal/session"
 	"mnn/internal/tensor"
 )
 
@@ -37,7 +38,7 @@ func main() {
 	tuningCache := flag.String("tuning-cache", "", "persistent tuning-cache file for -tuning measured")
 	simulate := flag.Bool("simulate", false, "report Equation 5 simulated time")
 	check := flag.Bool("check", false, "compare output against the reference interpreter")
-	profile := flag.Bool("profile", false, "print a per-operator timing breakdown")
+	profile := flag.Bool("profile", false, "print a per-operator timing breakdown: each op's median over -runs profiled runs")
 	pool := flag.Int("pool", 1, "prepared sessions held by the engine")
 	inflight := flag.Int("inflight", 1, "concurrent inference goroutines for the timed runs")
 	timeout := flag.Duration("timeout", 0, "per-inference deadline (0 = none)")
@@ -203,13 +204,23 @@ func main() {
 		}
 	}
 	if *profile {
-		ctx, cancel := newCtx()
-		_, p, err := eng.InferProfiled(ctx, inputs)
-		cancel()
+		// As many profiled runs as timed ones, after them: the timestamps
+		// per step stay out of the host latency above.
+		ps := make([]*mnn.Profile, *runs)
+		for i := range ps {
+			ctx, cancel := newCtx()
+			_, ps[i], err = eng.InferProfiled(ctx, inputs)
+			cancel()
+			if err != nil {
+				fail(err)
+			}
+		}
+		p, err := session.MedianProfile(ps)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Println()
+		fmt.Printf("\nprofile: each op's median over %d runs; their sum %.3f ms, host mean %.3f ms\n",
+			*runs, float64(p.Total.Nanoseconds())/1e6, float64(st2.MeanLatency.Nanoseconds())/1e6)
 		p.Dump(os.Stdout, 10)
 	}
 	for _, name := range eng.OutputNames() {

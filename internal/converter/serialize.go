@@ -188,6 +188,11 @@ func Save(g *graph.Graph, out io.Writer) error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
+	for _, n := range g.Nodes {
+		if n.Op == graph.OpAttention {
+			return fmt.Errorf("converter: node %q: %v is a session's own fused node and has no model-file form", n.Name, n.Op)
+		}
+	}
 	w := &writer{w: bufio.NewWriter(out), buf: make([]byte, chunkBytes)}
 	w.u32(Magic)
 	w.u32(Version)

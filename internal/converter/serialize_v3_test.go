@@ -8,6 +8,7 @@ import (
 
 	"mnn/internal/graph"
 	"mnn/internal/models"
+	"mnn/internal/optimizer"
 	"mnn/internal/session"
 	"mnn/internal/tensor"
 )
@@ -201,4 +202,24 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("Load(Save(Load(fuzz))) failed: %v", err)
 		}
 	})
+}
+
+// TestSaveRefusesAttention: a session's fused Attention node has no
+// model-file form; Save and ExportJSON refuse a graph that holds one.
+func TestSaveRefusesAttention(t *testing.T) {
+	g := models.Transformer()
+	shapes, err := graph.InferShapes(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := optimizer.FuseAttention(g, shapes, func(*graph.Node) bool { return true }); n == 0 {
+		t.Fatal("nothing fused")
+	}
+	var buf bytes.Buffer
+	if err := Save(g, &buf); err == nil {
+		t.Fatal("Save wrote an Attention node")
+	}
+	if err := ExportJSON(g, &buf); err == nil {
+		t.Fatal("ExportJSON wrote an Attention node")
+	}
 }

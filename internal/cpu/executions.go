@@ -97,6 +97,15 @@ func (b *Backend) NodeWorkspaceFloats(n *graph.Node, inputShapes, outputShapes [
 		}
 		return 0
 
+	case graph.OpAttention:
+		// Per lane, attentionRows8's eight score rows and query columns at
+		// the planned key length.
+		if len(inputShapes) != 3 || len(in0) != 3 {
+			return 0
+		}
+		dh := in0[2] / n.Attrs.(*graph.AttentionAttrs).Heads
+		return kernels.AttentionWorkspaceFloats(inputShapes[1][1], dh, lanes)
+
 	case graph.OpFlatten, graph.OpReshape, graph.OpDropout:
 		// A packed source that changes shape is unpacked through an NCHW
 		// staging buffer.
@@ -431,6 +440,9 @@ func (b *Backend) OnCreate(n *graph.Node, inputs, outputs []*tensor.Tensor, weig
 
 	case graph.OpMatMul:
 		return b.createMatMul(n, inputs, outputs[0], weights)
+
+	case graph.OpAttention:
+		return b.createAttention(n, inputs, outputs[0])
 	}
 	return nil, fmt.Errorf("cpu: unsupported op %v", n.Op)
 }
@@ -489,6 +501,35 @@ func (b *Backend) createMatMul(n *graph.Node, inputs []*tensor.Tensor, out *tens
 	return execFunc(func() error {
 		op.Run(pool)
 		b.charge("MatMul", muls, n, scheme)
+		return nil
+	}), nil
+}
+
+// createAttention prepares the fused QK → softmax → AV node
+// (optimizer.FuseAttention). It charges the simulated clock what the three
+// nodes it replaces charged, label for label.
+func (b *Backend) createAttention(n *graph.Node, inputs []*tensor.Tensor, out *tensor.Tensor) (backend.Execution, error) {
+	a := n.Attrs.(*graph.AttentionAttrs)
+	pool := b.pool
+	if len(inputs) != 3 {
+		return nil, fmt.Errorf("cpu: Attention %q needs q, k and v, has %d inputs", n.Name, len(inputs))
+	}
+	if err := requireFlat(n, append(append([]*tensor.Tensor(nil), inputs...), out)...); err != nil {
+		return nil, err
+	}
+	q, k := inputs[0], inputs[1]
+	lanes := pool.Lanes()
+	ws := b.workspace(n.Name, kernels.AttentionWorkspaceFloats(k.Dim(1), q.Dim(2)/a.Heads, lanes))
+	op := kernels.NewAttentionOp(out, q, k, inputs[2], a, ws, lanes)
+	scores := int64(q.Dim(0)) * int64(a.Heads*q.Dim(1)) * int64(k.Dim(1))
+	qkMuls := scores * int64(q.Dim(2))
+	smMuls := scores * 2
+	avMuls := int64(out.NumElements()) * int64(k.Dim(1))
+	return execFunc(func() error {
+		op.Run(pool)
+		b.charge("MatMul", qkMuls, n, "gemm-qk")
+		b.charge("Softmax", smMuls, n, "softmax")
+		b.charge("MatMul", avMuls, n, "gemm-av")
 		return nil
 	}), nil
 }

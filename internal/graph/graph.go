@@ -181,6 +181,8 @@ func checkAttrs(n *Node) error {
 		_, ok = n.Attrs.(*MatMulAttrs)
 	case OpTranspose:
 		_, ok = n.Attrs.(*TransposeAttrs)
+	case OpAttention:
+		_, ok = n.Attrs.(*AttentionAttrs)
 	default:
 		return fmt.Errorf("unknown op type %v", n.Op)
 	}
@@ -351,6 +353,9 @@ func cloneNode(n *Node) *Node {
 		c.Attrs = &cp
 	case *TransposeAttrs:
 		c.Attrs = &TransposeAttrs{Perm: append([]int(nil), a.Perm...)}
+	case *AttentionAttrs:
+		cp := *a
+		c.Attrs = &cp
 	case nil:
 		c.Attrs = nil
 	default:

@@ -373,3 +373,20 @@ func TestWriteDOT(t *testing.T) {
 		t.Error("nil shapes must omit edge labels")
 	}
 }
+
+// TestAttentionIsSessionOnly: the fused attention kind prints as
+// "Attention" but is no model-file kind — AllOpTypes leaves it out and
+// ParseOpType does not know it.
+func TestAttentionIsSessionOnly(t *testing.T) {
+	if OpAttention.String() != "Attention" {
+		t.Fatalf("OpAttention prints %q", OpAttention.String())
+	}
+	for _, op := range AllOpTypes() {
+		if op == OpAttention {
+			t.Fatal("AllOpTypes lists OpAttention")
+		}
+	}
+	if _, err := ParseOpType("Attention"); err == nil {
+		t.Fatal("ParseOpType accepts Attention")
+	}
+}

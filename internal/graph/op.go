@@ -39,6 +39,12 @@ const (
 	OpMatMul
 	OpTranspose
 	opCount // sentinel; keep last
+
+	// OpAttention is a session's own fused attention, QKᵀ → last-axis
+	// softmax → ·V in one node (optimizer.FuseAttention). It exists only in
+	// a session's private graph: no model file, converter or AllOpTypes
+	// lists it.
+	OpAttention = opCount
 )
 
 var opNames = [...]string{
@@ -67,6 +73,9 @@ var opNames = [...]string{
 }
 
 func (o OpType) String() string {
+	if o == OpAttention {
+		return "Attention"
+	}
 	if int(o) < len(opNames) && opNames[o] != "" {
 		return opNames[o]
 	}
@@ -261,6 +270,16 @@ type MatMulAttrs struct {
 	Heads      int
 	TransposeB bool
 	Scale      float32
+}
+
+// AttentionAttrs parameterizes OpAttention: inputs q [B, LA, D], k and v
+// [B, LB, D], output [B, LA, D]; per (batch, head) the scores
+// (q·kᵀ)·QKScale, their last-axis softmax, then (probabilities·v)·AVScale —
+// the QK MatMul's, the Softmax's and the AV MatMul's arithmetic, element for
+// element. A zero scale means 1, as in MatMulAttrs.
+type AttentionAttrs struct {
+	Heads            int
+	QKScale, AVScale float32
 }
 
 // TransposeAttrs permutes tensor axes: output dim i = input dim Perm[i].

@@ -385,6 +385,32 @@ func inferNode(g *Graph, n *Node, shapes ShapeMap, overrides map[string][]int) e
 		setOut(0, []int{s0[0], s0[1] / a.Heads, s1[2]})
 		return nil
 
+	case OpAttention:
+		// [B, LA, D] attending over [B, LB, D] keys and values -> [B, LA, D].
+		a := n.Attrs.(*AttentionAttrs)
+		if len(n.Inputs) != 3 {
+			return fmt.Errorf("attention needs q, k and v, got %d inputs", len(n.Inputs))
+		}
+		var s [3][]int
+		for i := range s {
+			var err error
+			if s[i], err = in(i); err != nil {
+				return err
+			}
+			if len(s[i]) != 3 {
+				return fmt.Errorf("attention inputs must be rank 3, got %v", s[i])
+			}
+		}
+		q, k, v := s[0], s[1], s[2]
+		if q[0] != k[0] || k[0] != v[0] || k[1] != v[1] || q[2] != k[2] || k[2] != v[2] {
+			return fmt.Errorf("attention shapes q %v, k %v, v %v do not match", q, k, v)
+		}
+		if a.Heads < 1 || q[2]%a.Heads != 0 {
+			return fmt.Errorf("attention depth %d not divisible by heads %d", q[2], a.Heads)
+		}
+		setOut(0, append([]int(nil), q...))
+		return nil
+
 	case OpTranspose:
 		a := n.Attrs.(*TransposeAttrs)
 		s, err := in(0)

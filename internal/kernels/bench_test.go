@@ -6,6 +6,7 @@ import (
 
 	"mnn/internal/graph"
 	"mnn/internal/matmul"
+	"mnn/internal/sched"
 	"mnn/internal/tensor"
 )
 
@@ -241,27 +242,34 @@ func BenchmarkSoftmaxLastAxis(b *testing.B) {
 	}
 }
 
-// BenchmarkAttention runs the transformer's two attention GEMMs (d 32, 4
-// heads of 8) at the lengths the benchmark sweeps.
+// BenchmarkAttention runs the transformer's attention (d 32, 4 heads of 8)
+// at the lengths the benchmark sweeps, on one lane: Fused is the
+// AttentionOp a session runs, Unfused the QK MatMul, softmax and AV MatMul
+// it replaces, as they still run for a graph that reads the scores.
 func BenchmarkAttention(b *testing.B) {
 	const d, h = 32, 4
 	for _, l := range []int{16, 8, 4} {
-		q, kv := tensor.NewRandom(1, 1, 1, l, d), tensor.NewRandom(2, 1, 1, l, d)
-		score := tensor.NewRandom(3, 1, 1, h*l, l)
+		q, k, v := tensor.NewRandom(1, 1, 1, l, d), tensor.NewRandom(2, 1, 1, l, d), tensor.NewRandom(3, 1, 1, l, d)
+		scores, probs := tensor.New(1, h*l, l), tensor.New(1, h*l, l)
+		fused := NewAttentionOp(tensor.New(1, l, d), q, k, v, &graph.AttentionAttrs{Heads: h, QKScale: 0.35},
+			make([]float32, AttentionWorkspaceFloats(l, d/h, 1)), 1)
+		unfused := []interface{ Run(*sched.Pool) }{
+			NewMatMulBatchedOp(scores, q, k, &graph.MatMulAttrs{Heads: h, TransposeB: true, Scale: 0.35}),
+			NewSoftmaxOp(probs, scores),
+			NewMatMulBatchedOp(tensor.New(1, l, d), probs, v, &graph.MatMulAttrs{Heads: h}),
+		}
 		for _, c := range []struct {
 			name string
-			op   *MatMulOp
-		}{
-			{"QK", NewMatMulBatchedOp(tensor.New(1, h*l, l), q, kv, &graph.MatMulAttrs{Heads: h, TransposeB: true, Scale: 0.35})},
-			{"AV", NewMatMulBatchedOp(tensor.New(1, l, d), score, kv, &graph.MatMulAttrs{Heads: h})},
-		} {
+			ops  []interface{ Run(*sched.Pool) }
+		}{{"Fused", []interface{ Run(*sched.Pool) }{fused}}, {"Unfused", unfused}} {
 			b.Run(fmt.Sprintf("%s/L%d", c.name, l), func(b *testing.B) {
 				pool := testPool(b, 1)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					c.op.Run(pool)
+					for _, op := range c.ops {
+						op.Run(pool)
+					}
 				}
-				b.ReportMetric(2*float64(h*l*l*d/h)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
 		}
 	}

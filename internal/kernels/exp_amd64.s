@@ -110,44 +110,6 @@ geluloop:
 	VZEROUPPER
 	RET
 
-// func dotCols8(dst, a, b *float32, k, ldb, blocks int, scale float32)
-//
-// For each of `blocks` blocks of eight columns j:
-// dst[j] = (Σ_p a[p]·b[p·ldb + j]) · scale, p ascending from +0, multiply and
-// add rounded separately — per element the attention GEMMs' scalar loop.
-TEXT ·dotCols8(SB), NOSPLIT, $0-52
-	MOVQ         dst+0(FP), DI
-	MOVQ         a+8(FP), SI
-	MOVQ         b+16(FP), BX
-	MOVQ         k+24(FP), R8
-	MOVQ         ldb+32(FP), R9
-	MOVQ         blocks+40(FP), CX
-	VBROADCASTSS scale+48(FP), Y3
-	SHLQ         $2, R9
-
-dotblock:
-	MOVQ   SI, R10
-	MOVQ   BX, R11
-	MOVQ   R8, AX
-	VXORPS Y0, Y0, Y0
-
-dotstep:
-	VBROADCASTSS (R10), Y1
-	VMULPS       (R11), Y1, Y1
-	VADDPS       Y1, Y0, Y0
-	ADDQ         $4, R10
-	ADDQ         R9, R11
-	DECQ         AX
-	JNZ          dotstep
-	VMULPS       Y3, Y0, Y0
-	VMOVUPS      Y0, (DI)
-	ADDQ         $32, DI
-	ADDQ         $32, BX
-	DECQ         CX
-	JNZ          dotblock
-	VZEROUPPER
-	RET
-
 // The constants of the row kernels below: the lane numbers 0–7 (int32),
 // eight all-ones masks then eight zero ones (int32), −Inf (float32) and 1
 // (float64).
@@ -211,6 +173,19 @@ GLOBL rowc<>(SB), RODATA|NOPTR, $112
 	VPCMPEQD   Y6, Y6, Y6             \
 	VGATHERDPS Y6, (BASE)(Y15*4), DST
 
+// The steps of the last-axis softmax on a column of eight rows, one row per
+// lane, shared by softmaxRows8 and attentionRows8 so that both round as
+// softmaxRows does. SMMAX: MAX = V where V > MAX (VMAXPS returns its second
+// source, the maximum, when either is NaN or both are zero, so a NaN is
+// passed over and the first of ±0 kept). SMEXP: Y0 = EXP8(Y0 − MAX), Y1–Y3
+// spent. SMSUM: SUM += V. SMDIV: Y0 = Y0 / SUM.
+#define SMMAX(V, MAX) VMAXPS MAX, V, MAX
+#define SMEXP(MAX) \
+	VSUBPS MAX, Y0, Y0 \
+	EXP8
+#define SMSUM(V, SUM) VADDPS V, SUM, SUM
+#define SMDIV(SUM) VDIVPS SUM, Y0, Y0
+
 // func softmaxRows8(dst, src *float32, d1, rows int)
 //
 // The AVX2 twin of softmaxRows (transformer_ops.go) over rows ≥ 1 rows of
@@ -235,7 +210,7 @@ smgroup:
 
 smmax:
 	COLUMN(R10, Y5)
-	VMAXPS Y4, Y5, Y4
+	SMMAX(Y5, Y4)
 	ADDQ   $4, R10
 	DECQ   AX
 	JNZ    smmax
@@ -252,8 +227,7 @@ smexprow:
 
 smexp:
 	VMOVUPS (R10), Y0
-	VSUBPS  Y5, Y0, Y0
-	EXP8
+	SMEXP(Y5)
 	VMOVUPS Y0, (R11)
 	ADDQ    $32, R10
 	ADDQ    $32, R11
@@ -264,8 +238,7 @@ smexptail:
 	TESTQ      R13, R13
 	JZ         smexpnext
 	VMASKMOVPS (R10), Y14, Y0
-	VSUBPS     Y5, Y0, Y0
-	EXP8
+	SMEXP(Y5)
 	VMASKMOVPS Y0, Y14, (R11)
 	LEAQ       (R10)(R13*4), R10
 	LEAQ       (R11)(R13*4), R11
@@ -280,7 +253,7 @@ smexpnext:
 
 smsum:
 	COLUMN(R10, Y5)
-	VADDPS Y5, Y4, Y4
+	SMSUM(Y5, Y4)
 	ADDQ   $4, R10
 	DECQ   AX
 	JNZ    smsum
@@ -296,7 +269,7 @@ smdivrow:
 
 smdiv:
 	VMOVUPS (R11), Y0
-	VDIVPS  Y5, Y0, Y0
+	SMDIV(Y5)
 	VMOVUPS Y0, (R11)
 	ADDQ    $32, R11
 	DECQ    AX
@@ -306,7 +279,7 @@ smdivtail:
 	TESTQ      R13, R13
 	JZ         smdivnext
 	VMASKMOVPS (R11), Y14, Y0
-	VDIVPS     Y5, Y0, Y0
+	SMDIV(Y5)
 	VMASKMOVPS Y0, Y14, (R11)
 	LEAQ       (R11)(R13*4), R11
 
@@ -318,6 +291,277 @@ smdivnext:
 	ADDQ R8, DI
 	SUBQ $8, CX
 	JG   smgroup
+	VZEROUPPER
+	RET
+
+// func attentionRows8(dst, q, k, v, ws *float32, la, lb, dh, ld int, qkScale, avScale float32)
+//
+// One (batch, head) pair of attention, la ≥ 1 query rows against lb ≥ 1
+// keys, heads dh ≥ 1 wide, every row ld floats after the last: the query
+// row i at q + i·ld, key and value row j at k + j·ld and v + j·ld, output
+// row i at dst + i·ld. Eight query rows at a time (GROUP), one per lane:
+//
+//   - the group's query columns into ws[p·8 + lane] (a gather each);
+//   - the score column j into ws[8·dh + j·8 + lane]: Σ_p q·k from +0, p
+//     ascending, product and sum rounded apart, then × qkScale — dotCols'
+//     sequence — four keys at a time while four are left; the running
+//     maximum of the columns (SMMAX) taken as they come;
+//   - the softmax of softmaxRows down the columns: SMEXP in place and SMSUM
+//     of it, then SMDIV;
+//   - per real row, columns of the output eight at a time (the last masked
+//     to dh): Σ_j p·v from +0, j ascending, rounded as in dotCols, then
+//     × avScale — four rows at a time while four are left.
+//
+// A last group of fewer than eight rows repeats its last row in the spare
+// lanes; only its real rows are written. ws holds 8·(dh + lb) floats.
+TEXT ·attentionRows8(SB), NOSPLIT, $32-80
+	MOVQ         la+40(FP), CX
+	MOVQ         CX, 8(SP)
+	MOVQ         q+8(FP), AX
+	MOVQ         AX, 16(SP)
+	MOVQ         dst+0(FP), AX
+	MOVQ         AX, 24(SP)
+	MOVQ         dh+56(FP), AX
+	DECQ         AX
+	ANDQ         $7, AX
+	MOVQ         $7, BX
+	SUBQ         AX, BX
+	LEAQ         rowc<>+32(SB), R9
+	VMOVUPS      (R9)(BX*4), Y14
+	MOVQ         ld+64(FP), DX
+	MOVQ         DX, R12
+	SHLQ         $2, R12
+
+atgroup:
+	MOVQ  8(SP), CX
+	GROUP(0(SP))
+	LEAQ  (R12)(R12*2), R13
+	MOVQ  ws+32(FP), R9
+	MOVQ  16(SP), R10
+	MOVQ  dh+56(FP), AX
+
+atqcol:
+	COLUMN(R10, Y5)
+	VMOVUPS Y5, (R9)
+	ADDQ    $4, R10
+	ADDQ    $32, R9
+	DECQ    AX
+	JNZ     atqcol
+	VBROADCASTSS qkScale+72(FP), Y3
+	VBROADCASTSS rowc<>+96(SB), Y13
+	MOVQ         k+16(FP), R11
+	MOVQ         R9, R14
+	MOVQ         lb+48(FP), BX
+	CMPQ         BX, $4
+	JLT          atqk1
+
+atqk4:
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ   ws+32(FP), R10
+	MOVQ   R11, CX
+	MOVQ   dh+56(FP), AX
+
+atqk4p:
+	VMOVUPS      (R10), Y1
+	VBROADCASTSS (CX), Y2
+	VBROADCASTSS (CX)(R12*1), Y8
+	VBROADCASTSS (CX)(R12*2), Y9
+	VBROADCASTSS (CX)(R13*1), Y10
+	VMULPS       Y2, Y1, Y2
+	VMULPS       Y8, Y1, Y8
+	VMULPS       Y9, Y1, Y9
+	VMULPS       Y10, Y1, Y10
+	VADDPS       Y2, Y4, Y4
+	VADDPS       Y8, Y5, Y5
+	VADDPS       Y9, Y6, Y6
+	VADDPS       Y10, Y7, Y7
+	ADDQ         $32, R10
+	ADDQ         $4, CX
+	DECQ         AX
+	JNZ          atqk4p
+	VMULPS       Y3, Y4, Y4
+	VMULPS       Y3, Y5, Y5
+	VMULPS       Y3, Y6, Y6
+	VMULPS       Y3, Y7, Y7
+	SMMAX(Y4, Y13)
+	SMMAX(Y5, Y13)
+	SMMAX(Y6, Y13)
+	SMMAX(Y7, Y13)
+	VMOVUPS      Y4, (R14)
+	VMOVUPS      Y5, 32(R14)
+	VMOVUPS      Y6, 64(R14)
+	VMOVUPS      Y7, 96(R14)
+	ADDQ         $128, R14
+	LEAQ         (R11)(R12*4), R11
+	SUBQ         $4, BX
+	CMPQ         BX, $4
+	JGE          atqk4
+
+atqk1:
+	TESTQ BX, BX
+	JZ    atsoft
+
+atqk1col:
+	VXORPS Y4, Y4, Y4
+	MOVQ   ws+32(FP), R10
+	MOVQ   R11, CX
+	MOVQ   dh+56(FP), AX
+
+atqk1p:
+	VMOVUPS      (R10), Y1
+	VBROADCASTSS (CX), Y2
+	VMULPS       Y2, Y1, Y2
+	VADDPS       Y2, Y4, Y4
+	ADDQ         $32, R10
+	ADDQ         $4, CX
+	DECQ         AX
+	JNZ          atqk1p
+	VMULPS       Y3, Y4, Y4
+	SMMAX(Y4, Y13)
+	VMOVUPS      Y4, (R14)
+	ADDQ         $32, R14
+	ADDQ         R12, R11
+	DECQ         BX
+	JNZ          atqk1col
+
+atsoft:
+	VXORPS Y4, Y4, Y4
+	MOVQ   R9, R14
+	MOVQ   lb+48(FP), BX
+
+atexp:
+	VMOVUPS (R14), Y0
+	SMEXP(Y13)
+	VMOVUPS Y0, (R14)
+	SMSUM(Y0, Y4)
+	ADDQ    $32, R14
+	DECQ    BX
+	JNZ     atexp
+	MOVQ    R9, R14
+	MOVQ    lb+48(FP), BX
+
+atdiv:
+	VMOVUPS (R14), Y0
+	SMDIV(Y4)
+	VMOVUPS Y0, (R14)
+	ADDQ    $32, R14
+	DECQ    BX
+	JNZ     atdiv
+	VBROADCASTSS avScale+76(FP), Y3
+	MOVQ         24(SP), CX
+	MOVQ         R9, R10
+	MOVQ         0(SP), BX
+
+atav4:
+	CMPQ BX, $4
+	JLT  atav1
+	XORQ R14, R14
+	MOVQ dh+56(FP), R13
+
+atav4blk:
+	VPCMPEQD Y11, Y11, Y11
+	CMPQ     R13, $8
+	JGE      atav4full
+	VMOVUPS  Y14, Y11
+
+atav4full:
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ   v+24(FP), R11
+	ADDQ   R14, R11
+	MOVQ   R10, SI
+	MOVQ   lb+48(FP), AX
+
+atav4j:
+	VMASKMOVPS   (R11), Y11, Y1
+	VBROADCASTSS (SI), Y2
+	VBROADCASTSS 4(SI), Y8
+	VBROADCASTSS 8(SI), Y9
+	VBROADCASTSS 12(SI), Y10
+	VMULPS       Y1, Y2, Y2
+	VMULPS       Y1, Y8, Y8
+	VMULPS       Y1, Y9, Y9
+	VMULPS       Y1, Y10, Y10
+	VADDPS       Y2, Y4, Y4
+	VADDPS       Y8, Y5, Y5
+	VADDPS       Y9, Y6, Y6
+	VADDPS       Y10, Y7, Y7
+	ADDQ         R12, R11
+	ADDQ         $32, SI
+	DECQ         AX
+	JNZ          atav4j
+	VMULPS       Y3, Y4, Y4
+	VMULPS       Y3, Y5, Y5
+	VMULPS       Y3, Y6, Y6
+	VMULPS       Y3, Y7, Y7
+	MOVQ         CX, R11
+	VMASKMOVPS   Y4, Y11, (R11)(R14*1)
+	ADDQ         R12, R11
+	VMASKMOVPS   Y5, Y11, (R11)(R14*1)
+	ADDQ         R12, R11
+	VMASKMOVPS   Y6, Y11, (R11)(R14*1)
+	ADDQ         R12, R11
+	VMASKMOVPS   Y7, Y11, (R11)(R14*1)
+	ADDQ         $32, R14
+	SUBQ         $8, R13
+	JG           atav4blk
+	LEAQ         (CX)(R12*4), CX
+	ADDQ         $16, R10
+	SUBQ         $4, BX
+	JMP          atav4
+
+atav1:
+	TESTQ BX, BX
+	JZ    atnext
+
+atav1row:
+	XORQ R14, R14
+	MOVQ dh+56(FP), R13
+
+atav1blk:
+	VPCMPEQD Y11, Y11, Y11
+	CMPQ     R13, $8
+	JGE      atav1full
+	VMOVUPS  Y14, Y11
+
+atav1full:
+	VXORPS Y4, Y4, Y4
+	MOVQ   v+24(FP), R11
+	ADDQ   R14, R11
+	MOVQ   R10, SI
+	MOVQ   lb+48(FP), AX
+
+atav1j:
+	VMASKMOVPS   (R11), Y11, Y1
+	VBROADCASTSS (SI), Y2
+	VMULPS       Y1, Y2, Y2
+	VADDPS       Y2, Y4, Y4
+	ADDQ         R12, R11
+	ADDQ         $32, SI
+	DECQ         AX
+	JNZ          atav1j
+	VMULPS       Y3, Y4, Y4
+	VMASKMOVPS   Y4, Y11, (CX)(R14*1)
+	ADDQ         $32, R14
+	SUBQ         $8, R13
+	JG           atav1blk
+	ADDQ         R12, CX
+	ADDQ         $4, R10
+	DECQ         BX
+	JNZ          atav1row
+
+atnext:
+	MOVQ DX, AX
+	SHLQ $5, AX
+	ADDQ AX, 16(SP)
+	ADDQ AX, 24(SP)
+	SUBQ $8, 8(SP)
+	JG   atgroup
 	VZEROUPPER
 	RET
 

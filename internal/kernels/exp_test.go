@@ -409,12 +409,12 @@ func attentionParentAV(out, a, v []float32, bN, la, lb, d, h int, scale float32)
 	}
 }
 
-// TestAttentionSIMDMatchesScalarBitwise: QK and AV through MatMulOp, assembly
-// on and off, against the loops they replaced — bit for bit, into
-// NaN-poisoned outputs, on one lane and three. d = 32 with 4 heads is the
-// zoo's 8-wide head; 1 head makes it 32 wide (tile chunks of 8 keys); d = 40
-// gives heads of 40 (too wide for the tile: scalar columns) and 10 (a column
-// tail in AV).
+// TestAttentionSIMDMatchesScalarBitwise: AttentionOp, assembly on and off,
+// against the loops the unfused ops ran before dotCols — QK, softmaxRows,
+// AV — and MatMulOp's QK and AV forms against the same loops: bit for bit,
+// into NaN-poisoned outputs, on one lane and three. d = 32 with 4 heads is
+// the zoo's 8-wide head; 1 head makes it 32 wide; d = 40 gives heads of 40
+// and 10 (a column tail).
 func TestAttentionSIMDMatchesScalarBitwise(t *testing.T) {
 	eachPath(t, func(t *testing.T, simd bool) {
 		pools := []*sched.Pool{testPool(t, 1), testPool(t, 3)}
@@ -425,32 +425,35 @@ func TestAttentionSIMDMatchesScalarBitwise(t *testing.T) {
 					for _, la := range []int{1, 3, 4, 8, 12, 16} {
 						for _, lb := range []int{1, 3, 4, 8, 12, 16, 40} {
 							seed++
-							attrs := graph.MatMulAttrs{Heads: h}
+							attrs := graph.AttentionAttrs{Heads: h}
 							if seed%2 == 0 {
-								attrs.Scale = 1 / float32(math.Sqrt(float64(d/h)))
+								attrs.QKScale = 1 / float32(math.Sqrt(float64(d/h)))
 							}
+							if seed%3 == 0 {
+								attrs.AVScale = 0.75
+							}
+							qkS, avS := resolveScale(attrs.QKScale), resolveScale(attrs.AVScale)
 							q := tensor.NewRandom(seed, 2, bN, la, d)
-							kv := tensor.NewRandom(seed+1000, 2, bN, lb, d)
-							score := tensor.NewRandom(seed+2000, 1, bN, h*la, lb)
+							k := tensor.NewRandom(seed+1000, 2, bN, lb, d)
+							v := tensor.NewRandom(seed+2000, 2, bN, lb, d)
 							wantQK := make([]float32, bN*h*la*lb)
+							attentionParentQK(wantQK, q.Data(), k.Data(), bN, la, lb, d, h, qkS)
+							probs := make([]float32, len(wantQK))
+							softmaxRows(probs, wantQK, lb)
 							wantAV := make([]float32, bN*la*d)
-							attentionParentQK(wantQK, q.Data(), kv.Data(), bN, la, lb, d, h, resolveScale(attrs.Scale))
-							attentionParentAV(wantAV, score.Data(), kv.Data(), bN, la, lb, d, h, resolveScale(attrs.Scale))
+							attentionParentAV(wantAV, probs, v.Data(), bN, la, lb, d, h, avS)
 							for _, pool := range pools {
-								gotQK, gotAV := tensor.New(bN, h*la, lb), tensor.New(bN, la, d)
-								for _, o := range [][]float32{gotQK.Data(), gotAV.Data()} {
-									for i := range o {
-										o[i] = nan32
-									}
-								}
-								qkAttrs := attrs
-								qkAttrs.TransposeB = true
-								qk := NewMatMulBatchedOp(gotQK, q, kv, &qkAttrs)
-								av := NewMatMulBatchedOp(gotAV, score, kv, &attrs)
-								qk.simd, av.simd = simd, simd
-								qk.Run(pool)
-								av.Run(pool)
 								name := fmt.Sprintf("d %d, heads %d, batch %d, la %d, lb %d, %d lanes", d, h, bN, la, lb, pool.Lanes())
+								got := poisoned(bN, la, d)
+								op := NewAttentionOp(got, q, k, v, &attrs, make([]float32, AttentionWorkspaceFloats(lb, d/h, pool.Lanes())), pool.Lanes())
+								op.simd = simd
+								op.Run(pool)
+								if i := exactBitDiff(got.Data(), wantAV); i >= 0 {
+									t.Fatalf("attention, %s: element %d = %v, scalar loops %v", name, i, got.Data()[i], wantAV[i])
+								}
+								gotQK, gotAV := poisoned(bN, h*la, lb), poisoned(bN, la, d)
+								NewMatMulBatchedOp(gotQK, q, k, &graph.MatMulAttrs{Heads: h, TransposeB: true, Scale: attrs.QKScale}).Run(pool)
+								NewMatMulBatchedOp(gotAV, tensor.FromData(probs, bN, h*la, lb), v, &graph.MatMulAttrs{Heads: h, Scale: attrs.AVScale}).Run(pool)
 								if i := exactBitDiff(gotQK.Data(), wantQK); i >= 0 {
 									t.Fatalf("QK, %s: element %d = %v, scalar loop %v", name, i, gotQK.Data()[i], wantQK[i])
 								}
@@ -464,4 +467,14 @@ func TestAttentionSIMDMatchesScalarBitwise(t *testing.T) {
 			}
 		}
 	})
+}
+
+// poisoned is a tensor of the shape filled with NaN, so that an element a
+// kernel fails to write shows.
+func poisoned(shape ...int) *tensor.Tensor {
+	t := tensor.New(shape...)
+	for i := range t.Data() {
+		t.Data()[i] = nan32
+	}
+	return t
 }

@@ -6,9 +6,10 @@ import "math"
 // expPS and geluPS (exp_amd64.s, macro EXP8) do the same operations in the
 // same order on eight lanes and are bit-identical to the twins here on every
 // float32 bit pattern. Each multiply and add is rounded on its own — the
-// float32(...) conversions stop a fusing compiler (arm64, GOAMD64=v3), the
-// assembly has no FMA — so a result depends on its input alone, not on its
-// position, the block/tail split, the batch size or the thread count.
+// float32(...) conversions stop a fusing compiler (arm64; Go 1.24 fuses none on
+// amd64), the assembly has no FMA — so a result depends on its input alone,
+// not on its position, the block/tail split, the batch size or the thread
+// count.
 //
 // Cephes' expf: clamp to [expLo, expHi]; n = x·log₂e rounded to nearest-even
 // by adding and subtracting 1.5·2²³; r = x − n·ln2 with ln2 = expC1 + expC2

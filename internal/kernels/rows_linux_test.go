@@ -45,3 +45,35 @@ func TestRowKernelsSIMDStayInTheirRows(t *testing.T) {
 		}
 	})
 }
+
+// TestAttentionRowsSIMDStayInTheirRows runs attentionRows8 with q, k, v,
+// the output and the workspace each ending at an unmapped page, for the
+// last head of two (rows 2·dh apart, the head at dh) and for a lone head
+// (rows dh apart): the gathers of a last group's spare lanes, the key and
+// value rows and the masked last output columns must stay inside.
+func TestAttentionRowsSIMDStayInTheirRows(t *testing.T) {
+	simdOnly(t, func(t *testing.T) {
+		const maxL = 17
+		tail := func(buf []float32, n int) []float32 { return buf[len(buf)-n:] }
+		for dh := 1; dh <= 16; dh++ {
+			for _, heads := range []int{1, 2} {
+				ld := heads * dh
+				off := ld - dh // the last head's first column
+				qBuf, outBuf := guardedFloats(t, maxL*ld), guardedFloats(t, maxL*ld)
+				kBuf, vBuf := guardedFloats(t, maxL*ld), guardedFloats(t, maxL*ld)
+				wsBuf := guardedFloats(t, AttentionWorkspaceFloats(maxL, dh, 1))
+				copy(qBuf, hardRows(uint64(dh), maxL, ld))
+				copy(kBuf, hardRows(uint64(dh+100), maxL, ld))
+				copy(vBuf, hardRows(uint64(dh+200), maxL, ld))
+				for _, la := range []int{1, 3, 4, 7, 8, 9, 12, 17} {
+					for _, lb := range []int{1, 3, 4, 5, 8, 9, 17} {
+						q, out := tail(qBuf, la*ld), tail(outBuf, la*ld)
+						k, v := tail(kBuf, lb*ld), tail(vBuf, lb*ld)
+						ws := tail(wsBuf, AttentionWorkspaceFloats(lb, dh, 1))
+						attentionRows8(&out[off], &q[off], &k[off], &v[off], &ws[0], la, lb, dh, ld, 0.5, 2)
+					}
+				}
+			}
+		}
+	})
+}

@@ -67,11 +67,13 @@ func expPS(dst, src *float32, blocks int)
 //go:noescape
 func geluPS(dst, src *float32, blocks int)
 
-// dotCols8 is the AVX kernel behind the attention GEMMs (exp_amd64.s): 8·blocks
-// columns of dotCols, k ≥ 1, blocks ≥ 1.
+// attentionRows8 is the AVX2 twin of AttentionOp's portable rows
+// (exp_amd64.s): one (batch, head) pair, la ≥ 1 query rows against lb ≥ 1
+// keys, heads dh ≥ 1 wide, rows ld floats apart, on ws of 8·(dh + lb)
+// floats.
 //
 //go:noescape
-func dotCols8(dst, a, b *float32, k, ldb, blocks int, scale float32)
+func attentionRows8(dst, q, k, v, ws *float32, la, lb, dh, ld int, qkScale, avScale float32)
 
 // softmaxRows8 and layerNormRows8 are the AVX2 twins of softmaxRows and
 // layerNormRows (exp_amd64.s) over rows ≥ 1 rows of d1 ≥ 1 floats, eight

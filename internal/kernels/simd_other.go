@@ -46,7 +46,7 @@ func geluPS(dst, src *float32, blocks int) {
 	panic("kernels: no SIMD GELU kernel on this architecture")
 }
 
-func dotCols8(dst, a, b *float32, k, ldb, blocks int, scale float32) {
+func attentionRows8(dst, q, k, v, ws *float32, la, lb, dh, ld int, qkScale, avScale float32) {
 	panic("kernels: no SIMD attention kernel on this architecture")
 }
 

@@ -20,14 +20,17 @@ import (
 // Batched ≡ unbatched bitwise: every op below either chunks work along a
 // unit whose result is computed independently of all other units (rows for
 // LayerNorm/Softmax/weight-form MatMul via matmul.PackedB's chunk-invariant
-// contract, (batch, head) pairs for the attention GEMMs, single elements
-// for GELU/Transpose), so batch concatenation and worker-count changes
-// cannot move a single float. The assembly under GELU, softmax, LayerNorm
-// and the attention GEMMs (exp_amd64.s) repeats its scalar twin's roundings
-// per element — softmaxRows8 and layerNormRows8 put one row in each lane, so
-// a row's reductions keep their order — and the weight MatMul's bias is the
-// GEMM micro-kernels' own epilogue (MulBiasInto), so neither can the SIMD
-// level.
+// contract, (batch, head) pairs for attention, fused or not, single
+// elements for GELU/Transpose), so batch concatenation and worker-count
+// changes cannot move a single float. The assembly under GELU, softmax,
+// LayerNorm and the fused attention (exp_amd64.s) repeats its scalar twin's
+// roundings per element — softmaxRows8, layerNormRows8 and attentionRows8
+// put one row in each lane, so a row's reductions keep their order — and
+// the weight MatMul's bias is the GEMM micro-kernels' own epilogue
+// (MulBiasInto), so neither can the SIMD level. A session runs attention as
+// one AttentionOp per block (optimizer.FuseAttention); MatMulOp's QK and AV
+// forms and SoftmaxOp run it in three steps, on scalar dotCols, only for a
+// graph that reads the scores or the probabilities.
 
 // leadingRows is the number of last-axis rows of a tensor of this shape.
 func leadingRows(shape []int) int { return tensor.NumElements(shape[:len(shape)-1]) }
@@ -255,14 +258,14 @@ const (
 
 // MatMulOp covers the three MatMul forms of graph.MatMulAttrs. The weight
 // form row-chunks MulBiasInto over the constant [K,N] weight's matmul.PackedB
-// panels (bitwise chunk-invariant); the attention forms chunk
-// over (batch, head) pairs and compute every output element as dotCols
-// describes, across output columns where they are contiguous.
+// panels (bitwise chunk-invariant); the attention forms chunk over (batch,
+// head) pairs and compute every output element as dotCols describes. A
+// session runs them only where something reads the scores or the
+// probabilities; everywhere else the triple is one AttentionOp.
 type MatMulOp struct {
 	form  matMulForm
 	heads int
 	scale float32 // resolved: 1 when attrs.Scale == 0
-	simd  bool    // matmul.HaveAVX2: attention columns run dotCols8
 
 	dst, a, b *tensor.Tensor
 	ad, bd, d []float32
@@ -296,7 +299,7 @@ func NewMatMulBatchedOp(dst, a, b *tensor.Tensor, attrs *graph.MatMulAttrs) *Mat
 		form = mmQK
 	}
 	return &MatMulOp{
-		form: form, heads: attrs.Heads, scale: resolveScale(attrs.Scale), simd: matmul.HaveAVX2(),
+		form: form, heads: attrs.Heads, scale: resolveScale(attrs.Scale),
 		dst: dst, a: a, b: b,
 		ad: a.Data(), bd: b.Data(), d: dst.Data(),
 	}
@@ -355,15 +358,9 @@ func (o *MatMulOp) runWeight(start, end int) {
 // dotCols sets dst[j] = (Σ_p a[p]·b[p·ps + j·js]) · scale for j < n: p
 // ascending over k terms from +0, multiply and add rounded separately, one
 // multiply by scale at the end — the sequence of roundings both attention
-// GEMMs have always had per output element, and which dotCols8 repeats on
-// eight adjacent columns (js == 1) at a time, so simd does not change a bit.
-func dotCols(dst, a, b []float32, k, n, ps, js int, scale float32, simd bool) {
-	j := 0
-	if simd && js == 1 && n >= 8 && k > 0 {
-		j = n &^ 7
-		dotCols8(&dst[0], &a[0], &b[0], k, ps, j/8, scale)
-	}
-	for ; j < n; j++ {
+// GEMMs have always had per output element, which attentionRows8 repeats.
+func dotCols(dst, a, b []float32, k, n, ps, js int, scale float32) {
+	for j := 0; j < n; j++ {
 		col := b[j*js:]
 		var acc float32
 		for p, v := range a[:k] {
@@ -373,44 +370,16 @@ func dotCols(dst, a, b []float32, k, n, ps, js int, scale float32, simd bool) {
 	}
 }
 
-// qkTile is runQK's stack scratch in floats: the K slice of one (batch, head)
-// pair transposed to [dh][key positions], as many positions at a time as fit
-// (a multiple of eight), so that the output columns of a query row lie along
-// a vector; and one output row of that width. Heads wider than qkTile/8 stay
-// on dotCols' scalar columns, which read K in place.
-const qkTile = 256
-
 func (o *MatMulOp) runQK(start, end int) {
 	la, lb, d, h := o.a.Dim(1), o.b.Dim(1), o.b.Dim(2), o.heads
 	dh := d / h
-	var tile, row [qkTile]float32
-	w := 0 // key positions per tile; 0: the scalar route
-	if o.simd && dh*8 <= qkTile {
-		w = qkTile / dh &^ 7
-	}
 	for item := start; item < end; item++ {
 		b, hd := item/h, item%h
 		q := o.ad[b*la*d+hd*dh:]
 		k := o.bd[b*lb*d+hd*dh:]
 		out := o.d[item*la*lb:]
-		if w == 0 {
-			for i := 0; i < la; i++ {
-				dotCols(out[i*lb:], q[i*d:], k, dh, lb, 1, d, o.scale, false)
-			}
-			continue
-		}
-		for j0 := 0; j0 < lb; j0 += w {
-			n := min(w, lb-j0)
-			n8 := (n + 7) &^ 7 // columns n..n8 of the tile are stale; their results are dropped
-			for j := 0; j < n; j++ {
-				for p, v := range k[(j0+j)*d:][:dh] {
-					tile[p*n8+j] = v
-				}
-			}
-			for i := 0; i < la; i++ {
-				dotCols8(&row[0], &q[i*d], &tile[0], dh, n8, n8/8, o.scale)
-				copy(out[i*lb+j0:][:n], row[:n])
-			}
+		for i := 0; i < la; i++ {
+			dotCols(out[i*lb:], q[i*d:], k, dh, lb, 1, d, o.scale)
 		}
 	}
 }
@@ -422,7 +391,77 @@ func (o *MatMulOp) runAV(start, end int) {
 		b, hd := item/h, item%h
 		v := o.bd[b*lb*d+hd*dh:]
 		for i := 0; i < la; i++ {
-			dotCols(o.d[(b*la+i)*d+hd*dh:], o.ad[(item*la+i)*lb:], v, lb, dh, d, 1, o.scale, o.simd)
+			dotCols(o.d[(b*la+i)*d+hd*dh:], o.ad[(item*la+i)*lb:], v, lb, dh, d, 1, o.scale)
+		}
+	}
+}
+
+// AttentionOp is graph.OpAttention: per (batch, head) pair the QK MatMul,
+// the last-axis softmax and the AV MatMul in one pass, the scores never
+// leaving a lane's workspace. Every element keeps the unfused ops' exact
+// sequence of roundings. The portable path is those ops' own loops composed
+// per query row — dotCols, softmaxRows, dotCols — and is attentionRows8's
+// oracle; the assembly runs eight query rows at a time, one per lane.
+type AttentionOp struct {
+	heads            int
+	qkScale, avScale float32 // resolved: 1 for a zero attribute
+	simd             bool    // matmul.HaveAVX2: the items run attentionRows8
+
+	q, k          *tensor.Tensor // their current shapes give B, LA, LB and D
+	d, qd, kd, vd []float32
+	ws            []float32 // wsLane floats per pool lane
+	wsLane        int
+}
+
+// AttentionWorkspaceFloats is what an AttentionOp over keys of length at
+// most lb and heads dh wide needs on lanes lanes: per lane eight score rows
+// and the eight query rows' columns of attentionRows8 (the portable path
+// uses one score row of it).
+func AttentionWorkspaceFloats(lb, dh, lanes int) int {
+	return 8 * (lb + dh) * max(lanes, 1)
+}
+
+// NewAttentionOp binds a fused attention execution over q [B, LA, D], k and
+// v [B, LB, D] into dst [B, LA, D], on ws of AttentionWorkspaceFloats at the
+// planned (largest) LB and lanes lanes.
+func NewAttentionOp(dst, q, k, v *tensor.Tensor, a *graph.AttentionAttrs, ws []float32, lanes int) *AttentionOp {
+	return &AttentionOp{
+		heads: a.Heads, qkScale: resolveScale(a.QKScale), avScale: resolveScale(a.AVScale),
+		simd: matmul.HaveAVX2(),
+		q:    q, k: k,
+		d: dst.Data(), qd: q.Data(), kd: k.Data(), vd: v.Data(),
+		ws: ws, wsLane: len(ws) / max(lanes, 1),
+	}
+}
+
+// Run executes the attention on the pool, chunked over (batch, head) pairs.
+func (o *AttentionOp) Run(p *sched.Pool) {
+	total := o.q.Dim(0) * o.heads
+	p.Run(total, sched.Chunk(total, p.Lanes(), 1), o)
+}
+
+// RunChunk implements sched.Task over (batch, head) pairs, on the worker's
+// slice of the workspace.
+func (o *AttentionOp) RunChunk(worker, start, end int) {
+	la, lb, d, h := o.q.Dim(1), o.k.Dim(1), o.q.Dim(2), o.heads
+	if la == 0 {
+		return
+	}
+	dh := d / h
+	ws := o.ws[worker*o.wsLane:][:o.wsLane]
+	for item := start; item < end; item++ {
+		b, hd := item/h, item%h
+		q, out := o.qd[b*la*d+hd*dh:], o.d[b*la*d+hd*dh:]
+		k, v := o.kd[b*lb*d+hd*dh:], o.vd[b*lb*d+hd*dh:]
+		if o.simd && lb > 0 {
+			attentionRows8(&out[0], &q[0], &k[0], &v[0], &ws[0], la, lb, dh, d, o.qkScale, o.avScale)
+			continue
+		}
+		row := ws[:lb]
+		for i := 0; i < la; i++ {
+			dotCols(row, q[i*d:], k, dh, lb, 1, d, o.qkScale)
+			softmaxRows(row, row, lb)
+			dotCols(out[i*d:], row, v, lb, dh, d, 1, o.avScale)
 		}
 	}
 }

@@ -98,6 +98,90 @@ func removeNode(g *graph.Graph, i int) {
 	g.Nodes = append(g.Nodes[:i], g.Nodes[i+1:]...)
 }
 
+// FuseAttention replaces every attention triple of g whose three nodes
+// keep accepts with one graph.OpAttention node: a QK MatMul (TransposeB,
+// Heads h) whose only consumer is a last-axis Softmax, whose only consumer
+// is an AV MatMul (Heads h) reading the probabilities as input 0, with the
+// values as wide as the queries. Neither the scores nor the probabilities
+// may be a graph output. The fused node keeps the QK node's name, reads q,
+// k and v, writes the AV node's output and takes the AV node's place in the
+// order (every input is produced by then). It reports how many triples it
+// fused.
+//
+// This is not one of Optimize's passes: OpAttention is a session's own
+// node, made after backend selection (keep says which nodes run on the
+// CPU) and never written to a model. One pass counts every tensor's
+// consumers, a second rewrites.
+func FuseAttention(g *graph.Graph, shapes graph.ShapeMap, keep func(*graph.Node) bool) int {
+	uses := map[string]int{}
+	producer := map[string]*graph.Node{}
+	for _, n := range g.Nodes {
+		for _, in := range n.Inputs {
+			uses[in]++
+		}
+		for _, o := range n.Outputs {
+			producer[o] = n
+		}
+	}
+	for _, o := range g.OutputNames {
+		uses[o]++ // a graph output is never a sole-consumer intermediate
+	}
+	// sole returns the producer of a tensor read exactly once.
+	sole := func(name string) *graph.Node {
+		if uses[name] != 1 {
+			return nil
+		}
+		return producer[name]
+	}
+	drop := map[*graph.Node]bool{}
+	fused := 0
+	for i, av := range g.Nodes {
+		avA, ok := av.Attrs.(*graph.MatMulAttrs)
+		if av.Op != graph.OpMatMul || !ok || avA.Heads < 1 || avA.TransposeB || len(av.Inputs) != 2 {
+			continue
+		}
+		sm := sole(av.Inputs[0])
+		if sm == nil || sm.Op != graph.OpSoftmax || len(sm.Inputs) != 1 {
+			continue
+		}
+		if axis := sm.Attrs.(*graph.SoftmaxAttrs).Axis; axis != -1 && axis != 2 {
+			continue // scores are rank 3: the last axis is 2
+		}
+		qk := sole(sm.Inputs[0])
+		if qk == nil || qk.Op != graph.OpMatMul || len(qk.Inputs) != 2 {
+			continue
+		}
+		qkA := qk.Attrs.(*graph.MatMulAttrs)
+		if !qkA.TransposeB || qkA.Heads != avA.Heads {
+			continue
+		}
+		if q, v := shapes[qk.Inputs[0]], shapes[av.Inputs[1]]; len(q) != 3 || len(v) != 3 || q[2] != v[2] {
+			continue
+		}
+		if !keep(qk) || !keep(sm) || !keep(av) {
+			continue
+		}
+		g.Nodes[i] = &graph.Node{
+			Name: qk.Name, Op: graph.OpAttention,
+			Inputs:  []string{qk.Inputs[0], qk.Inputs[1], av.Inputs[1]},
+			Outputs: []string{av.Outputs[0]},
+			Attrs:   &graph.AttentionAttrs{Heads: qkA.Heads, QKScale: qkA.Scale, AVScale: avA.Scale},
+		}
+		drop[qk], drop[sm] = true, true
+		fused++
+	}
+	if fused > 0 {
+		kept := g.Nodes[:0]
+		for _, n := range g.Nodes {
+			if !drop[n] {
+				kept = append(kept, n)
+			}
+		}
+		g.Nodes = kept
+	}
+	return fused
+}
+
 // DropDropout removes inference-time identity Dropout nodes.
 func DropDropout(g *graph.Graph) (bool, error) {
 	for i, n := range g.Nodes {

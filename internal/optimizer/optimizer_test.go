@@ -1,4 +1,4 @@
-package optimizer
+package optimizer_test
 
 import (
 	"context"
@@ -8,6 +8,7 @@ import (
 	"mnn/internal/cpu"
 	"mnn/internal/graph"
 	"mnn/internal/models"
+	"mnn/internal/optimizer"
 	"mnn/internal/session"
 	"mnn/internal/tensor"
 )
@@ -37,7 +38,7 @@ func runBoth(t *testing.T, g *graph.Graph, seed uint64) float64 {
 		t.Fatal(err)
 	}
 	opt := g.Clone()
-	if err := Optimize(opt); err != nil {
+	if err := optimizer.Optimize(opt); err != nil {
 		t.Fatal(err)
 	}
 	after, err := session.RunReference(opt, map[string]*tensor.Tensor{opt.InputNames[0]: in})
@@ -71,7 +72,7 @@ func TestOptimizeFoldsAllResNetBN(t *testing.T) {
 	if bnBefore == 0 || reluBefore == 0 {
 		t.Fatal("test net must contain BN and ReLU")
 	}
-	if err := Optimize(g); err != nil {
+	if err := optimizer.Optimize(g); err != nil {
 		t.Fatal(err)
 	}
 	if got := countOps(g, graph.OpBatchNorm); got != 0 {
@@ -92,7 +93,7 @@ func TestOptimizeSqueezeNetDropsDropout(t *testing.T) {
 	if countOps(g, graph.OpDropout) == 0 {
 		t.Fatal("net must contain dropout")
 	}
-	if err := Optimize(g); err != nil {
+	if err := optimizer.Optimize(g); err != nil {
 		t.Fatal(err)
 	}
 	if got := countOps(g, graph.OpDropout); got != 0 {
@@ -135,7 +136,7 @@ func TestBNNotFoldedThroughSharedOutput(t *testing.T) {
 	g.AddNode(&graph.Node{Name: "bn", Op: graph.OpBatchNorm, Inputs: []string{"conv"}, Outputs: []string{"bn"},
 		WeightNames: []string{"g", "b", "m", "v"}, Attrs: &graph.BatchNormAttrs{Eps: 1e-5}})
 	g.AddNode(&graph.Node{Name: "other", Op: graph.OpReLU, Inputs: []string{"conv"}, Outputs: []string{"other"}})
-	if err := Optimize(g); err != nil {
+	if err := optimizer.Optimize(g); err != nil {
 		t.Fatal(err)
 	}
 	// BN may be replaced by Scale but must NOT be folded into the conv.
@@ -162,7 +163,7 @@ func TestFuseActivationIntoEltwise(t *testing.T) {
 	g.AddNode(&graph.Node{Name: "add", Op: graph.OpEltwise, Inputs: []string{"a", "b"}, Outputs: []string{"add"},
 		Attrs: &graph.EltwiseAttrs{Type: graph.EltSum}})
 	g.AddNode(&graph.Node{Name: "relu", Op: graph.OpReLU, Inputs: []string{"add"}, Outputs: []string{"relu"}})
-	if err := Optimize(g); err != nil {
+	if err := optimizer.Optimize(g); err != nil {
 		t.Fatal(err)
 	}
 	if countOps(g, graph.OpReLU) != 0 {
@@ -179,7 +180,7 @@ func TestFuseActivationIntoEltwise(t *testing.T) {
 func TestOptimizeShrinksNodeCount(t *testing.T) {
 	g := models.ResNet50()
 	before := len(g.Nodes)
-	if err := Optimize(g); err != nil {
+	if err := optimizer.Optimize(g); err != nil {
 		t.Fatal(err)
 	}
 	after := len(g.Nodes)
@@ -204,7 +205,7 @@ func TestOptimizedSessionMatchesUnoptimized(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := g.Clone()
-	if err := Optimize(opt); err != nil {
+	if err := optimizer.Optimize(opt); err != nil {
 		t.Fatal(err)
 	}
 	s := newCPUSession(t, opt)

@@ -34,6 +34,7 @@ func Calibrate(g *graph.Graph, samples []map[string]*tensor.Tensor) (map[string]
 	s, err := session.New(g, session.Config{
 		Backends:    []backend.Backend{bk},
 		InputShapes: shapes,
+		Unfused:     true, // every activation gets its range
 	})
 	if err != nil {
 		return nil, fmt.Errorf("quant: calibration session: %w", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -54,6 +55,34 @@ func (s *Session) RunProfiled(ctx context.Context) (*Profile, error) {
 	}
 	p.Total = last.Sub(start)
 	return p, nil
+}
+
+// MedianProfile folds profiles of the same steps into one: each entry's
+// Wall is the median of that node's over the profiles, Total the sum of
+// those medians. One profiled run cannot be read for ops of a few
+// microseconds — the clock's step and a neighbour's interruption are as
+// large — the median of many can.
+func MedianProfile(ps []*Profile) (*Profile, error) {
+	if len(ps) == 0 {
+		return nil, fmt.Errorf("session: no profiles to fold")
+	}
+	first := ps[0].Entries
+	out := &Profile{Entries: make([]ProfileEntry, len(first))}
+	walls := make([]time.Duration, len(ps))
+	for i, e := range first {
+		for r, p := range ps {
+			if len(p.Entries) != len(first) || p.Entries[i].Node != e.Node {
+				return nil, fmt.Errorf("session: profile %d ran other steps than profile 0", r)
+			}
+			walls[r] = p.Entries[i].Wall
+		}
+		slices.Sort(walls)
+		n := len(walls)
+		e.Wall = (walls[(n-1)/2] + walls[n/2]) / 2
+		out.Entries[i] = e
+		out.Total += e.Wall
+	}
+	return out, nil
 }
 
 // ByOp aggregates total time per operator type, descending.

@@ -14,6 +14,7 @@ import (
 	"mnn/internal/core"
 	"mnn/internal/fault"
 	"mnn/internal/graph"
+	"mnn/internal/optimizer"
 	"mnn/internal/sched"
 	"mnn/internal/tensor"
 )
@@ -39,6 +40,11 @@ type Config struct {
 	// Fault is the optional fault injector for the session.kernel site
 	// (nil disables injection at zero cost).
 	Fault *fault.Injector
+	// Unfused keeps every graph node a step of its own, so that
+	// RunObserved sees every activation (the calibration pass); by default
+	// attention runs as one fused step (optimizer.FuseAttention) and its
+	// scores and probabilities are never materialized.
+	Unfused bool
 }
 
 // copyOp mirrors a produced tensor onto a consuming backend.
@@ -170,6 +176,20 @@ func (s *Session) prepare() error {
 			return b
 		}
 		return s.backends[0]
+	}
+
+	// ---- Attention fusion, now that the placement is known: a QK →
+	// softmax → AV triple on the CPU becomes one node, so its scores and
+	// probabilities never reach the arena. The graph is the session's own
+	// copy; a re-prepare finds nothing left to fuse.
+	if !s.cfg.Unfused {
+		onCPU := func(n *graph.Node) bool { return nodeBackend(n) == s.backends[0] }
+		if optimizer.FuseAttention(g, shapes, onCPU) > 0 {
+			if shapes, err = graph.InferShapes(g, s.cfg.InputShapes); err != nil {
+				return err
+			}
+			s.shapes = shapes
+		}
 	}
 
 	// ---- Lifetime analysis for the memory planner (Figure 3).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -428,5 +429,97 @@ func TestRunHonoursContext(t *testing.T) {
 	// The session stays usable after a cancelled run.
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSessionFusesAttention: a prepared transformer session runs each
+// block's QK → softmax → AV as one Attention step, smaller in arena than an
+// Unfused session and equal to it bit for bit; a NoPreparation session
+// re-prepares its already fused graph to the same steps and bits on every
+// run.
+func TestSessionFusesAttention(t *testing.T) {
+	g := models.Transformer()
+	run := func(cfg Config) (*Session, *tensor.Tensor) {
+		t.Helper()
+		cfg.Backends = []backend.Backend{cpu.New(cpu.Config{Threads: 2})}
+		s, err := New(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		fillInput(s, "tokens", 3)
+		if err := s.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return s, s.Output("prob").Clone()
+	}
+	fused, want := run(Config{})
+	unfused, got := run(Config{Unfused: true})
+	if len(fused.steps) != len(g.Nodes)-4 || len(unfused.steps) != len(g.Nodes) {
+		t.Fatalf("%d fused and %d unfused steps of %d nodes", len(fused.steps), len(unfused.steps), len(g.Nodes))
+	}
+	for _, st := range fused.steps {
+		if st.node.Name == "enc0_qk" && st.node.Op != graph.OpAttention {
+			t.Fatalf("enc0_qk runs as %v", st.node.Op)
+		}
+	}
+	if f, u := fused.Stats().ArenaFloats["CPU"], unfused.Stats().ArenaFloats["CPU"]; f > u {
+		t.Fatalf("fused arena %d floats, unfused %d", f, u)
+	}
+	if i := firstBitDiff(got.Data(), want.Data()); i >= 0 {
+		t.Fatalf("unfused element %d = %v, fused %v", i, got.Data()[i], want.Data()[i])
+	}
+	lazy, err := New(g, Config{Backends: []backend.Backend{cpu.New(cpu.Config{Threads: 2})}, NoPreparation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lazy.Close()
+	for i := 0; i < 3; i++ {
+		fillInput(lazy, "tokens", 3)
+		if err := lazy.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if len(lazy.steps) != len(fused.steps) {
+			t.Fatalf("run %d: %d steps after re-prepare, want %d", i, len(lazy.steps), len(fused.steps))
+		}
+		if j := firstBitDiff(lazy.Output("prob").Data(), want.Data()); j >= 0 {
+			t.Fatalf("run %d: element %d = %v, prepared %v", i, j, lazy.Output("prob").Data()[j], want.Data()[j])
+		}
+	}
+}
+
+// firstBitDiff is the index of the first element whose bits differ, or -1.
+func firstBitDiff(got, want []float32) int {
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestMedianProfile: each node's median over the runs (the mean of the two
+// middle ones for an even count), their sum as the total, and an error for
+// profiles of different steps.
+func TestMedianProfile(t *testing.T) {
+	prof := func(walls ...time.Duration) *Profile {
+		p := &Profile{}
+		for i, w := range walls {
+			p.Entries = append(p.Entries, ProfileEntry{Node: string(rune('a' + i)), Op: graph.OpGELU, Wall: w})
+		}
+		return p
+	}
+	m, err := MedianProfile([]*Profile{prof(5, 1), prof(1, 9), prof(3, 2), prof(9, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Entries[0].Wall != 4 || m.Entries[1].Wall != 3 || m.Total != 7 || m.Entries[1].Node != "b" {
+		t.Fatalf("medians %+v, total %v; want 4 and 3, total 7", m.Entries, m.Total)
+	}
+	if _, err := MedianProfile([]*Profile{prof(1, 2), prof(1)}); err == nil {
+		t.Fatal("profiles of different steps folded")
+	}
+	if _, err := MedianProfile(nil); err == nil {
+		t.Fatal("no profiles folded")
 	}
 }
