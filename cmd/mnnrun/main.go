@@ -123,7 +123,11 @@ func main() {
 	}
 	fmt.Printf("backend assignment: %v (cross-backend copies: %d)\n", backends, st.CrossBackendCopies)
 	for name, floats := range st.ArenaFloats {
-		fmt.Printf("arena[%s]: %.1f MB\n", name, float64(floats)*4/(1<<20))
+		fmt.Printf("arena[%s]: %.1f MB", name, float64(floats)*4/(1<<20))
+		if name == "CPU" {
+			fmt.Printf(" (concats in place: %d)", st.InPlaceConcats)
+		}
+		fmt.Println()
 	}
 
 	newCtx := func() (context.Context, context.CancelFunc) {

@@ -7,6 +7,7 @@ package backend
 
 import (
 	"fmt"
+	"slices"
 
 	"mnn/internal/graph"
 	"mnn/internal/memory"
@@ -89,8 +90,15 @@ type Backend interface {
 	// lifetime. Static buffers bypass the reuse arena.
 	OnAcquireBuffer(name string, size int, step int, st StorageType)
 	OnReleaseBuffer(name string, step int)
+	// OnAcquireView declares a dynamic buffer that is the size floats
+	// offset floats into the planned buffer parent, from step on; it takes
+	// no arena bytes of its own, and OnReleaseBuffer ends its lifetime.
+	OnAcquireView(name, parent string, offset, size, step int)
 	// OnAllocate ends the virtual walk: plans and materializes the arena.
 	OnAllocate() error
+	// PlanArenaSize plans the buffers declared so far, as OnAllocate
+	// would, and returns the arena length it would need without making it.
+	PlanArenaSize() (int, error)
 	// OnClearBuffer drops all planned state.
 	OnClearBuffer()
 	// Buffer returns the backing slice of a planned buffer.
@@ -165,6 +173,13 @@ func (bt *BufferTracker) OnAcquireBuffer(name string, size int, step int, st Sto
 	}
 }
 
+// OnAcquireView records the start of a view's lifetime.
+func (bt *BufferTracker) OnAcquireView(name, parent string, offset, size, step int) {
+	bt.OnAcquireBuffer(name, size, step, StorageDynamic)
+	it := &bt.items[bt.open[name]]
+	it.Parent, it.Offset = parent, offset
+}
+
 // OnReleaseBuffer extends then closes a buffer's lifetime at step.
 func (bt *BufferTracker) OnReleaseBuffer(name string, step int) {
 	idx, ok := bt.open[name]
@@ -183,22 +198,41 @@ func (bt *BufferTracker) OnReleaseBuffer(name string, step int) {
 	delete(bt.open, name)
 }
 
-// OnAllocate plans all recorded lifetimes and materializes the arena.
-// Buffers still open are extended to the final step.
+// OnAllocate plans all recorded lifetimes, checks the plan
+// (memory.CheckPlan) and materializes the arena. Buffers still open are
+// extended to the final step.
 func (bt *BufferTracker) OnAllocate() error {
-	for name, idx := range bt.open {
-		_ = name
-		if bt.items[idx].LastStep < bt.lastStep {
-			bt.items[idx].LastStep = bt.lastStep
-		}
-	}
-	plan, err := memory.PlanItems(bt.items)
+	items := bt.closed()
+	plan, err := memory.PlanItems(items)
 	if err != nil {
+		return err
+	}
+	if err := memory.CheckPlan(items, plan); err != nil {
 		return err
 	}
 	bt.plan = plan
 	bt.arena = memory.NewArena(plan)
 	return nil
+}
+
+// PlanArenaSize plans the recorded lifetimes as OnAllocate does and returns
+// the arena length; nothing is recorded or materialized.
+func (bt *BufferTracker) PlanArenaSize() (int, error) {
+	plan, err := memory.PlanItems(bt.closed())
+	if err != nil {
+		return 0, err
+	}
+	return plan.ArenaSize, nil
+}
+
+// closed returns the recorded items, those of buffers still open extended
+// to the final step.
+func (bt *BufferTracker) closed() []memory.Item {
+	items := slices.Clone(bt.items)
+	for _, idx := range bt.open {
+		items[idx].LastStep = max(items[idx].LastStep, bt.lastStep)
+	}
+	return items
 }
 
 // OnClearBuffer drops everything.

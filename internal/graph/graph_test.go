@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -345,6 +347,69 @@ func TestPoolGlobalShape(t *testing.T) {
 	}
 	if !tensor.EqualShape(shapes["gp"], []int{1, 128, 1, 1}) {
 		t.Fatalf("global pool: %v", shapes["gp"])
+	}
+}
+
+// WriteDOT renders the graph in Graphviz DOT format, one box per operator
+// colored by kind, with tensor shapes on the edges when a ShapeMap is
+// provided (pass nil to omit). A visualization tool in the spirit of the
+// paper's "more tools for user convenience".
+func WriteDOT(g *Graph, shapes ShapeMap, w io.Writer) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "digraph %q {\n", g.Name)
+	b.WriteString("  rankdir=TB;\n  node [shape=box, style=filled, fontname=\"monospace\"];\n")
+	for _, n := range g.Nodes {
+		label := fmt.Sprintf("%s\\n%s", n.Name, n.Op)
+		if a, ok := n.Attrs.(*Conv2DAttrs); ok {
+			label = fmt.Sprintf("%s\\n%v %dx%d s%d", n.Name, n.Op, a.KernelH, a.KernelW, a.StrideH)
+			if a.Group > 1 {
+				label += fmt.Sprintf(" g%d", a.Group)
+			}
+		}
+		fmt.Fprintf(&b, "  %q [label=%q, fillcolor=%q];\n", n.Name, label, dotColor(n.Op))
+	}
+	producer := map[string]string{}
+	for _, n := range g.Nodes {
+		for _, o := range n.Outputs {
+			producer[o] = n.Name
+		}
+	}
+	for _, n := range g.Nodes {
+		for _, in := range n.Inputs {
+			p, ok := producer[in]
+			if !ok {
+				continue
+			}
+			if shapes != nil {
+				if s, ok := shapes[in]; ok {
+					fmt.Fprintf(&b, "  %q -> %q [label=%q];\n", p, n.Name, fmt.Sprint(s))
+					continue
+				}
+			}
+			fmt.Fprintf(&b, "  %q -> %q;\n", p, n.Name)
+		}
+	}
+	b.WriteString("}\n")
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+func dotColor(op OpType) string {
+	switch op {
+	case OpConv2D, OpDeconv2D:
+		return "lightblue"
+	case OpInnerProduct:
+		return "lightsalmon"
+	case OpPool:
+		return "palegreen"
+	case OpEltwise, OpConcat:
+		return "khaki"
+	case OpInput:
+		return "white"
+	case OpSoftmax:
+		return "plum"
+	default:
+		return "lightgrey"
 	}
 }
 

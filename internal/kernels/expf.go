@@ -95,3 +95,21 @@ func mapInto(dst, src []float32, simd bool, ps func(dst, src *float32, blocks in
 		dst[i] = twin(src[i])
 	}
 }
+
+// addF and mulF are a + b and a·b, except that where both are NaN the result
+// is a's NaN, quieted: what an x86 instruction returns, its first source's.
+// Go compiles a commutative operation with either operand first (the race
+// build swaps some), so the twins name the operand the assembly keeps.
+func addF[F float32 | float64](a, b F) F {
+	if a != a {
+		return a + a
+	}
+	return a + b
+}
+
+func mulF[F float32 | float64](a, b F) F {
+	if a != a {
+		return a + a
+	}
+	return a * b
+}

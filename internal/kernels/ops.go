@@ -18,24 +18,33 @@ import (
 // tests; they construct a throwaway op per call.
 
 // PoolOp is the prepared max/average pooling execution on NC4HW4 tensors,
-// processing the four packed channels of a block lane-parallel.
+// processing the four packed channels of a block lane-parallel. Its oracles
+// are the Go poolMax and poolAvg (simd off); with AVX2 the unclipped run of
+// each output row is one poolMaxRowNC4 or poolAvgRowNC4 call, and with
+// AVX-512 an unpadded 3×3/s2 max pool whose windows all lie inside the image
+// is one separable poolMax3x3s2NC4 call per channel pack, poolMax's bits
+// either way. Every kernel writes only its output tensor's Data, so the
+// output may be a view into a concat's buffer.
 type PoolOp struct {
 	a        graph.PoolAttrs
 	src, dst *tensor.Tensor
 	simd     bool // matmul.HaveAVX2: windows run poolMaxRowNC4 / poolAvgRowNC4
+	avx512   bool // matmul.HaveAVX512: an unpadded 3×3/s2 max pool runs poolMax3x3s2NC4
 
 	// This run's geometry, set by Run. The output columns [ox0, ox1) have
-	// windows wholly inside the image's columns.
+	// windows wholly inside the image's columns; sep marks a run whose
+	// windows all lie inside the image on poolMax3x3s2NC4.
 	s, d           []float32
 	H, W, OH, OW   int
 	kh, kw, sh, sw int
 	ph, pw         int
 	ox0, ox1       int
+	sep            bool
 }
 
 // NewPoolOp binds a pooling execution.
 func NewPoolOp(dst, src *tensor.Tensor, a *graph.PoolAttrs) *PoolOp {
-	return &PoolOp{a: *a, src: src, dst: dst, simd: matmul.HaveAVX2()}
+	return &PoolOp{a: *a, src: src, dst: dst, simd: matmul.HaveAVX2(), avx512: matmul.HaveAVX512()}
 }
 
 // Run executes the pooling on the pool.
@@ -53,6 +62,9 @@ func (o *PoolOp) Run(p *sched.Pool) {
 	if last := o.W + o.pw - o.kw; last >= 0 {
 		o.ox1 = max(o.ox0, min(last/o.sw+1, o.OW))
 	}
+	o.sep = o.simd && o.avx512 && o.a.Type == graph.MaxPool && !a.Global &&
+		o.kh == 3 && o.kw == 3 && o.sh == 2 && o.sw == 2 && o.ph == 0 && o.pw == 0 &&
+		o.OH > 0 && o.OW > 0 && 2*o.OH < o.H && 2*o.OW < o.W
 	total := o.src.Batch() * tensor.UpDiv(o.src.Channels(), 4)
 	p.Run(total, sched.Chunk(total, p.Lanes(), elemChunksPerLane), o)
 }
@@ -60,9 +72,16 @@ func (o *PoolOp) Run(p *sched.Pool) {
 // RunChunk implements sched.Task over (batch, channel-block) items. Each
 // output row is its clipped border pixels one by one and one run of the
 // pixels between, whose windows are the same taps shifted by the stride; a
-// 1×1 output (a global pool) makes the chunk's items one such run.
+// 1×1 output (a global pool) makes the chunk's items one such run. An
+// unpadded 3×3/s2 max pool (sep) is one poolMax3x3s2NC4 call per item.
 func (o *PoolOp) RunChunk(_, start, end int) {
 	plane, oplane := o.H*o.W*4, o.OH*o.OW*4
+	if o.sep {
+		for item := start; item < end; item++ {
+			poolMax3x3s2NC4(&o.d[item*oplane], &o.s[item*plane], o.OH, o.OW, o.W)
+		}
+		return
+	}
 	if oplane == 4 {
 		o.pool(o.d[start*4:end*4], o.s[start*plane:end*plane], plane, 0, 0)
 		return

@@ -286,6 +286,32 @@ func TestPaddingNC4(t *testing.T) {
 	}
 }
 
+// ParallelFor splits [0, n) into deterministic chunks and runs fn(start,
+// end) over the pool's lanes. A nil pool (or one lane, or n ≤ 1) runs
+// inline, so single-threaded configurations pay nothing.
+func ParallelFor(p *sched.Pool, n int, fn func(start, end int)) {
+	ParallelForWorker(p, n, func(_, start, end int) { fn(start, end) })
+}
+
+// ParallelForWorker is ParallelFor with a dense worker index (0 ≤ worker <
+// p.Lanes()) passed to fn, for code that keeps a private workspace slot per
+// lane.
+func ParallelForWorker(p *sched.Pool, n int, fn func(worker, start, end int)) {
+	if n <= 0 {
+		return
+	}
+	if p.Lanes() <= 1 || n == 1 {
+		fn(0, 0, n)
+		return
+	}
+	p.Run(n, sched.Chunk(n, p.Lanes(), 1), funcTask(fn))
+}
+
+// funcTask adapts a closure to sched.Task.
+type funcTask func(worker, start, end int)
+
+func (f funcTask) RunChunk(worker, start, end int) { f(worker, start, end) }
+
 func TestParallelForCoverage(t *testing.T) {
 	for _, threads := range []int{1, 2, 4, 7, 100} {
 		n := 37
@@ -529,6 +555,93 @@ func TestPoolMaxSIMDBitwise(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	specials := []float32{nan32, 0, negZero, float32(math.Inf(1)), float32(math.Inf(-1)), 1e-45, -1e-45, 1e-39}
 	checkPoolSIMDBitwise(t, poolSIMDCases(t, graph.PoolAttrs{Type: graph.MaxPool}), specials, specials)
+}
+
+// pool3x3s2Kinds are the sources of TestPoolMax3x3s2SIMDMatchesPoolMaxBitwise:
+// each fills a plane element by element from its hard values.
+var pool3x3s2Kinds = []struct {
+	name string
+	vals []float32
+}{
+	{"NaN payloads among ordinary values", []float32{
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc12345), math.Float32frombits(0x7f800003),
+		math.Float32frombits(0xff80beef), 1.5, -2.25, 0.75, 3, -1}},
+	{"all-NaN windows", []float32{math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc0beef), math.Float32frombits(0x7f800003)}},
+	{"-Inf and NaN", []float32{-inf32, -inf32, nan32, -3e38}},
+	{"both zeros", []float32{0, negZero32}},
+	{"denormals", []float32{1e-45, -1e-45, 1e-39, -1e-39, math.Float32frombits(0x007fffff), 0, negZero32}},
+	{"±3e38", []float32{3e38, -3e38, math.MaxFloat32, -math.MaxFloat32, inf32}},
+	{"ties", []float32{1, 1, -1}},
+}
+
+// TestPoolMax3x3s2SIMDMatchesPoolMaxBitwise holds poolMax3x3s2NC4, the
+// separable 3×3/s2 max pool, to poolMax bit for bit: source widths 3–40 odd
+// and even (every length of the last, masked strip), heights 3–8, one and
+// three channel packs, sources drawn from pool3x3s2Kinds — NaN payloads of
+// both signs and windows of nothing else, -Inf, both zeros in both orders,
+// denormals, ±3e38 and ties. The kernel alone must leave a NaN guard after
+// its output untouched; PoolOp on one lane and on three must take it.
+func TestPoolMax3x3s2SIMDMatchesPoolMaxBitwise(t *testing.T) {
+	t.Run("avx512", func(t *testing.T) {
+		if !matmul.HaveAVX512() {
+			t.Skip("this host has no avx512 kernels")
+		}
+		a := graph.PoolAttrs{Type: graph.MaxPool, KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2}
+		pools := []*sched.Pool{testPool(t, 1), testPool(t, 3)}
+		seed := uint64(0)
+		for _, kind := range pool3x3s2Kinds {
+			for w := 3; w <= 40; w++ {
+				for _, packs := range []int{1, 3} {
+					seed++
+					h := 3 + int(seed%6)
+					oh, ow := (h-3)/2+1, (w-3)/2+1
+					src := tensor.NewWithLayout(tensor.NC4HW4, 1, 4*packs, h, w)
+					sd, r := src.Data(), tensor.NewRNG(seed)
+					for i := range sd {
+						sd[i] = kind.vals[r.Intn(len(kind.vals))]
+					}
+					plane, oplane := h*w*4, oh*ow*4
+					want := make([]float32, packs*oplane)
+					for item := 0; item < packs; item++ {
+						for oy := 0; oy < oh; oy++ {
+							for ox := 0; ox < ow; ox++ {
+								at := item*oplane + (oy*ow+ox)*4
+								poolMax(want[at:at+4], sd[item*plane:], w, 2*oy, 2*oy+3, 2*ox, 2*ox+3)
+							}
+						}
+					}
+					for item := 0; item < packs; item++ {
+						got := make([]float32, oplane+16)
+						for i := range got {
+							got[i] = nan32
+						}
+						poolMax3x3s2NC4(&got[0], &sd[item*plane], oh, ow, w)
+						if d := exactBitDiff(got, want[item*oplane:(item+1)*oplane]); d >= 0 {
+							t.Fatalf("%s, %dx%d, pack %d: pixel %d lane %d = %#08x, poolMax %#08x", kind.name, h, w, item,
+								d/4, d%4, math.Float32bits(got[d]), math.Float32bits(want[item*oplane+d]))
+						}
+						for i, v := range got[oplane:] {
+							if math.Float32bits(v) != math.Float32bits(nan32) {
+								t.Fatalf("%s, %dx%d: wrote %d floats past its output", kind.name, h, w, i+1)
+							}
+						}
+					}
+					for _, p := range pools {
+						dst := nanNC4(1, 4*packs, oh, ow)
+						op := NewPoolOp(dst, src, &a)
+						op.Run(p)
+						if !op.sep {
+							t.Fatalf("%dx%d: PoolOp did not take poolMax3x3s2NC4", h, w)
+						}
+						if d := exactBitDiff(dst.Data(), want); d >= 0 {
+							t.Fatalf("%s, %dx%d, %d lanes: element %d = %#08x, poolMax %#08x", kind.name, h, w, p.Lanes(),
+								d, math.Float32bits(dst.Data()[d]), math.Float32bits(want[d]))
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestPoolAvgSIMDBitwise pins poolAvgRowNC4 to its Go oracle poolAvg on

@@ -1,34 +1,7 @@
 package kernels
 
-import "mnn/internal/sched"
-
 // elemChunksPerLane is how many chunks per worker elementwise kernels cut
 // their range into: fine enough that a preempted worker can be covered by
 // the others via the pool's atomic cursor, coarse enough that cursor
 // traffic stays negligible.
 const elemChunksPerLane = 4
-
-// ParallelFor splits [0, n) into deterministic chunks and runs fn(start,
-// end) over the pool's lanes. A nil pool (or one lane, or n ≤ 1) runs
-// inline, so single-threaded configurations pay nothing.
-//
-// The closure adapter allocates, which is fine for cold paths (weight
-// transforms, reference kernels, tests); steady-state kernels implement
-// sched.Task on prepared state and call Pool.Run directly instead.
-func ParallelFor(p *sched.Pool, n int, fn func(start, end int)) {
-	ParallelForWorker(p, n, func(_, start, end int) { fn(start, end) })
-}
-
-// ParallelForWorker is ParallelFor with a dense worker index (0 ≤ worker <
-// p.Lanes()) passed to fn, for code that keeps a private workspace slot per
-// lane.
-func ParallelForWorker(p *sched.Pool, n int, fn func(worker, start, end int)) {
-	if n <= 0 {
-		return
-	}
-	if p.Lanes() <= 1 || n == 1 {
-		fn(0, 0, n)
-		return
-	}
-	p.RunFunc(n, sched.Chunk(n, p.Lanes(), 1), fn)
-}

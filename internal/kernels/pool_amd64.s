@@ -145,3 +145,112 @@ TEXT ·poolAvgRowNC4(SB), NOSPLIT, $0-64
 	POOLROW(AVGINIT4, AVGTAP4, AVGSTORE4, AVGINIT1, AVGTAP1, AVGSTORE1)
 	VZEROUPPER
 	RET
+
+// poolMax3x3s2Tail<> holds, for the n = 1, 2, 3 output pixels of a last
+// short strip, the lane masks of its two row loads (the 2n + 1 source
+// pixels it reads) and of its store, 8 bytes per n.
+DATA poolMax3x3s2Tail<>+0(SB)/2, $0x0fff
+DATA poolMax3x3s2Tail<>+2(SB)/2, $0x0000
+DATA poolMax3x3s2Tail<>+4(SB)/2, $0x000f
+DATA poolMax3x3s2Tail<>+8(SB)/2, $0xffff
+DATA poolMax3x3s2Tail<>+10(SB)/2, $0x000f
+DATA poolMax3x3s2Tail<>+12(SB)/2, $0x00ff
+DATA poolMax3x3s2Tail<>+16(SB)/2, $0xffff
+DATA poolMax3x3s2Tail<>+18(SB)/2, $0x0fff
+DATA poolMax3x3s2Tail<>+20(SB)/2, $0x0fff
+GLOBL poolMax3x3s2Tail<>(SB), RODATA|NOPTR, $24
+
+// ROWMAX3 sets DST, for the four output pixels of a strip, to the maximum
+// of their three taps in one source row starting at R: the even source
+// pixels (kx = 0), the odd ones (kx = 1) and the even ones one pixel on
+// (kx = 2, VALIGND of the even pixels and pixel 8), folded in kx order from
+// -Inf with the running maximum as VMAXPS's second source. LOADS fills
+// Z4 (pixels 0-3), Z5 (4-7) and Z6 (pixel 8 in its low lane).
+#define ROWMAX3(LOADS, R, DST) \
+	LOADS(R)                       \
+	VSHUFF32X4 $0x88, Z5, Z4, Z7   \
+	VSHUFF32X4 $0xdd, Z5, Z4, Z8   \
+	VALIGND    $4, Z7, Z6, Z9      \
+	VMAXPS     Z15, Z7, DST        \
+	VMAXPS     DST, Z8, DST        \
+	VMAXPS     DST, Z9, DST
+
+#define LOADFULL(R) \
+	VMOVUPS (R), Z4     \
+	VMOVUPS 64(R), Z5   \
+	VMOVUPS 128(R), X6
+
+// A short strip reads its 2n + 1 source pixels under K1 and K2; pixel 8,
+// which only its absent fourth output pixel takes, is not read.
+#define LOADTAIL(R) \
+	VMOVUPS.Z (R), K1, Z4   \
+	VMOVUPS.Z 64(R), K2, Z5 \
+	VXORPS    X6, X6, X6
+
+#define STOREFULL VMOVUPS Z3, (DX)
+#define STORETAIL VMOVUPS Z3, K3, (DX)
+
+// STRIP pools one strip of four output pixels down all oh output rows: the
+// row maxima of source rows 2·oy, 2·oy + 1 and 2·oy + 2 (Z0, Z1, Z2, the
+// last carried to the next output row as its first) folded in ky order from
+// -Inf, as in ROWMAX3, and stored by STORE. SI is the strip's first source
+// pixel, DI its first output pixel.
+#define STRIP(LOADS, STORE, LOOP) \
+	MOVQ SI, AX                   \
+	MOVQ DI, DX                   \
+	MOVQ oh+16(FP), CX            \
+	ROWMAX3(LOADS, AX, Z0)        \
+LOOP:                             \
+	LEAQ (AX)(R10*1), R13         \
+	ROWMAX3(LOADS, R13, Z1)       \
+	ADDQ R12, AX                  \
+	ROWMAX3(LOADS, AX, Z2)        \
+	VMAXPS  Z15, Z0, Z3           \
+	VMAXPS  Z3, Z1, Z3            \
+	VMAXPS  Z3, Z2, Z3            \
+	STORE                         \
+	VMOVAPS Z2, Z0                \
+	ADDQ    R11, DX               \
+	DECQ    CX                    \
+	JNZ     LOOP
+
+// func poolMax3x3s2NC4(dst, src *float32, oh, ow, w int)
+//
+// poolMax of every 3×3 stride-2 window of one channel pack whose oh × ow
+// windows lie inside its rows of w pixels (w ≥ 2·ow + 1, and 2·oh + 1 rows),
+// the output rows ow pixels long at dst. Per strip of four output columns it
+// is a row pass and then a column pass, each in tap order with the running
+// maximum as VMAXPS's second source: the first of a window's maximal
+// elements in its first row that holds one is its first in (ky, kx) order,
+// so the bits are poolMax's. A last strip of one to three pixels runs
+// masked.
+TEXT ·poolMax3x3s2NC4(SB), NOSPLIT, $0-40
+	VBROADCASTSS poolNegInf<>(SB), Z15
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ ow+24(FP), BX
+	MOVQ w+32(FP), R10
+	SHLQ $4, R10              // source row bytes
+	LEAQ (R10)(R10*1), R12    // two source rows
+	MOVQ BX, R11
+	SHLQ $4, R11              // output row bytes
+	CMPQ BX, $4
+	JLT  tail
+strip:
+	STRIP(LOADFULL, STOREFULL, fullRow)
+	ADDQ $128, SI
+	ADDQ $64, DI
+	SUBQ $4, BX
+	CMPQ BX, $4
+	JGE  strip
+tail:
+	TESTQ BX, BX
+	JZ    done
+	LEAQ  poolMax3x3s2Tail<>(SB), R8
+	KMOVW -8(R8)(BX*8), K1
+	KMOVW -6(R8)(BX*8), K2
+	KMOVW -4(R8)(BX*8), K3
+	STRIP(LOADTAIL, STORETAIL, tailRow)
+done:
+	VZEROUPPER
+	RET

@@ -56,6 +56,13 @@ func poolMaxRowNC4(dst, src *float32, n, rows, cols, rowBytes, stepBytes int)
 //go:noescape
 func poolAvgRowNC4(dst, src *float32, n, rows, cols, rowBytes, stepBytes int, div float64)
 
+// poolMax3x3s2NC4 is the AVX-512 3×3 stride-2 max pool (pool_amd64.s):
+// poolMax of each of the oh × ow windows of one channel pack, all inside its
+// rows of w pixels, into oh rows of ow pixels at dst.
+//
+//go:noescape
+func poolMax3x3s2NC4(dst, src *float32, oh, ow, w int)
+
 // expPS and geluPS are the AVX2 twins of expf32 and geluf32 (exp_amd64.s)
 // over 8·blocks floats, blocks ≥ 1; dst may be src. expPS runs in the tests
 // alone: it holds EXP8, which softmaxRows8 runs on x − max ≤ 0 only, to

@@ -38,6 +38,10 @@ func poolAvgRowNC4(dst, src *float32, n, rows, cols, rowBytes, stepBytes int, di
 	panic("kernels: no SIMD pooling kernel on this architecture")
 }
 
+func poolMax3x3s2NC4(dst, src *float32, oh, ow, w int) {
+	panic("kernels: no SIMD pooling kernel on this architecture")
+}
+
 func expPS(dst, src *float32, blocks int) {
 	panic("kernels: no SIMD exp kernel on this architecture")
 }

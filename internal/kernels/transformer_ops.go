@@ -99,18 +99,18 @@ func layerNormRows(dst, src []float32, d1 int, gamma, beta []float32, eps float3
 		row := src[:d1]
 		var mean float64
 		for _, v := range row {
-			mean += float64(v)
+			mean = addF(mean, float64(v))
 		}
 		mean /= float64(d1)
 		var variance float64
 		for _, v := range row {
 			dv := float64(v) - mean
-			variance += float64(dv * dv)
+			variance = addF(variance, float64(dv*dv))
 		}
 		variance /= float64(d1)
 		inv := float32(1 / math.Sqrt(variance+float64(eps)))
 		for i, v := range row {
-			dst[i] = float32((v-float32(mean))*inv*gamma[i]) + beta[i]
+			dst[i] = addF(float32(mulF(mulF(v-float32(mean), inv), gamma[i])), beta[i])
 		}
 	}
 }
@@ -193,7 +193,7 @@ func softmaxRows(dst, src []float32, d1 int) {
 		row := out[:d1]
 		var sum float32
 		for _, e := range row {
-			sum += e
+			sum = addF(sum, e)
 		}
 		for i, e := range row {
 			row[i] = e / sum
@@ -364,9 +364,9 @@ func dotCols(dst, a, b []float32, k, n, ps, js int, scale float32) {
 		col := b[j*js:]
 		var acc float32
 		for p, v := range a[:k] {
-			acc += float32(v * col[p*ps])
+			acc = addF(acc, float32(mulF(v, col[p*ps])))
 		}
-		dst[j] = acc * scale
+		dst[j] = mulF(acc, scale)
 	}
 }
 

@@ -56,6 +56,9 @@ func ISAs() []string { return levelNames[:haveSIMD+1] }
 // probe of the engine, made at package init, which internal/kernels shares.
 func HaveAVX2() bool { return haveSIMD >= levelAVX2 }
 
+// HaveAVX512 reports whether this host runs the AVX-512 fp32 kernels.
+func HaveAVX512() bool { return haveSIMD >= levelAVX512 }
+
 // WithISA returns a view of pb that runs the micro-kernels of the named
 // level, or nil where the host lacks them. Differential tests hold every
 // level the host has to the portable oracle through it.

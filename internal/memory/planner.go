@@ -14,7 +14,16 @@
 //     high-water mark of live bytes, not the sum (NoReuseSize keeps the
 //     naive figure for the ablation benchmark);
 //   - "execute with pre-allocated memory" is Arena.Buffer handing out
-//     aliased sub-slices during Run.
+//     aliased sub-slices during Run;
+//   - an alias item (Parent set) is a view Offset floats into its parent's
+//     chunk, placed with the parent and taking no bytes of its own: the
+//     session makes each input of a CPU channel concatenation such a view,
+//     so its producer writes straight into its channel range and the
+//     concatenation copies nothing;
+//   - CheckPlan verifies a plan, and the backends run it on every plan
+//     before making its arena: no two items live at the same step share
+//     bytes unless one is a view of the other, and every view lies inside
+//     its parent's chunk and lifetime.
 //
 // Coverage: the arena holds the activations AND every kernel workspace.
 // Each backend that computes (the CPU backend, via backend.WorkspaceSizer)
@@ -29,16 +38,21 @@ package memory
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // Item is one buffer requirement: a named region of Size float32 elements
-// that must be live from step DefStep through step LastStep (inclusive).
+// that must be live from step DefStep through step LastStep (inclusive). An
+// item with a Parent is an alias: the Size floats Offset floats into the
+// parent item's region, inside its lifetime.
 type Item struct {
 	Name     string
 	Size     int
 	DefStep  int
 	LastStep int
+	Parent   string
+	Offset   int
 }
 
 // Chunk is a planned placement inside the arena.
@@ -66,17 +80,20 @@ func alignUp(n int) int { return (n + alignment - 1) / alignment * alignment }
 // tightest gap between the already placed items whose lifetimes overlap its
 // own (or on top of them when none fits). All lifetimes are known before
 // anything is placed — that is the point of the pre-inference walk — so big
-// buffers get the low offsets and small ones fill the holes, which lands on
-// or within a fraction of a percent of the peak-live-bytes lower bound on
-// every built-in network; replaying the alloc/free stream through an online
-// free list instead fragments (1.8× that bound on average). Items sharing a
-// step boundary do not overlap: an item last used at step s can back another
-// defined at step s+1, not one defined at s.
+// buffers get the low offsets and small ones fill the holes; replaying the
+// alloc/free stream through an online free list instead fragments (1.8× the
+// peak-live-bytes lower bound on average). "Largest" is taken two ways, by
+// size and by size × lifetime, and the smaller arena is kept: size order
+// alone fragments once long-lived buffers (an in-place concat's) sit beside
+// big single-step workspaces, while the other order lands on the bound
+// there. Items sharing a step boundary do not overlap: an item last used at
+// step s can back another defined at step s+1, not one defined at s. Alias
+// items are placed last, at their offset in their parent's chunk.
 func PlanItems(items []Item) (*Plan, error) {
 	plan := &Plan{Chunks: make(map[string]Chunk, len(items))}
-	order := make([]Item, len(items))
-	copy(order, items)
-	for _, it := range order {
+	order := make([]Item, 0, len(items))
+	var aliases []Item
+	for _, it := range items {
 		if it.Size < 0 {
 			return nil, fmt.Errorf("memory: item %q has negative size", it.Name)
 		}
@@ -87,21 +104,63 @@ func PlanItems(items []Item) (*Plan, error) {
 			return nil, fmt.Errorf("memory: duplicate item %q", it.Name)
 		}
 		plan.Chunks[it.Name] = Chunk{Size: it.Size}
+		if it.Parent != "" {
+			aliases = append(aliases, it)
+			continue
+		}
+		order = append(order, it)
 		plan.NoReuseSize += alignUp(it.Size)
 	}
-	// Deterministic order: larger first, ties by definition step, then name.
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.Size != b.Size {
-			return a.Size > b.Size
+	// Deterministic orders: larger first, ties by definition step, then name.
+	area := func(it Item) int { return it.Size * (it.LastStep - it.DefStep + 1) }
+	bySize, byArea := order, slices.Clone(order)
+	sort.Slice(bySize, func(i, j int) bool { return larger(bySize[i], bySize[j], bySize[i].Size, bySize[j].Size) })
+	sort.Slice(byArea, func(i, j int) bool { return larger(byArea[i], byArea[j], area(byArea[i]), area(byArea[j])) })
+	placed, arena := pack(bySize)
+	if p, a := pack(byArea); a < arena {
+		order, placed, arena = byArea, p, a
+	}
+	for k, it := range order {
+		plan.Chunks[it.Name] = Chunk{Offset: placed[k].Offset, Size: it.Size}
+	}
+	plan.ArenaSize = arena
+	parents := make(map[string]Item, len(order))
+	for _, it := range order {
+		parents[it.Name] = it
+	}
+	for _, it := range aliases {
+		p, ok := parents[it.Parent]
+		if !ok {
+			return nil, fmt.Errorf("memory: alias %q of %q, which is no planned item", it.Name, it.Parent)
 		}
-		if a.DefStep != b.DefStep {
-			return a.DefStep < b.DefStep
+		if it.Offset < 0 || it.Offset+it.Size > p.Size || it.DefStep < p.DefStep || it.LastStep > p.LastStep {
+			return nil, fmt.Errorf("memory: alias %q (floats %d+%d, steps %d-%d) outside %q (%d floats, steps %d-%d)",
+				it.Name, it.Offset, it.Size, it.DefStep, it.LastStep, p.Name, p.Size, p.DefStep, p.LastStep)
 		}
-		return a.Name < b.Name
-	})
-	placed := make([]Chunk, len(order)) // aligned placements, parallel to order
-	var live []Chunk                    // those alive at some step of the current item, by offset
+		plan.Chunks[it.Name] = Chunk{Offset: plan.Chunks[p.Name].Offset + it.Offset, Size: it.Size}
+	}
+	return plan, nil
+}
+
+// larger orders items a before b by their keys ka and kb, larger first,
+// ties by definition step, then name.
+func larger(a, b Item, ka, kb int) bool {
+	if ka != kb {
+		return ka > kb
+	}
+	if a.DefStep != b.DefStep {
+		return a.DefStep < b.DefStep
+	}
+	return a.Name < b.Name
+}
+
+// pack places the items in order, each in the tightest gap between the
+// placed items whose lifetimes overlap its own, or on top of them. It
+// returns the aligned placements, parallel to order, and the arena size.
+func pack(order []Item) ([]Chunk, int) {
+	placed := make([]Chunk, len(order))
+	var live []Chunk // placed items alive at some step of the current one, by offset
+	arena := 0
 	for k, it := range order {
 		size := alignUp(it.Size)
 		if size == 0 {
@@ -125,10 +184,85 @@ func PlanItems(items []Item) (*Plan, error) {
 			offset = top
 		}
 		placed[k] = Chunk{Offset: offset, Size: size}
-		plan.Chunks[it.Name] = Chunk{Offset: offset, Size: it.Size}
-		plan.ArenaSize = max(plan.ArenaSize, offset+size)
+		arena = max(arena, offset+size)
 	}
-	return plan, nil
+	return placed, arena
+}
+
+// CheckPlan verifies a plan of items: every item has a chunk of its size
+// inside the arena; no two items whose lifetimes share a step share a byte,
+// unless one is an alias (a view, at any depth) of the other; and every
+// alias lies inside its parent's chunk and lifetime.
+func CheckPlan(items []Item, plan *Plan) error {
+	byName := make(map[string]Item, len(items))
+	for _, it := range items {
+		byName[it.Name] = it
+	}
+	chunk := func(it Item) (Chunk, error) {
+		c, ok := plan.Chunks[it.Name]
+		if !ok || c.Size != it.Size || c.Offset < 0 || c.Offset+c.Size > plan.ArenaSize {
+			return c, fmt.Errorf("memory: item %q (%d floats) has chunk %+v in an arena of %d", it.Name, it.Size, c, plan.ArenaSize)
+		}
+		return c, nil
+	}
+	for _, it := range items {
+		c, err := chunk(it)
+		if err != nil {
+			return err
+		}
+		if it.Parent == "" {
+			continue
+		}
+		p, ok := byName[it.Parent]
+		if !ok {
+			return fmt.Errorf("memory: alias %q of unknown item %q", it.Name, it.Parent)
+		}
+		pc, err := chunk(p)
+		if err != nil {
+			return err
+		}
+		if c.Offset < pc.Offset || c.Offset+c.Size > pc.Offset+pc.Size || it.DefStep < p.DefStep || it.LastStep > p.LastStep {
+			return fmt.Errorf("memory: alias %q (floats %d+%d, steps %d-%d) outside %q (floats %d+%d, steps %d-%d)",
+				it.Name, c.Offset, c.Size, it.DefStep, it.LastStep, p.Name, pc.Offset, pc.Size, p.DefStep, p.LastStep)
+		}
+	}
+	// viewOf reports whether a is b or an alias of b at any depth.
+	viewOf := func(a, b Item) bool {
+		for depth := 0; depth <= len(items); depth++ {
+			if a.Name == b.Name {
+				return true
+			}
+			if a.Parent == "" {
+				return false
+			}
+			a = byName[a.Parent]
+		}
+		return false
+	}
+	// Sorted by offset, an item can only overlap those after it that start
+	// before it ends.
+	order := make([]Item, 0, len(items))
+	for _, it := range items {
+		if it.Size > 0 {
+			order = append(order, it)
+		}
+	}
+	sort.Slice(order, func(i, j int) bool { return plan.Chunks[order[i].Name].Offset < plan.Chunks[order[j].Name].Offset })
+	for i, a := range order {
+		ca := plan.Chunks[a.Name]
+		for _, b := range order[i+1:] {
+			cb := plan.Chunks[b.Name]
+			if cb.Offset >= ca.Offset+ca.Size {
+				break
+			}
+			if a.LastStep < b.DefStep || b.LastStep < a.DefStep || viewOf(a, b) || viewOf(b, a) {
+				continue
+			}
+			return fmt.Errorf("memory: %q (floats %d+%d, steps %d-%d) and %q (floats %d+%d, steps %d-%d) share bytes while both live",
+				a.Name, ca.Offset, ca.Size, a.DefStep, a.LastStep, b.Name, cb.Offset, cb.Size, b.DefStep, b.LastStep)
+		}
+	}
+	return nil
 }
 
 // Arena is the runtime slab backing a Plan. Buffer hands out aliased

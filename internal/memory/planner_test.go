@@ -92,7 +92,7 @@ func TestPlanPropertyNoLiveOverlap(t *testing.T) {
 				}
 			}
 		}
-		return plan.ArenaSize <= plan.NoReuseSize
+		return plan.ArenaSize <= plan.NoReuseSize && CheckPlan(items, plan) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -216,5 +216,105 @@ func TestPlanPacksAroundLongLivedItem(t *testing.T) {
 	checkNoLiveOverlap(t, items, plan)
 	if plan.ArenaSize != 128 {
 		t.Fatalf("arena = %d, want the peak of live floats, 128", plan.ArenaSize)
+	}
+}
+
+// TestPlanKeepsTheSmallerOfTwoOrders: placed by size, the two 80-float
+// items share the bottom and the 64-float ones, alive beside both, stack on
+// top (208 floats); placed by size × lifetime, the longest-lived goes first
+// and the plan lands on the peak of live floats, 144.
+func TestPlanKeepsTheSmallerOfTwoOrders(t *testing.T) {
+	items := []Item{
+		{Name: "a", Size: 64, DefStep: 0, LastStep: 2},
+		{Name: "b", Size: 80, DefStep: 0, LastStep: 0},
+		{Name: "c", Size: 64, DefStep: 2, LastStep: 3},
+		{Name: "d", Size: 80, DefStep: 3, LastStep: 4},
+	}
+	plan, err := PlanItems(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckPlan(items, plan); err != nil {
+		t.Fatal(err)
+	}
+	if plan.ArenaSize != 144 {
+		t.Fatalf("arena = %d, want the peak of live floats, 144", plan.ArenaSize)
+	}
+}
+
+// TestPlanPlacesAliases: an alias takes no bytes of its own and sits its
+// offset into its parent's chunk, wherever the parent lands.
+func TestPlanPlacesAliases(t *testing.T) {
+	items := []Item{
+		{Name: "early", Size: 64, DefStep: 0, LastStep: 1},
+		{Name: "cat", Size: 96, DefStep: 1, LastStep: 4},
+		{Name: "x", Size: 32, DefStep: 1, LastStep: 3, Parent: "cat"},
+		{Name: "y", Size: 64, DefStep: 2, LastStep: 3, Parent: "cat", Offset: 32},
+	}
+	plan, err := PlanItems(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckPlan(items, plan); err != nil {
+		t.Fatal(err)
+	}
+	cat := plan.Chunks["cat"]
+	if x, y := plan.Chunks["x"], plan.Chunks["y"]; x != (Chunk{cat.Offset, 32}) || y != (Chunk{cat.Offset + 32, 64}) {
+		t.Fatalf("cat %+v, x %+v, y %+v", cat, x, y)
+	}
+	if plan.ArenaSize != 160 || plan.NoReuseSize != 160 {
+		t.Fatalf("arena %d, no-reuse %d; want 160 and 160", plan.ArenaSize, plan.NoReuseSize)
+	}
+	for _, bad := range []Item{
+		{Name: "z", Size: 16, DefStep: 1, LastStep: 2, Parent: "none"},
+		{Name: "z", Size: 16, DefStep: 1, LastStep: 2, Parent: "cat", Offset: 88},
+		{Name: "z", Size: 16, DefStep: 0, LastStep: 2, Parent: "cat"},
+		{Name: "z", Size: 16, DefStep: 1, LastStep: 2, Parent: "x"},
+	} {
+		if _, err := PlanItems(append(items[:4:4], bad)); err == nil {
+			t.Errorf("alias %+v planned", bad)
+		}
+	}
+}
+
+// TestCheckPlanRejects hands CheckPlan plans that break one rule each: two
+// live items sharing bytes, sibling views a pack apart that overlap, a
+// view outside its parent's chunk or lifetime, and a chunk past the arena.
+func TestCheckPlanRejects(t *testing.T) {
+	items := []Item{
+		{Name: "a", Size: 64, DefStep: 0, LastStep: 2},
+		{Name: "cat", Size: 64, DefStep: 1, LastStep: 3},
+		{Name: "x", Size: 32, DefStep: 1, LastStep: 2, Parent: "cat"},
+		{Name: "y", Size: 32, DefStep: 2, LastStep: 2, Parent: "cat", Offset: 32},
+	}
+	good := func() *Plan {
+		return &Plan{ArenaSize: 128, Chunks: map[string]Chunk{
+			"a": {0, 64}, "cat": {64, 64}, "x": {64, 32}, "y": {96, 32},
+		}}
+	}
+	if err := CheckPlan(items, good()); err != nil {
+		t.Fatalf("a sound plan: %v", err)
+	}
+	for name, mutate := range map[string]func(p *Plan){
+		"live items share bytes": func(p *Plan) {
+			p.Chunks["cat"] = Chunk{32, 64}
+			p.Chunks["x"] = Chunk{32, 32}
+			p.Chunks["y"] = Chunk{64, 32}
+		},
+		"sibling views overlap":  func(p *Plan) { p.Chunks["y"] = Chunk{92, 32} },
+		"view outside its chunk": func(p *Plan) { p.Chunks["y"] = Chunk{112, 32}; p.ArenaSize = 144 },
+		"chunk past the arena":   func(p *Plan) { p.ArenaSize = 120 },
+		"chunk of another size":  func(p *Plan) { p.Chunks["a"] = Chunk{0, 48} },
+		"missing chunk":          func(p *Plan) { delete(p.Chunks, "x") },
+	} {
+		p := good()
+		mutate(p)
+		if err := CheckPlan(items, p); err == nil {
+			t.Errorf("%s: passed", name)
+		}
+	}
+	late := append(items[:3:3], Item{Name: "y", Size: 32, DefStep: 2, LastStep: 4, Parent: "cat", Offset: 32})
+	if err := CheckPlan(late, good()); err == nil {
+		t.Error("a view outliving its parent passed")
 	}
 }

@@ -2,9 +2,8 @@
 // multi-threaded kernel — the Go analogue of the pthread worker pools the
 // paper's CPU backend keeps alive across inferences.
 //
-// The seed implementation spawned fresh goroutines inside every
-// kernels.ParallelFor call, i.e. for every operator of every inference.
-// A Pool instead parks N-1 workers on buffered wake channels once and
+// Spawning fresh goroutines inside a parallel-for helper would pay for
+// them on every operator of every inference. A Pool instead parks N-1 workers on buffered wake channels once and
 // re-dispatches them for the lifetime of a prepared session: a steady-state
 // inference performs zero goroutine creations and zero heap allocations for
 // scheduling. Work is split into fixed-size chunks pulled from an atomic
@@ -269,23 +268,4 @@ func (p *Pool) Close() {
 	p.wake = nil
 	p.mu.Unlock()
 	// busy stays true: the pool is permanently retired to inline mode.
-}
-
-// funcTask adapts a closure to Task. The adapter (and the closure's capture
-// block) heap-allocates, so this is reserved for cold paths; steady-state
-// kernels implement Task on prepared state instead.
-type funcTask struct {
-	fn func(worker, start, end int)
-}
-
-func (t *funcTask) RunChunk(worker, start, end int) { t.fn(worker, start, end) }
-
-// RunFunc dispatches a closure over [0, total) on the pool. Cold-path
-// convenience (allocates the adapter); hot kernels pass a Task.
-func (p *Pool) RunFunc(total, chunk int, fn func(worker, start, end int)) {
-	if total <= 0 {
-		return
-	}
-	t := funcTask{fn: fn}
-	p.Run(total, chunk, &t)
 }

@@ -7,7 +7,10 @@
 // own layout: NC4HW4 geometry does not depend on N, H or W). Every CPU kernel
 // re-derives its geometry from those shapes at Run, so the steady state stays
 // pure-compute and allocation-free: repeat shapes hit a cached shape plan and
-// only loop over SetBoundedShape calls.
+// only loop over SetBoundedShape calls. The inputs of an in-place concat are
+// views whose offset in the concat's buffer is cz·H·W·4 at batch 1: the plan
+// re-slices them there (SetBoundedView), so they stay the concat output's
+// channel ranges at every shape.
 package session
 
 import (
@@ -24,14 +27,19 @@ type dynPlan struct {
 	applied []appliedShape
 }
 
+// appliedShape is one tensor's shape in a plan; a view of an in-place concat
+// also carries its parent's planned buffer and its offset there.
 type appliedShape struct {
 	t     *tensor.Tensor
 	shape []int
+	base  []float32
+	off   int
 }
 
 // dynState is the retained dynamic-shape machinery.
 type dynState struct {
 	tensors map[string]*tensor.Tensor // activation name → arena-wrapped tensor
+	bases   map[string][]float32      // in-place concat output → its planned buffer
 	plans   map[uint64][]*dynPlan     // input-dims hash → candidate plans
 	current *dynPlan                  // plan applied by the last ApplyInputShapes
 }
@@ -62,7 +70,11 @@ func (s *Session) EnableDynamic() error {
 		}
 		tensors[name] = t
 	}
-	s.dyn = &dynState{tensors: tensors, plans: map[uint64][]*dynPlan{}}
+	bases := map[string][]float32{}
+	for _, v := range s.views {
+		bases[v.parent] = s.backends[0].Buffer(v.parent)
+	}
+	s.dyn = &dynState{tensors: tensors, bases: bases, plans: map[uint64][]*dynPlan{}}
 	return nil
 }
 
@@ -132,7 +144,13 @@ func (s *Session) applyPlan(p *dynPlan) error {
 		return nil
 	}
 	for _, a := range p.applied {
-		if err := a.t.SetBoundedShape(a.shape); err != nil {
+		var err error
+		if a.base != nil {
+			err = a.t.SetBoundedView(a.base, a.off, a.shape)
+		} else {
+			err = a.t.SetBoundedShape(a.shape)
+		}
+		if err != nil {
 			// Unreachable after derivePlan validated the fit, but a failure
 			// mid-loop must not go unnoticed.
 			return err
@@ -170,11 +188,20 @@ func (s *Session) derivePlan(inputs map[string]*tensor.Tensor) (*dynPlan, error)
 		if len(shape) != t.Rank() {
 			return nil, fmt.Errorf("session: activation %q rank changed %d -> %d", name, t.Rank(), len(shape))
 		}
-		if need := tensor.PhysicalLen(t.Layout(), shape); need > t.Capacity() {
-			return nil, fmt.Errorf("session: activation %q shape %v needs %d floats, planned %d",
-				name, shape, need, t.Capacity())
+		a := appliedShape{t: t, shape: append([]int(nil), shape...)}
+		need, capacity := tensor.PhysicalLen(t.Layout(), shape), t.Capacity()
+		if v, ok := s.views[name]; ok {
+			if shape[0] != 1 {
+				return nil, fmt.Errorf("session: activation %q shape %v: an in-place concat input runs at batch 1", name, shape)
+			}
+			a.base, a.off = s.dyn.bases[v.parent], v.cz*shape[2]*shape[3]*4
+			need, capacity = a.off+need, len(a.base)
 		}
-		p.applied = append(p.applied, appliedShape{t: t, shape: append([]int(nil), shape...)})
+		if need > capacity {
+			return nil, fmt.Errorf("session: activation %q shape %v needs %d floats, planned %d",
+				name, shape, need, capacity)
+		}
+		p.applied = append(p.applied, a)
 	}
 	return p, nil
 }

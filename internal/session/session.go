@@ -43,7 +43,8 @@ type Config struct {
 	// Unfused keeps every graph node a step of its own, so that
 	// RunObserved sees every activation (the calibration pass); by default
 	// attention runs as one fused step (optimizer.FuseAttention) and its
-	// scores and probabilities are never materialized.
+	// scores and probabilities are never materialized, and a channel
+	// concat whose inputs are written in place runs no step.
 	Unfused bool
 }
 
@@ -79,6 +80,9 @@ type Stats struct {
 	PrepareTime time.Duration
 	// CrossBackendCopies counts staging copies in the schedule.
 	CrossBackendCopies int
+	// InPlaceConcats counts the channel concatenations whose inputs are
+	// written straight into their channel ranges, so that they run no step.
+	InPlaceConcats int
 }
 
 // Session is a prepared inference pipeline.
@@ -95,9 +99,19 @@ type Session struct {
 
 	// Dynamic-shape state (see dynamic.go). bound retains the arena-wrapped
 	// activation tensors from the last prepare so EnableDynamic can build
-	// its name → tensor map; dyn is nil until EnableDynamic succeeds.
+	// its name → tensor map; views maps each input of an in-place concat to
+	// its place in the concat's buffer; dyn is nil until EnableDynamic
+	// succeeds.
 	bound map[string]*tensor.Tensor
+	views map[string]concatView
 	dyn   *dynState
+}
+
+// concatView places an input of an in-place channel concatenation: its
+// first channel pack is pack cz of the concat output parent, at batch 1.
+type concatView struct {
+	parent string
+	cz     int
 }
 
 // New builds a session, running the full pre-inference unless
@@ -195,6 +209,7 @@ func (s *Session) prepare() error {
 	// ---- Lifetime analysis for the memory planner (Figure 3).
 	producerStep := map[string]int{}
 	producerBk := map[string]backend.Backend{}
+	producerOp := map[string]graph.OpType{}
 	type use struct {
 		step int
 		bk   backend.Backend
@@ -205,6 +220,7 @@ func (s *Session) prepare() error {
 		for _, o := range n.Outputs {
 			producerStep[o] = i
 			producerBk[o] = bk
+			producerOp[o] = n.Op
 		}
 		for _, in := range n.Inputs {
 			usesOf[in] = append(usesOf[in], use{step: i, bk: bk})
@@ -226,6 +242,33 @@ func (s *Session) prepare() error {
 		}
 	}
 
+	// ---- Zero-copy channel concat: at planned batch 1, an NC4HW4 channel
+	// concat on the CPU can copy nothing when each input is whole channel
+	// packs, written by a CPU convolution or pool (kernels that take their
+	// output's buffer at every run) and read by this concat alone, and is
+	// no graph input or output. Each input is then a view at its pack
+	// offset in the concat's buffer, which lives from the first producer's
+	// step, and the concat runs no step. An Unfused session keeps every
+	// copy, so that calibration observes each activation as written.
+	cpuBk := s.backends[0]
+	var candidates []int // node indices of the concats that qualify
+	for i, n := range g.Nodes {
+		out := shapes[n.Outputs[0]]
+		if s.cfg.Unfused || n.Op != graph.OpConcat || n.Attrs.(*graph.ConcatAttrs).Axis != 1 ||
+			nodeBackend(n) != cpuBk || cpuBk.PreferredLayout(len(out)) != tensor.NC4HW4 || out[0] != 1 {
+			continue
+		}
+		ok := true
+		for _, in := range n.Inputs {
+			op := producerOp[in]
+			ok = ok && shapes[in][1]%4 == 0 && (op == graph.OpConv2D || op == graph.OpPool) &&
+				producerBk[in] == cpuBk && len(usesOf[in]) == 1 && !persistent[in]
+		}
+		if ok {
+			candidates = append(candidates, i)
+		}
+	}
+
 	// mirror key for a tensor staged onto another backend.
 	mirrorKey := func(name string, bk backend.Backend) string { return name + "@" + bk.Name() }
 
@@ -243,80 +286,141 @@ func (s *Session) prepare() error {
 		lastStep int
 	}
 	mirrorsOf := map[string][]mirrorInfo{}
+	inPlace := map[int]bool{} // node index of a concat that runs no step
 
-	for name, pStep := range producerStep {
-		home := producerBk[name]
-		shape := shapes[name]
-		size := tensor.PhysicalLen(home.PreferredLayout(len(shape)), shape)
-		last := pStep
-		perBk := map[string]*mirrorInfo{}
-		for _, u := range usesOf[name] {
-			if u.bk == home {
-				if u.step > last {
-					last = u.step
+	// acquire declares every buffer — activations, mirrors and kernel
+	// workspaces — to the backends' planners, the inputs of the concats at
+	// node indices concats as views of their outputs.
+	acquire := func(concats []int) {
+		for _, b := range s.backends {
+			b.OnClearBuffer()
+		}
+		s.views = map[string]concatView{}
+		from := map[string]int{} // in-place concat output → first producer step
+		clear(inPlace)
+		for _, i := range concats {
+			n := g.Nodes[i]
+			cz, first := 0, i
+			for _, in := range n.Inputs {
+				s.views[in] = concatView{parent: n.Outputs[0], cz: cz}
+				cz += shapes[in][1] / 4
+				first = min(first, producerStep[in])
+			}
+			from[n.Outputs[0]] = first
+			inPlace[i] = true
+		}
+		wraps = wraps[:0]
+		clear(mirrorsOf)
+		for name, pStep := range producerStep {
+			home := producerBk[name]
+			shape := shapes[name]
+			size := tensor.PhysicalLen(home.PreferredLayout(len(shape)), shape)
+			last := pStep
+			perBk := map[string]*mirrorInfo{}
+			for _, u := range usesOf[name] {
+				if u.bk == home {
+					if u.step > last {
+						last = u.step
+					}
+					continue
 				}
+				mi, ok := perBk[u.bk.Name()]
+				if !ok {
+					mi = &mirrorInfo{bk: u.bk, defStep: u.step, lastStep: u.step}
+					perBk[u.bk.Name()] = mi
+				}
+				if u.step < mi.defStep {
+					mi.defStep = u.step
+				}
+				if u.step > mi.lastStep {
+					mi.lastStep = u.step
+				}
+			}
+			for _, mi := range perBk {
+				mirrorsOf[name] = append(mirrorsOf[name], *mi)
+				// The home tensor must survive until the staging copy happens.
+				if mi.defStep > last {
+					last = mi.defStep
+				}
+			}
+			if persistent[name] {
+				last = lastStep
+			}
+			if v, ok := s.views[name]; ok {
+				home.OnAcquireView(name, v.parent, v.cz*shape[2]*shape[3]*4, size, pStep)
+			} else {
+				if first, ok := from[name]; ok {
+					pStep = first
+				}
+				home.OnAcquireBuffer(name, size, pStep, backend.StorageDynamic)
+			}
+			home.OnReleaseBuffer(name, last)
+			wraps = append(wraps, pending{key: name, bk: home, shape: shape})
+			for _, mi := range mirrorsOf[name] {
+				msize := tensor.PhysicalLen(mi.bk.PreferredLayout(len(shape)), shape)
+				mkey := mirrorKey(name, mi.bk)
+				mi.bk.OnAcquireBuffer(mkey, msize, mi.defStep, backend.StorageDynamic)
+				mi.bk.OnReleaseBuffer(mkey, mi.lastStep)
+				wraps = append(wraps, pending{key: mkey, bk: mi.bk, shape: shape})
+			}
+		}
+
+		// Workspace planning: every kernel declares its transient needs
+		// (GEMM panels, Winograd tile buffers, staging copies) up front, and
+		// the Figure 3 planner lays them into the same reuse arena as the
+		// activations — a workspace lives only during its node's step, so
+		// it shares bytes with dead activations and other steps'
+		// workspaces. Steady-state Run then never touches the allocator.
+		for i, n := range g.Nodes {
+			bk := nodeBackend(n)
+			sizer, ok := bk.(backend.WorkspaceSizer)
+			if !ok {
 				continue
 			}
-			mi, ok := perBk[u.bk.Name()]
-			if !ok {
-				mi = &mirrorInfo{bk: u.bk, defStep: u.step, lastStep: u.step}
-				perBk[u.bk.Name()] = mi
+			ins := make([][]int, len(n.Inputs))
+			for j, name := range n.Inputs {
+				ins[j] = shapes[name]
 			}
-			if u.step < mi.defStep {
-				mi.defStep = u.step
+			outs := make([][]int, len(n.Outputs))
+			for j, name := range n.Outputs {
+				outs[j] = shapes[name]
 			}
-			if u.step > mi.lastStep {
-				mi.lastStep = u.step
+			if size := sizer.NodeWorkspaceFloats(n, ins, outs); size > 0 {
+				key := backend.WorkspaceKey(n.Name)
+				bk.OnAcquireBuffer(key, size, i, backend.StorageDynamic)
+				bk.OnReleaseBuffer(key, i)
 			}
-		}
-		for _, mi := range perBk {
-			mirrorsOf[name] = append(mirrorsOf[name], *mi)
-			// The home tensor must survive until the staging copy happens.
-			if mi.defStep > last {
-				last = mi.defStep
-			}
-		}
-		if persistent[name] {
-			last = lastStep
-		}
-		home.OnAcquireBuffer(name, size, pStep, backend.StorageDynamic)
-		home.OnReleaseBuffer(name, last)
-		wraps = append(wraps, pending{key: name, bk: home, shape: shape})
-		for _, mi := range mirrorsOf[name] {
-			msize := tensor.PhysicalLen(mi.bk.PreferredLayout(len(shape)), shape)
-			mkey := mirrorKey(name, mi.bk)
-			mi.bk.OnAcquireBuffer(mkey, msize, mi.defStep, backend.StorageDynamic)
-			mi.bk.OnReleaseBuffer(mkey, mi.lastStep)
-			wraps = append(wraps, pending{key: mkey, bk: mi.bk, shape: shape})
 		}
 	}
 
-	// ---- Workspace planning: every kernel declares its transient needs
-	// (GEMM panels, Winograd tile buffers, staging
-	// copies) up front, and the Figure 3 planner lays them into the same
-	// reuse arena as the activations — a workspace lives only during its
-	// node's step, so it shares bytes with dead activations and other
-	// steps' workspaces. Steady-state Run then never touches the allocator.
-	for i, n := range g.Nodes {
-		bk := nodeBackend(n)
-		sizer, ok := bk.(backend.WorkspaceSizer)
-		if !ok {
-			continue
+	// A concat's buffer now lives through its producers' steps, which can
+	// raise the arena's peak where long branches run beside it (inception's
+	// blocks): the concats go in place only as far as the CPU arena stays
+	// within its size with every concat a copy — all of them, or else
+	// each in turn that keeps it there.
+	chosen := candidates
+	acquire(nil)
+	if len(candidates) > 0 {
+		limit, err := cpuBk.PlanArenaSize()
+		if err != nil {
+			return err
 		}
-		ins := make([][]int, len(n.Inputs))
-		for j, name := range n.Inputs {
-			ins[j] = shapes[name]
+		fits := func(concats []int) bool {
+			acquire(concats)
+			size, err := cpuBk.PlanArenaSize()
+			return err == nil && size <= limit
 		}
-		outs := make([][]int, len(n.Outputs))
-		for j, name := range n.Outputs {
-			outs[j] = shapes[name]
-		}
-		if size := sizer.NodeWorkspaceFloats(n, ins, outs); size > 0 {
-			key := backend.WorkspaceKey(n.Name)
-			bk.OnAcquireBuffer(key, size, i, backend.StorageDynamic)
-			bk.OnReleaseBuffer(key, i)
+		if !fits(candidates) {
+			chosen = nil
+			for _, c := range candidates {
+				if try := append(chosen[:len(chosen):len(chosen)], c); fits(try) {
+					chosen = try
+				}
+			}
+			acquire(chosen)
 		}
 	}
+	s.stats.InPlaceConcats = len(chosen)
 
 	// ---- Materialize arenas and wrap tensors.
 	s.stats.ArenaFloats = map[string]int{}
@@ -362,6 +466,9 @@ func (s *Session) prepare() error {
 	s.stats.SchemeCounts = map[string]int{}
 	copiedAt := map[string]bool{} // mirrorkey → staged already
 	for i, n := range g.Nodes {
+		if inPlace[i] {
+			continue
+		}
 		bk := nodeBackend(n)
 		var copies []copyOp
 		ins := make([]*tensor.Tensor, len(n.Inputs))

@@ -300,6 +300,24 @@ func (t *Tensor) SetBoundedShape(shape []int) error {
 	return nil
 }
 
+// SetBoundedView is SetBoundedShape for a view whose place in a larger
+// buffer moves with the shape (a channel range of an NC4HW4 concatenation
+// at batch 1, whose pack stride follows H·W): the tensor becomes the shape's
+// physical length of base from float off on, capacity included. The new
+// shape must have the same rank and fit base. No allocation occurs.
+func (t *Tensor) SetBoundedView(base []float32, off int, shape []int) error {
+	if len(shape) != len(t.shape) {
+		return fmt.Errorf("tensor: SetBoundedView rank %d -> %d", len(t.shape), len(shape))
+	}
+	need := PhysicalLen(t.layout, shape)
+	if off < 0 || off+need > len(base) {
+		return fmt.Errorf("tensor: SetBoundedView %v at float %d needs %d floats, base holds %d", shape, off, need, len(base))
+	}
+	copy(t.shape, shape)
+	t.f32 = base[off : off+need : off+need]
+	return nil
+}
+
 // Capacity is the float32 count of the buffer the tensor was created with:
 // the largest PhysicalLen SetBoundedShape accepts.
 func (t *Tensor) Capacity() int {
