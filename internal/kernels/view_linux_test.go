@@ -19,7 +19,9 @@ var viewSentinel = math.Float32frombits(0x7fa5a5a5)
 // TestKernelsWriteOnlyTheirView runs every convolution route squeezenet-v1.1
 // and inception-v3 take — fp32 1×1, Winograd 3×3 and sliding k×k (1×7 and
 // 3×3/s2), int8 1×1 and 3×3 taps at each int8 level the host has (the amx
-// grid and the VNNI tiles among them) — and both pool kernels
+// grid and the VNNI tiles among them) — and the other CPU convolution routes
+// (depthwise 3×3, and im2col's NCHW product packed into its output), each
+// run twice on one prepared kernel, and both pool kernels
 // (poolMax3x3s2NC4, and the row kernels max and average) into an NC4HW4
 // view as the producers of an in-place concat write into its buffer: the
 // view ends where an unmapped page begins and starts after sentinel floats,
@@ -80,6 +82,27 @@ func TestKernelsWriteOnlyTheirView(t *testing.T) {
 		cases = append(cases, kernelCase{s.name, source(6, s.a.InputCount, s.h, s.w), []int{1, s.a.OutputCount, oh, ow},
 			func(dst, src *tensor.Tensor, p *sched.Pool) { sc.Share().Run(dst, src, p) }})
 	}
+
+	ad := conv(64, 64, 3, 3, 1, 1, 1) // a depthwise 3×3, interior and border runs
+	ad.Group = 64
+	wd, bd := tensor.NewRandom(11, 0.2, 64, 1, 3, 3), tensor.NewRandom(12, 0.1, 64)
+	dc := PrepareDepthwise(wd, bd, ad)
+	cases = append(cases, kernelCase{"depthwise3x3", source(13, 64, 15, 15), []int{1, 64, 15, 15},
+		func(dst, src *tensor.Tensor, p *sched.Pool) { dc.Run(dst, src, p) }})
+
+	ag := conv(32, 32, 3, 3, 1, 1, 1) // a grouped conv, the im2col fallback
+	ag.Group = 4
+	wg, bg := tensor.NewRandom(14, 0.2, 32, 8, 3, 3), tensor.NewRandom(15, 0.1, 32)
+	ic := PrepareIm2col(wg, bg, ag)
+	cases = append(cases, kernelCase{"im2col", source(16, 32, 11, 11), []int{1, 32, 11, 11},
+		func(dst, src *tensor.Tensor, p *sched.Pool) {
+			// The CPU backend stages im2col through NCHW and packs the
+			// product into its output.
+			in, out := tensor.New(src.Shape()...), tensor.New(dst.Shape()...)
+			in.CopyFrom(src)
+			ic.Run(out, in, p, make([]float32, Im2colWorkspaceFloats(ag, 32, 32, 11, 11)))
+			dst.CopyFrom(out)
+		}})
 
 	for _, isa := range int8Levels(t) {
 		for _, a := range []*graph.Conv2DAttrs{conv(64, 64, 1, 1, 1, 0, 0), conv(64, 64, 3, 3, 1, 1, 1)} {

@@ -80,15 +80,14 @@ func alignUp(n int) int { return (n + alignment - 1) / alignment * alignment }
 // tightest gap between the already placed items whose lifetimes overlap its
 // own (or on top of them when none fits). All lifetimes are known before
 // anything is placed — that is the point of the pre-inference walk — so big
-// buffers get the low offsets and small ones fill the holes; replaying the
-// alloc/free stream through an online free list instead fragments (1.8× the
-// peak-live-bytes lower bound on average). "Largest" is taken two ways, by
-// size and by size × lifetime, and the smaller arena is kept: size order
-// alone fragments once long-lived buffers (an in-place concat's) sit beside
-// big single-step workspaces, while the other order lands on the bound
-// there. Items sharing a step boundary do not overlap: an item last used at
-// step s can back another defined at step s+1, not one defined at s. Alias
-// items are placed last, at their offset in their parent's chunk.
+// buffers get the low offsets and small ones fill the holes, which lands on
+// or within a fraction of a percent of the peak-live-bytes lower bound on
+// every built-in network; replaying the alloc/free stream through an online
+// free list instead fragments (1.8× that bound on average). Items sharing a
+// step boundary do not overlap: an item last used at step s can back another
+// defined at step s+1, not one defined at s. An alias item is placed at its
+// offset in its parent's chunk; its parent must be an item that is no alias
+// (CheckPlan verifies that the view lies inside it).
 func PlanItems(items []Item) (*Plan, error) {
 	plan := &Plan{Chunks: make(map[string]Chunk, len(items))}
 	order := make([]Item, 0, len(items))
@@ -111,56 +110,19 @@ func PlanItems(items []Item) (*Plan, error) {
 		order = append(order, it)
 		plan.NoReuseSize += alignUp(it.Size)
 	}
-	// Deterministic orders: larger first, ties by definition step, then name.
-	area := func(it Item) int { return it.Size * (it.LastStep - it.DefStep + 1) }
-	bySize, byArea := order, slices.Clone(order)
-	sort.Slice(bySize, func(i, j int) bool { return larger(bySize[i], bySize[j], bySize[i].Size, bySize[j].Size) })
-	sort.Slice(byArea, func(i, j int) bool { return larger(byArea[i], byArea[j], area(byArea[i]), area(byArea[j])) })
-	placed, arena := pack(bySize)
-	if p, a := pack(byArea); a < arena {
-		order, placed, arena = byArea, p, a
-	}
-	for k, it := range order {
-		plan.Chunks[it.Name] = Chunk{Offset: placed[k].Offset, Size: it.Size}
-	}
-	plan.ArenaSize = arena
-	parents := make(map[string]Item, len(order))
-	for _, it := range order {
-		parents[it.Name] = it
-	}
-	for _, it := range aliases {
-		p, ok := parents[it.Parent]
-		if !ok {
-			return nil, fmt.Errorf("memory: alias %q of %q, which is no planned item", it.Name, it.Parent)
+	// Deterministic order: larger first, ties by definition step, then name.
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if a.Size != b.Size {
+			return a.Size > b.Size
 		}
-		if it.Offset < 0 || it.Offset+it.Size > p.Size || it.DefStep < p.DefStep || it.LastStep > p.LastStep {
-			return nil, fmt.Errorf("memory: alias %q (floats %d+%d, steps %d-%d) outside %q (%d floats, steps %d-%d)",
-				it.Name, it.Offset, it.Size, it.DefStep, it.LastStep, p.Name, p.Size, p.DefStep, p.LastStep)
+		if a.DefStep != b.DefStep {
+			return a.DefStep < b.DefStep
 		}
-		plan.Chunks[it.Name] = Chunk{Offset: plan.Chunks[p.Name].Offset + it.Offset, Size: it.Size}
-	}
-	return plan, nil
-}
-
-// larger orders items a before b by their keys ka and kb, larger first,
-// ties by definition step, then name.
-func larger(a, b Item, ka, kb int) bool {
-	if ka != kb {
-		return ka > kb
-	}
-	if a.DefStep != b.DefStep {
-		return a.DefStep < b.DefStep
-	}
-	return a.Name < b.Name
-}
-
-// pack places the items in order, each in the tightest gap between the
-// placed items whose lifetimes overlap its own, or on top of them. It
-// returns the aligned placements, parallel to order, and the arena size.
-func pack(order []Item) ([]Chunk, int) {
-	placed := make([]Chunk, len(order))
-	var live []Chunk // placed items alive at some step of the current one, by offset
-	arena := 0
+		return a.Name < b.Name
+	})
+	placed := make([]Chunk, len(order)) // aligned placements, parallel to order
+	var live []Chunk                    // those alive at some step of the current item, by offset
 	for k, it := range order {
 		size := alignUp(it.Size)
 		if size == 0 {
@@ -184,15 +146,23 @@ func pack(order []Item) ([]Chunk, int) {
 			offset = top
 		}
 		placed[k] = Chunk{Offset: offset, Size: size}
-		arena = max(arena, offset+size)
+		plan.Chunks[it.Name] = Chunk{Offset: offset, Size: it.Size}
+		plan.ArenaSize = max(plan.ArenaSize, offset+size)
 	}
-	return placed, arena
+	for _, it := range aliases {
+		p, ok := plan.Chunks[it.Parent]
+		if !ok || slices.ContainsFunc(aliases, func(a Item) bool { return a.Name == it.Parent }) {
+			return nil, fmt.Errorf("memory: alias %q of %q, which is no planned item", it.Name, it.Parent)
+		}
+		plan.Chunks[it.Name] = Chunk{Offset: p.Offset + it.Offset, Size: it.Size}
+	}
+	return plan, nil
 }
 
 // CheckPlan verifies a plan of items: every item has a chunk of its size
 // inside the arena; no two items whose lifetimes share a step share a byte,
-// unless one is an alias (a view, at any depth) of the other; and every
-// alias lies inside its parent's chunk and lifetime.
+// unless one is an alias (a view) of the other; and every alias lies inside
+// its parent's chunk and lifetime.
 func CheckPlan(items []Item, plan *Plan) error {
 	byName := make(map[string]Item, len(items))
 	for _, it := range items {
@@ -226,19 +196,6 @@ func CheckPlan(items []Item, plan *Plan) error {
 				it.Name, c.Offset, c.Size, it.DefStep, it.LastStep, p.Name, pc.Offset, pc.Size, p.DefStep, p.LastStep)
 		}
 	}
-	// viewOf reports whether a is b or an alias of b at any depth.
-	viewOf := func(a, b Item) bool {
-		for depth := 0; depth <= len(items); depth++ {
-			if a.Name == b.Name {
-				return true
-			}
-			if a.Parent == "" {
-				return false
-			}
-			a = byName[a.Parent]
-		}
-		return false
-	}
 	// Sorted by offset, an item can only overlap those after it that start
 	// before it ends.
 	order := make([]Item, 0, len(items))
@@ -255,7 +212,7 @@ func CheckPlan(items []Item, plan *Plan) error {
 			if cb.Offset >= ca.Offset+ca.Size {
 				break
 			}
-			if a.LastStep < b.DefStep || b.LastStep < a.DefStep || viewOf(a, b) || viewOf(b, a) {
+			if a.LastStep < b.DefStep || b.LastStep < a.DefStep || a.Parent == b.Name || b.Parent == a.Name {
 				continue
 			}
 			return fmt.Errorf("memory: %q (floats %d+%d, steps %d-%d) and %q (floats %d+%d, steps %d-%d) share bytes while both live",

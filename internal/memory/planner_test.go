@@ -219,31 +219,10 @@ func TestPlanPacksAroundLongLivedItem(t *testing.T) {
 	}
 }
 
-// TestPlanKeepsTheSmallerOfTwoOrders: placed by size, the two 80-float
-// items share the bottom and the 64-float ones, alive beside both, stack on
-// top (208 floats); placed by size × lifetime, the longest-lived goes first
-// and the plan lands on the peak of live floats, 144.
-func TestPlanKeepsTheSmallerOfTwoOrders(t *testing.T) {
-	items := []Item{
-		{Name: "a", Size: 64, DefStep: 0, LastStep: 2},
-		{Name: "b", Size: 80, DefStep: 0, LastStep: 0},
-		{Name: "c", Size: 64, DefStep: 2, LastStep: 3},
-		{Name: "d", Size: 80, DefStep: 3, LastStep: 4},
-	}
-	plan, err := PlanItems(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckPlan(items, plan); err != nil {
-		t.Fatal(err)
-	}
-	if plan.ArenaSize != 144 {
-		t.Fatalf("arena = %d, want the peak of live floats, 144", plan.ArenaSize)
-	}
-}
-
 // TestPlanPlacesAliases: an alias takes no bytes of its own and sits its
-// offset into its parent's chunk, wherever the parent lands.
+// offset into its parent's chunk, wherever the parent lands. PlanItems
+// refuses an alias of no item and an alias of an alias; a view outside its
+// parent's floats or steps is planned as asked, and CheckPlan refuses it.
 func TestPlanPlacesAliases(t *testing.T) {
 	items := []Item{
 		{Name: "early", Size: 64, DefStep: 0, LastStep: 1},
@@ -267,12 +246,23 @@ func TestPlanPlacesAliases(t *testing.T) {
 	}
 	for _, bad := range []Item{
 		{Name: "z", Size: 16, DefStep: 1, LastStep: 2, Parent: "none"},
-		{Name: "z", Size: 16, DefStep: 1, LastStep: 2, Parent: "cat", Offset: 88},
-		{Name: "z", Size: 16, DefStep: 0, LastStep: 2, Parent: "cat"},
 		{Name: "z", Size: 16, DefStep: 1, LastStep: 2, Parent: "x"},
 	} {
 		if _, err := PlanItems(append(items[:4:4], bad)); err == nil {
 			t.Errorf("alias %+v planned", bad)
+		}
+	}
+	for _, outside := range []Item{
+		{Name: "z", Size: 16, DefStep: 1, LastStep: 2, Parent: "cat", Offset: 88},
+		{Name: "z", Size: 16, DefStep: 0, LastStep: 2, Parent: "cat"},
+	} {
+		items := append(items[:4:4], outside)
+		plan, err := PlanItems(items)
+		if err != nil {
+			t.Fatalf("alias %+v: %v", outside, err)
+		}
+		if err := CheckPlan(items, plan); err == nil {
+			t.Errorf("alias %+v passed CheckPlan", outside)
 		}
 	}
 }

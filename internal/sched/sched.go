@@ -3,12 +3,13 @@
 // paper's CPU backend keeps alive across inferences.
 //
 // Spawning fresh goroutines inside a parallel-for helper would pay for
-// them on every operator of every inference. A Pool instead parks N-1 workers on buffered wake channels once and
-// re-dispatches them for the lifetime of a prepared session: a steady-state
-// inference performs zero goroutine creations and zero heap allocations for
-// scheduling. Work is split into fixed-size chunks pulled from an atomic
-// cursor, so a slow worker (preempted, unlucky core) never strands a large
-// static shard — the dynamic load balancing of a classic chunked tile queue.
+// them on every operator of every inference. A Pool instead parks N-1
+// workers on buffered wake channels once and re-dispatches them for the
+// lifetime of a prepared session: a steady-state inference performs zero
+// goroutine creations and zero heap allocations for scheduling. Work is
+// split into fixed-size chunks pulled from an atomic cursor, so a slow
+// worker (preempted, unlucky core) never strands a large static shard — the
+// dynamic load balancing of a classic chunked tile queue.
 //
 // Dispatch protocol (all allocation-free):
 //

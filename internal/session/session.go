@@ -395,9 +395,10 @@ func (s *Session) prepare() error {
 
 	// A concat's buffer now lives through its producers' steps, which can
 	// raise the arena's peak where long branches run beside it (inception's
-	// blocks): the concats go in place only as far as the CPU arena stays
-	// within its size with every concat a copy — all of them, or else
-	// each in turn that keeps it there.
+	// blocks) or fragment the packing around big workspaces (fp32
+	// squeezenet on two lanes): the concats go in place only if the CPU
+	// arena stays within its size with every concat a copy, else all of
+	// them copy.
 	chosen := candidates
 	acquire(nil)
 	if len(candidates) > 0 {
@@ -405,19 +406,14 @@ func (s *Session) prepare() error {
 		if err != nil {
 			return err
 		}
-		fits := func(concats []int) bool {
-			acquire(concats)
-			size, err := cpuBk.PlanArenaSize()
-			return err == nil && size <= limit
+		acquire(candidates)
+		size, err := cpuBk.PlanArenaSize()
+		if err != nil {
+			return err
 		}
-		if !fits(candidates) {
+		if size > limit {
 			chosen = nil
-			for _, c := range candidates {
-				if try := append(chosen[:len(chosen):len(chosen)], c); fits(try) {
-					chosen = try
-				}
-			}
-			acquire(chosen)
+			acquire(nil)
 		}
 	}
 	s.stats.InPlaceConcats = len(chosen)
