@@ -124,6 +124,15 @@ func TestSchemeWinogradEffMULsBelowDirect(t *testing.T) {
 	}
 }
 
+// TestWinogradTileCostIsEquation2 hand-checks Equation 2 for a square
+// F(2×2, 3×3) tile with ic=4, oc=8 (m = 4):
+// 2·4·64 + 4·8·16 + 2·4·6 = 512 + 512 + 48 = 1072.
+func TestWinogradTileCostIsEquation2(t *testing.T) {
+	if arith, _ := winoPerTileCost(2, 2, 3, 3, 4, 8); arith != 1072 {
+		t.Fatalf("Equation 2 arithmetic = %v, want 1072", arith)
+	}
+}
+
 // --- backend selection (Eq. 4–5) ---
 
 type fakeBackend struct {

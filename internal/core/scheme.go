@@ -73,10 +73,6 @@ type ConvDecision struct {
 // transforms lose too much precision to be useful.
 var winoTileCandidates = []int{2, 4, 6}
 
-// WinogradTileCandidates exposes the n̂ candidates (the tuner enumerates one
-// candidate per tile so measurement can disagree with Equation 2).
-func WinogradTileCandidates() []int { return append([]int(nil), winoTileCandidates...) }
-
 // ---- Legality predicates.
 //
 // These are the single source of truth for which algorithm may run a given
@@ -292,14 +288,12 @@ func ParseConvScheme(s string) (ConvScheme, error) {
 	}
 }
 
-// ConvSchemer is the slice of a backend that reports which algorithm it will
-// actually prepare for a convolution — the heuristic decision possibly
-// overridden by a tuner — and which kernel runs it: the scheme's name, or
-// another route the backend takes instead (the CPU backend's "int8-gemm").
-// Sessions consult it for their scheme statistics so reporting can never
-// drift from execution.
+// ConvSchemer is the slice of a backend that reports which kernel will run a
+// convolution: the name of the scheme it prepares — the heuristic decision
+// possibly overridden by a tuner — or another route it takes instead (the
+// CPU backend's "int8-gemm"). Sessions consult it for their scheme
+// statistics so reporting can never drift from execution.
 type ConvSchemer interface {
-	ConvSchemeFor(n *graph.Node, inShape []int) ConvDecision
 	ConvRoute(n *graph.Node, inShape []int) string
 }
 

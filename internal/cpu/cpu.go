@@ -91,9 +91,6 @@ func (b *Backend) Close() error {
 	return nil
 }
 
-// Pool exposes the worker pool kernels dispatch onto.
-func (b *Backend) Pool() *sched.Pool { return b.pool }
-
 // Kind implements backend.Backend.
 func (b *Backend) Kind() backend.Kind { return backend.KindCPU }
 
@@ -119,10 +116,10 @@ func (b *Backend) PreferredLayout(rank int) tensor.Layout {
 // fallback and runs every operator.
 func (b *Backend) Supports(n *graph.Node) bool { return true }
 
-// ConvSchemeFor implements core.ConvSchemer: the Equation 2–3 heuristic
-// decision with any configured override (tuner decisions, fixed-scheme
-// baselines) applied. Workspace sizing, kernel creation, the int8 partition
-// and session statistics all flow through this single decision point.
+// ConvSchemeFor returns the Equation 2–3 heuristic decision with any
+// configured override (tuner decisions, fixed-scheme baselines) applied.
+// Workspace sizing, kernel creation, the int8 partition and session
+// statistics (through ConvRoute) all flow through this single decision point.
 func (b *Backend) ConvSchemeFor(n *graph.Node, inShape []int) core.ConvDecision {
 	dec := core.SelectConvScheme(n.Attrs.(*graph.Conv2DAttrs), inShape)
 	if b.cfg.ForceScheme != nil {
@@ -167,6 +164,3 @@ func (b *Backend) charge(label string, muls int64, n *graph.Node, scheme string)
 	}
 	b.cfg.Clock.Charge(label, simclock.CPUCostMs(muls, b.FLOPS(), eff))
 }
-
-// Threads exposes the configured worker count.
-func (b *Backend) Threads() int { return b.cfg.Threads }

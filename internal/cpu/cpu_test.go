@@ -45,9 +45,6 @@ func TestBackendBasics(t *testing.T) {
 	if !b.Supports(&graph.Node{Op: graph.OpDeconv2D, Attrs: &graph.Conv2DAttrs{}}) {
 		t.Fatal("CPU must support everything")
 	}
-	if b.Threads() != 4 {
-		t.Fatal("threads accessor")
-	}
 }
 
 func TestConvSchemesThroughBackend(t *testing.T) {
@@ -166,8 +163,7 @@ func TestBatchNormFoldedAtCreate(t *testing.T) {
 	}
 	beta := tensor.NewRandom(8, 0.1, c)
 	mean := tensor.NewRandom(9, 0.1, c)
-	variance := tensor.New(c)
-	variance.Fill(1)
+	variance := tensor.FromData([]float32{1, 1, 1, 1, 1, 1}, c)
 	src := tensor.NewRandom(10, 1, 1, c, 5, 5)
 	want := tensor.New(1, c, 5, 5)
 	kernels.BatchNormRef(want, src, gamma, beta, mean, variance, 1e-5)

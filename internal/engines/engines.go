@@ -59,13 +59,6 @@ type Mode struct {
 	API     backend.Kind // GPU API personality
 }
 
-func (m Mode) String() string {
-	if m.GPU {
-		return m.API.String()
-	}
-	return fmt.Sprintf("CPU%d", m.Threads)
-}
-
 // GPUAPIs returns which GPU APIs an engine ships on a given OS, per Table 4.
 func GPUAPIs(e Engine, os string) []backend.Kind {
 	switch e {

@@ -28,8 +28,8 @@ func TestMNNBeatsBaselinesOnCPU(t *testing.T) {
 					t.Fatal(err)
 				}
 				if r.SimMs <= mnn.SimMs {
-					t.Errorf("%s on %s/%s: %s %.1fms not slower than MNN %.1fms",
-						netName, dev.Name, mode, e, r.SimMs, mnn.SimMs)
+					t.Errorf("%s on %s/CPU%d: %s %.1fms not slower than MNN %.1fms",
+						netName, dev.Name, mode.Threads, e, r.SimMs, mnn.SimMs)
 				}
 			}
 		}

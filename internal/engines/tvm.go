@@ -38,9 +38,3 @@ func TVMFleetCost(trials, deviceTypes int) float64 {
 	per := TVMTuningModel(trials)
 	return float64(deviceTypes) * (per.AutoTuneSeconds + per.CompileSeconds)
 }
-
-// MNNSearchCost is the runtime cost of MNN's counterpart: pre-inference
-// scheme selection, measured per session creation on-device. It is
-// milliseconds, not minutes, and needs no host, no fleet enumeration and no
-// re-release (Section 3.5).
-func MNNSearchCost() TVMDeployCost { return TVMDeployCost{} }

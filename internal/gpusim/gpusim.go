@@ -106,11 +106,9 @@ func DefaultSupported(kind backend.Kind) map[graph.OpType]bool {
 // Backend is a simulated GPU.
 type Backend struct {
 	*backend.BufferTracker
-	cfg     Config
-	compute *cpu.Backend // real arithmetic provider (unclocked)
-	// pipelines counts encoded command buffers, for tests/diagnostics.
-	pipelines int
-	inFlight  int // dispatches recorded since OnExecuteBegin
+	cfg      Config
+	compute  *cpu.Backend // real arithmetic provider (unclocked)
+	inFlight int          // dispatches recorded since OnExecuteBegin
 }
 
 // New creates a simulated GPU backend.
@@ -178,13 +176,8 @@ func (b *Backend) PreferredLayout(rank int) tensor.Layout {
 // Supports implements backend.Backend per the configured op coverage.
 func (b *Backend) Supports(n *graph.Node) bool { return b.cfg.Supported[n.Op] }
 
-// ConvSchemeFor implements core.ConvSchemer by delegating to the internal
-// compute backend, which runs the real arithmetic for this simulated GPU.
-func (b *Backend) ConvSchemeFor(n *graph.Node, inShape []int) core.ConvDecision {
-	return b.compute.ConvSchemeFor(n, inShape)
-}
-
-// ConvRoute implements core.ConvSchemer: the compute backend's route.
+// ConvRoute implements core.ConvSchemer: the route of the internal compute
+// backend, which runs the real arithmetic for this simulated GPU.
 func (b *Backend) ConvRoute(n *graph.Node, inShape []int) string {
 	return b.compute.ConvRoute(n, inShape)
 }
@@ -267,7 +260,6 @@ func (b *Backend) OnCreate(n *graph.Node, inputs, outputs []*tensor.Tensor, weig
 // latency on a phone driver is the EncodeCostMs constant.
 func (b *Backend) encode(cb *commandBuffer) {
 	cb.encoded = true
-	b.pipelines++
 }
 
 type execBound struct {
@@ -294,6 +286,3 @@ func (e execBound) Run() error {
 	b.inFlight++
 	return nil
 }
-
-// Pipelines reports how many command buffers have been encoded (tests).
-func (b *Backend) Pipelines() int { return b.pipelines }

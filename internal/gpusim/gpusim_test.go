@@ -92,22 +92,29 @@ func TestDecoupledEncodeMovesCostOutOfRun(t *testing.T) {
 }
 
 func TestPipelineEncodedOnceWhenDecoupled(t *testing.T) {
-	n, ins, outs, weights := convNode()
-	b, _ := New(Config{Kind: backend.KindVulkan, Device: device.MI6, DecoupledEncode: true, ComputeThreads: 1})
-	exec, err := b.OnCreate(n, ins, outs, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Pipelines() != 1 {
-		t.Fatalf("pipelines after create: %d", b.Pipelines())
-	}
-	for i := 0; i < 3; i++ {
-		if err := exec.Run(); err != nil {
+	for _, decoupled := range []bool{true, false} {
+		n, ins, outs, weights := convNode()
+		clock := simclock.New()
+		b, _ := New(Config{Kind: backend.KindVulkan, Device: device.MI6, Clock: clock,
+			DecoupledEncode: decoupled, ComputeThreads: 1})
+		exec, err := b.OnCreate(n, ins, outs, weights)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if b.Pipelines() != 1 {
-		t.Fatalf("decoupled mode must not re-encode: %d", b.Pipelines())
+		for i := 0; i < 3; i++ {
+			if err := exec.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Decoupled, the one encode happened at create, off the clock;
+		// otherwise every run encodes again.
+		want := 3 * EncodeCostMs[backend.KindVulkan]
+		if decoupled {
+			want = 0
+		}
+		if got := clock.ByLabel()["encode"]; got != want {
+			t.Fatalf("decoupled=%v: three runs charged %g ms of encoding, want %g", decoupled, got, want)
+		}
 	}
 }
 

@@ -93,12 +93,3 @@ func MULCount(n *Node, shapes ShapeMap) int64 {
 	}
 	return 0
 }
-
-// GraphMULs sums MULCount over all nodes.
-func GraphMULs(g *Graph, shapes ShapeMap) int64 {
-	var total int64
-	for _, n := range g.Nodes {
-		total += MULCount(n, shapes)
-	}
-	return total
-}

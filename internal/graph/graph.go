@@ -77,20 +77,6 @@ func (g *Graph) Producer(tensorName string) *Node {
 	return nil
 }
 
-// Consumers returns the nodes consuming the named activation.
-func (g *Graph) Consumers(tensorName string) []*Node {
-	var out []*Node
-	for _, n := range g.Nodes {
-		for _, in := range n.Inputs {
-			if in == tensorName {
-				out = append(out, n)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // Validate checks structural invariants:
 //   - node names and output tensor names are unique,
 //   - every input is produced by an earlier node (topological order) or is a

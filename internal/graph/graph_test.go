@@ -1,8 +1,6 @@
 package graph
 
 import (
-	"fmt"
-	"io"
 	"strings"
 	"testing"
 
@@ -329,10 +327,6 @@ func TestConsumersProducer(t *testing.T) {
 	if p := g.Producer("conv1"); p == nil || p.Name != "conv1" {
 		t.Fatal("Producer lookup failed")
 	}
-	cs := g.Consumers("conv1")
-	if len(cs) != 1 || cs[0].Name != "relu1" {
-		t.Fatal("Consumers lookup failed")
-	}
 }
 
 func TestPoolGlobalShape(t *testing.T) {
@@ -347,95 +341,6 @@ func TestPoolGlobalShape(t *testing.T) {
 	}
 	if !tensor.EqualShape(shapes["gp"], []int{1, 128, 1, 1}) {
 		t.Fatalf("global pool: %v", shapes["gp"])
-	}
-}
-
-// WriteDOT renders the graph in Graphviz DOT format, one box per operator
-// colored by kind, with tensor shapes on the edges when a ShapeMap is
-// provided (pass nil to omit). A visualization tool in the spirit of the
-// paper's "more tools for user convenience".
-func WriteDOT(g *Graph, shapes ShapeMap, w io.Writer) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", g.Name)
-	b.WriteString("  rankdir=TB;\n  node [shape=box, style=filled, fontname=\"monospace\"];\n")
-	for _, n := range g.Nodes {
-		label := fmt.Sprintf("%s\\n%s", n.Name, n.Op)
-		if a, ok := n.Attrs.(*Conv2DAttrs); ok {
-			label = fmt.Sprintf("%s\\n%v %dx%d s%d", n.Name, n.Op, a.KernelH, a.KernelW, a.StrideH)
-			if a.Group > 1 {
-				label += fmt.Sprintf(" g%d", a.Group)
-			}
-		}
-		fmt.Fprintf(&b, "  %q [label=%q, fillcolor=%q];\n", n.Name, label, dotColor(n.Op))
-	}
-	producer := map[string]string{}
-	for _, n := range g.Nodes {
-		for _, o := range n.Outputs {
-			producer[o] = n.Name
-		}
-	}
-	for _, n := range g.Nodes {
-		for _, in := range n.Inputs {
-			p, ok := producer[in]
-			if !ok {
-				continue
-			}
-			if shapes != nil {
-				if s, ok := shapes[in]; ok {
-					fmt.Fprintf(&b, "  %q -> %q [label=%q];\n", p, n.Name, fmt.Sprint(s))
-					continue
-				}
-			}
-			fmt.Fprintf(&b, "  %q -> %q;\n", p, n.Name)
-		}
-	}
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func dotColor(op OpType) string {
-	switch op {
-	case OpConv2D, OpDeconv2D:
-		return "lightblue"
-	case OpInnerProduct:
-		return "lightsalmon"
-	case OpPool:
-		return "palegreen"
-	case OpEltwise, OpConcat:
-		return "khaki"
-	case OpInput:
-		return "white"
-	case OpSoftmax:
-		return "plum"
-	default:
-		return "lightgrey"
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	g := tinyConvGraph(t)
-	shapes, err := InferShapes(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := WriteDOT(g, shapes, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"digraph", `"conv1"`, `"relu1"`, "->", "lightblue", "[1 4 8 8]"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, out)
-		}
-	}
-	// Without shapes, edges carry no labels but the structure remains.
-	var plain strings.Builder
-	if err := WriteDOT(g, nil, &plain); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plain.String(), "[1 4 8 8]") {
-		t.Error("nil shapes must omit edge labels")
 	}
 }
 

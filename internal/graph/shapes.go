@@ -539,11 +539,6 @@ func poolOutputSize(ih, iw int, a *PoolAttrs) (oh, ow int, err error) {
 	return oh, ow, nil
 }
 
-// PoolOutputSize is the exported form.
-func PoolOutputSize(ih, iw int, a *PoolAttrs) (oh, ow int, err error) {
-	return poolOutputSize(ih, iw, a)
-}
-
 // PoolPadding resolves effective top/left padding for pooling.
 func PoolPadding(ih, iw int, a *PoolAttrs) (ph, pw int) {
 	switch a.PadMode {

@@ -249,23 +249,25 @@ func (o *ActivationOp) RunChunk(_, start, end int) {
 // buffer length) so the op stays correct when a dynamic-shape session
 // shrinks the logical extent below the planned capacity.
 type EltwiseOp struct {
-	a   graph.EltwiseAttrs
-	dst *tensor.Tensor
-	d   []float32
+	a      graph.EltwiseAttrs
+	dst    *tensor.Tensor
+	inputs []*tensor.Tensor
+
+	d   []float32 // this run's buffers, set by Run
 	ins [][]float32
 }
 
 // NewEltwiseOp binds an eltwise execution.
 func NewEltwiseOp(dst *tensor.Tensor, inputs []*tensor.Tensor, a *graph.EltwiseAttrs) *EltwiseOp {
-	o := &EltwiseOp{a: *a, dst: dst, d: dst.Data(), ins: make([][]float32, len(inputs))}
-	for i, in := range inputs {
-		o.ins[i] = in.Data()
-	}
-	return o
+	return &EltwiseOp{a: *a, dst: dst, inputs: inputs, ins: make([][]float32, len(inputs))}
 }
 
 // Run executes the reduction on the pool.
 func (o *EltwiseOp) Run(p *sched.Pool) {
+	o.d = o.dst.Data()
+	for i, in := range o.inputs {
+		o.ins[i] = in.Data()
+	}
 	total := o.dst.PhysicalLen()
 	p.Run(total, sched.Chunk(total, p.Lanes(), elemChunksPerLane), o)
 }
@@ -532,12 +534,7 @@ func (ip *InnerProduct) RunChunk(_, start, end int) {
 	ip.packed.MulBiasInto(r.d[start*out:end*out], r.s[start*ip.features:end*ip.features], end-start, ip.bias, lo, hi)
 }
 
-// --- seed-compatible function forms (reference kernels, tests) -----------
-
-// PoolNC4 executes max/average pooling on NC4HW4 tensors.
-func PoolNC4(dst, src *tensor.Tensor, a *graph.PoolAttrs, p *sched.Pool) {
-	NewPoolOp(dst, src, a).Run(p)
-}
+// --- function forms (the reference interpreter) --------------------------
 
 // Activation applies a unary activation elementwise over the physical
 // buffer.
@@ -549,14 +546,4 @@ func Activation(dst, src *tensor.Tensor, kind ActivationKind, p *sched.Pool) {
 // identical shapes and layouts, writing into dst (which may alias inputs[0]).
 func Eltwise(dst *tensor.Tensor, inputs []*tensor.Tensor, a *graph.EltwiseAttrs, p *sched.Pool) {
 	NewEltwiseOp(dst, inputs, a).Run(p)
-}
-
-// ScaleNC4 applies per-channel y = x·scale + shift on an NC4HW4 tensor.
-func ScaleNC4(dst, src *tensor.Tensor, scale, shift []float32, p *sched.Pool) {
-	NewScaleOp(dst, src, scale, shift).Run(p)
-}
-
-// PaddingNC4 zero-pads spatial dims on NC4HW4 tensors.
-func PaddingNC4(dst, src *tensor.Tensor, a *graph.PaddingAttrs, p *sched.Pool) {
-	NewPadOp(dst, src, a).Run(p)
 }

@@ -33,7 +33,7 @@ func TestPoolNC4MatchesRef(t *testing.T) {
 				if tc.a.Global {
 					oh, ow = 1, 1
 				} else {
-					oh, ow, err = graph.PoolOutputSize(tc.h, tc.w, &tc.a)
+					oh, ow, err = pooledSize(tc.h, tc.w, &tc.a)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -42,13 +42,28 @@ func TestPoolNC4MatchesRef(t *testing.T) {
 				PoolRef(want, src, &tc.a)
 				src4 := src.ToLayout(tensor.NC4HW4)
 				got := tensor.NewWithLayout(tensor.NC4HW4, 1, tc.c, oh, ow)
-				PoolNC4(got, src4, &tc.a, testPool(t, threads))
+				NewPoolOp(got, src4, &tc.a).Run(testPool(t, threads))
 				if d := tensor.MaxAbsDiff(want, got); d > 1e-5 {
 					t.Fatalf("max diff %g", d)
 				}
 			})
 		}
 	}
+}
+
+// pooledSize is the output extent graph.InferShapes gives a pool of an h×w
+// input.
+func pooledSize(h, w int, a *graph.PoolAttrs) (oh, ow int, err error) {
+	g := graph.New("pool")
+	g.InputNames = []string{"x"}
+	g.AddNode(&graph.Node{Name: "x", Op: graph.OpInput, Outputs: []string{"x"},
+		Attrs: &graph.InputAttrs{Shape: []int{1, 4, h, w}}})
+	g.AddNode(&graph.Node{Name: "p", Op: graph.OpPool, Inputs: []string{"x"}, Outputs: []string{"p"}, Attrs: a})
+	shapes, err := graph.InferShapes(g, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	return shapes["p"][2], shapes["p"][3], nil
 }
 
 func TestActivationKinds(t *testing.T) {
@@ -166,7 +181,7 @@ func TestScaleNC4MatchesRef(t *testing.T) {
 	ScaleRef(want, src, tensor.FromData(scale, 6), tensor.FromData(shift, 6))
 	src4 := src.ToLayout(tensor.NC4HW4)
 	got := tensor.NewWithLayout(tensor.NC4HW4, 1, 6, 4, 4)
-	ScaleNC4(got, src4, scale, shift, testPool(t, 2))
+	NewScaleOp(got, src4, scale, shift).Run(testPool(t, 2))
 	if d := tensor.MaxAbsDiff(want, got); d > 1e-5 {
 		t.Fatalf("max diff %g", d)
 	}
@@ -193,7 +208,7 @@ func TestFoldBatchNormMatchesRef(t *testing.T) {
 	scale, shift := FoldBatchNorm(gamma, beta, mean, variance, 1e-5)
 	src4 := src.ToLayout(tensor.NC4HW4)
 	got := tensor.NewWithLayout(tensor.NC4HW4, 1, c, 3, 3)
-	ScaleNC4(got, src4, scale, shift, nil)
+	NewScaleOp(got, src4, scale, shift).Run(nil)
 	if d := tensor.MaxAbsDiff(want, got); d > 1e-4 {
 		t.Fatalf("folded BN differs from reference by %g", d)
 	}
@@ -280,75 +295,9 @@ func TestPaddingNC4(t *testing.T) {
 	}
 	src4 := src.ToLayout(tensor.NC4HW4)
 	got := tensor.NewWithLayout(tensor.NC4HW4, 1, 5, 6, 7)
-	PaddingNC4(got, src4, a, testPool(t, 2))
+	NewPadOp(got, src4, a).Run(testPool(t, 2))
 	if d := tensor.MaxAbsDiff(want, got); d > 0 {
 		t.Fatalf("padding diff %g", d)
-	}
-}
-
-// ParallelFor splits [0, n) into deterministic chunks and runs fn(start,
-// end) over the pool's lanes. A nil pool (or one lane, or n ≤ 1) runs
-// inline, so single-threaded configurations pay nothing.
-func ParallelFor(p *sched.Pool, n int, fn func(start, end int)) {
-	ParallelForWorker(p, n, func(_, start, end int) { fn(start, end) })
-}
-
-// ParallelForWorker is ParallelFor with a dense worker index (0 ≤ worker <
-// p.Lanes()) passed to fn, for code that keeps a private workspace slot per
-// lane.
-func ParallelForWorker(p *sched.Pool, n int, fn func(worker, start, end int)) {
-	if n <= 0 {
-		return
-	}
-	if p.Lanes() <= 1 || n == 1 {
-		fn(0, 0, n)
-		return
-	}
-	p.Run(n, sched.Chunk(n, p.Lanes(), 1), funcTask(fn))
-}
-
-// funcTask adapts a closure to sched.Task.
-type funcTask func(worker, start, end int)
-
-func (f funcTask) RunChunk(worker, start, end int) { f(worker, start, end) }
-
-func TestParallelForCoverage(t *testing.T) {
-	for _, threads := range []int{1, 2, 4, 7, 100} {
-		n := 37
-		seen := make([]int32, n)
-		var hits [100]bool
-		pool := sched.New(threads)
-		ParallelForWorker(pool, n, func(w, s, e int) {
-			hits[w] = true
-			for i := s; i < e; i++ {
-				seen[i]++
-			}
-		})
-		for i, v := range seen {
-			if v != 1 {
-				t.Fatalf("threads=%d: index %d visited %d times", threads, i, v)
-			}
-		}
-		// Worker indices must be dense and unique-per-chunk.
-		workers := 0
-		for _, h := range hits {
-			if h {
-				workers++
-			}
-		}
-		wantW := threads
-		if wantW > n {
-			wantW = n
-		}
-		if workers > wantW {
-			t.Fatalf("threads=%d: %d workers used", threads, workers)
-		}
-	}
-	// Zero-length range must not call fn.
-	called := false
-	ParallelFor(sched.New(4), 0, func(s, e int) { called = true })
-	if called {
-		t.Fatal("fn called for empty range")
 	}
 }
 
@@ -412,7 +361,7 @@ func TestPoolMatchesCheckedLoopBitwise(t *testing.T) {
 						a := &graph.PoolAttrs{Type: typ, KernelH: k[0], KernelW: k[1], StrideH: stride, StrideW: stride,
 							PadH: pad, PadW: pad, CountIncludePad: inclPad}
 						h, w := 7+int(seed%5), 5+int(seed%7)
-						oh, ow, err := graph.PoolOutputSize(h, w, a)
+						oh, ow, err := pooledSize(h, w, a)
 						if err != nil || oh < 1 || ow < 1 {
 							continue
 						}
@@ -472,7 +421,7 @@ func poolSIMDCases(t *testing.T, base graph.PoolAttrs) []poolSIMDCase {
 				a.KernelH, a.KernelW, a.StrideH, a.StrideW, a.PadH, a.PadW = k, k, stride, stride, pad, pad
 				for w := 1; w <= k+4*stride+3; w++ {
 					h := 3 + (w+k)%5
-					_, ow, err := graph.PoolOutputSize(h, w, &a)
+					_, ow, err := pooledSize(h, w, &a)
 					if err != nil {
 						continue
 					}
@@ -514,7 +463,7 @@ func checkPoolSIMDBitwise(t *testing.T, cases []poolSIMDCase, specials, denseSpe
 			oh, ow := 1, 1
 			if !c.a.Global {
 				var err error
-				if oh, ow, err = graph.PoolOutputSize(c.h, c.w, &c.a); err != nil {
+				if oh, ow, err = pooledSize(c.h, c.w, &c.a); err != nil {
 					t.Fatal(err)
 				}
 			}

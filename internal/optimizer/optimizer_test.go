@@ -130,9 +130,7 @@ func TestBNNotFoldedThroughSharedOutput(t *testing.T) {
 	for _, name := range []string{"g", "b", "m"} {
 		g.AddWeight(name, tensor.NewRandom(2, 0.1, 4))
 	}
-	v := tensor.New(4)
-	v.Fill(1)
-	g.AddWeight("v", v)
+	g.AddWeight("v", tensor.FromData([]float32{1, 1, 1, 1}, 4))
 	g.AddNode(&graph.Node{Name: "bn", Op: graph.OpBatchNorm, Inputs: []string{"conv"}, Outputs: []string{"bn"},
 		WeightNames: []string{"g", "b", "m", "v"}, Attrs: &graph.BatchNormAttrs{Eps: 1e-5}})
 	g.AddNode(&graph.Node{Name: "other", Op: graph.OpReLU, Inputs: []string{"conv"}, Outputs: []string{"other"}})

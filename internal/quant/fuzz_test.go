@@ -9,10 +9,9 @@ import (
 	"mnn/internal/tensor"
 )
 
-// FuzzMulInt8 cross-checks every int8 GEMM implementation — the offline
-// MulInt8, the naive matmul reference and the packed kernel (signed and
-// unsigned-A modes) — against each other on fuzzed shapes and data. Integer
-// accumulation is exact, so any disagreement is a real bug.
+// FuzzMulInt8 cross-checks the packed int8 GEMM (signed and unsigned-A
+// modes) against the naive matmul reference on fuzzed shapes and data.
+// Integer accumulation is exact, so any disagreement is a real bug.
 func FuzzMulInt8(f *testing.F) {
 	f.Add(uint8(3), uint8(17), uint8(5), []byte{1, 2, 3, 255, 0, 7})
 	f.Add(uint8(1), uint8(1), uint8(1), []byte{0x80})
@@ -38,18 +37,8 @@ func FuzzMulInt8(f *testing.F) {
 		want := make([]int32, m*n)
 		matmul.MulInt8Ref(want, a, b, m, k, n)
 		got := make([]int32, m*n)
-		MulInt8(got, a, b, m, k, n)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("MulInt8 (%d,%d,%d) element %d: got %d want %d", m, k, n, i, got[i], want[i])
-			}
-		}
 		pb := matmul.PackBInt8(b, k, n)
-		scratch := make([]int32, matmul.Int8GemmScratch(m))
-		for i := range got {
-			got[i] = 0
-		}
-		pb.MulInto(got, a, m, scratch)
+		pb.MulInto(got, a, m, nil)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("PackedBInt8 (%d,%d,%d) element %d: got %d want %d", m, k, n, i, got[i], want[i])
@@ -71,10 +60,10 @@ func FuzzMulInt8(f *testing.F) {
 			}
 		}
 		gotU := make([]int32, m*n)
-		pb.MulIntoU8(gotU, au, m, scratch)
+		pb.MulRows(gotU, au, m, true)
 		for i := range wantU {
 			if gotU[i] != wantU[i] {
-				t.Fatalf("MulIntoU8 (%d,%d,%d) element %d: got %d want %d", m, k, n, i, gotU[i], wantU[i])
+				t.Fatalf("unsigned MulRows (%d,%d,%d) element %d: got %d want %d", m, k, n, i, gotU[i], wantU[i])
 			}
 		}
 	})
@@ -106,7 +95,7 @@ func FuzzQuantizeRoundTrip(f *testing.F) {
 		if scale <= 0 {
 			t.Fatalf("non-positive scale %v", scale)
 		}
-		d, err := Dequantize(q)
+		d, err := q.Dequantize()
 		if err != nil {
 			t.Fatal(err)
 		}

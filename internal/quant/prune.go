@@ -91,36 +91,3 @@ func PruneWeights(g *graph.Graph, sparsity float64) PruneReport {
 	}
 	return rep
 }
-
-// GraphSparsity reports the current zero fraction over all conv/FC filters.
-func GraphSparsity(g *graph.Graph) float64 {
-	total, zeros := 0, 0
-	seen := map[string]bool{}
-	for _, n := range g.Nodes {
-		if n.Op != graph.OpConv2D && n.Op != graph.OpDeconv2D && n.Op != graph.OpInnerProduct {
-			continue
-		}
-		if len(n.WeightNames) == 0 {
-			continue
-		}
-		name := n.WeightNames[0]
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
-		w := g.Weights[name]
-		if w.DType() != tensor.Float32 {
-			continue
-		}
-		for _, v := range w.Data() {
-			total++
-			if v == 0 {
-				zeros++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(zeros) / float64(total)
-}

@@ -5,15 +5,25 @@ import (
 	"testing/quick"
 
 	"mnn/internal/graph"
-	"mnn/internal/kernels"
+	"mnn/internal/matmul"
 	"mnn/internal/models"
 	"mnn/internal/tensor"
 )
 
+// roundTripError is the worst absolute error quantizing and dequantizing w
+// introduces.
+func roundTripError(t *testing.T, w *tensor.Tensor) float64 {
+	d, err := QuantizeTensor(w).Dequantize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tensor.MaxAbsDiff(w, d)
+}
+
 func TestQuantizeRoundTripError(t *testing.T) {
 	w := tensor.NewRandom(1, 0.5, 64, 32, 3, 3)
 	// Symmetric int8: error bounded by scale/2 = maxAbs/254.
-	if e := MaxQuantError(w); e > 0.5/254+1e-6 {
+	if e := roundTripError(t, w); e > 0.5/254+1e-6 {
 		t.Fatalf("quant error %g too large", e)
 	}
 }
@@ -31,16 +41,7 @@ func TestQuantizeZeroTensor(t *testing.T) {
 			t.Fatal("zero tensor must quantize to exact zeros")
 		}
 	}
-	d, err := Dequantize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range d.Data() {
-		if v != 0 {
-			t.Fatal("zero tensor must stay zero")
-		}
-	}
-	if e := MaxQuantError(z); e != 0 {
+	if e := roundTripError(t, z); e != 0 {
 		t.Fatalf("zero tensor round-trip error %g, want exactly 0", e)
 	}
 }
@@ -48,14 +49,11 @@ func TestQuantizeZeroTensor(t *testing.T) {
 // TestDequantizeRejectsNonInt8 pins the error (not panic) contract on the
 // untrusted model-load path.
 func TestDequantizeRejectsNonInt8(t *testing.T) {
-	if _, err := Dequantize(tensor.New(2, 2)); err == nil {
+	if _, err := tensor.New(2, 2).Dequantize(); err == nil {
 		t.Fatal("Dequantize(float32) must error")
 	}
-	if _, err := Dequantize(tensor.NewInt32(2, 2)); err == nil {
-		t.Fatal("Dequantize(int32) must error")
-	}
 	q := QuantizeTensor(tensor.NewRandom(1, 0.5, 2, 2))
-	if _, err := Dequantize(q); err != nil {
+	if _, err := q.Dequantize(); err != nil {
 		t.Fatalf("Dequantize(int8) must succeed: %v", err)
 	}
 }
@@ -64,7 +62,7 @@ func TestQuantizePropertyBounded(t *testing.T) {
 	f := func(seed uint64, scaleRaw uint8) bool {
 		scale := float32(scaleRaw)/16 + 0.01
 		w := tensor.NewRandom(seed, scale, 3, 5, 7)
-		return MaxQuantError(w) <= float64(scale)/254+1e-6
+		return roundTripError(t, w) <= float64(scale)/254+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -83,7 +81,7 @@ func TestMulInt8MatchesInt32(t *testing.T) {
 		b[i] = int8(r.Intn(255) - 127)
 	}
 	dst := make([]int32, m*n)
-	MulInt8(dst, a, b, m, k, n)
+	matmul.MulInt8Ref(dst, a, b, m, k, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			var want int32
@@ -94,45 +92,6 @@ func TestMulInt8MatchesInt32(t *testing.T) {
 				t.Fatalf("(%d,%d): got %d want %d", i, j, dst[i*n+j], want)
 			}
 		}
-	}
-}
-
-func TestQuantizedConvCloseToFloat(t *testing.T) {
-	a := &graph.Conv2DAttrs{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1,
-		PadH: 1, PadW: 1, Group: 1, InputCount: 8, OutputCount: 16}
-	src := tensor.NewRandom(11, 1, 1, 8, 12, 12)
-	weight := tensor.NewRandom(12, 0.2, 16, 8, 3, 3)
-	bias := tensor.NewRandom(13, 0.1, 16)
-	want := tensor.New(1, 16, 12, 12)
-	kernels.ConvRef(want, src, weight, bias, a)
-
-	qc, err := PrepareQuantizedConv(weight, bias, a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := tensor.New(1, 16, 12, 12)
-	qc.Run(got, src)
-	// int8×int8 accumulation: relative error a few percent of the dynamic
-	// range is expected.
-	if d := tensor.MaxAbsDiff(want, got); d > 0.15 {
-		t.Fatalf("quantized conv error %g", d)
-	}
-	// But it must be non-trivially accurate, not garbage.
-	var norm float64
-	for _, v := range want.Data() {
-		if x := float64(v); x > norm {
-			norm = x
-		}
-	}
-	if norm < 0.5 {
-		t.Fatal("test signal too weak to be meaningful")
-	}
-}
-
-func TestQuantizedConvRejectsGroups(t *testing.T) {
-	a := &graph.Conv2DAttrs{KernelH: 3, KernelW: 3, Group: 4, InputCount: 8, OutputCount: 8}
-	if _, err := PrepareQuantizedConv(tensor.New(8, 2, 3, 3), nil, a, 0); err == nil {
-		t.Fatal("expected group error")
 	}
 }
 
@@ -156,9 +115,5 @@ func TestQuantizeWeightsGraph(t *testing.T) {
 		if len(n.WeightNames) > 1 && g.Weights[n.WeightNames[1]].DType() != tensor.Float32 {
 			t.Fatalf("conv %q bias must stay float", n.Name)
 		}
-	}
-	// Dequantize restores float graph.
-	if n := DequantizeWeights(g); n != count {
-		t.Fatalf("dequantized %d, want %d", n, count)
 	}
 }

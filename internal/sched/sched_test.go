@@ -10,12 +10,15 @@ import (
 type coverTask struct {
 	hits  []int32
 	maxW  atomic.Int32
+	negW  atomic.Bool
 	calls atomic.Int32
 }
 
 func (t *coverTask) RunChunk(worker, start, end int) {
-	if w := int32(worker); w > t.maxW.Load() {
-		t.maxW.Store(w)
+	for w := t.maxW.Load(); int32(worker) > w && !t.maxW.CompareAndSwap(w, int32(worker)); w = t.maxW.Load() {
+	}
+	if worker < 0 {
+		t.negW.Store(true)
 	}
 	t.calls.Add(1)
 	for i := start; i < end; i++ {
@@ -36,8 +39,13 @@ func TestRunCoversRangeExactlyOnce(t *testing.T) {
 							lanes, total, chunk, i, h)
 					}
 				}
-				if int(ct.maxW.Load()) >= lanes {
-					t.Fatalf("lanes=%d: worker index %d out of range", lanes, ct.maxW.Load())
+				// Worker indices are dense: 0 ≤ worker < lanes, so a task can
+				// keep one workspace slot per lane.
+				if int(ct.maxW.Load()) >= lanes || ct.negW.Load() {
+					t.Fatalf("lanes=%d: worker index out of [0, %d) (max %d)", lanes, lanes, ct.maxW.Load())
+				}
+				if total == 0 && ct.calls.Load() != 0 {
+					t.Fatalf("lanes=%d chunk=%d: empty range ran %d chunks", lanes, chunk, ct.calls.Load())
 				}
 				p.Close()
 			}

@@ -44,7 +44,7 @@ func runOutput(t *testing.T, s *Session, in *tensor.Tensor) []float32 {
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	return append([]float32(nil), s.Output(s.OutputNames()[0]).Data()...)
+	return append([]float32(nil), s.Output(s.g.OutputNames[0]).Data()...)
 }
 
 // concatSteps counts the steps of s that run a concat.

@@ -78,9 +78,6 @@ func (s *Session) EnableDynamic() error {
 	return nil
 }
 
-// Dynamic reports whether EnableDynamic succeeded on this session.
-func (s *Session) Dynamic() bool { return s.dyn != nil }
-
 // hashDims folds input dims into an FNV-1a hash. Inputs are visited in
 // g.InputNames order so the hash is stable across calls.
 func (s *Session) hashDims(inputs map[string]*tensor.Tensor) (uint64, error) {

@@ -99,11 +99,7 @@ func randomGraph(seed uint64) *graph.Graph {
 			a := &graph.PoolAttrs{Type: pt, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2}
 			g.AddNode(&graph.Node{Name: name, Op: graph.OpPool, Inputs: []string{cur}, Outputs: []string{name},
 				Attrs: a})
-			oh, _, err := graph.PoolOutputSize(curH, curH, a)
-			if err != nil {
-				continue
-			}
-			cur, curH = name, oh
+			cur, curH = name, tensor.UpDiv(curH, 2) // Caffe's ceil mode
 		case 5: // activation
 			ops := []graph.OpType{graph.OpReLU, graph.OpReLU6, graph.OpSigmoid, graph.OpTanh}
 			g.AddNode(&graph.Node{Name: name, Op: ops[r.Intn(len(ops))], Inputs: []string{cur}, Outputs: []string{name}})

@@ -537,9 +537,6 @@ func (s *Session) Input(name string) *tensor.Tensor {
 // Output returns the tensor holding a declared graph output after Run.
 func (s *Session) Output(name string) *tensor.Tensor { return s.outputs[name] }
 
-// OutputNames lists the declared outputs.
-func (s *Session) OutputNames() []string { return s.g.OutputNames }
-
 // Stats returns pre-inference statistics.
 func (s *Session) Stats() Stats { return s.stats }
 

@@ -51,7 +51,6 @@ type DataType uint8
 const (
 	Float32 DataType = iota
 	Int8
-	Int32
 )
 
 func (d DataType) String() string {
@@ -60,8 +59,6 @@ func (d DataType) String() string {
 		return "float32"
 	case Int8:
 		return "int8"
-	case Int32:
-		return "int32"
 	default:
 		return fmt.Sprintf("DataType(%d)", uint8(d))
 	}
@@ -78,7 +75,6 @@ type Tensor struct {
 	// Exactly one of the following backing stores is non-nil, matching dtype.
 	f32 []float32
 	i8  []int8
-	i32 []int32
 	// planned is the whole float32 buffer once SetBoundedShape has cut f32
 	// down to a smaller shape (nil until then: f32 is the whole buffer).
 	planned []float32
@@ -110,13 +106,6 @@ func NewWithLayout(layout Layout, shape ...int) *Tensor {
 func NewInt8(q QuantParams, shape ...int) *Tensor {
 	t := &Tensor{shape: cloneInts(shape), layout: NCHW, dtype: Int8, Quant: &q}
 	t.i8 = make([]int8, t.PhysicalLen())
-	return t
-}
-
-// NewInt32 allocates a zero-filled int32 tensor (NCHW physical order).
-func NewInt32(shape ...int) *Tensor {
-	t := &Tensor{shape: cloneInts(shape), layout: NCHW, dtype: Int32}
-	t.i32 = make([]int32, t.PhysicalLen())
 	return t
 }
 
@@ -178,14 +167,6 @@ func (t *Tensor) Int8Data() []int8 {
 		panic("tensor: Int8Data called on " + t.dtype.String() + " tensor")
 	}
 	return t.i8
-}
-
-// Int32Data returns the raw int32 backing buffer.
-func (t *Tensor) Int32Data() []int32 {
-	if t.dtype != Int32 {
-		panic("tensor: Int32Data called on " + t.dtype.String() + " tensor")
-	}
-	return t.i32
 }
 
 // Batch, Channels, Height, Width interpret the tensor as N×C×H×W.
@@ -272,7 +253,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if NumElements(shape) != t.NumElements() {
 		panic(fmt.Sprintf("tensor: Reshape %v -> %v changes element count", t.shape, shape))
 	}
-	return &Tensor{shape: cloneInts(shape), layout: NCHW, dtype: t.dtype, f32: t.f32, i8: t.i8, i32: t.i32, Quant: t.Quant}
+	return &Tensor{shape: cloneInts(shape), layout: NCHW, dtype: t.dtype, f32: t.f32, i8: t.i8, Quant: t.Quant}
 }
 
 // SetBoundedShape overwrites the tensor's shape in place and cuts Data down
@@ -441,8 +422,6 @@ func (t *Tensor) Clone() *Tensor {
 		out.f32 = append([]float32(nil), t.f32...)
 	case Int8:
 		out.i8 = append([]int8(nil), t.i8...)
-	case Int32:
-		out.i32 = append([]int32(nil), t.i32...)
 	}
 	return out
 }
@@ -457,30 +436,6 @@ func (t *Tensor) Zero() {
 	case Int8:
 		for i := range t.i8 {
 			t.i8[i] = 0
-		}
-	case Int32:
-		for i := range t.i32 {
-			t.i32[i] = 0
-		}
-	}
-}
-
-// Fill sets every logical element to v (padding slots are left untouched).
-func (t *Tensor) Fill(v float32) {
-	if t.layout != NC4HW4 || len(t.shape) != 4 {
-		for i := range t.f32 {
-			t.f32[i] = v
-		}
-		return
-	}
-	N, C, H, W := t.shape[0], t.shape[1], t.shape[2], t.shape[3]
-	for n := 0; n < N; n++ {
-		for c := 0; c < C; c++ {
-			for h := 0; h < H; h++ {
-				for w := 0; w < W; w++ {
-					t.Set(n, c, h, w, v)
-				}
-			}
 		}
 	}
 }
@@ -611,22 +566,6 @@ func MaxAbsDiff(a, b *Tensor) float64 {
 		}
 	}
 	return m
-}
-
-// AllClose reports whether every element of a and b differs by at most
-// atol + rtol*|b|.
-func AllClose(a, b *Tensor, rtol, atol float64) bool {
-	if !EqualShape(a.shape, b.shape) {
-		return false
-	}
-	an, bn := a.ToLayout(NCHW), b.ToLayout(NCHW)
-	for i := range an.f32 {
-		av, bv := float64(an.f32[i]), float64(bn.f32[i])
-		if math.Abs(av-bv) > atol+rtol*math.Abs(bv) {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders a compact description, e.g. "Tensor[1,64,56,56] NC4HW4 float32".

@@ -97,7 +97,7 @@ func TestLayoutRoundTripProperty(t *testing.T) {
 
 func TestNC4HW4PaddingIsZero(t *testing.T) {
 	tt := NewWithLayout(NC4HW4, 1, 3, 2, 2)
-	tt.Fill(1)
+	tt.CopyFrom(FromData([]float32{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 1, 3, 2, 2))
 	// Physical buffer has channel 3 (the pad slot) interleaved; every 4th
 	// element with index%4==3 must remain zero.
 	for i, v := range tt.Data() {
@@ -257,21 +257,6 @@ func TestSetBoundedShapeNC4HW4(t *testing.T) {
 	}
 	if tt.Capacity() != 144 {
 		t.Fatalf("capacity %d, want 144", tt.Capacity())
-	}
-}
-
-func TestAllClose(t *testing.T) {
-	a := NewRandom(1, 1, 1, 2, 3, 3)
-	b := a.Clone()
-	if !AllClose(a, b, 0, 0) {
-		t.Fatal("identical tensors must be close")
-	}
-	b.Data()[0] += 1e-3
-	if AllClose(a, b, 0, 1e-5) {
-		t.Fatal("should not be close at atol 1e-5")
-	}
-	if !AllClose(a, b, 0, 1e-2) {
-		t.Fatal("should be close at atol 1e-2")
 	}
 }
 

@@ -108,7 +108,7 @@ func runForced(t *testing.T, g *graph.Graph, shapes map[string][]int, input *ten
 		t.Fatal(err)
 	}
 	outs := map[string]*tensor.Tensor{}
-	for _, name := range s.OutputNames() {
+	for _, name := range g.OutputNames {
 		outs[name] = s.Output(name).Clone()
 	}
 	return outs, admitted

@@ -20,7 +20,6 @@ package winograd
 
 import (
 	"fmt"
-	"sync"
 )
 
 // DefaultF is the point-spacing scalar f from Equation 8 of the paper.
@@ -181,27 +180,4 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-var (
-	cacheMu sync.Mutex
-	cache   = map[[2]int]*Matrices{}
-)
-
-// Get returns cached matrices for F(n×n, k×k) with the default f, generating
-// them on first use. It panics on invalid sizes — callers validate n,k via
-// Generate when handling untrusted input.
-func Get(n, k int) *Matrices {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	key := [2]int{n, k}
-	if m, ok := cache[key]; ok {
-		return m
-	}
-	m, err := Generate(n, k, DefaultF)
-	if err != nil {
-		panic(err)
-	}
-	cache[key] = m
-	return m
 }

@@ -2,7 +2,6 @@ package winograd
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -151,11 +150,20 @@ func sandwich(l, src, r []float32, lm, lk, rk, rm int) []float32 {
 	return dst
 }
 
+func mustGenerate(t *testing.T, n, k int) *Matrices {
+	t.Helper()
+	m, err := Generate(n, k, DefaultF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestTransform2DMatchesDirect(t *testing.T) {
 	r := tensor.NewRNG(2)
 	for _, tc := range [][2]int{{2, 3}, {4, 3}, {6, 3}, {2, 5}, {4, 5}, {2, 2}, {4, 2}} {
 		n, k := tc[0], tc[1]
-		mats := Get(n, k)
+		mats := mustGenerate(t, n, k)
 		m := mats.M
 		d := make([]float32, m*m)
 		g := make([]float32, k*k)
@@ -185,7 +193,7 @@ func TestTransform2DMatchesDirect(t *testing.T) {
 func TestKnownF23Structure(t *testing.T) {
 	// For F(2,3) with points {0, ±f, ∞}, AT must be 2×4 and BT 4×4;
 	// AT row 0 should read the even combination: [1, 1, 1, 0].
-	mats := Get(2, 3)
+	mats := mustGenerate(t, 2, 3)
 	if mats.M != 4 || len(mats.AT) != 8 || len(mats.BT) != 16 || len(mats.G) != 12 {
 		t.Fatalf("bad dims: m=%d", mats.M)
 	}
@@ -256,36 +264,6 @@ func TestNumericalErrorSmallWithHalfSpacing(t *testing.T) {
 	}
 	if eBig <= ePaper {
 		t.Logf("note: f=2 error %g not worse than f=0.5 error %g (acceptable but unexpected)", eBig, ePaper)
-	}
-}
-
-func TestArithmeticCostFormula(t *testing.T) {
-	// Hand-check Eq. 2 for n=2, k=3, ic=4, oc=8: m=4.
-	// 2*4*64 + 4*8*16 + 2*4*6 = 512 + 512 + 48 = 1072.
-	if got := ArithmeticCost(2, 3, 4, 8); got != 1072 {
-		t.Fatalf("ArithmeticCost = %v, want 1072", got)
-	}
-}
-
-func TestGetCacheConcurrent(t *testing.T) {
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				m := Get(2+(j%3)*2, 3)
-				if m == nil || m.N < 2 {
-					t.Error("bad cached matrices")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// Same pointer must be returned for the same key.
-	if Get(4, 3) != Get(4, 3) {
-		t.Fatal("cache must return identical pointer")
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"mnn"
+	"mnn/internal/fault"
 	"mnn/internal/tensor"
 )
 
@@ -305,13 +306,26 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("404 body is not an ErrorResponse: %s", blob)
 	}
 
-	// Graceful shutdown drains the in-flight request.
+	// Graceful shutdown drains the in-flight request. Its model's engine
+	// sleeps at the top of the inference (an injected latency); shutdown
+	// starts once that fault has fired, so the request is inside the handler
+	// for the whole drain.
+	fi := chaosInjector(t, 1, "engine.infer=latency:300ms,count=1")
+	err := reg.Load("drain", ModelConfig{
+		Model: "mobilenet-v1",
+		Options: []mnn.Option{
+			mnn.WithPoolSize(1),
+			mnn.WithInputShapes(map[string][]int{"data": shape}),
+			mnn.WithFaultInjector(fi),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	inflight := make(chan error, 1)
-	started := make(chan struct{})
 	go func() {
-		close(started)
 		in := randomInput(999, shape)
-		_, code, blob, err := tryInferOverHTTP(base, "mobilenet-v1", in)
+		_, code, blob, err := tryInferOverHTTP(base, "drain", in)
 		if err != nil {
 			inflight <- err
 			return
@@ -322,8 +336,13 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 		inflight <- nil
 	}()
-	<-started
-	time.Sleep(50 * time.Millisecond) // let the request reach the handler
+	for fi.Fired(fault.SiteEngineInfer) == 0 {
+		select {
+		case err := <-inflight:
+			t.Fatalf("in-flight request ended before reaching the engine: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := shutdown(ctx); err != nil {
