@@ -27,14 +27,14 @@ import (
 )
 
 // Engine is the concurrent facade over the paper's prepared-session
-// design. Open runs the full pre-inference (shape inference, Equation 4–5
-// backend selection, Equation 2–3 scheme selection, Figure 3 memory
-// planning, constant pre-computation) once per pooled session, on one set of
-// prepared weights built for the engine and shared by every session, a
-// rebuilt one included; Infer is then pure compute and safe to call from
-// any number of goroutines — each call
-// checks out a prepared session, copies the inputs in, runs, and copies the
-// outputs back out, so callers never share tensors with the engine.
+// design. Open makes the Equation 2–3 scheme decisions once, then runs the
+// rest of pre-inference (shape inference, Equation 4–5 backend selection,
+// Figure 3 memory planning, constant pre-computation) once per pooled
+// session, on one set of prepared weights built for the engine and shared by
+// every session, a rebuilt one included; Infer is then pure compute and safe
+// to call from any number of goroutines — each call checks out a prepared
+// session, copies the inputs in, runs, and copies the outputs back out, so
+// callers never share tensors with the engine.
 //
 //	eng, err := mnn.Open("mobilenet-v1", mnn.WithThreads(4), mnn.WithPoolSize(4))
 //	if err != nil { ... }
@@ -108,15 +108,17 @@ func Open(model any, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tunedShapes graph.ShapeMap
+	// Every convolution's kernel is decided here, once: the tuner's pick or
+	// the heuristic's, and at int8 its route. Sessions, their backends and
+	// the int8 partition all read these decisions.
+	sg, shapes, err := shapedCopy(g, cfg.inputShapes)
+	if err != nil {
+		return nil, err
+	}
+	var tuned map[string]core.ConvDecision
 	if cfg.tuning != TuningHeuristic {
 		// Run the kernel search once; every pooled session shares the plan.
-		var err error
-		tunedShapes, err = graph.InferShapes(g, cfg.inputShapes)
-		if err != nil {
-			return nil, err
-		}
-		cfg.tuningPlan, err = tuner.New(g, tunedShapes, tuner.Config{
+		cfg.tuningPlan, err = tuner.New(sg, shapes, tuner.Config{
 			Mode:      cfg.tuning,
 			Threads:   cfg.threads,
 			Int8:      cfg.precision == PrecisionInt8,
@@ -127,7 +129,9 @@ func Open(model any, opts ...Option) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
+		tuned = cfg.tuningPlan.Decisions
 	}
+	cfg.convs = core.DecideConvs(sg, shapes, tuned, cfg.precision == PrecisionInt8)
 	if cfg.precision == PrecisionInt8 {
 		// The int8 kernels are CPU-only; an explicit GPU forward type is a
 		// configuration error, ForwardAuto just schedules on the CPU.
@@ -135,13 +139,7 @@ func Open(model any, opts ...Option) (*Engine, error) {
 			return nil, fmt.Errorf("%w: int8 precision requires the CPU backend", ErrUnknownBackend)
 		}
 		cfg.forward = ForwardCPU
-		// The partition must follow the schemes that will actually run:
-		// Int8ConvSupported prices the int8 route against the chosen
-		// algorithm, so a tuned engine plans from the tuner's decisions.
-		plan, err := optimizer.PlanInt8With(g, cfg.inputShapes, schemeResolver(cfg.tuningPlan))
-		if err != nil {
-			return nil, err
-		}
+		plan := optimizer.PlanInt8With(sg, cfg.convs)
 		cfg.int8Plan = plan.Int8
 		cfg.nonNegActs = plan.NonNegActs
 		cfg.actScales = g.ActScales
@@ -151,7 +149,7 @@ func Open(model any, opts ...Option) (*Engine, error) {
 		// block, which may have pinned the forward type to CPU). Without a
 		// device profile no GPU backend can exist, so the common CPU-only
 		// Open skips the throwaway provider stack entirely.
-		cfg.assignment, cfg.backendCosts, err = scoredAssignment(g, tunedShapes, cfg)
+		cfg.assignment, cfg.backendCosts, err = scoredAssignment(sg, shapes, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -181,6 +179,7 @@ func Open(model any, opts ...Option) (*Engine, error) {
 		}
 		if i == 0 {
 			e.stats = s.Stats()
+			e.stats.SchemeCounts = cfg.convs.Counts()
 			e.inputNames = append([]string(nil), g.InputNames...)
 			e.outputNames = append([]string(nil), g.OutputNames...)
 			e.inputShapes = make(map[string][]int, len(g.InputNames))
@@ -207,13 +206,26 @@ func tuningModelKey(g *graph.Graph) string {
 	return fmt.Sprintf("%s+%dnodes", name, len(g.Nodes))
 }
 
-// schemeResolver adapts a (possibly nil) tuning plan to the optimizer's
-// scheme-resolver hook; nil keeps the heuristic.
-func schemeResolver(p *tuner.Plan) func(n *graph.Node, inShape []int) core.ConvDecision {
-	if p == nil {
-		return nil
+// shapedCopy validates g (which checks, too, that its nodes come in
+// topological order) and infers its shapes, as each session's pre-inference
+// will. Shape inference fills in a convolution's unset input channel count,
+// so it runs on a copy of g in which those convolutions are copies; g, which
+// callers may share between engines, is left as it is.
+func shapedCopy(g *graph.Graph, inputShapes map[string][]int) (*graph.Graph, graph.ShapeMap, error) {
+	if err := g.Validate(); err != nil {
+		return nil, nil, err
 	}
-	return p.SchemeFor
+	c := *g
+	c.Nodes = append([]*graph.Node(nil), g.Nodes...)
+	for i, n := range c.Nodes {
+		if a, ok := n.Attrs.(*graph.Conv2DAttrs); ok && a.InputCount == 0 {
+			cn, ca := *n, *a
+			cn.Attrs = &ca
+			c.Nodes[i] = &cn
+		}
+	}
+	shapes, err := graph.InferShapes(&c, inputShapes)
+	return &c, shapes, err
 }
 
 // resolveModel turns Open's polymorphic model argument into a graph.
@@ -257,15 +269,9 @@ func newBackends(cfg engineConfig, clock *simclock.Clock) ([]backend.Backend, er
 	// Each session owns one persistent worker pool; every kernel of every
 	// operator dispatches onto it, so steady-state inference spawns no
 	// goroutines. Session.Close (via Engine.Close) releases the workers.
-	var force func(*graph.Node, core.ConvDecision) core.ConvDecision
-	if cfg.tuningPlan != nil {
-		force = cfg.tuningPlan.ForceScheme
-	}
 	backends := []backend.Backend{
 		cpu.New(cpu.Config{Threads: cfg.threads, Device: dev, Clock: clock,
-			Pool:        sched.New(cfg.threads),
-			ForceScheme: force,
-			Int8:        cfg.precision == PrecisionInt8, QuantPlan: cfg.int8Plan,
+			Pool: sched.New(cfg.threads), Convs: cfg.convs, QuantPlan: cfg.int8Plan,
 			ActScales: cfg.actScales, NonNegActs: cfg.nonNegActs,
 			Prepared: cfg.prepared}),
 	}
@@ -275,7 +281,7 @@ func newBackends(cfg engineConfig, clock *simclock.Clock) ([]backend.Backend, er
 		}
 		b, err := gpusim.New(gpusim.Config{Kind: kind, Device: dev, Clock: clock,
 			DecoupledEncode: !cfg.noPrep, ComputeThreads: cfg.threads,
-			ForceScheme: force})
+			Convs: cfg.convs})
 		if err != nil {
 			return err
 		}

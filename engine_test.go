@@ -14,6 +14,7 @@ import (
 
 	"mnn"
 	"mnn/internal/fault"
+	"mnn/internal/graph"
 	"mnn/internal/tensor"
 )
 
@@ -431,5 +432,50 @@ func TestDefaultThreadsResolution(t *testing.T) {
 	eng2 := openTiny(t, mnn.WithThreads(2))
 	if got := eng2.Threads(); got != 2 {
 		t.Errorf("WithThreads(2) threads = %d, want 2", got)
+	}
+}
+
+// TestOpenLeavesTheGraphAlone: engines opened at once on one graph — fp32,
+// int8 and cost-tuned — each decide its depthwise convolution as depthwise,
+// and none writes the shared graph: shape inference fills conv input channel
+// counts in a copy, so the JSON model's unset counts stay unset (and the
+// race detector sees no write).
+func TestOpenLeavesTheGraphAlone(t *testing.T) {
+	g := tinyModel(t)
+	unset := map[string]bool{}
+	for _, n := range g.Nodes {
+		if a, ok := n.Attrs.(*graph.Conv2DAttrs); ok && a.InputCount == 0 {
+			unset[n.Name] = true
+		}
+	}
+	if !unset["dw"] {
+		t.Fatal("the tiny model's depthwise conv declares its input channels; the test needs them unset")
+	}
+	opts := [][]mnn.Option{
+		{mnn.WithThreads(1)},
+		{mnn.WithThreads(1), mnn.WithPrecision(mnn.PrecisionInt8)},
+		{mnn.WithThreads(1), mnn.WithTuning(mnn.TuningCost)},
+	}
+	var wg sync.WaitGroup
+	for _, o := range append(opts, opts...) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng, err := mnn.Open(g, o...)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer eng.Close()
+			if sc := eng.Stats().SchemeCounts; sc["depthwise"] != 1 {
+				t.Errorf("scheme counts %v, want the dw conv depthwise", sc)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, n := range g.Nodes {
+		if a, ok := n.Attrs.(*graph.Conv2DAttrs); ok && unset[n.Name] && a.InputCount != 0 {
+			t.Errorf("Open wrote conv %q's input channel count %d into the caller's graph", n.Name, a.InputCount)
+		}
 	}
 }

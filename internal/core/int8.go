@@ -73,10 +73,9 @@ const winogradHalfDepth = 8
 // fp32).
 // The price reads the per-sample input geometry only — inShape[0] is
 // ignored — so a batched engine partitions as its unbatched twin does.
-// Depthwise convolutions stay fp32. The offline int8 planner
-// (optimizer.PlanInt8With) and the CPU backend's workspace sizing and
-// dispatch all consult this single predicate, so the partition cannot
-// drift between them.
+// Depthwise convolutions stay fp32. DecideConvs evaluates it once per
+// convolution per Open and records the answer in the convolution's route;
+// the int8 partition and the CPU backend read the route, not this price.
 func Int8ConvSupported(a *graph.Conv2DAttrs, inShape []int, dec ConvDecision, level string) bool {
 	r, ok := int8RateTable[level]
 	if !ok || a.Group > 1 || len(inShape) != 4 {

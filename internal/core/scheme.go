@@ -143,100 +143,35 @@ func WinogradLegal(a *graph.Conv2DAttrs, inShape []int, tile int) bool {
 // Table 1, first column). Calibrated once against this repo's kernels.
 var TrafficCostFactor = 2.0
 
-// SelectConvScheme implements Equations 2–3 extended with a traffic term:
-// it evaluates the per-output-pixel cost of the sliding-window kernel and of
-// every Winograd tile candidate, and returns the argmin. 1×1 convolutions
-// lower to Strassen matmul, depthwise convolutions to the dedicated kernel,
-// and configurations outside the fast paths (groups, stride/dilation with
-// k > 1 restrictions) fall back to im2col.
+// SelectConvScheme implements Equations 2–3 extended with a traffic term, as
+// a rule over ConvCandidates: the dedicated depthwise kernel or the 1×1
+// matmul lowering where legal (Rule 1 of Section 3.2: k = 1 is a matrix
+// multiplication), else the cheapest CostPerPixel among sliding window and
+// the Winograd tiles (ties to the earlier candidate, so n̂ = 1 ⇒ sliding
+// window, Equation 3's first branch), else im2col, the grouped
+// convolutions' path. A convolution no kernel runs (output channels that its
+// group does not divide) gets im2col without cost terms.
 func SelectConvScheme(a *graph.Conv2DAttrs, inShape []int) ConvDecision {
-	ic := a.InputCount
-	if ic == 0 && len(inShape) == 4 {
-		ic = inShape[1]
-	}
-	oc := a.OutputCount
-	ih, iw := inShape[2], inShape[3]
-	oh, ow, err := graph.ConvOutputSize(ih, iw, a)
-	if err != nil {
-		oh, ow = 1, 1
-	}
-	n := inShape[0]
-	outPixels := int64(n) * int64(oh) * int64(ow)
-	group := a.Group
-	if group <= 0 {
-		group = 1
-	}
-	direct := outPixels * int64(oc) * int64(ic/group) * int64(a.KernelH) * int64(a.KernelW)
-
-	dec := ConvDecision{DirectMULs: direct}
-
-	switch {
-	case DepthwiseLegal(a):
-		dec.Scheme = SchemeDepthwise
-		dec.EffMULs = direct
-		dec.CostPerPixel = float64(a.KernelH * a.KernelW)
-		return dec
-	case group > 1:
-		dec.Scheme = SchemeIm2col
-		dec.EffMULs = direct
-		dec.CostPerPixel = float64(ic/group*a.KernelH*a.KernelW) * float64(oc)
-		return dec
-	case Strassen1x1Legal(a, inShape):
-		// Rule 1 of Section 3.2: k = 1 is a matrix multiplication;
-		// Strassen applies.
-		dec.Scheme = SchemeStrassen1x1
-		dec.EffMULs = matmul.StrassenMULs(int(outPixels), ic, oc)
-		dec.CostPerPixel = float64(ic) * float64(oc)
-		return dec
-	}
-
-	// Sliding-window cost per output pixel (all output channels).
-	slidingCost := float64(ic) * float64(a.KernelH) * float64(a.KernelW) * float64(oc)
-
-	bestCost := slidingCost
-	bestTile := 0
-	for _, t := range winoTileCandidates {
-		// Winograd applies only to stride-1, dilation-1 convolutions with
-		// transforms inside the usable float32 bound.
-		if !WinogradLegal(a, inShape, t) {
-			continue
-		}
-		nh, nw := t, t
-		if a.KernelH == 1 {
-			nh = 1
-		}
-		if a.KernelW == 1 {
-			nw = 1
-		}
-		c := winoCostPerPixel(nh, nw, a.KernelH, a.KernelW, ic, oc, oh, ow)
-		if c < bestCost {
-			bestCost = c
-			bestTile = t
+	var best *ConvDecision
+	im2col := ConvDecision{Scheme: SchemeIm2col}
+	cands := ConvCandidates(a, inShape)
+	for i := range cands {
+		d := &cands[i].Decision
+		switch d.Scheme {
+		case SchemeDepthwise, SchemeStrassen1x1:
+			return *d
+		case SchemeSliding, SchemeWinograd:
+			if best == nil || d.CostPerPixel < best.CostPerPixel {
+				best = d
+			}
+		case SchemeIm2col:
+			im2col = *d
 		}
 	}
-
-	if bestTile == 0 {
-		// Equation 3's first branch: n̂ = 1 ⇒ sliding window.
-		dec.Scheme = SchemeSliding
-		dec.EffMULs = direct
-		dec.CostPerPixel = slidingCost
-		return dec
+	if best != nil {
+		return *best
 	}
-
-	nh, nw := bestTile, bestTile
-	if a.KernelH == 1 {
-		nh = 1
-	}
-	if a.KernelW == 1 {
-		nw = 1
-	}
-	dec.Scheme = SchemeWinograd
-	dec.TileH, dec.TileW = nh, nw
-	dec.CostPerPixel = bestCost
-	tiles := int64(n) * int64(upDiv(oh, nh)) * int64(upDiv(ow, nw))
-	arith, traffic := winoPerTileCost(nh, nw, a.KernelH, a.KernelW, ic, oc)
-	dec.EffMULs = tiles * int64(arith+TrafficCostFactor*traffic)
-	return dec
+	return im2col
 }
 
 // maxTransform is the n+k-1 bound for usable float32 Winograd transforms.
@@ -288,13 +223,62 @@ func ParseConvScheme(s string) (ConvScheme, error) {
 	}
 }
 
-// ConvSchemer is the slice of a backend that reports which kernel will run a
-// convolution: the name of the scheme it prepares — the heuristic decision
-// possibly overridden by a tuner — or another route it takes instead (the
-// CPU backend's "int8-gemm"). Sessions consult it for their scheme
-// statistics so reporting can never drift from execution.
-type ConvSchemer interface {
-	ConvRoute(n *graph.Node, inShape []int) string
+// Int8Route names the int8 tap GEMM in scheme counts and simulated charges.
+const Int8Route = "int8-gemm"
+
+// ConvRoute is the kernel pre-inference chose for one convolution: its fp32
+// decision, and whether an int8 engine runs it on the int8 tap GEMM instead.
+type ConvRoute struct {
+	ConvDecision
+	// Int8 routes the convolution to the int8 tap GEMM (kernels.QuantConv).
+	Int8 bool
+}
+
+// String names the route: Int8Route, or the scheme's name.
+func (r ConvRoute) String() string {
+	if r.Int8 {
+		return Int8Route
+	}
+	return r.Scheme.String()
+}
+
+// ConvRoutes holds one route per convolution node, by node name: the conv
+// decisions an engine makes once per Open. Its backends prepare from it, its
+// int8 partition and its scheme counts are read from it.
+type ConvRoutes map[string]ConvRoute
+
+// DecideConvs makes the conv decisions of a graph at its inferred shapes:
+// each Conv2D node takes its tuned decision if it has one, else the
+// SelectConvScheme heuristic's, and in an int8 engine runs on the int8 tap
+// GEMM where Int8ConvSupported prices that below its decision on this host's
+// int8 level.
+func DecideConvs(g *graph.Graph, shapes graph.ShapeMap, tuned map[string]ConvDecision, int8 bool) ConvRoutes {
+	level := ""
+	if int8 {
+		level = matmul.Int8ISA()
+	}
+	routes := ConvRoutes{}
+	for _, n := range g.Nodes {
+		if n.Op != graph.OpConv2D {
+			continue
+		}
+		a, in := n.Attrs.(*graph.Conv2DAttrs), shapes[n.Inputs[0]]
+		dec, ok := tuned[n.Name]
+		if !ok {
+			dec = SelectConvScheme(a, in)
+		}
+		routes[n.Name] = ConvRoute{dec, Int8ConvSupported(a, in, dec, level)}
+	}
+	return routes
+}
+
+// Counts tallies the routes by name.
+func (rs ConvRoutes) Counts() map[string]int {
+	counts := map[string]int{}
+	for _, r := range rs {
+		counts[r.String()]++
+	}
+	return counts
 }
 
 // ConvCandidate is one legal algorithm for a convolution together with the

@@ -1,8 +1,8 @@
-// Package cpu implements the CPU backend: NC4HW4 activations, multi-threaded
-// kernels, and pre-inference scheme selection (Section 3.2 of the paper) so
-// that every convolution runs the cost-optimal algorithm among sliding
-// window, generated Winograd, matmul (1×1) and the depthwise and
-// im2col paths.
+// Package cpu implements the CPU backend: NC4HW4 activations and
+// multi-threaded kernels. Each convolution prepares the algorithm its route
+// names — sliding window, generated Winograd, matmul (1×1), depthwise,
+// im2col or the int8 tap GEMM — from the conv decisions the engine made once
+// in pre-inference (Section 3.2 of the paper, core.DecideConvs).
 package cpu
 
 import (
@@ -32,22 +32,19 @@ type Config struct {
 	Clock *simclock.Clock
 	// Efficiency adjusts simulated cost per op; nil means always 1.0.
 	Efficiency EfficiencyModel
-	// ForceScheme overrides pre-inference scheme selection; nil keeps the
-	// cost-model choice. Used by fixed-scheme baselines (Table 1) and
-	// ablations.
-	ForceScheme func(n *graph.Node, dec core.ConvDecision) core.ConvDecision
+	// Convs holds the engine's conv decisions (core.DecideConvs): each
+	// convolution prepares the fp32 scheme and tile, or the int8 tap GEMM,
+	// its route names. A convolution it does not name — every one, for a
+	// backend built without it — runs the SelectConvScheme heuristic's pick
+	// at fp32.
+	Convs core.ConvRoutes
 	// Pool is the persistent worker pool kernels dispatch onto. Nil makes
 	// the backend create (and own) one sized to Threads; either way Close
 	// releases it.
 	Pool *sched.Pool
-	// Int8 enables the quantized execution path: fully-connected layers
-	// and the convolutions core.Int8ConvSupported prices cheaper in int8 on
-	// this host's int8 level run the prepared int8 kernels; everything else
-	// falls back to fp32 transparently.
-	Int8 bool
-	// QuantPlan optionally restricts which nodes run int8 (the
-	// optimizer.PlanInt8 partition, keyed by node name); nil quantizes every
-	// eligible node.
+	// QuantPlan is an int8 engine's partition (optimizer.PlanInt8With): the
+	// nodes that run on int8 kernels, by name; nil at fp32. Fully-connected
+	// layers are read from it, convolutions from their routes in Convs.
 	QuantPlan map[string]bool
 	// ActScales maps activation tensor name → calibrated scale
 	// (quant.Calibrate). Int8 kernels whose input has no entry derive a
@@ -116,26 +113,13 @@ func (b *Backend) PreferredLayout(rank int) tensor.Layout {
 // fallback and runs every operator.
 func (b *Backend) Supports(n *graph.Node) bool { return true }
 
-// ConvSchemeFor returns the Equation 2–3 heuristic decision with any
-// configured override (tuner decisions, fixed-scheme baselines) applied.
-// Workspace sizing, kernel creation, the int8 partition and session
-// statistics (through ConvRoute) all flow through this single decision point.
-func (b *Backend) ConvSchemeFor(n *graph.Node, inShape []int) core.ConvDecision {
-	dec := core.SelectConvScheme(n.Attrs.(*graph.Conv2DAttrs), inShape)
-	if b.cfg.ForceScheme != nil {
-		dec = b.cfg.ForceScheme(n, dec)
+// conv returns a convolution's route: the engine's decision, or the
+// heuristic's at fp32 for a convolution Config.Convs does not name.
+func (b *Backend) conv(n *graph.Node, inShape []int) core.ConvRoute {
+	if r, ok := b.cfg.Convs[n.Name]; ok {
+		return r
 	}
-	return dec
-}
-
-// ConvRoute implements core.ConvSchemer: "int8-gemm" for a convolution that
-// runs on the int8 tap GEMM, else its scheme's name.
-func (b *Backend) ConvRoute(n *graph.Node, inShape []int) string {
-	dec := b.ConvSchemeFor(n, inShape)
-	if b.int8Conv(n, inShape, dec) {
-		return int8Route
-	}
-	return dec.Scheme.String()
+	return core.ConvRoute{ConvDecision: core.SelectConvScheme(n.Attrs.(*graph.Conv2DAttrs), inShape)}
 }
 
 // OnExecuteBegin implements backend.Backend (no-op on CPU).

@@ -91,34 +91,40 @@ func TestConvSchemesThroughBackend(t *testing.T) {
 	}
 }
 
-func TestForceSchemeOverride(t *testing.T) {
-	// A fixed-scheme engine (Table 1 baseline) forces sliding on a conv the
-	// cost model would run as Winograd.
-	forced := false
-	b := New(Config{
-		Threads: 1,
-		ForceScheme: func(n *graph.Node, dec core.ConvDecision) core.ConvDecision {
-			forced = true
-			return core.ConvDecision{Scheme: core.SchemeSliding, EffMULs: dec.DirectMULs, DirectMULs: dec.DirectMULs}
-		},
-	})
+// TestConvRouteOverridesHeuristic: a convolution runs the scheme its route
+// in Config.Convs names — here sliding window (a Table 1 fixed-scheme
+// baseline) on a convolution the heuristic runs as Winograd.
+func TestConvRouteOverridesHeuristic(t *testing.T) {
 	attrs := graph.Conv2DAttrs{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1,
 		Group: 1, InputCount: 16, OutputCount: 16}
-	src := tensor.NewRandom(4, 1, 1, 16, 24, 24)
+	in := []int{1, 16, 24, 24}
+	dec := core.SelectConvScheme(&attrs, in)
+	if dec.Scheme != core.SchemeWinograd {
+		t.Fatalf("heuristic picks %v, the test needs winograd", dec.Scheme)
+	}
+	var ran string
+	b := New(Config{
+		Threads: 1,
+		Clock:   simclock.New(),
+		Convs: core.ConvRoutes{"c": {ConvDecision: core.ConvDecision{
+			Scheme: core.SchemeSliding, EffMULs: dec.DirectMULs, DirectMULs: dec.DirectMULs}}},
+		Efficiency: func(n *graph.Node, scheme string) float64 { ran = scheme; return 1 },
+	})
+	src := tensor.NewRandom(4, 1, in...)
 	weight := tensor.NewRandom(5, 0.3, 16, 16, 3, 3)
-	want := tensor.New(1, 16, 24, 24)
+	want := tensor.New(in...)
 	kernels.ConvRef(want, src, weight, nil, &attrs)
 
 	n := &graph.Node{Name: "c", Op: graph.OpConv2D, Inputs: []string{"in"}, Outputs: []string{"out"},
 		WeightNames: []string{"w"}, Attrs: &attrs}
-	out := tensor.NewWithLayout(tensor.NC4HW4, 1, 16, 24, 24)
+	out := tensor.NewWithLayout(tensor.NC4HW4, in...)
 	runNode(t, b, n, []*tensor.Tensor{src.ToLayout(tensor.NC4HW4)}, out,
 		map[string]*tensor.Tensor{"w": weight})
-	if !forced {
-		t.Fatal("ForceScheme not consulted")
+	if ran != "sliding" {
+		t.Fatalf("ran %q, the route names sliding", ran)
 	}
 	if d := tensor.MaxAbsDiff(want, out); d > 1e-3 {
-		t.Fatalf("forced sliding wrong by %g", d)
+		t.Fatalf("routed sliding wrong by %g", d)
 	}
 }
 

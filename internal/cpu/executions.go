@@ -54,15 +54,15 @@ func (b *Backend) NodeWorkspaceFloats(n *graph.Node, inputShapes, outputShapes [
 			return 0
 		}
 		a := n.Attrs.(*graph.Conv2DAttrs)
-		dec := b.ConvSchemeFor(n, in0)
+		r := b.conv(n, in0)
 		ic, oc := in0[1], out0[1]
 		OH, OW := out0[2], out0[3]
-		if b.int8Conv(n, in0, dec) {
+		if r.Int8 {
 			return kernels.QuantConvWorkspaceFloats(a, ic, in0[2], in0[3])
 		}
-		switch dec.Scheme {
+		switch r.Scheme {
 		case core.SchemeWinograd:
-			return kernels.WinogradWorkspaceFloats(a, dec.TileH, dec.TileW, ic, oc, lanes)
+			return kernels.WinogradWorkspaceFloats(a, r.TileH, r.TileW, ic, oc, lanes)
 		case core.SchemeIm2col:
 			// im2col computes in NCHW: the patch/product matrices plus the
 			// two layout-staging copies.
@@ -82,7 +82,7 @@ func (b *Backend) NodeWorkspaceFloats(n *graph.Node, inputShapes, outputShapes [
 		if len(in0) == 4 {
 			staging = tensor.NumElements(in0)
 		}
-		if b.int8Node(n) {
+		if b.cfg.QuantPlan[n.Name] {
 			a := n.Attrs.(*graph.InnerProductAttrs)
 			batch := in0[0]
 			features := tensor.NumElements(in0) / batch
@@ -126,19 +126,6 @@ func (b *Backend) NodeWorkspaceFloats(n *graph.Node, inputShapes, outputShapes [
 		return total
 	}
 	return 0
-}
-
-// int8Node reports whether the quantized path applies to a node: the
-// backend runs int8 and the plan (when present) includes the node.
-func (b *Backend) int8Node(n *graph.Node) bool {
-	return b.cfg.Int8 && (b.cfg.QuantPlan == nil || b.cfg.QuantPlan[n.Name])
-}
-
-// int8Conv reports whether a convolution runs on the int8 tap GEMM: the
-// quantized path applies to it and core.Int8ConvSupported prices the int8
-// route below its fp32 decision on this host's int8 level.
-func (b *Backend) int8Conv(n *graph.Node, inShape []int, dec core.ConvDecision) bool {
-	return b.int8Node(n) && core.Int8ConvSupported(n.Attrs.(*graph.Conv2DAttrs), inShape, dec, matmul.Int8ISA())
 }
 
 // actScale resolves the calibrated scale of a node's first input (0 = none,
@@ -315,10 +302,10 @@ func (b *Backend) OnCreate(n *graph.Node, inputs, outputs []*tensor.Tensor, weig
 		if weight.Rank() != 2 {
 			w2 = weight.Reshape(a.OutputCount, features)
 		}
-		if b.int8Node(n) {
+		if b.cfg.QuantPlan[n.Name] {
 			return b.createQuantInnerProduct(n, in, out, w2, bias, a)
 		}
-		ip := shared(b.cfg.Prepared, prepKey{node: n.Name}, func() *kernels.InnerProduct {
+		ip := shared(b.cfg.Prepared, n.Name, func() *kernels.InnerProduct {
 			return kernels.PrepareInnerProduct(w2, bias, a)
 		})
 		muls := int64(batch) * int64(features) * int64(a.OutputCount)
@@ -477,7 +464,7 @@ func (b *Backend) createMatMul(n *graph.Node, inputs []*tensor.Tensor, out *tens
 		}
 		in := inputs[0]
 		k, nn := w.Dim(0), w.Dim(1)
-		packed, _ := get(b.cfg.Prepared, prepKey{node: n.Name}, func() (*matmul.PackedB, error) {
+		packed, _ := get(b.cfg.Prepared, n.Name, func() (*matmul.PackedB, error) {
 			return matmul.PackB(w.Data(), k, nn), nil // cannot fail
 		})
 		op := kernels.NewMatMulWeightOp(out, in, w, bias, a, packed)
@@ -555,8 +542,8 @@ func (b *Backend) createReinterpret(n *graph.Node, dst, src *tensor.Tensor) func
 	return func() { dst.CopyFrom(bound(view, dst.Shape())) }
 }
 
-// createConv runs scheme selection (Equations 2–3) and prepares the chosen
-// kernel with its planner-backed workspace.
+// createConv prepares the kernel the convolution's route names, with its
+// planner-backed workspace.
 func (b *Backend) createConv(n *graph.Node, in, out *tensor.Tensor, weights backend.WeightSource) (backend.Execution, error) {
 	a := n.Attrs.(*graph.Conv2DAttrs)
 	weight := weights(n.WeightNames[0])
@@ -564,18 +551,18 @@ func (b *Backend) createConv(n *graph.Node, in, out *tensor.Tensor, weights back
 	if len(n.WeightNames) > 1 {
 		bias = weights(n.WeightNames[1])
 	}
-	dec := b.ConvSchemeFor(n, in.Shape())
+	r := b.conv(n, in.Shape())
+	dec := r.ConvDecision
 	pool := b.pool
 	lanes := pool.Lanes()
 
-	if b.int8Conv(n, in.Shape(), dec) {
+	if r.Int8 {
 		return b.createQuantConv(n, in, out, weight, bias, dec)
 	}
 
-	key := prepKey{n.Name, dec.Scheme, dec.TileH, dec.TileW}
 	switch dec.Scheme {
 	case core.SchemeWinograd:
-		proto, err := get(b.cfg.Prepared, key, func() (*kernels.WinogradConv, error) {
+		proto, err := get(b.cfg.Prepared, n.Name, func() (*kernels.WinogradConv, error) {
 			return kernels.PrepareWinograd(weight, bias, a, dec.TileH, dec.TileW)
 		})
 		if err != nil {
@@ -591,7 +578,7 @@ func (b *Backend) createConv(n *graph.Node, in, out *tensor.Tensor, weights back
 		}), nil
 
 	case core.SchemeStrassen1x1:
-		c := shared(b.cfg.Prepared, key, func() *kernels.Conv1x1 {
+		c := shared(b.cfg.Prepared, n.Name, func() *kernels.Conv1x1 {
 			return kernels.PrepareConv1x1(weight, bias, a)
 		})
 		scheme := dec.Scheme.String()
@@ -602,7 +589,7 @@ func (b *Backend) createConv(n *graph.Node, in, out *tensor.Tensor, weights back
 		}), nil
 
 	case core.SchemeDepthwise:
-		dc := shared(b.cfg.Prepared, key, func() *kernels.DepthwiseConv {
+		dc := shared(b.cfg.Prepared, n.Name, func() *kernels.DepthwiseConv {
 			return kernels.PrepareDepthwise(weight, bias, a)
 		})
 		scheme := dec.Scheme.String()
@@ -613,7 +600,7 @@ func (b *Backend) createConv(n *graph.Node, in, out *tensor.Tensor, weights back
 		}), nil
 
 	case core.SchemeIm2col:
-		c := shared(b.cfg.Prepared, key, func() *kernels.Im2colConv {
+		c := shared(b.cfg.Prepared, n.Name, func() *kernels.Im2colConv {
 			return kernels.PrepareIm2col(weight, bias, a)
 		})
 		gemmWS := kernels.Im2colWorkspaceFloats(a, in.Channels(), out.Channels(), out.Height(), out.Width())
@@ -637,7 +624,7 @@ func (b *Backend) createConv(n *graph.Node, in, out *tensor.Tensor, weights back
 		}), nil
 
 	default: // SchemeSliding
-		sc := shared(b.cfg.Prepared, key, func() *kernels.SlidingConv {
+		sc := shared(b.cfg.Prepared, n.Name, func() *kernels.SlidingConv {
 			return kernels.PrepareSliding(weight, bias, a)
 		})
 		scheme := dec.Scheme.String()

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"mnn/internal/backend"
+	"mnn/internal/core"
 	"mnn/internal/graph"
 	"mnn/internal/models"
+	"mnn/internal/optimizer"
 	"mnn/internal/session"
 	"mnn/internal/tensor"
 )
@@ -44,10 +46,21 @@ func TestPreparedBuildsEachWeightOnce(t *testing.T) {
 			in = tensor.New(tc.shape...)
 		}
 		tensor.FillRandom(in, 1, 1)
+		cfg := Config{Threads: 1}
+		if tc.int8 {
+			inferred, err := graph.InferShapes(g, shapes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Convs = core.DecideConvs(g, inferred, nil, true)
+			cfg.QuantPlan = optimizer.PlanInt8With(g, cfg.Convs).Int8
+		}
 		run := func(p *Prepared) []float32 {
 			t.Helper()
+			cfg := cfg
+			cfg.Prepared = p
 			s, err := session.New(g, session.Config{InputShapes: shapes,
-				Backends: []backend.Backend{New(Config{Threads: 1, Int8: tc.int8, Prepared: p})}})
+				Backends: []backend.Backend{New(cfg)}})
 			if err != nil {
 				t.Fatal(err)
 			}

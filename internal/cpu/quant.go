@@ -8,23 +8,20 @@ import (
 	"mnn/internal/tensor"
 )
 
-// Quantized execution creation: when Config.Int8 is set (and the
-// optimizer.PlanInt8 partition, if provided, includes the node), eligible
-// convolutions and fully-connected layers bind the prepared int8 kernels.
+// Quantized execution creation: the convolutions whose route is the int8 tap
+// GEMM, and the fully-connected layers the int8 partition names, bind the
+// prepared int8 kernels.
 // Weight quantization happens here, during pre-inference; the kernels draw
 // their quantized activations from the same planner arena as every other
 // workspace, so the int8 hot path is as allocation-free as the fp32 one.
 
-// int8Route labels the int8 tap GEMM in charges and scheme counts.
-const int8Route = "int8-gemm"
-
-// createQuantConv binds the int8 tap GEMM for a node whose decision passed
-// core.Int8ConvSupported. Activations are NC4HW4 on this backend
-// (PreferredLayout), which is all the kernel takes.
+// createQuantConv binds the int8 tap GEMM for a convolution routed to it.
+// Activations are NC4HW4 on this backend (PreferredLayout), which is all the
+// kernel takes.
 func (b *Backend) createQuantConv(n *graph.Node, in, out *tensor.Tensor, weight, bias *tensor.Tensor, dec core.ConvDecision) (backend.Execution, error) {
 	a := n.Attrs.(*graph.Conv2DAttrs)
 	pool := b.pool
-	qc := shared(b.cfg.Prepared, prepKey{n.Name, dec.Scheme, dec.TileH, dec.TileW}, func() *kernels.QuantConv {
+	qc := shared(b.cfg.Prepared, n.Name, func() *kernels.QuantConv {
 		qc := kernels.PrepareQuantConv(weight, bias, a, b.actScale(n))
 		qc.Unsigned = b.cfg.NonNegActs[n.Inputs[0]]
 		return qc
@@ -33,7 +30,7 @@ func (b *Backend) createQuantConv(n *graph.Node, in, out *tensor.Tensor, weight,
 	muls := dec.DirectMULs // the int8 GEMM computes every multiply
 	return execFunc(func() error {
 		qc.Run(out, in, pool, ws)
-		b.charge("Conv2D", muls, n, int8Route)
+		b.charge("Conv2D", muls, n, core.Int8Route)
 		return nil
 	}), nil
 }
@@ -45,7 +42,7 @@ func (b *Backend) createQuantInnerProduct(n *graph.Node, in, out *tensor.Tensor,
 	pool := b.pool
 	batch := in.Dim(0)
 	features := in.NumElements() / batch
-	ip := shared(b.cfg.Prepared, prepKey{node: n.Name}, func() *kernels.QuantInnerProduct {
+	ip := shared(b.cfg.Prepared, n.Name, func() *kernels.QuantInnerProduct {
 		ip := kernels.PrepareQuantInnerProduct(w2, bias, a, b.actScale(n))
 		ip.Unsigned = b.cfg.NonNegActs[n.Inputs[0]]
 		return ip
@@ -58,14 +55,14 @@ func (b *Backend) createQuantInnerProduct(n *graph.Node, in, out *tensor.Tensor,
 		return execFunc(func() error {
 			bound(flat, in.Shape()).CopyFrom(in)
 			ip.Run(out, flat, pool, buf)
-			b.charge("InnerProduct", muls, n, int8Route)
+			b.charge("InnerProduct", muls, n, core.Int8Route)
 			return nil
 		}), nil
 	}
 	ws := b.workspace(n.Name, quantWS)
 	return execFunc(func() error {
 		ip.Run(out, in, pool, ws)
-		b.charge("InnerProduct", muls, n, int8Route)
+		b.charge("InnerProduct", muls, n, core.Int8Route)
 		return nil
 	}), nil
 }

@@ -48,10 +48,10 @@ type Config struct {
 	Clock *simclock.Clock
 	// Efficiency adjusts simulated compute cost per op; nil means 1.0.
 	Efficiency cpu.EfficiencyModel
-	// ForceScheme overrides pre-inference conv scheme selection in the
-	// internal compute backend (tuner decisions apply to GPU-assigned
-	// convolutions too); nil keeps the cost-model choice.
-	ForceScheme func(n *graph.Node, dec core.ConvDecision) core.ConvDecision
+	// Convs holds the engine's conv decisions; the internal compute backend
+	// prepares from them (cpu.Config.Convs), so a GPU-assigned convolution
+	// runs the scheme its CPU twin would.
+	Convs core.ConvRoutes
 	// Supported restricts the op set (Table 4: GPU backends cover fewer
 	// operators than CPU). Nil uses the default set for Kind.
 	Supported map[graph.OpType]bool
@@ -130,7 +130,7 @@ func New(cfg Config) (*Backend, error) {
 	return &Backend{
 		BufferTracker: backend.NewBufferTracker(),
 		cfg:           cfg,
-		compute:       cpu.New(cpu.Config{Threads: cfg.ComputeThreads, ForceScheme: cfg.ForceScheme}),
+		compute:       cpu.New(cpu.Config{Threads: cfg.ComputeThreads, Convs: cfg.Convs}),
 	}, nil
 }
 
@@ -175,12 +175,6 @@ func (b *Backend) PreferredLayout(rank int) tensor.Layout {
 
 // Supports implements backend.Backend per the configured op coverage.
 func (b *Backend) Supports(n *graph.Node) bool { return b.cfg.Supported[n.Op] }
-
-// ConvRoute implements core.ConvSchemer: the route of the internal compute
-// backend, which runs the real arithmetic for this simulated GPU.
-func (b *Backend) ConvRoute(n *graph.Node, inShape []int) string {
-	return b.compute.ConvRoute(n, inShape)
-}
 
 // OnExecuteBegin opens a fresh command stream for one inference.
 func (b *Backend) OnExecuteBegin() { b.inFlight = 0 }

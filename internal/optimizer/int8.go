@@ -5,7 +5,6 @@ import (
 
 	"mnn/internal/core"
 	"mnn/internal/graph"
-	"mnn/internal/matmul"
 )
 
 // Int8Plan is the offline precision partition of a graph for int8
@@ -33,48 +32,34 @@ type Int8Plan struct {
 	NonNegActs map[string]bool
 }
 
-// PlanInt8 partitions a graph for int8 execution: every convolution the
-// int8 tap GEMM runs cheaper than its fp32 scheme on this host's int8 level
-// (core.Int8ConvSupported), and every fully-connected layer, is marked
-// int8; everything else stays fp32. The engine's CPU backend consumes the
-// plan when the engine is opened with mnn.WithPrecision(mnn.PrecisionInt8).
-// inputShapes optionally overrides the declared input shapes (the engine
-// passes its WithInputShapes overrides) — scheme selection, and therefore
-// the partition, depends on the shapes the session will actually run.
+// PlanInt8 partitions a graph for int8 execution at the heuristic's
+// decisions: every convolution the int8 tap GEMM runs cheaper than its fp32
+// scheme on this host's int8 level (core.Int8ConvSupported), and every
+// fully-connected layer, is marked int8; everything else stays fp32.
+// inputShapes optionally overrides the declared input shapes — scheme
+// selection, and therefore the partition, depends on the shapes the session
+// will actually run.
 func PlanInt8(g *graph.Graph, inputShapes map[string][]int) (*Int8Plan, error) {
-	return PlanInt8With(g, inputShapes, nil)
-}
-
-// PlanInt8With is PlanInt8 with an explicit per-convolution scheme resolver.
-// When a tuner overrides the Equation 2–3 heuristic, the int8 partition must
-// be computed from the schemes that will actually run — Int8ConvSupported
-// prices the int8 route against the chosen algorithm — or the offline plan
-// and the runtime dispatch would drift. A nil schemeFor falls back to
-// core.SelectConvScheme.
-func PlanInt8With(g *graph.Graph, inputShapes map[string][]int, schemeFor func(n *graph.Node, inShape []int) core.ConvDecision) (*Int8Plan, error) {
 	shapes, err := graph.InferShapes(g, inputShapes)
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: int8 plan: %w", err)
 	}
-	if schemeFor == nil {
-		schemeFor = func(n *graph.Node, inShape []int) core.ConvDecision {
-			return core.SelectConvScheme(n.Attrs.(*graph.Conv2DAttrs), inShape)
-		}
-	}
+	return PlanInt8With(g, core.DecideConvs(g, shapes, nil, true)), nil
+}
+
+// PlanInt8With partitions a graph for int8 execution at an engine's conv
+// decisions (core.DecideConvs at int8): the convolutions routed to the int8
+// tap GEMM and every fully-connected layer are marked int8. An engine opened
+// with mnn.WithPrecision(mnn.PrecisionInt8) hands the partition to its CPU
+// backend.
+func PlanInt8With(g *graph.Graph, convs core.ConvRoutes) *Int8Plan {
 	plan := &Int8Plan{Int8: map[string]bool{}, NonNegActs: nonNegActs(g)}
 	int8Producer := map[string]bool{} // tensor name → produced by an int8 node
 	for _, n := range g.Nodes {
 		if n.Op == graph.OpInput {
 			continue
 		}
-		isInt8 := false
-		switch n.Op {
-		case graph.OpConv2D:
-			in := shapes[n.Inputs[0]]
-			isInt8 = core.Int8ConvSupported(n.Attrs.(*graph.Conv2DAttrs), in, schemeFor(n, in), matmul.Int8ISA())
-		case graph.OpInnerProduct:
-			isInt8 = true
-		}
+		isInt8 := n.Op == graph.OpInnerProduct || convs[n.Name].Int8
 		if isInt8 {
 			plan.Int8[n.Name] = true
 			plan.Int8Nodes++
@@ -103,7 +88,7 @@ func PlanInt8With(g *graph.Graph, inputShapes map[string][]int, schemeFor func(n
 			plan.DequantBoundaries++
 		}
 	}
-	return plan, nil
+	return plan
 }
 
 // nonNegActs runs a forward dataflow pass proving which activation tensors

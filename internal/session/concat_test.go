@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mnn/internal/backend"
+	"mnn/internal/core"
 	"mnn/internal/cpu"
 	"mnn/internal/graph"
 	"mnn/internal/models"
@@ -23,11 +24,28 @@ func optimized(t *testing.T, build func() *graph.Graph) *graph.Graph {
 	return g
 }
 
+// cpuConfig configures a CPU backend of the given threads for g at the
+// given input shapes, int8 (with the engine's conv decisions and int8
+// partition) or fp32.
+func cpuConfig(t *testing.T, g *graph.Graph, int8 bool, threads int, inputShapes map[string][]int) cpu.Config {
+	t.Helper()
+	cfg := cpu.Config{Threads: threads}
+	if int8 {
+		shapes, err := graph.InferShapes(g, inputShapes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Convs = core.DecideConvs(g, shapes, nil, true)
+		cfg.QuantPlan = optimizer.PlanInt8With(g, cfg.Convs).Int8
+	}
+	return cfg
+}
+
 // cpuSession prepares g on one CPU backend of the given threads, int8 or
 // fp32.
 func cpuSession(t *testing.T, g *graph.Graph, int8 bool, threads int, cfg Config) *Session {
 	t.Helper()
-	cfg.Backends = []backend.Backend{cpu.New(cpu.Config{Threads: threads, Int8: int8})}
+	cfg.Backends = []backend.Backend{cpu.New(cpuConfig(t, g, int8, threads, cfg.InputShapes))}
 	s, err := New(g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -226,8 +244,10 @@ func TestEveryNetworkPlanPassesCheckPlan(t *testing.T) {
 						// Not cpuSession: a cleanup would hold every arena
 						// until the test ends. The sessions of a precision
 						// share their prepared weights, as an engine's do.
-						s, err := New(g, Config{InputShapes: map[string][]int{input: shape},
-							Backends: []backend.Backend{cpu.New(cpu.Config{Threads: 2, Int8: int8, Prepared: prepared[int8]})}})
+						shapes := map[string][]int{input: shape}
+						bk := cpuConfig(t, g, int8, 2, shapes)
+						bk.Prepared = prepared[int8]
+						s, err := New(g, Config{InputShapes: shapes, Backends: []backend.Backend{cpu.New(bk)}})
 						if err != nil {
 							t.Fatal(err)
 						}

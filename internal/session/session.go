@@ -70,7 +70,8 @@ type Stats struct {
 	Assignment core.Assignment
 	// SchemeCounts counts convolutions per kernel route: the selected
 	// scheme, or "int8-gemm" for those an int8 engine runs on the int8 tap
-	// GEMM.
+	// GEMM. The engine fills it from its conv decisions
+	// (core.ConvRoutes.Counts); a session leaves it nil.
 	SchemeCounts map[string]int
 	// ArenaFloats is the planned arena size (float32 elements) per backend.
 	ArenaFloats map[string]int
@@ -459,7 +460,6 @@ func (s *Session) prepare() error {
 		return d
 	}
 	s.steps = nil
-	s.stats.SchemeCounts = map[string]int{}
 	copiedAt := map[string]bool{} // mirrorkey → staged already
 	for i, n := range g.Nodes {
 		if inPlace[i] {
@@ -489,17 +489,6 @@ func (s *Session) prepare() error {
 		outs := make([]*tensor.Tensor, len(n.Outputs))
 		for j, oName := range n.Outputs {
 			outs[j] = lookup(oName, bk)
-		}
-		if n.Op == graph.OpConv2D {
-			// Ask the owning backend which kernel will actually run (a tuner
-			// override or the int8 route may differ from the bare heuristic).
-			var route string
-			if cs, ok := bk.(core.ConvSchemer); ok {
-				route = cs.ConvRoute(n, shapes[n.Inputs[0]])
-			} else {
-				route = core.SelectConvScheme(n.Attrs.(*graph.Conv2DAttrs), shapes[n.Inputs[0]]).Scheme.String()
-			}
-			s.stats.SchemeCounts[route]++
 		}
 		exec, err := bk.OnCreate(n, ins, outs, weights)
 		if err != nil {

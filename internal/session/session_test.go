@@ -277,9 +277,6 @@ func TestSessionStats(t *testing.T) {
 	if st.ArenaFloats["CPU"] <= 0 {
 		t.Error("arena must be planned")
 	}
-	if len(st.SchemeCounts) == 0 {
-		t.Error("scheme counts must be recorded")
-	}
 	if st.Assignment["conv1"] != "CPU" {
 		t.Errorf("assignment: %v", st.Assignment)
 	}
@@ -316,14 +313,6 @@ func TestSessionMobileNetV1EndToEnd(t *testing.T) {
 	}
 	if sum < 0.99 || sum > 1.01 {
 		t.Fatalf("softmax output sums to %v", sum)
-	}
-	// Scheme mix: MobileNet has 13 depthwise + 14 pointwise(1x1) + 1 stem.
-	st := s.Stats()
-	if st.SchemeCounts["depthwise"] != 13 {
-		t.Errorf("depthwise count: %v", st.SchemeCounts)
-	}
-	if st.SchemeCounts["strassen-1x1"] < 13 {
-		t.Errorf("1x1 count: %v", st.SchemeCounts)
 	}
 }
 

@@ -82,22 +82,22 @@ var conformanceNets = []struct {
 // budget sits an order of magnitude above.
 const crossAlgorithmBudget = 2e-4
 
+// runForced runs g on a CPU backend whose conv decisions are force's picks
+// (the heuristic's where force is nil or declines) and returns the outputs
+// and how many convolutions force decided.
 func runForced(t *testing.T, g *graph.Graph, shapes map[string][]int, input *tensor.Tensor,
-	force func(n *graph.Node, dec core.ConvDecision) (core.ConvDecision, bool)) (map[string]*tensor.Tensor, int) {
+	force func(n *graph.Node) (core.ConvDecision, bool)) (map[string]*tensor.Tensor, int) {
 	t.Helper()
-	admitted := 0
-	var wrapped func(n *graph.Node, dec core.ConvDecision) core.ConvDecision
-	if force != nil {
-		wrapped = func(n *graph.Node, dec core.ConvDecision) core.ConvDecision {
-			d, ok := force(n, dec)
-			if !ok {
-				return dec
-			}
-			admitted++
-			return d
+	convs := core.ConvRoutes{}
+	for _, n := range g.Nodes {
+		if force == nil || n.Op != graph.OpConv2D {
+			continue
+		}
+		if d, ok := force(n); ok {
+			convs[n.Name] = core.ConvRoute{ConvDecision: d}
 		}
 	}
-	bk := cpu.New(cpu.Config{Threads: 2, ForceScheme: wrapped})
+	bk := cpu.New(cpu.Config{Threads: 2, Convs: convs})
 	s, err := session.New(g, session.Config{Backends: []backend.Backend{bk}, InputShapes: shapes})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func runForced(t *testing.T, g *graph.Graph, shapes map[string][]int, input *ten
 	for _, name := range g.OutputNames {
 		outs[name] = s.Output(name).Clone()
 	}
-	return outs, admitted
+	return outs, len(convs)
 }
 
 func TestCrossAlgorithmEquivalence(t *testing.T) {
@@ -136,7 +136,7 @@ func TestCrossAlgorithmEquivalence(t *testing.T) {
 			for _, v := range conformanceVariants {
 				v := v
 				t.Run(v.name, func(t *testing.T) {
-					force := func(n *graph.Node, dec core.ConvDecision) (core.ConvDecision, bool) {
+					force := func(n *graph.Node) (core.ConvDecision, bool) {
 						cands := core.ConvCandidates(n.Attrs.(*graph.Conv2DAttrs), inferred[n.Inputs[0]])
 						return v.pick(cands)
 					}

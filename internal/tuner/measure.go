@@ -47,15 +47,14 @@ func measureBest(a *graph.Conv2DAttrs, inShape []int, ranked []core.ConvCandidat
 
 // measureCandidate prepares a one-node convolution through the same
 // pre-inference pipeline the engine runs (NC4HW4 activations, planned
-// workspaces, the persistent worker pool) with the candidate algorithm
-// forced, and times steady-state runs. Timing the real session — not a bare
-// kernel loop — makes the measurement include exactly the staging copies and
-// layout conversions the algorithm would pay inside a full network. In int8
-// mode the backend runs the quantized path, so a candidate
-// core.Int8ConvSupported routes int8 times the int8 kernel that would
-// actually execute (per-sample dynamic scales, the uncalibrated worst case)
-// and the others time their fp32 scheme — the same split the int8 planner
-// will commit.
+// workspaces, the persistent worker pool), handing the backend the node's
+// decision as the candidate, and times steady-state runs. Timing the real
+// session — not a bare kernel loop — makes the measurement include exactly
+// the staging copies and layout conversions the algorithm would pay inside a
+// full network. In int8 mode core.DecideConvs routes the candidate as the
+// engine will, so a candidate priced cheaper in int8 times the int8 kernel
+// that would actually execute (per-sample dynamic scales, the uncalibrated
+// worst case) and the others time their fp32 scheme.
 func measureCandidate(a *graph.Conv2DAttrs, inShape []int, dec core.ConvDecision, pool *sched.Pool, reps int, int8Mode bool) (float64, error) {
 	g := graph.New("tuner-probe")
 	g.AddNode(&graph.Node{Name: "in", Op: graph.OpInput, Outputs: []string{"in"},
@@ -80,13 +79,11 @@ func measureCandidate(a *graph.Conv2DAttrs, inShape []int, dec core.ConvDecision
 		WeightNames: []string{"w", "b"}, Attrs: &attrs})
 	g.OutputNames = []string{"conv"}
 
+	tuned := map[string]core.ConvDecision{"conv": dec}
 	bk := cpu.New(cpu.Config{
 		Threads: pool.Lanes(),
 		Pool:    pool,
-		Int8:    int8Mode,
-		ForceScheme: func(n *graph.Node, _ core.ConvDecision) core.ConvDecision {
-			return dec
-		},
+		Convs:   core.DecideConvs(g, graph.ShapeMap{"in": inShape}, tuned, int8Mode),
 	})
 	// The session is dropped, not Closed: Close would tear down the shared
 	// tuning pool, and a dropped session holds no goroutines of its own.

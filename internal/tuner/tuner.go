@@ -4,9 +4,9 @@
 // refines the top candidates with on-device micro-benchmarks on the real
 // shapes (closing the model–hardware gap), and persists the winners in a
 // versioned per-host tuning cache so the next preparation is fast and
-// deterministic. The heuristic of core.SelectConvScheme remains the
-// zero-cost default; the tuner is the searchable, testable decision point
-// that replaces it when a caller opts in.
+// deterministic. Without a search, core.DecideConvs takes each
+// convolution's decision from the core.SelectConvScheme heuristic; a plan's
+// decisions take its place when a caller opts in.
 package tuner
 
 import (
@@ -116,34 +116,12 @@ type Report struct {
 }
 
 // Plan is the committed outcome of a search: one decision per convolution
-// node, ready to override the heuristic during pre-inference.
+// node, which core.DecideConvs takes over the heuristic's.
 type Plan struct {
 	// Decisions maps node name → the algorithm to prepare.
 	Decisions map[string]core.ConvDecision
 	// Report summarizes the search.
 	Report Report
-}
-
-// SchemeFor resolves a node's decision, falling back to the heuristic for
-// nodes the plan does not cover (non-conv nodes, resized graphs). The
-// signature matches optimizer.PlanInt8With's resolver.
-func (p *Plan) SchemeFor(n *graph.Node, inShape []int) core.ConvDecision {
-	if p != nil {
-		if dec, ok := p.Decisions[n.Name]; ok {
-			return dec
-		}
-	}
-	return core.SelectConvScheme(n.Attrs.(*graph.Conv2DAttrs), inShape)
-}
-
-// ForceScheme adapts the plan to the cpu.Config.ForceScheme hook.
-func (p *Plan) ForceScheme(n *graph.Node, dec core.ConvDecision) core.ConvDecision {
-	if p != nil {
-		if d, ok := p.Decisions[n.Name]; ok {
-			return d
-		}
-	}
-	return dec
 }
 
 // Kernel-family throughput factors for the analytic score: the packed-panel

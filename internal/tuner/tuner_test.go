@@ -110,32 +110,6 @@ func TestCandidateLegalityProperty(t *testing.T) {
 	}
 }
 
-// TestHeuristicDecisionIsACandidate: the built-in Equation 2–3 pick is
-// always inside the enumerated candidate set with identical tile sizes and
-// cost terms — the refactor onto shared legality predicates cannot have
-// diverged the two code paths.
-func TestHeuristicDecisionIsACandidate(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 2000; trial++ {
-		a, inShape := randomConv(r)
-		dec := core.SelectConvScheme(a, inShape)
-		found := false
-		for _, c := range core.ConvCandidates(a, inShape) {
-			if c.Decision.Scheme == dec.Scheme && c.Decision.TileH == dec.TileH && c.Decision.TileW == dec.TileW {
-				found = true
-				if c.Decision.EffMULs != dec.EffMULs {
-					t.Fatalf("trial %d: candidate EffMULs %d != heuristic %d for %v",
-						trial, c.Decision.EffMULs, dec.EffMULs, dec.Scheme)
-				}
-			}
-		}
-		if !found {
-			t.Fatalf("trial %d: heuristic decision %v (tile %dx%d) absent from candidates of %+v %v",
-				trial, dec.Scheme, dec.TileH, dec.TileW, a, inShape)
-		}
-	}
-}
-
 // TestCostModePickIsACandidate: the committed cost-model decision is always
 // drawn from the legal candidate list (never an out-of-band scheme).
 func TestCostModePickIsACandidate(t *testing.T) {
@@ -157,9 +131,10 @@ func TestCostModePickIsACandidate(t *testing.T) {
 }
 
 // TestInt8PlanRespectsTunedSchemes: for every built-in network, the int8
-// partition computed from a tuned plan marks a convolution int8 only when
-// Int8ConvSupported holds for the algorithm that will actually run — the
-// plan/runtime consistency the quantized dispatch depends on.
+// partition computed from a tuned plan's decisions marks a convolution int8
+// only when Int8ConvSupported holds for the algorithm that will actually run
+// — the tuned one, which its route carries — the plan/runtime consistency
+// the quantized dispatch depends on.
 func TestInt8PlanRespectsTunedSchemes(t *testing.T) {
 	for _, net := range []string{"mobilenet-v1", "squeezenet-v1.1", "resnet-18"} {
 		g, err := models.ByName(net)
@@ -174,17 +149,18 @@ func TestInt8PlanRespectsTunedSchemes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		int8Plan, err := optimizer.PlanInt8With(g, nil, plan.SchemeFor)
-		if err != nil {
-			t.Fatal(err)
-		}
+		convs := core.DecideConvs(g, shapes, plan.Decisions, true)
+		int8Plan := optimizer.PlanInt8With(g, convs)
 		for _, n := range g.Nodes {
-			if n.Op != graph.OpConv2D || !int8Plan.Int8[n.Name] {
+			if n.Op != graph.OpConv2D {
 				continue
 			}
+			dec := plan.Decisions[n.Name]
+			if convs[n.Name].ConvDecision != dec {
+				t.Errorf("%s: node %q routed %+v, tuned %+v", net, n.Name, convs[n.Name].ConvDecision, dec)
+			}
 			a := n.Attrs.(*graph.Conv2DAttrs)
-			dec := plan.SchemeFor(n, shapes[n.Inputs[0]])
-			if !core.Int8ConvSupported(a, shapes[n.Inputs[0]], dec, matmul.Int8ISA()) {
+			if int8Plan.Int8[n.Name] && !core.Int8ConvSupported(a, shapes[n.Inputs[0]], dec, matmul.Int8ISA()) {
 				t.Errorf("%s: node %q planned int8 but tuned scheme %v is not int8-supported",
 					net, n.Name, dec.Scheme)
 			}

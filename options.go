@@ -28,8 +28,11 @@ type engineConfig struct {
 	dynamic   bool
 	noPrep    bool
 	precision Precision
+	// convs holds the conv decisions Open makes once (core.DecideConvs);
+	// every backend of every pooled session prepares from them.
+	convs core.ConvRoutes
 	// int8Plan, nonNegActs and actScales are derived from the graph at Open
-	// time when precision is int8 (optimizer.PlanInt8 / graph.ActScales).
+	// time when precision is int8 (optimizer.PlanInt8With / graph.ActScales).
 	int8Plan   map[string]bool
 	nonNegActs map[string]bool
 	actScales  map[string]float32

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mnn"
+	"mnn/internal/fault"
 	"mnn/internal/tensor"
 	"mnn/serve"
 )
@@ -439,66 +440,86 @@ func floatsEqual(a, b []float32) bool {
 // connection failures — they pass through verbatim (Retry-After included)
 // and are never retried on another replica.
 func TestRouter429PassThrough(t *testing.T) {
-	load := func(reg *serve.Registry) {
-		err := reg.Load("q", serve.ModelConfig{
-			Model:     tinyVariant(t, 0),
-			Options:   []mnn.Option{mnn.WithPoolSize(1), mnn.WithThreads(1)},
-			Admission: serve.AdmissionConfig{Queue: 1, Concurrency: 1},
-		})
+	// Each replica's one slot is held by a request its engine sleeps in
+	// (an injected latency), and its one queue place by a request waiting
+	// behind it, so every request the router then sends is shed.
+	fis := make([]*fault.Injector, 2)
+	reps := make([]*replicaHandle, 2)
+	for i := range reps {
+		p, err := fault.ParsePlan(1, "engine.infer=latency:2s,count=1")
 		if err != nil {
 			t.Fatal(err)
 		}
+		fi := fault.NewInjector(p)
+		fis[i] = fi
+		reps[i] = bootReplica(t, func(reg *serve.Registry) {
+			err := reg.Load("q", serve.ModelConfig{
+				Model:     tinyVariant(t, 0),
+				Options:   []mnn.Option{mnn.WithPoolSize(1), mnn.WithThreads(1), mnn.WithFaultInjector(fi)},
+				Admission: serve.AdmissionConfig{Queue: 1, Concurrency: 1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	reps := []*replicaHandle{bootReplica(t, load), bootReplica(t, load)}
 	base, _ := startRouter(t, fastHealth(reps[0].base, reps[1].base))
 
-	body, _ := json.Marshal(serve.InferRequest{Inputs: []serve.InferTensor{serve.EncodeTensor("data", testInput(3))}})
-	var (
-		wg         sync.WaitGroup
-		mu         sync.Mutex
-		shed       int
-		badStatus  []int
-		retryAfter = true
-	)
-	for w := 0; w < 32; w++ {
-		wg.Add(1)
+	held := make(chan error, 2*len(reps))
+	hold := func(replica string) {
 		go func() {
-			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				resp, err := http.Post(base+"/v2/models/q/infer", "application/json", bytes.NewReader(body))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				mu.Lock()
-				switch resp.StatusCode {
-				case http.StatusOK:
-				case http.StatusTooManyRequests:
-					shed++
-					if resp.Header.Get("Retry-After") == "" {
-						retryAfter = false
-					}
-				default:
-					badStatus = append(badStatus, resp.StatusCode)
-				}
-				mu.Unlock()
+			_, code, _, err := inferVia(replica, "q", testInput(3))
+			if err == nil && code != http.StatusOK {
+				err = fmt.Errorf("held request on %s: status %d", replica, code)
 			}
+			held <- err
 		}()
 	}
-	wg.Wait()
-	if len(badStatus) > 0 {
-		t.Fatalf("unexpected statuses %v (want only 200 and 429)", badStatus)
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting until %s", what)
+			}
+		}
 	}
-	if shed == 0 {
-		t.Skip("flood produced no 429s on this machine; pass-through not exercised")
+	for i, rep := range reps {
+		hold(rep.base)
+		waitFor("the slot of "+rep.base+" is held", func() bool { return fis[i].Fired(fault.SiteEngineInfer) == 1 })
+		hold(rep.base)
+		waitFor("the queue of "+rep.base+" is full", func() bool { return sumMetric(scrape(t, rep.base), "mnn_queue_depth") == 1 })
 	}
-	if !retryAfter {
-		t.Error("429 responses lost their Retry-After header through the router")
+
+	body, _ := json.Marshal(serve.InferRequest{Inputs: []serve.InferTensor{serve.EncodeTensor("data", testInput(3))}})
+	const sent = 8
+	for i := 0; i < sent; i++ {
+		resp, err := http.Post(base+"/v2/models/q/infer", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("request %d through the router: status %d, want 429 (every replica's queue is full)", i, resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Errorf("request %d: the 429 lost its Retry-After header through the router", i)
+		}
+	}
+	var shed float64
+	for _, rep := range reps {
+		shed += sumMetric(scrape(t, rep.base), "mnn_shed_total")
+	}
+	if shed != sent {
+		t.Errorf("replicas shed %v requests for %d sent through the router — a 429 must never be retried", shed, sent)
 	}
 	if got := sumMetric(scrape(t, base), "mnn_mesh_retries_total"); got != 0 {
 		t.Errorf("router retried %v times during an overload flood — 429s must never be retried", got)
+	}
+	for range 2 * len(reps) {
+		if err := <-held; err != nil {
+			t.Error(err)
+		}
 	}
 }
 
