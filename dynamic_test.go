@@ -282,7 +282,9 @@ func TestDynamicTunedMatchesUntuned(t *testing.T) {
 // BenchmarkDynamicTransformerInferInto measures steady-state dynamic-shape
 // inference at several sequence lengths against one plan-once engine —
 // the per-run cost of re-deriving shapes is what's on trial here, since
-// the static engine can only ever run one of these lengths.
+// the static engine can only ever run one of these lengths. sweep/t1 is the
+// benchmark's transformer_dyn_t1 operation: lengths 16, 8 and 4 in turn on
+// one single-thread engine, one sweep per op.
 func BenchmarkDynamicTransformerInferInto(b *testing.B) {
 	eng, err := mnn.Open("transformer",
 		mnn.WithMaxInputShapes(map[string][]int{"tokens": {1, 16, 32}}), mnn.WithThreads(2))
@@ -309,6 +311,34 @@ func BenchmarkDynamicTransformerInferInto(b *testing.B) {
 			}
 		})
 	}
+	b.Run("sweep/t1", func(b *testing.B) {
+		eng, err := mnn.Open("transformer",
+			mnn.WithMaxInputShapes(map[string][]int{"tokens": {1, 16, 32}}), mnn.WithThreads(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer eng.Close()
+		var inputs, outputs []map[string]*mnn.Tensor
+		for _, seq := range []int{16, 8, 4} {
+			in := tensor.New(1, seq, 32)
+			tensor.FillRandom(in, uint64(seq), 1)
+			inputs = append(inputs, map[string]*mnn.Tensor{"tokens": in})
+			outputs = append(outputs, map[string]*mnn.Tensor{"prob": tensor.New(1, seq, 10)})
+		}
+		sweep := func() {
+			for j := range inputs {
+				if err := eng.InferInto(ctx, inputs[j], outputs[j]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		sweep()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sweep()
+		}
+	})
 }
 
 // TestDynamicShapesAccessor: DynamicShapes reports the planned maxima on a

@@ -396,6 +396,9 @@ func exportAttrs(n *graph.Node) (json.RawMessage, error) {
 	case *graph.LayerNormAttrs:
 		v = map[string]any{"eps": a.Eps}
 	case *graph.MatMulAttrs:
+		if a.Residual != graph.NoResidual {
+			return nil, fmt.Errorf("converter: MatMul %q with a fused residual has no model-file form", n.Name)
+		}
 		v = map[string]any{"heads": a.Heads, "transpose_b": a.TransposeB, "scale": a.Scale}
 	case *graph.TransposeAttrs:
 		v = map[string]any{"perm": a.Perm}

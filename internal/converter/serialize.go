@@ -189,8 +189,8 @@ func Save(g *graph.Graph, out io.Writer) error {
 		return err
 	}
 	for _, n := range g.Nodes {
-		if n.Op == graph.OpAttention {
-			return fmt.Errorf("converter: node %q: %v is a session's own fused node and has no model-file form", n.Name, n.Op)
+		if a, ok := n.Attrs.(*graph.MatMulAttrs); n.Op == graph.OpAttention || ok && a.Residual != graph.NoResidual {
+			return fmt.Errorf("converter: node %q is a session's own fused %v and has no model-file form", n.Name, n.Op)
 		}
 	}
 	w := &writer{w: bufio.NewWriter(out), buf: make([]byte, chunkBytes)}

@@ -223,3 +223,23 @@ func TestSaveRefusesAttention(t *testing.T) {
 		t.Fatal("ExportJSON wrote an Attention node")
 	}
 }
+
+// TestSaveRefusesResidual: a weight MatMul that stores a fused residual add
+// has no model-file form; Save and ExportJSON refuse a graph that holds one.
+func TestSaveRefusesResidual(t *testing.T) {
+	g := models.Transformer()
+	shapes, err := graph.InferShapes(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := optimizer.FuseResidual(g, shapes, func(*graph.Node) bool { return true }); n == 0 {
+		t.Fatal("nothing fused")
+	}
+	var buf bytes.Buffer
+	if err := Save(g, &buf); err == nil {
+		t.Fatal("Save wrote a MatMul with a fused residual")
+	}
+	if err := ExportJSON(g, &buf); err == nil {
+		t.Fatal("ExportJSON wrote a MatMul with a fused residual")
+	}
+}

@@ -463,16 +463,26 @@ func (b *Backend) createMatMul(n *graph.Node, inputs []*tensor.Tensor, out *tens
 			bias = weights(n.WeightNames[1])
 		}
 		in := inputs[0]
+		var res *tensor.Tensor
+		if a.Residual != graph.NoResidual {
+			if len(inputs) != 2 {
+				return nil, fmt.Errorf("cpu: MatMul %q with a residual needs 2 inputs, has %d", n.Name, len(inputs))
+			}
+			res = inputs[1]
+		}
 		k, nn := w.Dim(0), w.Dim(1)
 		packed, _ := get(b.cfg.Prepared, n.Name, func() (*matmul.PackedB, error) {
 			return matmul.PackB(w.Data(), k, nn), nil // cannot fail
 		})
-		op := kernels.NewMatMulWeightOp(out, in, w, bias, a, packed)
+		op := kernels.NewMatMulWeightOp(out, in, res, w, bias, a, packed)
 		rows := in.NumElements() / k
 		muls := int64(rows) * int64(k) * int64(nn)
 		return execFunc(func() error {
 			op.Run(pool)
 			b.charge("MatMul", muls, n, "gemm-packed")
+			if res != nil { // what the add it took over charged
+				b.charge("Eltwise", int64(out.NumElements())/4, n, "eltwise")
+			}
 			return nil
 		}), nil
 	}

@@ -266,11 +266,27 @@ type LayerNormAttrs struct{ Eps float32 }
 // Scale, when non-zero, multiplies every output element (attention's
 // 1/sqrt(d_head)); it is applied as a single multiply after the dot
 // product so the result is bitwise independent of row chunking.
+//
+// Residual exists only in a session's own graph (optimizer.FuseResidual):
+// the weight form then reads a second activation input, shaped like its
+// output, and stores its sum with the product.
 type MatMulAttrs struct {
 	Heads      int
 	TransposeB bool
 	Scale      float32
+	Residual   Residual
 }
+
+// Residual says whether and in which operand order a weight-form MatMul adds
+// its second input to its product: the order of the two-input EltSum it
+// took over, whose first operand's NaN payload wins when both are NaN.
+type Residual uint8
+
+const (
+	NoResidual     Residual = iota
+	ResidualAfter           // product + residual
+	ResidualBefore          // residual + product
+)
 
 // AttentionAttrs parameterizes OpAttention: inputs q [B, LA, D], k and v
 // [B, LB, D], output [B, LA, D]; per (batch, head) the scores

@@ -346,6 +346,18 @@ func inferNode(g *Graph, n *Node, shapes ShapeMap, overrides map[string][]int) e
 			}
 			out := append([]int(nil), s0...)
 			out[len(out)-1] = nn
+			if a.Residual != NoResidual {
+				if len(n.Inputs) != 2 {
+					return fmt.Errorf("matmul with a residual needs 2 inputs, got %d", len(n.Inputs))
+				}
+				r, err := in(1)
+				if err != nil {
+					return err
+				}
+				if !tensor.EqualShape(r, out) {
+					return fmt.Errorf("matmul residual shape %v, want %v", r, out)
+				}
+			}
 			setOut(0, out)
 			return nil
 		}

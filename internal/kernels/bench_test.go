@@ -278,22 +278,30 @@ func BenchmarkAttention(b *testing.B) {
 // BenchmarkMatMulWeight runs the transformer's weight-form MatMul, bias
 // included, on one lane at the rows its sweep gives one sequence (16, 8, 4)
 // and its four weight shapes: the Q/K/V/projection GEMMs (32×32), the two
-// feed-forward GEMMs (32×128, 128×32) and the classifier (32×10).
+// feed-forward GEMMs (32×128, 128×32) and the classifier (32×10); then 48
+// columns, a pair beside a lone panel, and mobilenet-v1's fc7 at batch 1
+// (1024 → 1000), its one row-major GEMM.
 func BenchmarkMatMulWeight(b *testing.B) {
+	type shape struct{ m, k, n int }
+	var shapes []shape
 	for _, m := range []int{16, 8, 4} {
-		for _, s := range []struct{ k, n int }{{32, 32}, {32, 128}, {128, 32}, {32, 10}} {
-			b.Run(fmt.Sprintf("m%d/k%dn%d", m, s.k, s.n), func(b *testing.B) {
-				src := tensor.NewRandom(1, 1, 1, m, s.k)
-				w, bias := tensor.NewRandom(2, 0.2, s.k, s.n), tensor.NewRandom(3, 0.1, s.n)
-				op := NewMatMulWeightOp(tensor.New(1, m, s.n), src, w, bias, &graph.MatMulAttrs{}, matmul.PackB(w.Data(), s.k, s.n))
-				pool := testPool(b, 1)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					op.Run(pool)
-				}
-				b.ReportMetric(2*float64(m*s.k*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
+		for _, kn := range [][2]int{{32, 32}, {32, 128}, {128, 32}, {32, 10}, {32, 48}} {
+			shapes = append(shapes, shape{m, kn[0], kn[1]})
 		}
+	}
+	shapes = append(shapes, shape{1, 1024, 1000})
+	for _, s := range shapes {
+		b.Run(fmt.Sprintf("m%d/k%dn%d", s.m, s.k, s.n), func(b *testing.B) {
+			src := tensor.NewRandom(1, 1, 1, s.m, s.k)
+			w, bias := tensor.NewRandom(2, 0.2, s.k, s.n), tensor.NewRandom(3, 0.1, s.n)
+			op := NewMatMulWeightOp(tensor.New(1, s.m, s.n), src, nil, w, bias, &graph.MatMulAttrs{}, matmul.PackB(w.Data(), s.k, s.n))
+			pool := testPool(b, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op.Run(pool)
+			}
+			b.ReportMetric(2*float64(s.m*s.k*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 

@@ -694,3 +694,38 @@ lnnext:
 	JG   lngroup
 	VZEROUPPER
 	RET
+
+// func addPS(dst, src *float32, blocks int, srcFirst bool)
+//
+// dst[i] = dst[i] + src[i] for i < 8·blocks, blocks ≥ 1, or src[i] + dst[i]
+// with srcFirst: VADDPS with that operand as its first source, whose NaN
+// payload the sum of two NaNs keeps — as Go's scalar `d += s` keeps d's.
+TEXT ·addPS(SB), NOSPLIT, $0-25
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    blocks+16(FP), CX
+	MOVBLZX srcFirst+24(FP), AX
+	TESTQ   AX, AX
+	JNZ     srcfirst
+
+dstfirst:
+	VMOVUPS (DI), Y0
+	VADDPS  (SI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	DECQ    CX
+	JNZ     dstfirst
+	VZEROUPPER
+	RET
+
+srcfirst:
+	VMOVUPS (SI), Y0
+	VADDPS  (DI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	DECQ    CX
+	JNZ     srcfirst
+	VZEROUPPER
+	RET

@@ -44,7 +44,7 @@ func TestOpsReadTheirBuffersAtRun(t *testing.T) {
 			return NewTransposeOp(d, in[0], &graph.TransposeAttrs{Perm: []int{0, 2, 1}})
 		}},
 		{"matmul-weight", [][]int{{2, 5, 16}}, []int{2, 5, 24}, func(d *tensor.Tensor, in []*tensor.Tensor) runner {
-			return NewMatMulWeightOp(d, in[0], w, bias, &graph.MatMulAttrs{}, packed)
+			return NewMatMulWeightOp(d, in[0], nil, w, bias, &graph.MatMulAttrs{}, packed)
 		}},
 		{"matmul-qk", [][]int{{2, 5, 16}, {2, 6, 16}}, []int{2, 10, 6}, func(d *tensor.Tensor, in []*tensor.Tensor) runner {
 			return NewMatMulBatchedOp(d, in[0], in[1], &graph.MatMulAttrs{Heads: 2, TransposeB: true, Scale: 0.25})

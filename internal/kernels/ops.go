@@ -252,6 +252,7 @@ type EltwiseOp struct {
 	a      graph.EltwiseAttrs
 	dst    *tensor.Tensor
 	inputs []*tensor.Tensor
+	simd   bool // matmul.HaveAVX2: a sum runs addPS
 
 	d   []float32 // this run's buffers, set by Run
 	ins [][]float32
@@ -259,7 +260,7 @@ type EltwiseOp struct {
 
 // NewEltwiseOp binds an eltwise execution.
 func NewEltwiseOp(dst *tensor.Tensor, inputs []*tensor.Tensor, a *graph.EltwiseAttrs) *EltwiseOp {
-	return &EltwiseOp{a: *a, dst: dst, inputs: inputs, ins: make([][]float32, len(inputs))}
+	return &EltwiseOp{a: *a, dst: dst, inputs: inputs, ins: make([][]float32, len(inputs)), simd: matmul.HaveAVX2()}
 }
 
 // Run executes the reduction on the pool.
@@ -279,9 +280,7 @@ func (o *EltwiseOp) RunChunk(_, start, end int) {
 	for _, s := range o.ins[1:] {
 		switch o.a.Type {
 		case graph.EltSum:
-			for i := start; i < end; i++ {
-				d[i] += s[i]
-			}
+			addInto(d[start:end], s[start:end], false, o.simd)
 		case graph.EltProd:
 			for i := start; i < end; i++ {
 				d[i] *= s[i]
@@ -302,6 +301,30 @@ func (o *EltwiseOp) RunChunk(_, start, end int) {
 		for i := start; i < end; i++ {
 			d[i] = relu(d[i])
 		}
+	}
+}
+
+// addInto adds s to d element by element, d's element the first operand of
+// each add, or s's with sFirst: the operand whose NaN payload the sum of two
+// NaNs keeps. With simd, addPS takes whole groups of eight and the Go loops
+// the rest, the same adds.
+func addInto(d, s []float32, sFirst, simd bool) {
+	s = s[:len(d)]
+	i := 0
+	if simd && len(d) >= 8 {
+		i = len(d) &^ 7
+		addPS(&d[0], &s[0], i/8, sFirst)
+	}
+	if !sFirst {
+		for ; i < len(d); i++ {
+			d[i] += s[i]
+		}
+		return
+	}
+	for ; i < len(d); i++ {
+		v := s[i]
+		v += d[i]
+		d[i] = v
 	}
 }
 

@@ -609,3 +609,81 @@ func TestPoolAvgSIMDBitwise(t *testing.T) {
 		checkPoolSIMDBitwise(t, cases, specials, finite)
 	}
 }
+
+// TestMatMulResidualMatchesEltwiseBitwise: a weight MatMul that stores its
+// residual add (graph.Residual, optimizer.FuseResidual) gives the bits of the
+// plain MatMul followed by the EltSum it replaced, on its Go loop, in either
+// operand order — with and without a bias, scaled or not, at one and three
+// lanes, on addPS and on the Go loop alone, over whole groups of eight and a
+// tail — and so does that EltSum on addPS, over hard values: both operands
+// NaN with different payloads, ±0, ±Inf, denormals and sums that overflow.
+// A one-row weight makes each product the activation times one weight, so
+// the products take those values too.
+func TestMatMulResidualMatchesEltwiseBitwise(t *testing.T) {
+	bits := math.Float32frombits
+	as := []float32{1, -2, 0x1p-20, bits(0x7fa00456), inf32, negZero32, 3e38, 0, bits(0xffc00789)}
+	ws := []float32{1, -1, 0.5, 0x1p-130, inf32, 0, bits(0x7fc00123), -0.25, 3}
+	rs := []float32{bits(0x7fc0abcd), bits(0xffc01234), 0, negZero32, inf32, -inf32, bits(1), bits(0x80000010), 1, -1, 3e38}
+	// 16 × 40: a twelve-row and a four-row tile, a pair and a partial
+	// panel, whole groups of eight; 3 × 10: single rows, 30 floats.
+	differ := false // somewhere the two operand orders give different bits
+	for _, shape := range [][2]int{{16, 40}, {3, 10}} {
+		m, n := shape[0], shape[1]
+		src, w, res := tensor.New(1, m, 1), tensor.New(1, n), tensor.New(1, m, n)
+		for i := range src.Data() {
+			src.Data()[i] = as[i%len(as)]
+		}
+		for j := range w.Data() {
+			w.Data()[j] = ws[j%len(ws)]
+		}
+		for e := range res.Data() {
+			res.Data()[e] = rs[(e+e/n)%len(rs)]
+		}
+		packed := matmul.PackB(w.Data(), 1, n)
+		for _, bias := range []*tensor.Tensor{nil, tensor.NewRandom(3, 0.1, n)} {
+			for _, scale := range []float32{0, 0.5} {
+				for _, lanes := range []int{1, 3} {
+					pool := testPool(t, lanes)
+					prod := tensor.New(1, m, n)
+					NewMatMulWeightOp(prod, src, nil, w, bias, &graph.MatMulAttrs{Scale: scale}, packed).Run(pool)
+					var sums [2][]float32
+					for o, order := range []graph.Residual{graph.ResidualAfter, graph.ResidualBefore} {
+						ins := []*tensor.Tensor{prod, res}
+						if order == graph.ResidualBefore {
+							ins[0], ins[1] = res, prod
+						}
+						want := tensor.New(1, m, n)
+						elt := NewEltwiseOp(want, ins, &graph.EltwiseAttrs{Type: graph.EltSum})
+						elt.simd = false
+						elt.Run(pool)
+						for _, simd := range []bool{false, matmul.HaveAVX2()} {
+							got, sum := tensor.New(1, m, n), tensor.New(1, m, n)
+							op := NewMatMulWeightOp(got, src, res, w, bias, &graph.MatMulAttrs{Scale: scale, Residual: order}, packed)
+							op.simd = simd
+							op.Run(pool)
+							elt := NewEltwiseOp(sum, ins, &graph.EltwiseAttrs{Type: graph.EltSum})
+							elt.simd = simd
+							elt.Run(pool)
+							for e, v := range want.Data() {
+								for name, g := range map[string]float32{"fused": got.Data()[e], "Eltwise": sum.Data()[e]} {
+									if math.Float32bits(g) != math.Float32bits(v) {
+										t.Fatalf("%dx%d, bias %v, scale %v, %d lanes, order %d, simd %v: element %d is %#08x %s, %#08x as MatMul then the Go Eltwise (%#08x and %#08x)",
+											m, n, bias != nil, scale, lanes, order, simd, e, math.Float32bits(g), name, math.Float32bits(v),
+											math.Float32bits(ins[0].Data()[e]), math.Float32bits(ins[1].Data()[e]))
+									}
+								}
+							}
+						}
+						sums[o] = want.Data()
+					}
+					for e := range sums[0] {
+						differ = differ || math.Float32bits(sums[0][e]) != math.Float32bits(sums[1][e])
+					}
+				}
+			}
+		}
+	}
+	if !differ {
+		t.Fatal("the two operand orders agree everywhere: no element tells them apart")
+	}
+}

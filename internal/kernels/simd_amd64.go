@@ -74,6 +74,13 @@ func expPS(dst, src *float32, blocks int)
 //go:noescape
 func geluPS(dst, src *float32, blocks int)
 
+// addPS is the AVX sum behind EltSum and a fused residual (exp_amd64.s):
+// dst[i] += src[i] over 8·blocks floats, blocks ≥ 1, with src as the first
+// operand of each add when srcFirst (see addInto).
+//
+//go:noescape
+func addPS(dst, src *float32, blocks int, srcFirst bool)
+
 // attentionRows8 is the AVX2 twin of AttentionOp's portable rows
 // (exp_amd64.s): one (batch, head) pair, la ≥ 1 query rows against lb ≥ 1
 // keys, heads dh ≥ 1 wide, rows ld floats apart, on ws of 8·(dh + lb)

@@ -50,6 +50,10 @@ func geluPS(dst, src *float32, blocks int) {
 	panic("kernels: no SIMD GELU kernel on this architecture")
 }
 
+func addPS(dst, src *float32, blocks int, srcFirst bool) {
+	panic("kernels: no SIMD add kernel on this architecture")
+}
+
 func attentionRows8(dst, q, k, v, ws *float32, la, lb, dh, ld int, qkScale, avScale float32) {
 	panic("kernels: no SIMD attention kernel on this architecture")
 }

@@ -262,32 +262,37 @@ const (
 
 // MatMulOp covers the three MatMul forms of graph.MatMulAttrs. The weight
 // form row-chunks MulBiasInto over the constant [K,N] weight's matmul.PackedB
-// panels (bitwise chunk-invariant); the attention forms chunk over (batch,
-// head) pairs and compute every output element as dotCols describes. A
-// session runs them only where something reads the scores or the
-// probabilities; everywhere else the triple is one AttentionOp.
+// panels (bitwise chunk-invariant), and adds a fused residual to the rows it
+// has just stored; the attention forms chunk over (batch, head) pairs and
+// compute every output element as dotCols describes. A session runs them
+// only where something reads the scores or the probabilities; everywhere
+// else the triple is one AttentionOp.
 type MatMulOp struct {
 	form  matMulForm
 	heads int
 	scale float32 // resolved: 1 when attrs.Scale == 0
 
-	dst, a, b *tensor.Tensor
-	ad, bd, d []float32 // this run's buffers, set by Run
+	dst, a, b *tensor.Tensor // b: the weight form's residual, if any
+	ad, bd, d []float32      // this run's buffers, set by Run
 
 	// Weight form only.
-	k, n   int
-	packed *matmul.PackedB
-	bias   []float32
+	k, n     int
+	packed   *matmul.PackedB
+	bias     []float32
+	residual graph.Residual
+	simd     bool // matmul.HaveAVX2: addInto runs addPS
 }
 
 // NewMatMulWeightOp binds the weight form: src [.., M, K] × w [K, N] with
-// optional bias [N], on packed, w's matmul.PackB form.
-func NewMatMulWeightOp(dst, src, w, bias *tensor.Tensor, a *graph.MatMulAttrs, packed *matmul.PackedB) *MatMulOp {
+// optional bias [N], on packed, w's matmul.PackB form. With a.Residual set,
+// res — shaped like dst, which it must not alias — is added to the product
+// in that operand order.
+func NewMatMulWeightOp(dst, src, res, w, bias *tensor.Tensor, a *graph.MatMulAttrs, packed *matmul.PackedB) *MatMulOp {
 	ws := w.Shape()
 	o := &MatMulOp{
 		form: mmWeight, scale: resolveScale(a.Scale),
-		dst: dst, a: src,
-		k: ws[0], n: ws[1], packed: packed,
+		dst: dst, a: src, b: res,
+		k: ws[0], n: ws[1], packed: packed, residual: a.Residual, simd: matmul.HaveAVX2(),
 	}
 	if bias != nil {
 		o.bias = paddedBias(bias, tensor.UpDiv(o.n, matmul.PanelWidth)*matmul.PanelWidth)
@@ -343,22 +348,26 @@ func (o *MatMulOp) RunChunk(_, start, end int) {
 
 // runWeight adds the bias in the GEMM's own epilogue (MulBiasInto, no
 // clamp); a scaled product is scaled first and gets its bias after, each a
-// rounding of its own.
+// rounding of its own. A residual is added last, to the rows just stored,
+// by the EltSum's own addInto in its operand order.
 func (o *MatMulOp) runWeight(start, end int) {
 	k, n := o.k, o.n
 	d, a := o.d[start*n:end*n], o.ad[start*k:end*k]
 	if o.scale == 1 {
 		lo, hi := clampBounds(false, false)
 		o.packed.MulBiasInto(d, a, end-start, o.bias, lo, hi)
-		return
-	}
-	o.packed.MulInto(d, a, end-start)
-	for i := range d {
-		v := float32(d[i] * o.scale) // not fused into the add
-		if o.bias != nil {
-			v += o.bias[i%n]
+	} else {
+		o.packed.MulInto(d, a, end-start)
+		for i := range d {
+			v := float32(d[i] * o.scale) // not fused into the add
+			if o.bias != nil {
+				v += o.bias[i%n]
+			}
+			d[i] = v
 		}
-		d[i] = v
+	}
+	if o.residual != graph.NoResidual {
+		addInto(d, o.bd[start*n:end*n], o.residual == graph.ResidualBefore, o.simd)
 	}
 }
 

@@ -2,13 +2,14 @@ package matmul
 
 // The amd64 micro-kernels (kernel_amd64.s) and the one decision which of them
 // run. fp32 has two SIMD levels over the same packed panels — AVX2 with FMA
-// (4×16 tiles) and AVX-512F (12×32 tiles over two adjacent panels, 12×16 for
-// a panel left unpaired, remainders on AVX2) — that round every element
-// alike, one VFMADD231PS per step as the portable loops' fma32, so the level
-// is picked from CPUID and XCR0 alone and nothing can or need switch it. The
-// pair tile loads two panel lines and twelve broadcasts per step for 24
-// FMAs, where the 12×16 tile loads 13 for 12. int8 has its own ladder over
-// exact integer sums — AVX2 (VPMADDWD, 4×16 tiles), AVX-512 VNNI
+// (4×16 tiles) and AVX-512F (row-major: 12×32 and 4×32 tiles over two
+// adjacent panels, masked at the last columns; NC4HW4: 12×32 tiles, 12×16
+// for a panel left unpaired, pixel remainders on AVX2) — that round every
+// element alike, one VFMADD231PS per step as the portable loops' fma32, so
+// the level is picked from CPUID and XCR0 alone and nothing can or need
+// switch it. The pair tile loads two panel lines and twelve broadcasts per
+// step for 24 FMAs, where the 12×16 tile loads 13 for 12. int8 has its own
+// ladder over exact integer sums — AVX2 (VPMADDWD, 4×16 tiles), AVX-512 VNNI
 // (VPDPBUSD, 12×16 tiles, remainders on a 4-pixel variant) and AMX (TDPBUSD
 // and TDPBSSD, 32×32 tile blocks over the VNNI layout, everything it does
 // not take on the VNNI kernels) — picked from the same registers, CPUID.7:ECX
@@ -86,25 +87,33 @@ func mulPanel4x16(dst *float32, ldd int, a *float32, lda, k int, panel, bias *fl
 //go:noescape
 func mulPanelNC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel, bias *float32, lo, hi float32)
 
-// mulPanel12x16 and mulPanel12NC4 are the same two kernels on AVX-512F
-// (kernel_amd64.s): twelve rows or pixels per tile, one zmm per row, the
-// reduction and the epilogue of the four-row kernels element for element.
+// mulPanel12NC4 is mulPanelNC4 on AVX-512F (kernel_amd64.s): twelve pixels
+// per tile, one zmm per pixel, the reduction and the epilogue of the
+// four-pixel kernel element for element.
 //
-//go:noescape
-func mulPanel12x16(dst *float32, ldd int, a *float32, lda, k int, panel, bias *float32, lo, hi float32)
-
 //go:noescape
 func mulPanel12NC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel, bias *float32, lo, hi float32)
 
-// mulPanel12x32 and mulPanel12x32NC4 are the AVX-512F kernels over two
-// adjacent panels (kernel_amd64.s): the second panel's k rows start k·16
-// floats after panel, the tile is twelve rows or pixels × 32 columns, and
-// each element gets the twelve-row kernels' reduction and epilogue, from 32
-// biases. mulPanel12x32NC4 stores 4 < packs ≤ 8 channel packs.
+// mulPanel12x32 and mulPanel4x32 are the row-major AVX-512F kernels over two
+// adjacent panels (kernel_amd64.s): twelve or four rows of a, lda floats
+// apart, × 32 columns — the second panel's k rows start k·16 floats after
+// panel and are read only when cols > 16 — with mulPanel4x16's reduction
+// and, for bias non-nil (32 floats, read under the column mask), its
+// epilogue; the first cols ≤ 32 columns of each row are stored, rows ldd
+// floats apart. lda = ldd = 0 runs one row as four copies of itself.
 //
 //go:noescape
-func mulPanel12x32(dst *float32, ldd int, a *float32, lda, k int, panel, bias *float32, lo, hi float32)
+func mulPanel12x32(dst *float32, ldd int, a *float32, lda, k int, panel, bias *float32, lo, hi float32, cols int)
 
+//go:noescape
+func mulPanel4x32(dst *float32, ldd int, a *float32, lda, k int, panel, bias *float32, lo, hi float32, cols int)
+
+// mulPanel12x32NC4 is mulPanel12NC4 over two adjacent panels
+// (kernel_amd64.s): the second panel's k rows start k·16 floats after
+// panel, the tile is twelve pixels × 32 columns, and each element gets the
+// twelve-pixel kernel's reduction and epilogue, from 32 biases. It stores
+// 4 < packs ≤ 8 channel packs.
+//
 //go:noescape
 func mulPanel12x32NC4(dst *float32, dstPack, packs int, a *float32, aPack, aPix int, taps *Tap, ntaps, kc int, panel *float32, k int, bias *float32, lo, hi float32)
 

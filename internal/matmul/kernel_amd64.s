@@ -482,85 +482,117 @@ DATA zeroTap<>+0(SB)/8, $0
 DATA zeroTap<>+8(SB)/8, $0
 GLOBL zeroTap<>(SB), RODATA, $16
 
-// func mulPanel12x16(dst *float32, ldd int, a *float32, lda, k int, panel, bias *float32, lo, hi float32)
+// STEP4X2 is the first four rows of STEP12X2: four rows R8 bytes apart
+// from SI (R9 = 3·R8) against the two panel lines, R15 bytes apart, in Z24
+// and Z25 — panel 0 into Z0..Z3, panel 1 into Z12..Z15, each row's a
+// element broadcast once against both; one rounded multiply-add per element
+// and step.
+#define STEP4X2(D) \
+	VMOVUPS      (BX), Z24        \
+	VMOVUPS      (BX)(R15*1), Z25 \
+	VBROADCASTSS D(SI), Z26       \
+	VBROADCASTSS D(SI)(R8*1), Z27 \
+	VBROADCASTSS D(SI)(R8*2), Z28 \
+	VBROADCASTSS D(SI)(R9*1), Z29 \
+	VFMADD231PS  Z24, Z26, Z0     \
+	VFMADD231PS  Z25, Z26, Z12    \
+	VFMADD231PS  Z24, Z27, Z1     \
+	VFMADD231PS  Z25, Z27, Z13    \
+	VFMADD231PS  Z24, Z28, Z2     \
+	VFMADD231PS  Z25, Z28, Z14    \
+	VFMADD231PS  Z24, Z29, Z3     \
+	VFMADD231PS  Z25, Z29, Z15    \
+	ADDQ         $64, BX
+
+// PAIRSETUP loads the arguments both row-major pair kernels share — R8 the
+// bytes between rows, R9 three times that, DX = k, R15 the bytes to the
+// second panel — and the column masks: K1 the first min(cols, 16) columns,
+// K2 the next cols − 16. With cols ≤ 16 there is no second panel: R15 is 0,
+// so the first is read twice and K2 discards the copy. The row-major operand
+// is the NC4HW4 walk with packs of four floats 16 bytes apart, one tap.
+#define PAIRSETUP \
+	MOVQ    lda+24(FP), R8         \
+	MOVQ    k+32(FP), DX           \
+	MOVQ    cols+64(FP), CX        \
+	MOVQ    $16, R11               \
+	LEAQ    zeroTap<>(SB), R14     \
+	MOVQ    $1, R12                \
+	MOVQ    DX, R15                \
+	SHLQ    $6, R15                \
+	XORQ    AX, AX                 \
+	CMPQ    CX, $16                \
+	CMOVQLE AX, R15                \
+	MOVQ    $1, AX                 \
+	SHLQ    CX, AX                 \
+	DECQ    AX                     \
+	KMOVW   AX, K1                 \
+	SHRQ    $16, AX                \
+	KMOVW   AX, K2                 \
+	SHLQ    $2, R8                 \
+	LEAQ    (R8)(R8*2), R9
+
+// PAIRBIAS loads the 32 biases at bias into Z24 and Z25 under the column
+// masks, never reading past the columns stored, and [lo, hi] into Z26, Z27;
+// with bias nil it jumps to STORE.
+#define PAIRBIAS(STORE) \
+	MOVQ         bias+48(FP), R13   \
+	TESTQ        R13, R13           \
+	JZ           STORE              \
+	VMOVUPS.Z    (R13), K1, Z24     \
+	VMOVUPS.Z    64(R13), K2, Z25   \
+	VBROADCASTSS lo+56(FP), Z26     \
+	VBROADCASTSS hi+60(FP), Z27
+
+// STOREROW stores one tile row, its first 16 columns from V0 and the next
+// from V1, under the column masks, and moves DI on by DX bytes.
+#define STOREROW(V0, V1) \
+	VMOVUPS V0, K1, (DI)   \
+	VMOVUPS V1, K2, 64(DI) \
+	ADDQ    DX, DI
+
+// func mulPanel4x32(dst *float32, ldd int, a *float32, lda, k int, panel, bias *float32, lo, hi float32, cols int)
 //
-// mulPanel4x16 on AVX-512F, twelve rows: the row-major operand is the
-// NC4HW4 walk with packs of four floats 16 bytes apart and rows lda floats
-// apart, one tap; the same epilogue with bias non-nil (FINISH12). Requires
-// k ≥ 1.
-TEXT ·mulPanel12x16(SB), NOSPLIT, $0-64
-	MOVQ lda+24(FP), R8
-	MOVQ k+32(FP), DX
-	MOVQ $16, R11
-	LEAQ zeroTap<>(SB), R14
-	MOVQ $1, R12
-	SHLQ $2, R8
-	LEAQ (R8)(R8*2), R9
-	ZERO12
-	TAPWALK(STEP12, ROWS12, NEXT12, a+16(FP), panel+40(FP))
-	MOVQ  bias+48(FP), R13
-	TESTQ R13, R13
-	JZ    store
-	VMOVUPS      (R13), Z12
-	VBROADCASTSS lo+56(FP), Z13
-	VBROADCASTSS hi+60(FP), Z14
-	FINISH12ROWS(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14)
+// Four rows of a, lda floats apart, times the two adjacent panels at panel
+// (the second k·16 floats after the first, read only when cols > 16) on
+// STEP4X2; with bias non-nil, the biases added and the clamp (FINISH12); the
+// first cols ≤ 32 columns of each row stored to dst, rows ldd floats apart.
+// lda = ldd = 0 runs one row as four copies of itself. Requires k ≥ 1.
+TEXT ·mulPanel4x32(SB), NOSPLIT, $0-72
+	PAIRSETUP
+	ZERO4(Z0, Z1, Z2, Z3)
+	ZERO4(Z12, Z13, Z14, Z15)
+	TAPWALK(STEP4X2, ROWS4, NEXT4, a+16(FP), panel+40(FP))
+	PAIRBIAS(store)
+	FINISH12(Z0, Z24, Z26, Z27)
+	FINISH12(Z1, Z24, Z26, Z27)
+	FINISH12(Z2, Z24, Z26, Z27)
+	FINISH12(Z3, Z24, Z26, Z27)
+	FINISH12(Z12, Z25, Z26, Z27)
+	FINISH12(Z13, Z25, Z26, Z27)
+	FINISH12(Z14, Z25, Z26, Z27)
+	FINISH12(Z15, Z25, Z26, Z27)
 
 store:
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), DX
 	SHLQ $2, DX
-	VMOVUPS Z0, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z1, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z2, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z3, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z4, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z5, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z6, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z7, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z8, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z9, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z10, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z11, (DI)
+	STOREROW(Z0, Z12)
+	STOREROW(Z1, Z13)
+	STOREROW(Z2, Z14)
+	STOREROW(Z3, Z15)
 	VZEROUPPER
 	RET
 
-// func mulPanel12x32(dst *float32, ldd int, a *float32, lda, k int, panel, bias *float32, lo, hi float32)
+// func mulPanel12x32(dst *float32, ldd int, a *float32, lda, k int, panel, bias *float32, lo, hi float32, cols int)
 //
-// mulPanel12x16 over two adjacent panels, the second k·16 floats after
-// panel: twelve rows × 32 columns on STEP12X2, row r's first 16 columns
-// from Z(r), the next 16 from Z(12+r); with bias non-nil, the 32 biases at
-// bias and the clamp. Requires k ≥ 1.
-TEXT ·mulPanel12x32(SB), NOSPLIT, $0-64
-	MOVQ lda+24(FP), R8
-	MOVQ k+32(FP), DX
-	MOVQ $16, R11
-	LEAQ zeroTap<>(SB), R14
-	MOVQ $1, R12
-	MOVQ DX, R15
-	SHLQ $2, R8
-	SHLQ $6, R15
-	LEAQ (R8)(R8*2), R9
+// mulPanel4x32 three times as tall: twelve rows × 32 columns on STEP12X2,
+// row r's first 16 columns from Z(r), the next 16 from Z(12+r); the same
+// second panel, epilogue and masked store. Requires k ≥ 1.
+TEXT ·mulPanel12x32(SB), NOSPLIT, $0-72
+	PAIRSETUP
 	ZERO24
 	TAPWALK(STEP12X2, ROWS12, NEXT12, a+16(FP), panel+40(FP))
-	MOVQ  bias+48(FP), R13
-	TESTQ R13, R13
-	JZ    store
-	VMOVUPS      (R13), Z24
-	VMOVUPS      64(R13), Z25
-	VBROADCASTSS lo+56(FP), Z26
-	VBROADCASTSS hi+60(FP), Z27
+	PAIRBIAS(store)
 	FINISH12ROWS(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z24, Z26, Z27)
 	FINISH12ROWS(Z12, Z13, Z14, Z15, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23, Z25, Z26, Z27)
 
@@ -568,41 +600,18 @@ store:
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), DX
 	SHLQ $2, DX
-	VMOVUPS Z0, (DI)
-	VMOVUPS Z12, 64(DI)
-	ADDQ    DX, DI
-	VMOVUPS Z1, (DI)
-	VMOVUPS Z13, 64(DI)
-	ADDQ    DX, DI
-	VMOVUPS Z2, (DI)
-	VMOVUPS Z14, 64(DI)
-	ADDQ    DX, DI
-	VMOVUPS Z3, (DI)
-	VMOVUPS Z15, 64(DI)
-	ADDQ    DX, DI
-	VMOVUPS Z4, (DI)
-	VMOVUPS Z16, 64(DI)
-	ADDQ    DX, DI
-	VMOVUPS Z5, (DI)
-	VMOVUPS Z17, 64(DI)
-	ADDQ    DX, DI
-	VMOVUPS Z6, (DI)
-	VMOVUPS Z18, 64(DI)
-	ADDQ    DX, DI
-	VMOVUPS Z7, (DI)
-	VMOVUPS Z19, 64(DI)
-	ADDQ    DX, DI
-	VMOVUPS Z8, (DI)
-	VMOVUPS Z20, 64(DI)
-	ADDQ    DX, DI
-	VMOVUPS Z9, (DI)
-	VMOVUPS Z21, 64(DI)
-	ADDQ    DX, DI
-	VMOVUPS Z10, (DI)
-	VMOVUPS Z22, 64(DI)
-	ADDQ    DX, DI
-	VMOVUPS Z11, (DI)
-	VMOVUPS Z23, 64(DI)
+	STOREROW(Z0, Z12)
+	STOREROW(Z1, Z13)
+	STOREROW(Z2, Z14)
+	STOREROW(Z3, Z15)
+	STOREROW(Z4, Z16)
+	STOREROW(Z5, Z17)
+	STOREROW(Z6, Z18)
+	STOREROW(Z7, Z19)
+	STOREROW(Z8, Z20)
+	STOREROW(Z9, Z21)
+	STOREROW(Z10, Z22)
+	STOREROW(Z11, Z23)
 	VZEROUPPER
 	RET
 

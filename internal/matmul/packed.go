@@ -17,11 +17,11 @@ const PanelWidth = 16
 // allocation-free and cache-blocked. It is the one fp32 GEMM behind the 1×1,
 // im2col and Winograd convolutions, InnerProduct and the transformer weight
 // MatMul, on a register-blocked micro-kernel of 4 rows × 16 columns (on
-// AVX-512, 12 rows × two adjacent panels, 32 columns, and 12 × 16 for an
-// unpaired panel): MulBiasInto takes row-major operands and ends each
-// element with the bias and clamp of a fully connected layer in the same
-// registers, MulInto is its plain product, and MulNC4Into reads and writes
-// NC4HW4 activations in place.
+// AVX-512, 12 or 4 rows × two adjacent panels, 32 columns; NC4HW4 also
+// 12 × 16 for an unpaired panel): MulBiasInto takes row-major operands and
+// ends each element with the bias and clamp of a fully connected layer in
+// the same registers, MulInto is its plain product, and MulNC4Into reads and
+// writes NC4HW4 activations in place.
 type PackedB struct {
 	K, N int
 	data []float32 // [panels][K][PanelWidth]
@@ -38,7 +38,7 @@ type level uint8
 const (
 	levelPortable level = iota // the Go loops: any host, and the oracle
 	levelAVX2                  // 4×16 tiles, two ymm per row
-	levelAVX512                // fp32: 12×32 tiles over panel pairs, 12×16 for a lone panel; remainders on AVX2
+	levelAVX512                // fp32: 12×32 and 4×32 tiles over panel pairs (NC4HW4: 12×16 for a lone panel, pixel remainders on AVX2)
 	levelVNNI                  // int8: 12×16 VPDPBUSD tiles; remainders on a 4-pixel variant
 	levelAMX                   // int8: 32×32 TDPBUSD/TDPBSSD blocks over two panels; the rest on VNNI
 )
@@ -148,66 +148,78 @@ func (pb *PackedB) MulInto(dst, a []float32, m int) { pb.MulBiasInto(dst, a, m, 
 // is what keeps batched results equal to unbatched ones.
 //
 // On amd64 hosts with AVX2 (checked once at package init) the blocks run the
-// assembly micro-kernels, the epilogue included — on AVX-512F while twelve
-// rows remain mulPanel12x32 over each pair of full panels and mulPanel12x16
-// over a full panel left over, mulPanel4x16 otherwise; everywhere else, and
-// as the oracle the differential tests compare them with, the portable Go
-// loop runs.
+// assembly micro-kernels, the epilogue included — on AVX-512F mulPanel12x32
+// and mulPanel4x32 over each pair of panels, mulPanel4x16 on AVX2;
+// everywhere else, and as the oracle the differential tests compare them
+// with, the portable Go loop runs.
 func (pb *PackedB) MulBiasInto(dst, a []float32, m int, bias []float32, lo, hi float32) {
 	k, n := pb.K, pb.N
 	if len(a) < m*k || len(dst) < m*n || bias != nil && len(bias) < (n+PanelWidth-1)/PanelWidth*PanelWidth {
 		panic("matmul: buffer too small for declared dimensions")
 	}
-	if pb.simd == levelPortable || k == 0 { // the assembly kernels take at least one step
+	switch {
+	case pb.simd == levelPortable || k == 0: // the assembly kernels take at least one step
 		pb.mulPortable(dst, a, m, bias, lo, hi)
-		return
+	case pb.simd == levelAVX2:
+		pb.mulAVX2(dst, a, m, bias, lo, hi)
+	default:
+		pb.mulAVX512(dst, a, m, bias, lo, hi)
 	}
-	pb.mulSIMD(dst, a, m, bias, lo, hi)
 }
 
-// mulSIMD drives the micro-kernels over the panels and blocks of rows: twelve
-// at a time on AVX-512, then four at a time. The twelve-row tiles of panels
-// 2i and 2i+1 run as one 12×32 tile when both are full — the pairing reads
-// only N — and the second panel's iteration starts at the rows those tiles
-// left. When m%4 rows are left the last block is moved back to end at row m
-// and overlaps rows already written — a row's bits depend on that row alone,
-// so they are written twice with the same value. Blocks of the zero-padded
-// last panel, and the rows of a product with fewer than four, run the
-// four-row kernel into a stack tile and copy out what is valid; such a row is
-// fed as four copies of itself (lda = 0) so the kernel never reads past a. No
-// step is skipped for a zero a: 0·Inf is NaN, and a fused step can leave −0
-// in an accumulator that a following +0·v turns back into +0.
-func (pb *PackedB) mulSIMD(dst, a []float32, m int, bias []float32, lo, hi float32) {
+// mulAVX512 drives the AVX-512 kernels over the pairs of panels, 32 columns
+// at a time — the last pair's columns past N masked off, an odd last panel
+// read alone — and the rows twelve at a time, then four at a time. When m%4
+// rows are left the last block is moved back to end at row m and overlaps
+// rows already written: a row's bits depend on that row alone, so they are
+// written twice with the same value. A product of fewer than four rows runs
+// each row as four copies of itself (lda = ldd = 0), so the kernel never
+// reads past a or writes past dst. No step is skipped for a zero a: 0·Inf is
+// NaN, and a fused step can leave −0 in an accumulator that a following
+// +0·v turns back into +0.
+func (pb *PackedB) mulAVX512(dst, a []float32, m int, bias []float32, lo, hi float32) {
+	k, n := pb.K, pb.N
+	for j0 := 0; j0 < n; j0 += 2 * PanelWidth {
+		cols := min(n-j0, 2*PanelWidth)
+		panel := &pb.data[j0*k]
+		var b *float32 // the pair's biases; the kernels skip the epilogue for nil
+		if bias != nil {
+			b = &bias[j0]
+		}
+		i := 0
+		for ; i+12 <= m; i += 12 {
+			mulPanel12x32(&dst[i*n+j0], n, &a[i*k], k, k, panel, b, lo, hi, cols)
+		}
+		for ; i < m && m < 4; i++ {
+			mulPanel4x32(&dst[i*n+j0], 0, &a[i*k], 0, k, panel, b, lo, hi, cols)
+		}
+		for ; i < m; i += 4 {
+			i = min(i, m-4) // the overlapping tail block
+			mulPanel4x32(&dst[i*n+j0], n, &a[i*k], k, k, panel, b, lo, hi, cols)
+		}
+	}
+}
+
+// mulAVX2 is mulAVX512's walk on the 4×16 kernel, one panel at a time.
+// Blocks of the zero-padded last panel, and the rows of a product with fewer
+// than four, run into a stack tile and copy out what is valid.
+func (pb *PackedB) mulAVX2(dst, a []float32, m int, bias []float32, lo, hi float32) {
 	k, n := pb.K, pb.N
 	var tile [4 * PanelWidth]float32
 	for j0 := 0; j0 < n; j0 += PanelWidth {
 		lim := min(n-j0, PanelWidth)
 		panel := &pb.data[j0*k]
-		var b *float32 // the panel's biases; the kernels skip the epilogue for nil
+		var b *float32
 		if bias != nil {
 			b = &bias[j0]
 		}
 		i := 0
-		if pb.simd == levelAVX512 && lim == PanelWidth {
-			switch {
-			case j0/PanelWidth%2 == 1: // the second of a pair: its tiles ran with the first
-				i = m / 12 * 12
-			case n-j0 >= 2*PanelWidth: // the next panel is full too: twelve rows × both
-				for ; i+12 <= m; i += 12 {
-					mulPanel12x32(&dst[i*n+j0], n, &a[i*k], k, k, panel, b, lo, hi)
-				}
-			default:
-				for ; i+12 <= m; i += 12 {
-					mulPanel12x16(&dst[i*n+j0], n, &a[i*k], k, k, panel, b, lo, hi)
-				}
-			}
-		}
 		for ; i < m && m < 4; i++ {
 			mulPanel4x16(&tile[0], PanelWidth, &a[i*k], 0, k, panel, b, lo, hi)
 			copy(dst[i*n+j0:i*n+j0+lim], tile[:])
 		}
 		for ; i < m; i += 4 {
-			i = min(i, m-4) // the overlapping tail block
+			i = min(i, m-4)
 			if lim == PanelWidth {
 				mulPanel4x16(&dst[i*n+j0], n, &a[i*k], k, k, panel, b, lo, hi)
 				continue

@@ -290,6 +290,12 @@ func FuzzPackedMulInto(f *testing.F) {
 	f.Add(uint8(49), uint8(64), uint8(33), uint64(3), []byte{0xff, 0xff, 0x7f, 0x00, 0x00, 0x00, 0x80, 0x7f})
 	f.Add(uint8(12), uint8(32), uint8(10), uint64(4), []byte{0, 0, 0, 0x80})
 	f.Add(uint8(13), uint8(128), uint8(32), uint64(5), []byte{0, 0, 0xc0, 0x7f})
+	// m, k, n = 4, 32, 40: one four-row tile over a full pair, then over a
+	// lone partial panel; 8, 64, 48: two four-row tiles, an odd panel count;
+	// 3, 16, 10: single rows over a partial pair.
+	f.Add(uint8(3), uint8(31), uint8(39), uint64(6), []byte{0, 0, 0x80, 0xff})
+	f.Add(uint8(7), uint8(63), uint8(47), uint64(7), []byte{1, 0, 0, 0})
+	f.Add(uint8(2), uint8(15), uint8(9), uint64(8), []byte{0, 0, 0x80, 0x7f})
 	f.Fuzz(func(t *testing.T, mR, kR, nR uint8, seed uint64, raw []byte) {
 		m, k, n := int(mR)%64+1, int(kR)%80+1, int(nR)%80+1
 		a := activations(seed, m, k)

@@ -38,13 +38,17 @@ type Int8Plan struct {
 // fully-connected layer, is marked int8; everything else stays fp32.
 // inputShapes optionally overrides the declared input shapes — scheme
 // selection, and therefore the partition, depends on the shapes the session
-// will actually run.
+// will actually run. Shapes are inferred, and the convolutions decided, on
+// a copy: inference fills in unset input channel counts, and g stays as the
+// caller holds it (the plan is keyed by node and tensor names), so callers
+// may plan one graph at once.
 func PlanInt8(g *graph.Graph, inputShapes map[string][]int) (*Int8Plan, error) {
-	shapes, err := graph.InferShapes(g, inputShapes)
+	c := g.Clone()
+	shapes, err := graph.InferShapes(c, inputShapes)
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: int8 plan: %w", err)
 	}
-	return PlanInt8With(g, core.DecideConvs(g, shapes, nil, true)), nil
+	return PlanInt8With(c, core.DecideConvs(c, shapes, nil, true)), nil
 }
 
 // PlanInt8With partitions a graph for int8 execution at an engine's conv

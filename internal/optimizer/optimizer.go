@@ -113,26 +113,7 @@ func removeNode(g *graph.Graph, i int) {
 // CPU) and never written to a model. One pass counts every tensor's
 // consumers, a second rewrites.
 func FuseAttention(g *graph.Graph, shapes graph.ShapeMap, keep func(*graph.Node) bool) int {
-	uses := map[string]int{}
-	producer := map[string]*graph.Node{}
-	for _, n := range g.Nodes {
-		for _, in := range n.Inputs {
-			uses[in]++
-		}
-		for _, o := range n.Outputs {
-			producer[o] = n
-		}
-	}
-	for _, o := range g.OutputNames {
-		uses[o]++ // a graph output is never a sole-consumer intermediate
-	}
-	// sole returns the producer of a tensor read exactly once.
-	sole := func(name string) *graph.Node {
-		if uses[name] != 1 {
-			return nil
-		}
-		return producer[name]
-	}
+	sole := soleProducers(g)
 	drop := map[*graph.Node]bool{}
 	fused := 0
 	for i, av := range g.Nodes {
@@ -170,16 +151,99 @@ func FuseAttention(g *graph.Graph, shapes graph.ShapeMap, keep func(*graph.Node)
 		drop[qk], drop[sm] = true, true
 		fused++
 	}
-	if fused > 0 {
-		kept := g.Nodes[:0]
-		for _, n := range g.Nodes {
-			if !drop[n] {
-				kept = append(kept, n)
-			}
-		}
-		g.Nodes = kept
-	}
+	dropNodes(g, drop)
 	return fused
+}
+
+// FuseResidual makes each weight-form MatMul whose output only a residual
+// add reads store that sum itself: a two-input EltSum without ReLU over
+// inputs of equal shapes, one of them the output of a MatMul (Heads 0, no
+// residual yet) that nothing else reads. keep must accept both nodes, and
+// neither output may be a graph output. The MatMul keeps its name (its
+// prepared weights are keyed by it), reads its activation and the add's
+// other input, writes the add's output in the add's operand order
+// (graph.Residual) and takes the add's place in the order, where every
+// input is produced. It reports how many adds it fused.
+//
+// Like FuseAttention it is a session's own rewrite, made after backend
+// selection and never written to a model.
+func FuseResidual(g *graph.Graph, shapes graph.ShapeMap, keep func(*graph.Node) bool) int {
+	sole := soleProducers(g)
+	outputs := map[string]bool{}
+	for _, o := range g.OutputNames {
+		outputs[o] = true
+	}
+	drop := map[*graph.Node]bool{}
+	fused := 0
+	for i, add := range g.Nodes {
+		ea, ok := add.Attrs.(*graph.EltwiseAttrs)
+		if add.Op != graph.OpEltwise || !ok || ea.Type != graph.EltSum || ea.ReLU || len(add.Inputs) != 2 ||
+			outputs[add.Outputs[0]] || !keep(add) || !tensor.EqualShape(shapes[add.Inputs[0]], shapes[add.Inputs[1]]) {
+			continue
+		}
+		for j, order := range []graph.Residual{graph.ResidualAfter, graph.ResidualBefore} {
+			mm := sole(add.Inputs[j])
+			if mm == nil || mm.Op != graph.OpMatMul || len(mm.Inputs) != 1 || !keep(mm) {
+				continue
+			}
+			attrs := *mm.Attrs.(*graph.MatMulAttrs)
+			if attrs.Heads != 0 || attrs.Residual != graph.NoResidual {
+				continue
+			}
+			attrs.Residual = order
+			g.Nodes[i] = &graph.Node{
+				Name: mm.Name, Op: graph.OpMatMul,
+				Inputs:      []string{mm.Inputs[0], add.Inputs[1-j]},
+				Outputs:     []string{add.Outputs[0]},
+				WeightNames: mm.WeightNames,
+				Attrs:       &attrs,
+			}
+			drop[mm] = true
+			fused++
+			break
+		}
+	}
+	dropNodes(g, drop)
+	return fused
+}
+
+// soleProducers returns the function that gives the producer of a tensor
+// of g read exactly once, and nil for any other: a graph output is never a
+// sole-consumer intermediate.
+func soleProducers(g *graph.Graph) func(name string) *graph.Node {
+	uses := map[string]int{}
+	producer := map[string]*graph.Node{}
+	for _, n := range g.Nodes {
+		for _, in := range n.Inputs {
+			uses[in]++
+		}
+		for _, o := range n.Outputs {
+			producer[o] = n
+		}
+	}
+	for _, o := range g.OutputNames {
+		uses[o]++
+	}
+	return func(name string) *graph.Node {
+		if uses[name] != 1 {
+			return nil
+		}
+		return producer[name]
+	}
+}
+
+// dropNodes removes the nodes in drop from g, keeping the others' order.
+func dropNodes(g *graph.Graph, drop map[*graph.Node]bool) {
+	if len(drop) == 0 {
+		return
+	}
+	kept := g.Nodes[:0]
+	for _, n := range g.Nodes {
+		if !drop[n] {
+			kept = append(kept, n)
+		}
+	}
+	g.Nodes = kept
 }
 
 // DropDropout removes inference-time identity Dropout nodes.

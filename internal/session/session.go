@@ -43,8 +43,9 @@ type Config struct {
 	// Unfused keeps every graph node a step of its own, so that
 	// RunObserved sees every activation (the calibration pass); by default
 	// attention runs as one fused step (optimizer.FuseAttention) and its
-	// scores and probabilities are never materialized, and a channel
-	// concat whose inputs are written in place runs no step.
+	// scores and probabilities are never materialized, a weight MatMul
+	// stores the residual add that alone reads it (optimizer.FuseResidual),
+	// and a channel concat whose inputs are written in place runs no step.
 	Unfused bool
 }
 
@@ -193,13 +194,14 @@ func (s *Session) prepare() error {
 		return s.backends[0]
 	}
 
-	// ---- Attention fusion, now that the placement is known: a QK →
-	// softmax → AV triple on the CPU becomes one node, so its scores and
-	// probabilities never reach the arena. The graph is the session's own
+	// ---- Attention and residual fusion, now that the placement is known:
+	// a QK → softmax → AV triple on the CPU becomes one node, so its scores
+	// and probabilities never reach the arena, and a weight MatMul stores
+	// the residual add that alone reads it. The graph is the session's own
 	// copy; a re-prepare finds nothing left to fuse.
 	if !s.cfg.Unfused {
 		onCPU := func(n *graph.Node) bool { return nodeBackend(n) == s.backends[0] }
-		if optimizer.FuseAttention(g, shapes, onCPU) > 0 {
+		if optimizer.FuseAttention(g, shapes, onCPU)+optimizer.FuseResidual(g, shapes, onCPU) > 0 {
 			if shapes, err = graph.InferShapes(g, s.cfg.InputShapes); err != nil {
 				return err
 			}

@@ -14,6 +14,7 @@ import (
 	"mnn/internal/gpusim"
 	"mnn/internal/graph"
 	"mnn/internal/models"
+	"mnn/internal/optimizer"
 	"mnn/internal/simclock"
 	"mnn/internal/tensor"
 )
@@ -444,7 +445,9 @@ func TestSessionFusesAttention(t *testing.T) {
 	}
 	fused, want := run(Config{})
 	unfused, got := run(Config{Unfused: true})
-	if len(fused.steps) != len(g.Nodes)-4 || len(unfused.steps) != len(g.Nodes) {
+	// Two triples become two steps, and the four residual adds go into
+	// their MatMuls (TestSessionFusesResidual).
+	if len(fused.steps) != len(g.Nodes)-8 || len(unfused.steps) != len(g.Nodes) {
 		t.Fatalf("%d fused and %d unfused steps of %d nodes", len(fused.steps), len(unfused.steps), len(g.Nodes))
 	}
 	for _, st := range fused.steps {
@@ -473,6 +476,64 @@ func TestSessionFusesAttention(t *testing.T) {
 		}
 		if j := firstBitDiff(lazy.Output("prob").Data(), want.Data()); j >= 0 {
 			t.Fatalf("run %d: element %d = %v, prepared %v", i, j, lazy.Output("prob").Data()[j], want.Data()[j])
+		}
+	}
+}
+
+// TestSessionFusesResidual: on top of attention fusion, a prepared
+// transformer session stores each of its four residual adds in the MatMul
+// that feeds it — 27 steps become 23 at length 16 — in an arena no larger,
+// and equal bit for bit to the session that runs every add (attention fused
+// the same way) and to an Unfused one, at batch 1 and 2 on one and three
+// lanes.
+func TestSessionFusesResidual(t *testing.T) {
+	g := models.Transformer()
+	attnOnly := g.Clone() // the attention fused as a session fuses it; the adds left as steps
+	shapes, err := graph.InferShapes(attnOnly, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := optimizer.FuseAttention(attnOnly, shapes, func(*graph.Node) bool { return true }); n != 2 {
+		t.Fatalf("fused %d attention triples, want 2", n)
+	}
+	for _, batch := range []int{1, 2} {
+		for _, threads := range []int{1, 3} {
+			run := func(g *graph.Graph, unfused bool) (*Session, []float32) {
+				t.Helper()
+				s, err := New(g, Config{
+					Backends:    []backend.Backend{cpu.New(cpu.Config{Threads: threads})},
+					InputShapes: map[string][]int{"tokens": {batch, models.TransformerSeqLen, models.TransformerDim}},
+					Unfused:     unfused,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { s.Close() })
+				fillInput(s, "tokens", 5)
+				if err := s.Run(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				return s, s.Output("prob").Clone().Data()
+			}
+			fused, got := run(g, false)
+			adds, want := run(attnOnly, true)
+			_, unfused := run(g, true)
+			if len(adds.steps) != 27 || len(fused.steps) != 23 {
+				t.Fatalf("batch %d, %d threads: %d steps with the adds, %d fused; want 27 and 23", batch, threads, len(adds.steps), len(fused.steps))
+			}
+			for _, st := range fused.steps {
+				if st.node.Op == graph.OpEltwise {
+					t.Fatalf("batch %d, %d threads: %s still runs as an Eltwise step", batch, threads, st.node.Name)
+				}
+			}
+			if f, a := fused.Stats().ArenaFloats["CPU"], adds.Stats().ArenaFloats["CPU"]; f > a {
+				t.Fatalf("batch %d, %d threads: fused arena %d floats, %d with the adds", batch, threads, f, a)
+			}
+			for name, ref := range map[string][]float32{"the adds as steps": want, "Unfused": unfused} {
+				if i := firstBitDiff(got, ref); i >= 0 {
+					t.Fatalf("batch %d, %d threads: element %d is %v fused, %v with %s", batch, threads, i, got[i], ref[i], name)
+				}
+			}
 		}
 	}
 }
