@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 )
 
@@ -285,10 +287,23 @@ func (d *inferDecoder) floats(dst *[]float32) error {
 		elems := d.b[d.i : d.i+max(bytes.IndexByte(d.b[d.i:], ']'), 0)]
 		*dst = make([]float32, 0, min(bytes.Count(elems, []byte(",")), len(elems)/2)+1)
 	}
+	// The common spelling, numbers and bare commas, stays in this loop; at
+	// anything else — whitespace, null, ']' or an error — list's element
+	// loop takes over at the same byte, so grammar and errors are its own.
 	return d.list('[', func() error {
-		v, err := d.float()
-		*dst = append(*dst, v)
-		return err
+		for {
+			v, end, err := parseFloat32(d.b, d.i)
+			if end < 0 || err != nil {
+				v, err = d.float()
+				*dst = append(*dst, v)
+				return err
+			}
+			*dst = append(*dst, v)
+			if d.i = end; end == len(d.b) || d.b[end] != ',' {
+				return nil
+			}
+			d.i++
+		}
 	})
 }
 
@@ -297,6 +312,40 @@ func (d *inferDecoder) floats(dst *[]float32) error {
 // b[i:] does not start with a number in JSON's grammar), and strconv's
 // error for a number out of float32 range.
 func parseFloat32(b []byte, i int) (float32, int, error) {
+	// Fast path: -?int.frac with at most 8 integer and 15 fraction digits,
+	// the spelling of encoding/json and of most clients, where 16 bytes
+	// follow the '.' (19 bytes for -0.frac), so that every chunk is in b.
+	// Runs of digits are read 8 bytes at a time (digits8), but for an
+	// integer part of one digit, the common case, read as a byte: the
+	// fraction's loads then need not wait for a chunk's digit count. The
+	// sign and the second fraction chunk are masked, not branched on.
+	// Exponents, longer mantissas and a body's last bytes take the general
+	// code below.
+	if len(b)-i >= 19 {
+		sign := (uint64(b[i]^'-') - 1) >> 63 // 1 for '-'
+		s := i + int(sign)
+		ni, vi := uint(1), uint64(b[s]-'0') // one integer digit, the common case
+		if b[s+1] != '.' {
+			ni, vi = digits8(chunk(b, s))
+		}
+		p := s + int(ni)
+		if b[p] == '.' && (b[s]-'1' < 9 || b[s] == '0' && ni == 1) && len(b)-p > 16 {
+			nf1, vf1 := digits8(chunk(b, p+1))
+			nf2, vf2 := digits8(chunk(b, p+9))
+			full := -uint64(nf1 >> 3) // the second chunk counts behind 8 digits only
+			nf2, vf2 = nf2&uint(full), vf2&full
+			nf, end := nf1+nf2, p+1+int(nf1+nf2)
+			// ≤ 16 digits do not overflow; below 2^53 the mantissa is
+			// exact in float64, and so is 10^nf: one division rounds
+			// correctly (Clinger). The midpoint test is the general path's.
+			m := vi*pow10i[nf] + vf1*pow10i[nf2] + vf2
+			if nf1 > 0 && ni+nf <= 16 && m < 1<<53 && b[end]|0x20 != 'e' {
+				if f := math.Float64bits(float64(int64(m)) / pow10[nf]); f&(1<<29-1) != 1<<28 {
+					return float32(math.Float64frombits(f | sign<<63)), end, nil
+				}
+			}
+		}
+	}
 	start := i
 	neg := i < len(b) && b[i] == '-'
 	if neg {
@@ -366,4 +415,32 @@ func parseFloat32(b []byte, i int) (float32, int, error) {
 	}
 	f, err := strconv.ParseFloat(string(b[start:i]), 32)
 	return float32(f), i, err
+}
+
+// The powers of ten the fast path scales by, exact in both types.
+var (
+	pow10  = [17]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16}
+	pow10i = [17]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16}
+)
+
+// shiftUp[n] multiplies a chunk's first n bytes to its top: 1<<(64-8n)
+// (mod 2^64). n ≤ 8; the table's 16 entries let n&15 skip a bounds check.
+var shiftUp = [16]uint64{0, 1 << 56, 1 << 48, 1 << 40, 1 << 32, 1 << 24, 1 << 16, 1 << 8, 1}
+
+// chunk reads b[i:i+8] with each ASCII digit turned into its value.
+func chunk(b []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(b[i:i+8]) ^ 0x3030303030303030
+}
+
+// digits8 returns how many digits the chunk x starts with, n, and their
+// value, without a branch per digit. A digit byte is < 10, so neither it
+// nor it plus 0x76 has its top bit set; a carry starts only at a byte that
+// is no digit and reaches only the bytes after it, so the first flagged
+// byte ends the run. The n digits, moved to the top with zeros before
+// them, are summed pairwise in three multiplies.
+func digits8(x uint64) (uint, uint64) {
+	n := uint(bits.TrailingZeros64((x|(x+0x7676767676767676))&0x8080808080808080)) >> 3
+	x *= shiftUp[n&15]
+	x = x*10 + x>>8 // byte 2k: the two digits 2k, 2k+1
+	return n, ((x&0x000000ff000000ff)*(100+1000000<<32) + (x>>16&0x000000ff000000ff)*(1+10000<<32)) >> 32
 }

@@ -181,6 +181,8 @@ func TestDecodeInferRequestAgainstStdlib(t *testing.T) {
 // request-shaped JSON a coverage-guided byte fuzzer takes long to reach:
 // random values under the schema's keys (case-folded and repeated now and
 // then), random whitespace, and one random byte edit in half of the bodies.
+// Tensors' data arrays run to 40 numbers and more, the odd member spelled so
+// that floats' tight loop hands over mid-array.
 func TestDecodeGeneratedRequestsAgainstStdlib(t *testing.T) {
 	r := tensor.NewRNG(17)
 	pick := func(s ...string) string { return s[r.Intn(len(s))] }
@@ -208,6 +210,22 @@ func TestDecodeGeneratedRequestsAgainstStdlib(t *testing.T) {
 		return pick(`"id"`, `"inputs"`, `"outputs"`, `"name"`, `"shape"`, `"datatype"`, `"data"`, `"scale"`,
 			`"name"`, `"shape"`, `"data"`, `"Data"`, `"INPUTS"`, `"parameters"`, `"d\u0061ta"`, str())
 	}
+	data := func() string {
+		var b strings.Builder
+		b.WriteString("[")
+		scale := []float32{1, 1, 1000, 1e7}[r.Intn(4)]
+		for i, n := 0, 40+r.Intn(40); i < n; i++ {
+			if i > 0 {
+				b.WriteString(",")
+			}
+			if r.Intn(12) == 0 {
+				b.WriteString(ws() + pick(number(), "null") + ws())
+				continue
+			}
+			b.WriteString(strconv.FormatFloat(float64(r.Float32()*scale), 'f', -1, 32))
+		}
+		return b.String() + "]"
+	}
 	value = func(depth int) string {
 		switch k := r.Intn(10); {
 		case depth > 5 || k < 3:
@@ -229,7 +247,11 @@ func TestDecodeGeneratedRequestsAgainstStdlib(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		body = []byte(ws() + value(0) + ws())
 		if i%3 == 0 { // the shape of a real request, so whole tensors decode
-			body = []byte(`{"inputs":[{"name":"x","shape":` + value(4) + `,"data":` + value(4) + `,` + key() + `:` + value(3) + `}],` + key() + `:` + value(1) + `}`)
+			d := data()
+			if r.Intn(3) == 0 {
+				d = value(4)
+			}
+			body = []byte(`{"inputs":[{"name":"x","shape":` + value(4) + `,"data":` + d + `,` + key() + `:` + value(3) + `}],` + key() + `:` + value(1) + `}`)
 		}
 		if r.Intn(2) == 0 && len(body) > 0 {
 			body[r.Intn(len(body))] = edits[r.Intn(len(edits))]
@@ -399,21 +421,32 @@ func isJSONNumber(s string) bool {
 
 // checkParseFloat32: a JSON number parses to strconv's bits or strconv's
 // range error; anything else — strconv reads some of them — is not a number.
+// It checks s alone, and followed by an array's next comma or its end,
+// padded so that the 19 bytes parseFloat32's fast path needs remain.
 func checkParseFloat32(t *testing.T, s string) {
 	t.Helper()
-	v, end, err := parseFloat32([]byte(s), 0)
+	pad := strings.Repeat(" ", 24)
+	for _, tail := range []string{"", "," + pad, "]}" + pad} {
+		checkParseFloat32Tail(t, s, tail)
+	}
+}
+
+// checkParseFloat32Tail checks s read from the front of s+tail.
+func checkParseFloat32Tail(t *testing.T, s, tail string) {
+	t.Helper()
+	v, end, err := parseFloat32([]byte(s+tail), 0)
 	if !isJSONNumber(s) {
 		if end == len(s) && s != "" {
-			t.Fatalf("%q is not a JSON number, parsed as %v", s, v)
+			t.Fatalf("%q (before %q) is not a JSON number, parsed as %v", s, tail, v)
 		}
 		return
 	}
 	want, werr := strconv.ParseFloat(s, 32)
 	if end != len(s) || (err == nil) != (werr == nil) {
-		t.Fatalf("%q: end %d, err %v; strconv: %v", s, end, err, werr)
+		t.Fatalf("%q (before %q): end %d, err %v; strconv: %v", s, tail, end, err, werr)
 	}
 	if err == nil && math.Float32bits(v) != math.Float32bits(float32(want)) {
-		t.Fatalf("%q: %v (%#x), strconv %v (%#x)", s, v, math.Float32bits(v), float32(want), math.Float32bits(float32(want)))
+		t.Fatalf("%q (before %q): %v (%#x), strconv %v (%#x)", s, tail, v, math.Float32bits(v), float32(want), math.Float32bits(float32(want)))
 	}
 }
 
@@ -422,6 +455,31 @@ func FuzzParseFloat32(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(checkParseFloat32)
+}
+
+// TestParseFloat32FastPath pins parseFloat32's 8-bytes-at-a-time path to
+// strconv's bits at its edges: digit runs that end inside, at and past a
+// chunk; integer parts of one, eight and nine digits; an exponent right
+// behind a chunk; mantissas of 2^53 and more (9.007246494293213 rounds
+// wrong from its float64); decimals whose float64 is a float32 midpoint
+// that they are not (0.012073605787009); numbers that end the body. Each is
+// read alone and followed by digits, which a second chunk read past the
+// number's end sees.
+func TestParseFloat32FastPath(t *testing.T) {
+	for _, s := range []string{
+		"0.1234567", "0.12345678", "0.123456789", "0.123456789012345", "0.1234567890123456", "0.12345678901234567",
+		"-0.1234567", "-0.12345678", "-0.123456789", "-0.123456789012345", "-0.1234567890123456",
+		"0.5", "-0.60466176", "0.0010925309", "0.0076293945", "0.999999940395", "9.5", "-7.25",
+		"12345678.5", "-12345678.25", "12345678.12345678", "123456789.5", "10.5", "99999999.9", "1234567.123456789",
+		"-0.0", "0.0", "0.0000000000000001", "0.000000000000001", "-0.000000000000001",
+		"1.2345678e3", "1.23456789e3", "0.25E-1", "0.12345678E+2", "12.5e1",
+		"9.007199254740991", "9.007199254740993", "9.999999999999999", "9.007246494293213", "90.07199254740993", "0.9007199254740993",
+		"0.012073605787009", "0.00725481309928", "0.020750199444592", "8388608.5", "8388609.5", "16777217.0", "33554434.0",
+		"00.5", "01.5", "-01.5", "1.", "-.5", "0.e1", "1.5.5", "--0.5", "-", "0", "-0", "7", "123",
+	} {
+		checkParseFloat32(t, s)
+		checkParseFloat32Tail(t, s, ",98765432109876543210987,]")
+	}
 }
 
 // TestParseFloat32Midpoints sweeps decimals that land on or next to a
@@ -453,29 +511,46 @@ func TestParseFloat32Midpoints(t *testing.T) {
 // (1×3×128×128 fp32, ~534 KiB): through json.Unmarshal as API callers and
 // the committed benchmark's serve.decode_us do (encoding/json scans an
 // Unmarshaler's value twice before handing it over, ~4.7 ms of that row),
-// and directly as handleInfer does.
+// and directly as handleInfer does. The handler also decodes the longest
+// serve_transformer_c2 body (1×16×32 fp32) and an INT8 body of integers
+// (1×3×128×128), which the parser's fast path leaves to its general code.
 func BenchmarkDecodeInferRequest(b *testing.B) {
-	body, err := json.Marshal(&InferRequest{Inputs: []InferTensor{EncodeTensor("data", tensor.NewRandom(1, 1, 1, 3, 128, 128))}})
-	if err != nil {
-		b.Fatal(err)
+	body := func(it InferTensor) []byte {
+		body, err := json.Marshal(&InferRequest{Inputs: []InferTensor{it}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return body
+	}
+	squeezenet := body(EncodeTensor("data", tensor.NewRandom(1, 1, 1, 3, 128, 128)))
+	quantized := InferTensor{Name: "data", Shape: []int{1, 3, 128, 128}, Datatype: DatatypeINT8, Scale: 0.05,
+		Data: make([]float32, 3*128*128)}
+	r := tensor.NewRNG(1)
+	for i := range quantized.Data {
+		quantized.Data[i] = float32(r.Intn(255) - 127)
 	}
 	for _, c := range []struct {
-		name   string
-		decode func([]byte, *InferRequest) error
+		name    string
+		body    []byte
+		numbers int
+		decode  func([]byte, *InferRequest) error
 	}{
-		{"json.Unmarshal", func(body []byte, req *InferRequest) error { return json.Unmarshal(body, req) }},
-		{"handler", decodeInferRequest},
+		{"json.Unmarshal", squeezenet, 3 * 128 * 128, func(body []byte, req *InferRequest) error { return json.Unmarshal(body, req) }},
+		{"handler", squeezenet, 3 * 128 * 128, decodeInferRequest},
+		{"transformer", body(EncodeTensor("data", tensor.NewRandom(1, 1, 1, 16, 32))), 16 * 32, decodeInferRequest},
+		{"int8", body(quantized), 3 * 128 * 128, decodeInferRequest},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(int64(len(body)))
+			b.SetBytes(int64(len(c.body)))
 			b.ReportAllocs()
 			var req InferRequest // escapes through c.decode; the handler's stays on its stack
 			for b.Loop() {
 				req = InferRequest{}
-				if err := c.decode(body, &req); err != nil {
+				if err := c.decode(c.body, &req); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.numbers), "ns/number")
 		})
 	}
 }

@@ -38,6 +38,19 @@ func FuzzDecodeInferRequest(f *testing.F) {
 	f.Add([]byte(`{"inputs":[{"name":"x","shape":[1,3,16,6148914691236517221],"datatype":"FP32","data":[0,0]}]}`))
 	f.Add([]byte(`{"id":"\u00e9","x":[{"y":null}],"inputs":[{"name":"x","shape":[2],"data":[1e-3,null]}],"outputs":[{"name":"o"}]} `))
 	f.Add([]byte(`{"Inputs":[],"inputs":[{"data":[16777217,1.00000005960464477539063,1e39]}],"inputs":null}`))
+	// Data arrays that leave floats' tight loop mid-array, and one that ends
+	// the body right behind a number.
+	for _, data := range []string{
+		`[0.5,-0.25,0.125,12.5,-0.0625 ,0.75,-3.5,0.1234567890]`,
+		`[0.5,-0.25,null,0.125,-0.0625,0.75,-3.5,0.1234567890]`,
+		`[0.5,-0.25,1.25e-3,0.125,-0.0625,0.75,-3.5,0.1234567890]`,
+		`[0.5,-0.25,12345678901234567890,0.125,-0.0625,0.75,-3.5,0.1234567890]`,
+		`[0.5,-0.25,0.125,12.5,-0.0625,0.75,-3.5,0.1234567890,]`,
+		`[ ]`,
+	} {
+		f.Add([]byte(`{"inputs":[{"name":"x","shape":[8],"datatype":"FP32","data":` + data + `}]}`))
+	}
+	f.Add([]byte(`{"inputs":[{"name":"x","shape":[8],"datatype":"FP32","data":[0.5,-0.25,0.125,12.5,-0.0625,0.75,-3.5,0.1234567890`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkAgainstStdlib(t, body)
