@@ -3,8 +3,8 @@
 // are fixed, it selects
 //
 //   - the computation scheme of every convolution (sliding window vs.
-//     Winograd with cost-optimal tile size vs. Strassen matmul for 1×1) via
-//     the cost model of Equations 2–3, and
+//     Winograd with cost-optimal tile size vs. the 1×1 matrix multiply,
+//     priced as Strassen's) via the cost model of Equations 2–3, and
 //   - the backend of every operator via the cost model of Equations 4–5,
 //
 // all before the first real inference runs, so that execution is pure
@@ -26,7 +26,10 @@ const (
 	SchemeSliding ConvScheme = iota
 	// SchemeWinograd is F(n̂×n̂, k×k) Winograd (per-axis for asymmetric k).
 	SchemeWinograd
-	// SchemeStrassen1x1 lowers a 1×1 convolution to a Strassen matmul.
+	// SchemeStrassen1x1 is a 1×1 convolution as one matrix multiply. Its
+	// EffMULs is Strassen's multiply count under the paper's Equation 9
+	// cutoff (matmul.StrassenMULs), which the simulated clock charges; the
+	// host runs SlidingConv's one-tap whole-sample run.
 	SchemeStrassen1x1
 	// SchemeDepthwise is the dedicated depthwise kernel.
 	SchemeDepthwise
@@ -97,9 +100,11 @@ func Im2colLegal(a *graph.Conv2DAttrs, ic int) bool {
 	return a.OutputCount%g == 0 && (ic == 0 || ic%g == 0)
 }
 
-// Strassen1x1Legal reports whether the Strassen-matmul lowering applies:
-// 1×1 kernel, group 1, and zero effective padding (the kernel's pixel
-// gather assumes the output grid maps straight onto strided input pixels).
+// Strassen1x1Legal reports whether the 1×1 matrix-multiply lowering
+// applies: 1×1 kernel, group 1, and zero effective padding, so that every
+// output pixel is one (strided) input pixel times the weight. The host runs
+// it as SlidingConv's one-tap case: one run per sample at stride 1, one per
+// output row otherwise.
 func Strassen1x1Legal(a *graph.Conv2DAttrs, inShape []int) bool {
 	if a.KernelH != 1 || a.KernelW != 1 || a.Group > 1 {
 		return false
@@ -340,9 +345,10 @@ func ConvCandidates(a *graph.Conv2DAttrs, inShape []int) []ConvCandidate {
 		})
 	}
 
-	if !DepthwiseLegal(a) && SlidingLegal(a) {
+	if !DepthwiseLegal(a) && SlidingLegal(a) && !Strassen1x1Legal(a, inShape) {
 		// The sliding kernel re-reads the input window for every block of 4
-		// output channels.
+		// output channels. Where the 1×1 lowering is legal the host runs the
+		// same SlidingConv call under that label, so the kernel is listed once.
 		cands = append(cands, ConvCandidate{
 			Decision: ConvDecision{Scheme: SchemeSliding, EffMULs: direct, DirectMULs: direct,
 				CostPerPixel: float64(ic) * float64(a.KernelH) * float64(a.KernelW) * float64(oc)},

@@ -587,17 +587,6 @@ func (b *Backend) createConv(n *graph.Node, in, out *tensor.Tensor, weights back
 			return nil
 		}), nil
 
-	case core.SchemeStrassen1x1:
-		c := shared(b.cfg.Prepared, n.Name, func() *kernels.Conv1x1 {
-			return kernels.PrepareConv1x1(weight, bias, a)
-		})
-		scheme := dec.Scheme.String()
-		return execFunc(func() error {
-			c.Run(out, in, pool)
-			b.charge("Conv2D", dec.EffMULs, n, scheme)
-			return nil
-		}), nil
-
 	case core.SchemeDepthwise:
 		dc := shared(b.cfg.Prepared, n.Name, func() *kernels.DepthwiseConv {
 			return kernels.PrepareDepthwise(weight, bias, a)
@@ -633,7 +622,7 @@ func (b *Backend) createConv(n *graph.Node, in, out *tensor.Tensor, weights back
 			return nil
 		}), nil
 
-	default: // SchemeSliding
+	default: // SchemeSliding, SchemeStrassen1x1: a 1×1 is the sliding kernel's one-tap case
 		sc := shared(b.cfg.Prepared, n.Name, func() *kernels.SlidingConv {
 			return kernels.PrepareSliding(weight, bias, a)
 		})

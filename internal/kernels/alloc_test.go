@@ -56,11 +56,11 @@ func TestConvKernelsZeroAllocAfterPrepare(t *testing.T) {
 			a := &graph.Conv2DAttrs{KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1,
 				Group: 1, InputCount: 96, OutputCount: 96}
 			w := tensor.NewRandom(5, 0.2, 96, 96, 1, 1)
-			c := PrepareConv1x1(w, nil, a)
+			c := PrepareSliding(w, nil, a)
 			src := tensor.NewWithLayout(tensor.NC4HW4, 1, 96, 32, 32)
 			tensor.FillRandom(src, 6, 1)
 			dst := tensor.NewWithLayout(tensor.NC4HW4, 1, 96, 32, 32)
-			assertZeroAllocs(t, "Conv1x1.Run",
+			assertZeroAllocs(t, "SlidingConv.Run (1×1)",
 				func() { c.Run(dst, src, pool) },
 				func() { c.Run(dst, src, pool) })
 		})

@@ -94,9 +94,10 @@ func BenchmarkConvWinograd3x3(b *testing.B) {
 	}
 }
 
-// BenchmarkConv1x1 reports the pointwise kernel at mobilenet-v1's nine
-// shapes (size² pixels × ic → oc) in GFLOP/s on one lane, so a kernel change
-// can be sized without the 16 s repository benchmark.
+// BenchmarkConv1x1 reports the pointwise convolution — SlidingConv's
+// one-tap whole-sample run — at mobilenet-v1's nine shapes (size² pixels ×
+// ic → oc) in GFLOP/s on one lane, so a kernel change can be sized without
+// the 16 s repository benchmark.
 func BenchmarkConv1x1(b *testing.B) {
 	for _, s := range []struct{ size, ic, oc int }{
 		{112, 32, 64}, {56, 64, 128}, {56, 128, 128}, {28, 128, 256}, {28, 256, 256},
@@ -105,7 +106,7 @@ func BenchmarkConv1x1(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%dx%dx%d", s.size, s.size, s.ic, s.oc), func(b *testing.B) {
 			src, w, bias, a := benchConvSetup(s.ic, s.oc, s.size, 1)
 			a.ReLU = true
-			c := PrepareConv1x1(w, bias, a)
+			c := PrepareSliding(w, bias, a)
 			dst := tensor.NewWithLayout(tensor.NC4HW4, 1, s.oc, s.size, s.size)
 			pool := testPool(b, 1)
 			b.ResetTimer()

@@ -15,8 +15,11 @@ import (
 // in (ky, kx, c) order, and matmul.PackedB.MulTapsNC4Into sums each run of
 // adjacent output pixels over the kernel taps that fall inside the image,
 // reading the NC4HW4 source in place and writing bias + activation fused —
-// no im2col matrix, no workspace. A 1×1 convolution is the one-tap case of
-// the same kernel (Conv1x1).
+// no im2col matrix, no workspace. It runs every group-1 fp32 convolution the
+// Winograd and im2col schemes do not, 1×1 ones (the paper's Section 3.2
+// matrix multiply, the strassen-1x1 scheme) included: an unpadded stride-1
+// 1×1 convolution's sample is one run of OH·OW pixels cut into four-pixel
+// blocks, so a 7-pixel row never leaves a twelve-pixel tile part empty.
 type SlidingConv struct {
 	attrs  graph.Conv2DAttrs
 	ic, oc int
@@ -34,6 +37,7 @@ type slidingRun struct {
 	tapGeom
 	s, d               []float32
 	srcBatch, dstBatch int // floats between samples
+	blocks             int // four-pixel blocks per sample if a sample is one run, else 0
 }
 
 // tapGeom is the geometry the tap kernels' drivers (SlidingConv, QuantConv)
@@ -86,6 +90,13 @@ func (g *tapGeom) runAt(taps []matmul.Tap, oy, x, x1, kh, kw, kyRows, kxRows int
 	return end, taps
 }
 
+// wholeSample reports whether output pixel q of a sample is source pixel q
+// times the weight — an unpadded stride-1 1×1 convolution — so that a
+// sample is one run of OH·OW pixels with one tap.
+func (g *tapGeom) wholeSample(kh, kw int) bool {
+	return kh == 1 && kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0
+}
+
 // PrepareSliding packs weights for the sliding-window kernel.
 // weight is [oc, ic, kh, kw] (group must be 1; use PrepareDepthwise or the
 // im2col path for grouped convolution). bias may be nil.
@@ -127,15 +138,34 @@ func (sc *SlidingConv) Run(dst, src *tensor.Tensor, p *sched.Pool) {
 	}
 	// MulTapsNC4Into computes every pixel from that pixel's window alone, so
 	// neither the lane count nor the batch size can change a bit of the result.
-	total := N * OH
-	p.Run(total, sched.Chunk(total, p.Lanes(), elemChunksPerLane), sc)
+	total, chunk := N*OH, sched.Chunk(N*OH, p.Lanes(), elemChunksPerLane)
+	if sc.rs.wholeSample(sc.attrs.KernelH, sc.attrs.KernelW) {
+		sc.rs.blocks = tensor.UpDiv(OH*OW, 4)
+		total = N * sc.rs.blocks
+		chunk = sched.Chunk(total, p.Lanes(), 1)
+	}
+	p.Run(total, chunk, sc)
 }
 
 // RunChunk implements sched.Task over (sample, output row) items, each row
-// cut into MulTapsNC4Into runs by runAt.
+// cut into MulTapsNC4Into runs by runAt, or over (sample, four-pixel block)
+// items when a sample is one run: the range is cut at sample boundaries,
+// each piece one MulTapsNC4Into call.
 func (sc *SlidingConv) RunChunk(worker, start, end int) {
 	r := &sc.rs
 	var buf [64]matmul.Tap // a run's tap list; only a kernel past 8×8 spills to the heap
+	if r.blocks > 0 {
+		_, taps := r.runAt(buf[:0], 0, 0, r.OW, 1, 1, sc.ic, sc.ic)
+		for item := start; item < end; {
+			n, b0 := item/r.blocks, item%r.blocks
+			b1 := min(r.blocks, b0+end-item)
+			q0, q1 := b0*4, min(b1*4, r.OH*r.OW)
+			sc.packed.MulTapsNC4Into(r.d[n*r.dstBatch+q0*4:(n+1)*r.dstBatch], r.dstPack,
+				r.s[n*r.srcBatch+q0*4:(n+1)*r.srcBatch], r.srcPack, 4, q1-q0, taps, sc.ic, sc.bias, sc.lo, sc.hi)
+			item += b1 - b0
+		}
+		return
+	}
 	for item := start; item < end; item++ {
 		n, oy := item/r.OH, item%r.OH
 		src := r.s[n*r.srcBatch : (n+1)*r.srcBatch]

@@ -199,7 +199,7 @@ func TestConv1x1MatchesRef(t *testing.T) {
 		for _, threads := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/t%d", cc.name, threads), func(t *testing.T) {
 				src, weight, bias, want := runRef(t, cc, 23)
-				c := PrepareConv1x1(weight, bias, cc.attrs())
+				c := PrepareSliding(weight, bias, cc.attrs())
 				src4 := src.ToLayout(tensor.NC4HW4)
 				dst4 := tensor.NewWithLayout(tensor.NC4HW4, want.Shape()...)
 				c.Run(dst4, src4, testPool(t, threads))
@@ -224,7 +224,7 @@ func TestConv1x1BitwiseAcrossLanesAndBatch(t *testing.T) {
 	} {
 		t.Run(cc.name, func(t *testing.T) {
 			src, weight, bias, want := runRef(t, cc, 29)
-			c := PrepareConv1x1(weight, bias, cc.attrs())
+			c := PrepareSliding(weight, bias, cc.attrs())
 			run := func(in *tensor.Tensor, lanes int) *tensor.Tensor {
 				shape := append([]int{in.Batch()}, want.Shape()[1:]...)
 				out := tensor.NewWithLayout(tensor.NC4HW4, shape...)

@@ -11,9 +11,10 @@ import (
 	"mnn/internal/tensor"
 )
 
-// Tests of the NC4HW4-native kernels: Conv1x1 on matmul.PackedB.MulNC4Into
-// and the AVX2 depthwise interior kernel. Both must give the bits of the
-// code they replaced, on arena-like buffers whose pad lanes hold garbage.
+// Tests of the NC4HW4-native kernels: the 1×1 convolution, SlidingConv's
+// one-tap case on matmul.PackedB.MulTapsNC4Into, and the AVX2 depthwise
+// interior kernel. Both must give the bits of the code they replaced, on
+// arena-like buffers whose pad lanes hold garbage.
 
 var nan32 = float32(math.NaN())
 
@@ -130,20 +131,9 @@ func skipAbsentISAs(t *testing.T) {
 	}
 }
 
-// conv1x1Paths are the implementations of one prepared Conv1x1, by the name
-// of the micro-kernel level: every one the host has, "portable" among them.
-func conv1x1Paths(c *Conv1x1) map[string]*Conv1x1 {
-	paths := map[string]*Conv1x1{}
-	for _, isa := range matmul.ISAs() {
-		view := *c
-		view.packed = c.packed.WithISA(isa)
-		paths[isa] = &view
-	}
-	return paths
-}
-
 // TestConv1x1MatchesParentRouteBitwise is the differential test of the
-// single-pass kernel against the route it replaced, with NaN-poisoned source
+// single-pass 1×1 convolution (SlidingConv: one run per sample at stride 1,
+// one per output row at stride 2) against the route it replaced, with NaN-poisoned source
 // pad lanes and a NaN-prefilled destination: every logical output must be
 // written and carry the old bits, on one lane and on three.
 func TestConv1x1MatchesParentRouteBitwise(t *testing.T) {
@@ -166,7 +156,7 @@ func TestConv1x1MatchesParentRouteBitwise(t *testing.T) {
 				}
 				want := conv1x1ParentRoute(src, weight, bias, a, oh, ow)
 				src4 := poisonedNC4(src)
-				for name, c := range conv1x1Paths(PrepareConv1x1(weight, bias, a)) {
+				for name, c := range slidingPaths(PrepareSliding(weight, bias, a)) {
 					for _, lanes := range []int{1, 3} {
 						dst4 := nanNC4(want.Shape()...)
 						c.Run(dst4, src4, testPool(t, lanes))
@@ -177,6 +167,70 @@ func TestConv1x1MatchesParentRouteBitwise(t *testing.T) {
 								want.Data()[d], math.Float32bits(want.Data()[d]))
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// wholeSampleCases sit on both sides of tapGeom.wholeSample, each marked
+// with the side it must take: a sample is one run only for an unpadded
+// stride-1 1×1 convolution. A padded 1×1 (its border pixels have no tap),
+// either stride above 1 and an unpadded 3×1 must run row by row.
+var wholeSampleCases = []struct {
+	cc    convCase
+	whole bool
+}{
+	{convCase{n: 3, ic: 7, h: 5, w: 5, oc: 20, kh: 1, kw: 1, sh: 1, sw: 1, relu: true}, true},
+	{convCase{n: 3, ic: 7, h: 5, w: 6, oc: 20, kh: 1, kw: 1, sh: 1, sw: 1, ph: 1}, false},
+	{convCase{n: 3, ic: 7, h: 5, w: 6, oc: 20, kh: 1, kw: 1, sh: 1, sw: 1, pw: 1, relu6: true}, false},
+	{convCase{n: 3, ic: 7, h: 6, w: 5, oc: 20, kh: 1, kw: 1, sh: 1, sw: 1, ph: 2, pw: 1}, false},
+	{convCase{n: 3, ic: 7, h: 6, w: 9, oc: 20, kh: 1, kw: 1, sh: 1, sw: 2}, false},
+	{convCase{n: 3, ic: 7, h: 9, w: 6, oc: 20, kh: 1, kw: 1, sh: 2, sw: 1, relu: true}, false},
+	{convCase{n: 3, ic: 5, h: 9, w: 7, oc: 20, kh: 3, kw: 1, sh: 1, sw: 1}, false},
+}
+
+// TestSlidingWholeSampleRunMatchesRef runs wholeSampleCases at every
+// micro-kernel level on one lane and on three, NaN in the source's pad
+// lanes and in every destination element beforehand: each must take its
+// side of the predicate, an unpadded 1×1 must give the bits of the parent
+// route, and every other case must stay within the sliding scheme's
+// tolerance of ConvRef.
+func TestSlidingWholeSampleRunMatchesRef(t *testing.T) {
+	skipAbsentISAs(t)
+	for i, c := range wholeSampleCases {
+		cc := c.cc
+		a := cc.attrs()
+		oh, ow, err := graph.ConvOutputSize(cc.h, cc.w, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := uint64(300 + i)
+		src := tensor.NewRandom(seed, 1, cc.n, cc.ic, cc.h, cc.w)
+		weight := tensor.NewRandom(seed+100, 1, cc.oc, cc.ic, cc.kh, cc.kw)
+		bias := tensor.NewRandom(seed+200, 1, cc.oc)
+		parent := cc.kh == 1 && cc.ph == 0 && cc.pw == 0
+		want := tensor.New(cc.n, cc.oc, oh, ow)
+		if parent {
+			specialActivations(src, seed, 3e38)
+			want = conv1x1ParentRoute(src, weight, bias, a, oh, ow)
+		} else {
+			ConvRef(want, src, weight, bias, a)
+		}
+		src4 := poisonedNC4(src)
+		for name, sc := range slidingPaths(PrepareSliding(weight, bias, a)) {
+			for _, lanes := range []int{1, 3} {
+				got := runSliding(t, sc, src4, want.Shape(), lanes)
+				if whole := sc.rs.blocks > 0; whole != c.whole {
+					t.Fatalf("%+v: one run per sample = %v, want %v", cc, whole, c.whole)
+				}
+				if !parent {
+					if d := tensor.MaxAbsDiff(want, got); !(d <= 1e-3) {
+						t.Fatalf("%+v %s/%d lanes: max diff %g from ConvRef", cc, name, lanes, d)
+					}
+				} else if d := firstBitDiff(got.Data(), want.Data()); d >= 0 {
+					t.Fatalf("%+v %s/%d lanes: element %d = %v (%#08x), parent route %v (%#08x)", cc, name, lanes, d,
+						got.Data()[d], math.Float32bits(got.Data()[d]), want.Data()[d], math.Float32bits(want.Data()[d]))
 				}
 			}
 		}
@@ -304,7 +358,7 @@ func TestDepthwiseClampSpecials(t *testing.T) {
 }
 
 // FuzzConv1x1NC4 drives shapes, stride, activation and raw float32 bit
-// patterns through the single-pass Conv1x1 (active and portable) and the
+// patterns through the single-pass 1×1 SlidingConv (every level) and the
 // route it replaced, which must agree bitwise; the raw patterns go into the
 // activations, the weights and the bias alike.
 func FuzzConv1x1NC4(f *testing.F) {
@@ -333,7 +387,7 @@ func FuzzConv1x1NC4(f *testing.F) {
 		}
 		want := conv1x1ParentRoute(src, weight, bias, a, oh, ow)
 		src4 := poisonedNC4(src)
-		for name, c := range conv1x1Paths(PrepareConv1x1(weight, bias, a)) {
+		for name, c := range slidingPaths(PrepareSliding(weight, bias, a)) {
 			dst4 := nanNC4(want.Shape()...)
 			c.Run(dst4, src4, testPool(t, 2))
 			got := dst4.ToLayout(tensor.NCHW)

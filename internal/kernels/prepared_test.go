@@ -92,7 +92,6 @@ func TestPreparedPanelsMatchStagedRoute(t *testing.T) {
 					w := weight.Data()
 					a := &graph.Conv2DAttrs{KernelH: k, KernelW: k, StrideH: 1, StrideW: 1, Group: 1, OutputCount: oc, InputCount: ic}
 					if k == 1 {
-						same(t, "Conv1x1", PrepareConv1x1(weight, nil, a).packed, stagedPack(w, oc, ic, 1))
 						fc := weight.Reshape(oc, ic)
 						same(t, "InnerProduct", PrepareInnerProduct(fc, nil, &graph.InnerProductAttrs{OutputCount: oc}).packed, stagedPack(w, oc, ic, 1))
 						q, _ := quantizeWeightChannels(w, oc, ic)
@@ -162,7 +161,7 @@ func TestShareRunsOnTheSamePreparedWeight(t *testing.T) {
 	src4 := tensor.NewWithLayout(tensor.NC4HW4, 1, ic, h, w)
 	src4.CopyFrom(src)
 
-	c1 := PrepareConv1x1(weight(1), bias, a(1))
+	c1 := PrepareSliding(weight(1), bias, a(1))
 	sc := PrepareSliding(weight(3), bias, a(3))
 	wc, err := PrepareWinograd(weight(3), bias, a(3), 4, 4)
 	if err != nil {
@@ -171,7 +170,7 @@ func TestShareRunsOnTheSamePreparedWeight(t *testing.T) {
 	qc := PrepareQuantConv(weight(3), bias, a(3), 0)
 	dw := PrepareDepthwise(tensor.NewRandom(8, 0.3, ic, 1, 3, 3), nil, &graph.Conv2DAttrs{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Group: ic, OutputCount: ic, InputCount: ic})
 	if s := c1.Share(); s.packed != c1.packed || &s.bias[0] != &c1.bias[0] || s == c1 {
-		t.Fatal("Conv1x1.Share does not share the panels")
+		t.Fatal("SlidingConv.Share (1×1) does not share the panels")
 	}
 	if s := sc.Share(); s.packed != sc.packed {
 		t.Fatal("SlidingConv.Share does not share the panels")

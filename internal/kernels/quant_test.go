@@ -203,8 +203,8 @@ func TestQuantCalibratedScaleUsed(t *testing.T) {
 // BenchmarkQuantVsFloatConv1x1 sets the int8 convolution beside the fp32
 // kernel of the same shape on one lane: three square 1×1 layers, the 1×1
 // layers that are hot in squeezenet-v1.1 at 224² (wide and shallow, so the
-// quantize pass and the epilogue weigh most there), and one 3×3 tap case
-// against SlidingConv.
+// quantize pass and the epilogue weigh most there), and one 3×3 tap case;
+// the fp32 side is SlidingConv throughout.
 func BenchmarkQuantVsFloatConv1x1(b *testing.B) {
 	for _, bc := range []struct {
 		name          string
@@ -230,17 +230,10 @@ func BenchmarkQuantVsFloatConv1x1(b *testing.B) {
 			}
 		})
 		b.Run("fp32/"+bc.name, func(b *testing.B) {
-			var run func()
-			if bc.k == 1 {
-				c := PrepareConv1x1(w, nil, &a)
-				run = func() { c.Run(dst, src, pool) }
-			} else {
-				c := PrepareSliding(w, nil, &a)
-				run = func() { c.Run(dst, src, pool) }
-			}
+			c := PrepareSliding(w, nil, &a)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				run()
+				c.Run(dst, src, pool)
 			}
 		})
 	}

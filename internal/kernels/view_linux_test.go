@@ -25,15 +25,18 @@ var viewSentinel = math.Float32frombits(0x7fa5a5a5)
 // (poolMax3x3s2NC4, and the row kernels max and average) into an NC4HW4
 // view as the producers of an in-place concat write into its buffer: the
 // view ends where an unmapped page begins and starts after sentinel floats,
-// so a write past it faults and one before it shows. It must also hold the
-// bits of the same kernel run into a tensor of its own, on one lane and on
-// three.
+// so a write past it faults and one before it shows; the source ends at an
+// unmapped page too, so a read past it faults. Batch-3 1×1s whose last
+// four-pixel block holds 1, 2, 3 or 4 pixels check that SlidingConv's one
+// run per sample stops at the last sample's last pixel. The view must also
+// hold the bits of the same kernel run into a tensor of its own, on one lane
+// and on three.
 func TestKernelsWriteOnlyTheirView(t *testing.T) {
 	const guard = 64
 	type kernelCase struct {
 		name string
 		src  *tensor.Tensor
-		out  []int // [1, oc, oh, ow], oc a multiple of 4 as an in-place concat's inputs are
+		out  []int // [n, oc, oh, ow], oc a multiple of 4 as an in-place concat's inputs are
 		run  func(dst, src *tensor.Tensor, p *sched.Pool)
 	}
 	conv := func(ic, oc, kh, kw, s, ph, pw int) *graph.Conv2DAttrs {
@@ -43,8 +46,9 @@ func TestKernelsWriteOnlyTheirView(t *testing.T) {
 	weights := func(seed uint64, a *graph.Conv2DAttrs) (*tensor.Tensor, *tensor.Tensor) {
 		return tensor.NewRandom(seed, 0.2, a.OutputCount, a.InputCount, a.KernelH, a.KernelW), tensor.NewRandom(seed+1, 0.1, a.OutputCount)
 	}
-	source := func(seed uint64, c, h, w int) *tensor.Tensor {
-		src := tensor.NewWithLayout(tensor.NC4HW4, 1, c, h, w)
+	source := func(seed uint64, n, c, h, w int) *tensor.Tensor {
+		shape := []int{n, c, h, w}
+		src := tensor.WrapBuffer(guardedFloats(t, tensor.PhysicalLen(tensor.NC4HW4, shape)), tensor.NC4HW4, shape...)
 		tensor.FillRandom(src, seed, 1)
 		return src
 	}
@@ -52,9 +56,13 @@ func TestKernelsWriteOnlyTheirView(t *testing.T) {
 
 	a1 := conv(16, 64, 1, 1, 1, 0, 0) // a fire module's expand1x1
 	w1, b1 := weights(1, a1)
-	c1 := PrepareConv1x1(w1, b1, a1)
-	cases = append(cases, kernelCase{"conv1x1", source(2, 16, 27, 27), []int{1, 64, 27, 27},
+	c1 := PrepareSliding(w1, b1, a1)
+	cases = append(cases, kernelCase{"conv1x1", source(2, 1, 16, 27, 27), []int{1, 64, 27, 27},
 		func(dst, src *tensor.Tensor, p *sched.Pool) { c1.Share().Run(dst, src, p) }})
+	for _, hw := range [][2]int{{5, 5}, {3, 2}, {7, 1}, {4, 4}} {
+		cases = append(cases, kernelCase{fmt.Sprintf("conv1x1/batch3/%dx%d", hw[0], hw[1]), source(2, 3, 16, hw[0], hw[1]), []int{3, 64, hw[0], hw[1]},
+			func(dst, src *tensor.Tensor, p *sched.Pool) { c1.Share().Run(dst, src, p) }})
+	}
 
 	a3 := conv(16, 64, 3, 3, 1, 1, 1) // its expand3x3
 	w3, b3 := weights(3, a3)
@@ -62,7 +70,7 @@ func TestKernelsWriteOnlyTheirView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases = append(cases, kernelCase{"winograd3x3", source(4, 16, 27, 27), []int{1, 64, 27, 27},
+	cases = append(cases, kernelCase{"winograd3x3", source(4, 1, 16, 27, 27), []int{1, 64, 27, 27},
 		func(dst, src *tensor.Tensor, p *sched.Pool) {
 			w := wc.Share()
 			w.Run(dst, src, p, make([]float32, w.WorkspaceSize()*p.Lanes()))
@@ -79,7 +87,7 @@ func TestKernelsWriteOnlyTheirView(t *testing.T) {
 		w, b := weights(5, s.a)
 		sc := PrepareSliding(w, b, s.a)
 		oh, ow := (s.h+2*s.a.PadH-s.a.KernelH)/s.a.StrideH+1, (s.w+2*s.a.PadW-s.a.KernelW)/s.a.StrideW+1
-		cases = append(cases, kernelCase{s.name, source(6, s.a.InputCount, s.h, s.w), []int{1, s.a.OutputCount, oh, ow},
+		cases = append(cases, kernelCase{s.name, source(6, 1, s.a.InputCount, s.h, s.w), []int{1, s.a.OutputCount, oh, ow},
 			func(dst, src *tensor.Tensor, p *sched.Pool) { sc.Share().Run(dst, src, p) }})
 	}
 
@@ -87,14 +95,14 @@ func TestKernelsWriteOnlyTheirView(t *testing.T) {
 	ad.Group = 64
 	wd, bd := tensor.NewRandom(11, 0.2, 64, 1, 3, 3), tensor.NewRandom(12, 0.1, 64)
 	dc := PrepareDepthwise(wd, bd, ad)
-	cases = append(cases, kernelCase{"depthwise3x3", source(13, 64, 15, 15), []int{1, 64, 15, 15},
+	cases = append(cases, kernelCase{"depthwise3x3", source(13, 1, 64, 15, 15), []int{1, 64, 15, 15},
 		func(dst, src *tensor.Tensor, p *sched.Pool) { dc.Run(dst, src, p) }})
 
 	ag := conv(32, 32, 3, 3, 1, 1, 1) // a grouped conv, the im2col fallback
 	ag.Group = 4
 	wg, bg := tensor.NewRandom(14, 0.2, 32, 8, 3, 3), tensor.NewRandom(15, 0.1, 32)
 	ic := PrepareIm2col(wg, bg, ag)
-	cases = append(cases, kernelCase{"im2col", source(16, 32, 11, 11), []int{1, 32, 11, 11},
+	cases = append(cases, kernelCase{"im2col", source(16, 1, 32, 11, 11), []int{1, 32, 11, 11},
 		func(dst, src *tensor.Tensor, p *sched.Pool) {
 			// The CPU backend stages im2col through NCHW and packs the
 			// product into its output.
@@ -108,7 +116,7 @@ func TestKernelsWriteOnlyTheirView(t *testing.T) {
 		for _, a := range []*graph.Conv2DAttrs{conv(64, 64, 1, 1, 1, 0, 0), conv(64, 64, 3, 3, 1, 1, 1)} {
 			w, b := weights(7, a)
 			qc := quantPaths(PrepareQuantConv(w, b, a, 0))[isa]
-			cases = append(cases, kernelCase{fmt.Sprintf("int8-%dx%d/%s", a.KernelH, a.KernelW, isa), source(8, 64, 13, 13), []int{1, 64, 13, 13},
+			cases = append(cases, kernelCase{fmt.Sprintf("int8-%dx%d/%s", a.KernelH, a.KernelW, isa), source(8, 1, 64, 13, 13), []int{1, 64, 13, 13},
 				func(dst, src *tensor.Tensor, p *sched.Pool) {
 					q := qc.Share()
 					q.Run(dst, src, p, make([]float32, QuantConvWorkspaceFloats(a, 64, 13, 13)))
@@ -126,7 +134,7 @@ func TestKernelsWriteOnlyTheirView(t *testing.T) {
 		{"avgpool3x3s1p1", graph.PoolAttrs{Type: graph.AvgPool, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 17, 17},
 	} {
 		a := pc.a
-		cases = append(cases, kernelCase{pc.name, source(9, 64, pc.h, pc.h), []int{1, 64, pc.out, pc.out},
+		cases = append(cases, kernelCase{pc.name, source(9, 1, 64, pc.h, pc.h), []int{1, 64, pc.out, pc.out},
 			func(dst, src *tensor.Tensor, p *sched.Pool) { NewPoolOp(dst, src, &a).Run(p) }})
 	}
 

@@ -20,8 +20,8 @@ const PanelWidth = 16
 // AVX-512, 12 or 4 rows × two adjacent panels, 32 columns; NC4HW4 also
 // 12 × 16 for an unpaired panel): MulBiasInto takes row-major operands and
 // ends each element with the bias and clamp of a fully connected layer in
-// the same registers, MulInto is its plain product, and MulNC4Into reads and
-// writes NC4HW4 activations in place.
+// the same registers, MulInto is its plain product, and MulTapsNC4Into
+// reads and writes NC4HW4 activations in place.
 type PackedB struct {
 	K, N int
 	data []float32 // [panels][K][PanelWidth]
@@ -269,12 +269,6 @@ type Tap struct{ A, B int }
 
 // oneTap is a 1×1 convolution's reduction: the pixel itself against rows 0….
 var oneTap = []Tap{{}}
-
-// MulNC4Into is MulInto over NC4HW4 activations with bias and activation
-// fused — a 1×1 convolution in one pass: MulTapsNC4Into's one-tap case.
-func (pb *PackedB) MulNC4Into(dst []float32, dstPack int, a []float32, aPack, aPix, pixels int, bias []float32, lo, hi float32) {
-	pb.MulTapsNC4Into(dst, dstPack, a, aPack, aPix, pixels, oneTap, pb.K, bias, lo, hi)
-}
 
 // MulTapsNC4Into is the micro-kernel as a convolution over NC4HW4
 // activations. It covers `pixels` adjacent output pixels, each the sum over

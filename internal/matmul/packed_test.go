@@ -329,14 +329,14 @@ func FuzzPackedMulInto(f *testing.F) {
 	})
 }
 
-// nc4Case is one MulNC4Into problem: `pixels` output pixels whose sources
+// nc4Case is one one-tap MulTapsNC4Into problem (a 1×1 convolution): `pixels` output pixels whose sources
 // are `stride` pixels apart in an NC4HW4 activation of k channels, n output
 // channels.
 type nc4Case struct{ pixels, k, n, stride int }
 
 // runNC4 lays the row-major a (pixels×k) out as NC4HW4 with NaN in every
 // byte the kernel must not read (pad lanes, the pixels a stride skips), runs
-// MulNC4Into into a NaN-filled NC4HW4 dst and returns the logical pixels×n
+// MulTapsNC4Into over the one-tap list into a NaN-filled NC4HW4 dst and returns the logical pixels×n
 // result, checking that nothing outside dst's packs was written.
 func runNC4(t testing.TB, pb *PackedB, a []float32, c nc4Case, bias []float32, lo, hi float32) []float32 {
 	t.Helper()
@@ -358,7 +358,7 @@ func runNC4(t testing.TB, pb *PackedB, a []float32, c nc4Case, bias []float32, l
 	for i := range dst {
 		dst[i] = nan
 	}
-	pb.MulNC4Into(dst[:n4*dstPack], dstPack, src, aPack, c.stride*4, c.pixels, bias, lo, hi)
+	pb.MulTapsNC4Into(dst[:n4*dstPack], dstPack, src, aPack, c.stride*4, c.pixels, []Tap{{}}, c.k, bias, lo, hi)
 	for i := n4 * dstPack; i < len(dst); i++ {
 		if dst[i] == dst[i] {
 			t.Fatalf("%+v: wrote past dst at +%d", c, i-n4*dstPack)
@@ -389,7 +389,7 @@ var (
 )
 
 // TestPackedNC4MatchesMulIntoBitwise pins the NC4HW4 entry to the row-major
-// one: MulNC4Into (every assembly level the host has, and the portable twin)
+// one: MulTapsNC4Into over one tap (every assembly level the host has, and the portable twin)
 // ≡ MulInto, then + bias, then clamp — bit for bit, for every k (including
 // k < PanelWidth), tail pixels, partial last packs and panels, panel pairs
 // (32), a pair whose second panel holds one pack (33) and a pair beside a

@@ -95,6 +95,9 @@ func TestCandidateLegalityProperty(t *testing.T) {
 				if a.Group > 1 {
 					t.Fatalf("trial %d: sliding kernel proposed with group %d", trial, a.Group)
 				}
+				if core.Strassen1x1Legal(a, inShape) {
+					t.Fatalf("trial %d: sliding proposed beside the 1x1 path, which runs the same kernel", trial)
+				}
 			case core.SchemeIm2col:
 				g := a.Group
 				if g <= 0 {
