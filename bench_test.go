@@ -7,6 +7,7 @@ package mnn_test
 // data as paper-shaped tables.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -89,6 +90,64 @@ func BenchmarkTable5PreInference(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng.Close()
+	}
+}
+
+// BenchmarkOpen times the pre-inference of the three CNN workloads of the
+// committed benchmark one engine at a time: model bytes → LoadGraph → Open
+// at one thread and one session → Close, with no inference. It reports the
+// graph's fp32 weight bytes per second of that round as weight MB/s.
+func BenchmarkOpen(b *testing.B) {
+	for _, c := range []struct {
+		name, net string
+		edge      int
+		int8      bool
+	}{
+		{"squeezenet_int8_224", "squeezenet-v1.1", 224, true},
+		{"mobilenet_fp32_224", "mobilenet-v1", 224, false},
+		{"squeezenet_fp32_128", "squeezenet-v1.1", 128, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			g, err := mnn.BuildNetwork(c.net)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := mnn.Optimize(g); err != nil {
+				b.Fatal(err)
+			}
+			shape := []int{1, 3, c.edge, c.edge}
+			opts := []mnn.Option{mnn.WithThreads(1), mnn.WithPoolSize(1),
+				mnn.WithInputShapes(map[string][]int{g.InputNames[0]: shape})}
+			if c.int8 {
+				sample := map[string]*mnn.Tensor{g.InputNames[0]: tensor.NewRandom(1, 1, shape...)}
+				if _, err := mnn.Calibrate(g, []map[string]*mnn.Tensor{sample}); err != nil {
+					b.Fatal(err)
+				}
+				opts = append(opts, mnn.WithPrecision(mnn.PrecisionInt8))
+			}
+			var model bytes.Buffer
+			if err := mnn.SaveModel(g, &model); err != nil {
+				b.Fatal(err)
+			}
+			var weightBytes int
+			for _, w := range g.Weights {
+				weightBytes += 4 * len(w.Data())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lg, err := mnn.LoadGraph(bytes.NewReader(model.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng, err := mnn.Open(lg, opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng.Close()
+			}
+			b.ReportMetric(float64(weightBytes)*float64(b.N)/b.Elapsed().Seconds()/1e6, "weight_MB/s")
+		})
 	}
 }
 

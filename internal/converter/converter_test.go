@@ -15,7 +15,7 @@ import (
 )
 
 // TestSaveLoadRoundTripAllNetworks saves every zoo network and loads it back
-// twice — with the chunked decode and with the per-value decode it replaced,
+// twice — with the bulk decode and with the per-value decode it replaced,
 // kept here as the oracle — and holds both to the saved weights bit for bit.
 // Weights are compared by hash, so no two copies of vgg-16's 528 MiB are
 // alive at once; -short keeps three networks of at most 16 MiB.
@@ -38,7 +38,7 @@ func TestSaveLoadRoundTripAllNetworks(t *testing.T) {
 			for _, dec := range []struct {
 				name string
 				f32s func(*reader, []float32)
-			}{{"chunked", (*reader).f32s}, {"per-value", f32sPerValue}} {
+			}{{"bulk", (*reader).f32s}, {"per-value", f32sPerValue}} {
 				g2, err := load(bytes.NewReader(buf.Bytes()), dec.f32s)
 				if err != nil {
 					t.Fatalf("%s: %v", dec.name, err)

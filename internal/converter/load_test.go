@@ -15,8 +15,8 @@ import (
 	"mnn/internal/tensor"
 )
 
-// f32sPerValue is the float32 tensor decode Load used before the chunked
-// one — one four-byte read per value — kept as the oracle the chunked decode
+// f32sPerValue is the float32 tensor decode Load used before the bulk
+// one — one four-byte read per value — kept as the oracle the bulk decode
 // is held to.
 func f32sPerValue(r *reader, dst []float32) {
 	for i := range dst {
@@ -129,7 +129,7 @@ func corruptModels(t testing.TB) ([]byte, []corruptModel) {
 }
 
 // TestChunkedDecodeKeepsEveryBit: every float32 bit pattern and int8 byte of
-// specialsGraph comes back from the chunked decode and from the per-value
+// specialsGraph comes back from the bulk decode and from the per-value
 // oracle exactly as saved, the zero-element tensor included.
 func TestChunkedDecodeKeepsEveryBit(t *testing.T) {
 	valid, _ := corruptModels(t)

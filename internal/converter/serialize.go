@@ -13,6 +13,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"unsafe"
 
 	"mnn/internal/graph"
 	"mnn/internal/tensor"
@@ -36,9 +37,14 @@ const (
 // file). Test with errors.Is.
 var ErrUnsupportedVersion = errors.New("converter: unsupported format version")
 
-// chunkBytes is the size of the buffer weight data moves through: Load reads
-// and Save writes a tensor's values one chunk per call, never one per value.
+// chunkBytes is the size of the buffer weight data moves through on its way
+// out: Save writes a tensor's values one chunk per call, never one per
+// value. Load reads a tensor's bytes straight into the tensor.
 const chunkBytes = 64 << 10
+
+// littleEndian is whether this host stores a float32 as the file does, so
+// that a tensor's bytes are its values as they are read.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 type writer struct {
 	w   *bufio.Writer
@@ -102,41 +108,37 @@ func (w *writer) ints(vs []int) {
 
 type reader struct {
 	r   *bufio.Reader
-	buf []byte // chunkBytes of decode buffer
+	buf [4]byte
 	err error
 }
 
-// next reads the next n ≤ chunkBytes bytes into the buffer; nil once an
-// error is recorded.
-func (r *reader) next(n int) []byte {
-	if r.err != nil {
-		return nil
+// bytes fills b from the input; nothing once an error is recorded.
+func (r *reader) bytes(b []byte) {
+	if r.err == nil && len(b) > 0 {
+		_, r.err = io.ReadFull(r.r, b)
 	}
-	if _, r.err = io.ReadFull(r.r, r.buf[:n]); r.err != nil {
-		return nil
-	}
-	return r.buf[:n]
 }
 
 func (r *reader) u32() uint32 {
-	if b := r.next(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
+	if r.bytes(r.buf[:]); r.err != nil {
+		return 0
 	}
-	return 0
+	return binary.LittleEndian.Uint32(r.buf[:])
 }
 
-// f32s fills dst with little-endian float32s, one read per chunk.
+// f32s fills dst with little-endian float32s, read in one piece straight
+// into dst's memory: on a little-endian host those bytes are the values,
+// NaN payloads included; elsewhere each word is turned around in place.
 func (r *reader) f32s(dst []float32) {
-	for len(dst) > 0 {
-		n := min(len(dst), chunkBytes/4)
-		b := r.next(4 * n)
-		if b == nil {
-			return
-		}
-		for i := range dst[:n] {
-			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-		}
-		dst = dst[n:]
+	if len(dst) == 0 {
+		return
+	}
+	b := unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), 4*len(dst))
+	if r.bytes(b); r.err != nil || littleEndian {
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 }
 
@@ -268,9 +270,9 @@ func Load(in io.Reader) (*graph.Graph, error) {
 }
 
 // load is Load with the float32 tensor decode passed in, so tests can hold
-// the chunked decode to a per-value one.
+// the bulk decode to a per-value one.
 func load(in io.Reader, f32s func(*reader, []float32)) (*graph.Graph, error) {
-	r := &reader{r: bufio.NewReader(in), buf: make([]byte, chunkBytes)}
+	r := &reader{r: bufio.NewReader(in)}
 	if m := r.u32(); m != Magic {
 		if r.err != nil {
 			return nil, r.err
@@ -324,12 +326,8 @@ func load(in io.Reader, f32s func(*reader, []float32)) (*graph.Graph, error) {
 			f32s(r, t.Data())
 		case tensor.Int8:
 			t = tensor.NewInt8(tensor.QuantParams{Scale: r.f32()}, shape...)
-			for d := t.Int8Data(); len(d) > 0 && r.err == nil; {
-				b := r.next(min(len(d), chunkBytes))
-				for j, v := range b {
-					d[j] = int8(v)
-				}
-				d = d[len(b):]
+			if d := t.Int8Data(); len(d) > 0 {
+				r.bytes(unsafe.Slice((*byte)(unsafe.Pointer(&d[0])), len(d)))
 			}
 		default:
 			return nil, fmt.Errorf("converter: weight %q has unsupported dtype %v", name, dt)

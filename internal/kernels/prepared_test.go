@@ -94,11 +94,11 @@ func TestPreparedPanelsMatchStagedRoute(t *testing.T) {
 					if k == 1 {
 						fc := weight.Reshape(oc, ic)
 						same(t, "InnerProduct", PrepareInnerProduct(fc, nil, &graph.InnerProductAttrs{OutputCount: oc}).packed, stagedPack(w, oc, ic, 1))
-						q, _ := quantizeWeightChannels(w, oc, ic)
+						q, _ := quantizeWeightChannels(w, oc, ic, matmul.HaveAVX2())
 						same(t, "QuantInnerProduct", PrepareQuantInnerProduct(fc, nil, &graph.InnerProductAttrs{OutputCount: oc}, 0).packed, stagedPackInt8(q, oc, ic, 1, 1, ic))
 					}
 					same(t, "SlidingConv", PrepareSliding(weight, nil, a).packed, stagedPack(w, oc, ic, taps))
-					q, _ := quantizeWeightChannels(w, oc, ic*taps)
+					q, _ := quantizeWeightChannels(w, oc, ic*taps, matmul.HaveAVX2())
 					same(t, "QuantConv", PrepareQuantConv(weight, nil, a, 0).packed, stagedPackInt8(q, oc, ic, taps, k, tensor.UpDiv(ic, 4)*4))
 					for _, g := range []int{1, 2, 32} {
 						if oc%g != 0 || ic%g != 0 {

@@ -56,7 +56,7 @@ func quantConvParentRoute(src, weight, bias *tensor.Tensor, a *graph.Conv2DAttrs
 	sh, sw, dh, dw := strideOr1(a.StrideH), strideOr1(a.StrideW), dilOr1(a.DilationH), dilOr1(a.DilationW)
 	ph, pw := graph.ConvPadding(H, W, a)
 	k, px := ic*kh*kw, oh*ow
-	q, wScales := quantizeWeightChannels(weight.Data(), oc, k)
+	q, wScales := quantizeWeightChannels(weight.Data(), oc, k, matmul.HaveAVX2())
 	bT := make([]int8, k*oc)
 	for o := 0; o < oc; o++ {
 		for i := 0; i < k; i++ {

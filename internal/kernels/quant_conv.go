@@ -91,15 +91,20 @@ func maxAbs32(s []float32, simd bool) float32 {
 		m = maxAbs8(&s[0], blocks, &packLanes[4])
 		s = s[blocks*8:]
 	}
+	return maxAbsFold(m, s)
+}
+
+// maxAbsFold is the largest of m ≥ 0 and every |v| of s, NaN passed over,
+// without a branch: the magnitudes of non-NaN floats order as their bits
+// do, and every NaN's magnitude bits lie above +Inf's.
+func maxAbsFold(m float32, s []float32) float32 {
+	mb := math.Float32bits(m)
 	for _, v := range s {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
+		a := math.Float32bits(v) &^ (1 << 31)
+		a &^= uint32(int32(0x7f800000-a) >> 31) // a NaN reads as +0
+		mb = max(mb, a)
 	}
-	return m
+	return math.Float32frombits(mb)
 }
 
 // packLanes[n] is maxAbs8's mask for the first n lanes of every pack.
@@ -133,14 +138,7 @@ func maxAbsNC4Sample(s []float32, C, hw int, simd bool) float32 {
 		tail = tail[blocks*8:]
 	}
 	for p := 0; p < len(tail); p += 4 {
-		for _, v := range tail[p : p+rem] {
-			if v < 0 {
-				v = -v
-			}
-			if v > m {
-				m = v
-			}
-		}
+		m = maxAbsFold(m, tail[p:p+rem])
 	}
 	return m
 }
@@ -157,27 +155,39 @@ func actScaleFromMax(calibrated, maxAbs float32) float32 {
 }
 
 // quantizeWeightChannels quantizes the [channels][per] row-major weight
-// symmetrically per channel: q = roundToEven(w/scale), scale = maxAbs/127
-// (1 for an all-zero channel, so zero weights round-trip exactly).
-func quantizeWeightChannels(w []float32, channels, per int) (q []int8, scales []float32) {
+// symmetrically per channel: q = quantizeWeight(w, scale), scale =
+// maxAbs/127 (1 for an all-zero channel, so zero weights round-trip
+// exactly). With simd the scan runs maxAbs8 and the bulk of each row
+// quantizeWeights32, its AVX2 twin.
+func quantizeWeightChannels(w []float32, channels, per int, simd bool) (q []int8, scales []float32) {
 	q = make([]int8, channels*per)
 	scales = make([]float32, channels)
-	for c := 0; c < channels; c++ {
-		row := w[c*per : (c+1)*per]
-		scale := tensor.QuantScale(float64(maxAbs32(row, false)))
+	for c := range channels {
+		row, qr := w[c*per:(c+1)*per], q[c*per:(c+1)*per]
+		scale := tensor.QuantScale(float64(maxAbs32(row, simd)))
 		scales[c] = scale
-		for i, v := range row {
-			r := math.RoundToEven(float64(v / scale))
-			if r > 127 {
-				r = 127
-			}
-			if r < -127 {
-				r = -127
-			}
-			q[c*per+i] = int8(r)
+		done := 0
+		if blocks := per / 32; simd && blocks > 0 {
+			quantizeWeights32(&qr[0], &row[0], blocks, scale)
+			done = blocks * 32
+		}
+		for i := done; i < per; i++ {
+			qr[i] = quantizeWeight(row[i], scale)
 		}
 	}
 	return q, scales
+}
+
+// quantizeWeight is the definition of weight quantization, one value: v /
+// scale rounded to the nearest integer, ties to even, clamped to ±127. NaN,
+// whose conversion to an integer Go leaves to the platform, quantizes to 0,
+// as in quantizeAct.
+func quantizeWeight(v, scale float32) int8 {
+	r := math.RoundToEven(float64(v / scale))
+	if r != r {
+		return 0
+	}
+	return int8(min(max(r, -127), 127))
 }
 
 // ---------------------------------------------------------------------------
@@ -238,7 +248,7 @@ func PrepareQuantConv(weight, bias *tensor.Tensor, a *graph.Conv2DAttrs, inputSc
 	oc, ic := weight.Dim(0), weight.Dim(1)
 	taps := a.KernelH * a.KernelW
 	c := &QuantConv{attrs: *a, ic: ic, oc: oc, InputScale: inputScale, simd: matmul.HaveAVX2()}
-	q, scales := quantizeWeightChannels(weight.Data(), oc, ic*taps)
+	q, scales := quantizeWeightChannels(weight.Data(), oc, ic*taps, c.simd)
 	c.wScales = scales
 	c.packed = matmul.PackWeightInt8(q, oc, ic, a.KernelH, a.KernelW, tensor.UpDiv(ic, 4)*4)
 	c.rq.Bias = paddedBias(bias, tensor.UpDiv(oc, matmul.PanelWidthInt8)*matmul.PanelWidthInt8)
@@ -450,7 +460,7 @@ func PrepareQuantInnerProduct(weight, bias *tensor.Tensor, a *graph.InnerProduct
 	out := weight.Dim(0)
 	features := weight.Dim(1)
 	ip := &QuantInnerProduct{attrs: *a, features: features, InputScale: inputScale, simd: matmul.HaveAVX2()}
-	q, scales := quantizeWeightChannels(weight.Data(), out, features)
+	q, scales := quantizeWeightChannels(weight.Data(), out, features, ip.simd)
 	ip.wScales = scales
 	ip.packed = matmul.PackWeightInt8(q, out, features, 1, 1, features)
 	ip.bias = paddedBias(bias, out)

@@ -144,7 +144,7 @@ func TestQuantInnerProductRoundsTwiceBitwise(t *testing.T) {
 		got := tensor.New(batch, out)
 		ip.Run(got, src, pool, make([]float32, QuantInnerProductWorkspaceFloats(batch, f, out)))
 
-		qw, wScales := quantizeWeightChannels(weight.Data(), out, f)
+		qw, wScales := quantizeWeightChannels(weight.Data(), out, f, matmul.HaveAVX2())
 		bT := make([]int8, f*out)
 		for o := 0; o < out; o++ {
 			for i := 0; i < f; i++ {

@@ -206,3 +206,54 @@ maxloop:
 	VMOVSS       X0, ret+24(FP)
 	VZEROUPPER
 	RET
+
+DATA quantizeWeightLo<>+0(SB)/4, $0xc2fe0000 // -127
+GLOBL quantizeWeightLo<>(SB), RODATA|NOPTR, $4
+
+DATA quantizeWeightHi<>+0(SB)/4, $0x42fe0000 // 127
+GLOBL quantizeWeightHi<>(SB), RODATA|NOPTR, $4
+
+// WROUND8 quantizes the eight floats at M into int32 lanes of Y:
+// quantizeWeight's steps in its order — r = v / scale (Y8), rounded to the
+// nearest integer, ties to even; NaN, the one value not equal to itself, to
+// 0; clamp to [-127, 127] (Y10, Y11); convert, exact on an integer.
+#define WROUND8(M, Y) \
+	VMOVUPS    M, Y         \
+	VDIVPS     Y8, Y, Y     \
+	VROUNDPS   $0, Y, Y     \
+	VCMPPS     $0, Y, Y, Y15 \
+	VANDPS     Y15, Y, Y    \
+	VMAXPS     Y10, Y, Y    \
+	VMINPS     Y11, Y, Y    \
+	VCVTTPS2DQ Y, Y
+
+// func quantizeWeights32(dst *int8, src *float32, blocks int, scale float32)
+//
+// dst[i] = quantizeWeight(src[i], scale) for i < 32·blocks, blocks ≥ 1.
+TEXT ·quantizeWeights32(SB), NOSPLIT, $0-28
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ blocks+16(FP), CX
+	VBROADCASTSS scale+24(FP), Y8
+	VBROADCASTSS quantizeWeightLo<>(SB), Y10
+	VBROADCASTSS quantizeWeightHi<>(SB), Y11
+	VMOVDQU      quantizeOrder<>(SB), Y14
+
+wloop:
+	WROUND8(0(SI), Y0)
+	WROUND8(32(SI), Y1)
+	WROUND8(64(SI), Y2)
+	WROUND8(96(SI), Y3)
+	// int32 → int16 → int8, both in-lane and signed; the values fit, so
+	// nothing saturates.
+	VPACKSSDW Y1, Y0, Y0
+	VPACKSSDW Y3, Y2, Y2
+	VPACKSSWB Y2, Y0, Y0
+	VPERMD    Y0, Y14, Y0
+	VMOVDQU   Y0, (DI)
+	ADDQ      $128, SI
+	ADDQ      $32, DI
+	DECQ      CX
+	JNZ       wloop
+	VZEROUPPER
+	RET

@@ -39,6 +39,12 @@ func quantizeNC4(dst *uint8, src *float32, blocks int, inv float32, sign uint32,
 //go:noescape
 func quantizePixelsNC4(dst *uint8, dstPix, dstRow int, src *float32, srcPack, srcRow, packs, rows, pixels int, inv float32, sign uint32, lo, hi float32)
 
+// quantizeWeights32 is the AVX2 weight quantizer (quantize_amd64.s):
+// 32·blocks floats to int8, each by quantizeWeight with the one scale.
+//
+//go:noescape
+func quantizeWeights32(dst *int8, src *float32, blocks int, scale float32)
+
 // maxAbs8 is the AVX max-abs scan (quantize_amd64.s) over 8·blocks floats,
 // the lanes i%8 whose mask is 0 read as +0, NaN passed over.
 //

@@ -26,6 +26,10 @@ func quantizePixelsNC4(dst *uint8, dstPix, dstRow int, src *float32, srcPack, sr
 	panic("kernels: no SIMD quantizer on this architecture")
 }
 
+func quantizeWeights32(dst *int8, src *float32, blocks int, scale float32) {
+	panic("kernels: no SIMD quantizer on this architecture")
+}
+
 func maxAbs8(src *float32, blocks int, mask *[8]uint32) float32 {
 	panic("kernels: no SIMD max-abs scan on this architecture")
 }

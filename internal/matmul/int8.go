@@ -112,14 +112,6 @@ func (pb *PackedBInt8) at(i int) int32 {
 	return int32(pb.w16[i])
 }
 
-func (pb *PackedBInt8) set(i int, v int8) {
-	if pb.w8 != nil {
-		pb.w8[i] = v
-	} else {
-		pb.w16[i] = int16(v)
-	}
-}
-
 // newPackedBInt8 returns the packed form of the k×n zero matrix, in
 // segments of seg rows (k a multiple of seg), for the kernels of level lv.
 func newPackedBInt8(k, n, seg int, lv level) *PackedBInt8 {
@@ -152,12 +144,17 @@ func PackBInt8Segments(b []int8, k, n, seg int) *PackedBInt8 {
 	if k > 0 && (seg < 1 || k%seg != 0) {
 		panic("matmul: PackBInt8Segments rows are not whole segments")
 	}
-	pb := newPackedBInt8(k, n, seg, haveInt8)
-	for p := 0; p < k; p++ {
-		for j, v := range b[p*n : (p+1)*n] {
-			pb.set(pb.index(p, j), v)
+	return packBInt8Segments(b, k, n, seg, haveInt8)
+}
+
+// packBInt8Segments is PackBInt8Segments for the kernels of level lv.
+func packBInt8Segments(b []int8, k, n, seg int, lv level) *PackedBInt8 {
+	pb := newPackedBInt8(k, n, seg, lv)
+	pb.packColumns(func(j int, rows []int8) {
+		for p := range k {
+			rows[pb.row(p)] = b[p*n+j]
 		}
-	}
+	})
 	return pb
 }
 
@@ -166,26 +163,63 @@ func PackBInt8Segments(b []int8, k, n, seg int) *PackedBInt8 {
 // of input channel i < c, and rows c ≤ i < cp of each tap are zero. Each
 // kernel row, kw·cp rows, is one segment.
 func PackWeightInt8(w []int8, n, c, kh, kw, cp int) *PackedBInt8 {
-	taps := kh * kw
-	if len(w) < n*c*taps || cp < c {
+	if len(w) < n*c*kh*kw || cp < c {
 		panic("matmul: PackWeightInt8 buffer too small for declared dimensions")
 	}
-	pb := newPackedBInt8(taps*cp, n, kw*cp, haveInt8)
-	vnni := pb.w8 != nil
-	for j0 := 0; j0 < n; j0 += PanelWidthInt8 {
-		for p := 0; p < pb.K; p++ {
-			t, i := p/cp, p%cp
-			if i >= c {
-				continue
-			}
-			r := pb.row(p)
-			quad := (j0/PanelWidthInt8*pb.kq + r/4) * quadLen
-			for l := range min(PanelWidthInt8, n-j0) {
-				pb.set(quad+quadIndex(vnni, r%4, l), w[((j0+l)*c+i)*taps+t])
+	return packWeightInt8(w, n, c, kh, kw, cp, haveInt8)
+}
+
+// packWeightInt8 is PackWeightInt8 for the kernels of level lv. An output
+// channel's weight is its contiguous [c][taps] block, read in (tap,
+// channel) order — for one tap, the block itself.
+func packWeightInt8(w []int8, n, c, kh, kw, cp int, lv level) *PackedBInt8 {
+	taps := kh * kw
+	pb := newPackedBInt8(taps*cp, n, kw*cp, lv)
+	pb.packColumns(func(j int, rows []int8) {
+		block := w[j*c*taps : (j+1)*c*taps]
+		if taps == 1 {
+			copy(rows, block)
+			return
+		}
+		for t := range taps {
+			tap := rows[pb.row(t*cp):][:c]
+			for i := range tap {
+				tap[i] = block[i*taps+t]
 			}
 		}
-	}
+	})
 	return pb
+}
+
+// packColumns fills pb a column at a time: view(j, rows) writes column j's
+// packed rows — matrix row p at row(p) — into rows, 4·kq bytes that come
+// zeroed, so the rows no matrix row lands on stay zero. Column l of a
+// panel's quad q is then the four bytes rows[4q:4q+4]: one dword at
+// avx512vnni and amx, two int16 pairs at avx2 and portable (quadIndex).
+func (pb *PackedBInt8) packColumns(view func(j int, rows []int8)) {
+	kq := pb.kq
+	if kq == 0 {
+		return
+	}
+	rows := make([]int8, 4*kq)
+	quads := unsafe.Slice((*uint32)(unsafe.Pointer(&rows[0])), kq)
+	for j := range pb.N {
+		clear(rows)
+		view(j, rows)
+		at, l := j/PanelWidthInt8*kq*quadLen, j%PanelWidthInt8
+		if pb.w8 != nil {
+			panel := unsafe.Slice((*uint32)(unsafe.Pointer(&pb.w8[at])), kq*PanelWidthInt8)
+			for q, d := range quads {
+				panel[q*PanelWidthInt8+l] = d
+			}
+			continue
+		}
+		lo, hi := at+quadIndex(false, 0, l), at+quadIndex(false, 2, l) // rows 0, 1 and rows 2, 3
+		for q := range kq {
+			r, o := rows[4*q:4*q+4], q*quadLen
+			pb.w16[lo+o], pb.w16[lo+o+1], pb.w16[hi+o], pb.w16[hi+o+1] = int16(r[0]), int16(r[1]), int16(r[2]), int16(r[3])
+		}
+	}
 }
 
 // Int8ISA names the int8 micro-kernels this host runs: "portable", "avx2",
@@ -217,13 +251,13 @@ func (pb *PackedBInt8) WithISA(isa string) *PackedBInt8 {
 		if lv == levelPortable {
 			return pb.Portable()
 		}
-		q := newPackedBInt8(pb.K, pb.N, pb.seg, lv)
-		for p := 0; p < pb.K; p++ {
-			for j := 0; j < pb.N; j++ {
-				q.set(q.index(p, j), int8(pb.at(pb.index(p, j))))
+		b := make([]int8, pb.K*pb.N)
+		for p := range pb.K {
+			for j := range pb.N {
+				b[p*pb.N+j] = int8(pb.at(pb.index(p, j)))
 			}
 		}
-		return q
+		return packBInt8Segments(b, pb.K, pb.N, pb.seg, lv)
 	}
 	return nil
 }

@@ -538,3 +538,35 @@ func TestPackWeightMatchesStagedTranspose(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPackWeight packs weights of the zoo's shapes as pre-inference
+// does — fp32 through PackWeight, int8 through PackWeightInt8 with every tap
+// padded to whole channel packs — and reports the weight's bytes per
+// second: mobilenet-v1's widest pointwise convolution and its classifier,
+// squeezenet-v1.1's conv10, and a 3×3 of 64 channels.
+func BenchmarkPackWeight(b *testing.B) {
+	for _, s := range []struct {
+		name       string
+		n, c, taps int
+	}{
+		{"1x1_1024x1024", 1024, 1024, 1},
+		{"fc_1000x1024", 1000, 1024, 1},
+		{"1x1_1000x512", 1000, 512, 1},
+		{"3x3_64x64", 64, 64, 9},
+	} {
+		w := weights(1, s.n, s.c*s.taps)
+		b.Run("fp32/"+s.name, func(b *testing.B) {
+			b.SetBytes(int64(4 * len(w)))
+			for range b.N {
+				PackWeight(w, s.n, s.c, s.taps)
+			}
+		})
+		q := randInt8(1, len(w), false)
+		b.Run("int8/"+s.name, func(b *testing.B) {
+			b.SetBytes(int64(len(q)))
+			for range b.N {
+				PackWeightInt8(q, s.n, s.c, 1, s.taps, (s.c+3)/4*4)
+			}
+		})
+	}
+}
